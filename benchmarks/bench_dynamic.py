@@ -22,7 +22,7 @@ batches of ``BATCH_EDGES`` deletions + ``BATCH_EDGES`` insertions each:
 Correctness is asserted *every batch*, not sampled at the end:
 Definition 2.4 edge validity on the repaired hopset (exhaustive at
 smoke scale, a seeded source sample at acceptance scale —
-``verify_edge_weights`` is O(#sources) Dijkstras), converged server
+``verify_edge_weights`` is O(#sources) Dijkstras), exact server
 rows equal to scipy Dijkstra on the updated graph, cache eviction
 exactness (a warm row is either invalidated or still exact), and the
 certified stretch bound on the repaired spanner.  Emits
@@ -169,7 +169,7 @@ def run_dynamic_bench(
         t_inc = time.perf_counter() - t0
 
         # from-scratch pipeline on the same batch: apply + rebuild +
-        # fresh server (the union-CSR recompile the tier amortizes)
+        # fresh server (exact servers compile no union CSR on either path)
         t0 = time.perf_counter()
         ar = apply_batch(g_prev, batch)
         hs_full = build_hopset(

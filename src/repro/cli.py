@@ -255,7 +255,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache_rows=args.cache_rows,
     )
     print(f"graph: n={g.n} m={g.m}; serving with backend={server.backend}, "
-          f"h={'converge' if args.hops <= 0 else args.hops}, "
+          f"h={'exact' if args.hops <= 0 else args.hops}, "
           f"cache_rows={args.cache_rows}")
 
     if args.queries and args.queries != "-":
@@ -610,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--hops",
         type=int,
         default=0,
-        help="hop budget per query (0 = run to convergence: exact distances)",
+        help="hop budget per query (0 = exact distances: bucket engine on G)",
     )
     p.add_argument("--cache-rows", type=int, default=128,
                    help="LRU capacity for hot source distance rows")
@@ -637,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--hops",
         type=int,
         default=0,
-        help="hop budget per query (0 = run to convergence: exact distances)",
+        help="hop budget per query (0 = exact distances: bucket engine on G)",
     )
     p.add_argument("--cache-rows", type=int, default=128,
                    help="LRU capacity for hot source distance rows")

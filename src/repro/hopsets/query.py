@@ -12,8 +12,10 @@ cached union CSR: round ``t`` gathers only from vertices improved in
 round ``t - 1``, which is label-identical to dense synchronous
 Bellman–Ford but does (and charges) only the work that can matter.
 For sustained query traffic use :class:`repro.serve.DistanceServer`,
-which adds source-row caching and batch coalescing on top of the same
-kernel.
+which adds source-row caching and batch coalescing: with an integer
+hop budget on top of the same kernel, and with ``h=None`` (exact
+answers) on the label-setting bucket engine over ``G`` alone — a
+hopset makes few hops enough, it does not make exact search cheaper.
 """
 
 from __future__ import annotations

@@ -5,14 +5,20 @@ once, then answer arbitrary s-t traffic by h-round Bellman–Ford on
 ``E ∪ E'`` [KS97].  :class:`DistanceServer` is that story made
 operational — the "build once, serve millions of queries" tier:
 
-* the union adjacency ``E ∪ E'`` is compiled into one CSR at
-  construction (:meth:`repro.hopsets.result.HopsetResult.union_csr`)
-  and held hot for the server's lifetime;
-* the hot path is the frontier-based multi-source hop-limited kernel
-  (:func:`repro.kernels.numpy_kernel.hop_sssp_batch`, numba twin
-  behind the ``kernels`` registry with graceful numpy fallback,
-  ``workers=`` thread sharding) — every synchronous round advances
-  *all* in-flight queries with one batched gather/scatter;
+* the hop budget ``h`` picks the search.  An integer ``h`` gives the
+  paper's h-hop (1+eps)-approximations (Lemma 4.2, Figure 2): the union
+  adjacency ``E ∪ E'`` is compiled into one CSR
+  (:meth:`repro.hopsets.result.HopsetResult.union_csr`), held hot, and
+  searched by the frontier-based multi-source hop-limited kernel
+  (:func:`repro.kernels.numpy_kernel.hop_sssp_batch`, numba twin behind
+  the ``kernels`` registry) — every synchronous round advances *all*
+  in-flight queries with one batched gather/scatter;
+* ``h=None`` (default) serves **exact** distances with the label-setting
+  bucket engine on ``G`` alone
+  (:func:`repro.paths.engine.shortest_paths_batch`: Dial on integer
+  weights, delta-stepping on floats).  Such a search settles each
+  vertex once and scans each arc once, so shortcut arcs could only add
+  scans; the union CSR is never compiled;
 * a bounded **LRU cache of source distance rows**: one kernel run
   yields the full distance row of its source, which then answers any
   s-t query for that source in O(1) — serving traffic has hot sources,
@@ -22,13 +28,8 @@ operational — the "build once, serve millions of queries" tier:
   multi-source kernel call (chunked at ``max_batch_runs`` so a huge
   batch never materializes an unbounded ``k x n`` label block).
 
-Hop budget semantics: with ``h=None`` (default) each run executes
-until its frontier empties — full convergence, i.e. **exact**
-distances on ``G`` (hopset edges mirror real paths, so the converged
-union distance equals the true graph distance); the hopset's role is
-to collapse the number of rounds needed to get there.  With an
-explicit ``h`` the answers are the h-hop (1+eps)-approximations the
-paper's Figure 2 measures.
+Rows are ``float64`` with ``inf`` for vertices a run does not reach
+(disconnected, or beyond the hop budget) under either search.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ from repro.hopsets.result import HopsetResult, RepairStructure
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dynamic.batch import UpdateBatch
 from repro.kernels import hop_sssp_batch, hop_sssp_batch_numba, resolve_backend
+from repro.kernels.numpy_kernel import INT_INF
+from repro.paths.engine import shortest_paths_batch
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 
@@ -94,11 +97,15 @@ class DistanceServer:
     ----------
     hopset:
         A built :class:`~repro.hopsets.result.HopsetResult`; its graph
-        and union CSR are the server's whole world.
+        (and, with an integer ``h``, its union CSR) is the server's
+        whole world.
     h:
-        Hop budget per query run.  ``None`` (default) runs each search
-        to convergence — exact distances, few rounds thanks to the
-        hopset.  An integer gives h-hop approximate semantics.
+        Hop budget per query run.  ``None`` (default) answers exact
+        distances on ``G`` with the bucket engine
+        (:func:`repro.paths.engine.shortest_paths_batch`); the hopset
+        is not consulted and the union CSR is never compiled.  An
+        integer gives the paper's h-hop approximate semantics: h-round
+        Bellman–Ford on the compiled union ``E ∪ E'``.
     backend:
         ``"numpy"`` (default) or ``"numba"``; resolved through
         :func:`repro.kernels.resolve_backend`, so a numba request
@@ -107,7 +114,7 @@ class DistanceServer:
         ``require_backend`` before construction).  ``"reference"`` has
         no hop-limited kernel and is rejected.
     workers:
-        Thread count for the kernel's sharded rounds (``1`` serial,
+        Thread count for the search's sharded rounds (``1`` serial,
         ``None`` = all cores); results are identical for every value.
     cache_rows:
         Maximum source distance rows kept in the LRU (``0`` disables
@@ -152,13 +159,18 @@ class DistanceServer:
                 "use 'numpy' or 'numba'"
             )
         self.backend = name
-        self._indptr, self._indices, self._weights = self.hopset.union_csr()
-        self._n = self.hopset.graph.n
-        self._budget = self._n if self.h is None else int(self.h)
-        if self._budget <= 0:
+        if self.h is not None and int(self.h) <= 0:
             raise ParameterError("hop budget h must be positive")
+        self._n = self.hopset.graph.n
+        self._compile()
         self._cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._tracker = self.tracker or null_tracker()
+
+    def _compile(self) -> None:
+        """Hold the union CSR hot for hop-limited serving; exact serving
+        searches ``G`` itself and compiles nothing."""
+        if self.h is not None:
+            self._union = self.hopset.union_csr()
 
     # ------------------------------------------------------------------
     # cache
@@ -183,27 +195,40 @@ class DistanceServer:
     # ------------------------------------------------------------------
     def _run_kernel(self, sources: np.ndarray) -> np.ndarray:
         """One multi-source kernel call: one run per entry of
-        ``sources``; returns the ``(k, n)`` distance block."""
+        ``sources``; returns the ``(k, n)`` float64 distance block."""
         k = sources.shape[0]
-        run_ptr = np.arange(k + 1, dtype=np.int64)
-        kern = hop_sssp_batch_numba if self.backend == "numba" else hop_sssp_batch
-        dist, _, round_arcs, _ = kern(
-            self._indptr,
-            self._indices,
-            self._weights,
-            self._n,
-            sources,
-            run_ptr,
-            self._budget,
-            workers=self.workers,
-        )
+        with self._tracker.phase("serve"):
+            if self.h is None:
+                res = shortest_paths_batch(
+                    self.hopset.graph,
+                    sources,
+                    backend=self.backend,
+                    workers=self.workers,
+                    tracker=self._tracker,
+                )
+                dist = res.dist
+                if dist.dtype != np.float64:  # Dial: int64, INT_INF unreached
+                    dist = np.where(dist == INT_INF, np.inf, dist.astype(np.float64))
+                rounds, arcs = res.relax_rounds, res.arcs_relaxed
+            else:
+                kern = (
+                    hop_sssp_batch_numba if self.backend == "numba" else hop_sssp_batch
+                )
+                dist, _, round_arcs, _ = kern(
+                    *self._union,
+                    self._n,
+                    sources,
+                    np.arange(k + 1, dtype=np.int64),
+                    int(self.h),
+                    workers=self.workers,
+                )
+                for work in round_arcs:
+                    self._tracker.parallel_round(work=work)
+                rounds, arcs = len(round_arcs), int(sum(round_arcs))
         self.stats.kernel_calls += 1
         self.stats.kernel_runs += k
-        self.stats.rounds += len(round_arcs)
-        self.stats.arcs += int(sum(round_arcs))
-        with self._tracker.phase("serve"):
-            for arcs in round_arcs:
-                self._tracker.parallel_round(work=arcs)
+        self.stats.rounds += rounds
+        self.stats.arcs += arcs
         return dist.reshape(k, self._n)
 
     def _rows_for(self, sources: Iterable[int]) -> Dict[int, np.ndarray]:
@@ -287,7 +312,8 @@ class DistanceServer:
         Repairs only the dirty level-0 blocks
         (:func:`repro.dynamic.hopset.repair_hopset` — requires the
         hopset to carry a repair structure), recompiles the hot union
-        CSR, and evicts exactly the cached source rows the batch can
+        CSR when ``h`` is an integer (exact serving holds none), and
+        evicts exactly the cached source rows the batch can
         have changed: with ``h=None`` rows are exact distances, so a
         row stays warm unless an added edge shortens it or a removed
         edge was tight on it.  With an explicit ``h`` the cache is
@@ -341,7 +367,7 @@ class DistanceServer:
             del self._cache[s]
         self.stats.cache_invalidations += len(stale)
         self.hopset = repaired
-        self._indptr, self._indices, self._weights = repaired.union_csr()
+        self._compile()
         out: Dict[str, object] = dict(ar.stats)
         out.update(info)
         out["invalidated_rows"] = len(stale)
@@ -377,9 +403,14 @@ class DistanceServer:
             bad = arr[(arr[:, 1] < 0) | (arr[:, 1] >= self._n), 1][0]
             raise ParameterError(f"target {bad} out of range [0, {self._n})")
         rows = self._rows_for(arr[:, 0])
+        # one fancy-index per distinct source: group the pairs by
+        # source instead of stacking the rows, which would copy a
+        # (distinct sources x n) block
+        order = np.argsort(arr[:, 0], kind="stable")
+        src = arr[order, 0]
         out = np.empty(k, dtype=np.float64)
-        for i in range(k):
-            out[i] = rows[int(arr[i, 0])][arr[i, 1]]
+        for idx in np.split(order, np.flatnonzero(src[1:] != src[:-1]) + 1):
+            out[idx] = rows[int(arr[idx[0], 0])][arr[idx, 1]]
         return out
 
     def distances(self, sources: Sequence[int]) -> np.ndarray:

@@ -8,7 +8,9 @@ Three layers are pinned here:
   and exact against Dijkstra at full convergence;
 * `DistanceServer` semantics: batched answers equal singleton answers,
   the LRU source-row cache hits/evicts as documented, and the
-  coalescing front door preserves request order;
+  coalescing front door preserves request order; exact serving
+  (``h=None``) searches G and never compiles the union CSR, while
+  hop-limited serving keeps the frontier kernel on it;
 * the `serve` CLI contract: build-or-load, query files/stdin, stats.
 """
 
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from repro import cli
 from repro.errors import ParameterError
 from repro.graph import from_edges, gnm_random_graph, grid_graph, with_random_weights
+from repro.graph.csr import csr_from_arrays
 from repro.hopsets import HopsetParams, build_hopset
 from repro.kernels import hop_sssp_batch, hop_sssp_batch_numba
 from repro.kernels.numba_kernel import HAVE_NUMBA, _hop_sssp_core
@@ -215,6 +218,47 @@ class TestDistanceServer:
         srv = DistanceServer(hs, h=5)
         dd, _, _ = hop_limited_distances(hs.arcs(), np.array([4]), 5)
         assert np.array_equal(srv.distance_row(4), dd)
+
+    def test_exact_rows_integer_weights_disconnected(self):
+        # two components plus isolated vertices, int64 weights: the
+        # engine runs Dial, and rows still come back float64 with inf
+        # (not INT_INF) where a source cannot reach
+        a = gnm_random_graph(40, 100, seed=3, connected=True)
+        b = gnm_random_graph(30, 70, seed=4, connected=True)
+        edges = np.concatenate([
+            np.stack([a.edge_u, a.edge_v], axis=1),
+            np.stack([b.edge_u, b.edge_v], axis=1) + 40,
+        ])
+        w = np.random.default_rng(0).integers(1, 9, edges.shape[0])
+        f = from_edges(75, edges, w)
+        g = csr_from_arrays(
+            f.n, f.indptr, f.indices, f.weights.astype(np.int64), f.edge_ids,
+            f.edge_u, f.edge_v, f.edge_w.astype(np.int64),
+        )
+        srv = DistanceServer(build_hopset(g, PARAMS, seed=1))
+        sources = [0, 45, 72]
+        D = srv.distances(sources)
+        assert D.dtype == np.float64
+        for row, s in zip(D, sources):
+            want = dijkstra_scipy(g, s)
+            assert np.isinf(want).any()
+            assert np.array_equal(row, want)
+
+    def test_exact_server_never_compiles_union(self, served):
+        from repro.dynamic import UpdateBatch
+
+        g, _ = served
+        hs = build_hopset(g, PARAMS, seed=11, record_structure=True)
+        srv = DistanceServer(hs)
+        srv.query_batch([(0, 5), (9, 2)])
+        srv.apply_updates(UpdateBatch.from_tuples(inserts=[(0, 70, 1.5)]))
+        srv.query_batch([(0, 5), (3, 2)])
+        for h in (hs, srv.hopset):
+            assert "_union_csr" not in h.__dict__
+            assert "_arcs" not in h.__dict__
+        # a hop-limited server does compile it
+        DistanceServer(srv.hopset, h=4)
+        assert "_union_csr" in srv.hopset.__dict__
 
     def test_front_door_ordering_with_duplicates(self, served):
         g, hs = served
@@ -518,6 +562,18 @@ class TestApplyUpdates:
         # no staleness certificate under a hop budget: full clear
         assert srv.cached_sources() == []
         assert srv.stats.cache_invalidations == 3
+
+    def test_hop_budget_serves_repaired_union(self, dyn_served):
+        from repro.dynamic import UpdateBatch
+
+        _, hs = dyn_served
+        srv = DistanceServer(hs, h=6, cache_rows=16)
+        srv.distance_row(0)
+        srv.apply_updates(UpdateBatch.from_tuples(inserts=[(0, 70, 0.5)]))
+        assert srv.hopset is not hs
+        for s in (0, 70, 13):
+            dd, _, _ = hop_limited_distances(srv.hopset.arcs(), np.array([s]), 6)
+            assert np.array_equal(srv.distance_row(s), dd)
 
     def test_requires_structure_and_meta(self, dyn_served):
         from repro.dynamic import UpdateBatch
