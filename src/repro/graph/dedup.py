@@ -20,9 +20,9 @@ Before this module the repo carried ~8 hand-rolled copies of each
 (est/quotient/unionfind/bfs/weighted spanner/...), which is exactly the
 idiom sprawl that made new backends expensive to validate.  Lint rule
 ``DUP001`` (:mod:`repro.lint.rules`) forbids re-inlining either pattern
-outside this file — the bucket kernels keep their fused inline variant
-(the blessed claim-reduction idiom) because they are deliberately free
-of intra-repo imports.
+outside this file.  The bucket kernels use neither: their claims and
+frontier unions are resolved sort-free through per-state scratch
+(:func:`repro.kernels.numpy_kernel.claim_min`).
 
 Both helpers are pure array-in/array-out (no CSRGraph, no tracker) and
 bit-exact with the idioms they replaced: ``first_of_runs`` returns the

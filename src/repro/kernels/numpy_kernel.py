@@ -28,16 +28,21 @@ ledger charges every light iteration and the heavy pass as separate
 relaxation rounds, keeping the PRAM depth accounting honest.
 
 Every relaxation round is one batched gather/scatter over all frontier
-arcs — the same expand + lexsort claim-resolution idiom as the parallel
-BFS in :mod:`repro.paths.bfs` — so a round is one CRCW PRAM step and
-the interpreter executes O(buckets x inner rounds) numpy calls instead
-of O(n + m) heap operations.
+arcs, so a round is one CRCW PRAM step and the interpreter executes
+O(buckets x inner rounds) numpy calls instead of O(n + m) heap
+operations.
 
 Concurrent claims on a vertex are resolved deterministically: the
 lexicographically smallest ``(candidate distance, owner rank, relaxing
 vertex)`` wins, where *rank* is the position of the owning source in
 the caller's source array (earlier entries win ties, matching the
-reference Dijkstra's documented tie rule).
+reference Dijkstra's documented tie rule).  :func:`claim_min` finds
+the winners with scatter-min passes into a per-call scratch word per
+state — linear in the claims, no sort — and later passes run only when
+an equal-distance tie is present.  Frontier and bucket-member unions
+are deduplicated the same way (:func:`_once_mask`), not by
+``np.unique``; frontier order therefore follows claim order, which no
+label or ledger depends on.
 
 Threaded mode (``workers``)
 ---------------------------
@@ -45,30 +50,31 @@ With ``workers > 1`` each relaxation round shards its frontier into
 contiguous chunks (:func:`repro.parallel.chunking.shard_frontier`) and
 gathers candidate relaxations per shard on a ``ThreadPoolExecutor`` —
 numpy releases the GIL inside the large gather ops, so shards really
-run on separate cores.  Each shard claim-reduces its own candidates
-(min ``(candidate, rank, relaxing vertex)`` per claimed state) and the
-shard winners are merged by one more pass of the *same* minimum
-reduction.  Because that key is a strict total order per claimed state
-(two distinct arcs into a state never share their relaxing vertex),
-the two-level min equals the serial global min **bit for bit**, for
-any shard count — results are independent of ``workers`` and of how
-the frontier happened to be split.  All label writes stay on the
-coordinating thread; worker threads only read the pre-round snapshot.
+run on separate cores.  Shards return their improving candidates
+unreduced (the claim scratch is shared) and the coordinating thread
+resolves them in one :func:`claim_min` pass.  Concatenated shards are
+the serial candidate list, so results are **bit for bit** independent
+of ``workers`` and of how the frontier happened to be split.  All label
+writes stay on the coordinating thread; worker threads only read the
+pre-round snapshot.
 
 Process shard mode
 ------------------
 Threads only help inside the GIL-released gather ops; the claim
-``lexsort`` and boolean reductions serialize.  With
+passes and boolean reductions serialize.  With
 ``repro.parallel.set_shard_mode("process")`` the bucket kernel runs
 the same shard plan on a :class:`repro.parallel.process.ForkShardPool`
 instead: the ``dist``/``rank`` labels and a frontier scratch buffer
 live in shared anonymous mmaps (fork-shared, not copy-on-write), the
 gather closure and the CSR arrays are inherited by the forked workers
 for free, and per round each worker receives only its scratch bounds
-and returns its claim-reduced shard winners.  The merge is the same
-min-``(cand, rank, src)`` pass, so labels and ledgers are bit-equal to
-thread mode and serial for any worker count.  Falls back to threads
-where ``fork`` is unavailable.  ``workers=1`` never forks.
+and returns its claim-reduced shard winners (a forked worker's claim
+scratch is its own copy-on-write page set).  The merge is one more
+:func:`claim_min` pass: the min-``(cand, rank, src)`` key orders a
+state's claims totally, so the two-level min equals the global one and
+labels and ledgers are bit-equal to thread mode and serial for any
+worker count.  Falls back to threads where ``fork`` is unavailable.
+``workers=1`` never forks.
 """
 
 from __future__ import annotations
@@ -154,6 +160,65 @@ def split_light_heavy(
     return tuple(out)
 
 
+def _min_mask(ids: np.ndarray, key: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Mask of the entries whose ``key`` is minimal among the entries
+    sharing their id: one scatter-min into the int64 scratch ``buf``
+    (indexed by id, viewed as ``key``'s numeric dtype) and a
+    read-back, no sort.  Only the ``ids`` positions of ``buf`` are
+    touched, each seeded with one of its own keys first, so the buffer
+    never needs clearing."""
+    best = buf.view(key.dtype)
+    best[ids] = key
+    np.minimum.at(best, ids, key)
+    return key == best[ids]
+
+
+def _once_mask(ids: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Mask keeping exactly one entry per distinct id: every entry
+    stamps its position into the int64 scratch ``buf`` and survives if
+    its stamp did.  Which duplicate survives is up to the scatter, so
+    this is only used where duplicates are interchangeable."""
+    pos = np.arange(ids.shape[0], dtype=np.int64)
+    buf[ids] = pos
+    return buf[ids] == pos
+
+
+def claim_min(
+    nbr: np.ndarray,
+    src: np.ndarray,
+    cand: np.ndarray,
+    rank: Optional[np.ndarray],
+    buf: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve concurrent claims: the minimum ``(cand, rank[src], src)``
+    claim per distinct ``nbr`` state, by scatter-min passes instead of a
+    sort.
+
+    ``buf`` is an int64 scratch array with one slot per state (see
+    :func:`_min_mask`); ``rank=None`` means every claim carries the same
+    rank.  The first pass keeps each state's minimal candidates; only
+    when some state kept several (an equal-distance tie) do scatter-mins
+    of the rank and then of the relaxing vertex settle it.  Claims that
+    tie on the whole key come from parallel arcs of equal weight and are
+    interchangeable, so the winners do not depend on the input order,
+    and reducing shards first and their winners again equals one global
+    pass.  The output keeps the input order.
+    """
+    keep = _min_mask(nbr, cand, buf)
+    nbr, src, cand = nbr[keep], src[keep], cand[keep]
+    once = _once_mask(nbr, buf)
+    if not once.all():
+        if rank is not None:
+            keep = _min_mask(nbr, rank[src], buf)
+            nbr, src, cand = nbr[keep], src[keep], cand[keep]
+        keep = _min_mask(nbr, src, buf)
+        nbr, src, cand = nbr[keep], src[keep], cand[keep]
+        # survivors share (nbr, src, cand): only parallel arcs of equal
+        # weight get here, and they are interchangeable
+        once = _once_mask(nbr, buf)
+    return nbr[once], src[once], cand[once]
+
+
 def expand_frontier(
     indptr: np.ndarray, frontier: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -202,9 +267,9 @@ def hop_sssp_batch(
 
     ``workers`` shards each round's frontier
     (:func:`repro.parallel.chunking.shard_frontier`) onto a thread
-    pool exactly like the bucket kernel; the per-shard reduction is a
-    plain min per claimed state, so results are identical for every
-    worker count.
+    pool exactly like the bucket kernel; the coordinating thread
+    reduces the shards' candidates with one scatter-min per claimed
+    state, so results are identical for every worker count.
 
     ``state`` warm-starts the loop: pass the ``(dist, hops, frontier,
     rounds_done)`` of a previous call with a smaller budget and rounds
@@ -225,20 +290,19 @@ def hop_sssp_batch(
     k = run_ptr.shape[0] - 1
     single = k == 1
     nn = k * n
+    # claim scratch, one word per state (see _min_mask / _once_mask)
+    claim_buf = np.empty(nn, dtype=np.int64)
 
     if state is None:
         dist = np.full(nn, np.inf, dtype=np.float64)
         hops = np.zeros(nn, dtype=np.int64)
-        if run_src.shape[0]:
-            if single:
-                comp = np.unique(run_src)
-            else:
-                run_of = np.repeat(np.arange(k, dtype=np.int64), np.diff(run_ptr))
-                comp = np.unique(run_of * n + run_src)
-            dist[comp] = 0.0
-            frontier = comp
+        if single:
+            comp = run_src
         else:
-            frontier = np.empty(0, dtype=np.int64)
+            run_of = np.repeat(np.arange(k, dtype=np.int64), np.diff(run_ptr))
+            comp = run_of * n + run_src
+        frontier = comp[_once_mask(comp, claim_buf)]
+        dist[frontier] = 0.0
         r = 0
     else:
         dist, hops, frontier, r = state
@@ -247,30 +311,14 @@ def hop_sssp_batch(
     pool: Optional[ThreadPoolExecutor] = None
     round_arcs: List[int] = []
 
-    def _reduce_min(
-        nbr: np.ndarray, cand: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One winner (the minimum candidate) per distinct claimed state.
-        Min is associative, so per-shard reduction + one merge pass over
-        shard winners equals a single global pass for any shard layout."""
-        sel = np.lexsort((cand, nbr))
-        nbr_s, cand_s = nbr[sel], cand[sel]
-        first = np.empty(nbr_s.shape[0], dtype=bool)
-        first[0] = True
-        np.not_equal(nbr_s[1:], nbr_s[:-1], out=first[1:])
-        return nbr_s[first], cand_s[first]
-
-    def _gather_shard(
-        shard: np.ndarray,
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], int]:
+    def _gather_shard(shard: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
         """Improving candidates out of one contiguous frontier shard,
-        claim-reduced, against the pre-round snapshot (pure reads)."""
+        against the pre-round snapshot.  Pure reads: the claim scratch
+        is shared, so the coordinating thread does the reduction."""
         vv = shard if single else shard % n
         starts = indptr[vv]
         counts = indptr[vv + 1] - starts
         total = int(counts.sum())
-        if total == 0:
-            return None, None, 0
         arc_off = np.repeat(np.cumsum(counts) - counts, counts)
         arc_idx = np.arange(total, dtype=np.int64) - arc_off + np.repeat(starts, counts)
         if single:
@@ -279,10 +327,7 @@ def hop_sssp_batch(
             nbr = np.repeat(shard - vv, counts) + indices[arc_idx]
         cand = np.repeat(dist[shard], counts) + weights[arc_idx]
         improving = cand < dist[nbr]
-        if not improving.any():
-            return None, None, total
-        nbr, cand = _reduce_min(nbr[improving], cand[improving])
-        return nbr, cand, total
+        return nbr[improving], cand[improving], total
 
     try:
         while r < h and frontier.shape[0]:
@@ -293,22 +338,20 @@ def hop_sssp_batch(
                 shards = shard_frontier(frontier, nw, PAR_MIN_SHARD)
                 parts = list(pool.map(_gather_shard, shards))
                 total = sum(p[2] for p in parts)
-                kept = [p for p in parts if p[0] is not None]
-                if not kept:
-                    win_v = None
-                elif len(kept) == 1:
-                    win_v, win_d = kept[0][:2]
-                else:
-                    win_v, win_d = _reduce_min(
-                        np.concatenate([p[0] for p in kept]),
-                        np.concatenate([p[1] for p in kept]),
-                    )
+                nbr = np.concatenate([p[0] for p in parts])
+                cand = np.concatenate([p[1] for p in parts])
             else:
-                win_v, win_d, total = _gather_shard(frontier)
+                nbr, cand, total = _gather_shard(frontier)
             round_arcs.append(total)
-            if win_v is None:
+            if nbr.shape[0] == 0:
                 frontier = np.empty(0, dtype=np.int64)
                 break
+            # one winner per claimed state: the minimum candidate (equal
+            # minima are interchangeable)
+            keep = _min_mask(nbr, cand, claim_buf)
+            nbr, cand = nbr[keep], cand[keep]
+            once = _once_mask(nbr, claim_buf)
+            win_v, win_d = nbr[once], cand[once]
             # all writes on the coordinating thread, after every shard's
             # snapshot reads: the round stays synchronous
             dist[win_v] = win_d
@@ -454,11 +497,15 @@ def bucket_sssp_batch(
         dist = shared_empty(nn, dtype)
         dist[:] = inf
         rank = shared_empty(nn, np.int64)
-        rank[:] = np.iinfo(np.int64).max
         scratch = shared_empty(nn, np.int64)
+        claim_buf = np.empty(nn, dtype=np.int64)
     else:
         dist = np.full(nn, inf, dtype=dtype)
-        rank = np.full(nn, np.iinfo(np.int64).max, dtype=np.int64)
+        # rank and the claim scratch share one block: as two blocks the
+        # per-call free pushed the allocator into trimming and
+        # re-faulting the heap, doubling page faults on batched builds
+        rank, claim_buf = np.empty((2, nn), dtype=np.int64)
+    rank[:] = np.iinfo(np.int64).max
     parent = np.full(nn, -1, dtype=np.int64)
     owner = np.full(nn, -1, dtype=np.int64)
     settled = np.zeros(nn, dtype=bool)
@@ -481,19 +528,12 @@ def bucket_sssp_batch(
         adjacencies[1] = light_heavy[:3]
         adjacencies[2] = light_heavy[3:]
 
-    def _claim(
-        nbr: np.ndarray, src: np.ndarray, cand: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Min ``(cand, rank, src)`` reduction per claimed state: one
-        winner per distinct ``nbr``.  The key is a strict total order
-        within each state's claims, so applying this per shard and then
-        once more over the shard winners equals one global pass."""
-        sel = np.lexsort((src, rank[src], cand, nbr))
-        nbr_s, src_s, cand_s = nbr[sel], src[sel], cand[sel]
-        first = np.empty(nbr_s.shape[0], dtype=bool)
-        first[0] = True
-        np.not_equal(nbr_s[1:], nbr_s[:-1], out=first[1:])
-        return nbr_s[first], src_s[first], cand_s[first]
+    # claim_buf is the claim scratch, one word per state; written only
+    # by the thread that resolves claims (forked shard workers get
+    # private copies).  rank[] only ever holds seed ranks, so when every
+    # seed has rank 0 (single-source runs) the rank tie-break cannot
+    # separate claims
+    claim_rank = rank if ranks.any() else None
 
     def _gather_shard(
         shard: np.ndarray,
@@ -501,16 +541,18 @@ def bucket_sssp_batch(
         xidx: np.ndarray,
         xw: np.ndarray,
         wc: Optional[float],
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], int]:
-        """Claim-reduced improving candidates out of one contiguous
-        frontier shard, against the pre-round label snapshot.  Pure
-        reads — the GIL-releasing half of a relaxation round."""
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Improving ``(nbr, src, cand)`` candidates out of one
+        contiguous frontier shard, against the pre-round label
+        snapshot, plus the arcs gathered.  Pure reads — the
+        GIL-releasing half of a relaxation round."""
         vv = shard if single else shard % n
         starts = xip[vv]
         counts = xip[vv + 1] - starts
         total = int(counts.sum())
         if total == 0:
-            return None, None, None, 0
+            # e.g. every light round when all arcs are heavy
+            return shard[:0], shard[:0], dist[:0], 0
         arc_off = np.repeat(np.cumsum(counts) - counts, counts)
         arc_idx = (
             np.arange(total, dtype=np.int64) - arc_off + np.repeat(starts, counts)
@@ -525,19 +567,19 @@ def bucket_sssp_batch(
         else:
             cand = dist[arc_src] + xw[arc_idx]
         improving = cand < dist[nbr]
-        if not improving.any():
-            return None, None, None, total
-        nbr, src, cand = _claim(nbr[improving], arc_src[improving], cand[improving])
-        return nbr, src, cand, total
+        return nbr[improving], arc_src[improving], cand[improving], total
 
     def _proc_gather(
         adj_id: int, lo: int, hi: int, wc: Optional[float]
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], int]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Worker-side shard gather (runs in a forked child): the shard
         is read from the fork-shared scratch buffer, the adjacency from
-        the fork-inherited snapshot, labels from the shared mmaps."""
+        the fork-inherited snapshot, labels from the shared mmaps.  The
+        child's claim scratch is a private copy-on-write page set, so
+        it claim-reduces its shard before the winners cross the pipe."""
         xip, xidx, xw = adjacencies[adj_id]
-        return _gather_shard(scratch[lo:hi], xip, xidx, xw, wc)
+        nbr, src, cand, total = _gather_shard(scratch[lo:hi], xip, xidx, xw, wc)
+        return (*claim_min(nbr, src, cand, claim_rank, claim_buf), total)
 
     def _relax_round(
         frontier: np.ndarray,
@@ -575,21 +617,12 @@ def bucket_sssp_batch(
                     pool.map(lambda s: _gather_shard(s, xip, xidx, xw, wc), shards)
                 )
             total = sum(p[3] for p in parts)
-            kept = [p for p in parts if p[0] is not None]
-            if not kept:
-                return None, None, total
-            if len(kept) == 1:
-                win_v, win_p, win_d = kept[0][:3]
-            else:
-                win_v, win_p, win_d = _claim(
-                    np.concatenate([p[0] for p in kept]),
-                    np.concatenate([p[1] for p in kept]),
-                    np.concatenate([p[2] for p in kept]),
-                )
+            nbr, src, cand = (np.concatenate([p[i] for p in parts]) for i in range(3))
         else:
-            win_v, win_p, win_d, total = _gather_shard(frontier, xip, xidx, xw, wc)
-            if win_v is None:
-                return None, None, total
+            nbr, src, cand, total = _gather_shard(frontier, xip, xidx, xw, wc)
+        if nbr.shape[0] == 0:
+            return None, None, total
+        win_v, win_p, win_d = claim_min(nbr, src, cand, claim_rank, claim_buf)
         dist[win_v] = win_d
         parent[win_v] = win_p if single else win_p % n
         owner[win_v] = owner[win_p]
@@ -603,13 +636,12 @@ def bucket_sssp_batch(
         else:
             run_of = np.repeat(np.arange(k, dtype=np.int64), np.diff(run_ptr))
             comp = run_of * n + run_src
-        # best (offset, rank) per distinct composite seeds that run
-        sel = np.lexsort((ranks, offsets, comp))
-        cs, off_s, rk_s = comp[sel], offsets[sel], ranks[sel]
-        first = np.empty(cs.shape[0], dtype=bool)
-        first[0] = True
-        np.not_equal(cs[1:], cs[:-1], out=first[1:])
-        cs, off_s, rk_s = cs[first], off_s[first], rk_s[first]
+        # best (offset, rank) per distinct composite seeds that run;
+        # ranks are distinct within a run, so one rank pass is final
+        keep = _min_mask(comp, offsets, claim_buf)
+        cs, off_s, rk_s = comp[keep], offsets[keep], ranks[keep]
+        keep = _min_mask(cs, rk_s, claim_buf)
+        cs, off_s, rk_s = cs[keep], off_s[keep], rk_s[keep]
         dist[cs] = off_s
         owner[cs] = cs if single else cs % n
         rank[cs] = rk_s
@@ -617,14 +649,13 @@ def bucket_sssp_batch(
 
     try:
         while pending:
-            if len(pending) == 1:
-                # single pending array: already duplicate-free (winner
-                # masks and seed dedup guarantee it), skip the hash pass
-                pend = pending[0]
-            else:
-                pend = np.unique(np.concatenate(pending))
-            pending = []
+            # each pending array is duplicate-free (claim winners, seed
+            # dedup); only several of them can repeat a state
+            pend = pending[0] if len(pending) == 1 else np.concatenate(pending)
             pend = pend[~settled[pend]]
+            if len(pending) > 1:
+                pend = pend[_once_mask(pend, claim_buf)]
+            pending = []
             if pend.shape[0] == 0:
                 continue
             d_pend = dist[pend]
@@ -663,11 +694,11 @@ def bucket_sssp_batch(
                     frontier = win_v[stay]
                     if not stay.all():
                         pending.append(win_v[~stay])
-                members = (
-                    member_chunks[0]
-                    if len(member_chunks) == 1
-                    else np.unique(np.concatenate(member_chunks))
-                )
+                members = member_chunks[0]
+                if len(member_chunks) > 1:
+                    # re-improved vertices join several light rounds
+                    members = np.concatenate(member_chunks)
+                    members = members[_once_mask(members, claim_buf)]
                 if members.shape[0]:
                     # heavy candidates land at >= hi, so one pass settles
                     # the bucket's heavy arcs for good

@@ -3,9 +3,9 @@
 Each rule encodes one piece of the repo's determinism/plumbing
 discipline (see the module docstrings it points at).  Rules are
 deliberately calibrated against this tree: the blessed exceptions
-(``repro/rng.py`` for RNG001, the fused claim-reduction idiom in
-``kernels/numpy_kernel.py`` for DUP001) are allowlisted here, in one
-place, instead of sprinkled as suppression comments.
+(``repro/rng.py`` for RNG001, ``graph/dedup.py`` itself for DUP001)
+are allowlisted here, in one place, instead of sprinkled as
+suppression comments.
 
 Shipped rules
 -------------
@@ -612,14 +612,7 @@ class MutableDefaultRule(Rule):
 # --------------------------------------------------------------------------
 
 #: files whose inline copies are the blessed originals
-_DUP_ALLOWLIST = (
-    "repro/graph/dedup.py",
-    # the bucket kernels are deliberately free of intra-repo imports
-    # (raw-array contract); their fused claim-reduction keeps the
-    # inline lexsort+first-run mask
-    "repro/kernels/numpy_kernel.py",
-    "repro/kernels/numba_kernel.py",
-)
+_DUP_ALLOWLIST = ("repro/graph/dedup.py",)
 
 
 @register

@@ -26,7 +26,7 @@ execution helpers behind them:
 * :func:`set_shard_mode` / :class:`repro.parallel.process.ForkShardPool`
   — switch the bucket kernels' frontier sharding from threads to
   forked processes with shared-memory label scratch, which also
-  parallelizes the GIL-bound lexsort/claim passes.  Labels and
+  parallelizes the GIL-bound claim passes.  Labels and
   ledgers stay bit-identical across modes and worker counts.
 """
 

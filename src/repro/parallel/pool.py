@@ -20,7 +20,7 @@ execution knobs:
   rounds across threads (default; numpy releases the GIL inside the
   big gathers) or across forked processes
   (:mod:`repro.parallel.process`; sidesteps the GIL entirely for the
-  lexsort/claim-merge passes, which hold it).
+  claim-merge passes, which hold it).
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The thread-sharded relaxation rounds in the bucket kernels win real
 multicore throughput only inside the GIL-released numpy gathers; the
-claim-resolution ``lexsort`` and the boolean reduction passes hold the
+claim-resolution scatter-min and the boolean reduction passes hold the
 GIL and serialize.  This module provides the process-based alternative
 named by ROADMAP open item 1: shard workers are **forked** from the
 middle of the kernel call, so they inherit the whole call state —

@@ -153,6 +153,44 @@ class TestTieBreakDeterminism:
         for other in results[1:]:
             _assert_same_result(results[0], other)
 
+    @SETTINGS
+    @given(
+        st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=1, max_value=400),
+        st.sampled_from([np.int64, np.float64]),
+        st.sampled_from([np.int32, np.int64]),
+        st.booleans(),
+    )
+    def test_claim_min_matches_lexsort_reference(self, seed, m, cand_dtype,
+                                                 id_dtype, ranked):
+        """The scatter-min claim crowns exactly the lexsort winners —
+        min (cand, rank[src], src) per state — on tie-heavy claims with
+        parallel duplicates, in any input order."""
+        rng = np.random.default_rng(seed)
+        nn = 40
+        nbr = rng.integers(0, nn, m).astype(id_dtype)
+        src = rng.integers(0, nn, m).astype(id_dtype)
+        cand = rng.integers(0, 4, m).astype(cand_dtype)  # few values: ties
+        dup = rng.random(m) < 0.2  # equal-weight parallel arcs
+        nbr[1:][dup[1:]], src[1:][dup[1:]] = nbr[:-1][dup[1:]], src[:-1][dup[1:]]
+        cand[1:][dup[1:]] = cand[:-1][dup[1:]]
+        rank = rng.integers(0, 3, nn) if ranked else np.zeros(nn, np.int64)
+
+        sel = np.lexsort((src, rank[src], cand, nbr))
+        first = np.ones(m, dtype=bool)
+        first[1:] = nbr[sel][1:] != nbr[sel][:-1]
+        want = tuple(a[sel][first] for a in (nbr, src, cand))
+
+        perm = rng.permutation(m)
+        buf = np.full(nn, -7, dtype=np.int64)  # stale scratch is fine
+        got = npk.claim_min(nbr[perm], src[perm], cand[perm],
+                            rank if ranked else None, buf)
+        order = np.argsort(got[0])
+        assert len(set(got[0].tolist())) == got[0].shape[0]
+        for g_arr, w_arr in zip(got, want):
+            assert g_arr.dtype == w_arr.dtype
+            assert np.array_equal(g_arr[order], w_arr)
+
     def test_shard_boundary_straddles_claims(self):
         # a star-like tie: every leaf claims the hub at distance 1;
         # the lowest-rank source must win no matter where shards split
