@@ -15,7 +15,7 @@ Subpackage layout (see DESIGN.md for the full inventory):
 ========================  ==============================================
 ``repro.graph``           CSR graphs, generators, quotient/contraction
 ``repro.pram``            PRAM work/depth cost model
-``repro.parallel``        process-pool helpers for real fan-out
+``repro.parallel``        worker policy and frontier shards for threads
 ``repro.paths``           BFS / weighted BFS / Bellman–Ford / Dijkstra
 ``repro.clustering``      exponential start time clustering (Alg. 1)
 ``repro.ctree``           validated cluster trees on real graphs

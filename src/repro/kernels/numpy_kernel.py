@@ -57,24 +57,6 @@ the serial candidate list, so results are **bit for bit** independent
 of ``workers`` and of how the frontier happened to be split.  All label
 writes stay on the coordinating thread; worker threads only read the
 pre-round snapshot.
-
-Process shard mode
-------------------
-Threads only help inside the GIL-released gather ops; the claim
-passes and boolean reductions serialize.  With
-``repro.parallel.set_shard_mode("process")`` the bucket kernel runs
-the same shard plan on a :class:`repro.parallel.process.ForkShardPool`
-instead: the ``dist``/``rank`` labels and a frontier scratch buffer
-live in shared anonymous mmaps (fork-shared, not copy-on-write), the
-gather closure and the CSR arrays are inherited by the forked workers
-for free, and per round each worker receives only its scratch bounds
-and returns its claim-reduced shard winners (a forked worker's claim
-scratch is its own copy-on-write page set).  The merge is one more
-:func:`claim_min` pass: the min-``(cand, rank, src)`` key orders a
-state's claims totally, so the two-level min equals the global one and
-labels and ledgers are bit-equal to thread mode and serial for any
-worker count.  Falls back to threads where ``fork`` is unavailable.
-``workers=1`` never forks.
 """
 
 from __future__ import annotations
@@ -85,13 +67,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.parallel.chunking import shard_frontier
-from repro.parallel.pool import (
-    DEFAULT_WORKERS,
-    WorkersArg,
-    effective_workers,
-    get_shard_mode,
-)
-from repro.parallel.process import ForkShardPool, fork_available, shared_empty
+from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg, effective_workers
 
 INT_INF = np.iinfo(np.int64).max
 
@@ -200,9 +176,8 @@ def claim_min(
     when some state kept several (an equal-distance tie) do scatter-mins
     of the rank and then of the relaxing vertex settle it.  Claims that
     tie on the whole key come from parallel arcs of equal weight and are
-    interchangeable, so the winners do not depend on the input order,
-    and reducing shards first and their winners again equals one global
-    pass.  The output keeps the input order.
+    interchangeable, so the winners do not depend on the input order.
+    The output keeps the input order.
     """
     keep = _min_mask(nbr, cand, buf)
     nbr, src, cand = nbr[keep], src[keep], cand[keep]
@@ -489,22 +464,11 @@ def bucket_sssp_batch(
     nn = k * n
 
     nw = effective_workers(workers, oversubscribe=True)
-    # process shard mode: the mutable state the forked workers read
-    # (labels + the frontier scratch) must live in fork-shared mmaps,
-    # decided before the first label write
-    use_procs = nw > 1 and get_shard_mode() == "process" and fork_available()
-    if use_procs:
-        dist = shared_empty(nn, dtype)
-        dist[:] = inf
-        rank = shared_empty(nn, np.int64)
-        scratch = shared_empty(nn, np.int64)
-        claim_buf = np.empty(nn, dtype=np.int64)
-    else:
-        dist = np.full(nn, inf, dtype=dtype)
-        # rank and the claim scratch share one block: as two blocks the
-        # per-call free pushed the allocator into trimming and
-        # re-faulting the heap, doubling page faults on batched builds
-        rank, claim_buf = np.empty((2, nn), dtype=np.int64)
+    dist = np.full(nn, inf, dtype=dtype)
+    # rank and the claim scratch share one block: as two blocks the
+    # per-call free pushed the allocator into trimming and re-faulting
+    # the heap, doubling page faults on batched builds
+    rank, claim_buf = np.empty((2, nn), dtype=np.int64)
     rank[:] = np.iinfo(np.int64).max
     parent = np.full(nn, -1, dtype=np.int64)
     owner = np.full(nn, -1, dtype=np.int64)
@@ -516,23 +480,15 @@ def bucket_sssp_batch(
     w_const = None
     if weights.shape[0] and (weights == weights[0]).all():
         w_const = weights[0]
-    # executors are created lazily on the first shardable frontier:
+    # the pool is created lazily on the first shardable frontier:
     # batched builders issue many engine calls whose frontiers never
-    # reach the shard threshold, and those must not pay pool/fork churn
+    # reach the shard threshold, and those must not pay pool churn
     pool: Optional[ThreadPoolExecutor] = None
-    ppool: Optional[ForkShardPool] = None
-    # adjacency registry for process-mode tasks: a tiny id crosses the
-    # pipe instead of arrays (0 = full CSR, 1/2 = light/heavy split)
-    adjacencies = {0: (indptr, indices, weights)}
-    if light_heavy is not None:
-        adjacencies[1] = light_heavy[:3]
-        adjacencies[2] = light_heavy[3:]
 
     # claim_buf is the claim scratch, one word per state; written only
-    # by the thread that resolves claims (forked shard workers get
-    # private copies).  rank[] only ever holds seed ranks, so when every
-    # seed has rank 0 (single-source runs) the rank tie-break cannot
-    # separate claims
+    # by the thread that resolves claims.  rank[] only ever holds seed
+    # ranks, so when every seed has rank 0 (single-source runs) the rank
+    # tie-break cannot separate claims
     claim_rank = rank if ranks.any() else None
 
     def _gather_shard(
@@ -569,53 +525,26 @@ def bucket_sssp_batch(
         improving = cand < dist[nbr]
         return nbr[improving], arc_src[improving], cand[improving], total
 
-    def _proc_gather(
-        adj_id: int, lo: int, hi: int, wc: Optional[float]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Worker-side shard gather (runs in a forked child): the shard
-        is read from the fork-shared scratch buffer, the adjacency from
-        the fork-inherited snapshot, labels from the shared mmaps.  The
-        child's claim scratch is a private copy-on-write page set, so
-        it claim-reduces its shard before the winners cross the pipe."""
-        xip, xidx, xw = adjacencies[adj_id]
-        nbr, src, cand, total = _gather_shard(scratch[lo:hi], xip, xidx, xw, wc)
-        return (*claim_min(nbr, src, cand, claim_rank, claim_buf), total)
-
     def _relax_round(
         frontier: np.ndarray,
         xip: np.ndarray,
         xidx: np.ndarray,
         xw: np.ndarray,
         wc: Optional[float] = None,
-        adj_id: int = 0,
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], int]:
         """One claim-resolved relaxation of ``frontier`` over the
         sub-adjacency ``(xip, xidx, xw)``, sharded across the thread
-        pool (or the forked shard workers in process mode) when the
-        frontier is big enough.  Updates the label arrays in place;
-        returns ``(win_v, win_d, arcs)`` with ``win_v=None`` when
-        nothing improved."""
-        nonlocal pool, ppool
+        pool when the frontier is big enough.  Updates the label arrays
+        in place; returns ``(win_v, win_d, arcs)`` with ``win_v=None``
+        when nothing improved."""
+        nonlocal pool
         if nw > 1 and frontier.shape[0] >= 2 * PAR_MIN_SHARD:
             shards = shard_frontier(frontier, nw, PAR_MIN_SHARD)
-            if use_procs:
-                if ppool is None:
-                    # fork *now*: children inherit the CSR snapshot and
-                    # this closure; post-fork label writes reach them
-                    # through the shared mmaps only
-                    ppool = ForkShardPool(nw, _proc_gather)
-                scratch[: frontier.shape[0]] = frontier
-                tasks, lo = [], 0
-                for s in shards:
-                    tasks.append((adj_id, lo, lo + s.shape[0], wc))
-                    lo += s.shape[0]
-                parts = ppool.map(tasks)
-            else:
-                if pool is None:
-                    pool = ThreadPoolExecutor(max_workers=nw)
-                parts = list(
-                    pool.map(lambda s: _gather_shard(s, xip, xidx, xw, wc), shards)
-                )
+            if pool is None:
+                pool = ThreadPoolExecutor(max_workers=nw)
+            parts = list(
+                pool.map(lambda s: _gather_shard(s, xip, xidx, xw, wc), shards)
+            )
             total = sum(p[3] for p in parts)
             nbr, src, cand = (np.concatenate([p[i] for p in parts]) for i in range(3))
         else:
@@ -684,9 +613,7 @@ def bucket_sssp_batch(
                     rounds += 1
                     settled[frontier] = True
                     member_chunks.append(frontier)
-                    win_v, win_d, arcs = _relax_round(
-                        frontier, lip, lidx, lw, adj_id=1
-                    )
+                    win_v, win_d, arcs = _relax_round(frontier, lip, lidx, lw)
                     work += max(arcs, int(frontier.shape[0]))
                     if win_v is None:
                         break
@@ -703,9 +630,7 @@ def bucket_sssp_batch(
                     # heavy candidates land at >= hi, so one pass settles
                     # the bucket's heavy arcs for good
                     rounds += 1
-                    win_v, win_d, arcs = _relax_round(
-                        members, hip, hidx, hw, adj_id=2
-                    )
+                    win_v, win_d, arcs = _relax_round(members, hip, hidx, hw)
                     work += max(arcs, int(members.shape[0]))
                     if win_v is not None:
                         pending.append(win_v)
@@ -733,7 +658,5 @@ def bucket_sssp_batch(
     finally:
         if pool is not None:
             pool.shutdown(wait=False)
-        if ppool is not None:
-            ppool.shutdown()
 
     return dist, parent, owner, settled, bucket_work, bucket_rounds

@@ -331,12 +331,6 @@ class NoSharedWriteInWorkerRule(Rule):
                 # the builtin map (a Name call, not an Attribute)
                 if node.args:
                     fn_arg = node.args[0]
-            elif isinstance(node.func, ast.Name) and node.func.id == "ForkShardPool":
-                if len(node.args) >= 2:
-                    fn_arg = node.args[1]
-            elif isinstance(node.func, ast.Name) and node.func.id == "parallel_map":
-                if node.args:
-                    fn_arg = node.args[0]
             if isinstance(fn_arg, ast.Name):
                 submitted.append((fn_arg.id, node))
             elif isinstance(fn_arg, ast.Lambda):

@@ -1,25 +1,10 @@
-"""Block decomposition helpers (the MPI scatter/gather idiom)."""
+"""Frontier sharding for the thread-parallel relaxation rounds."""
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
-
-
-def split_indices(n: int, parts: int) -> List[np.ndarray]:
-    """Split ``range(n)`` into ``parts`` near-equal contiguous index arrays."""
-    if parts <= 0:
-        raise ValueError("parts must be positive")
-    return [np.asarray(c, dtype=np.int64) for c in np.array_split(np.arange(n), parts)]
-
-
-def block_ranges(n: int, parts: int) -> List[Tuple[int, int]]:
-    """Half-open (start, end) ranges of a near-equal block decomposition."""
-    if parts <= 0:
-        raise ValueError("parts must be positive")
-    bounds = np.linspace(0, n, parts + 1).astype(np.int64)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(parts)]
 
 
 def shard_frontier(

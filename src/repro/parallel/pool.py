@@ -1,36 +1,18 @@
-"""Process-pool map, worker policy, and graceful serial fallback.
+"""Session-wide worker policy behind every ``workers=`` knob.
 
-Mirrors the mpi4py/master-worker idiom from the domain guides: the
-caller expresses "apply f to each item independently"; the executor
-decides whether fan-out is worthwhile.  On a single-core box (or for
-tiny inputs) it runs serially — identical results, no pickling tax.
-
-This module is also the single source of truth for two session-wide
-execution knobs:
-
-* the **workers default policy** — every public ``workers=`` parameter
-  in the repo defaults to the :data:`DEFAULT_WORKERS` sentinel, which
-  :func:`effective_workers` resolves through
-  :func:`set_default_workers`.  Out of the box the policy is ``1``
-  (serial, the historical default), but a caller about to run a
-  batched builder can opt the *inner* engine calls into parallelism
-  once, instead of threading a ``workers`` argument through every
-  layer by hand.
-* the **shard mode** — whether the bucket kernels split relaxation
-  rounds across threads (default; numpy releases the GIL inside the
-  big gathers) or across forked processes
-  (:mod:`repro.parallel.process`; sidesteps the GIL entirely for the
-  claim-merge passes, which hold it).
+Every public ``workers=`` parameter in the repo defaults to the
+:data:`DEFAULT_WORKERS` sentinel, which :func:`effective_workers`
+resolves through :func:`set_default_workers`.  Out of the box the
+policy is ``1`` (serial, the historical default), but a caller about to
+run a batched builder can opt the *inner* engine calls into parallelism
+once, instead of threading a ``workers`` argument through every layer
+by hand.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, List, Optional, Sequence, TypeVar, Union
-
-T = TypeVar("T")
-R = TypeVar("R")
+from typing import Optional, Union
 
 
 # ceiling for explicitly requested thread oversubscription — a typo'd
@@ -53,9 +35,6 @@ DEFAULT_WORKERS = _DefaultWorkers()
 WorkersArg = Union[int, None, _DefaultWorkers]
 
 _default_workers: Optional[int] = 1
-_shard_mode: str = "thread"
-
-SHARD_MODES = ("thread", "process")
 
 
 def set_default_workers(workers: Optional[int]) -> Optional[int]:
@@ -81,23 +60,6 @@ def get_default_workers() -> Optional[int]:
     return _default_workers
 
 
-def set_shard_mode(mode: str) -> str:
-    """Select how the bucket kernels shard big relaxation frontiers:
-    ``"thread"`` (default) or ``"process"`` (fork-based, see
-    :mod:`repro.parallel.process`).  Returns the previous mode."""
-    global _shard_mode
-    if mode not in SHARD_MODES:
-        raise ValueError(f"shard mode must be one of {SHARD_MODES}, got {mode!r}")
-    prev = _shard_mode
-    _shard_mode = mode
-    return prev
-
-
-def get_shard_mode() -> str:
-    """Current frontier shard mode (``"thread"`` or ``"process"``)."""
-    return _shard_mode
-
-
 def effective_workers(
     requested: WorkersArg = None, oversubscribe: bool = False
 ) -> int:
@@ -105,8 +67,7 @@ def effective_workers(
     behind every ``workers=`` knob in the repo.
 
     ``None`` means "use all cores"; the result is clamped to
-    ``os.cpu_count()`` and is 1 on single-core machines, which makes
-    :func:`parallel_map` fall back to a plain loop.
+    ``os.cpu_count()`` and is 1 on single-core machines.
     :data:`DEFAULT_WORKERS` resolves to the session policy
     (:func:`set_default_workers`) first, then follows the same rules.
     With ``oversubscribe=True`` (thread-pool callers: threads are cheap
@@ -124,32 +85,3 @@ def effective_workers(
         return max(1, min(requested, _MAX_OVERSUBSCRIBED))
     return max(1, min(requested, avail))
 
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    workers: Optional[int] = None,
-    min_items_per_worker: int = 2,
-) -> List[R]:
-    """Apply ``fn`` to every item, fanning out to processes when useful.
-
-    Serial execution is chosen when (a) one worker is effective, or
-    (b) the item count is too small to keep the *effective* worker
-    count busy (``min_items_per_worker`` items each) — a 16-core box
-    must not spin up a full process pool for a handful of items.  The
-    corollary: on a many-core machine a mid-size batch of *expensive*
-    items should pass a smaller ``min_items_per_worker`` (1 forks as
-    soon as every worker can get one item); the default trades those
-    forks away because pickling + fork overhead usually loses on
-    cheap items.  The function must be picklable (module-level) for
-    the parallel path; the serial path has no such restriction, so
-    tests exercise both.
-    """
-    n = effective_workers(workers)
-    if n <= 1 or len(items) < min_items_per_worker * n:
-        # the guard scales with the effective worker count, so past it
-        # every one of the n workers is guaranteed a full chunk
-        return [fn(x) for x in items]
-    chunksize = -(-len(items) // n)  # ceil: one contiguous chunk per worker
-    with ProcessPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items, chunksize=chunksize))

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
+from repro.checkpoint import graph_fingerprint
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.hopsets.result import HopsetResult, RepairStructure
@@ -432,8 +433,10 @@ class DistanceServer:
 def save_hopset(hopset: HopsetResult, path: str) -> None:
     """Persist a hopset's edges (npz) so serving never rebuilds.
 
-    A repair structure, when present, rides along — a reloaded hopset
-    then still supports :meth:`DistanceServer.apply_updates`.
+    The file is bound to ``hopset.graph`` by its
+    :func:`repro.checkpoint.graph_fingerprint`.  A repair structure,
+    when present, rides along — a reloaded hopset then still supports
+    :meth:`DistanceServer.apply_updates`.
     """
     extra: Dict[str, np.ndarray] = {}
     if hopset.structure is not None:
@@ -441,7 +444,7 @@ def save_hopset(hopset: HopsetResult, path: str) -> None:
         extra["top_seeds"] = hopset.structure.top_seeds
     np.savez(
         path,
-        n=np.int64(hopset.graph.n),
+        fingerprint=np.array(graph_fingerprint(hopset.graph)),
         eu=hopset.eu,
         ev=hopset.ev,
         ew=hopset.ew,
@@ -452,12 +455,24 @@ def save_hopset(hopset: HopsetResult, path: str) -> None:
 
 
 def load_hopset(graph: CSRGraph, path: str) -> HopsetResult:
-    """Rehydrate a saved hopset against its graph (n must match)."""
+    """Rehydrate a saved hopset against its graph.
+
+    Raises :class:`ParameterError` unless the file carries the graph's
+    fingerprint: a hopset of another graph (an edge deleted, a weight
+    changed) would serve wrong distances.
+    """
+    expected = graph_fingerprint(graph)
     with np.load(path, allow_pickle=False) as z:
-        n = int(z["n"])
-        if n != graph.n:
+        saved = str(z["fingerprint"]) if "fingerprint" in z.files else None
+        if saved != expected:
+            built_for = (
+                "an unrecorded graph" if saved is None
+                else f"another graph (fingerprint {saved[:16]})"
+            )
             raise ParameterError(
-                f"hopset file {path} was built for n={n}, graph has n={graph.n}"
+                f"hopset file {path} was built for {built_for}, not this "
+                f"graph (n={graph.n}, m={graph.m}, fingerprint "
+                f"{expected[:16]}); rebuild it"
             )
         meta = json.loads(str(z["meta"]))
         structure = None

@@ -1,15 +1,8 @@
-"""Unit tests for the process-pool helpers."""
+"""Unit tests for the worker-count clamp."""
 
 import os
 
-import numpy as np
-import pytest
-
-from repro.parallel import block_ranges, effective_workers, parallel_map, split_indices
-
-
-def _square(x):
-    return x * x
+from repro.parallel import effective_workers
 
 
 class TestPool:
@@ -17,46 +10,3 @@ class TestPool:
         assert effective_workers(10**6) <= (os.cpu_count() or 1)
         assert effective_workers(None) >= 1
         assert effective_workers(0) == 1
-
-    def test_parallel_map_serial_path(self):
-        out = parallel_map(lambda x: x + 1, [1, 2, 3], workers=1)
-        assert out == [2, 3, 4]
-
-    def test_parallel_map_matches_serial(self):
-        items = list(range(20))
-        serial = [_square(x) for x in items]
-        assert parallel_map(_square, items) == serial
-
-    def test_small_input_stays_serial(self):
-        # unpicklable closure works because tiny inputs never fork
-        out = parallel_map(lambda x: x * 2, [1], workers=8)
-        assert out == [2]
-
-    def test_empty_items(self):
-        assert parallel_map(_square, []) == []
-
-
-class TestChunking:
-    def test_split_indices_cover(self):
-        chunks = split_indices(10, 3)
-        assert sum(len(c) for c in chunks) == 10
-        assert np.array_equal(np.concatenate(chunks), np.arange(10))
-
-    def test_split_more_parts_than_items(self):
-        chunks = split_indices(2, 5)
-        assert len(chunks) == 5
-        assert sum(len(c) for c in chunks) == 2
-
-    def test_split_invalid(self):
-        with pytest.raises(ValueError):
-            split_indices(5, 0)
-
-    def test_block_ranges_cover(self):
-        ranges = block_ranges(10, 3)
-        assert ranges[0][0] == 0 and ranges[-1][1] == 10
-        covered = sum(e - s for s, e in ranges)
-        assert covered == 10
-
-    def test_block_ranges_invalid(self):
-        with pytest.raises(ValueError):
-            block_ranges(5, -1)

@@ -6,7 +6,7 @@ Covers the hypothesis equivalence ``workers=1`` vs ``workers=4``
 thread-count independence of the tie-break reduction, the numba batch
 wrapper's routing into the ``prange``-parallel cores (compiled in the
 numba CI job, pure-Python stubs elsewhere), the degenerate-batch
-accounting rules, and the parallel_map fan-out guard.
+accounting rules, and the worker-count resolution.
 """
 
 import os
@@ -20,21 +20,14 @@ from hypothesis import strategies as st
 import repro.kernels as kernels
 import repro.kernels.numba_kernel as nbk
 import repro.kernels.numpy_kernel as npk
-import repro.parallel.pool as pool_mod
 from repro.graph import from_edges, gnm_random_graph, with_random_weights
 from repro.kernels.numpy_kernel import INT_INF, split_light_heavy
 from repro.parallel import (
     DEFAULT_WORKERS,
-    ForkShardPool,
     effective_workers,
-    fork_available,
     get_default_workers,
-    get_shard_mode,
-    parallel_map,
     set_default_workers,
-    set_shard_mode,
     shard_frontier,
-    shared_empty,
 )
 from repro.paths import shortest_paths, shortest_paths_batch
 from repro.pram import PramTracker
@@ -124,21 +117,54 @@ class TestWorkersEquivalence:
         _assert_same_result(serial, threaded)
 
     def test_tracker_ledger_independent_of_workers(self):
-        g = _int_graph(100, 400, seed=5)
-        w = g.weights.astype(np.int64)
-        ledgers = []
-        for nw in (1, 3):
-            t = PramTracker(n=g.n, depth_per_round=1)
-            shortest_paths(g, 0, offsets=np.asarray([0]), weights=w,
-                           tracker=t, workers=nw)
-            ledgers.append((t.work, t.rounds, t.depth))
-        assert ledgers[0] == ledgers[1]
+        # single source in both weight regimes; the all-source race is
+        # covered per worker count by TestProcessShardMode
+        for g, race_offs in _ledger_regimes():
+            source, offset = np.asarray([0]), race_offs[:1] * 0
+            serial, ledger = _labels_and_ledger(g, source, offset, 1)
+            for nw in (2, 3, 5, 8):
+                sharded, other = _labels_and_ledger(g, source, offset, nw)
+                _assert_same_result(serial, sharded)
+                assert other == ledger, (g.weights.dtype, nw)
+
+
+def _ledger_regimes():
+    """An integer (Dial) and a float (delta-stepping) graph, each with
+    all-source race offsets of its own weight type."""
+    offs = np.random.default_rng(44).exponential(2.0, 150)
+    return [
+        (_int_graph(150, 600, seed=5), np.floor(offs).astype(np.int64)),
+        (_float_graph(150, 600, seed=43), offs),
+    ]
+
+
+def _labels_and_ledger(g, sources, offsets, nw):
+    w = g.weights.astype(np.int64) if offsets.dtype == np.int64 else None
+    t = PramTracker(n=g.n, depth_per_round=1)
+    res = shortest_paths(g, sources, offsets=offsets, weights=w,
+                         tracker=t, workers=nw)
+    return res, (t.work, t.rounds, t.depth)
+
+
+class TestProcessShardMode:
+    """The worker-count contract first pinned for the retired forked
+    shard mode, now held by thread shards: the all-source offset race
+    (the EST shape) yields the serial labels and the serial tracker
+    work/rounds/depth for any worker count, in both weight regimes."""
+
+    @pytest.mark.parametrize("nw", [2, 3, 5, 8])
+    def test_any_worker_count_same_labels_and_ledger(self, nw):
+        for g, race_offs in _ledger_regimes():
+            serial, ledger = _labels_and_ledger(g, np.arange(g.n), race_offs, 1)
+            sharded, other = _labels_and_ledger(g, np.arange(g.n), race_offs, nw)
+            _assert_same_result(serial, sharded)
+            assert other == ledger, (g.weights.dtype, nw)
 
 
 class TestTieBreakDeterminism:
-    """The two-level claim reduction must crown the same winners for
-    every shard layout — exercised on tie-rich unweighted graphs where
-    many sources claim the same vertex at equal distance."""
+    """The claim reduction must crown the same winners for every shard
+    layout — exercised on tie-rich unweighted graphs where many sources
+    claim the same vertex at equal distance."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_thread_count_does_not_change_ties(self, seed):
@@ -319,71 +345,6 @@ class TestNumbaWarnOnce:
             shortest_paths(g, 0, backend="numba")
 
 
-class _FakePool:
-    """Records the fan-out geometry instead of forking."""
-
-    last = None
-
-    def __init__(self, max_workers):
-        type(self).last = self
-        self.max_workers = max_workers
-        self.chunksize = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        self.chunksize = chunksize
-        return [fn(x) for x in items]
-
-
-class TestPoolFanOutGuard:
-    """The parallel_map guard must scale with the *effective* worker
-    count: a 16-core box may not fork a full pool for 5 items."""
-
-    @pytest.fixture(autouse=True)
-    def _fake_16_cores(self, monkeypatch):
-        monkeypatch.setattr(pool_mod.os, "cpu_count", lambda: 16)
-        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", _FakePool)
-        _FakePool.last = None
-
-    def test_small_input_stays_serial_on_many_cores(self):
-        # the old guard compared against min_items_per_worker * 2 and
-        # would have forked here
-        out = parallel_map(lambda x: x * 2, list(range(5)), workers=16)
-        assert out == [0, 2, 4, 6, 8]
-        assert _FakePool.last is None
-
-    def test_fan_out_uses_effective_worker_chunks(self):
-        items = list(range(64))
-        out = parallel_map(lambda x: x + 1, items, workers=16)
-        assert out == [x + 1 for x in items]
-        assert _FakePool.last is not None
-        assert _FakePool.last.max_workers == 16
-        assert _FakePool.last.chunksize == 4  # ceil(64 / 16)
-
-    def test_chunksize_is_ceil_items_over_workers(self):
-        parallel_map(lambda x: x, list(range(33)), workers=16,
-                     min_items_per_worker=2)
-        assert _FakePool.last.max_workers == 16
-        assert _FakePool.last.chunksize == 3  # ceil(33 / 16)
-
-    def test_always_fork_knob(self):
-        # min_items_per_worker=0 means "fork whenever n > 1"
-        out = parallel_map(lambda x: x + 1, [1, 2], workers=16,
-                          min_items_per_worker=0)
-        assert out == [2, 3]
-        assert _FakePool.last is not None
-
-    def test_threshold_boundary(self):
-        parallel_map(lambda x: x, list(range(31)), workers=16,
-                     min_items_per_worker=2)
-        assert _FakePool.last is None  # 31 < 2 * 16 stays serial
-
-
 class TestHelpers:
     def test_effective_workers_oversubscribe(self):
         avail = os.cpu_count() or 1
@@ -442,150 +403,6 @@ class TestHopsetWorkers:
         rc = main(["sssp", "--n", "60", "--m", "240", "--workers", "3", "--check"])
         assert rc == 0
         assert "match" in capsys.readouterr().out
-
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="fork start method unavailable"
-)
-
-
-@pytest.fixture
-def _process_mode():
-    prev = set_shard_mode("process")
-    yield
-    set_shard_mode(prev)
-
-
-class TestProcessShardMode:
-    """Fork-based shard workers: same shard plan, same claim merge —
-    labels AND ledgers bit-identical to thread mode and serial for any
-    worker count, in both weight regimes."""
-
-    @needs_fork
-    @SETTINGS
-    @given(engine_specs())
-    def test_single_run_process_bit_identical(self, spec):
-        g, sources, offsets, int_mode = spec
-        w = g.weights.astype(np.int64) if int_mode else None
-        serial = shortest_paths(g, sources, offsets=offsets, weights=w, workers=1)
-        prev = set_shard_mode("process")
-        try:
-            forked = shortest_paths(
-                g, sources, offsets=offsets, weights=w, workers=4
-            )
-        finally:
-            set_shard_mode(prev)
-        _assert_same_result(serial, forked)
-
-    @needs_fork
-    @SETTINGS
-    @given(engine_specs())
-    def test_batch_process_bit_identical(self, spec):
-        g, sources, offsets, int_mode = spec
-        w = g.weights.astype(np.int64) if int_mode else None
-        runs = [np.asarray([s]) for s in sources] + [sources]
-        offs = [np.asarray([o]) for o in offsets] + [offsets]
-        serial = shortest_paths_batch(g, runs, offs, weights=w, workers=1)
-        prev = set_shard_mode("process")
-        try:
-            forked = shortest_paths_batch(g, runs, offs, weights=w, workers=4)
-        finally:
-            set_shard_mode(prev)
-        _assert_same_result(serial, forked)
-
-    @needs_fork
-    @pytest.mark.parametrize("nw", [2, 3, 5, 8])
-    def test_any_worker_count_same_labels_and_ledger(self, _process_mode, nw):
-        g = _float_graph(150, 600, seed=43)
-        offs = np.random.default_rng(44).exponential(2.0, g.n)
-        t_ser, t_proc = PramTracker(n=g.n), PramTracker(n=g.n)
-        set_shard_mode("thread")
-        serial = shortest_paths(g, np.arange(g.n), offsets=offs,
-                                tracker=t_ser, workers=1)
-        set_shard_mode("process")
-        forked = shortest_paths(g, np.arange(g.n), offsets=offs,
-                                tracker=t_proc, workers=nw)
-        _assert_same_result(serial, forked)
-        assert (t_ser.work, t_ser.rounds, t_ser.depth) == (
-            t_proc.work, t_proc.rounds, t_proc.depth)
-
-    @needs_fork
-    def test_process_equals_thread_mode(self, _process_mode):
-        g = _int_graph(200, 800, seed=47)
-        w = g.weights.astype(np.int64)
-        set_shard_mode("thread")
-        threaded = shortest_paths(g, np.arange(30), weights=w, workers=3)
-        set_shard_mode("process")
-        forked = shortest_paths(g, np.arange(30), weights=w, workers=3)
-        _assert_same_result(threaded, forked)
-
-    @needs_fork
-    def test_tie_break_survives_forked_shards(self, _process_mode):
-        # the star tie of TestTieBreakDeterminism, across processes
-        edges = [(i, 60) for i in range(60)]
-        g = from_edges(61, edges)
-        sources = np.arange(59, -1, -1, dtype=np.int64)
-        for nw in (2, 4, 7):
-            res = shortest_paths(g, sources, workers=nw)
-            assert res.owner[60] == 59 and res.dist[60] == 1
-
-    def test_workers_one_never_forks(self, _process_mode, monkeypatch):
-        # forking is only legal past the shard threshold with nw > 1
-        def boom(*a, **k):
-            raise AssertionError("ForkShardPool constructed for workers=1")
-
-        monkeypatch.setattr(npk, "ForkShardPool", boom)
-        g = _float_graph(100, 400, seed=53)
-        res = shortest_paths(g, np.arange(g.n), workers=1)
-        assert np.isfinite(res.dist).all()
-
-    def test_fork_unavailable_falls_back_to_threads(self, _process_mode,
-                                                    monkeypatch):
-        monkeypatch.setattr(npk, "fork_available", lambda: False)
-
-        def boom(*a, **k):
-            raise AssertionError("forked despite fork_available() == False")
-
-        monkeypatch.setattr(npk, "ForkShardPool", boom)
-        g = _float_graph(100, 400, seed=59)
-        serial = shortest_paths(g, np.arange(g.n), workers=1)
-        fallback = shortest_paths(g, np.arange(g.n), workers=4)
-        _assert_same_result(serial, fallback)
-
-    def test_shard_mode_validation(self):
-        assert get_shard_mode() in ("thread", "process")
-        with pytest.raises(ValueError):
-            set_shard_mode("coroutine")
-
-    @needs_fork
-    def test_fork_shard_pool_contract(self):
-        state = shared_empty(8, np.int64)
-        state[:] = np.arange(8)
-
-        def double_slice(lo, hi):
-            return state[lo:hi] * 2
-
-        with ForkShardPool(2, double_slice) as pool:
-            assert pool.workers == 2
-            a, b = pool.map([(0, 4), (4, 8)])
-            assert np.array_equal(a, [0, 2, 4, 6])
-            assert np.array_equal(b, [8, 10, 12, 14])
-            # post-fork writes to the shared mmap are visible
-            state[:] = 1
-            a, b = pool.map([(0, 4), (4, 8)])
-            assert np.array_equal(a, [2, 2, 2, 2])
-            with pytest.raises(ValueError, match="tasks for"):
-                pool.map([(0, 1)] * 3)
-        pool.shutdown()  # idempotent
-
-    @needs_fork
-    def test_fork_shard_pool_relays_worker_errors(self):
-        def fail(tag):
-            raise KeyError(f"bad {tag}")
-
-        with ForkShardPool(1, fail) as pool:
-            with pytest.raises(RuntimeError, match="KeyError.*bad x"):
-                pool.map([("x",)])
 
 
 class TestWorkersDefaultPolicy:

@@ -376,9 +376,23 @@ class TestPersistenceAndCLI:
         g, hs = served
         path = str(tmp_path / "hs.npz")
         save_hopset(hs, path)
-        other = grid_graph(3, 3)
-        with pytest.raises(ParameterError, match="built for"):
-            load_hopset(other, path)
+        # same n, one edge deleted: the file must not load silently
+        one_less = from_edges(
+            g.n, np.stack([g.edge_u[1:], g.edge_v[1:]], axis=1),
+            weights=g.edge_w[1:],
+        )
+        for other in (grid_graph(3, 3), one_less):
+            with pytest.raises(ParameterError, match="built for"):
+                load_hopset(other, path)
+
+    def test_load_unfingerprinted_file_rejected(self, served, tmp_path):
+        # the pre-fingerprint layout recorded only n, which matches here
+        g, hs = served
+        path = str(tmp_path / "legacy.npz")
+        np.savez(path, n=np.int64(g.n), eu=hs.eu, ev=hs.ev, ew=hs.ew,
+                 kind=hs.kind, meta=np.array("{}"))
+        with pytest.raises(ParameterError, match="built for an unrecorded graph"):
+            load_hopset(g, path)
 
     def test_cli_build_then_load(self, tmp_path, capsys):
         from repro.graph.io import save_edgelist
