@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 from collections import OrderedDict
 from typing import Any, Dict, List
+
+import numpy as np
+import scipy
 
 from repro.exp import format_table
 
@@ -32,8 +36,16 @@ def record_json(filename: str, payload: Dict[str, Any]) -> str:
     Benches use this for perf-trajectory artifacts (e.g.
     ``BENCH_engine.json``) that future PRs regress against; written
     immediately (not at flush) so a crashed session still leaves data.
-    Returns the path written.
+    Every payload gains a ``machine`` block (core count and library
+    versions) so numbers compare across boxes.  Returns the path
+    written.
     """
+    payload["machine"] = {
+        "cores": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
     path = os.path.join(REPO_ROOT, filename)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)

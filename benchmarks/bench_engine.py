@@ -14,20 +14,11 @@ weight regimes, at the acceptance scale of n = 10^5, m = 5*10^5:
     Real-valued weights through the light/heavy split kernels (true
     delta-stepping, no quantization detour).  Acceptance bar:
     ``numpy >= 3x reference`` (``acceptance.float_min_speedup``).
-``parallel``
-    The multicore layer (PR 4): the all-source race on the numpy
-    kernel at ``workers=1`` vs ``workers=all`` in both weight regimes,
-    asserting the results are bit-identical and recording the speedup.
-    Acceptance bar: ``workers=all >= 1.5x workers=1``
-    (``acceptance.parallel_min_speedup``) — enforced only on machines
-    with at least 2 cores (``acceptance.parallel_cores`` records the
-    count; a single-core box physically cannot show thread speedup, so
-    there the section still proves bit-identity and schema but the
-    floor is moot, exactly like speedup floors under ``BENCH_SMOKE``).
 
 Emits a machine-readable ``BENCH_engine.json`` at the repo root via
-:func:`_report.record_json` so future PRs have a perf trajectory to
-regress against.
+:func:`_report.record_json` (which also records the machine: cores
+and library versions) so future PRs have a perf trajectory to regress
+against.
 
 Set ``BENCH_SMOKE=1`` to run the same code at toy scale: the payload
 schema and oracle equivalence are still asserted (CI keeps the script
@@ -45,7 +36,6 @@ import numpy as np
 import _report
 from repro.graph import gnm_random_graph, with_random_weights
 from repro.kernels import available_backends
-from repro.parallel import effective_workers
 from repro.paths import dijkstra_scipy, shortest_paths
 from repro.rng import resolve_rng
 
@@ -59,7 +49,6 @@ BIG_N, BIG_M = (4_000, 20_000) if SMOKE else (100_000, 500_000)
 
 INT_TARGET = 5.0
 FLOAT_TARGET = 3.0
-PARALLEL_TARGET = 1.5  # workers=all vs workers=1, >= 2 cores only
 
 
 def _graphs():
@@ -69,76 +58,16 @@ def _graphs():
     return g_int, g_float
 
 
-def _time_backend(g, sources, offsets, weights, backend, repeats=1, workers=1):
+def _time_backend(g, sources, offsets, weights, backend, repeats=1):
     best = float("inf")
     res = None
     for _ in range(repeats):
         t0 = time.perf_counter()
         res = shortest_paths(
-            g, sources, offsets=offsets, weights=weights, backend=backend,
-            workers=workers,
+            g, sources, offsets=offsets, weights=weights, backend=backend
         )
         best = min(best, time.perf_counter() - t0)
     return best, res
-
-
-def _parallel_section(payload, g_int, g_float, est_offsets, repeats):
-    """workers=1 vs workers=all on the frontier-heaviest workload of
-    each weight regime.  The speedup is measured at ``workers=None``
-    (the machine's real core count); bit-identity is asserted against
-    an *explicit oversubscribed* ``workers=4`` run, which exercises
-    the sharded claim reduction even on a single-core box — there
-    ``workers=None`` resolves to 1 and would compare the serial
-    schedule to itself."""
-    cores = effective_workers(None)
-    out = {"cores": cores, "workloads": {}}
-    payload["sections"]["parallel"] = out
-    regimes = {
-        "int_dial": (
-            g_int,
-            g_int.weights.astype(np.int64),
-            np.floor(est_offsets[: g_int.n]).astype(np.int64),
-        ),
-        "float_delta_stepping": (g_float, None, est_offsets),
-    }
-    speedups = []
-    for name, (g, w, offs) in regimes.items():
-        srcs = np.arange(g.n)
-        t1, r1 = _time_backend(g, srcs, offs, w, "numpy", repeats=repeats, workers=1)
-        tn, rn = _time_backend(
-            g, srcs, offs, w, "numpy", repeats=repeats, workers=None
-        )
-        # sharded-path probe: workers=4 is honored (oversubscribed) on
-        # every machine, so this comparison is never serial-vs-serial
-        _, r4 = _time_backend(g, srcs, offs, w, "numpy", workers=4)
-        for res in (rn, r4):
-            assert np.array_equal(r1.dist, res.dist), f"parallel/{name}: dist diverged"
-            assert np.array_equal(r1.parent, res.parent), (
-                f"parallel/{name}: parent diverged"
-            )
-            assert np.array_equal(r1.owner, res.owner), (
-                f"parallel/{name}: owner diverged"
-            )
-        speedup = t1 / max(tn, 1e-12)
-        speedups.append(speedup)
-        out["workloads"][name] = {
-            "workers_1_seconds": t1,
-            "workers_all_seconds": tn,
-            "speedup_all_vs_1": speedup,
-            "bit_identical": True,
-        }
-        _report.record(
-            "Engine multicore (workers=1 vs all)",
-            ["section", "n", "m", "cores", "t_serial", "t_parallel", "speedup"],
-            section=name, n=g.n, m=g.m, cores=cores,
-            t_serial=round(t1, 3), t_parallel=round(tn, 3),
-            speedup=round(speedup, 2),
-        )
-    acc = payload["acceptance"]
-    acc["parallel_target_speedup"] = PARALLEL_TARGET
-    acc["parallel_cores"] = cores
-    acc["parallel_min_speedup"] = min(speedups)
-    acc["parallel_bit_identical"] = True
 
 
 def run_engine_bench(repeats: int = 2) -> dict:
@@ -239,8 +168,6 @@ def run_engine_bench(repeats: int = 2) -> dict:
     res = shortest_paths(g_float, 0)
     assert np.allclose(res.dist, oracle)
 
-    _parallel_section(payload, g_int, g_float, est_offsets, repeats)
-
     int_speedups = [
         w["speedup_vs_reference"]
         for w in payload["sections"]["int_dial"]["backends"]["numpy"].values()
@@ -252,16 +179,8 @@ def run_engine_bench(repeats: int = 2) -> dict:
     acc = payload["acceptance"]
     acc["numpy_min_speedup"] = min(int_speedups)
     acc["float_min_speedup"] = min(float_speedups)
-    # the parallel floor only binds where threads can physically help
-    parallel_ok = (
-        acc["parallel_cores"] < 2
-        or acc["parallel_min_speedup"] >= PARALLEL_TARGET
-    )
     acc["passed"] = bool(
-        min(int_speedups) >= INT_TARGET
-        and min(float_speedups) >= FLOAT_TARGET
-        and parallel_ok
-        and acc["parallel_bit_identical"]
+        min(int_speedups) >= INT_TARGET and min(float_speedups) >= FLOAT_TARGET
     )
     return payload
 
@@ -271,12 +190,8 @@ def test_engine_backends_big_graph(benchmark):
     path = _report.record_json("BENCH_engine.json", payload)
     acc = payload["acceptance"]
     # schema keys must exist in every mode (bench-smoke CI contract)
-    for key in (
-        "numpy_min_speedup", "float_min_speedup", "passed",
-        "parallel_min_speedup", "parallel_cores", "parallel_bit_identical",
-    ):
+    for key in ("numpy_min_speedup", "float_min_speedup", "passed"):
         assert key in acc, key
-    assert acc["parallel_bit_identical"] is True
     if not SMOKE:
         assert acc["numpy_min_speedup"] >= INT_TARGET, (
             f"Dial speedup {acc['numpy_min_speedup']:.1f}x below "
@@ -286,11 +201,6 @@ def test_engine_backends_big_graph(benchmark):
             f"float split-kernel speedup {acc['float_min_speedup']:.1f}x below "
             f"{FLOAT_TARGET}x bar ({path})"
         )
-        if acc["parallel_cores"] >= 2:
-            assert acc["parallel_min_speedup"] >= PARALLEL_TARGET, (
-                f"multicore speedup {acc['parallel_min_speedup']:.2f}x below "
-                f"{PARALLEL_TARGET}x bar on {acc['parallel_cores']} cores ({path})"
-            )
 
 
 def test_engine_ledger_matches_paper_accounting(benchmark):

@@ -15,7 +15,7 @@ Subpackage layout (see DESIGN.md for the full inventory):
 ========================  ==============================================
 ``repro.graph``           CSR graphs, generators, quotient/contraction
 ``repro.pram``            PRAM work/depth cost model
-``repro.parallel``        worker policy and frontier shards for threads
+``repro.parallel``        worker policy for the numba batch cores
 ``repro.paths``           BFS / weighted BFS / Bellman–Ford / Dijkstra
 ``repro.clustering``      exponential start time clustering (Alg. 1)
 ``repro.ctree``           validated cluster trees on real graphs

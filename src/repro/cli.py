@@ -33,10 +33,13 @@ library registry (which degrades ``numba`` to ``numpy`` with a warning
 when the JIT toolchain is missing), an explicit CLI request for an
 unavailable backend is an error — the user asked for it by name.
 
-``sssp``, ``hopset``, and ``spanner`` also accept ``--workers N`` — the engine's
-multicore knob (``1`` = serial, the default; ``0`` or negative = all
-cores; see :func:`repro.parallel.pool.effective_workers`).  Worker
-count changes wall-clock only: results are bit-identical.
+``sssp``, ``hopset``, ``spanner``, ``serve``, ``update`` and
+``cluster-tree`` also accept ``--workers N`` — the core cap for the
+numba backend's ``prange`` batch cores (``1`` = serial, the default;
+``0`` or negative = all cores; see
+:func:`repro.parallel.pool.effective_workers`).  The numpy and
+reference kernels run serially whatever its value.  Worker count
+changes wall-clock only: results are bit-identical.
 
 Examples::
 
@@ -117,8 +120,9 @@ def _add_workers_arg(p: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="engine worker threads (1 = serial, 0 or negative = all cores); "
-        "results are identical for every value",
+        help="cores for the numba backend's batched runs (1 = serial, 0 or "
+        "negative = all cores; numpy runs serially); results are identical "
+        "for every value",
     )
 
 
@@ -482,9 +486,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         if args.select
         else None
     )
-    findings = lint_paths(
-        args.paths, select=select, workers=_workers_from_args(args)
-    )
+    findings = lint_paths(args.paths, select=select)
     for f in findings:
         print(f.render())
     n = len(findings)
@@ -743,12 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="per-file analysis threads (0 or negative = all cores)",
     )
     p.set_defaults(fn=cmd_lint)
 

@@ -284,8 +284,9 @@ def est_cluster(
         Shortest-path kernel for the weighted races, as in
         :func:`repro.paths.engine.shortest_paths`.
     workers:
-        Multicore knob for the weighted engine races (``1`` = serial,
-        ``None`` = all cores); the unweighted BFS race is untouched.
+        Forwarded to the weighted engine races (see
+        :func:`repro.paths.engine.shortest_paths`); every race is a
+        single search, so it runs serially on every backend.
         Clusterings are identical for every value.
     """
     if beta <= 0 or not np.isfinite(beta):

@@ -10,34 +10,17 @@ The engine deliberately executes node handlers one at a time in vertex
 order *within* a round but delivers all messages simultaneously at the
 round boundary — the standard synchronous-network semantics, making
 executions deterministic and independent of iteration order.
-
-``run(workers=...)`` fans the per-round handler sweep out over a
-thread pool: the round's actors are split into contiguous vertex-order
-chunks, every chunk collects its outgoing messages into its own
-buffer, and the buffers are concatenated back in chunk order — so the
-global message order (and therefore every inbox) is exactly the
-sequential schedule's and executions stay deterministic for any worker
-count.  The contract is the one node programs satisfy by definition of
-the model: a handler only touches its *own* node's state.  (For
-pure-Python handlers the GIL serializes the actual bytecode, so this
-is the structural knob the PRAM story needs — handlers that drop into
-numpy get real concurrency.)
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
-from repro.parallel.chunking import shard_frontier
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg, effective_workers
 
 
 @dataclass
@@ -84,9 +67,6 @@ class SyncNetwork:
         self._outbox: List[List[Tuple[int, int, Any]]] = []  # (src, dst, payload)
         self._inbox: List[List[Tuple[int, Any]]] = [[] for _ in range(g.n)]
         self._pending: List[Tuple[int, int, Any]] = []
-        # thread-local send buffer for the chunked parallel sweep; when
-        # unset, sends go straight to the shared pending queue
-        self._tl = threading.local()
         self.rounds: int = 0
         self.total_messages: int = 0
         self.history: List[RoundStats] = []
@@ -104,20 +84,13 @@ class SyncNetwork:
         if dst not in set(int(x) for x in self.graph.neighbors(src)):
             raise ParameterError(f"node {src} cannot send to non-neighbor {dst}")
         self._check_payload(payload)
-        self._queue().append((src, dst, payload))
+        self._pending.append((src, dst, payload))
 
     def broadcast(self, src: int, payload: Any) -> None:
         """Send the same payload to every neighbor (one message each)."""
         self._check_payload(payload)
-        queue = self._queue()
         for dst in self.graph.neighbors(src):
-            queue.append((src, int(dst), payload))
-
-    def _queue(self) -> List[Tuple[int, int, Any]]:
-        """Where a send lands: this thread's chunk buffer during a
-        parallel sweep, the shared pending queue otherwise."""
-        buf = getattr(self._tl, "outbox", None)
-        return self._pending if buf is None else buf
+            self._pending.append((src, int(dst), payload))
 
     def _check_payload(self, payload: Any) -> None:
         if self.congest_words is None:
@@ -130,12 +103,7 @@ class SyncNetwork:
             )
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        program: NodeProgram,
-        max_rounds: int = 10**6,
-        workers: WorkersArg = DEFAULT_WORKERS,
-    ) -> List[RoundStats]:
+    def run(self, program: NodeProgram, max_rounds: int = 10**6) -> List[RoundStats]:
         """Execute until quiescence (all done, no messages) or max_rounds.
 
         Only *active* nodes — those with mail or voting not-done — get
@@ -144,87 +112,32 @@ class SyncNetwork:
         skipping it changes nothing observable while dropping the
         per-round *handler* cost from Theta(n) to Theta(active) (the
         done-vote poll itself remains one linear scan per round).
-
-        ``workers`` (``1`` = serial, ``None`` = all cores) fans the
-        handler sweep out as described in the module docstring; the
-        round/message history and every node's state are identical for
-        any value, provided handlers honor the node-local-state
-        contract of the model.
         """
         n = self.graph.n
-        nw = effective_workers(workers, oversubscribe=True)
-        ex = ThreadPoolExecutor(max_workers=nw) if nw > 1 else None
-        try:
-            for v in range(n):
-                program.init(v, self)
-            while self.rounds < max_rounds:
-                # deliver
-                inboxes: Dict[int, List[Tuple[int, Any]]] = {}
-                for src, dst, payload in self._pending:
-                    inboxes.setdefault(dst, []).append((src, payload))
-                delivered = len(self._pending)
-                self.total_messages += delivered
-                self._pending = []
+        for v in range(n):
+            program.init(v, self)
+        while self.rounds < max_rounds:
+            # deliver
+            inboxes: Dict[int, List[Tuple[int, Any]]] = {}
+            for src, dst, payload in self._pending:
+                inboxes.setdefault(dst, []).append((src, payload))
+            delivered = len(self._pending)
+            self.total_messages += delivered
+            self._pending = []
 
-                waiting = [v for v in range(n) if not program.is_done(v, self)]
-                if delivered == 0 and not waiting:
-                    break
+            waiting = [v for v in range(n) if not program.is_done(v, self)]
+            if delivered == 0 and not waiting:
+                break
 
-                actors = sorted(set(inboxes).union(waiting))
-                active = len(actors)
-                if ex is not None and active >= 2 * nw:
-                    self._sweep_parallel(ex, nw, program, actors, inboxes)
-                else:
-                    for v in actors:
-                        # fresh list per mail-less node: programs may
-                        # scratch on their inbox, so no sharing
-                        program.on_round(v, inboxes.get(v) or [], self)
-                self.rounds += 1
-                self.history.append(
-                    RoundStats(
-                        round_no=self.rounds, messages=delivered, active_nodes=active
-                    )
+            actors = sorted(set(inboxes).union(waiting))
+            for v in actors:
+                # fresh list per mail-less node: programs may scratch on
+                # their inbox, so no sharing
+                program.on_round(v, inboxes.get(v) or [], self)
+            self.rounds += 1
+            self.history.append(
+                RoundStats(
+                    round_no=self.rounds, messages=delivered, active_nodes=len(actors)
                 )
-        finally:
-            if ex is not None:
-                ex.shutdown(wait=False)
+            )
         return self.history
-
-    def _sweep_parallel(
-        self,
-        ex: ThreadPoolExecutor,
-        nw: int,
-        program: NodeProgram,
-        actors: List[int],
-        inboxes: Dict[int, List[Tuple[int, Any]]],
-    ) -> None:
-        """Run one round's handlers chunk-parallel, preserving the
-        sequential message order: chunk ``i``'s sends land in buffer
-        ``i`` and buffers are concatenated in chunk order — actors are
-        already sorted, so the merged queue equals the serial one.
-
-        On a handler exception every chunk is still drained to
-        completion first (no thread keeps mutating state after this
-        returns), the buffers of the chunks *before* the failing one
-        are merged — the serial schedule's prefix, at chunk
-        granularity — and the first failure (in chunk order) is then
-        re-raised."""
-        chunks = shard_frontier(np.asarray(actors, dtype=np.int64), nw)
-
-        def sweep(chunk: Sequence[int]) -> List[Tuple[int, int, Any]]:
-            buf: List[Tuple[int, int, Any]] = []
-            self._tl.outbox = buf
-            try:
-                for v in chunk:
-                    program.on_round(int(v), inboxes.get(int(v)) or [], self)
-            finally:
-                self._tl.outbox = None
-            return buf
-
-        futures = [ex.submit(sweep, chunk) for chunk in chunks]
-        futures_wait(futures)
-        for f in futures:
-            err = f.exception()
-            if err is not None:
-                raise err
-            self._pending.extend(f.result())

@@ -27,7 +27,6 @@ import numpy as np
 from repro.distributed.engine import NodeProgram, SyncNetwork
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 
 
 class _SSSPProgram(NodeProgram):
@@ -87,16 +86,12 @@ def distributed_sssp(
     offsets: Optional[np.ndarray] = None,
     congest_words: int = 4,
     max_rounds: int = 10**6,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, SyncNetwork]:
     """Run the synchronous weighted SSSP protocol.
 
     Returns ``(dist, parent, owner, network)`` matching the engine's
     labeling (``inf``/-1 where unreached); the network carries the
-    round and message accounting.  ``workers`` fans each round's
-    handler sweep out over threads (see
-    :meth:`repro.distributed.engine.SyncNetwork.run`) — results and
-    round counts are identical for every value.
+    round and message accounting.
     """
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
     if offsets is None:
@@ -106,7 +101,7 @@ def distributed_sssp(
         raise ParameterError("offsets must match sources in length")
 
     net = SyncNetwork(g, congest_words=congest_words)
-    net.run(_SSSPProgram(g, sources, offsets), max_rounds=max_rounds, workers=workers)
+    net.run(_SSSPProgram(g, sources, offsets), max_rounds=max_rounds)
 
     dist = np.asarray([net.state[v]["dist"] for v in range(g.n)], dtype=np.float64)
     parent = np.asarray([net.state[v]["parent"] for v in range(g.n)], dtype=np.int64)

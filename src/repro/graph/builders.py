@@ -35,7 +35,7 @@ def from_edges(
         Self loops are dropped; parallel edges are merged keeping the
         minimum weight.
     weights:
-        Optional per-edge positive weights; defaults to all-ones
+        Optional per-edge finite positive weights; defaults to all-ones
         (unweighted graph).
     """
     arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
@@ -60,7 +60,7 @@ def from_edges(
         hi = max(u.max(), v.max())
         if lo < 0 or hi >= n:
             raise GraphFormatError(f"vertex id out of range [0, {n}): saw [{lo}, {hi}]")
-        if (w <= 0).any():
+        if not np.isfinite(w).all() or (w <= 0).any():
             raise GraphFormatError("edge weights must be strictly positive")
 
     # drop self loops

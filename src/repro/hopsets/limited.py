@@ -89,7 +89,7 @@ def build_limited_hopset(
     Algorithm 4 build runs with the given ``strategy`` (the
     level-synchronous ``"batched"`` path by default; both strategies
     yield identical shortcut sets per seed) and ``workers`` (the
-    engine's multicore knob — wall-clock only, identical output).
+    engine's core cap — wall-clock only, identical output).
     """
     if not (0 < alpha < 1):
         raise ParameterError("alpha must lie in (0, 1)")

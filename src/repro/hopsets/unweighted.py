@@ -764,12 +764,13 @@ def build_hopset(
         produce identical edge sets for a fixed seed; ``batched`` is
         the fast path (see ``BENCH_hopset.json``).
     workers:
-        Multicore knob for every *weighted engine* search inside the
-        build — the per-level EST races and the Line-9 center
-        searches (``1`` = serial, ``None`` = all cores, as in
-        :func:`repro.paths.engine.shortest_paths`; unweighted BFS
-        races don't go through the bucket kernels and stay serial).
-        Hopset output is identical for every value.
+        Forwarded to every *weighted engine* search inside the build —
+        the per-level EST races and the Line-9 center searches.  Only
+        the numba backend's batched center searches use it (``1`` =
+        serial, ``None`` = all cores, as in
+        :func:`repro.paths.engine.shortest_paths_batch`); the numpy
+        kernels and the unweighted BFS races run serially.  Hopset
+        output is identical for every value.
     record_structure:
         Attach a :class:`repro.hopsets.result.RepairStructure` (the
         level-0 block labels and per-block child seeds) to the result,

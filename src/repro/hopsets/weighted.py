@@ -185,8 +185,8 @@ def build_weighted_hopset(
         ``"batched"`` (level-synchronous, default) or ``"recursive"``
         (the depth-first oracle); identical results per seed.
     workers:
-        Multicore knob for every engine search inside the per-scale
-        builds, as in :func:`repro.hopsets.unweighted.build_hopset`.
+        Forwarded to every engine search inside the per-scale builds,
+        as in :func:`repro.hopsets.unweighted.build_hopset`.
     rounding:
         ``True`` (default) applies the Klein–Subramanian rounding of
         Lemma 5.2 before each per-scale build — the paper's route to

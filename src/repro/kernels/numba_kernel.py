@@ -567,7 +567,7 @@ def hop_sssp_batch_numba(
     indices = np.asarray(indices, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     k = run_ptr.shape[0] - 1
-    nw = effective_workers(workers, oversubscribe=True)
+    nw = effective_workers(workers)
 
     if nw > 1 and k > 1:
         dist = np.empty(k * n, dtype=np.float64)
@@ -719,7 +719,7 @@ def bucket_sssp_batch_numba(
     owner = np.empty(k * n, dtype=np.int64)
     settled = np.empty(k * n, dtype=bool)
     md = -1.0 if max_dist is None else float(max_dist)
-    nw = effective_workers(workers, oversubscribe=True)
+    nw = effective_workers(workers)
 
     if nw > 1 and k > 1:
         arcs_out = np.zeros(k, dtype=np.int64)

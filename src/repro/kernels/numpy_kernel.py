@@ -43,37 +43,15 @@ an equal-distance tie is present.  Frontier and bucket-member unions
 are deduplicated the same way (:func:`_once_mask`), not by
 ``np.unique``; frontier order therefore follows claim order, which no
 label or ledger depends on.
-
-Threaded mode (``workers``)
----------------------------
-With ``workers > 1`` each relaxation round shards its frontier into
-contiguous chunks (:func:`repro.parallel.chunking.shard_frontier`) and
-gathers candidate relaxations per shard on a ``ThreadPoolExecutor`` —
-numpy releases the GIL inside the large gather ops, so shards really
-run on separate cores.  Shards return their improving candidates
-unreduced (the claim scratch is shared) and the coordinating thread
-resolves them in one :func:`claim_min` pass.  Concatenated shards are
-the serial candidate list, so results are **bit for bit** independent
-of ``workers`` and of how the frontier happened to be split.  All label
-writes stay on the coordinating thread; worker threads only read the
-pre-round snapshot.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.parallel.chunking import shard_frontier
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg, effective_workers
-
 INT_INF = np.iinfo(np.int64).max
-
-# smallest frontier shard worth handing to a thread: below this the
-# submit/collect overhead beats the gather's GIL-released work
-PAR_MIN_SHARD = 2048
 
 
 def count_occupied_buckets(dist: np.ndarray, mask: np.ndarray, delta: float) -> int:
@@ -221,7 +199,6 @@ def hop_sssp_batch(
     run_src: np.ndarray,
     run_ptr: np.ndarray,
     h: int,
-    workers: WorkersArg = DEFAULT_WORKERS,
     state: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, int]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, List[int], np.ndarray]:
     """Source-tagged batch of ``k`` frontier-based h-hop Bellman–Ford runs.
@@ -239,12 +216,6 @@ def hop_sssp_batch(
     :func:`repro.paths.bellman_ford.hop_limited_distances` on the same
     arcs: ``dist`` is the minimum weight over paths of at most ``h``
     arcs and ``hops`` the round each value stabilized.
-
-    ``workers`` shards each round's frontier
-    (:func:`repro.parallel.chunking.shard_frontier`) onto a thread
-    pool exactly like the bucket kernel; the coordinating thread
-    reduces the shards' candidates with one scatter-min per claimed
-    state, so results are identical for every worker count.
 
     ``state`` warm-starts the loop: pass the ``(dist, hops, frontier,
     rounds_done)`` of a previous call with a smaller budget and rounds
@@ -282,59 +253,38 @@ def hop_sssp_batch(
     else:
         dist, hops, frontier, r = state
 
-    nw = effective_workers(workers, oversubscribe=True)
-    pool: Optional[ThreadPoolExecutor] = None
     round_arcs: List[int] = []
-
-    def _gather_shard(shard: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Improving candidates out of one contiguous frontier shard,
-        against the pre-round snapshot.  Pure reads: the claim scratch
-        is shared, so the coordinating thread does the reduction."""
-        vv = shard if single else shard % n
+    while r < h and frontier.shape[0]:
+        r += 1
+        # improving candidates out of the frontier, against the
+        # pre-round labels
+        vv = frontier if single else frontier % n
         starts = indptr[vv]
         counts = indptr[vv + 1] - starts
         total = int(counts.sum())
+        round_arcs.append(total)
         arc_off = np.repeat(np.cumsum(counts) - counts, counts)
         arc_idx = np.arange(total, dtype=np.int64) - arc_off + np.repeat(starts, counts)
         if single:
             nbr = indices[arc_idx]
         else:
-            nbr = np.repeat(shard - vv, counts) + indices[arc_idx]
-        cand = np.repeat(dist[shard], counts) + weights[arc_idx]
+            nbr = np.repeat(frontier - vv, counts) + indices[arc_idx]
+        cand = np.repeat(dist[frontier], counts) + weights[arc_idx]
         improving = cand < dist[nbr]
-        return nbr[improving], cand[improving], total
-
-    try:
-        while r < h and frontier.shape[0]:
-            r += 1
-            if nw > 1 and frontier.shape[0] >= 2 * PAR_MIN_SHARD:
-                if pool is None:
-                    pool = ThreadPoolExecutor(max_workers=nw)
-                shards = shard_frontier(frontier, nw, PAR_MIN_SHARD)
-                parts = list(pool.map(_gather_shard, shards))
-                total = sum(p[2] for p in parts)
-                nbr = np.concatenate([p[0] for p in parts])
-                cand = np.concatenate([p[1] for p in parts])
-            else:
-                nbr, cand, total = _gather_shard(frontier)
-            round_arcs.append(total)
-            if nbr.shape[0] == 0:
-                frontier = np.empty(0, dtype=np.int64)
-                break
-            # one winner per claimed state: the minimum candidate (equal
-            # minima are interchangeable)
-            keep = _min_mask(nbr, cand, claim_buf)
-            nbr, cand = nbr[keep], cand[keep]
-            once = _once_mask(nbr, claim_buf)
-            win_v, win_d = nbr[once], cand[once]
-            # all writes on the coordinating thread, after every shard's
-            # snapshot reads: the round stays synchronous
-            dist[win_v] = win_d
-            hops[win_v] = r
-            frontier = win_v
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+        nbr, cand = nbr[improving], cand[improving]
+        if nbr.shape[0] == 0:
+            frontier = np.empty(0, dtype=np.int64)
+            break
+        # one winner per claimed state: the minimum candidate (equal
+        # minima are interchangeable)
+        keep = _min_mask(nbr, cand, claim_buf)
+        nbr, cand = nbr[keep], cand[keep]
+        once = _once_mask(nbr, claim_buf)
+        win_v, win_d = nbr[once], cand[once]
+        # all writes after every read: the round stays synchronous
+        dist[win_v] = win_d
+        hops[win_v] = r
+        frontier = win_v
 
     return dist, hops, round_arcs, frontier
 
@@ -350,7 +300,6 @@ def bucket_sssp(
     delta: Optional[float],
     max_dist: Optional[float] = None,
     light_heavy: Optional[Tuple[np.ndarray, ...]] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[int], List[int]]:
     """Multi-source bucket SSSP over raw CSR arrays.
 
@@ -371,10 +320,6 @@ def bucket_sssp(
         when given, buckets run the light-edge fixpoint loop plus one
         heavy settle pass (real-weight delta-stepping) instead of
         relaxing every arc each round.
-    workers:
-        Thread count for the sharded relaxation rounds (see the module
-        docstring); ``1`` (default) is fully serial, ``None`` uses all
-        cores.  Results are identical for every value.
 
     Returns ``(dist, parent, owner, settled, bucket_work,
     bucket_rounds)``: ``bucket_work[i]`` is the PRAM work (frontier
@@ -399,7 +344,6 @@ def bucket_sssp(
         delta,
         max_dist,
         light_heavy,
-        workers=workers,
     )
 
 
@@ -415,7 +359,6 @@ def bucket_sssp_batch(
     delta: Optional[float],
     max_dist: Optional[float] = None,
     light_heavy: Optional[Tuple[np.ndarray, ...]] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[int], List[int]]:
     """Source-tagged batch of ``k`` independent bucket-SSSP runs.
 
@@ -441,10 +384,7 @@ def bucket_sssp_batch(
     ``light_heavy`` (a :func:`split_light_heavy` partition of the
     *shared* CSR at this ``delta``) switches buckets to the light-loop
     + heavy-pass schedule; composite ids index the split through
-    ``comp % n`` exactly like the full adjacency.  ``workers`` enables
-    the thread-sharded relaxation rounds of the module docstring —
-    per-run *and* batched frontiers shard the same way, and results
-    stay bit-identical for every worker count.
+    ``comp % n`` exactly like the full adjacency.
     """
     int_mode = (
         np.issubdtype(np.asarray(weights).dtype, np.integer)
@@ -463,7 +403,6 @@ def bucket_sssp_batch(
     single = k == 1  # composite id == vertex id: skip tag arithmetic
     nn = k * n
 
-    nw = effective_workers(workers, oversubscribe=True)
     dist = np.full(nn, inf, dtype=dtype)
     # rank and the claim scratch share one block: as two blocks the
     # per-call free pushed the allocator into trimming and re-faulting
@@ -480,50 +419,11 @@ def bucket_sssp_batch(
     w_const = None
     if weights.shape[0] and (weights == weights[0]).all():
         w_const = weights[0]
-    # the pool is created lazily on the first shardable frontier:
-    # batched builders issue many engine calls whose frontiers never
-    # reach the shard threshold, and those must not pay pool churn
-    pool: Optional[ThreadPoolExecutor] = None
 
-    # claim_buf is the claim scratch, one word per state; written only
-    # by the thread that resolves claims.  rank[] only ever holds seed
-    # ranks, so when every seed has rank 0 (single-source runs) the rank
-    # tie-break cannot separate claims
+    # claim_buf is the claim scratch, one word per state.  rank[] only
+    # ever holds seed ranks, so when every seed has rank 0 (single-source
+    # runs) the rank tie-break cannot separate claims
     claim_rank = rank if ranks.any() else None
-
-    def _gather_shard(
-        shard: np.ndarray,
-        xip: np.ndarray,
-        xidx: np.ndarray,
-        xw: np.ndarray,
-        wc: Optional[float],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Improving ``(nbr, src, cand)`` candidates out of one
-        contiguous frontier shard, against the pre-round label
-        snapshot, plus the arcs gathered.  Pure reads — the
-        GIL-releasing half of a relaxation round."""
-        vv = shard if single else shard % n
-        starts = xip[vv]
-        counts = xip[vv + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            # e.g. every light round when all arcs are heavy
-            return shard[:0], shard[:0], dist[:0], 0
-        arc_off = np.repeat(np.cumsum(counts) - counts, counts)
-        arc_idx = (
-            np.arange(total, dtype=np.int64) - arc_off + np.repeat(starts, counts)
-        )
-        arc_src = np.repeat(shard, counts)
-        if single:
-            nbr = xidx[arc_idx]
-        else:
-            nbr = np.repeat(shard - vv, counts) + xidx[arc_idx]
-        if wc is not None:
-            cand = dist[arc_src] + wc
-        else:
-            cand = dist[arc_src] + xw[arc_idx]
-        improving = cand < dist[nbr]
-        return nbr[improving], arc_src[improving], cand[improving], total
 
     def _relax_round(
         frontier: np.ndarray,
@@ -533,22 +433,32 @@ def bucket_sssp_batch(
         wc: Optional[float] = None,
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], int]:
         """One claim-resolved relaxation of ``frontier`` over the
-        sub-adjacency ``(xip, xidx, xw)``, sharded across the thread
-        pool when the frontier is big enough.  Updates the label arrays
-        in place; returns ``(win_v, win_d, arcs)`` with ``win_v=None``
-        when nothing improved."""
-        nonlocal pool
-        if nw > 1 and frontier.shape[0] >= 2 * PAR_MIN_SHARD:
-            shards = shard_frontier(frontier, nw, PAR_MIN_SHARD)
-            if pool is None:
-                pool = ThreadPoolExecutor(max_workers=nw)
-            parts = list(
-                pool.map(lambda s: _gather_shard(s, xip, xidx, xw, wc), shards)
-            )
-            total = sum(p[3] for p in parts)
-            nbr, src, cand = (np.concatenate([p[i] for p in parts]) for i in range(3))
+        sub-adjacency ``(xip, xidx, xw)``: gathers the improving
+        candidates against the pre-round labels, then updates the label
+        arrays in place.  Returns ``(win_v, win_d, arcs)`` with
+        ``win_v=None`` when nothing improved."""
+        vv = frontier if single else frontier % n
+        starts = xip[vv]
+        counts = xip[vv + 1] - starts
+        total = int(counts.sum())
+        if total == 0:
+            # e.g. every light round when all arcs are heavy
+            return None, None, 0
+        arc_off = np.repeat(np.cumsum(counts) - counts, counts)
+        arc_idx = (
+            np.arange(total, dtype=np.int64) - arc_off + np.repeat(starts, counts)
+        )
+        arc_src = np.repeat(frontier, counts)
+        if single:
+            nbr = xidx[arc_idx]
         else:
-            nbr, src, cand, total = _gather_shard(frontier, xip, xidx, xw, wc)
+            nbr = np.repeat(frontier - vv, counts) + xidx[arc_idx]
+        if wc is not None:
+            cand = dist[arc_src] + wc
+        else:
+            cand = dist[arc_src] + xw[arc_idx]
+        improving = cand < dist[nbr]
+        nbr, src, cand = nbr[improving], arc_src[improving], cand[improving]
         if nbr.shape[0] == 0:
             return None, None, total
         win_v, win_p, win_d = claim_min(nbr, src, cand, claim_rank, claim_buf)
@@ -576,76 +486,43 @@ def bucket_sssp_batch(
         rank[cs] = rk_s
         pending.append(cs)
 
-    try:
-        while pending:
-            # each pending array is duplicate-free (claim winners, seed
-            # dedup); only several of them can repeat a state
-            pend = pending[0] if len(pending) == 1 else np.concatenate(pending)
-            pend = pend[~settled[pend]]
-            if len(pending) > 1:
-                pend = pend[_once_mask(pend, claim_buf)]
-            pending = []
-            if pend.shape[0] == 0:
-                continue
-            d_pend = dist[pend]
-            d_min = d_pend.min()
-            if max_dist is not None and d_min > max_dist:
-                pending.append(pend)  # preserved for the caller's cleanup
-                break
-            hi = (d_min // delta) * delta + delta
-            if hi <= d_min:
-                # float roundoff at extreme d_min/delta ratios can make the
-                # nominal bucket top collapse onto d_min; degrade to a
-                # single-value bucket so the frontier is never empty
-                hi = np.nextafter(d_min, np.inf)
-            in_bucket = d_pend < hi
-            frontier = pend[in_bucket]
-            if not in_bucket.all():
-                pending.append(pend[~in_bucket])
+    while pending:
+        # each pending array is duplicate-free (claim winners, seed
+        # dedup); only several of them can repeat a state
+        pend = pending[0] if len(pending) == 1 else np.concatenate(pending)
+        pend = pend[~settled[pend]]
+        if len(pending) > 1:
+            pend = pend[_once_mask(pend, claim_buf)]
+        pending = []
+        if pend.shape[0] == 0:
+            continue
+        d_pend = dist[pend]
+        d_min = d_pend.min()
+        if max_dist is not None and d_min > max_dist:
+            pending.append(pend)  # preserved for the caller's cleanup
+            break
+        hi = (d_min // delta) * delta + delta
+        if hi <= d_min:
+            # float roundoff at extreme d_min/delta ratios can make the
+            # nominal bucket top collapse onto d_min; degrade to a
+            # single-value bucket so the frontier is never empty
+            hi = np.nextafter(d_min, np.inf)
+        in_bucket = d_pend < hi
+        frontier = pend[in_bucket]
+        if not in_bucket.all():
+            pending.append(pend[~in_bucket])
 
-            if light_heavy is not None:
-                # real-weight delta-stepping: light fixpoint + one heavy pass
-                lip, lidx, lw, hip, hidx, hw = light_heavy
-                work = 0
-                rounds = 0
-                member_chunks: List[np.ndarray] = []
-                while frontier.shape[0]:
-                    rounds += 1
-                    settled[frontier] = True
-                    member_chunks.append(frontier)
-                    win_v, win_d, arcs = _relax_round(frontier, lip, lidx, lw)
-                    work += max(arcs, int(frontier.shape[0]))
-                    if win_v is None:
-                        break
-                    stay = win_d < hi  # improved into this bucket: re-relax now
-                    frontier = win_v[stay]
-                    if not stay.all():
-                        pending.append(win_v[~stay])
-                members = member_chunks[0]
-                if len(member_chunks) > 1:
-                    # re-improved vertices join several light rounds
-                    members = np.concatenate(member_chunks)
-                    members = members[_once_mask(members, claim_buf)]
-                if members.shape[0]:
-                    # heavy candidates land at >= hi, so one pass settles
-                    # the bucket's heavy arcs for good
-                    rounds += 1
-                    win_v, win_d, arcs = _relax_round(members, hip, hidx, hw)
-                    work += max(arcs, int(members.shape[0]))
-                    if win_v is not None:
-                        pending.append(win_v)
-                bucket_work.append(work)
-                bucket_rounds.append(rounds)
-                continue
-
+        if light_heavy is not None:
+            # real-weight delta-stepping: light fixpoint + one heavy pass
+            lip, lidx, lw, hip, hidx, hw = light_heavy
             work = 0
             rounds = 0
+            member_chunks: List[np.ndarray] = []
             while frontier.shape[0]:
                 rounds += 1
                 settled[frontier] = True
-                win_v, win_d, arcs = _relax_round(
-                    frontier, indptr, indices, weights, w_const
-                )
+                member_chunks.append(frontier)
+                win_v, win_d, arcs = _relax_round(frontier, lip, lidx, lw)
                 work += max(arcs, int(frontier.shape[0]))
                 if win_v is None:
                     break
@@ -653,10 +530,39 @@ def bucket_sssp_batch(
                 frontier = win_v[stay]
                 if not stay.all():
                     pending.append(win_v[~stay])
+            members = member_chunks[0]
+            if len(member_chunks) > 1:
+                # re-improved vertices join several light rounds
+                members = np.concatenate(member_chunks)
+                members = members[_once_mask(members, claim_buf)]
+            if members.shape[0]:
+                # heavy candidates land at >= hi, so one pass settles
+                # the bucket's heavy arcs for good
+                rounds += 1
+                win_v, win_d, arcs = _relax_round(members, hip, hidx, hw)
+                work += max(arcs, int(members.shape[0]))
+                if win_v is not None:
+                    pending.append(win_v)
             bucket_work.append(work)
             bucket_rounds.append(rounds)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+            continue
+
+        work = 0
+        rounds = 0
+        while frontier.shape[0]:
+            rounds += 1
+            settled[frontier] = True
+            win_v, win_d, arcs = _relax_round(
+                frontier, indptr, indices, weights, w_const
+            )
+            work += max(arcs, int(frontier.shape[0]))
+            if win_v is None:
+                break
+            stay = win_d < hi  # improved into this bucket: re-relax now
+            frontier = win_v[stay]
+            if not stay.all():
+                pending.append(win_v[~stay])
+        bucket_work.append(work)
+        bucket_rounds.append(rounds)
 
     return dist, parent, owner, settled, bucket_work, bucket_rounds

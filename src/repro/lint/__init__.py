@@ -1,8 +1,8 @@
 """Project-specific static analysis: machine-checked repo invariants.
 
 The paper's pipeline is only auditable because every run is seeded,
-every parallel schedule is bit-identical, and every layer plumbs the
-same ``backend=``/``workers=`` knobs.  This package turns those
+every backend is swap-equivalent, and every layer plumbs the same
+``backend=``/``workers=`` knobs.  This package turns those
 reviewer-enforced rules into AST checks that run on every commit:
 
 >>> from repro.lint import lint_paths
@@ -14,7 +14,7 @@ or from the command line::
 
     repro lint src benchmarks          # exit 1 on any finding
     repro lint --list-rules
-    repro lint --select RNG001,MUT001 src
+    repro lint --select RNG001,DUP001 src
 
 Suppress a finding only with a justified marker
 (``# repro: noqa[RULE001]: why this is safe``); see

@@ -3,10 +3,8 @@
 The framework is deliberately tiny: a rule is a named object with a
 ``check(ctx)`` method that yields :class:`Finding` objects for one
 parsed file.  :func:`lint_paths` collects ``.py`` files, parses each
-once, fans the (file x rules) work out per file on a thread pool
-(parsing and AST walking release no locks worth sharding further), and
-applies suppression comments before returning the merged, sorted
-finding list.
+once, runs every selected rule on it, and applies suppression comments
+before returning the merged, sorted finding list.
 
 Suppressions
 ------------
@@ -28,9 +26,7 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
-
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg, effective_workers
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 __all__ = [
     "Finding",
@@ -43,7 +39,7 @@ __all__ = [
     "iter_python_files",
 ]
 
-#: rule-id grammar: 3 letters + 3 digits (RNG001, PAR001, ...)
+#: rule-id grammar: 3 letters + 3 digits (RNG001, API001, ...)
 _RULE_ID_RE = re.compile(r"^[A-Z]{3}\d{3}$")
 
 #: suppression marker with one or more rule ids and a required reason
@@ -243,16 +239,11 @@ def lint_file(
 
 
 def lint_paths(
-    paths: Sequence[str],
-    select: Optional[Sequence[str]] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
+    paths: Sequence[str], select: Optional[Sequence[str]] = None
 ) -> List[Finding]:
     """Lint files/directories; returns the merged sorted finding list.
 
-    ``select`` restricts to the named rule ids; ``workers`` follows the
-    repo convention (1 = serial, 0/None = all cores).  Per-file analysis
-    is embarrassingly parallel and each worker only ever appends to its
-    own result list, so any worker count returns identical findings.
+    ``select`` restricts to the named rule ids.
     """
     rules = all_rules()
     if select:
@@ -260,16 +251,7 @@ def lint_paths(
         if unknown:
             raise ValueError(f"unknown rule id(s): {', '.join(unknown)}")
         rules = {k: v for k, v in rules.items() if k in select}
-    files = iter_python_files(paths)
-    nw = min(effective_workers(workers, oversubscribe=True), max(1, len(files)))
-    if nw > 1 and len(files) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=nw) as ex:
-            per_file = list(ex.map(lambda p: lint_file(p, rules), files))
-    else:
-        per_file = [lint_file(p, rules) for p in files]
     out: List[Finding] = []
-    for chunk in per_file:
-        out.extend(chunk)
+    for path in iter_python_files(paths):
+        out.extend(lint_file(path, rules))
     return sorted(out)

@@ -11,11 +11,9 @@ Shipped rules
 -------------
 RNG001  all randomness through :mod:`repro.rng` (determinism)
 RNG002  no wall-clock / PID-derived seeds
-PAR001  worker callables must not write closure/global arrays
 API001  ``shortest_paths*`` callers plumb ``backend=``/``workers=``
 KRN001  numpy/numba kernel-registry parity
 BEN001  benchmarks carry an acceptance gate
-MUT001  no mutable default arguments
 DUP001  no re-inlined dedup idioms (use :mod:`repro.graph.dedup`)
 SHD001  no shadowed builtins
 """
@@ -74,74 +72,12 @@ def dotted_name(node: ast.AST, imports: Dict[str, str]) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
-def local_names(fn: ast.AST) -> Set[str]:
-    """Names bound inside a function body (params, assigns, loops, ...)."""
-    out: Set[str] = set()
-    declared_shared: Set[str] = set()
-    if isinstance(fn, ast.Lambda):
-        args = fn.args
-        body: List[ast.AST] = [fn.body]
-    else:
-        args = fn.args  # type: ignore[attr-defined]
-        body = list(fn.body)  # type: ignore[attr-defined]
-    for a in (
-        list(args.posonlyargs)
-        + list(args.args)
-        + list(args.kwonlyargs)
-        + ([args.vararg] if args.vararg else [])
-        + ([args.kwarg] if args.kwarg else [])
-    ):
-        out.add(a.arg)
-
-    def add_target(t: ast.AST) -> None:
-        if isinstance(t, ast.Name):
-            out.add(t.id)
-        elif isinstance(t, (ast.Tuple, ast.List)):
-            for e in t.elts:
-                add_target(e)
-        elif isinstance(t, ast.Starred):
-            add_target(t.value)
-
-    for node in body:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Assign):
-                for t in sub.targets:
-                    add_target(t)
-            elif isinstance(sub, (ast.AnnAssign, ast.AugAssign)):
-                add_target(sub.target)
-            elif isinstance(sub, ast.For):
-                add_target(sub.target)
-            elif isinstance(sub, ast.withitem) and sub.optional_vars:
-                add_target(sub.optional_vars)
-            elif isinstance(sub, ast.comprehension):
-                add_target(sub.target)
-            elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                out.add(sub.name)
-            elif isinstance(sub, (ast.Import, ast.ImportFrom)):
-                for a in sub.names:
-                    out.add((a.asname or a.name).split(".")[0])
-            elif isinstance(sub, (ast.Global, ast.Nonlocal)):
-                declared_shared.update(sub.names)
-            elif isinstance(sub, ast.ExceptHandler) and sub.name:
-                out.add(sub.name)
-    return out - declared_shared
-
-
 def subscript_base(node: ast.AST) -> Optional[str]:
     """Root name of a (possibly nested) subscript target, else None."""
     cur = node
     while isinstance(cur, ast.Subscript):
         cur = cur.value
     return cur.id if isinstance(cur, ast.Name) else None
-
-
-def func_defs(tree: ast.Module) -> Dict[str, ast.FunctionDef]:
-    """All function definitions in the module, by (last-wins) name."""
-    out: Dict[str, ast.FunctionDef] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef):
-            out[node.name] = node
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -304,73 +240,6 @@ class NoWallClockSeedRule(Rule):
             "seed derived from wall clock/PID breaks replayability: take "
             "an explicit seed and resolve it with repro.rng",
         )
-
-
-# --------------------------------------------------------------------------
-# PAR001 — worker callables must not write shared arrays
-# --------------------------------------------------------------------------
-
-
-@register
-class NoSharedWriteInWorkerRule(Rule):
-    id = "PAR001"
-    title = "functions handed to a pool must not write closure/global arrays"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        defs = func_defs(ctx.tree)
-        submitted: List[Tuple[str, ast.AST]] = []  # (fn name, call site)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            fn_arg: Optional[ast.AST] = None
-            if isinstance(node.func, ast.Attribute) and node.func.attr in (
-                "submit",
-                "map",
-            ):
-                # executor.submit(fn, ...) / pool.map(fn, shards): skip
-                # the builtin map (a Name call, not an Attribute)
-                if node.args:
-                    fn_arg = node.args[0]
-            if isinstance(fn_arg, ast.Name):
-                submitted.append((fn_arg.id, node))
-            elif isinstance(fn_arg, ast.Lambda):
-                yield from self._check_worker(ctx, fn_arg, "<lambda>")
-        for name, _site in submitted:
-            fn = defs.get(name)
-            if fn is not None:
-                yield from self._check_worker(ctx, fn, name)
-
-    def _check_worker(
-        self, ctx: FileContext, fn: ast.AST, name: str
-    ) -> Iterator[Finding]:
-        locs = local_names(fn)
-        body = [fn.body] if isinstance(fn, ast.Lambda) else list(fn.body)  # type: ignore[attr-defined]
-        for stmt in body:
-            for sub in ast.walk(stmt):
-                targets: List[ast.AST] = []
-                if isinstance(sub, ast.Assign):
-                    targets = list(sub.targets)
-                elif isinstance(sub, ast.AugAssign):
-                    targets = [sub.target]
-                for t in targets:
-                    if not isinstance(t, ast.Subscript):
-                        continue
-                    base = subscript_base(t)
-                    if base is not None and base not in locs:
-                        yield self.finding(
-                            ctx,
-                            sub,
-                            f"worker `{name}` writes shared array "
-                            f"`{base}` — a data race under any pool. "
-                            "Return per-shard claim buffers and merge "
-                            "them on the coordinating thread through the "
-                            "min-(cand, rank, src) order (see "
-                            "kernels/numpy_kernel.py)",
-                        )
-                # nested defs inside the worker run on the worker too;
-                # ast.walk already descends into them, and their locals
-                # are a superset question we skip: outer-scope names
-                # still count as shared unless bound in the *worker*
 
 
 # --------------------------------------------------------------------------
@@ -553,52 +422,6 @@ class BenchAcceptanceRule(Rule):
                     "cannot fail is not a regression gate"
                 ),
             )
-
-
-# --------------------------------------------------------------------------
-# MUT001 — mutable default arguments
-# --------------------------------------------------------------------------
-
-_MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "defaultdict", "deque"}
-
-
-@register
-class MutableDefaultRule(Rule):
-    id = "MUT001"
-    title = "no mutable default arguments"
-
-    def _is_mutable(self, node: ast.AST) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name) and node.func.id in _MUTABLE_CALLS:
-                return True
-            if isinstance(node.func, ast.Attribute) and node.func.attr in (
-                "array",
-                "zeros",
-                "ones",
-                "empty",
-            ):
-                return True
-        return False
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            args = node.args
-            for default in list(args.defaults) + [
-                d for d in args.kw_defaults if d is not None
-            ]:
-                if self._is_mutable(default):
-                    name = getattr(node, "name", "<lambda>")
-                    yield self.finding(
-                        ctx,
-                        default,
-                        f"mutable default argument in `{name}` is shared "
-                        "across calls; default to None and materialize "
-                        "inside the body",
-                    )
 
 
 # --------------------------------------------------------------------------

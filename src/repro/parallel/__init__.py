@@ -1,23 +1,23 @@
-"""Real-hardware execution helpers (worker policy, frontier shards).
+"""Worker policy for the numba backend's ``prange`` batch cores.
 
 The algorithms in this package are written against the PRAM *cost
-model* (:mod:`repro.pram`); this subpackage holds what the bucket
-engine and the distributed simulator need to run them on real cores:
+model* (:mod:`repro.pram`), which charges work and depth the same for
+every worker count.  On real cores only the numba kernel's batch
+wrappers run threads — one ``prange`` iteration per run of a batch —
+and this subpackage holds the policy that caps them:
 
-* :func:`shard_frontier` — contiguous near-equal shards of a
-  relaxation frontier.  The bucket engine's numpy kernels relax the
-  shards on a thread pool: numpy releases the GIL inside the big
-  gather ops, so threads give genuine multicore throughput there even
-  though pure-Python loops would not.  Labels and ledgers stay
-  bit-identical for every worker count.
 * :func:`effective_workers` — the single source of truth mapping a
-  requested ``workers`` value to the worker count actually used
+  requested ``workers`` value to the core count actually used
   (``None`` means "all cores"; results are clamped to the machine).
   Every public ``workers=`` parameter defaults to the
   :data:`DEFAULT_WORKERS` sentinel, which resolves through the
   session policy set by :func:`set_default_workers` — so a caller can
-  opt the engine calls *inside* the batched builders into parallelism
-  once, without threading a ``workers`` argument through every layer.
+  cap the engine calls *inside* the batched builders once, without
+  threading a ``workers`` argument through every layer.
+
+The numpy kernels, the network simulator and ``repro lint`` run
+serially: thread fan-out there measured at most ~1.16x of serial on 2
+cores (the simulator and lint ran slower than serial) and was removed.
 """
 
 from repro.parallel.pool import (
@@ -26,12 +26,10 @@ from repro.parallel.pool import (
     get_default_workers,
     set_default_workers,
 )
-from repro.parallel.chunking import shard_frontier
 
 __all__ = [
     "effective_workers",
     "DEFAULT_WORKERS",
     "set_default_workers",
     "get_default_workers",
-    "shard_frontier",
 ]

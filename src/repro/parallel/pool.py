@@ -4,20 +4,15 @@ Every public ``workers=`` parameter in the repo defaults to the
 :data:`DEFAULT_WORKERS` sentinel, which :func:`effective_workers`
 resolves through :func:`set_default_workers`.  Out of the box the
 policy is ``1`` (serial, the historical default), but a caller about to
-run a batched builder can opt the *inner* engine calls into parallelism
-once, instead of threading a ``workers`` argument through every layer
-by hand.
+run a batched builder on the numba backend can let the *inner* batch
+calls use more cores once, instead of threading a ``workers`` argument
+through every layer by hand.
 """
 
 from __future__ import annotations
 
 import os
 from typing import Optional, Union
-
-
-# ceiling for explicitly requested thread oversubscription — a typo'd
-# ``workers=10**6`` must not allocate a million-thread pool
-_MAX_OVERSUBSCRIBED = 64
 
 
 class _DefaultWorkers:
@@ -60,28 +55,19 @@ def get_default_workers() -> Optional[int]:
     return _default_workers
 
 
-def effective_workers(
-    requested: WorkersArg = None, oversubscribe: bool = False
-) -> int:
-    """Number of workers to actually use — the single source of truth
+def effective_workers(requested: WorkersArg = None) -> int:
+    """Number of cores to actually use — the single source of truth
     behind every ``workers=`` knob in the repo.
 
     ``None`` means "use all cores"; the result is clamped to
     ``os.cpu_count()`` and is 1 on single-core machines.
     :data:`DEFAULT_WORKERS` resolves to the session policy
     (:func:`set_default_workers`) first, then follows the same rules.
-    With ``oversubscribe=True`` (thread-pool callers: threads are cheap
-    and GIL-released numpy work interleaves fine) an *explicit* request
-    may exceed the core count — the bucket kernels use this so a
-    requested worker count behaves identically on every machine, which
-    is also what lets single-core CI exercise the sharded code path.
     """
     if isinstance(requested, _DefaultWorkers):
         requested = _default_workers
     avail = os.cpu_count() or 1
     if requested is None:
         return avail
-    if oversubscribe:
-        return max(1, min(requested, _MAX_OVERSUBSCRIBED))
     return max(1, min(requested, avail))
 

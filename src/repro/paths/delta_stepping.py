@@ -39,7 +39,7 @@ def delta_stepping(
     phases (the outer sequential dimension of the algorithm's depth).
     ``delta`` defaults to the engine's ``max_w / avg_degree``
     heuristic (:meth:`CSRGraph.suggest_delta`); ``backend`` picks the
-    kernel and ``workers`` the engine's multicore knob (results are
+    kernel and ``workers`` is forwarded to the engine (results are
     identical for every value), as in
     :func:`repro.paths.engine.shortest_paths`.
     """

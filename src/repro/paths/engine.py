@@ -76,16 +76,14 @@ one round per bucket, as they always have).
 Multicore execution (``workers=``)
 ----------------------------------
 Every entry point takes a ``workers`` knob (``1`` = serial — the
-default, ``None`` = all cores, any other value an explicit thread
-count; :func:`repro.parallel.pool.effective_workers` is the single
-source of truth for the resolution).  On the numpy kernel each
-relaxation round shards its frontier into contiguous chunks relaxed on
-a thread pool (numpy releases the GIL in the gathers) and merges the
-shard claims with the same minimum reduction the serial schedule uses,
-so results are **bit-identical** for every worker count.  On the numba
-kernel the batch wrapper routes ``workers > 1`` through
-``prange``-parallel compiled cores that execute the batch's runs
-concurrently with thread-private scratch — again bit-identical.  The
+default, ``None`` = all cores, any other value a core cap;
+:func:`repro.parallel.pool.effective_workers` is the single source of
+truth for the resolution).  Only the numba kernel reads it: its batch
+wrapper routes ``workers > 1`` through ``prange``-parallel compiled
+cores that execute the batch's runs concurrently with thread-private
+scratch, bit-identical to the sequential loop.  The numpy kernel and
+the reference oracle always run serially (frontier thread shards
+measured at most ~1.16x of serial on 2 cores and were removed).  The
 PRAM ledger is unaffected: hardware threads change wall-clock, not the
 round/work accounting.
 
@@ -186,14 +184,10 @@ def shortest_paths(
     ``min_i offsets[i] + d(sources[i], v)`` and ``owner[v]`` the
     arg-min source vertex.
 
-    ``workers`` enables the multicore execution layer: on the numpy
-    kernel each relaxation round shards its frontier across a thread
-    pool (``1`` = serial, ``None`` = all cores;
-    :func:`repro.parallel.pool.effective_workers` resolves the count).
-    Results are bit-identical for every value.  The numba backend's
-    single-run cores are sequential — its run-level ``prange``
-    parallelism lives in :func:`shortest_paths_batch` — and the
-    reference oracle always runs serially.
+    ``workers`` is accepted for a uniform signature across the entry
+    points; a single search runs serially on every backend (numba's
+    run-level ``prange`` parallelism lives in
+    :func:`shortest_paths_batch`).
     """
     tracker = tracker or null_tracker()
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
@@ -223,7 +217,7 @@ def shortest_paths(
     else:
         dist, parent, owner, settled, bucket_work, bucket_rounds = bucket_sssp(
             g.indptr, g.indices, w, g.n, sources, offsets, ranks, delta, max_dist,
-            light_heavy=split, workers=workers,
+            light_heavy=split,
         )
 
     if max_dist is not None:
@@ -348,11 +342,10 @@ def shortest_paths_batch(
         Start times mirroring the shape of ``sources``; defaults to
         integer zeros so integer weights still select Dial mode.
     workers:
-        Multicore knob (``1`` = serial, ``None`` = all cores): the
-        numpy kernel shards the shared frontier per relaxation round;
-        the numba kernel dispatches the batch's runs through its
-        ``prange``-parallel cores.  Both are bit-identical to
-        ``workers=1``.
+        Core cap for the numba kernel (``1`` = serial, ``None`` = all
+        cores), which dispatches the batch's runs through its
+        ``prange``-parallel cores, bit-identical to ``workers=1``.  The
+        numpy and reference kernels run serially.
 
     Every run's results match a standalone :func:`shortest_paths` call
     with the same sources/offsets (distances bit-for-bit; forest
@@ -395,7 +388,7 @@ def shortest_paths_batch(
         split = _resolve_split(g, weights, w, delta, int_mode)
         dist, parent, owner, settled, bucket_work, bucket_rounds = bucket_sssp_batch(
             g.indptr, g.indices, w, g.n, run_src, run_ptr, offs, ranks, delta,
-            max_dist, light_heavy=split, workers=workers,
+            max_dist, light_heavy=split,
         )
         buckets = len(bucket_work)
     elif name == "numba":

@@ -54,8 +54,9 @@ def dial_sssp(
     backend:
         Kernel choice, as in :func:`repro.paths.engine.shortest_paths`.
     workers:
-        Multicore knob forwarded to the engine (``1`` = serial,
-        ``None`` = all cores); results are identical for every value.
+        Forwarded to the engine (see
+        :func:`repro.paths.engine.shortest_paths`); results are
+        identical for every value.
 
     Returns ``(dist, parent, owner, levels)``; ``levels`` is the number
     of distance levels swept, i.e. the PRAM depth in rounds.

@@ -115,8 +115,9 @@ class DistanceServer:
         ``require_backend`` before construction).  ``"reference"`` has
         no hop-limited kernel and is rejected.
     workers:
-        Thread count for the search's sharded rounds (``1`` serial,
-        ``None`` = all cores); results are identical for every value.
+        Core cap for the numba backend's ``prange`` batch cores
+        (``1`` serial, ``None`` = all cores); the numpy kernels run
+        serially.  Results are identical for every value.
     cache_rows:
         Maximum source distance rows kept in the LRU (``0`` disables
         caching — every query pays a kernel run; the benchmark's
@@ -212,17 +213,19 @@ class DistanceServer:
                     dist = np.where(dist == INT_INF, np.inf, dist.astype(np.float64))
                 rounds, arcs = res.relax_rounds, res.arcs_relaxed
             else:
-                kern = (
-                    hop_sssp_batch_numba if self.backend == "numba" else hop_sssp_batch
-                )
-                dist, _, round_arcs, _ = kern(
+                args = (
                     *self._union,
                     self._n,
                     sources,
                     np.arange(k + 1, dtype=np.int64),
                     int(self.h),
-                    workers=self.workers,
                 )
+                if self.backend == "numba":
+                    dist, _, round_arcs, _ = hop_sssp_batch_numba(
+                        *args, workers=self.workers
+                    )
+                else:
+                    dist, _, round_arcs, _ = hop_sssp_batch(*args)
                 for work in round_arcs:
                     self._tracker.parallel_round(work=work)
                 rounds, arcs = len(round_arcs), int(sum(round_arcs))

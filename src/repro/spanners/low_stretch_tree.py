@@ -52,7 +52,7 @@ def low_stretch_spanning_tree(
         log(n)/(2k), as in the spanner); larger k contracts more
         aggressively per level.
     backend, workers:
-        Kernel and multicore knobs for the clustering races (engine
+        Kernel and core-cap knobs for the clustering races (engine
         paths only); the tree is identical for every value.
 
     Returns a :class:`SpannerResult` whose edges form a spanning tree

@@ -63,7 +63,7 @@ def unweighted_spanner(
         built with ``spanner_beta(n, k)``); mainly for tests that need
         to control the randomness.
     backend, workers:
-        Kernel and multicore knobs for the clustering race, as in
+        Kernel and core-cap knobs for the clustering race, as in
         :func:`repro.clustering.est.est_cluster` (they only reach the
         engine under ``method="exact"``; the round BFS race is serial).
         The spanner is identical for every value.

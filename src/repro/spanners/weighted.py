@@ -445,8 +445,9 @@ def weighted_spanner(
         oracle.  Identical edge sets per seed (both draw per-group
         randomness from the same spawned streams).
     workers:
-        Multicore knob for the engine races (``1`` = serial, ``None`` =
-        all cores); the spanner is identical for every value.
+        Forwarded to the engine races (see
+        :func:`repro.paths.engine.shortest_paths`), which run serially
+        on every backend; the spanner is identical for every value.
 
     Expected size O(n^(1+1/k) log k); stretch O(k); O(m) work and
     O(k log* n log U) depth, with the O(log k) groups running in

@@ -31,6 +31,10 @@ class TestFromEdges:
     def test_negative_weight_rejected(self):
         with pytest.raises(GraphFormatError):
             from_edges(2, [(0, 1)], weights=[-1.0])
+        # NaN slips past a bare `w <= 0` check; inf is no distance either
+        for bad in (np.nan, np.inf):
+            with pytest.raises(GraphFormatError, match="strictly positive"):
+                from_edges(4, [(0, 1), (1, 2), (2, 3)], weights=[bad, 1.0, 2.0])
 
     def test_weight_length_mismatch_rejected(self):
         with pytest.raises(GraphFormatError):

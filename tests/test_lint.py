@@ -4,8 +4,8 @@ Every shipped rule has a good/bad fixture pair under
 ``tests/lint_fixtures/``: the bad file must fire the rule (regression
 proof that the rule detects what it claims) and the good file must stay
 silent under it (false-positive guard).  The suite also pins the
-suppression grammar, the CLI exit-code contract, worker-count
-invariance, and — the actual gate — that the tree itself lints clean.
+suppression grammar, the CLI exit-code contract, and — the actual
+gate — that the tree itself lints clean.
 """
 
 from __future__ import annotations
@@ -25,14 +25,12 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = {
     "RNG001": ("rng001_good.py", "rng001_bad.py"),
     "RNG002": ("rng002_good.py", "rng002_bad.py"),
-    "PAR001": ("par001_good.py", "par001_bad.py"),
     "API001": ("api001_good.py", "api001_bad.py"),
     "KRN001": (
         os.path.join("krn001_good", "repro", "kernels", "__init__.py"),
         os.path.join("krn001_bad", "repro", "kernels", "__init__.py"),
     ),
     "BEN001": ("bench_gate_good.py", "bench_gate_bad.py"),
-    "MUT001": ("mut001_good.py", "mut001_bad.py"),
     "DUP001": ("dup001_good.py", "dup001_bad.py"),
     "SHD001": ("shd001_good.py", "shd001_bad.py"),
 }
@@ -105,15 +103,9 @@ def test_unknown_rule_id_raises():
         lint_paths([FIXTURES], select=["NOP999"])
 
 
-def test_worker_count_invariance():
-    serial = lint_paths([FIXTURES], workers=1)
-    threaded = lint_paths([FIXTURES], workers=4)
-    assert serial == threaded
-    assert serial, "fixture dir must produce findings"
-
-
 def test_findings_sorted_and_structured():
-    findings = lint_paths([FIXTURES], workers=1)
+    findings = lint_paths([FIXTURES])
+    assert findings, "fixture dir must produce findings"
     assert findings == sorted(findings)
     for f in findings:
         assert f.severity == "error"
@@ -138,15 +130,15 @@ def _run_cli(*args):
 
 def test_cli_exit_one_on_findings():
     proc = _run_cli(
-        os.path.join(FIXTURES, "mut001_bad.py"), "--select", "MUT001"
+        os.path.join(FIXTURES, "rng001_bad.py"), "--select", "RNG001"
     )
     assert proc.returncode == 1
-    assert "MUT001" in proc.stdout
+    assert "RNG001" in proc.stdout
 
 
 def test_cli_exit_zero_on_clean():
     proc = _run_cli(
-        os.path.join(FIXTURES, "mut001_good.py"), "--select", "MUT001"
+        os.path.join(FIXTURES, "rng001_good.py"), "--select", "RNG001"
     )
     assert proc.returncode == 0
     assert "clean" in proc.stdout
