@@ -2,7 +2,8 @@
 
 Every bench records paper-style rows here; a session-finish hook in
 ``benchmarks/conftest.py`` renders them as fixed-width tables to stdout
-and to ``bench_results/<table>.txt`` so EXPERIMENTS.md can quote them.
+and to ``bench_results/<table>.txt``, which
+:mod:`repro.exp.report_writer` stitches into one markdown report.
 """
 
 from __future__ import annotations

@@ -142,9 +142,7 @@ def run_dynamic_bench(
 
     # -- hopset + serving tier ---------------------------------------
     t0 = time.perf_counter()
-    hs = build_hopset(
-        g, params, seed=build_seed, strategy="batched", record_structure=True
-    )
+    hs = build_hopset(g, params, seed=build_seed, record_structure=True)
     build_seconds = time.perf_counter() - t0
     server = DistanceServer(hs, cache_rows=max(64, WARM_ROWS))
     rng = resolve_rng(seed)
@@ -173,8 +171,7 @@ def run_dynamic_bench(
         t0 = time.perf_counter()
         ar = apply_batch(g_prev, batch)
         hs_full = build_hopset(
-            ar.graph, params, seed=build_seed, strategy="batched",
-            record_structure=True,
+            ar.graph, params, seed=build_seed, record_structure=True
         )
         DistanceServer(hs_full, cache_rows=max(64, WARM_ROWS))
         t_full = time.perf_counter() - t0

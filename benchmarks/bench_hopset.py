@@ -3,8 +3,8 @@
 Runs Algorithm 4 twice on the same seeded workload — once with the
 level-synchronous batched builder (one EST race + one batched
 center-search pass per recursion level) and once with the depth-first
-recursive oracle — checks they emit the *identical* hopset edge set,
-and records the wall-clock ratio.
+recursive oracle from ``tests/oracles`` — checks they emit the
+*identical* hopset edge set, and records the wall-clock ratio.
 
 The workload is a random geometric graph at n = 10^5, m ~ 5*10^5 (the
 acceptance scale of ``BENCH_engine.json``): RGGs have Theta(1/radius)
@@ -27,6 +27,7 @@ the speedup bar.
 from __future__ import annotations
 
 import os
+import sys
 import time
 
 import numpy as np
@@ -34,6 +35,17 @@ import numpy as np
 import _report
 from repro.graph import random_geometric_graph
 from repro.hopsets import HopsetParams, build_hopset
+
+_TESTS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"
+)
+sys.path.insert(0, _TESTS_DIR)
+try:
+    from oracles import build_hopset_recursive
+finally:
+    sys.path.remove(_TESTS_DIR)
+
+BUILDERS = {"batched": build_hopset, "recursive": build_hopset_recursive}
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") == "1"
 if SMOKE:
@@ -95,12 +107,12 @@ def run_hopset_bench(
         "acceptance": {"target_speedup": 5.0},
     }
     built = {}
-    for strategy in ("batched", "recursive"):
+    for strategy, build in BUILDERS.items():
         best = float("inf")
         hs = None
         for _ in range(repeats):
             t0 = time.perf_counter()
-            hs = build_hopset(g, params, seed=build_seed, strategy=strategy)
+            hs = build(g, params, seed=build_seed)
             best = min(best, time.perf_counter() - t0)
         built[strategy] = hs
         payload["strategies"][strategy] = {

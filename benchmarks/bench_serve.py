@@ -102,7 +102,7 @@ def run_serve_bench(
     rng = resolve_rng(seed)
     g = random_geometric_graph(n, radius, seed=graph_seed)
     t0 = time.perf_counter()
-    hs = build_hopset(g, params, seed=build_seed, strategy="batched")
+    hs = build_hopset(g, params, seed=build_seed)
     build_seconds = time.perf_counter() - t0
 
     payload = {

@@ -3,9 +3,9 @@
 Runs the Theorem 3.3 weighted spanner twice on the same seeded workload
 — once with the level-synchronous batched builder (one quotient union,
 one EST race, and one edge-emission pass per weight level across all
-well-separated groups) and once with the sequential per-group oracle —
-checks they emit the *identical* spanner edge set, and records the
-wall-clock ratio.
+well-separated groups) and once with the sequential per-group oracle
+from ``tests/oracles`` — checks they emit the *identical* spanner edge
+set, and records the wall-clock ratio.
 
 The workload is a connected G(n, m) at n = 10^5, m = 5*10^5 (the
 acceptance scale of ``BENCH_engine.json`` / ``BENCH_hopset.json``) with
@@ -36,6 +36,7 @@ invariant but not the speedup bar.
 from __future__ import annotations
 
 import os
+import sys
 import time
 
 import numpy as np
@@ -43,6 +44,17 @@ import numpy as np
 import _report
 from repro.graph import gnm_random_graph, with_random_weights
 from repro.spanners import weighted_spanner
+
+_TESTS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"
+)
+sys.path.insert(0, _TESTS_DIR)
+try:
+    from oracles import weighted_spanner_recursive
+finally:
+    sys.path.remove(_TESTS_DIR)
+
+BUILDERS = {"batched": weighted_spanner, "recursive": weighted_spanner_recursive}
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") == "1"
 if SMOKE:
@@ -90,14 +102,12 @@ def run_spanner_bench(
         "acceptance": {"target_speedup": 3.0},
     }
     built = {}
-    for strategy in ("batched", "recursive"):
+    for strategy, build in BUILDERS.items():
         best = float("inf")
         sp = None
         for _ in range(repeats):
             t0 = time.perf_counter()
-            sp = weighted_spanner(
-                gw, k, seed=build_seed, strategy=strategy, separation=separation
-            )
+            sp = build(gw, k, seed=build_seed, separation=separation)
             best = min(best, time.perf_counter() - t0)
         built[strategy] = sp
         payload["strategies"][strategy] = {

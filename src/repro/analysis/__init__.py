@@ -5,7 +5,7 @@
   hopset-augmented searches.
 * :mod:`~repro.analysis.fitting` — log-log scaling-law fits.
 * :mod:`~repro.analysis.theory` — the paper's closed-form bounds, used
-  for the paper-vs-measured columns of EXPERIMENTS.md.
+  for the paper-vs-measured columns of the benchmark tables.
 """
 
 from repro.analysis.stretch import stretch_summary, StretchSummary

@@ -1,7 +1,8 @@
 """Closed-form paper bounds for the paper-vs-measured tables.
 
 Every benchmark prints a "paper" column computed here next to its
-measured column, so EXPERIMENTS.md rows are mechanical.
+measured column, in the ``bench_results/<table>.txt`` tables that
+``benchmarks/_report.py`` writes.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Durable build checkpoints for the level-synchronous builders.
 
 A multi-hour build at n = 10^7 must survive its process dying.  Both
-batched builders (:func:`repro.hopsets.build_hopset` and
-:func:`repro.spanners.weighted_spanner` with ``strategy="batched"``)
+level-synchronous builders (:func:`repro.hopsets.build_hopset` and
+:func:`repro.spanners.weighted_spanner`)
 execute as a short loop of *levels* whose complete inter-level state is
 a handful of arrays plus the per-subproblem RNG streams.  That makes
 level boundaries natural checkpoint cuts: serialize the state before

@@ -372,14 +372,14 @@ def _forest_group_modes(
 ) -> np.ndarray:
     """Resolve each group's race engine: 0 = BFS, 1 = Dial, 2 = exact.
 
-    Mirrors the *hopset builder's* dispatch
-    (``repro.hopsets.unweighted._cluster_method`` followed by
+    Mirrors the depth-first hopset oracle's dispatch
+    (``_cluster_method`` in ``tests/oracles/hopsets.py``, followed by
     :func:`est_cluster`'s round-mode split): under ``auto``,
     unweighted blocks race by BFS, integer-weighted blocks by the
     quantized Dial race, everything else exactly.  Note this is NOT
     :func:`est_cluster`'s own ``auto`` (which keeps integer-weighted
-    graphs on the exact real-shift race) — the batched builder's
-    strategy-equivalence contract is with the recursive builder, which
+    graphs on the exact real-shift race) — the level-synchronous
+    builder's equivalence contract is with that oracle, which
     quantizes integer blocks.  Evaluated per block of a block-diagonal
     union from one vectorized pass over the edge list (a group is
     *unweighted* when every edge weighs 1 and *integer* when every
@@ -437,10 +437,11 @@ def est_cluster_forest(
     ``auto``).
 
     Equivalence with per-block :func:`est_cluster` — called the way the
-    hopset builder calls it, i.e. with the method pre-resolved by
-    ``_cluster_method`` (under ``auto``, integer-weighted blocks take
-    the quantized round race; see :func:`_forest_group_modes`) — is
-    exact, not just distributional: the start times
+    depth-first hopset oracle calls it, i.e. with the method pre-resolved
+    by ``_cluster_method`` in ``tests/oracles/hopsets.py`` (under
+    ``auto``, integer-weighted blocks take the quantized round race;
+    see :func:`_forest_group_modes`) — is exact, not just
+    distributional: the start times
     ``delta_max - shift`` are computed with each group's *own*
     ``delta_max`` (quantized starts in round mode depend nonlinearly on
     it), every vertex races with the same priority/rank order it would

@@ -2,8 +2,10 @@
 
 One :class:`~repro.exp.harness.Experiment` per paper artifact; the
 :mod:`~repro.exp.experiments` registry maps experiment ids (``fig1-unw``,
-``lemma22``, ...) to runnable closures so benchmarks, examples, and the
-EXPERIMENTS.md generator all share one implementation.
+``lemma22``, ...) to runnable small-scale closures.  Benchmarks and
+examples print their tables with :mod:`~repro.exp.tables`, and
+:mod:`~repro.exp.report_writer` renders the benchmarks'
+``bench_results/<table>.txt`` files as one markdown report.
 """
 
 from repro.exp.harness import Experiment, Trial, run_trials, aggregate

@@ -2,8 +2,8 @@
 
 After ``pytest benchmarks/ --benchmark-only`` has populated
 ``bench_results/*.txt``, this module stitches them into one markdown
-document — the mechanical companion to EXPERIMENTS.md (which adds the
-interpretation).  Usable as a library or via
+document, tables only, with no interpretation.  Usable as a library or
+via
 
     python -m repro.exp.report_writer bench_results report.md
 """

@@ -77,7 +77,6 @@ def build_limited_hopset(
     zeta: float = 0.5,
     seed: SeedLike = None,
     tracker: Optional[PramTracker] = None,
-    strategy: str = "batched",
     workers: WorkersArg = DEFAULT_WORKERS,
 ) -> LimitedHopset:
     """Run the Theorem C.2 iteration on ``g``.
@@ -86,10 +85,8 @@ def build_limited_hopset(
     outer loop runs ``ceil(1 / eta)`` rounds, each covering all distance
     scales ``d = (n^eta)^i``.  Practical sizes only (every round builds
     O(1/eta) hopsets); the benchmarks sweep small graphs.  Every inner
-    Algorithm 4 build runs with the given ``strategy`` (the
-    level-synchronous ``"batched"`` path by default; both strategies
-    yield identical shortcut sets per seed) and ``workers`` (the
-    engine's core cap — wall-clock only, identical output).
+    Algorithm 4 build runs with the given ``workers`` (the engine's
+    core cap — wall-clock only, identical output).
     """
     if not (0 < alpha < 1):
         raise ParameterError("alpha must lie in (0, 1)")
@@ -150,7 +147,6 @@ def build_limited_hopset(
                 seed=child_rngs[i],
                 method="exact",
                 tracker=child_tracker,
-                strategy=strategy,
                 workers=workers,
             )
             if hs.size:

@@ -1,4 +1,4 @@
-"""Algorithm 4: hopset construction (level-synchronous and recursive).
+"""Algorithm 4: level-synchronous hopset construction.
 
 Structure (Section 4):
 
@@ -16,9 +16,9 @@ Structure (Section 4):
    until pieces have at most ``n_final`` vertices.
 
 The paper states this as a *parallel* recursion: every subproblem at
-one level is independent.  The default ``strategy="batched"`` executes
-it that way — **level-synchronously**: all active subproblems are
-packed into one block-diagonal CSR union
+one level is independent.  The builder executes it that way —
+**level-synchronously**: all active subproblems are packed into one
+block-diagonal CSR union
 (:func:`repro.graph.builders.induced_subgraph_forest`), a *single* EST
 race clusters every subproblem at once
 (:func:`repro.clustering.est.est_cluster_forest` — waves cannot cross
@@ -31,15 +31,11 @@ the level's label arrays.  The PRAM ledger's per-level max-depth
 semantics then come from the shared schedules themselves instead of
 ``parallel_children`` bookkeeping.
 
-``strategy="recursive"`` keeps the original depth-first execution —
-one ``est_cluster`` per cluster, one search per center — as the
-oracle: both strategies draw per-subproblem randomness from the same
-spawned streams and emit *identical* hopset edge sets for a fixed
-seed (pinned by tests and the ``BENCH_hopset.json`` benchmark).
-
-The recursion works on induced subgraphs with an explicit map back to
-original vertex ids; all sub-calls at one level are independent, so
-their trackers are merged with parallel (max-depth) semantics.
+The depth-first execution — one ``est_cluster`` per cluster, one
+search per center — lives in ``tests/oracles`` as the correctness
+oracle: both draw per-subproblem randomness from the same spawned
+streams and emit *identical* hopset edge sets for a fixed seed (pinned
+by tests and the ``BENCH_hopset.json`` benchmark).
 """
 
 from __future__ import annotations
@@ -48,16 +44,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.clustering.est import Clustering, est_cluster, est_cluster_forest
+from repro.clustering.est import Clustering, est_cluster_forest
 from repro.clustering.shifts import sample_shifts
 from repro.errors import ParameterError
-from repro.graph.builders import induced_subgraph, induced_subgraph_forest
+from repro.graph.builders import induced_subgraph_forest
 from repro.graph.csr import CSRGraph, csr_from_arrays
 from repro.hopsets.params import HopsetParams
 from repro.hopsets.result import HopsetResult, LevelStats, RepairStructure
-from repro.paths.bfs import bfs
-from repro.paths.engine import shortest_paths, shortest_paths_batch
-from repro.paths.weighted_bfs import dial_sssp
+from repro.paths.engine import shortest_paths_batch
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn_seeds
 from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
@@ -148,204 +142,6 @@ class _Collector:
         )
 
 
-def _center_distances(
-    sub: CSRGraph,
-    center: int,
-    tracker: PramTracker,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
-) -> np.ndarray:
-    """Distances from one center in the current subgraph (the Line 9 BFS).
-
-    Picks the cheapest exact engine for the weight type: unweighted ->
-    level-synchronous BFS, integer weights -> Dial buckets, otherwise
-    the float bucket engine; all three charge the tracker their real
-    round/arc ledger.
-    """
-    if sub.is_unweighted:
-        dist, _ = bfs(sub, center, tracker=tracker)
-        return np.where(dist == np.iinfo(np.int64).max, np.inf, dist.astype(np.float64))
-    w_int = sub.weights.astype(np.int64)
-    if np.array_equal(w_int.astype(np.float64), sub.weights):
-        dist, _, _, _ = dial_sssp(
-            sub,
-            np.asarray([center]),
-            weights_int=w_int,
-            tracker=tracker,
-            backend=backend,
-            workers=workers,
-        )
-        return np.where(dist == np.iinfo(np.int64).max, np.inf, dist.astype(np.float64))
-    return shortest_paths(
-        sub, center, tracker=tracker, backend=backend, workers=workers
-    ).dist
-
-
-def _cluster_method(sub: CSRGraph, requested: str) -> str:
-    if requested != "auto":
-        return requested
-    if sub.is_unweighted:
-        return "round"
-    w_int = sub.weights.astype(np.int64)
-    if np.array_equal(w_int.astype(np.float64), sub.weights):
-        return "round"
-    return "exact"
-
-
-def _recurse(
-    sub: CSRGraph,
-    vmap: np.ndarray,
-    level: int,
-    is_first: bool,
-    params: HopsetParams,
-    n_top: int,
-    rng: np.random.Generator,
-    method: str,
-    tracker: PramTracker,
-    out: _Collector,
-    star_weights: str = "tree",
-    backend: "Optional[str]" = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
-) -> None:
-    n_sub = sub.n
-    n_final = params.n_final(n_top)
-    if n_sub <= n_final or level >= params.max_levels:
-        return
-
-    beta = params.beta_at(level, n_top)
-    clustering = est_cluster(
-        sub,
-        beta,
-        seed=rng,
-        method=_cluster_method(sub, method),
-        tracker=tracker,
-        backend=backend,
-        workers=workers,
-    )
-    sizes = clustering.sizes
-    num_clusters = clustering.num_clusters
-    out.bump(
-        level,
-        subproblems=1,
-        vertices=n_sub,
-        clusters=num_clusters,
-        beta=beta,
-    )
-
-    if is_first:
-        # top level: just split; recurse on every cluster
-        children: List[PramTracker] = []
-        child_seeds = spawn_seeds(rng, num_clusters)
-        for lab in range(num_clusters):
-            members = clustering.members(lab)
-            if members.shape[0] <= n_final:
-                continue
-            csub, cmap_local = induced_subgraph(sub, members)
-            child_tracker = tracker.fork()
-            _recurse(
-                csub,
-                vmap[members],
-                level + 1,
-                False,
-                params,
-                n_top,
-                resolve_rng(int(child_seeds[lab])),
-                method,
-                child_tracker,
-                out,
-                star_weights=star_weights,
-                backend=backend,
-                workers=workers,
-            )
-            children.append(child_tracker)
-        tracker.parallel_children(children)
-        return
-
-    rho = params.rho(n_top)
-    threshold = n_sub / rho
-    large = np.flatnonzero(sizes >= threshold)
-    small = np.flatnonzero(sizes < threshold)
-    out.bump(level, large_clusters=large.shape[0])
-
-    # one search per large-cluster center over the current subgraph —
-    # used for clique weights always, and for star weights in "exact"
-    # mode (reusing the same searches at no extra cost); compact label
-    # l's center *is* centers[l] (labels come from the sorted uniques)
-    center_ids = clustering.centers[large]
-    need_center_dists = large.shape[0] >= 2 or (
-        star_weights == "exact" and large.shape[0] >= 1
-    )
-    dists: List[np.ndarray] = []
-    if need_center_dists:
-        bfs_children = []
-        for c in center_ids:
-            child_tracker = tracker.fork()
-            dists.append(
-                _center_distances(
-                    sub, int(c), child_tracker, backend=backend, workers=workers
-                )
-            )
-            bfs_children.append(child_tracker)
-        tracker.parallel_children(bfs_children)
-
-    # ---- star edges on large clusters ----------------------------------
-    # "tree": the clustering tree distance (the paper's line 8 — a
-    # concrete path by construction); "exact": the center search's true
-    # subgraph distance (tighter, never heavier than the tree path)
-    if large.shape[0]:
-        for i, lab in enumerate(large):
-            members = clustering.members(int(lab))
-            c_local = int(center_ids[i])
-            others = members[members != c_local]
-            if others.size == 0:
-                continue
-            if star_weights == "exact":
-                sw = dists[i][others]
-            else:
-                sw = clustering.dist_to_center[others]
-            finite = np.isfinite(sw)
-            out.add_edges(vmap[others[finite]], np.full(int(finite.sum()), vmap[c_local]), sw[finite], kind_code=0)
-            out.bump(level, star_edges=int(finite.sum()))
-
-    # ---- clique edges between large-cluster centers --------------------
-    if large.shape[0] >= 2:
-        dmat = np.stack(dists)[:, center_ids]  # (k, k) center-to-center
-        iu, ju = np.triu_indices(center_ids.shape[0], k=1)
-        dv = dmat[iu, ju]
-        fin = np.isfinite(dv)
-        out.add_edges(
-            vmap[center_ids[iu[fin]]], vmap[center_ids[ju[fin]]], dv[fin], kind_code=1
-        )
-        out.bump(level, clique_edges=int(fin.sum()))
-
-    # ---- recurse on small clusters -------------------------------------
-    children = []
-    child_seeds = spawn_seeds(rng, max(int(small.shape[0]), 1))
-    for idx, lab in enumerate(small):
-        members = clustering.members(int(lab))
-        if members.shape[0] <= n_final:
-            continue
-        csub, _ = induced_subgraph(sub, members)
-        child_tracker = tracker.fork()
-        _recurse(
-            csub,
-            vmap[members],
-            level + 1,
-            False,
-            params,
-            n_top,
-            resolve_rng(int(child_seeds[idx])),
-            method,
-            child_tracker,
-            out,
-            star_weights=star_weights,
-            backend=backend,
-            workers=workers,
-        )
-        children.append(child_tracker)
-    tracker.parallel_children(children)
-
-
 def _dist_matrix_to_float(D: np.ndarray) -> np.ndarray:
     """Dial/int batch distances -> float64 with ``inf`` for unreached."""
     if D.dtype.kind == "f":
@@ -360,7 +156,7 @@ def _pairs_within_segments(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
     ``counts[s]`` is the length of segment ``s``; returned indices are
     global positions, emitted in (segment, i, j) row-major order — the
-    same order the recursive builder's per-subproblem double loop used.
+    same order the depth-first oracle's per-subproblem double loop uses.
     Fully vectorized (repeat/cumsum), no Python loop over segments.
     """
     counts = np.asarray(counts, dtype=np.int64)
@@ -490,7 +286,7 @@ def _build_level_sync(
     checkpoint_every: int = 1,
     structure: Optional[Dict[str, np.ndarray]] = None,
 ) -> None:
-    """Level-synchronous execution of Algorithm 4 (the batched strategy).
+    """Level-synchronous execution of Algorithm 4.
 
     Initializes (or resumes from checkpoint) the per-level state and
     hands it to :func:`_run_levels`, which owns the level loop.  When
@@ -592,11 +388,12 @@ def _run_levels(
     one (chunked) batch of center searches, two vectorized edge
     passes, and one forest rebuild for the next level.
 
-    Randomness discipline matches the recursive oracle stream-for-
-    stream: subproblem ``j`` draws its shifts from its own generator,
-    then spawns one child generator per cluster (level 0) or per small
-    cluster (deeper) and hands them to the surviving children in label
-    order — so both strategies emit identical edge sets per seed.
+    Randomness discipline matches the depth-first oracle
+    (``tests/oracles``) stream-for-stream: subproblem ``j`` draws its
+    shifts from its own generator, then spawns one child generator per
+    cluster (level 0) or per small cluster (deeper) and hands them to
+    the surviving children in label order — so both emit identical
+    edge sets per seed.
 
     Because blocks never interact, entering at ``level=1`` with a
     forest of selected level-0 clusters and their recorded spawn seeds
@@ -730,7 +527,6 @@ def build_hopset(
     star_weights: str = "tree",
     tracker: Optional[PramTracker] = None,
     backend: Optional[str] = None,
-    strategy: str = "batched",
     workers: WorkersArg = DEFAULT_WORKERS,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 1,
@@ -756,13 +552,6 @@ def build_hopset(
     backend:
         Shortest-path kernel for every weighted search inside the
         build, as in :func:`repro.paths.engine.shortest_paths`.
-    strategy:
-        ``"batched"`` (default) executes the recursion level-
-        synchronously: one EST race and one batched center-search pass
-        per level over a block-diagonal union of all subproblems.
-        ``"recursive"`` is the original depth-first oracle.  Both
-        produce identical edge sets for a fixed seed; ``batched`` is
-        the fast path (see ``BENCH_hopset.json``).
     workers:
         Forwarded to every *weighted engine* search inside the build —
         the per-level EST races and the Line-9 center searches.  Only
@@ -774,8 +563,7 @@ def build_hopset(
     record_structure:
         Attach a :class:`repro.hopsets.result.RepairStructure` (the
         level-0 block labels and per-block child seeds) to the result,
-        enabling localized repair via :mod:`repro.dynamic`.  Batched
-        strategy only.
+        enabling localized repair via :mod:`repro.dynamic`.
 
     Works on unweighted and (positive-) weighted graphs alike; the
     Section 5 pipeline calls this on rounded integer graphs.
@@ -783,51 +571,28 @@ def build_hopset(
     params = params or HopsetParams()
     if star_weights not in ("tree", "exact"):
         raise ParameterError("star_weights must be 'tree' or 'exact'")
-    if strategy not in ("batched", "recursive"):
-        raise ParameterError("strategy must be 'batched' or 'recursive'")
-    if checkpoint_path is not None and strategy != "batched":
-        raise ParameterError("checkpointing requires strategy='batched'")
     if checkpoint_every < 1:
         raise ParameterError("checkpoint_every must be >= 1")
-    if record_structure and strategy != "batched":
-        raise ParameterError("record_structure requires strategy='batched'")
     tracker = tracker or null_tracker()
     rng = resolve_rng(seed)
     out = _Collector()
     structure: Optional[Dict[str, np.ndarray]] = {} if record_structure else None
     with tracker.phase("hopset"):
-        if strategy == "batched":
-            _build_level_sync(
-                g,
-                params,
-                g.n,
-                rng,
-                method,
-                tracker,
-                out,
-                star_weights=star_weights,
-                backend=backend,
-                workers=workers,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every,
-                structure=structure,
-            )
-        else:
-            _recurse(
-                g,
-                np.arange(g.n, dtype=np.int64),
-                0,
-                True,
-                params,
-                g.n,
-                rng,
-                method,
-                tracker,
-                out,
-                star_weights=star_weights,
-                backend=backend,
-                workers=workers,
-            )
+        _build_level_sync(
+            g,
+            params,
+            g.n,
+            rng,
+            method,
+            tracker,
+            out,
+            star_weights=star_weights,
+            backend=backend,
+            workers=workers,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
+            structure=structure,
+        )
     if checkpoint_path is not None:
         from repro import checkpoint as _ckpt
 

@@ -160,7 +160,6 @@ def build_weighted_hopset(
     method: str = "exact",
     tracker: Optional[PramTracker] = None,
     backend: Optional[str] = None,
-    strategy: str = "batched",
     rounding: bool = True,
     workers: WorkersArg = DEFAULT_WORKERS,
 ) -> WeightedHopset:
@@ -180,10 +179,6 @@ def build_weighted_hopset(
     backend:
         Shortest-path kernel for the per-scale builds, as in
         :func:`repro.paths.engine.shortest_paths`.
-    strategy:
-        Execution strategy for every inner Algorithm 4 build —
-        ``"batched"`` (level-synchronous, default) or ``"recursive"``
-        (the depth-first oracle); identical results per seed.
     workers:
         Forwarded to every engine search inside the per-scale builds,
         as in :func:`repro.hopsets.unweighted.build_hopset`.
@@ -235,7 +230,6 @@ def build_weighted_hopset(
             method=method,
             tracker=child_tracker,
             backend=backend,
-            strategy=strategy,
             workers=workers,
         )
         scales.append(

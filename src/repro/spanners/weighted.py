@@ -20,17 +20,17 @@ The O(log k) grouping is what reduces the naive O(log U) size overhead
 to O(log k); the ablation benchmark compares both.
 
 The paper runs the O(log k) groups *in parallel* — their levels are
-independent.  The default ``strategy="batched"`` executes the whole
-construction that way, **level-synchronously**: round ``t`` takes every
-group's ``t``-th weight level, does all groups' contractions in one
-pass (:func:`repro.graph.quotient.quotient_forest` — a block-diagonal
-union of the per-group quotient graphs), clusters every block with a
+independent.  The builder executes the whole construction that way,
+**level-synchronously**: round ``t`` takes every group's ``t``-th
+weight level, does all groups' contractions in one pass
+(:func:`repro.graph.quotient.quotient_forest` — a block-diagonal union
+of the per-group quotient graphs), clusters every block with a
 *single* EST race (:func:`repro.clustering.est.est_cluster_forest` —
 waves cannot cross blocks), and emits all groups' forest + boundary
-edges as two vectorized passes over the level's label arrays.
-``strategy="recursive"`` keeps the sequential per-group loop as the
-correctness oracle: both strategies draw per-group randomness from the
-same spawned streams and emit *identical* edge sets for a fixed seed
+edges as two vectorized passes over the level's label arrays.  The
+sequential per-group loop lives in ``tests/oracles`` as the
+correctness oracle: both draw per-group randomness from the same
+spawned streams and emit *identical* edge sets for a fixed seed
 (pinned by ``tests/test_spanners_batched.py`` and
 ``BENCH_spanner.json``).
 """
@@ -42,7 +42,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.clustering.est import est_cluster, est_cluster_forest
+from repro.clustering.est import est_cluster_forest
 from repro.clustering.shifts import sample_shifts
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
@@ -112,8 +112,9 @@ def contracted_quotient(
     compacts the surviving roots, and builds the uniform-weight
     quotient graph whose ``rep_edge_ids`` are original edge ids.
     Returns ``None`` when nothing is live (the caller skips the level —
-    and must then not consume any randomness for it).  Shared by the
-    recursive weighted spanner and the low-stretch tree loop.
+    and must then not consume any randomness for it).  Used by the
+    low-stretch tree loop and the per-group spanner oracle in
+    ``tests/oracles``.
     """
     ru = uf.find_many(g.edge_u[ids])
     rv = uf.find_many(g.edge_v[ids])
@@ -164,60 +165,6 @@ def _boundary_edge_ids(gq: CSRGraph, labels: np.ndarray) -> np.ndarray:
     return e_side[first_of_runs((v_side, c_side), prefer=(e_side,))]
 
 
-def _well_separated_spanner(
-    g: CSRGraph,
-    edge_idx: np.ndarray,
-    bucket: np.ndarray,
-    k: float,
-    rng: np.random.Generator,
-    method: str,
-    tracker: PramTracker,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
-) -> np.ndarray:
-    """Algorithm 3 on one well-separated group; returns original edge ids.
-
-    ``edge_idx`` are indices into g's edge list belonging to this group;
-    ``bucket`` is the global bucket array (used to order levels).
-    """
-    if edge_idx.size == 0:
-        return np.empty(0, np.int64)
-    beta = spanner_beta(g.n, k)
-    uf = UnionFind(g.n)
-    kept: List[np.ndarray] = []
-
-    levels = np.unique(bucket[edge_idx])
-    for b in levels:
-        ids = edge_idx[bucket[edge_idx] == b]
-
-        # contract through the union-find of previously kept forests
-        q = contracted_quotient(g, uf, ids)
-        if q is None:
-            continue
-        gq = q.graph
-
-        with tracker.phase("group_level"):
-            clustering = est_cluster(
-                gq, beta, seed=rng, method=method, tracker=tracker,
-                backend=backend, workers=workers,
-            )
-
-        # forest edges -> original ids, and contract them for next levels
-        child, parent = clustering.forest_edges()
-        if child.size:
-            qids = edge_id_lookup(gq, child, parent)
-            forest_orig = q.rep_edge_ids[qids]
-            kept.append(forest_orig)
-            uf.union_edges(g.edge_u[forest_orig], g.edge_v[forest_orig])
-
-        # boundary edges: one per (boundary quotient vertex, adjacent cluster)
-        qids = _boundary_edge_ids(gq, clustering.labels)
-        if qids.size:
-            kept.append(q.rep_edge_ids[qids])
-
-    return _unique_edge_ids(g.m, kept)
-
-
 def _well_separated_spanner_batched(
     g: CSRGraph,
     groups: List[np.ndarray],
@@ -255,10 +202,10 @@ def _well_separated_spanner_batched(
       two vectorized passes over the round's label arrays.
 
     Groups whose round-``t`` level is fully contracted (or exhausted)
-    contribute no block — and, exactly like the recursive oracle, draw
-    no randomness for that level, so both strategies consume each
-    group's spawned stream level-for-level and emit identical edge
-    sets per seed.
+    contribute no block — and, exactly like the per-group oracle in
+    ``tests/oracles``, draw no randomness for that level, so both
+    consume each group's spawned stream level-for-level and emit
+    identical edge sets per seed.
     """
     n = g.n
     beta = spanner_beta(n, k)
@@ -416,7 +363,6 @@ def weighted_spanner(
     grouping: bool = True,
     tracker: Optional[PramTracker] = None,
     backend: Optional[str] = None,
-    strategy: str = "batched",
     workers: WorkersArg = DEFAULT_WORKERS,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 1,
@@ -438,12 +384,6 @@ def weighted_spanner(
         Shortest-path kernel for weighted races, as in
         :func:`repro.paths.engine.shortest_paths` (the quotient graphs
         are uniform, so this only matters under ``method="exact"``).
-    strategy:
-        ``"batched"`` (default) runs all groups level-synchronously —
-        one quotient union, one EST race, and one edge-emission pass
-        per weight level.  ``"recursive"`` is the sequential per-group
-        oracle.  Identical edge sets per seed (both draw per-group
-        randomness from the same spawned streams).
     workers:
         Forwarded to the engine races (see
         :func:`repro.paths.engine.shortest_paths`), which run serially
@@ -451,14 +391,9 @@ def weighted_spanner(
 
     Expected size O(n^(1+1/k) log k); stretch O(k); O(m) work and
     O(k log* n log U) depth, with the O(log k) groups running in
-    parallel (under ``recursive`` their tracker depths are max-merged;
-    under ``batched`` the shared level schedule itself realizes the
-    parallel composition).
+    parallel (the shared level schedule itself realizes the parallel
+    composition).
     """
-    if strategy not in ("batched", "recursive"):
-        raise ParameterError("strategy must be 'batched' or 'recursive'")
-    if checkpoint_path is not None and strategy != "batched":
-        raise ParameterError("checkpointing requires strategy='batched'")
     if checkpoint_every < 1:
         raise ParameterError("checkpoint_every must be >= 1")
     group_stride(k, separation)  # validates k and separation (> 1) for
@@ -472,34 +407,19 @@ def weighted_spanner(
     else:
         groups = [np.flatnonzero(bucket == b) for b in np.unique(bucket)]
 
-    # one spawned stream per group: both strategies hand group j the
-    # same child generator, so the seeded edge sets coincide exactly
+    # one spawned stream per group: the per-group oracle hands group j
+    # the same child generator, so the seeded edge sets coincide exactly
     seeds = spawn_seeds(rng, len(groups))
 
-    if strategy == "batched":
-        edge_ids = _well_separated_spanner_batched(
-            g, groups, bucket, k, seeds, method, tracker,
-            backend=backend, workers=workers,
-            checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
-        )
-        if checkpoint_path is not None:
-            from repro import checkpoint as _ckpt
+    edge_ids = _well_separated_spanner_batched(
+        g, groups, bucket, k, seeds, method, tracker,
+        backend=backend, workers=workers,
+        checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
+    )
+    if checkpoint_path is not None:
+        from repro import checkpoint as _ckpt
 
-            _ckpt.clear(checkpoint_path)
-    else:
-        kept: List[np.ndarray] = []
-        children = []
-        for j, grp in enumerate(groups):
-            child_tracker = tracker.fork()
-            kept.append(
-                _well_separated_spanner(
-                    g, grp, bucket, k, resolve_rng(int(seeds[j])),
-                    method, child_tracker, backend=backend, workers=workers,
-                )
-            )
-            children.append(child_tracker)
-        tracker.parallel_children(children)
-        edge_ids = _unique_edge_ids(g.m, kept)
+        _ckpt.clear(checkpoint_path)
 
     n_groups = len(groups)
     return SpannerResult(
@@ -512,7 +432,6 @@ def weighted_spanner(
             "num_buckets": float(np.unique(bucket).shape[0]) if g.m else 0.0,
             "weight_ratio": g.weight_ratio,
             "grouping": float(grouping),
-            "batched": float(strategy == "batched"),
         },
     )
 

@@ -54,7 +54,7 @@ def test_toy_spanner_stretch_holds(bench_spanner):
 
     g = gnm_random_graph(800, 4000, seed=5, connected=True)
     gw = with_random_weights(g, 1.0, 2.0**30, "loguniform", seed=6)
-    sp = weighted_spanner(gw, 8.0, seed=1, strategy="batched")
+    sp = weighted_spanner(gw, 8.0, seed=1)
     verify_spanner(gw, sp)
 
 

@@ -118,8 +118,6 @@ class TestHopsetResume:
     def test_checkpoint_requires_batched_strategy(self, tmp_path):
         g = gnm_random_graph(50, 120, seed=0)
         with pytest.raises(ParameterError):
-            build_hopset(g, strategy="recursive", checkpoint_path=tmp_path / "h.npz")
-        with pytest.raises(ParameterError):
             build_hopset(g, checkpoint_path=tmp_path / "h.npz", checkpoint_every=0)
 
 
@@ -150,7 +148,7 @@ class TestSpannerResume:
         g = with_random_weights(gnm_random_graph(60, 150, seed=0), seed=1)
         with pytest.raises(ParameterError):
             weighted_spanner(
-                g, k=3, strategy="recursive", checkpoint_path=tmp_path / "s.npz"
+                g, k=3, checkpoint_path=tmp_path / "s.npz", checkpoint_every=0
             )
 
 

@@ -109,6 +109,29 @@ class TestCLI:
         text = capsys.readouterr().out
         assert "query 0->99" in text
 
+    def test_hopset_query_ratio_needs_positive_finite_distance(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "g.txt"
+        out.write_text("0 1 1\n1 2 1\n3 4 1\n")  # 0..2 and 3..4 disconnected
+        assert main(["hopset", "-i", str(out), "--query", "0", "4"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert "exact=inf" in line and "nan" not in line and "x)" not in line
+        assert main(["hopset", "-i", str(out), "--query", "2", "2"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert "exact=0.0" in line and "x)" not in line
+        assert main(["hopset", "-i", str(out), "--query", "0", "2"]) == 0
+        assert "(1.0000x)" in capsys.readouterr().out
+
+    def test_strategy_flag_is_gone(self, capsys):
+        from repro.cli import main
+
+        for cmd in ("hopset", "spanner"):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, "--n", "50", "--m", "120", "--strategy", "batched"])
+            assert exc.value.code == 2
+            assert "--strategy" in capsys.readouterr().err
+
     def test_cluster_command(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -222,9 +222,6 @@ class TestDynamicHopset:
             assert np.array_equal(
                 st_.top_labels[recorded.eu], st_.top_labels[recorded.ev]
             )
-        with pytest.raises(ParameterError):
-            build_hopset(g, PARAMS, seed=3, record_structure=True,
-                         strategy="recursive")
 
 
 # ----------------------------------------------------------------------
@@ -307,6 +304,38 @@ class TestUpdateCLI:
         assert rc == 0
         assert "blocks rebuilt" in out
         assert "verified" in out
+        assert "4 served rows equal Dijkstra" in out
+
+    def test_update_hop_budget_verify_names_its_check(self, tmp_path, capsys):
+        # h-hop rows may sit above Dijkstra, so --verify can promise only
+        # that they never undercut it — and must say so
+        upd = tmp_path / "updates.txt"
+        upd.write_text("# churn\ni 3 90 2.5\nd 0 1\ni 5 70 1.0\n")
+        rc = cli.main([
+            "update", "--n", "120", "--m", "480", "--seed", "4", "--hops", "3",
+            "--updates", str(upd), "--batch", "2", "--verify",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "edge validity (Definition 2.4 item 2)" in out
+        assert "4 served rows (h=3) never fall below Dijkstra" in out
+
+    def test_update_hop_budget_verify_catches_undercut(self, tmp_path, capsys, monkeypatch):
+        from repro.serve import DistanceServer
+
+        served = DistanceServer.distance_row
+        monkeypatch.setattr(
+            DistanceServer, "distance_row",
+            lambda self, s: served(self, s) - 1.0,
+        )
+        upd = tmp_path / "updates.txt"
+        upd.write_text("d 0 1\n")
+        rc = cli.main([
+            "update", "--n", "120", "--m", "480", "--seed", "4", "--hops", "3",
+            "--updates", str(upd), "--verify",
+        ])
+        assert rc == 1
+        assert "falls below Dijkstra" in capsys.readouterr().err
 
     def test_update_malformed_line(self, tmp_path, capsys):
         upd = tmp_path / "updates.txt"

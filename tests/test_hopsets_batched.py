@@ -1,10 +1,11 @@
-"""Seeded equivalence between the batched and recursive hopset builders.
+"""Seeded equivalence between the hopset builder and its depth-first oracle.
 
 The level-synchronous builder is a *re-scheduling* of Algorithm 4, not
 a different algorithm: for any fixed seed it must emit exactly the edge
-set the recursive oracle emits — same endpoints, same weights, same
-star/clique kinds — on every weight type and star-weight mode.  These
-tests pin that, plus the forest primitives it is built on.
+set the depth-first oracle (``tests/oracles``) emits — same endpoints,
+same weights, same star/clique kinds — on every weight type and
+star-weight mode.  These tests pin that, plus the forest primitives the
+builder is built on.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from repro.clustering import est_cluster, est_cluster_forest
 from repro.clustering.shifts import sample_shifts
-from repro.errors import GraphFormatError, ParameterError
+from repro.errors import GraphFormatError
 from repro.graph import (
     from_edges,
     gnm_random_graph,
@@ -22,8 +23,10 @@ from repro.graph import (
     with_random_weights,
 )
 from repro.hopsets import HopsetParams, build_hopset, build_limited_hopset
-from repro.hopsets.unweighted import _cluster_method
 from repro.pram import PramTracker
+
+from oracles import build_hopset_recursive
+from oracles.hopsets import _cluster_method
 
 PARAMS = HopsetParams(epsilon=0.5, delta=1.5, gamma1=0.15, gamma2=0.5)
 
@@ -46,8 +49,8 @@ def assert_same_hopset(a, b):
 
 
 def both(g, seed, **kw):
-    rec = build_hopset(g, PARAMS, seed=seed, strategy="recursive", **kw)
-    bat = build_hopset(g, PARAMS, seed=seed, strategy="batched", **kw)
+    rec = build_hopset_recursive(g, PARAMS, seed=seed, **kw)
+    bat = build_hopset(g, PARAMS, seed=seed, **kw)
     return rec, bat
 
 
@@ -77,8 +80,8 @@ class TestSeededEquivalence:
 
     def test_huge_integral_weights_stay_exact(self):
         # weights past int64 (and inf-adjacent magnitudes) must not be
-        # misrouted to Dial mode by the batched mode dispatch — both
-        # strategies fall through to the exact float engine and agree
+        # misrouted to Dial mode by the batched mode dispatch — builder
+        # and oracle fall through to the exact float engine and agree
         import warnings
 
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 6), (1, 4)]
@@ -87,8 +90,8 @@ class TestSeededEquivalence:
         params = HopsetParams(epsilon=0.5, delta=1.5, gamma1=0.0, gamma2=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            rec = build_hopset(g, params, seed=1, strategy="recursive")
-            bat = build_hopset(g, params, seed=1, strategy="batched")
+            rec = build_hopset_recursive(g, params, seed=1)
+            bat = build_hopset(g, params, seed=1)
         assert rec.size > 0
         assert_same_hopset(rec, bat)
 
@@ -108,10 +111,15 @@ class TestSeededEquivalence:
                 b.clique_edges,
             )
 
-    def test_limited_hopset_equivalent(self):
+    def test_limited_hopset_equivalent(self, monkeypatch):
+        # the same Theorem C.2 iteration with every inner Algorithm 4
+        # build swapped for the oracle
+        import repro.hopsets.limited as limited
+
         g = grid_graph(10, 10)
-        a = build_limited_hopset(g, alpha=0.6, seed=4, strategy="recursive")
-        b = build_limited_hopset(g, alpha=0.6, seed=4, strategy="batched")
+        b = build_limited_hopset(g, alpha=0.6, seed=4)
+        monkeypatch.setattr(limited, "build_hopset", build_hopset_recursive)
+        a = build_limited_hopset(g, alpha=0.6, seed=4)
         assert a.size == b.size
         order_a = np.lexsort((a.ew, a.ev, a.eu))
         order_b = np.lexsort((b.ew, b.ev, b.eu))
@@ -129,11 +137,6 @@ class TestBatchedBuilder:
         assert np.array_equal(a.ev, b.ev)
         assert np.allclose(a.ew, b.ew)
 
-    def test_default_strategy_is_batched(self, small_int_weighted):
-        hs = build_hopset(small_int_weighted, PARAMS, seed=1)
-        ref = build_hopset(small_int_weighted, PARAMS, seed=1, strategy="batched")
-        assert_same_hopset(hs, ref)
-
     def test_edge_weights_certify(self):
         hs = build_hopset(grid_graph(18, 18), PARAMS, seed=6)
         hs.verify_edge_weights()  # Definition 2.4 item 2
@@ -147,10 +150,6 @@ class TestBatchedBuilder:
     def test_tiny_graph_no_edges(self):
         g = from_edges(2, [(0, 1)])
         assert build_hopset(g, PARAMS, seed=1).size == 0
-
-    def test_invalid_strategy_rejected(self):
-        with pytest.raises(ParameterError):
-            build_hopset(grid_graph(4, 4), PARAMS, seed=0, strategy="dfs")
 
 
 class TestForestPrimitives:

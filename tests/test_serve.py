@@ -442,6 +442,37 @@ class TestPersistenceAndCLI:
         assert rc == 2
         assert "malformed" in capsys.readouterr().err
 
+    def test_cli_parameter_error_is_a_message(self, tmp_path, capsys):
+        from repro.graph.io import save_edgelist
+
+        gpath = str(tmp_path / "g.txt")
+        save_edgelist(grid_graph(4, 4), gpath)
+        qpath = str(tmp_path / "q.txt")
+        with open(qpath, "w", encoding="utf-8") as f:
+            f.write("0 15\n")
+        rc = cli.main(["serve", "-i", gpath, "--queries", qpath, "--cache-rows", "-1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "cache_rows" in err
+        assert "Traceback" not in err
+
+    def test_cli_hopset_for_another_graph_is_a_message(self, tmp_path, capsys):
+        from repro.graph.io import save_edgelist
+
+        a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+        save_edgelist(grid_graph(4, 4), a)
+        save_edgelist(grid_graph(2, 8), b)  # same n, another graph
+        hpath = str(tmp_path / "a.npz")
+        qpath = str(tmp_path / "q.txt")
+        with open(qpath, "w", encoding="utf-8") as f:
+            f.write("0 15\n")
+        assert cli.main(["serve", "-i", a, "--hopset", hpath, "--queries", qpath]) == 0
+        capsys.readouterr()
+        rc = cli.main(["serve", "-i", b, "--hopset", hpath, "--queries", qpath])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "built for another graph" in err
+
     def test_cli_hop_budget_flag(self, tmp_path, capsys):
         from repro.graph.io import save_edgelist
 

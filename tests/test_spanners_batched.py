@@ -1,12 +1,13 @@
-"""Seeded equivalence between the batched and recursive spanner builders.
+"""Seeded equivalence between the weighted spanner and its per-group oracle.
 
 The level-synchronous weighted spanner is a *re-scheduling* of the
 sequential per-group Algorithm 3 loop, not a different algorithm: for
-any fixed seed it must emit exactly the edge set the recursive oracle
-emits, on every weight regime, stretch parameter, EST method, worker
-count, and backend.  These tests pin that — property-based over random
-weighted graphs, with the stretch bound verified on every generated
-instance — plus the forest primitives the pipeline is built on
+any fixed seed it must emit exactly the edge set the per-group oracle
+(``tests/oracles``) emits, on every weight regime, stretch parameter,
+EST method, worker count, and backend.  These tests pin that —
+property-based over random weighted graphs, with the stretch bound
+verified on every generated instance — plus the forest primitives the
+pipeline is built on
 (:func:`repro.graph.quotient.quotient_forest`) and cross-backend
 equality of both the spanner and its PRAM ledger.
 """
@@ -16,7 +17,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ParameterError
 from repro.graph import (
     from_edges,
     gnm_random_graph,
@@ -28,6 +28,8 @@ from repro.kernels import available_backends
 from repro.pram import PramTracker
 from repro.spanners import verify_spanner, weighted_spanner
 from repro.spanners.unweighted import unweighted_spanner
+
+from oracles import weighted_spanner_recursive
 
 SETTINGS = settings(
     max_examples=15,
@@ -52,8 +54,8 @@ def weighted_graphs(draw):
 
 
 def both(g, seed, **kw):
-    rec = weighted_spanner(g, strategy="recursive", seed=seed, **kw)
-    bat = weighted_spanner(g, strategy="batched", seed=seed, **kw)
+    rec = weighted_spanner_recursive(g, seed=seed, **kw)
+    bat = weighted_spanner(g, seed=seed, **kw)
     return rec, bat
 
 
@@ -82,10 +84,10 @@ class TestSeededEquivalence:
         one = weighted_spanner(g, 4.0, seed=seed, method="exact", workers=1)
         four = weighted_spanner(g, 4.0, seed=seed, method="exact", workers=4)
         assert np.array_equal(one.edge_ids, four.edge_ids)
-        bat1 = weighted_spanner(
-            g, 4.0, seed=seed, method="exact", strategy="recursive", workers=4
+        rec = weighted_spanner_recursive(
+            g, 4.0, seed=seed, method="exact", workers=4
         )
-        assert np.array_equal(one.edge_ids, bat1.edge_ids)
+        assert np.array_equal(one.edge_ids, rec.edge_ids)
 
     @given(seed=st.integers(min_value=0, max_value=2**16))
     @SETTINGS
@@ -111,16 +113,6 @@ class TestSeededEquivalence:
             rec, bat = both(g, 1, k=2.0)
             assert np.array_equal(rec.edge_ids, bat.edge_ids)
 
-    def test_default_strategy_is_batched(self, small_weighted):
-        default = weighted_spanner(small_weighted, 3.0, seed=9)
-        bat = weighted_spanner(small_weighted, 3.0, seed=9, strategy="batched")
-        assert np.array_equal(default.edge_ids, bat.edge_ids)
-        assert default.meta["batched"] == 1.0
-
-    def test_invalid_strategy_rejected(self, small_weighted):
-        with pytest.raises(ParameterError):
-            weighted_spanner(small_weighted, 3.0, seed=0, strategy="dfs")
-
 
 class TestCrossBackend:
     """Every backend must emit the same spanner for the same seed.
@@ -144,9 +136,12 @@ class TestCrossBackend:
                 g, 3.0, seed=11, method="exact", backend=backend, tracker=t
             )
         else:
-            sp = weighted_spanner(
-                g, 3.0, seed=11, method="exact", backend=backend,
-                strategy=strategy, tracker=t,
+            build = (
+                weighted_spanner if strategy == "batched"
+                else weighted_spanner_recursive
+            )
+            sp = build(
+                g, 3.0, seed=11, method="exact", backend=backend, tracker=t
             )
         return sp, (t.work, t.depth, t.rounds)
 

@@ -127,15 +127,6 @@ class TestSeparationValidation:
         with pytest.raises(ParameterError, match="separation"):
             group_stride(4.0, separation)
 
-    def test_rejected_on_both_strategies(self, small_weighted):
-        from repro.errors import ParameterError
-
-        for strategy in ("batched", "recursive"):
-            with pytest.raises(ParameterError):
-                weighted_spanner(
-                    small_weighted, 3, seed=1, separation=1.0, strategy=strategy
-                )
-
     def test_valid_separation_above_one_accepted(self, small_weighted):
         sp = weighted_spanner(small_weighted, 3, seed=1, separation=1.5)
         verify_spanner(small_weighted, sp)
