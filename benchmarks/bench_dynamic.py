@@ -1,33 +1,27 @@
-"""Dynamic maintenance under churn: incremental repair vs full rebuild.
+"""Dynamic hopset maintenance under churn: repair vs full rebuild.
 
 The dynamic tier (:mod:`repro.dynamic`) exists to avoid rebuilding a
-hopset or spanner from scratch on every edge-update batch.  This bench
-times exactly that trade at the ``BENCH_engine.json`` acceptance scale
-(RGG, n = 10^5, m ~ 5*10^5) under sustained churn — ``BATCHES`` update
-batches of ``BATCH_EDGES`` deletions + ``BATCH_EDGES`` insertions each:
-
-* **hopset + serving tier** — a :class:`repro.serve.DistanceServer`
-  with warm cache rows advanced through
-  :meth:`~repro.serve.DistanceServer.apply_updates` (block-local repair
-  + stale-row eviction), against the from-scratch pipeline the tier
-  replaces: apply the batch to the CSR, ``build_hopset`` on the new
-  graph, stand up a fresh server.  Bar: >= 3x.
-* **spanner** — a :class:`repro.dynamic.DynamicSpanner`
-  (validate-and-repair with cheap damage-row certificates) against
-  apply + full seeded rebuild.  EST spanner construction is itself
-  linear-time, so the speedup is recorded as trajectory data rather
-  than gated — the floor lives on the hopset pipeline the paper's
-  serving story needs.
+hopset from scratch on every edge-update batch.  This bench times
+exactly that trade at the ``BENCH_engine.json`` acceptance scale (RGG,
+n = 10^5, m ~ 5*10^5) under sustained churn — ``BATCHES`` update
+batches of ``BATCH_EDGES`` deletions + ``BATCH_EDGES`` insertions
+each.  A :class:`repro.serve.DistanceServer` with warm cache rows is
+advanced through :meth:`~repro.serve.DistanceServer.apply_updates`
+(block-local repair + stale-row eviction) and timed against the
+from-scratch pipeline it replaces: apply the batch to the CSR,
+``build_hopset`` on the new graph, stand up a fresh server.  Bar:
+>= 3x.  (A spanner under churn is ``apply_batch`` plus a seeded
+rebuild — EST spanner construction is linear-time — so there is no
+spanner repair to time.)
 
 Correctness is asserted *every batch*, not sampled at the end:
 Definition 2.4 edge validity on the repaired hopset (exhaustive at
 smoke scale, a seeded source sample at acceptance scale —
 ``verify_edge_weights`` is O(#sources) Dijkstras), exact server
-rows equal to scipy Dijkstra on the updated graph, cache eviction
-exactness (a warm row is either invalidated or still exact), and the
-certified stretch bound on the repaired spanner.  Emits
+rows equal to scipy Dijkstra on the updated graph, and cache eviction
+exactness (a warm row is either invalidated or still exact).  Emits
 ``BENCH_dynamic.json`` via :func:`_report.record_json`; ``BENCH_SMOKE=1``
-runs at toy scale asserting schema and guarantees but not the bars.
+runs at toy scale asserting schema and guarantees but not the bar.
 """
 
 from __future__ import annotations
@@ -38,14 +32,12 @@ import time
 import numpy as np
 
 import _report
-from repro.dynamic import DynamicSpanner, UpdateBatch, apply_batch
-from repro.dynamic.spanner import _build_spanner
+from repro.dynamic import UpdateBatch, apply_batch
 from repro.graph import random_geometric_graph
 from repro.hopsets import HopsetParams, build_hopset
 from repro.paths.dijkstra import dijkstra_scipy
 from repro.rng import resolve_rng
 from repro.serve import DistanceServer
-from repro.spanners.verify import verify_spanner
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") == "1"
 if SMOKE:
@@ -63,14 +55,12 @@ else:
 # is what makes block-local repair beat the full rebuild under churn
 BENCH_PARAMS = HopsetParams(epsilon=0.5, delta=1.5, gamma1=0.02, gamma2=0.05)
 
-SPANNER_K = 3.0
 TARGET_HOPSET = 3.0
 WARM_ROWS = 8 if SMOKE else 4
 WARM_CHECKS = 2 if SMOKE else 1
-STRETCH_SAMPLE = 200 if SMOKE else 30
 DEF24_SAMPLE = 8
 
-COLUMNS = ["structure", "batch", "incremental_ms", "rebuild_ms", "speedup"]
+COLUMNS = ["batch", "incremental_ms", "rebuild_ms", "speedup"]
 
 
 def _verify_def24(hs, rng) -> None:
@@ -214,53 +204,8 @@ def run_dynamic_bench(
     payload["hopset"] = hop
     hopset_speedup = t_full_total / max(t_inc_total, 1e-12)
 
-    # -- spanner ------------------------------------------------------
-    t0 = time.perf_counter()
-    dyn = DynamicSpanner.build(g, k=SPANNER_K, seed=seed + 2)
-    span = {
-        "build_seconds": time.perf_counter() - t0,
-        "spanner_edges": dyn.result.size,
-        "stretch_bound": dyn.result.stretch_bound,
-        "per_batch": [],
-    }
-    t_inc_total = t_full_total = 0.0
-    churn_rng = resolve_rng(seed + 3)
-    for i in range(batches):
-        batch = _churn_batch(dyn.graph, churn_rng, batch_edges)
-        g_prev = dyn.graph
-
-        t0 = time.perf_counter()
-        info = dyn.apply(batch)
-        t_inc = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        ar = apply_batch(g_prev, batch)
-        _build_spanner(ar.graph, SPANNER_K, seed + 2, dyn.method, None, 1)
-        t_full = time.perf_counter() - t0
-
-        worst = verify_spanner(
-            dyn.graph, dyn.result, sample_edges=STRETCH_SAMPLE, seed=seed + i
-        )
-        t_inc_total += t_inc
-        t_full_total += t_full
-        span["per_batch"].append(
-            {
-                "incremental_seconds": t_inc,
-                "rebuild_seconds": t_full,
-                "candidates": info["candidates"],
-                "readded": info["readded"],
-                "rebuilt": info["rebuilt"],
-                "sampled_stretch": worst,
-            }
-        )
-    span["incremental_seconds"] = t_inc_total
-    span["rebuild_seconds"] = t_full_total
-    payload["spanner"] = span
-    spanner_speedup = t_full_total / max(t_inc_total, 1e-12)
-
     acc = payload["acceptance"]
     acc["hopset_speedup"] = hopset_speedup
-    acc["spanner_speedup"] = spanner_speedup
     acc["guarantees_every_batch"] = bool(guarantees)
     acc["passed"] = bool(guarantees and hopset_speedup >= TARGET_HOPSET)
     return payload
@@ -272,28 +217,26 @@ def test_dynamic_churn(benchmark):
         rounds=1,
         iterations=1,
     )
-    for name in ("hopset", "spanner"):
-        for i, row in enumerate(payload[name]["per_batch"]):
-            _report.record(
-                "Dynamic churn repair vs rebuild",
-                COLUMNS,
-                structure=name,
-                batch=i,
-                incremental_ms=round(row["incremental_seconds"] * 1e3, 1),
-                rebuild_ms=round(row["rebuild_seconds"] * 1e3, 1),
-                speedup=round(
-                    row["rebuild_seconds"]
-                    / max(row["incremental_seconds"], 1e-12),
-                    1,
-                ),
-            )
+    for i, row in enumerate(payload["hopset"]["per_batch"]):
+        _report.record(
+            "Dynamic hopset churn repair vs rebuild",
+            COLUMNS,
+            batch=i,
+            incremental_ms=round(row["incremental_seconds"] * 1e3, 1),
+            rebuild_ms=round(row["rebuild_seconds"] * 1e3, 1),
+            speedup=round(
+                row["rebuild_seconds"]
+                / max(row["incremental_seconds"], 1e-12),
+                1,
+            ),
+        )
     payload["smoke"] = SMOKE
     path = _report.record_json("BENCH_dynamic.json", payload)
     acc = payload["acceptance"]
     assert acc["guarantees_every_batch"], (
-        f"a repaired structure broke its guarantee ({path})"
+        f"the repaired hopset broke its guarantee ({path})"
     )
-    assert "hopset_speedup" in acc and "spanner_speedup" in acc
+    assert "hopset_speedup" in acc
     if not SMOKE:
         assert acc["passed"], (
             f"hopset churn {acc['hopset_speedup']:.1f}x "

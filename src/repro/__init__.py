@@ -33,8 +33,6 @@ __version__ = "1.0.0"
 from repro.graph import (
     CSRGraph,
     from_edges,
-    from_networkx,
-    to_networkx,
     gnm_random_graph,
     grid_graph,
     torus_graph,
@@ -93,7 +91,6 @@ from repro.hopsets import (
     build_weight_scales,
     build_limited_hopset,
     hopset_distance,
-    hopset_sssp,
     exact_distance,
     ks97_hopset,
     cohen_style_hopset,
@@ -105,8 +102,6 @@ __all__ = [
     "__version__",
     "CSRGraph",
     "from_edges",
-    "from_networkx",
-    "to_networkx",
     "gnm_random_graph",
     "grid_graph",
     "torus_graph",
@@ -147,7 +142,6 @@ __all__ = [
     "build_weight_scales",
     "build_limited_hopset",
     "hopset_distance",
-    "hopset_sssp",
     "exact_distance",
     "ks97_hopset",
     "cohen_style_hopset",

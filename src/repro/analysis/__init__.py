@@ -12,12 +12,8 @@ from repro.analysis.stretch import stretch_summary, StretchSummary
 from repro.analysis.hopcount import hop_reduction_summary, HopSummary
 from repro.analysis.fitting import fit_power_law, PowerLawFit
 from repro.analysis import theory
-from repro.analysis.levels import check_level_invariants, level_table, levels_summary
 
 __all__ = [
-    "check_level_invariants",
-    "level_table",
-    "levels_summary",
     "stretch_summary",
     "StretchSummary",
     "hop_reduction_summary",

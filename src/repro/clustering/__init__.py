@@ -25,7 +25,6 @@ from repro.clustering.diagnostics import (
     cut_edge_mask,
     cut_fraction,
     ball_cluster_count,
-    boundary_vertices,
     adjacent_cluster_counts,
 )
 
@@ -41,6 +40,5 @@ __all__ = [
     "cut_edge_mask",
     "cut_fraction",
     "ball_cluster_count",
-    "boundary_vertices",
     "adjacent_cluster_counts",
 ]

@@ -35,12 +35,6 @@ def cut_fraction(g: CSRGraph, clustering: Clustering) -> float:
     return float(cut_edge_mask(g, clustering).mean())
 
 
-def boundary_vertices(g: CSRGraph, clustering: Clustering) -> np.ndarray:
-    """Vertices incident to at least one inter-cluster edge."""
-    mask = cut_edge_mask(g, clustering)
-    return np.unique(np.concatenate([g.edge_u[mask], g.edge_v[mask]]))
-
-
 def adjacent_cluster_counts(g: CSRGraph, clustering: Clustering) -> np.ndarray:
     """For every vertex, the number of *other* clusters adjacent to it.
 

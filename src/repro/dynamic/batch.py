@@ -1,7 +1,7 @@
 """Edge update batches and their application to a live CSR graph.
 
-The dynamic tier (ROADMAP open item 3) models churn as *batches* of
-undirected edge inserts and deletes applied atomically:
+The dynamic tier models churn as *batches* of undirected edge inserts
+and deletes applied atomically:
 
 * deletes are applied first, then inserts;
 * inserting a pair that (still) exists **sets** its weight — which is
@@ -13,10 +13,10 @@ undirected edge inserts and deletes applied atomically:
 
 :func:`apply_batch` produces the updated :class:`CSRGraph` (same
 key-sorted edge-list layout ``from_edges`` guarantees, so
-``edge_id_lookup`` keeps working), the old→new edge-id map the spanner
-repair leans on, the set of *touched* vertices the hopset repair dirties
-blocks with, and the added/removed edge views the serving tier uses for
-exact cache invalidation.
+``edge_id_lookup`` keeps working), the old→new edge-id map, the set of
+*touched* vertices the hopset repair dirties blocks with, and the
+added/removed edge views the serving tier uses for exact cache
+invalidation.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class UpdateBatch:
             raise ParameterError("insert arrays must share one shape")
         if iu.size and (iu.min() < 0 or iv.min() < 0):
             raise ParameterError("negative vertex id in insert batch")
-        if iw.size and not (iw > 0).all():
-            raise ParameterError("insert weights must be positive")
+        if iw.size and not (np.isfinite(iw).all() and (iw > 0).all()):
+            raise ParameterError("insert weights must be positive and finite")
         lo, hi, keep = _canonical_pairs(iu, iv)
         w = iw[keep]
         if lo.size:

@@ -24,8 +24,7 @@ and batches invertible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,11 +34,10 @@ from repro.graph.csr import CSRGraph
 from repro.graph.dedup import presence_unique
 from repro.hopsets.params import HopsetParams
 from repro.hopsets.result import HopsetResult
-from repro.hopsets.unweighted import _Collector, _run_levels, build_hopset
+from repro.hopsets.unweighted import _Collector, _run_levels
 from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 from repro.pram.tracker import PramTracker, null_tracker
-from repro.rng import SeedLike, resolve_rng
-from repro.dynamic.batch import UpdateBatch, apply_batch
+from repro.rng import resolve_rng
 
 
 def repair_hopset(
@@ -48,7 +46,6 @@ def repair_hopset(
     touched: np.ndarray,
     params: HopsetParams,
     method: str = "auto",
-    star_weights: str = "tree",
     backend: Optional[str] = None,
     workers: WorkersArg = DEFAULT_WORKERS,
     tracker: Optional[PramTracker] = None,
@@ -115,7 +112,6 @@ def repair_hopset(
             method,
             tracker,
             out,
-            star_weights=star_weights,
             backend=backend,
             workers=workers,
         )
@@ -136,91 +132,3 @@ def repair_hopset(
         levels=rebuilt.levels, meta=dict(result.meta), structure=st,
     )
     return repaired, info
-
-
-@dataclass
-class DynamicHopset:
-    """A hopset kept current under edge churn by localized repair.
-
-    Holds the live graph and :class:`HopsetResult`; :meth:`apply`
-    advances both through one :class:`UpdateBatch` and reports repair
-    statistics plus the exact inverse batch.  :meth:`rebuild` is the
-    full seeded oracle on the current graph.
-    """
-
-    graph: CSRGraph
-    result: HopsetResult
-    params: HopsetParams
-    method: str = "auto"
-    star_weights: str = "tree"
-    backend: Optional[str] = None
-    workers: WorkersArg = DEFAULT_WORKERS
-    tracker: Optional[PramTracker] = None
-
-    @classmethod
-    def build(
-        cls,
-        g: CSRGraph,
-        params: Optional[HopsetParams] = None,
-        seed: SeedLike = None,
-        method: str = "auto",
-        star_weights: str = "tree",
-        backend: Optional[str] = None,
-        workers: WorkersArg = DEFAULT_WORKERS,
-        tracker: Optional[PramTracker] = None,
-    ) -> "DynamicHopset":
-        params = params or HopsetParams()
-        result = build_hopset(
-            g,
-            params=params,
-            seed=seed,
-            method=method,
-            star_weights=star_weights,
-            backend=backend,
-            workers=workers,
-            tracker=tracker,
-            record_structure=True,
-        )
-        return cls(
-            graph=g,
-            result=result,
-            params=params,
-            method=method,
-            star_weights=star_weights,
-            backend=backend,
-            workers=workers,
-            tracker=tracker,
-        )
-
-    def apply(self, batch: UpdateBatch) -> Dict[str, Any]:
-        ar = apply_batch(self.graph, batch)
-        repaired, info = repair_hopset(
-            self.result,
-            ar.graph,
-            ar.touched,
-            params=self.params,
-            method=self.method,
-            star_weights=self.star_weights,
-            backend=self.backend,
-            workers=self.workers,
-            tracker=self.tracker,
-        )
-        self.graph = ar.graph
-        self.result = repaired
-        out: Dict[str, Any] = dict(ar.stats)
-        out.update(info)
-        out["inverse"] = ar.inverse
-        return out
-
-    def rebuild(self, seed: SeedLike = None) -> HopsetResult:
-        """Full seeded build on the current graph — the repair oracle."""
-        return build_hopset(
-            self.graph,
-            params=self.params,
-            seed=seed,
-            method=self.method,
-            star_weights=self.star_weights,
-            backend=self.backend,
-            workers=self.workers,
-            record_structure=True,
-        )

@@ -11,11 +11,8 @@ from repro.graph.csr import CSRGraph
 from repro.graph.builders import (
     SubgraphForest,
     from_edges,
-    from_networkx,
-    to_networkx,
     induced_subgraph,
     induced_subgraph_forest,
-    relabel_compact,
 )
 from repro.graph.unionfind import UnionFind
 from repro.graph.quotient import (
@@ -29,17 +26,12 @@ from repro.graph.parallel_connectivity import parallel_connectivity, edges_decay
 from repro.graph.metrics import (
     conductance,
     cut_size,
-    degree_stats,
-    double_sweep_diameter,
-    eccentricity,
-    sampled_eccentricities,
     volume,
 )
 from repro.graph.io import (
     SnapStats,
     load_snap,
     read_snap_header,
-    stream_snap,
 )
 from repro.graph.storage import (
     IngestStats,
@@ -68,12 +60,9 @@ from repro.graph.generators import (
 __all__ = [
     "CSRGraph",
     "from_edges",
-    "from_networkx",
-    "to_networkx",
     "induced_subgraph",
     "induced_subgraph_forest",
     "SubgraphForest",
-    "relabel_compact",
     "UnionFind",
     "quotient_graph",
     "quotient_forest",
@@ -86,15 +75,10 @@ __all__ = [
     "edges_decay_trajectory",
     "conductance",
     "cut_size",
-    "degree_stats",
-    "double_sweep_diameter",
-    "eccentricity",
-    "sampled_eccentricities",
     "volume",
     "SnapStats",
     "load_snap",
     "read_snap_header",
-    "stream_snap",
     "gnm_random_graph",
     "grid_graph",
     "torus_graph",

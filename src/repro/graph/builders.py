@@ -1,4 +1,4 @@
-"""Graph construction from raw edge lists and other representations.
+"""Graph construction from raw edge lists, and induced subgraphs.
 
 :func:`from_edges` is the canonical entry point: it accepts any
 ``(u, v[, w])`` arrays, canonicalizes orientation, drops self loops,
@@ -10,7 +10,7 @@ edge"), and validates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,32 +79,6 @@ def from_edges(
         u2, v2, w = u2[keep], v2[keep], w[keep]
 
     return build_csr(n, u2, v2, w)
-
-
-def from_networkx(G: Any) -> CSRGraph:
-    """Convert an (undirected) networkx graph; nodes are relabeled 0..n-1.
-
-    ``weight`` edge attributes are honored; missing weights default to 1.
-    """
-    nodes = list(G.nodes())
-    index = {u: i for i, u in enumerate(nodes)}
-    edges = []
-    weights = []
-    for a, b, data in G.edges(data=True):
-        edges.append((index[a], index[b]))
-        weights.append(float(data.get("weight", 1.0)))
-    return from_edges(len(nodes), np.asarray(edges, dtype=np.int64).reshape(-1, 2), weights)
-
-
-def to_networkx(g: CSRGraph) -> Any:
-    """Convert to a networkx Graph (tests / visualization only)."""
-    import networkx as nx
-
-    G = nx.Graph()
-    G.add_nodes_from(range(g.n))
-    for i in range(g.m):
-        G.add_edge(int(g.edge_u[i]), int(g.edge_v[i]), weight=float(g.edge_w[i]))
-    return G
 
 
 def induced_subgraph(g: CSRGraph, vertices: np.ndarray) -> Tuple[CSRGraph, np.ndarray]:
@@ -210,20 +184,6 @@ def build_subgraph_from_mask(
     from repro.graph.csr import build_csr
 
     return build_csr(n_sub, lu[edge_mask], lv[edge_mask], g.edge_w[edge_mask])
-
-
-def relabel_compact(
-    n: int, edge_u: np.ndarray, edge_v: np.ndarray
-) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Compact the vertex id space to the ids actually used.
-
-    Returns ``(n_new, new_u, new_v, old_ids)`` with ``old_ids[i]`` the
-    original id of new vertex ``i``.
-    """
-    used = np.unique(np.concatenate([edge_u, edge_v])) if edge_u.size else np.empty(0, np.int64)
-    label = np.full(n, -1, dtype=np.int64)
-    label[used] = np.arange(used.shape[0], dtype=np.int64)
-    return int(used.shape[0]), label[edge_u], label[edge_v], used
 
 
 def subgraph_by_edge_ids(g: CSRGraph, edge_ids: np.ndarray) -> CSRGraph:

@@ -325,22 +325,6 @@ def read_snap_header(path: PathLike) -> Tuple[Optional[int], Optional[int]]:
     return None, None
 
 
-def stream_snap(
-    path: PathLike, chunk_edges: int = _TEXT_CHUNK
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield raw ``(u, v, w)`` chunks from a SNAP edge file.
-
-    Identical framing to :func:`stream_edgelist` (``#`` comments and
-    blank lines skipped anywhere, CRLF tolerated, bad tokens raise
-    :class:`GraphFormatError` with a line number) — SNAP rows are
-    whitespace- or tab-separated ``FromNodeId ToNodeId`` pairs, with an
-    optional third weight column.  No cleaning happens here: self
-    loops, duplicates, and reversed duplicates flow through for
-    :func:`load_snap` (or a streaming ingester) to resolve.
-    """
-    yield from stream_edgelist(path, chunk_edges=chunk_edges)
-
-
 def load_snap(path: PathLike) -> Tuple[CSRGraph, SnapStats]:
     """Read a SNAP-format snapshot into a cleaned :class:`CSRGraph`.
 

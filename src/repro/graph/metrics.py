@@ -1,41 +1,15 @@
-"""Graph metrics used by the experiment harness.
+"""Cut, volume and conductance of vertex sets.
 
-Diameter estimation by double sweep (exact on trees, a lower bound in
-general, tight in practice on meshes/road networks), eccentricity
-sampling, and degree statistics — the knobs benchmark tables report
-about their workloads.
+:func:`conductance` — cut size over the lighter side's volume — defines
+the cluster-tree ``conductance:PHI`` requirement
+(:mod:`repro.ctree.requirements`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.paths.bfs import INF, bfs
-from repro.rng import SeedLike, resolve_rng
-
-
-@dataclass(frozen=True)
-class DegreeStats:
-    min: int
-    max: int
-    mean: float
-    median: float
-
-
-def degree_stats(g: CSRGraph) -> DegreeStats:
-    """Summary statistics of the degree sequence."""
-    deg = np.asarray(g.degree())
-    if deg.size == 0:
-        return DegreeStats(0, 0, 0.0, 0.0)
-    return DegreeStats(
-        min=int(deg.min()),
-        max=int(deg.max()),
-        mean=float(deg.mean()),
-        median=float(np.median(deg)),
-    )
 
 
 def volume(g: CSRGraph, vertices: np.ndarray) -> int:
@@ -72,40 +46,3 @@ def conductance(g: CSRGraph, vertices: np.ndarray) -> float:
     if denom == 0:
         return 0.0
     return cut_size(g, vertices) / denom
-
-
-def eccentricity(g: CSRGraph, v: int) -> int:
-    """Hop eccentricity of ``v`` within its component."""
-    dist, _ = bfs(g, v)
-    finite = dist[dist != INF]
-    return int(finite.max()) if finite.size else 0
-
-
-def double_sweep_diameter(g: CSRGraph, seed: SeedLike = None, sweeps: int = 2) -> int:
-    """Diameter lower bound by repeated double sweep.
-
-    Start at a random vertex, BFS to the farthest vertex, BFS again from
-    there; iterate.  Exact on trees; a certified *lower* bound otherwise
-    (each sweep returns a real shortest-path length).
-    """
-    rng = resolve_rng(seed)
-    if g.n == 0:
-        return 0
-    v = int(rng.integers(0, g.n))
-    best = 0
-    for _ in range(max(sweeps, 1)):
-        dist, _ = bfs(g, v)
-        finite = np.where(dist == INF, -1, dist)
-        far = int(finite.argmax())
-        best = max(best, int(finite[far]))
-        v = far
-    return best
-
-
-def sampled_eccentricities(
-    g: CSRGraph, samples: int, seed: SeedLike = None
-) -> np.ndarray:
-    """Eccentricities of ``samples`` random vertices (distribution shape)."""
-    rng = resolve_rng(seed)
-    verts = rng.integers(0, g.n, size=samples)
-    return np.asarray([eccentricity(g, int(v)) for v in verts], dtype=np.int64)

@@ -27,7 +27,6 @@ from repro.hopsets.rounding import round_weights, RoundedGraph
 from repro.hopsets.weighted import build_weighted_hopset, WeightedHopset, ScaleHopset
 from repro.hopsets.query import (
     hopset_distance,
-    hopset_sssp,
     exact_distance,
     suggested_hop_bound,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "WeightedHopset",
     "ScaleHopset",
     "hopset_distance",
-    "hopset_sssp",
     "exact_distance",
     "suggested_hop_bound",
     "WeightScaleDecomposition",

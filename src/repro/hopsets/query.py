@@ -28,11 +28,13 @@ from repro.graph.csr import CSRGraph
 from repro.hopsets.result import HopsetResult
 from repro.kernels.numpy_kernel import hop_sssp_batch
 from repro.paths.dijkstra import dijkstra_scipy
+from repro.paths.engine import check_vertex_ids
 from repro.pram.tracker import PramTracker, null_tracker
 
 
 def exact_distance(g: CSRGraph, s: int, t: int) -> float:
     """Ground truth s-t distance (scipy Dijkstra)."""
+    check_vertex_ids(np.asarray([s, t], dtype=np.int64), g.n, "vertex")
     return float(dijkstra_scipy(g, s)[t])
 
 
@@ -76,21 +78,6 @@ def _frontier_rounds(
     return dist, hops, frontier
 
 
-def hopset_sssp(
-    hopset: HopsetResult,
-    source: int,
-    h: int,
-    tracker: Optional[PramTracker] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """h-hop distances from ``source`` on ``E ∪ E'``; returns (dist, hops)."""
-    tracker = tracker or null_tracker()
-    with tracker.phase("query"):
-        dist, hops, _ = _frontier_rounds(
-            hopset, np.asarray([source], dtype=np.int64), h, tracker
-        )
-    return dist, hops
-
-
 def hopset_distance(
     hopset: HopsetResult,
     s: int,
@@ -113,6 +100,7 @@ def hopset_distance(
     """
     tracker = tracker or null_tracker()
     n = hopset.graph.n
+    check_vertex_ids(np.asarray([s, t], dtype=np.int64), n, "vertex")
     sources = np.asarray([s], dtype=np.int64)
     if h is not None:
         with tracker.phase("query"):

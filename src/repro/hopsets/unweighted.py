@@ -185,7 +185,6 @@ def _emit_level_edges(
     large_mask: np.ndarray,
     lab_group: np.ndarray,
     k: int,
-    star_weights: str,
     backend: Optional[str],
     tracker: PramTracker,
     out: _Collector,
@@ -198,9 +197,10 @@ def _emit_level_edges(
     rank among their subproblem's large clusters) and all centers
     sharing a slot form one batch run — they live in different blocks
     of the union, so one multi-source search resolves them all without
-    interference.  The dense ``(slots, n)`` distance matrix then feeds
-    both the exact-mode star weights and the clique weights by pure
-    fancy indexing.
+    interference.  The dense ``(slots, n)`` distance matrix then gives
+    the clique weights by pure fancy indexing.  Only subproblems with
+    at least two large clusters need a search: star edges take the
+    race's cluster-tree distance (Algorithm 4 line 8).
     """
     labels = clustering.labels
     centers = clustering.centers
@@ -208,8 +208,6 @@ def _emit_level_edges(
 
     large_per_group = np.bincount(lab_group[large_mask], minlength=k)
     need = large_per_group >= 2
-    if star_weights == "exact":
-        need |= large_per_group >= 1
     run_lab = np.flatnonzero(large_mask & need[lab_group])
 
     D: Optional[np.ndarray] = None
@@ -251,10 +249,7 @@ def _emit_level_edges(
     sel = large_mask[labels] & (v_all != cen_v)
     vs = v_all[sel]
     if vs.size:
-        if star_weights == "exact":
-            sw = D[slot_of_lab[labels[vs]], vs]
-        else:
-            sw = clustering.dist_to_center[vs]
+        sw = clustering.dist_to_center[vs]
         fin = np.isfinite(sw)
         out.add_edges(vmap[vs[fin]], vmap[cen_v[vs][fin]], sw[fin], kind_code=0)
         out.bump(level, star_edges=int(fin.sum()))
@@ -279,7 +274,6 @@ def _build_level_sync(
     method: str,
     tracker: PramTracker,
     out: _Collector,
-    star_weights: str = "tree",
     backend: Optional[str] = None,
     workers: WorkersArg = DEFAULT_WORKERS,
     checkpoint_path: Optional[str] = None,
@@ -305,7 +299,7 @@ def _build_level_sync(
         # the entry RNG state binds the checkpoint to the seed: resuming
         # under a different (or absent) seed is a fingerprint mismatch
         fp = _ckpt.graph_fingerprint(
-            g, params, n_top, method, star_weights, _ckpt.rng_state(rng)
+            g, params, n_top, method, _ckpt.rng_state(rng)
         )
         saved = _ckpt.load_if_exists(checkpoint_path, "hopset", fp)
     else:
@@ -350,7 +344,6 @@ def _build_level_sync(
         method,
         tracker,
         out,
-        star_weights=star_weights,
         backend=backend,
         workers=workers,
         checkpoint_path=checkpoint_path,
@@ -371,7 +364,6 @@ def _run_levels(
     method: str,
     tracker: PramTracker,
     out: _Collector,
-    star_weights: str = "tree",
     backend: Optional[str] = None,
     workers: WorkersArg = DEFAULT_WORKERS,
     checkpoint_path: Optional[str] = None,
@@ -483,7 +475,6 @@ def _run_levels(
                 large_mask,
                 lab_group,
                 k,
-                star_weights,
                 backend,
                 tracker,
                 out,
@@ -524,7 +515,6 @@ def build_hopset(
     params: Optional[HopsetParams] = None,
     seed: SeedLike = None,
     method: str = "auto",
-    star_weights: str = "tree",
     tracker: Optional[PramTracker] = None,
     backend: Optional[str] = None,
     workers: WorkersArg = DEFAULT_WORKERS,
@@ -542,13 +532,6 @@ def build_hopset(
     method:
         EST/BFS execution mode: ``auto`` (engine per weight type),
         ``round``, or ``exact``.
-    star_weights:
-        ``"tree"`` (the paper's line 8: cluster-tree distances) or
-        ``"exact"`` (subgraph distances from the center searches).
-        For exact-mode clustering the two coincide — the race's tree
-        distance from the claiming center *is* the true distance — so
-        this knob only matters under round-mode quantization; tests
-        pin the equivalence.
     backend:
         Shortest-path kernel for every weighted search inside the
         build, as in :func:`repro.paths.engine.shortest_paths`.
@@ -569,8 +552,6 @@ def build_hopset(
     Section 5 pipeline calls this on rounded integer graphs.
     """
     params = params or HopsetParams()
-    if star_weights not in ("tree", "exact"):
-        raise ParameterError("star_weights must be 'tree' or 'exact'")
     if checkpoint_every < 1:
         raise ParameterError("checkpoint_every must be >= 1")
     tracker = tracker or null_tracker()
@@ -586,7 +567,6 @@ def build_hopset(
             method,
             tracker,
             out,
-            star_weights=star_weights,
             backend=backend,
             workers=workers,
             checkpoint_path=checkpoint_path,

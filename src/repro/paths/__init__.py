@@ -21,7 +21,6 @@ from repro.paths.bfs import bfs, multi_source_bfs, bfs_with_start_times
 from repro.paths.engine import (
     BatchShortestPathResult,
     ShortestPathResult,
-    get_default_backend,
     set_default_backend,
     shortest_paths,
     shortest_paths_batch,
@@ -33,7 +32,6 @@ from repro.paths.bellman_ford import (
     arcs_from_graph,
     combine_arcs,
     hop_limited_distances,
-    hop_limited_sssp,
 )
 from repro.paths.dijkstra import (
     dijkstra,
@@ -52,7 +50,6 @@ __all__ = [
     "shortest_paths",
     "shortest_paths_batch",
     "sssp",
-    "get_default_backend",
     "set_default_backend",
     "dial_sssp",
     "weighted_bfs_with_start_times",
@@ -60,7 +57,6 @@ __all__ = [
     "arcs_from_graph",
     "combine_arcs",
     "hop_limited_distances",
-    "hop_limited_sssp",
     "dijkstra",
     "dijkstra_reference",
     "dijkstra_scipy",

@@ -226,26 +226,3 @@ def extract_arc_path(arcs: ArcSet, parent_arc: np.ndarray, t: int) -> list[int]:
             raise ValueError("parent_arc walk exceeded n steps (cycle?)")
     out.reverse()
     return out
-
-
-def hop_limited_sssp(
-    arcs: ArcSet,
-    source: int,
-    h: int,
-    tracker: Optional[PramTracker] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Single-source wrapper; returns ``(dist, hops)``."""
-    dist, hops, _ = hop_limited_distances(arcs, np.asarray([source]), h, tracker)
-    return dist, hops
-
-
-def hop_limited_st(
-    arcs: ArcSet,
-    s: int,
-    t: int,
-    h: int,
-    tracker: Optional[PramTracker] = None,
-) -> float:
-    """h-hop s-t distance (INF if t unreachable in h hops)."""
-    dist, _, _ = hop_limited_distances(arcs, np.asarray([s]), h, tracker)
-    return float(dist[t])

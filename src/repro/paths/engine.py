@@ -128,9 +128,16 @@ from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 _DEFAULT_BACKEND = "numpy"
 
 
-def get_default_backend() -> str:
-    """The process-wide backend used when a call does not pick one."""
-    return _DEFAULT_BACKEND
+def check_vertex_ids(ids: np.ndarray, n: int, what: str = "source") -> None:
+    """Raise :class:`ParameterError` unless every id lies in ``[0, n)``.
+
+    Ids are checked where they enter the library, so an out-of-range
+    vertex fails by name instead of wrapping around (numpy reads ``-1``
+    as ``n - 1``) or failing deep inside a kernel.
+    """
+    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= n):
+        bad = int(ids[(ids < 0) | (ids >= n)][0])
+        raise ParameterError(f"{what} {bad} out of range [0, {n})")
 
 
 def set_default_backend(name: str) -> str:
@@ -191,6 +198,7 @@ def shortest_paths(
     """
     tracker = tracker or null_tracker()
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+    check_vertex_ids(sources, g.n)
 
     if offsets is None:
         offsets = np.zeros(sources.shape[0], dtype=np.int64)
@@ -359,6 +367,7 @@ def shortest_paths_batch(
     """
     tracker = tracker or null_tracker()
     run_src, run_ptr, offs = _normalize_runs(sources, offsets)
+    check_vertex_ids(run_src, g.n)
     k = run_ptr.shape[0] - 1
     w, int_mode, delta = _resolve_weights_and_delta(g, weights, offs, delta)
 

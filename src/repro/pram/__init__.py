@@ -15,38 +15,15 @@ depends on the model of parallelism" (paper, Appendix A).
 """
 
 from repro.pram.tracker import PramTracker, null_tracker, log_star
-from repro.pram.primitives import (
-    charge_prefix_sum,
-    charge_filter,
-    charge_semisort,
-    charge_reduce,
-    charge_pointer_jumping,
-)
-from repro.pram.report import LedgerReport, fit_scaling_exponent
-from repro.pram.speedup import (
-    SpeedupPoint,
-    brent_time,
-    max_useful_processors,
-    processors_for_speedup,
-    speedup_curve,
-    tracker_curve,
-)
+from repro.pram.primitives import charge_semisort
+from repro.pram.report import fit_scaling_exponent
+from repro.pram.speedup import processors_for_speedup
 
 __all__ = [
     "PramTracker",
     "null_tracker",
     "log_star",
-    "charge_prefix_sum",
-    "charge_filter",
     "charge_semisort",
-    "charge_reduce",
-    "charge_pointer_jumping",
-    "LedgerReport",
     "fit_scaling_exponent",
-    "SpeedupPoint",
-    "brent_time",
-    "max_useful_processors",
     "processors_for_speedup",
-    "speedup_curve",
-    "tracker_curve",
 ]

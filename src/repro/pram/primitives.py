@@ -2,16 +2,13 @@
 
 These helpers encode the textbook work/depth costs of the primitives
 the paper's algorithms consume, so algorithm code reads like the paper
-("do a prefix sum over the frontier") while the ledger stays honest:
+("semisort the boundary arcs by adjacent cluster") while the ledger
+stays honest:
 
 ============  ==============  =================
 primitive     work            depth (rounds)
 ============  ==============  =================
-prefix sum    O(n)            O(log n)
-filter/pack   O(n)            O(log n)
 semisort      O(n) exp.       O(log n)
-reduce        O(n)            O(log n)
-ptr jumping   O(n log n)      O(log n)
 ============  ==============  =================
 
 Each charge routine *also* returns nothing and has no effect on data —
@@ -30,26 +27,6 @@ def _log2(n: int) -> int:
     return max(1, math.ceil(math.log2(max(n, 2))))
 
 
-def charge_prefix_sum(tracker: PramTracker, n: int) -> None:
-    """Blelloch scan: O(n) work, O(log n) rounds."""
-    tracker.parallel_round(work=2 * n, rounds=_log2(n))
-
-
-def charge_filter(tracker: PramTracker, n: int) -> None:
-    """Stream compaction = flag + prefix sum + scatter."""
-    tracker.parallel_round(work=3 * n, rounds=_log2(n) + 1)
-
-
 def charge_semisort(tracker: PramTracker, n: int) -> None:
     """Semisort (group equal keys): O(n) expected work, O(log n) rounds."""
     tracker.parallel_round(work=4 * n, rounds=_log2(n))
-
-
-def charge_reduce(tracker: PramTracker, n: int) -> None:
-    """Tree reduction: O(n) work, O(log n) rounds."""
-    tracker.parallel_round(work=n, rounds=_log2(n))
-
-
-def charge_pointer_jumping(tracker: PramTracker, n: int) -> None:
-    """Pointer doubling to fixpoint: O(n log n) work, O(log n) rounds."""
-    tracker.parallel_round(work=n * _log2(n), rounds=_log2(n))

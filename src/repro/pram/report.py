@@ -1,4 +1,4 @@
-"""Ledger reporting and empirical scaling-law fits.
+"""Empirical scaling-law fits over measured ledgers.
 
 The benchmark harness compares *measured* work/depth against the
 paper's asymptotic claims by fitting a power law ``y = c * x^a`` on
@@ -8,32 +8,9 @@ which is what "shape holds" means for Figures 1 and 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
-
-from repro.pram.tracker import PramTracker
-
-
-@dataclass
-class LedgerReport:
-    """A labelled snapshot of one tracker, for table assembly."""
-
-    label: str
-    work: int
-    depth: int
-    rounds: int
-    extra: Dict[str, float]
-
-    @classmethod
-    def from_tracker(cls, label: str, t: PramTracker, **extra: float) -> "LedgerReport":
-        return cls(label=label, work=t.work, depth=t.depth, rounds=t.rounds, extra=dict(extra))
-
-    def row(self) -> Dict[str, float]:
-        out: Dict[str, float] = {"label": self.label, "work": self.work, "depth": self.depth}
-        out.update(self.extra)
-        return out
 
 
 def fit_scaling_exponent(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
@@ -50,10 +27,3 @@ def fit_scaling_exponent(xs: Sequence[float], ys: Sequence[float]) -> Tuple[floa
         raise ValueError("need at least two distinct positive x values")
     a, logc = np.polyfit(np.log(x), np.log(y), 1)
     return float(a), float(np.exp(logc))
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    v = np.asarray(values, dtype=np.float64)
-    if (v <= 0).any():
-        raise ValueError("geometric mean needs positive values")
-    return float(np.exp(np.mean(np.log(v))))

@@ -1,66 +1,17 @@
-"""Brent's-law speedup projections from (work, depth) ledgers.
+"""Brent's-law processor requirements from (work, depth) ledgers.
 
 Section 2 of the paper argues that with ``p = n^delta`` processors (the
 MapReduce regime) an algorithm fully parallelizes as long as its depth
 is below ``n^(1-delta)``, so *work* is the quantity to optimize.  This
 module turns a measured ledger into that argument quantitatively:
-Brent's theorem bounds the p-processor time by
-
-    T_p <= work / p + depth
-
-and :func:`processors_for_speedup` inverts it — how many processors a
-construction needs before its depth term dominates.
+Brent's theorem bounds the p-processor time by ``work / p + depth``,
+and :func:`processors_for_speedup` inverts that bound — how many
+processors a construction needs before its depth term dominates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence
-
-from repro.pram.tracker import PramTracker
-
-
-@dataclass(frozen=True)
-class SpeedupPoint:
-    processors: int
-    time: float
-    speedup: float
-    efficiency: float
-
-
-def brent_time(work: int, depth: int, processors: int) -> float:
-    """Brent's bound ``work/p + depth`` on p-processor execution time."""
-    if processors < 1:
-        raise ValueError("processors must be >= 1")
-    return work / processors + depth
-
-
-def speedup_curve(
-    work: int, depth: int, processor_counts: Sequence[int]
-) -> List[SpeedupPoint]:
-    """Speedup and efficiency at each processor count.
-
-    Speedup is against the 1-processor time ``work`` (the sequential
-    execution of the same operations); efficiency = speedup / p.
-    """
-    out = []
-    for p in processor_counts:
-        t = brent_time(work, depth, p)
-        s = work / t
-        out.append(SpeedupPoint(processors=p, time=t, speedup=s, efficiency=s / p))
-    return out
-
-
-def max_useful_processors(work: int, depth: int) -> int:
-    """Processors beyond which depth dominates: ``work / depth``.
-
-    At ``p = work/depth`` the two Brent terms balance; more processors
-    cannot even halve the time again.
-    """
-    if depth <= 0:
-        return max(work, 1)
-    return max(1, work // depth)
 
 
 def processors_for_speedup(work: int, depth: int, target_speedup: float) -> int:
@@ -77,8 +28,3 @@ def processors_for_speedup(work: int, depth: int, target_speedup: float) -> int:
     # solve work / (work/p + depth) = s  =>  p = s*work / (work - s*depth)
     p = target_speedup * work / (work - target_speedup * depth)
     return max(1, math.ceil(p))
-
-
-def tracker_curve(tracker: PramTracker, processor_counts: Sequence[int]) -> List[SpeedupPoint]:
-    """Convenience: speedup curve straight from a ledger."""
-    return speedup_curve(tracker.work, tracker.depth, processor_counts)

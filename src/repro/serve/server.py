@@ -305,12 +305,7 @@ class DistanceServer:
                 stale.append(s)
         return stale
 
-    def apply_updates(
-        self,
-        batch: "UpdateBatch",
-        method: str = "auto",
-        star_weights: str = "tree",
-    ) -> Dict[str, object]:
+    def apply_updates(self, batch: "UpdateBatch") -> Dict[str, object]:
         """Advance the served hopset through one update batch.
 
         Repairs only the dirty level-0 blocks
@@ -354,8 +349,6 @@ class DistanceServer:
             ar.graph,
             ar.touched,
             params=params,
-            method=method,
-            star_weights=star_weights,
             backend=self.backend,
             workers=self.workers,
             tracker=self.tracker,

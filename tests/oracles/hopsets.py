@@ -92,7 +92,6 @@ def _recurse(
     method: str,
     tracker: PramTracker,
     out: _Collector,
-    star_weights: str = "tree",
     backend: "Optional[str]" = None,
     workers: WorkersArg = DEFAULT_WORKERS,
 ) -> None:
@@ -142,7 +141,6 @@ def _recurse(
                 method,
                 child_tracker,
                 out,
-                star_weights=star_weights,
                 backend=backend,
                 workers=workers,
             )
@@ -156,16 +154,12 @@ def _recurse(
     small = np.flatnonzero(sizes < threshold)
     out.bump(level, large_clusters=large.shape[0])
 
-    # one search per large-cluster center over the current subgraph —
-    # used for clique weights always, and for star weights in "exact"
-    # mode (reusing the same searches at no extra cost); compact label
-    # l's center *is* centers[l] (labels come from the sorted uniques)
+    # one search per large-cluster center over the current subgraph,
+    # for the clique weights; compact label l's center *is*
+    # centers[l] (labels come from the sorted uniques)
     center_ids = clustering.centers[large]
-    need_center_dists = large.shape[0] >= 2 or (
-        star_weights == "exact" and large.shape[0] >= 1
-    )
     dists: List[np.ndarray] = []
-    if need_center_dists:
+    if large.shape[0] >= 2:
         bfs_children = []
         for c in center_ids:
             child_tracker = tracker.fork()
@@ -178,9 +172,8 @@ def _recurse(
         tracker.parallel_children(bfs_children)
 
     # ---- star edges on large clusters ----------------------------------
-    # "tree": the clustering tree distance (the paper's line 8 — a
-    # concrete path by construction); "exact": the center search's true
-    # subgraph distance (tighter, never heavier than the tree path)
+    # the clustering tree distance (the paper's line 8 — a concrete
+    # path by construction)
     if large.shape[0]:
         for i, lab in enumerate(large):
             members = clustering.members(int(lab))
@@ -188,10 +181,7 @@ def _recurse(
             others = members[members != c_local]
             if others.size == 0:
                 continue
-            if star_weights == "exact":
-                sw = dists[i][others]
-            else:
-                sw = clustering.dist_to_center[others]
+            sw = clustering.dist_to_center[others]
             finite = np.isfinite(sw)
             out.add_edges(vmap[others[finite]], np.full(int(finite.sum()), vmap[c_local]), sw[finite], kind_code=0)
             out.bump(level, star_edges=int(finite.sum()))
@@ -227,7 +217,6 @@ def _recurse(
             method,
             child_tracker,
             out,
-            star_weights=star_weights,
             backend=backend,
             workers=workers,
         )
@@ -240,7 +229,6 @@ def build_hopset_recursive(
     params: Optional[HopsetParams] = None,
     seed: SeedLike = None,
     method: str = "auto",
-    star_weights: str = "tree",
     tracker: Optional[PramTracker] = None,
     backend: Optional[str] = None,
     workers: WorkersArg = DEFAULT_WORKERS,
@@ -267,7 +255,6 @@ def build_hopset_recursive(
             method,
             tracker,
             out,
-            star_weights=star_weights,
             backend=backend,
             workers=workers,
         )

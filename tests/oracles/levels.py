@@ -1,43 +1,17 @@
-"""Per-level hopset structure diagnostics.
+"""Per-level structure checks for :func:`repro.hopsets.build_hopset`.
 
 Section 4's analysis is per recursion level (beta schedule, cluster
-counts, star/clique budgets); this module renders a construction's
-:class:`~repro.hopsets.result.LevelStats` as a table and checks the
-structural claims level by level — the fine-grained companion to the
-aggregate Lemma 4.3 bound.
+counts, star/clique budgets); :func:`check_level_invariants` checks a
+construction's :class:`~repro.hopsets.result.LevelStats` against those
+claims level by level — the fine-grained companion to the aggregate
+Lemma 4.3 bound.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.errors import VerificationError
-from repro.exp.tables import Table
 from repro.hopsets.params import HopsetParams
 from repro.hopsets.result import HopsetResult
-
-
-def level_table(hopset: HopsetResult) -> Table:
-    """Render per-level statistics as a table."""
-    t = Table(
-        title="hopset recursion levels",
-        columns=[
-            "level", "subproblems", "vertices", "clusters",
-            "large_clusters", "star_edges", "clique_edges", "beta",
-        ],
-    )
-    for ls in hopset.levels:
-        t.add(
-            level=ls.level,
-            subproblems=ls.subproblems,
-            vertices=ls.vertices,
-            clusters=ls.clusters,
-            large_clusters=ls.large_clusters,
-            star_edges=ls.star_edges,
-            clique_edges=ls.clique_edges,
-            beta=ls.beta,
-        )
-    return t
 
 
 def check_level_invariants(hopset: HopsetResult, params: HopsetParams) -> None:
@@ -77,14 +51,3 @@ def check_level_invariants(hopset: HopsetResult, params: HopsetParams) -> None:
     first = levels[0]
     if first.level == 0 and (first.star_edges or first.clique_edges):
         raise VerificationError("the first call must only split (Algorithm 4 line 4)")
-
-
-def levels_summary(hopset: HopsetResult) -> Dict[str, float]:
-    """Aggregate level statistics for benchmark rows."""
-    levels = hopset.levels
-    return {
-        "num_levels": float(len(levels)),
-        "total_subproblems": float(sum(lv.subproblems for lv in levels)),
-        "max_beta": max((lv.beta for lv in levels), default=0.0),
-        "total_large_clusters": float(sum(lv.large_clusters for lv in levels)),
-    }

@@ -8,7 +8,6 @@ import pytest
 from repro.clustering import (
     adjacent_cluster_counts,
     ball_cluster_count,
-    boundary_vertices,
     cluster_radii,
     cut_edge_mask,
     cut_fraction,
@@ -151,13 +150,6 @@ class TestDiagnostics:
         for seed in range(10):
             c = est_cluster(small_gnm, beta, seed=seed, method="exact")
             assert cluster_radii(c).max() <= bound
-
-    def test_boundary_vertices_touch_cuts(self, small_gnm):
-        c = est_cluster(small_gnm, 0.4, seed=5)
-        bv = boundary_vertices(small_gnm, c)
-        mask = cut_edge_mask(small_gnm, c)
-        touched = set(small_gnm.edge_u[mask]) | set(small_gnm.edge_v[mask])
-        assert set(bv) == touched
 
     def test_adjacent_cluster_counts(self, small_gnm):
         c = est_cluster(small_gnm, 0.4, seed=5)

@@ -1,5 +1,5 @@
-"""Unit tests for parallel connectivity [SDB14], graph metrics, and
-per-level hopset diagnostics."""
+"""Unit tests for parallel connectivity [SDB14] and per-level hopset
+diagnostics."""
 
 import numpy as np
 import pytest
@@ -7,25 +7,18 @@ import pytest
 from repro.errors import ParameterError, VerificationError
 from repro.graph import (
     connected_components,
-    cycle_graph,
     gnm_random_graph,
     grid_graph,
     path_graph,
-    random_tree,
-)
-from repro.graph.metrics import (
-    degree_stats,
-    double_sweep_diameter,
-    eccentricity,
-    sampled_eccentricities,
 )
 from repro.graph.parallel_connectivity import (
     edges_decay_trajectory,
     parallel_connectivity,
 )
 from repro.hopsets import HopsetParams, build_hopset
-from repro.analysis.levels import check_level_invariants, level_table, levels_summary
 from repro.pram import PramTracker
+
+from oracles import check_level_invariants
 
 PARAMS = HopsetParams(epsilon=0.5, delta=1.5, gamma1=0.15, gamma2=0.5)
 
@@ -86,45 +79,6 @@ class TestParallelConnectivity:
         assert ncc == 1
 
 
-class TestMetrics:
-    def test_degree_stats(self, small_grid):
-        s = degree_stats(small_grid)
-        assert s.min == 2 and s.max == 4
-        assert 2 <= s.mean <= 4
-
-    def test_degree_stats_empty(self, empty_graph):
-        s = degree_stats(empty_graph)
-        assert s.max == 0
-
-    def test_eccentricity_path(self):
-        g = path_graph(10)
-        assert eccentricity(g, 0) == 9
-        assert eccentricity(g, 5) == 5
-
-    def test_double_sweep_exact_on_path(self):
-        g = path_graph(30)
-        assert double_sweep_diameter(g, seed=1) == 29
-
-    def test_double_sweep_exact_on_tree(self):
-        g = random_tree(60, seed=2)
-        # exact diameter by APSP
-        from repro.paths.dijkstra import all_pairs_distances
-
-        D = all_pairs_distances(g)
-        assert double_sweep_diameter(g, seed=3) == int(D.max())
-
-    def test_double_sweep_lower_bound_on_cycle(self):
-        g = cycle_graph(20)
-        d = double_sweep_diameter(g, seed=4)
-        assert d <= 10
-        assert d >= 5  # a sweep always finds a decent path
-
-    def test_sampled_eccentricities(self, small_grid):
-        ecc = sampled_eccentricities(small_grid, samples=5, seed=5)
-        assert ecc.shape == (5,)
-        assert (ecc <= 14).all() and (ecc >= 7).all()  # 8x8 grid bounds
-
-
 class TestLevelDiagnostics:
     @pytest.fixture(scope="class")
     def built(self):
@@ -133,16 +87,6 @@ class TestLevelDiagnostics:
 
     def test_invariants_hold(self, built):
         check_level_invariants(built, PARAMS)
-
-    def test_table_renders(self, built):
-        t = level_table(built)
-        assert len(t.rows) == len(built.levels)
-        assert "beta" in t.render()
-
-    def test_summary_fields(self, built):
-        s = levels_summary(built)
-        assert s["num_levels"] >= 2
-        assert s["max_beta"] > 0
 
     def test_tampered_beta_detected(self, built):
         from dataclasses import replace

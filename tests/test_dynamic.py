@@ -4,12 +4,12 @@ Incremental repair may legitimately emit different edges than a fresh
 rebuild, so correctness is pinned at the *guarantee* level:
 
 * **inverse law** — applying a batch and then its exact inverse
-  restores the hopset edge multiset bit for bit (per-block rebuilds
-  are seeded), restores served distances, and keeps every spanner
-  guarantee intact;
-* **differential law** — after *every* batch the repaired structure
-  passes the same verifiers (`verify_edge_weights`, `verify_spanner`,
-  `stretch_summary`, exact full-convergence serving) as the full
+  through ``DistanceServer.apply_updates`` restores the hopset edge
+  multiset bit for bit (per-block rebuilds are seeded) and restores
+  served distances;
+* **differential law** — after *every* ``apply_batch`` +
+  ``repair_hopset`` step the repaired hopset passes the same verifiers
+  (`verify_edge_weights`, exact full-convergence serving) as the full
   seeded rebuild oracle on the same graph;
 * **determinism** — one seed and one batch sequence produce identical
   repaired edge sets at any ``workers=`` and on every backend.
@@ -21,8 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import cli
-from repro.analysis.stretch import stretch_summary
-from repro.dynamic import DynamicHopset, DynamicSpanner, UpdateBatch, apply_batch
+from repro.dynamic import UpdateBatch, apply_batch, repair_hopset
 from repro.errors import ParameterError
 from repro.graph import (
     gnm_random_graph,
@@ -32,7 +31,6 @@ from repro.graph import (
 from repro.hopsets import HopsetParams, build_hopset
 from repro.paths.dijkstra import dijkstra_scipy
 from repro.serve import DistanceServer
-from repro.spanners.verify import verify_spanner
 
 PARAMS = HopsetParams(epsilon=0.5, delta=1.5, gamma1=0.15, gamma2=0.5)
 
@@ -88,8 +86,9 @@ class TestUpdateBatch:
         assert b.size == 2
 
     def test_validation_errors(self):
-        with pytest.raises(ParameterError):
-            UpdateBatch.from_tuples(inserts=[(0, 1, -1.0)])
+        for w in (-1.0, np.inf):
+            with pytest.raises(ParameterError):
+                UpdateBatch.from_tuples(inserts=[(0, 1, w)])
         with pytest.raises(ParameterError):
             UpdateBatch.from_tuples(inserts=[(-1, 2, 1.0)])
         g = _weighted(20, 40, seed=0)
@@ -144,70 +143,80 @@ class TestUpdateBatch:
 # ----------------------------------------------------------------------
 # hopset repair
 # ----------------------------------------------------------------------
+def _churn(hs, g, batch, params=PARAMS, **kw):
+    """One churn step: ``apply_batch`` then ``repair_hopset``."""
+    ar = apply_batch(g, batch)
+    repaired, info = repair_hopset(hs, ar.graph, ar.touched, params, **kw)
+    return ar.graph, repaired, info
+
+
 class TestDynamicHopset:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_inverse_restores_hopset_and_serving(self, seed):
         g = _weighted(120, 320, seed=5)
-        dh = DynamicHopset.build(g, params=PARAMS, seed=17)
-        original = _hopset_key(dh.result)
-        row0 = DistanceServer(dh.result, cache_rows=0).distance_row(0)
-        info = dh.apply(_random_batch(g, seed))
-        dh.result.verify_edge_weights()
-        dh.apply(info["inverse"])
-        assert _hopset_key(dh.result) == original
-        assert _graph_key(dh.graph) == _graph_key(g)
-        row1 = DistanceServer(dh.result, cache_rows=0).distance_row(0)
+        hs = build_hopset(g, PARAMS, seed=17, record_structure=True)
+        original = _hopset_key(hs)
+        server = DistanceServer(hs, cache_rows=0)
+        row0 = server.distance_row(0)
+        info = server.apply_updates(_random_batch(g, seed))
+        server.hopset.verify_edge_weights()
+        server.apply_updates(info["inverse"])
+        assert _hopset_key(server.hopset) == original
+        assert _graph_key(server.hopset.graph) == _graph_key(g)
+        row1 = server.distance_row(0)
         assert np.array_equal(row0, row1)
 
     def test_differential_vs_full_rebuild_every_batch(self):
         g = _weighted(150, 400, seed=6)
-        dh = DynamicHopset.build(g, params=PARAMS, seed=23)
+        hs = build_hopset(g, PARAMS, seed=23, record_structure=True)
         for step in range(3):
-            dh.apply(_random_batch(dh.graph, seed=100 + step))
+            g, hs, _ = _churn(hs, g, _random_batch(g, seed=100 + step))
             # guarantee level: Definition 2.4 on the repaired structure
-            dh.result.verify_edge_weights()
-            oracle = dh.rebuild(seed=23)
+            hs.verify_edge_weights()
+            oracle = build_hopset(g, PARAMS, seed=23, record_structure=True)
             oracle.verify_edge_weights()
             # both serve exact distances at full convergence
-            want = dijkstra_scipy(dh.graph, 3)
-            for hs in (dh.result, oracle):
-                got = DistanceServer(hs, cache_rows=0).distance_row(3)
+            want = dijkstra_scipy(g, 3)
+            for result in (hs, oracle):
+                got = DistanceServer(result, cache_rows=0).distance_row(3)
                 assert np.allclose(got, want)
 
     @pytest.mark.parametrize("backend", ["numpy", "reference"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_determinism_across_backends_and_workers(self, backend, workers):
-        g = _weighted(140, 360, seed=7)
-        base = DynamicHopset.build(g, params=PARAMS, seed=31)
-        base.apply(_random_batch(g, seed=41))
-        base.apply(_random_batch(base.graph, seed=42))
-        other = DynamicHopset.build(
-            g, params=PARAMS, seed=31, backend=backend, workers=workers
-        )
-        other.apply(_random_batch(g, seed=41))
-        other.apply(_random_batch(other.graph, seed=42))
-        assert _hopset_key(base.result) == _hopset_key(other.result)
+        g0 = _weighted(140, 360, seed=7)
+
+        def churned(**kw):
+            g = g0
+            hs = build_hopset(g, PARAMS, seed=31, record_structure=True, **kw)
+            for batch_seed in (41, 42):
+                g, hs, _ = _churn(hs, g, _random_batch(g, seed=batch_seed), **kw)
+            return hs
+
+        base = churned()
+        other = churned(backend=backend, workers=workers)
+        assert _hopset_key(base) == _hopset_key(other)
 
     def test_locality_on_high_diameter_graph(self):
         g = _weighted_grid(24, 24, seed=8)
         # larger beta0 (smaller gamma2) so level 0 splits the grid into
         # many blocks — the locality the repair exploits
         local = HopsetParams(epsilon=0.5, delta=1.5, gamma1=0.15, gamma2=0.3)
-        dh = DynamicHopset.build(g, params=local, seed=13)
-        assert dh.result.structure.num_blocks > 1
+        hs = build_hopset(g, local, seed=13, record_structure=True)
+        assert hs.structure.num_blocks > 1
         # a single-edge change dirties few blocks and keeps the rest
         u, v = int(g.edge_u[0]), int(g.edge_v[0])
-        info = dh.apply(UpdateBatch.from_tuples(deletes=[(u, v)]))
-        assert info["dirty_blocks"] < dh.result.structure.num_blocks
+        _, hs, info = _churn(
+            hs, g, UpdateBatch.from_tuples(deletes=[(u, v)]), params=local
+        )
+        assert info["dirty_blocks"] < hs.structure.num_blocks
         assert info["kept_edges"] > 0
-        dh.result.verify_edge_weights()
+        hs.verify_edge_weights()
 
     def test_requires_structure(self):
         g = _weighted(60, 150, seed=9)
         hs = build_hopset(g, PARAMS, seed=1)  # no record_structure
-        from repro.dynamic.hopset import repair_hopset
-
         with pytest.raises(ParameterError):
             repair_hopset(hs, g, np.array([0]), params=PARAMS)
 
@@ -222,71 +231,6 @@ class TestDynamicHopset:
             assert np.array_equal(
                 st_.top_labels[recorded.eu], st_.top_labels[recorded.ev]
             )
-
-
-# ----------------------------------------------------------------------
-# spanner repair
-# ----------------------------------------------------------------------
-class TestDynamicSpanner:
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_guarantee_after_batch_and_inverse(self, seed):
-        g = _weighted(120, 420, seed=11)
-        ds = DynamicSpanner.build(g, k=2, seed=19)
-        bound = ds.result.stretch_bound
-        info = ds.apply(_random_batch(g, seed))
-        assert ds.result.stretch_bound == bound
-        verify_spanner(ds.graph, ds.result, sample_edges=200, seed=1)
-        ds.apply(info["inverse"])
-        assert _graph_key(ds.graph) == _graph_key(g)
-        verify_spanner(ds.graph, ds.result, sample_edges=200, seed=1)
-
-    def test_differential_vs_rebuild_every_batch(self):
-        g = _weighted(130, 450, seed=12)
-        ds = DynamicSpanner.build(g, k=2, seed=29)
-        for step in range(3):
-            ds.apply(_random_batch(ds.graph, seed=200 + step))
-            verify_spanner(ds.graph, ds.result, sample_edges=200, seed=2)
-            oracle = ds.rebuild(seed=29)
-            verify_spanner(ds.graph, oracle, sample_edges=200, seed=2)
-            s_inc = stretch_summary(ds.graph, ds.result, sample_edges=200, seed=3)
-            s_full = stretch_summary(ds.graph, oracle, sample_edges=200, seed=3)
-            assert s_inc.max <= ds.result.stretch_bound + 1e-9
-            assert s_full.max <= oracle.stretch_bound + 1e-9
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_determinism(self, workers):
-        g = _weighted(110, 380, seed=13)
-        a = DynamicSpanner.build(g, k=2, seed=37)
-        b = DynamicSpanner.build(g, k=2, seed=37, workers=workers)
-        for step in range(2):
-            a.apply(_random_batch(a.graph, seed=300 + step))
-            b.apply(_random_batch(b.graph, seed=300 + step))
-        assert np.array_equal(a.result.edge_ids, b.result.edge_ids)
-
-    def test_rebuild_threshold_fallback(self):
-        g = _weighted(80, 200, seed=14)
-        ds = DynamicSpanner.build(g, k=2, seed=43, rebuild_threshold=0.01)
-        info = ds.apply(_random_batch(g, seed=5, n_ins=30, n_del=30))
-        assert info["rebuilt"] == 1
-        verify_spanner(ds.graph, ds.result, sample_edges=200, seed=4)
-
-    def test_unweighted_dispatch(self):
-        g = gnm_random_graph(90, 260, seed=15, connected=True)
-        ds = DynamicSpanner.build(g, k=2, seed=47)
-        # unweighted graphs route to the unweighted builder; churn with
-        # unit-weight inserts keeps the graph unweighted
-        rng = np.random.default_rng(0)
-        eid = rng.choice(g.m, size=6, replace=False)
-        batch = UpdateBatch(
-            insert_u=rng.integers(0, g.n, 6),
-            insert_v=rng.integers(0, g.n, 6),
-            insert_w=np.ones(6),
-            delete_u=g.edge_u[eid],
-            delete_v=g.edge_v[eid],
-        )
-        ds.apply(batch)
-        verify_spanner(ds.graph, ds.result, sample_edges=200, seed=5)
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph import from_edges, from_networkx, to_networkx
-from repro.graph.builders import induced_subgraph, relabel_compact, subgraph_by_edge_ids
+from repro.graph import from_edges
+from repro.graph.builders import induced_subgraph, subgraph_by_edge_ids
 
 
 class TestFromEdges:
@@ -57,23 +57,6 @@ class TestFromEdges:
         assert (g.edge_w == 1.0).all()
 
 
-class TestNetworkxRoundtrip:
-    def test_roundtrip_preserves_structure(self, small_weighted):
-        nx_g = to_networkx(small_weighted)
-        back = from_networkx(nx_g)
-        assert back.n == small_weighted.n
-        assert back.m == small_weighted.m
-        assert np.allclose(np.sort(back.edge_w), np.sort(small_weighted.edge_w))
-
-    def test_from_networkx_default_weight(self):
-        import networkx as nx
-
-        G = nx.Graph()
-        G.add_edge("a", "b")
-        g = from_networkx(G)
-        assert g.n == 2 and g.m == 1 and g.edge_w[0] == 1.0
-
-
 class TestInducedSubgraph:
     def test_triangle_subset(self, triangle):
         sub, vmap = induced_subgraph(triangle, np.array([0, 1]))
@@ -97,20 +80,6 @@ class TestInducedSubgraph:
         sub, _ = induced_subgraph(small_weighted, verts)
         assert sub.m == small_weighted.m
         assert np.allclose(np.sort(sub.edge_w), np.sort(small_weighted.edge_w))
-
-
-class TestRelabelCompact:
-    def test_compacts_used_ids(self):
-        u = np.array([10, 20], dtype=np.int64)
-        v = np.array([20, 30], dtype=np.int64)
-        n_new, nu, nv, old = relabel_compact(40, u, v)
-        assert n_new == 3
-        assert set(old) == {10, 20, 30}
-        assert nu.max() < n_new and nv.max() < n_new
-
-    def test_empty(self):
-        n_new, nu, nv, old = relabel_compact(5, np.empty(0, np.int64), np.empty(0, np.int64))
-        assert n_new == 0 and old.size == 0
 
 
 class TestSubgraphByEdgeIds:

@@ -9,7 +9,6 @@ from repro.hopsets import (
     build_hopset,
     exact_distance,
     hopset_distance,
-    hopset_sssp,
     suggested_hop_bound,
 )
 from repro.hopsets.result import HopsetResult
@@ -25,13 +24,6 @@ def built():
 
 
 class TestQueries:
-    def test_sssp_covers_component(self, built):
-        g, hs = built
-        dist, hops = hopset_sssp(hs, 0, h=g.n)
-        assert np.isfinite(dist).all()
-        d_true = exact_distance(g, 0, g.n - 1)
-        assert dist[g.n - 1] == pytest.approx(d_true, rel=PARAMS.epsilon * 3)
-
     def test_distance_with_explicit_h(self, built):
         g, hs = built
         d, hops = hopset_distance(hs, 0, g.n - 1, h=g.n)

@@ -1,11 +1,10 @@
-"""Tests for scale-targeted weighted queries and star-weight modes."""
+"""Tests for scale-targeted weighted queries."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ParameterError
-from repro.graph import gnm_random_graph, grid_graph, with_random_weights
-from repro.hopsets import HopsetParams, build_hopset, build_weighted_hopset, exact_distance
+from repro.graph import gnm_random_graph, with_random_weights
+from repro.hopsets import HopsetParams, build_weighted_hopset, exact_distance
 
 PARAMS = HopsetParams(epsilon=0.5, delta=1.5, gamma1=0.15, gamma2=0.5)
 
@@ -52,23 +51,3 @@ class TestScaleTargetedQuery:
         d = exact_distance(gw, 0, gw.n - 1)
         est, _ = wh.query_with_estimate(0, gw.n - 1, d * 100)
         assert est >= d - 1e-9  # possibly loose/inf, never an undercount
-
-
-class TestStarWeightModes:
-    def test_modes_coincide_in_exact_clustering(self):
-        g = with_random_weights(
-            gnm_random_graph(300, 1200, seed=65, connected=True), 1, 50, "uniform", seed=66
-        )
-        a = build_hopset(g, PARAMS, seed=67, method="exact", star_weights="tree")
-        b = build_hopset(g, PARAMS, seed=67, method="exact", star_weights="exact")
-        assert a.size == b.size
-        assert np.allclose(np.sort(a.ew), np.sort(b.ew))
-
-    def test_exact_mode_valid_under_round_clustering(self):
-        g = grid_graph(18, 18)
-        hs = build_hopset(g, PARAMS, seed=68, method="round", star_weights="exact")
-        hs.verify_edge_weights()
-
-    def test_invalid_mode_rejected(self, small_grid):
-        with pytest.raises(ParameterError):
-            build_hopset(small_grid, PARAMS, seed=69, star_weights="banana")

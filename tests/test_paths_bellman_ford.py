@@ -9,9 +9,7 @@ from repro.paths import (
     arcs_from_graph,
     combine_arcs,
     hop_limited_distances,
-    hop_limited_sssp,
 )
-from repro.paths.bellman_ford import hop_limited_st
 from repro.paths.dijkstra import dijkstra_scipy
 from repro.pram import PramTracker
 
@@ -119,15 +117,6 @@ class TestHopLimited:
                 np.minimum.at(new, arcs.dst, cand)
                 ref = new
             assert np.allclose(dist, ref, equal_nan=True)
-
-    def test_sssp_wrapper(self, small_weighted):
-        dist, hops = hop_limited_sssp(arcs_from_graph(small_weighted), 0, 5)
-        assert dist.shape[0] == small_weighted.n
-
-    def test_st_wrapper(self):
-        g = path_graph(4)
-        assert hop_limited_st(arcs_from_graph(g), 0, 3, h=3) == 3.0
-        assert np.isinf(hop_limited_st(arcs_from_graph(g), 0, 3, h=2))
 
     def test_extra_arcs_shortcut(self):
         g = path_graph(10)

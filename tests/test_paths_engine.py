@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+from repro import cli
+from repro.errors import ParameterError
 from repro.graph import from_edges, gnm_random_graph, grid_graph, with_random_weights
+from repro.hopsets import build_hopset, exact_distance, hopset_distance
 from repro.kernels import available_backends, resolve_backend
 from repro.paths import (
     dijkstra,
     dijkstra_reference,
     dijkstra_scipy,
-    get_default_backend,
     set_default_backend,
     shortest_paths,
+    shortest_paths_batch,
     sssp,
 )
 from repro.pram import PramTracker
@@ -200,8 +203,6 @@ class TestAccountingAndBackends:
         assert coarse.buckets == 1
 
     def test_invalid_inputs_rejected(self):
-        from repro.errors import ParameterError
-
         g = _random_weighted(20, 60, seed=44)
         with pytest.raises(ParameterError):
             shortest_paths(g, 0, delta=0.0)
@@ -225,13 +226,14 @@ class TestAccountingAndBackends:
             assert np.array_equal(np.isinf(results[0].dist), np.isinf(r.dist))
 
     def test_default_backend_roundtrip(self):
-        assert get_default_backend() == "numpy"
+        g = _random_weighted(30, 90, seed=45)
+        assert shortest_paths(g, 0).backend == "numpy"
         try:
             assert set_default_backend("reference") == "reference"
-            g = _random_weighted(30, 90, seed=45)
             assert shortest_paths(g, 0).backend == "reference"
         finally:
             set_default_backend("numpy")
+        assert shortest_paths(g, 0).backend == "numpy"
 
     def test_numba_request_degrades_gracefully(self):
         # on machines without numba this resolves to numpy; with numba
@@ -286,3 +288,48 @@ class TestDistributedSSSP:
         assert np.allclose(dist, res.dist)
         assert np.array_equal(owner, res.owner)
         assert net.rounds >= 1 and net.total_messages > 0
+
+
+# every entry point that takes a vertex id, called with that id out of range
+_ID_ENTRY_POINTS = {
+    "shortest_paths": lambda g, hs, v: shortest_paths(g, v),
+    "shortest_paths_reference": lambda g, hs, v: shortest_paths(
+        g, v, backend="reference"
+    ),
+    "shortest_paths_batch": lambda g, hs, v: shortest_paths_batch(g, [v]),
+    "hopset_distance_source": lambda g, hs, v: hopset_distance(hs, v, 5),
+    "hopset_distance_target": lambda g, hs, v: hopset_distance(hs, 0, v),
+    "exact_distance": lambda g, hs, v: exact_distance(g, 0, v),
+}
+
+
+class TestVertexIdRange:
+    @pytest.fixture(scope="class")
+    def built(self):
+        g = _random_weighted(100, 400, seed=53)
+        return g, build_hopset(g, seed=1)
+
+    @pytest.mark.parametrize("entry", sorted(_ID_ENTRY_POINTS))
+    @pytest.mark.parametrize("where", ["minus_one", "n"])
+    def test_out_of_range_id_names_itself(self, built, entry, where):
+        g, hs = built
+        v = -1 if where == "minus_one" else g.n
+        # never an answer for vertex n - 1, never a numpy error
+        with pytest.raises(ParameterError, match=rf"{v} out of range \[0, {g.n}\)"):
+            _ID_ENTRY_POINTS[entry](g, hs, v)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sssp", "--n", "100", "--m", "400", "--source", "1000"],
+            ["hopset", "--n", "100", "--m", "400", "--seed", "1", "--query", "0", "-1"],
+        ],
+        ids=["sssp_source_1000", "hopset_query_minus_one"],
+    )
+    def test_cli_out_of_range_id_is_a_message(self, argv, capsys):
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ")
+        assert "out of range [0, 100)" in captured.err
+        assert "query" not in captured.out

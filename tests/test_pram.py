@@ -1,22 +1,14 @@
 """Unit tests for the PRAM work/depth cost model."""
 
-import math
-
 import pytest
 
 from repro.pram import (
-    LedgerReport,
     PramTracker,
-    charge_filter,
-    charge_prefix_sum,
-    charge_reduce,
     charge_semisort,
-    charge_pointer_jumping,
     fit_scaling_exponent,
     log_star,
     null_tracker,
 )
-from repro.pram.report import geometric_mean
 
 
 class TestLogStar:
@@ -108,30 +100,10 @@ class TestTracker:
 
 
 class TestPrimitives:
-    def test_prefix_sum_costs(self):
-        t = PramTracker(n=1000, depth_per_round=1)
-        charge_prefix_sum(t, 1000)
-        assert t.work == 2000
-        assert t.depth == math.ceil(math.log2(1000))
-
-    def test_filter_more_than_scan(self):
-        t1 = PramTracker(n=100, depth_per_round=1)
-        t2 = PramTracker(n=100, depth_per_round=1)
-        charge_prefix_sum(t1, 100)
-        charge_filter(t2, 100)
-        assert t2.work > t1.work
-
     def test_all_primitives_charge_something(self):
-        for fn in (charge_prefix_sum, charge_filter, charge_semisort,
-                   charge_reduce, charge_pointer_jumping):
-            t = PramTracker(n=64, depth_per_round=1)
-            fn(t, 64)
-            assert t.work > 0 and t.depth > 0
-
-    def test_pointer_jumping_superlinear(self):
-        t = PramTracker(n=1024, depth_per_round=1)
-        charge_pointer_jumping(t, 1024)
-        assert t.work == 1024 * 10
+        t = PramTracker(n=64, depth_per_round=1)
+        charge_semisort(t, 64)
+        assert t.work > 0 and t.depth > 0
 
 
 class TestReport:
@@ -149,15 +121,3 @@ class TestReport:
     def test_fit_ignores_nonpositive(self):
         a, c = fit_scaling_exponent([1, 10, 100, 0], [2, 20, 200, -5])
         assert a == pytest.approx(1.0, abs=1e-9)
-
-    def test_ledger_report_row(self):
-        t = PramTracker(n=10)
-        t.parallel_round(work=5)
-        rep = LedgerReport.from_tracker("x", t, size=3.0)
-        row = rep.row()
-        assert row["label"] == "x" and row["work"] == 5 and row["size"] == 3.0
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1, 100]) == pytest.approx(10.0)
-        with pytest.raises(ValueError):
-            geometric_mean([1, 0])

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
-from repro.graph import gnm_random_graph, load_snap, read_snap_header, stream_snap
-from repro.graph.io import save_edgelist
+from repro.graph import gnm_random_graph, load_snap, read_snap_header
+from repro.graph.io import save_edgelist, stream_edgelist
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "karate.snap")
 
@@ -151,13 +151,13 @@ class TestRefusals:
 class TestStreaming:
     def test_stream_yields_raw_rows(self, tmp_path):
         p = _write(tmp_path, "# c\n0 0\n0 1\n1 0\n1 2\n")
-        chunks = list(stream_snap(p, chunk_edges=2))
+        chunks = list(stream_edgelist(p, chunk_edges=2))
         assert len(chunks) == 2
         total = sum(c[0].shape[0] for c in chunks)
         assert total == 4  # no cleaning in the stream: loops/dups flow through
 
     def test_stream_matches_load(self):
-        u_all = np.concatenate([c[0] for c in stream_snap(FIXTURE)])
+        u_all = np.concatenate([c[0] for c in stream_edgelist(FIXTURE)])
         g, stats = load_snap(FIXTURE)
         assert u_all.shape[0] == stats.raw_edges == g.m
 
