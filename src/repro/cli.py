@@ -8,9 +8,15 @@ Commands
 ``hopset``
     Build a hopset and answer s-t queries.
 ``serve``
-    Build-or-load a hopset, then serve a stream of s-t distance
-    queries through :class:`repro.serve.DistanceServer` (batched
-    coalescing + LRU source-row cache).
+    Build-or-load a hopset, then serve a stream of s-t queries with
+    exact distances through :class:`repro.serve.DistanceServer` (the
+    bucket engine on the graph, batched coalescing + LRU source-row
+    cache).
+``update``
+    Replay edge insert/delete lines through
+    :meth:`repro.serve.DistanceServer.apply_updates` (localized hopset
+    repair, stale cached rows evicted); ``--verify`` checks hopset edge
+    validity per batch and sampled served rows against Dijkstra.
 ``cluster``
     Run one EST clustering and print its statistics.
 ``cluster-tree``
@@ -35,7 +41,8 @@ unavailable backend is an error — the user asked for it by name.
 
 Library errors (:class:`repro.errors.ReproError`) print ``error:
 <message>`` to stderr instead of a traceback: a failed verification
-exits 1, bad input or parameters exit 2.
+exits 1, bad input or parameters exit 2.  A missing or unreadable input
+file and a malformed query or update line exit 2 the same way.
 
 ``sssp``, ``hopset``, ``spanner``, ``serve``, ``update`` and
 ``cluster-tree`` also accept ``--workers N`` — the core cap for the
@@ -248,14 +255,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     server = DistanceServer(
         hs,
-        h=args.hops if args.hops > 0 else None,
         backend=args.backend,
         workers=_workers_from_args(args),
         cache_rows=args.cache_rows,
     )
-    print(f"graph: n={g.n} m={g.m}; serving with backend={server.backend}, "
-          f"h={'exact' if args.hops <= 0 else args.hops}, "
-          f"cache_rows={args.cache_rows}")
+    print(f"graph: n={g.n} m={g.m}; serving exact distances with "
+          f"backend={server.backend}, cache_rows={args.cache_rows}")
 
     if args.queries and args.queries != "-":
         with open(args.queries, "r", encoding="utf-8") as f:
@@ -267,10 +272,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
-        if len(parts) < 2:
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except (IndexError, ValueError):
             print(f"error: malformed query line {line.rstrip()!r}", file=sys.stderr)
             return 2
-        pairs.append((int(parts[0]), int(parts[1])))
 
     # the coalescing front door: answer the stream in --batch chunks
     for lo in range(0, len(pairs), max(args.batch, 1)):
@@ -302,7 +308,6 @@ def cmd_update(args: argparse.Namespace) -> int:
     )
     server = DistanceServer(
         hs,
-        h=args.hops if args.hops > 0 else None,
         backend=args.backend,
         workers=_workers_from_args(args),
         cache_rows=args.cache_rows,
@@ -315,20 +320,23 @@ def cmd_update(args: argparse.Namespace) -> int:
             lines = f.readlines()
     else:
         lines = sys.stdin.readlines()
-    inserts, deletes = [], []
     ops = []
     for line in lines:
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
-        if parts[0] == "i" and len(parts) == 4:
-            ops.append(("i", (int(parts[1]), int(parts[2]), float(parts[3]))))
-        elif parts[0] == "d" and len(parts) == 3:
-            ops.append(("d", (int(parts[1]), int(parts[2]))))
-        else:
-            print(f"error: malformed update line {line.rstrip()!r} "
-                  "(want 'i u v w' or 'd u v')", file=sys.stderr)
-            return 2
+        try:
+            if parts[0] == "i" and len(parts) == 4:
+                ops.append(("i", (int(parts[1]), int(parts[2]), float(parts[3]))))
+                continue
+            if parts[0] == "d" and len(parts) == 3:
+                ops.append(("d", (int(parts[1]), int(parts[2]))))
+                continue
+        except ValueError:
+            pass
+        print(f"error: malformed update line {line.rstrip()!r} "
+              "(want 'i u v w' or 'd u v')", file=sys.stderr)
+        return 2
 
     chunk_size = max(args.batch, 1)
     for lo in range(0, len(ops), chunk_size):
@@ -357,21 +365,13 @@ def cmd_update(args: argparse.Namespace) -> int:
         D = sp_dijkstra(
             server.hopset.graph.to_scipy(), directed=False, indices=srcs
         )
-        exact = server.h is None
         for i, s in enumerate(srcs):
-            row = server.distance_row(int(s))
-            if exact:
-                ok = np.allclose(row, D[i], rtol=1e-9)
-            else:
-                # an h-hop row may exceed the distance, never undercut it
-                ok = not (row < D[i] * (1 - 1e-9)).any()
-            if not ok:
-                claim = "diverges from" if exact else "falls below"
-                print(f"error: served row {s} {claim} Dijkstra", file=sys.stderr)
+            if not np.allclose(server.distance_row(int(s)), D[i], rtol=1e-9):
+                print(f"error: served row {s} diverges from Dijkstra",
+                      file=sys.stderr)
                 return 1
-        rows = "equal" if exact else f"(h={server.h}) never fall below"
         print(f"verified: hopset edge validity (Definition 2.4 item 2) "
-              f"after every batch; {len(srcs)} served rows {rows} Dijkstra")
+              f"after every batch; {len(srcs)} served rows equal Dijkstra")
     st = server.stats
     print(f"stats: {st.cache_invalidations} invalidations, "
           f"{st.cache_hits} hits / {st.cache_misses} misses")
@@ -582,7 +582,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", type=int, nargs=2, metavar=("S", "T"))
     p.set_defaults(fn=cmd_hopset)
 
-    p = sub.add_parser("serve", help="serve distance queries over a hopset")
+    # no prefix matching: a removed flag that abbreviates --hopset
+    # would otherwise write a hopset file named after its value
+    p = sub.add_parser(
+        "serve", help="serve exact distance queries", allow_abbrev=False
+    )
     _add_io_args(p)
     _add_backend_arg(p)
     _add_workers_arg(p)
@@ -596,12 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--queries",
         help="file of 's t' query lines ('-' or omitted reads stdin; "
         "'#' lines are comments)",
-    )
-    p.add_argument(
-        "--hops",
-        type=int,
-        default=0,
-        help="hop budget per query (0 = exact distances: bucket engine on G)",
     )
     p.add_argument("--cache-rows", type=int, default=128,
                    help="LRU capacity for hot source distance rows")
@@ -624,20 +622,13 @@ def build_parser() -> argparse.ArgumentParser:
         "edge, 'd u v' deletes one ('-' or omitted reads stdin; '#' "
         "lines are comments)",
     )
-    p.add_argument(
-        "--hops",
-        type=int,
-        default=0,
-        help="hop budget per query (0 = exact distances: bucket engine on G)",
-    )
     p.add_argument("--cache-rows", type=int, default=128,
                    help="LRU capacity for hot source distance rows")
     p.add_argument("--batch", type=int, default=256,
                    help="apply up to this many update lines per repair pass")
     p.add_argument("--verify", action="store_true",
                    help="check hopset edge validity after every batch, then "
-                   "served rows against Dijkstra: equal when exact, never "
-                   "below under --hops (test-scale only)")
+                   "that sampled served rows equal Dijkstra (test-scale only)")
     p.set_defaults(fn=cmd_update)
 
     p = sub.add_parser("cluster", help="run one EST clustering")
@@ -773,6 +764,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         # parameters exit 2 like a malformed line
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, VerificationError) else 2
+    except OSError as exc:
+        # a missing or unreadable -i / --queries / --updates file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         set_default_workers(prev_policy)
 

@@ -29,6 +29,7 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph, build_csr
 from repro.graph.dedup import first_of_runs, presence_unique
+from repro.paths.engine import check_vertex_ids
 
 
 def _canonical_pairs(
@@ -163,8 +164,7 @@ def apply_batch(g: CSRGraph, batch: UpdateBatch) -> ApplyResult:
     """Apply ``batch`` to ``g`` and return the new graph plus repair views."""
     n = g.n
     for arr in (batch.insert_u, batch.insert_v, batch.delete_u, batch.delete_v):
-        if arr.size and int(arr.max()) >= n:
-            raise ParameterError("vertex id out of range for graph")
+        check_vertex_ids(arr, n, "vertex")
 
     # ---- deletes first ------------------------------------------------
     del_ids, del_found = _edge_positions(g, batch.delete_u, batch.delete_v)

@@ -11,11 +11,12 @@ The evaluator is the frontier-based kernel
 cached union CSR: round ``t`` gathers only from vertices improved in
 round ``t - 1``, which is label-identical to dense synchronous
 Bellman–Ford but does (and charges) only the work that can matter.
-For sustained query traffic use :class:`repro.serve.DistanceServer`,
-which adds source-row caching and batch coalescing: with an integer
-hop budget on top of the same kernel, and with ``h=None`` (exact
-answers) on the label-setting bucket engine over ``G`` alone — a
-hopset makes few hops enough, it does not make exact search cheaper.
+This module is the one home of the paper's h-hop query (Lemma 4.2,
+Theorem 1.2's depth bound): a hopset makes few *hops* enough, it does
+not make exact search cheaper.  For sustained exact-distance traffic
+use :class:`repro.serve.DistanceServer`, which runs the label-setting
+bucket engine on ``G`` alone behind source-row caching and batch
+coalescing.
 """
 
 from __future__ import annotations

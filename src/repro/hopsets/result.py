@@ -95,9 +95,13 @@ class HopsetResult:
 
     def union_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cached CSR compilation ``(indptr, indices, weights)`` of
-        :meth:`arcs` — the adjacency the frontier-based query kernel
-        (:func:`repro.kernels.numpy_kernel.hop_sssp_batch`) gathers
-        from.  Built once per hopset; serving tiers hold it hot.
+        :meth:`arcs` — the adjacency the frontier-based h-hop query
+        kernel (:func:`repro.kernels.numpy_kernel.hop_sssp_batch`)
+        gathers from in :func:`repro.hopsets.query.hopset_distance`.
+        Built once per hopset and shared by every query and every
+        hop-doubling step.  Exact serving
+        (:class:`repro.serve.DistanceServer`) searches ``G`` and never
+        compiles it.
         """
         cached = self.__dict__.get("_union_csr")
         if cached is None:
@@ -106,15 +110,6 @@ class HopsetResult:
             cached = arcset_to_csr(self.arcs())
             object.__setattr__(self, "_union_csr", cached)
         return cached
-
-    def hopset_only_arcs(self) -> ArcSet:
-        base = ArcSet(
-            n=self.graph.n,
-            src=np.empty(0, np.int64),
-            dst=np.empty(0, np.int64),
-            w=np.empty(0, np.float64),
-        )
-        return combine_arcs(base, self.eu, self.ev, self.ew)
 
     def verify_edge_weights(self, tol: float = 1e-9) -> None:
         """Check Definition 2.4 item 2: no hopset edge is lighter than

@@ -31,14 +31,12 @@ from repro.kernels.numpy_kernel import (
     bucket_sssp,
     bucket_sssp_batch,
     expand_frontier,
-    hop_sssp_batch,
     split_light_heavy,
 )
 from repro.kernels.numba_kernel import (
     HAVE_NUMBA,
     bucket_sssp_batch_numba,
     bucket_sssp_numba,
-    hop_sssp_batch_numba,
 )
 
 BACKENDS = ("numpy", "numba", "reference")
@@ -102,7 +100,5 @@ __all__ = [
     "bucket_sssp_batch_numba",
     "bucket_sssp_numba",
     "expand_frontier",
-    "hop_sssp_batch",
-    "hop_sssp_batch_numba",
     "split_light_heavy",
 ]

@@ -452,153 +452,6 @@ def _delta_sssp_batch_core(
         buckets_out[r] = nb
 
 
-@njit(cache=True)
-def _hop_sssp_core(
-    indptr, indices, weights, n, sources, h
-):  # pragma: no cover - compiled path; covered via the pure-Python stub
-    """Frontier-based h-hop Bellman–Ford from multiple sources.
-
-    Synchronous semantics are kept in scalar code by snapshotting the
-    frontier's distances at round start (``fdist``): every candidate of
-    round ``r`` is computed from round ``r - 1`` labels even when a
-    frontier vertex's own label improves mid-round.
-    """
-    inf = np.inf
-    dist = np.full(n, inf, dtype=np.float64)
-    hops = np.zeros(n, dtype=np.int64)
-    cur = np.empty(n, dtype=np.int64)
-    nxt = np.empty(n, dtype=np.int64)
-    fdist = np.empty(n, dtype=np.float64)
-    in_next = np.zeros(n, dtype=np.bool_)
-
-    cur_n = 0
-    for i in range(sources.shape[0]):
-        v = sources[i]
-        if dist[v] > 0.0:
-            dist[v] = 0.0
-            cur[cur_n] = v
-            cur_n += 1
-
-    rounds = 0
-    arcs = 0
-    for r in range(1, h + 1):
-        if cur_n == 0:
-            break
-        rounds += 1
-        for t in range(cur_n):
-            fdist[t] = dist[cur[t]]
-        nxt_n = 0
-        for t in range(cur_n):
-            u = cur[t]
-            du = fdist[t]
-            for a in range(indptr[u], indptr[u + 1]):
-                v = indices[a]
-                arcs += 1
-                nd = du + weights[a]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    hops[v] = r
-                    if not in_next[v]:
-                        in_next[v] = True
-                        nxt[nxt_n] = v
-                        nxt_n += 1
-        for t in range(nxt_n):
-            in_next[nxt[t]] = False
-        tmp = cur
-        cur = nxt
-        nxt = tmp
-        cur_n = nxt_n
-    return dist, hops, rounds, arcs
-
-
-@njit(cache=True, parallel=True)
-def _hop_sssp_batch_core(
-    indptr, indices, weights, n, run_src, run_ptr, h,
-    dist, hops, rounds_out, arcs_out,
-):  # pragma: no cover - compiled path; covered via the pure-Python stub
-    k = run_ptr.shape[0] - 1
-    for r in prange(k):
-        lo = run_ptr[r]
-        hi = run_ptr[r + 1]
-        d, hp, rounds, arcs = _hop_sssp_core(
-            indptr, indices, weights, n, run_src[lo:hi], h
-        )
-        dist[r * n : (r + 1) * n] = d
-        hops[r * n : (r + 1) * n] = hp
-        rounds_out[r] = rounds
-        arcs_out[r] = arcs
-
-
-def hop_sssp_batch_numba(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    n: int,
-    run_src: np.ndarray,
-    run_ptr: np.ndarray,
-    h: int,
-    workers: WorkersArg = DEFAULT_WORKERS,
-    state: Optional[Tuple[np.ndarray, ...]] = None,
-) -> Tuple[np.ndarray, np.ndarray, List[int], np.ndarray]:
-    """JIT twin of :func:`repro.kernels.numpy_kernel.hop_sssp_batch`.
-
-    Each run is one compiled frontier pass; ``workers > 1`` (or
-    ``None`` = all cores) dispatches the runs through the
-    ``prange``-parallel batch core with thread-private scratch, capped
-    at ``workers`` numba threads — per-run labels are bit-identical to
-    the sequential schedule.  Like the other sequential backends the
-    depth ledger is reconstructed, not traced: ``round_arcs`` front-
-    loads the total arcs onto the first of ``max_r`` rounds, where
-    ``max_r`` is the longest run's round count (the parallel
-    composition a PRAM would see).
-
-    Warm-start ``state`` is a numpy-kernel-only feature (the compiled
-    cores always run to convergence or budget exhaustion in one call),
-    so the returned frontier is always empty and passing ``state``
-    raises.
-    """
-    if state is not None:
-        raise ValueError("hop_sssp_batch_numba does not support warm-start state")
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not installed")
-    run_src = np.asarray(run_src, dtype=np.int64)
-    run_ptr = np.asarray(run_ptr, dtype=np.int64)
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    k = run_ptr.shape[0] - 1
-    nw = effective_workers(workers)
-
-    if nw > 1 and k > 1:
-        dist = np.empty(k * n, dtype=np.float64)
-        hops = np.empty(k * n, dtype=np.int64)
-        rounds_out = np.zeros(k, dtype=np.int64)
-        arcs_out = np.zeros(k, dtype=np.int64)
-        with _numba_thread_cap(nw):
-            _hop_sssp_batch_core(
-                indptr, indices, weights, n, run_src, run_ptr, int(h),
-                dist, hops, rounds_out, arcs_out,
-            )
-        max_r = int(rounds_out.max()) if k else 0
-        total_arcs = int(arcs_out.sum())
-    else:
-        dist = np.empty(k * n, dtype=np.float64)
-        hops = np.empty(k * n, dtype=np.int64)
-        max_r = 0
-        total_arcs = 0
-        for r in range(k):
-            lo, hi = int(run_ptr[r]), int(run_ptr[r + 1])
-            d, hp, rounds, arcs = _hop_sssp_core(
-                indptr, indices, weights, n, run_src[lo:hi], int(h)
-            )
-            sl = slice(r * n, (r + 1) * n)
-            dist[sl], hops[sl] = d, hp
-            max_r = max(max_r, int(rounds))
-            total_arcs += int(arcs)
-    round_arcs = [total_arcs] + [0] * max(max_r - 1, 0) if max_r else []
-    return dist, hops, round_arcs, np.empty(0, dtype=np.int64)
-
-
 def bucket_sssp_numba(
     indptr: np.ndarray,
     indices: np.ndarray,

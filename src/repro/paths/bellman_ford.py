@@ -99,7 +99,6 @@ def hop_limited_distances(
     sources: np.ndarray,
     h: int,
     tracker: Optional[PramTracker] = None,
-    early_stop: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Synchronous h-round Bellman–Ford from multiple sources.
 
@@ -111,9 +110,9 @@ def hop_limited_distances(
     essential: in-place relaxation would let weight improvements ride
     along and report fewer rounds than true hop counts.
 
-    ``early_stop`` exits once a round changes nothing — the remaining
-    rounds cannot change anything either, so the h-hop semantics are
-    preserved while saving work; the ledger only charges executed rounds.
+    The loop exits once a round changes nothing — the remaining rounds
+    cannot change anything either, so the h-hop semantics are preserved
+    while saving work; the ledger only charges executed rounds.
 
     Ledger: each executed round charges the arcs it actually relaxed —
     arcs whose source is still at ``inf`` contribute no candidate, so
@@ -153,7 +152,7 @@ def hop_limited_distances(
         tracker.parallel_round(work=relaxed)
         rounds += 1
         improved = new < dist
-        if not improved.any() and early_stop:
+        if not improved.any():
             break
         hops[improved] = rounds
         dist = new

@@ -1,24 +1,15 @@
-"""Distance-query serving tier over a prebuilt hopset.
+"""Exact distance-query serving tier.
 
-Hopsets exist so distance queries finish in few hops: build ``E'``
-once, then answer arbitrary s-t traffic by h-round Bellman–Ford on
-``E ∪ E'`` [KS97].  :class:`DistanceServer` is that story made
-operational — the "build once, serve millions of queries" tier:
+:class:`DistanceServer` answers s-t and k-source distance queries with
+the label-setting bucket engine on ``G``
+(:func:`repro.paths.engine.shortest_paths_batch`: Dial on integer
+weights, delta-stepping on floats).  Such a search settles each vertex
+once and scans each arc once, so hopset shortcuts could only add scans:
+a hopset makes few *hops* enough (Lemma 4.2), it does not make exact
+search cheaper.  The paper's h-hop query keeps its own home,
+:func:`repro.hopsets.query.hopset_distance`.  On top of the engine the
+server adds:
 
-* the hop budget ``h`` picks the search.  An integer ``h`` gives the
-  paper's h-hop (1+eps)-approximations (Lemma 4.2, Figure 2): the union
-  adjacency ``E ∪ E'`` is compiled into one CSR
-  (:meth:`repro.hopsets.result.HopsetResult.union_csr`), held hot, and
-  searched by the frontier-based multi-source hop-limited kernel
-  (:func:`repro.kernels.numpy_kernel.hop_sssp_batch`, numba twin behind
-  the ``kernels`` registry) — every synchronous round advances *all*
-  in-flight queries with one batched gather/scatter;
-* ``h=None`` (default) serves **exact** distances with the label-setting
-  bucket engine on ``G`` alone
-  (:func:`repro.paths.engine.shortest_paths_batch`: Dial on integer
-  weights, delta-stepping on floats).  Such a search settles each
-  vertex once and scans each arc once, so shortcut arcs could only add
-  scans; the union CSR is never compiled;
 * a bounded **LRU cache of source distance rows**: one kernel run
   yields the full distance row of its source, which then answers any
   s-t query for that source in O(1) — serving traffic has hot sources,
@@ -26,10 +17,11 @@ operational — the "build once, serve millions of queries" tier:
 * a **coalescing front door**: a batch of k concurrent s-t queries is
   deduplicated to its distinct uncached sources and dispatched as one
   multi-source kernel call (chunked at ``max_batch_runs`` so a huge
-  batch never materializes an unbounded ``k x n`` label block).
+  batch never materializes an unbounded ``k x n`` label block);
+* **updates under churn**: :meth:`DistanceServer.apply_updates` repairs
+  the held hopset and evicts only the cached rows a batch can change.
 
-Rows are ``float64`` with ``inf`` for vertices a run does not reach
-(disconnected, or beyond the hop budget) under either search.
+Rows are ``float64`` with ``inf`` for vertices a run does not reach.
 """
 
 from __future__ import annotations
@@ -48,7 +40,7 @@ from repro.hopsets.result import HopsetResult, RepairStructure
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dynamic.batch import UpdateBatch
-from repro.kernels import hop_sssp_batch, hop_sssp_batch_numba, resolve_backend
+from repro.kernels import resolve_backend
 from repro.kernels.numpy_kernel import INT_INF
 from repro.paths.engine import shortest_paths_batch
 from repro.pram.tracker import PramTracker, null_tracker
@@ -92,28 +84,22 @@ class ServerStats:
 
 @dataclass
 class DistanceServer:
-    """Serve s-t / k-source distance queries over ``G ∪ E'``.
+    """Serve exact s-t / k-source distance queries on ``G``.
 
     Parameters
     ----------
     hopset:
-        A built :class:`~repro.hopsets.result.HopsetResult`; its graph
-        (and, with an integer ``h``, its union CSR) is the server's
-        whole world.
-    h:
-        Hop budget per query run.  ``None`` (default) answers exact
-        distances on ``G`` with the bucket engine
-        (:func:`repro.paths.engine.shortest_paths_batch`); the hopset
-        is not consulted and the union CSR is never compiled.  An
-        integer gives the paper's h-hop approximate semantics: h-round
-        Bellman–Ford on the compiled union ``E ∪ E'``.
+        A built :class:`~repro.hopsets.result.HopsetResult`.  Its graph
+        is the server's whole world; queries never read the hopset
+        edges, which are held so :meth:`apply_updates` can repair them.
     backend:
-        ``"numpy"`` (default) or ``"numba"``; resolved through
+        Engine backend: ``"numpy"`` (default), ``"numba"`` or
+        ``"reference"``; resolved through
         :func:`repro.kernels.resolve_backend`, so a numba request
         degrades to numpy with a warning when the JIT toolchain is
         missing (CLI callers that demand numba by name are vetted by
-        ``require_backend`` before construction).  ``"reference"`` has
-        no hop-limited kernel and is rejected.
+        ``require_backend`` before construction).  Every backend
+        serves the same exact rows.
     workers:
         Core cap for the numba backend's ``prange`` batch cores
         (``1`` serial, ``None`` = all cores); the numpy kernels run
@@ -129,15 +115,16 @@ class DistanceServer:
         label block stays around :data:`CHUNK_LABELS` entries — a
         round's gather temporaries then stay cache-resident, which on
         large graphs is worth far more than sharing round overhead
-        across runs (measured at n=10^5: per-run cost grows ~1.7x
-        from k=1 to k=32 in one flat block; chunks of 2-4 keep
-        near-singleton per-run cost while the front door still
-        coalesces duplicates).  Also the memory bound: label blocks
+        across runs.  The evidence is a measurement of the frontier
+        hop-limited kernel, which this server ran before it became
+        exact-only, not of the engine: at n=10^5 its per-run cost grew
+        ~1.7x from k=1 to k=32 in one flat block, and chunks of 2-4
+        kept near-singleton per-run cost while the front door still
+        coalesced duplicates.  Also the memory bound: label blocks
         are O(``max_batch_runs * n``).
     """
 
     hopset: HopsetResult
-    h: Optional[int] = None
     backend: Optional[str] = None
     workers: WorkersArg = DEFAULT_WORKERS
     cache_rows: int = 128
@@ -154,25 +141,10 @@ class DistanceServer:
             )
         if self.max_batch_runs <= 0:
             raise ParameterError("max_batch_runs must be positive")
-        name = resolve_backend(self.backend or "numpy")
-        if name == "reference":
-            raise ParameterError(
-                "the reference backend has no hop-limited kernel; "
-                "use 'numpy' or 'numba'"
-            )
-        self.backend = name
-        if self.h is not None and int(self.h) <= 0:
-            raise ParameterError("hop budget h must be positive")
+        self.backend = resolve_backend(self.backend or "numpy")
         self._n = self.hopset.graph.n
-        self._compile()
         self._cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._tracker = self.tracker or null_tracker()
-
-    def _compile(self) -> None:
-        """Hold the union CSR hot for hop-limited serving; exact serving
-        searches ``G`` itself and compiles nothing."""
-        if self.h is not None:
-            self._union = self.hopset.union_csr()
 
     # ------------------------------------------------------------------
     # cache
@@ -200,35 +172,17 @@ class DistanceServer:
         ``sources``; returns the ``(k, n)`` float64 distance block."""
         k = sources.shape[0]
         with self._tracker.phase("serve"):
-            if self.h is None:
-                res = shortest_paths_batch(
-                    self.hopset.graph,
-                    sources,
-                    backend=self.backend,
-                    workers=self.workers,
-                    tracker=self._tracker,
-                )
-                dist = res.dist
-                if dist.dtype != np.float64:  # Dial: int64, INT_INF unreached
-                    dist = np.where(dist == INT_INF, np.inf, dist.astype(np.float64))
-                rounds, arcs = res.relax_rounds, res.arcs_relaxed
-            else:
-                args = (
-                    *self._union,
-                    self._n,
-                    sources,
-                    np.arange(k + 1, dtype=np.int64),
-                    int(self.h),
-                )
-                if self.backend == "numba":
-                    dist, _, round_arcs, _ = hop_sssp_batch_numba(
-                        *args, workers=self.workers
-                    )
-                else:
-                    dist, _, round_arcs, _ = hop_sssp_batch(*args)
-                for work in round_arcs:
-                    self._tracker.parallel_round(work=work)
-                rounds, arcs = len(round_arcs), int(sum(round_arcs))
+            res = shortest_paths_batch(
+                self.hopset.graph,
+                sources,
+                backend=self.backend,
+                workers=self.workers,
+                tracker=self._tracker,
+            )
+            dist = res.dist
+            if dist.dtype != np.float64:  # Dial: int64, INT_INF unreached
+                dist = np.where(dist == INT_INF, np.inf, dist.astype(np.float64))
+            rounds, arcs = res.relax_rounds, res.arcs_relaxed
         self.stats.kernel_calls += 1
         self.stats.kernel_runs += k
         self.stats.rounds += rounds
@@ -277,8 +231,8 @@ class DistanceServer:
     ) -> List[int]:
         """Cached sources whose rows may change under the batch.
 
-        Valid for ``h=None`` rows only (they are exact distances on G):
-        a row ``D`` survives iff no added edge shortens it
+        Rows are exact distances on G, so a row ``D`` survives iff no
+        added edge shortens it
         (``D[u] + w < D[v]`` either way) and no removed edge was tight
         on it (``D[u] + w_old == D[v]`` either way — a tight edge may
         have carried shortest paths, so the distance could grow).
@@ -310,15 +264,11 @@ class DistanceServer:
 
         Repairs only the dirty level-0 blocks
         (:func:`repro.dynamic.hopset.repair_hopset` — requires the
-        hopset to carry a repair structure), recompiles the hot union
-        CSR when ``h`` is an integer (exact serving holds none), and
-        evicts exactly the cached source rows the batch can
-        have changed: with ``h=None`` rows are exact distances, so a
-        row stays warm unless an added edge shortens it or a removed
-        edge was tight on it.  With an explicit ``h`` the cache is
-        cleared wholesale (hop-limited rows have no cheap staleness
-        certificate).  Returns the repair statistics (including the
-        exact ``inverse`` batch).
+        hopset to carry a repair structure) and evicts exactly the
+        cached source rows the batch can have changed: rows are exact
+        distances, so a row stays warm unless an added edge shortens
+        it or a removed edge was tight on it.  Returns the repair
+        statistics (including the exact ``inverse`` batch).
         """
         from repro.dynamic.batch import apply_batch
         from repro.dynamic.hopset import repair_hopset
@@ -353,18 +303,14 @@ class DistanceServer:
             workers=self.workers,
             tracker=self.tracker,
         )
-        if self.h is None:
-            stale = self._stale_sources(
-                (ar.added_u, ar.added_v, ar.added_w),
-                (ar.removed_u, ar.removed_v, ar.removed_w),
-            )
-        else:
-            stale = list(self._cache)
+        stale = self._stale_sources(
+            (ar.added_u, ar.added_v, ar.added_w),
+            (ar.removed_u, ar.removed_v, ar.removed_w),
+        )
         for s in stale:
             del self._cache[s]
         self.stats.cache_invalidations += len(stale)
         self.hopset = repaired
-        self._compile()
         out: Dict[str, object] = dict(ar.stats)
         out.update(info)
         out["invalidated_rows"] = len(stale)
@@ -380,7 +326,7 @@ class DistanceServer:
         return self._rows_for([s])[int(s)]
 
     def query(self, s: int, t: int) -> float:
-        """One s-t distance (``inf`` when unreached within the budget)."""
+        """One s-t distance (``inf`` when ``t`` is unreachable)."""
         if not 0 <= int(t) < self._n:
             raise ParameterError(f"target {t} out of range [0, {self._n})")
         self.stats.queries += 1

@@ -132,6 +132,25 @@ class TestCLI:
             assert exc.value.code == 2
             assert "--strategy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sssp", "-i", "{missing}"],
+            ["serve", "--n", "50", "--m", "120", "--queries", "{missing}"],
+            ["update", "--n", "50", "--m", "120", "--updates", "{missing}"],
+        ],
+        ids=["sssp_input", "serve_queries", "update_updates"],
+    )
+    def test_missing_file_is_a_message(self, tmp_path, capsys, argv):
+        from repro.cli import main
+
+        missing = str(tmp_path / "nope.txt")
+        rc = main([a.format(missing=missing) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and missing in err
+        assert "Traceback" not in err
+
     def test_cluster_command(self, tmp_path, capsys):
         from repro.cli import main
 

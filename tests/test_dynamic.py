@@ -250,21 +250,9 @@ class TestUpdateCLI:
         assert "verified" in out
         assert "4 served rows equal Dijkstra" in out
 
-    def test_update_hop_budget_verify_names_its_check(self, tmp_path, capsys):
-        # h-hop rows may sit above Dijkstra, so --verify can promise only
-        # that they never undercut it — and must say so
-        upd = tmp_path / "updates.txt"
-        upd.write_text("# churn\ni 3 90 2.5\nd 0 1\ni 5 70 1.0\n")
-        rc = cli.main([
-            "update", "--n", "120", "--m", "480", "--seed", "4", "--hops", "3",
-            "--updates", str(upd), "--batch", "2", "--verify",
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "edge validity (Definition 2.4 item 2)" in out
-        assert "4 served rows (h=3) never fall below Dijkstra" in out
-
     def test_update_hop_budget_verify_catches_undercut(self, tmp_path, capsys, monkeypatch):
+        # --verify must catch a wrong exact row, not only a wrong hopset
+        # edge: every served row is shifted below Dijkstra here
         from repro.serve import DistanceServer
 
         served = DistanceServer.distance_row
@@ -275,17 +263,31 @@ class TestUpdateCLI:
         upd = tmp_path / "updates.txt"
         upd.write_text("d 0 1\n")
         rc = cli.main([
-            "update", "--n", "120", "--m", "480", "--seed", "4", "--hops", "3",
+            "update", "--n", "120", "--m", "480", "--seed", "4",
             "--updates", str(upd), "--verify",
         ])
         assert rc == 1
-        assert "falls below Dijkstra" in capsys.readouterr().err
+        assert "diverges from Dijkstra" in capsys.readouterr().err
 
     def test_update_malformed_line(self, tmp_path, capsys):
         upd = tmp_path / "updates.txt"
-        upd.write_text("x 1 2\n")
+        # after a good line: an unknown op, a non-integer vertex token
+        for bad in ("x 1 2", "i 0 x 1.0"):
+            upd.write_text(f"i 0 1 2.0\n{bad}\n")
+            rc = cli.main([
+                "update", "--n", "60", "--m", "150", "--updates", str(upd),
+            ])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: malformed update line {bad!r}"
+            )
+
+    def test_update_out_of_range_vertex_names_it(self, tmp_path, capsys):
+        upd = tmp_path / "updates.txt"
+        upd.write_text("i 0 999 1.0\n")
         rc = cli.main([
-            "update", "--n", "60", "--m", "150", "--updates", str(upd),
+            "update", "--n", "100", "--m", "400", "--updates", str(upd),
         ])
+        err = capsys.readouterr().err
         assert rc == 2
-        assert "malformed" in capsys.readouterr().err
+        assert err == "error: vertex 999 out of range [0, 100)\n"

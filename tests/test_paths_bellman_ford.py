@@ -86,22 +86,29 @@ class TestHopLimited:
         # each round charges the arcs it actually relaxed: arcs whose
         # source is still at inf are masked out of gather and ledger.
         # Path from vertex 0: round 1 sees only 0's arc (1), round 2
-        # the arcs of {0, 1} (1 + 2 = 3).
+        # the arcs of {0, 1} (1 + 2 = 3).  Both rounds improve labels,
+        # so early stop does not cut the budget short.
         g = path_graph(5)
         arcs = arcs_from_graph(g)
         t = PramTracker(n=5, depth_per_round=1)
-        _, _, rounds = hop_limited_distances(arcs, np.array([0]), h=2, tracker=t, early_stop=False)
+        _, _, rounds = hop_limited_distances(arcs, np.array([0]), h=2, tracker=t)
         assert rounds == 2
         assert t.work == 1 + 3
 
     def test_work_full_charge_once_all_reached(self):
         # once every vertex is labeled the mask is skipped and a round
-        # charges the full arc count, the pre-mask dense semantics
-        g = path_graph(4)
+        # charges the full arc count, the pre-mask dense semantics.
+        # Triangle 0-1 (1), 0-2 (10), 1-2 (1) from 0: round 1 relaxes
+        # 0's two arcs and reaches everything; round 2 (full charge)
+        # improves d(2) from 10 to 2; round 3 (full charge) changes
+        # nothing and stops the loop.
+        g = from_edges(3, [(0, 1), (0, 2), (1, 2)], weights=[1.0, 10.0, 1.0])
         arcs = arcs_from_graph(g)
-        t = PramTracker(n=4, depth_per_round=1)
-        hop_limited_distances(arcs, np.arange(4), h=2, tracker=t, early_stop=False)
-        assert t.work == 2 * arcs.size
+        t = PramTracker(n=3, depth_per_round=1)
+        dist, _, rounds = hop_limited_distances(arcs, np.array([0]), h=10, tracker=t)
+        assert dist[2] == 2.0
+        assert rounds == 3
+        assert t.work == 2 + 2 * arcs.size
 
     def test_inf_source_mask_matches_dense_labels(self, small_weighted):
         # the mask is a work optimization only: labels and hops equal

@@ -2,15 +2,15 @@
 
 Three layers are pinned here:
 
-* the frontier-based hop-limited kernel is label-identical to dense
-  synchronous Bellman–Ford (`hop_limited_distances`) for every budget,
-  batched or singleton, warm-started or fresh — and exact against
-  Dijkstra at full convergence;
-* `DistanceServer` semantics: batched answers equal singleton answers,
-  the LRU source-row cache hits/evicts as documented, and the
-  coalescing front door preserves request order; exact serving
-  (``h=None``) searches G and never compiles the union CSR, while
-  hop-limited serving keeps the frontier kernel on it;
+* the frontier-based hop-limited kernel behind `hopset_distance` is
+  label-identical to dense synchronous Bellman–Ford
+  (`hop_limited_distances`) for every budget, batched or singleton,
+  warm-started or fresh — and exact against Dijkstra at full
+  convergence;
+* `DistanceServer` semantics: rows are exact on every engine backend,
+  batched answers equal singleton answers, the LRU source-row cache
+  hits/evicts as documented, the coalescing front door preserves
+  request order, and the union CSR is never compiled;
 * the `serve` CLI contract: build-or-load, query files/stdin, stats.
 """
 
@@ -24,8 +24,8 @@ from repro.errors import ParameterError
 from repro.graph import from_edges, gnm_random_graph, grid_graph, with_random_weights
 from repro.graph.csr import csr_from_arrays
 from repro.hopsets import HopsetParams, build_hopset
-from repro.kernels import hop_sssp_batch, hop_sssp_batch_numba
-from repro.kernels.numba_kernel import HAVE_NUMBA, _hop_sssp_core
+from repro.kernels.numba_kernel import HAVE_NUMBA
+from repro.kernels.numpy_kernel import hop_sssp_batch
 from repro.paths.bellman_ford import (
     arcs_from_graph,
     arcset_to_csr,
@@ -41,6 +41,22 @@ PARAMS = HopsetParams(epsilon=0.5, delta=1.5, gamma1=0.15, gamma2=0.5)
 def _random_weighted(n, m, seed):
     g = gnm_random_graph(n, m, seed=seed, connected=True)
     return with_random_weights(g, 1.0, 9.0, "uniform", seed=seed + 1)
+
+
+def _disconnected_int_graph():
+    """Two components plus isolated vertices, int64 weights (Dial)."""
+    a = gnm_random_graph(40, 100, seed=3, connected=True)
+    b = gnm_random_graph(30, 70, seed=4, connected=True)
+    edges = np.concatenate([
+        np.stack([a.edge_u, a.edge_v], axis=1),
+        np.stack([b.edge_u, b.edge_v], axis=1) + 40,
+    ])
+    w = np.random.default_rng(0).integers(1, 9, edges.shape[0])
+    f = from_edges(75, edges, w)
+    return csr_from_arrays(
+        f.n, f.indptr, f.indices, f.weights.astype(np.int64), f.edge_ids,
+        f.edge_u, f.edge_v, f.edge_w.astype(np.int64),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -141,45 +157,6 @@ class TestFrontierKernel:
         )
         assert np.isinf(d).all() and not ra and fr.shape[0] == 0
 
-    def test_stub_core_matches_numpy(self, served):
-        # the numba core runs as pure Python without the JIT — same labels
-        g, hs = served
-        indptr, indices, w = hs.union_csr()
-        for h in (1, 4, 30):
-            cd, ch, rounds, arcs = _hop_sssp_core(
-                indptr, indices, w, g.n, np.array([7]), h
-            )
-            fd, fh, ra, _ = hop_sssp_batch(
-                indptr, indices, w, g.n, np.array([7]), np.array([0, 1]), h
-            )
-            assert np.allclose(cd, fd, equal_nan=True)
-            assert np.array_equal(ch, fh)
-            assert rounds <= len(ra) + 1
-
-    def test_numba_wrapper_rejects_state(self):
-        with pytest.raises(ValueError, match="warm-start"):
-            hop_sssp_batch_numba(
-                np.zeros(2, np.int64), np.empty(0, np.int64), np.empty(0),
-                1, np.array([0]), np.array([0, 1]), 5,
-                state=(None, None, None, 0),
-            )
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_numba_twin_matches_numpy(self, served):
-        g, hs = served
-        indptr, indices, w = hs.union_csr()
-        runs = np.array([0, 11, 29, 11])
-        ptr = np.arange(5)
-        for workers in (1, 2):
-            nd, nh, nra, nfr = hop_sssp_batch_numba(
-                indptr, indices, w, g.n, runs, ptr, 40, workers=workers
-            )
-            fd, fh, _, _ = hop_sssp_batch(indptr, indices, w, g.n, runs, ptr, 40)
-            assert np.allclose(nd, fd, equal_nan=True)
-            assert np.array_equal(nh, fh)
-            assert nfr.shape[0] == 0
-
-
 # ----------------------------------------------------------------------
 # DistanceServer
 # ----------------------------------------------------------------------
@@ -203,28 +180,10 @@ class TestDistanceServer:
         # cache off: every singleton query paid its own kernel run
         assert single_srv.stats.kernel_runs == len(pairs)
 
-    def test_hop_budget_matches_dense(self, served):
-        g, hs = served
-        srv = DistanceServer(hs, h=5)
-        dd, _, _ = hop_limited_distances(hs.arcs(), np.array([4]), 5)
-        assert np.array_equal(srv.distance_row(4), dd)
-
     def test_exact_rows_integer_weights_disconnected(self):
-        # two components plus isolated vertices, int64 weights: the
-        # engine runs Dial, and rows still come back float64 with inf
-        # (not INT_INF) where a source cannot reach
-        a = gnm_random_graph(40, 100, seed=3, connected=True)
-        b = gnm_random_graph(30, 70, seed=4, connected=True)
-        edges = np.concatenate([
-            np.stack([a.edge_u, a.edge_v], axis=1),
-            np.stack([b.edge_u, b.edge_v], axis=1) + 40,
-        ])
-        w = np.random.default_rng(0).integers(1, 9, edges.shape[0])
-        f = from_edges(75, edges, w)
-        g = csr_from_arrays(
-            f.n, f.indptr, f.indices, f.weights.astype(np.int64), f.edge_ids,
-            f.edge_u, f.edge_v, f.edge_w.astype(np.int64),
-        )
+        # the engine runs Dial, and rows still come back float64 with
+        # inf (not INT_INF) where a source cannot reach
+        g = _disconnected_int_graph()
         srv = DistanceServer(build_hopset(g, PARAMS, seed=1))
         sources = [0, 45, 72]
         D = srv.distances(sources)
@@ -233,6 +192,25 @@ class TestDistanceServer:
             want = dijkstra_scipy(g, s)
             assert np.isinf(want).any()
             assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("kind", ["unit", "float", "disconnected_int"])
+    def test_reference_backend_serves_exact_rows(self, kind):
+        # exact serving runs on every engine backend, the heapq
+        # reference included: same rows as numpy and as scipy
+        g = {
+            "unit": lambda: gnm_random_graph(80, 240, seed=7, connected=True),
+            "float": lambda: _random_weighted(90, 300, seed=8),
+            "disconnected_int": _disconnected_int_graph,
+        }[kind]()
+        hs = build_hopset(g, PARAMS, seed=2)
+        sources = [0, 41, g.n - 1]
+        ref = DistanceServer(hs, backend="reference")
+        assert ref.backend == "reference"
+        D = ref.distances(sources)
+        assert D.dtype == np.float64
+        assert np.array_equal(D, DistanceServer(hs).distances(sources))
+        for row, s in zip(D, sources):
+            assert np.allclose(row, dijkstra_scipy(g, s))
 
     def test_exact_server_never_compiles_union(self, served):
         from repro.dynamic import UpdateBatch
@@ -246,9 +224,6 @@ class TestDistanceServer:
         for h in (hs, srv.hopset):
             assert "_union_csr" not in h.__dict__
             assert "_arcs" not in h.__dict__
-        # a hop-limited server does compile it
-        DistanceServer(srv.hopset, h=4)
-        assert "_union_csr" in srv.hopset.__dict__
 
     def test_front_door_ordering_with_duplicates(self, served):
         g, hs = served
@@ -305,10 +280,6 @@ class TestDistanceServer:
             DistanceServer(hs, cache_rows=-1)
         with pytest.raises(ParameterError):
             DistanceServer(hs, max_batch_runs=0)
-        with pytest.raises(ParameterError):
-            DistanceServer(hs, h=0)
-        with pytest.raises(ParameterError):
-            DistanceServer(hs, backend="reference")
         srv = DistanceServer(hs)
         with pytest.raises(ParameterError):
             srv.query(-1, 0)
@@ -436,11 +407,23 @@ class TestPersistenceAndCLI:
         gpath = str(tmp_path / "g.txt")
         save_edgelist(g, gpath)
         qpath = str(tmp_path / "q.txt")
-        with open(qpath, "w", encoding="utf-8") as f:
-            f.write("7\n")
-        rc = cli.main(["serve", "-i", gpath, "--queries", qpath])
-        assert rc == 2
-        assert "malformed" in capsys.readouterr().err
+        # a short line, a non-integer token, a float vertex id
+        for line in ("7", "3 x", "1.5 3"):
+            with open(qpath, "w", encoding="utf-8") as f:
+                f.write(f"0 15\n{line}\n")
+            rc = cli.main(["serve", "-i", gpath, "--queries", qpath])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                f"error: malformed query line {line!r}\n"
+            )
+
+    def test_cli_hops_flag_is_gone(self, capsys):
+        # serving is exact-only: the hop budget flag is an argparse error
+        for cmd, hops in (("serve", "2"), ("update", "3")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([cmd, "--n", "50", "--m", "120", "--hops", hops])
+            assert exc.value.code == 2
+            assert "--hops" in capsys.readouterr().err
 
     def test_cli_parameter_error_is_a_message(self, tmp_path, capsys):
         from repro.graph.io import save_edgelist
@@ -472,23 +455,6 @@ class TestPersistenceAndCLI:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and "built for another graph" in err
-
-    def test_cli_hop_budget_flag(self, tmp_path, capsys):
-        from repro.graph.io import save_edgelist
-
-        g = grid_graph(6, 6)
-        save_edgelist(g, str(tmp_path / "g.txt"))
-        qpath = str(tmp_path / "q.txt")
-        with open(qpath, "w", encoding="utf-8") as f:
-            f.write("0 35\n")
-        rc = cli.main([
-            "serve", "-i", str(tmp_path / "g.txt"), "--queries", qpath,
-            "--hops", "2", "--cache-rows", "4", "--batch", "2",
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "h=2" in out
-
 
 # ----------------------------------------------------------------------
 # dynamic updates: exact cache invalidation
@@ -584,31 +550,6 @@ class TestApplyUpdates:
         assert np.allclose(
             srv.distance_row(0), dijkstra_scipy(srv.hopset.graph, 0)
         )
-
-    def test_hop_budget_clears_whole_cache(self, dyn_served):
-        from repro.dynamic import UpdateBatch
-
-        _, hs = dyn_served
-        srv = DistanceServer(hs, h=6, cache_rows=16)
-        for s in (0, 9, 44):
-            srv.distance_row(s)
-        u, v, _ = self._redundant_edge(hs.graph)
-        srv.apply_updates(UpdateBatch.from_tuples(deletes=[(u, v)]))
-        # no staleness certificate under a hop budget: full clear
-        assert srv.cached_sources() == []
-        assert srv.stats.cache_invalidations == 3
-
-    def test_hop_budget_serves_repaired_union(self, dyn_served):
-        from repro.dynamic import UpdateBatch
-
-        _, hs = dyn_served
-        srv = DistanceServer(hs, h=6, cache_rows=16)
-        srv.distance_row(0)
-        srv.apply_updates(UpdateBatch.from_tuples(inserts=[(0, 70, 0.5)]))
-        assert srv.hopset is not hs
-        for s in (0, 70, 13):
-            dd, _, _ = hop_limited_distances(srv.hopset.arcs(), np.array([s]), 6)
-            assert np.array_equal(srv.distance_row(s), dd)
 
     def test_requires_structure_and_meta(self, dyn_served):
         from repro.dynamic import UpdateBatch
