@@ -36,7 +36,7 @@ def _run_pipeline(side: int, seed: int):
     hs = build_hopset(g, PARAMS, seed=seed, tracker=build_t)
     h_budget = min(suggested_hop_bound(hs, d_true), int(d_true))
     query_t = PramTracker(n=g.n, depth_per_round=1)
-    dist, hops, rounds = hop_limited_distances(hs.arcs(), np.asarray([s]), h_budget, query_t)
+    dist, hops, rounds = hop_limited_distances(hs.union_csr(), np.asarray([s]), h_budget, query_t)
     return {
         "n": g.n,
         "d_true": d_true,

@@ -10,8 +10,8 @@ on ``G``, next to the paper's h-hop query kernel on the union CSR of
 * **frontier vs dense** — the frontier-based h-hop kernel
   (:func:`repro.kernels.numpy_kernel.hop_sssp_batch`, called directly
   on :meth:`~repro.hopsets.result.HopsetResult.union_csr` with
-  ``h=n``) against the dense per-round relaxation it replaced
-  (:func:`repro.paths.bellman_ford.hop_limited_distances`), both run
+  ``h=n``) against the dense per-round relaxation it replaced (the
+  reference ``dense_hop_distances`` from ``tests/oracles``), both run
   to convergence on the same union arc set.  Bar: >= 3x.  The exact
   server's engine search on ``G`` is timed next to them, ungated.
 * **batched vs singleton** — one coalesced ``query_batch`` of 256
@@ -33,6 +33,7 @@ toy scale asserting schema, equality, but not the speedup bars.
 from __future__ import annotations
 
 import os
+import sys
 import time
 
 import numpy as np
@@ -41,10 +42,18 @@ import _report
 from repro.graph import random_geometric_graph
 from repro.hopsets import HopsetParams, build_hopset, suggested_hop_bound
 from repro.kernels.numpy_kernel import hop_sssp_batch
-from repro.paths.bellman_ford import hop_limited_distances
 from repro.paths.dijkstra import dijkstra_scipy
 from repro.serve import DistanceServer
 from repro.rng import resolve_rng
+
+_TESTS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"
+)
+sys.path.insert(0, _TESTS_DIR)
+try:
+    from oracles import arcs_from_graph, combine_arcs, dense_hop_distances
+finally:
+    sys.path.remove(_TESTS_DIR)
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") == "1"
 if SMOKE:
@@ -127,7 +136,7 @@ def run_serve_bench(
 
     # -- frontier kernel vs the dense relaxation it replaced ----------
     probe = int(rng.integers(0, g.n))
-    arcs = hs.arcs()
+    arcs = combine_arcs(arcs_from_graph(g), hs.eu, hs.ev, hs.ew)
     # compiled once before timing: the union CSR is memoized per
     # hopset, so a query pays only the search
     union = hs.union_csr()
@@ -139,9 +148,9 @@ def run_serve_bench(
     # best of REPEATS: single shots of these seconds-long searches
     # jitter by +-20% on a shared box, more than the bar's margin
     t_dense = _time(
-        lambda: hop_limited_distances(arcs, np.array([probe]), h=g.n), REPEATS
+        lambda: dense_hop_distances(arcs, np.array([probe]), h=g.n), REPEATS
     )
-    dense_dist, _, _ = hop_limited_distances(arcs, np.array([probe]), h=g.n)
+    dense_dist, _, _ = dense_hop_distances(arcs, np.array([probe]), h=g.n)
     # h=n runs the hop kernel to convergence on the union
     t_frontier = _time(lambda: hop_row(probe, g.n), REPEATS)
     frontier_dist = hop_row(probe, g.n)

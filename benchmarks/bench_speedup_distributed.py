@@ -100,7 +100,7 @@ def test_delta_stepping_vs_hopset_rounds(benchmark, bench_grid):
         hs = build_hopset(g, PARAMS, seed=114)
         budget = min(suggested_hop_bound(hs, d_true), g.n)
         t_hs = PramTracker(n=g.n, depth_per_round=1)
-        dist_hs, hops, _ = hop_limited_distances(hs.arcs(), np.asarray([s]), budget, t_hs)
+        dist_hs, hops, _ = hop_limited_distances(hs.union_csr(), np.asarray([s]), budget, t_hs)
         return d_true, float(dist_ds[t]), t_ds.rounds, float(dist_hs[t]), int(hops[t])
 
     d_true, d_ds, ds_rounds, d_hs, hs_hops = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -17,7 +17,7 @@ import numpy as np
 
 import repro
 from repro.exp import Table
-from repro.paths import arcs_from_graph, hop_limited_distances
+from repro.paths import hop_limited_distances
 from repro.pram import PramTracker
 
 
@@ -35,7 +35,8 @@ def main() -> None:
 
     # -- 1. plain BFS: no preprocessing, depth = distance -----------------
     qt = PramTracker(n=g.n, depth_per_round=1)
-    dist, _, rounds = hop_limited_distances(arcs_from_graph(g), np.asarray([s]), int(d_true) + 1, qt)
+    csr = (g.indptr, g.indices, g.weights)
+    dist, _, rounds = hop_limited_distances(csr, np.asarray([s]), int(d_true) + 1, qt)
     table.add(method="plain BFS", prep_work=0, hopset_edges=0,
               query_rounds=rounds, estimate=float(dist[t]), ratio=dist[t] / d_true)
 
@@ -44,7 +45,7 @@ def main() -> None:
     ks = repro.ks97_hopset(g, seed=1, tracker=pt)
     qt = PramTracker(n=g.n, depth_per_round=1)
     budget = int(4 * np.sqrt(g.n)) + 10
-    dist, _, rounds = hop_limited_distances(ks.arcs(), np.asarray([s]), budget, qt)
+    dist, _, rounds = hop_limited_distances(ks.union_csr(), np.asarray([s]), budget, qt)
     table.add(method="KS97 hubs", prep_work=pt.work, hopset_edges=ks.size,
               query_rounds=rounds, estimate=float(dist[t]), ratio=dist[t] / d_true)
 

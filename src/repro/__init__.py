@@ -94,7 +94,6 @@ from repro.hopsets import (
     exact_distance,
     ks97_hopset,
     cohen_style_hopset,
-    expand_to_graph_path,
     suggested_hop_bound,
 )
 
@@ -146,6 +145,5 @@ __all__ = [
     "ks97_hopset",
     "cohen_style_hopset",
     "spanner_sparsify",
-    "expand_to_graph_path",
     "suggested_hop_bound",
 ]

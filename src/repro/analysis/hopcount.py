@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from repro.hopsets.result import HopsetResult
-from repro.paths.bellman_ford import arcs_from_graph, hop_limited_distances
+from repro.paths.bellman_ford import hop_limited_distances
 from repro.paths.dijkstra import dijkstra_scipy
 from repro.rng import SeedLike, resolve_rng
 
@@ -49,8 +49,8 @@ def hop_reduction_summary(
     """
     g = hopset.graph
     rng = resolve_rng(seed)
-    arcs_plain = arcs_from_graph(g)
-    arcs_aug = hopset.arcs()
+    csr_plain = (g.indptr, g.indices, g.weights)
+    csr_aug = hopset.union_csr()
 
     sources = []
     targets = []
@@ -75,8 +75,8 @@ def hop_reduction_summary(
     for s, t in zip(sources, targets):
         d_true = float(exact[s][t])
         budget = hop_budget if hop_budget is not None else g.n
-        dp, hp, _ = hop_limited_distances(arcs_plain, np.asarray([s]), budget)
-        da, ha, _ = hop_limited_distances(arcs_aug, np.asarray([s]), budget)
+        _, hp, _ = hop_limited_distances(csr_plain, np.asarray([s]), budget)
+        da, ha, _ = hop_limited_distances(csr_aug, np.asarray([s]), budget)
         plain_h.append(int(hp[t]))
         aug_h.append(int(ha[t]))
         distortion.append(float(da[t]) / d_true if d_true > 0 else 1.0)

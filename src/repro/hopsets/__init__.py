@@ -15,7 +15,8 @@ holds for any pair with probability >= 1/2.
 * :mod:`~repro.hopsets.limited` — Appendix C limited hopsets for
   arbitrary ``n^alpha`` depth.
 * :mod:`~repro.hopsets.query` — (1+eps) distance queries by h-hop
-  Bellman–Ford over ``E ∪ E'`` [KS97].
+  Bellman–Ford over ``E ∪ E'`` [KS97], through the one front door
+  :func:`repro.paths.hop_limited_distances` on the hopset's union CSR.
 * :mod:`~repro.hopsets.baselines` — KS97 sampled-hub hopsets and a
   Cohen-style pairwise-cover hopset for the Figure 2 comparison.
 """
@@ -33,7 +34,6 @@ from repro.hopsets.query import (
 from repro.hopsets.scales import WeightScaleDecomposition, build_weight_scales
 from repro.hopsets.limited import build_limited_hopset
 from repro.hopsets.baselines import ks97_hopset, cohen_style_hopset
-from repro.hopsets.paths import expand_to_graph_path, verify_graph_path
 
 __all__ = [
     "HopsetParams",
@@ -54,6 +54,4 @@ __all__ = [
     "build_limited_hopset",
     "ks97_hopset",
     "cohen_style_hopset",
-    "expand_to_graph_path",
-    "verify_graph_path",
 ]

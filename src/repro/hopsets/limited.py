@@ -26,9 +26,11 @@ from repro.graph.builders import from_edges
 from repro.graph.csr import CSRGraph
 from repro.graph.dedup import first_of_runs
 from repro.hopsets.params import HopsetParams
+from repro.hopsets.result import union_csr_of
 from repro.hopsets.rounding import round_weights
 from repro.hopsets.unweighted import build_hopset
-from repro.paths.bellman_ford import ArcSet, arcs_from_graph, combine_arcs, hop_limited_distances
+from repro.paths.bellman_ford import CSRArrays, hop_limited_distances
+from repro.paths.engine import check_vertex_ids
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn
 from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
@@ -56,16 +58,17 @@ class LimitedHopset:
         """``n^alpha`` (plus slack), the query depth Theorem C.2 promises."""
         return max(8, int(math.ceil(float(self.graph.n) ** self.alpha)) * 4)
 
-    def arcs(self) -> ArcSet:
-        return combine_arcs(arcs_from_graph(self.graph), self.eu, self.ev, self.ew)
+    def union_csr(self) -> CSRArrays:
+        """Cached CSR arrays of ``E ∪ E'`` (:func:`union_csr_of`)."""
+        return union_csr_of(self)
 
     def query(
         self, s: int, t: int, tracker: Optional[PramTracker] = None
     ) -> Tuple[float, int]:
         """Approximate s-t distance with an ``n^alpha``-hop search."""
-        tracker = tracker or null_tracker()
+        check_vertex_ids(np.asarray([t], dtype=np.int64), self.graph.n, "target")
         dist, hops, _ = hop_limited_distances(
-            self.arcs(), np.asarray([s]), self.hop_budget, tracker
+            self.union_csr(), np.asarray([s]), self.hop_budget, tracker
         )
         return float(dist[t]), int(hops[t])
 

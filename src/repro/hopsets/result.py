@@ -3,12 +3,37 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.paths.bellman_ford import ArcSet, arcs_from_graph, combine_arcs
+from repro.paths.bellman_ford import CSRArrays
+
+
+def union_csr_of(hopset: Any) -> CSRArrays:
+    """CSR arrays ``(indptr, indices, weights)`` of ``G ∪ E'``, memoized.
+
+    ``hopset`` is a frozen hopset (:class:`HopsetResult` or
+    :class:`~repro.hopsets.limited.LimitedHopset`): both directions of
+    every edge of ``hopset.graph`` and of every extra edge
+    ``(eu[i], ev[i], ew[i])``, grouped by source with a stable counting
+    sort.  Parallel and duplicate arcs are kept; the h-hop search takes
+    the minimum over them.  Compiled once and stored on the hopset.
+    """
+    cached = hopset.__dict__.get("_union_csr")
+    if cached is not None:
+        return cached
+    g, eu, ev, ew = hopset.graph, hopset.eu, hopset.ev, hopset.ew
+    src = np.concatenate([g.edge_u, g.edge_v, eu, ev]).astype(np.int64, copy=False)
+    dst = np.concatenate([g.edge_v, g.edge_u, ev, eu]).astype(np.int64, copy=False)
+    w = np.concatenate([g.edge_w, g.edge_w, ew, ew]).astype(np.float64, copy=False)
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=g.n), out=indptr[1:])
+    cached = (indptr, dst[order], w[order])
+    object.__setattr__(hopset, "_union_csr", cached)
+    return cached
 
 
 @dataclass(frozen=True)
@@ -77,39 +102,14 @@ class HopsetResult:
     def clique_count(self) -> int:
         return int((self.kind == 1).sum())
 
-    def arcs(self) -> ArcSet:
-        """Directed arcs of ``E ∪ E'`` ready for h-hop Bellman–Ford.
-
-        Memoized on the instance: query paths call this once per
-        distance query, and re-concatenating six immutable arrays every
-        time was pure waste.  The frozen-dataclass memo idiom matches
-        :meth:`repro.graph.csr.CSRGraph._weight_stats`.
-        """
-        cached = self.__dict__.get("_arcs")
-        if cached is None:
-            cached = combine_arcs(
-                arcs_from_graph(self.graph), self.eu, self.ev, self.ew
-            )
-            object.__setattr__(self, "_arcs", cached)
-        return cached
-
-    def union_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached CSR compilation ``(indptr, indices, weights)`` of
-        :meth:`arcs` — the adjacency the frontier-based h-hop query
-        kernel (:func:`repro.kernels.numpy_kernel.hop_sssp_batch`)
-        gathers from in :func:`repro.hopsets.query.hopset_distance`.
-        Built once per hopset and shared by every query and every
-        hop-doubling step.  Exact serving
+    def union_csr(self) -> CSRArrays:
+        """Cached CSR arrays of ``E ∪ E'`` (:func:`union_csr_of`), the
+        adjacency every h-hop query on this hopset searches
+        (:func:`repro.hopsets.query.hopset_distance`).  Exact serving
         (:class:`repro.serve.DistanceServer`) searches ``G`` and never
         compiles it.
         """
-        cached = self.__dict__.get("_union_csr")
-        if cached is None:
-            from repro.paths.bellman_ford import arcset_to_csr
-
-            cached = arcset_to_csr(self.arcs())
-            object.__setattr__(self, "_union_csr", cached)
-        return cached
+        return union_csr_of(self)
 
     def verify_edge_weights(self, tol: float = 1e-9) -> None:
         """Check Definition 2.4 item 2: no hopset edge is lighter than

@@ -33,6 +33,7 @@ from repro.hopsets.rounding import RoundedGraph, round_weights
 from repro.hopsets.unweighted import build_hopset
 from repro.hopsets.query import suggested_hop_bound
 from repro.paths.bellman_ford import hop_limited_distances
+from repro.paths.engine import check_vertex_ids
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn
 from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
@@ -76,15 +77,18 @@ class WeightedHopset:
         Scales run independently (in parallel on a PRAM — tracker depths
         are max-merged); the minimum converted estimate wins.
         """
+        # s too: with no scales (an edgeless graph) no search checks it
+        check_vertex_ids(np.asarray([s, t], dtype=np.int64), self.graph.n, "vertex")
         tracker = tracker or null_tracker()
         best = math.inf
         best_hops = 0
         children = []
         for sc in self.scales:
             child = tracker.fork()
-            arcs = sc.hopset.arcs()
             budget = h if h is not None else _scale_hop_budget(sc)
-            dist, hops, _ = hop_limited_distances(arcs, np.asarray([s]), budget, child)
+            dist, hops, _ = hop_limited_distances(
+                sc.hopset.union_csr(), np.asarray([s]), budget, child
+            )
             est = sc.rounded.to_original_units(float(dist[t]))
             if est < best:
                 best = est
@@ -120,11 +124,11 @@ class WeightedHopset:
         factor ``c = n^eta`` below the truth; the returned value is
         still an upper bound on the true distance.
         """
-        tracker = tracker or null_tracker()
+        check_vertex_ids(np.asarray([t], dtype=np.int64), self.graph.n, "target")
         sc = self.scale_for(d_estimate)
         budget = h if h is not None else _scale_hop_budget(sc)
         dist, hops, _ = hop_limited_distances(
-            sc.hopset.arcs(), np.asarray([s]), budget, tracker
+            sc.hopset.union_csr(), np.asarray([s]), budget, tracker
         )
         return sc.rounded.to_original_units(float(dist[t])), int(hops[t])
 

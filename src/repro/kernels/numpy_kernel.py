@@ -199,7 +199,6 @@ def hop_sssp_batch(
     run_src: np.ndarray,
     run_ptr: np.ndarray,
     h: int,
-    state: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, int]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, List[int], np.ndarray]:
     """Source-tagged batch of ``k`` frontier-based h-hop Bellman–Ford runs.
 
@@ -212,17 +211,10 @@ def hop_sssp_batch(
     every round), round ``t`` gathers only from states improved in
     round ``t - 1`` — by synchronous semantics an unimproved state's
     out-arcs were already fully applied, so skipping them changes
-    nothing.  Per run the result equals
-    :func:`repro.paths.bellman_ford.hop_limited_distances` on the same
-    arcs: ``dist`` is the minimum weight over paths of at most ``h``
-    arcs and ``hops`` the round each value stabilized.
-
-    ``state`` warm-starts the loop: pass the ``(dist, hops, frontier,
-    rounds_done)`` of a previous call with a smaller budget and rounds
-    ``rounds_done + 1 .. h`` run as if the call had been issued with
-    budget ``h`` from the start (the budget-``h`` prefix of a
-    synchronous schedule is history-independent).  The arrays are
-    updated in place and returned.
+    nothing.  Per run the result equals the dense reference
+    ``dense_hop_distances`` (``tests/oracles/bellman_ford.py``) on the
+    same arcs: ``dist`` is the minimum weight over paths of at most
+    ``h`` arcs and ``hops`` the round each value stabilized.
 
     Returns ``(dist, hops, round_arcs, frontier)``: flat ``k * n``
     label arrays, the arcs gathered by each executed round (the PRAM
@@ -239,19 +231,16 @@ def hop_sssp_batch(
     # claim scratch, one word per state (see _min_mask / _once_mask)
     claim_buf = np.empty(nn, dtype=np.int64)
 
-    if state is None:
-        dist = np.full(nn, np.inf, dtype=np.float64)
-        hops = np.zeros(nn, dtype=np.int64)
-        if single:
-            comp = run_src
-        else:
-            run_of = np.repeat(np.arange(k, dtype=np.int64), np.diff(run_ptr))
-            comp = run_of * n + run_src
-        frontier = comp[_once_mask(comp, claim_buf)]
-        dist[frontier] = 0.0
-        r = 0
+    dist = np.full(nn, np.inf, dtype=np.float64)
+    hops = np.zeros(nn, dtype=np.int64)
+    if single:
+        comp = run_src
     else:
-        dist, hops, frontier, r = state
+        run_of = np.repeat(np.arange(k, dtype=np.int64), np.diff(run_ptr))
+        comp = run_of * n + run_src
+    frontier = comp[_once_mask(comp, claim_buf)]
+    dist[frontier] = 0.0
+    r = 0
 
     round_arcs: List[int] = []
     while r < h and frontier.shape[0]:

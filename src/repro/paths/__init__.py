@@ -1,4 +1,4 @@
-"""Shortest-path kernels: BFS, weighted BFS, limited Bellman–Ford, Dijkstra.
+"""Shortest-path kernels: BFS, weighted BFS, hop-limited search, Dijkstra.
 
 These are the substrates the paper's constructions consume:
 
@@ -10,8 +10,10 @@ These are the substrates the paper's constructions consume:
 * **weighted parallel BFS** (bucketed / Dial) — the "weighted parallel
   BFS" of Section 5, whose depth is the number of *distance levels*
   (now a thin integer-mode layer over the engine);
-* **h-hop-limited Bellman–Ford** — evaluates ``dist^h_{E ∪ E'}``, i.e.
-  the hopset query of Klein–Subramanian [KS97];
+* **h-hop-limited search** — :func:`hop_limited_distances`, the one
+  front door for ``dist^h_{E ∪ E'}`` (the hopset query of
+  Klein–Subramanian [KS97]): synchronous Bellman–Ford on the frontier
+  kernel, over any CSR triple (a hopset's union CSR or ``G``'s own);
 * **Dijkstra** — engine front-end; the pure-Python heap loop survives
   as :func:`~repro.paths.dijkstra.dijkstra_reference` (the sequential
   baseline and oracle).
@@ -27,12 +29,7 @@ from repro.paths.engine import (
     sssp,
 )
 from repro.paths.weighted_bfs import dial_sssp, weighted_bfs_with_start_times
-from repro.paths.bellman_ford import (
-    ArcSet,
-    arcs_from_graph,
-    combine_arcs,
-    hop_limited_distances,
-)
+from repro.paths.bellman_ford import hop_limited_distances
 from repro.paths.dijkstra import (
     dijkstra,
     dijkstra_reference,
@@ -53,9 +50,6 @@ __all__ = [
     "set_default_backend",
     "dial_sssp",
     "weighted_bfs_with_start_times",
-    "ArcSet",
-    "arcs_from_graph",
-    "combine_arcs",
     "hop_limited_distances",
     "dijkstra",
     "dijkstra_reference",

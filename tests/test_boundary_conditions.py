@@ -4,40 +4,31 @@ import numpy as np
 import pytest
 
 from repro.graph import from_edges, path_graph
-from repro.paths.bellman_ford import (
-    arcs_from_graph,
-    hop_limited_distances,
-    hop_limited_with_parents,
-)
+from repro.paths import hop_limited_distances
 from repro.paths.weighted_bfs import dial_sssp
+
+
+def _csr(g):
+    return g.indptr, g.indices, g.weights
 
 
 class TestZeroBudgets:
     def test_zero_hop_budget(self):
         g = path_graph(5)
-        arcs = arcs_from_graph(g)
-        dist, hops, rounds = hop_limited_distances(arcs, np.array([0]), h=0)
+        dist, hops, rounds = hop_limited_distances(_csr(g), np.array([0]), h=0)
         assert dist[0] == 0.0
         assert np.isinf(dist[1:]).all()
         assert rounds == 0
 
-    def test_zero_budget_with_parents(self):
-        g = path_graph(5)
-        arcs = arcs_from_graph(g)
-        dist, hops, parent = hop_limited_with_parents(arcs, np.array([0]), h=0)
-        assert (parent == -1).all()
-
     def test_multiple_identical_sources(self):
         g = path_graph(5)
-        arcs = arcs_from_graph(g)
-        dist, _, _ = hop_limited_distances(arcs, np.array([0, 0, 0]), h=10)
+        dist, _, _ = hop_limited_distances(_csr(g), np.array([0, 0, 0]), h=10)
         assert dist[4] == 4.0
 
 
 class TestEmptyStructures:
     def test_bellman_ford_on_edgeless_graph(self, empty_graph):
-        arcs = arcs_from_graph(empty_graph)
-        dist, hops, _ = hop_limited_distances(arcs, np.array([2]), h=5)
+        dist, hops, _ = hop_limited_distances(_csr(empty_graph), np.array([2]), h=5)
         assert dist[2] == 0.0
         assert np.isinf(np.delete(dist, 2)).all()
 

@@ -7,7 +7,7 @@ from repro.errors import ParameterError
 from repro.graph import grid_graph
 from repro.hopsets import build_limited_hopset, cohen_style_hopset, ks97_hopset
 from repro.hopsets.query import exact_distance
-from repro.paths import arcs_from_graph, hop_limited_distances
+from repro.paths import hop_limited_distances
 from repro.pram import PramTracker
 
 
@@ -76,10 +76,10 @@ class TestKS97:
         s, t = 0, g.n - 1
         d = exact_distance(g, s, t)  # 30 hops
         budget = int(4 * np.sqrt(g.n)) + 10
-        dist, hops, _ = hop_limited_distances(hs.arcs(), np.array([s]), budget)
+        dist, hops, _ = hop_limited_distances(hs.union_csr(), np.array([s]), budget)
         assert dist[t] == pytest.approx(d)  # exact hopset: zero distortion... via hubs
         # with hubs the path needs far fewer hops than d
-        plain, _, _ = hop_limited_distances(arcs_from_graph(g), np.array([s]), budget)
+        plain, _, _ = hop_limited_distances((g.indptr, g.indices, g.weights), np.array([s]), budget)
         assert dist[t] <= plain[t]
 
     def test_weighted_graph(self, small_weighted):
@@ -108,6 +108,6 @@ class TestCohenStyle:
         s, t = 0, g.n - 1
         d = exact_distance(g, s, t)
         budget = max(20, int(d))
-        dist, hops, _ = hop_limited_distances(hs.arcs(), np.array([s]), budget)
+        dist, hops, _ = hop_limited_distances(hs.union_csr(), np.array([s]), budget)
         assert dist[t] >= d - 1e-9
         assert np.isfinite(dist[t])

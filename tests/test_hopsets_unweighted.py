@@ -6,7 +6,7 @@ import pytest
 from repro.graph import grid_graph, path_graph
 from repro.hopsets import HopsetParams, build_hopset
 from repro.hopsets.query import exact_distance, hopset_distance
-from repro.paths import arcs_from_graph, hop_limited_distances
+from repro.paths import hop_limited_distances
 from repro.pram import PramTracker
 
 PARAMS = HopsetParams(epsilon=0.5, delta=1.5, gamma1=0.15, gamma2=0.5)
@@ -115,6 +115,6 @@ class TestHopReduction:
     def test_augmented_never_worse_than_plain(self, grid_hopset):
         g, hs = grid_hopset
         h = 12
-        plain, _, _ = hop_limited_distances(arcs_from_graph(g), np.array([0]), h)
-        aug, _, _ = hop_limited_distances(hs.arcs(), np.array([0]), h)
+        plain, _, _ = hop_limited_distances((g.indptr, g.indices, g.weights), np.array([0]), h)
+        aug, _, _ = hop_limited_distances(hs.union_csr(), np.array([0]), h)
         assert (aug <= plain + 1e-9).all()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exp import Experiment, Table
-from repro.graph import from_edges, gnm_random_graph, path_graph
+from repro.graph import from_edges, gnm_random_graph
 from repro.pram import PramTracker
 from repro.spanners.result import SpannerResult
 
@@ -75,25 +75,6 @@ class TestSpannerResultDetails:
         h = sp.subgraph()
         assert h.n == small_gnm.n and h.m == 0
         assert sp.density == 0.0
-
-
-class TestBellmanFordTruncation:
-    def test_budget_truncated_parents_still_walkable(self):
-        from repro.paths.bellman_ford import (
-            arcs_from_graph,
-            extract_arc_path,
-            hop_limited_with_parents,
-        )
-
-        g = path_graph(12)
-        arcs = arcs_from_graph(g)
-        dist, hops, parent_arc = hop_limited_with_parents(arcs, np.array([0]), h=5)
-        # vertices within 5 hops have consistent chains
-        for t in range(1, 6):
-            path = extract_arc_path(arcs, parent_arc, t)
-            assert len(path) == t
-        # vertex 7 unreached
-        assert np.isinf(dist[7])
 
 
 class TestDistributedEngineDetails:

@@ -6,12 +6,19 @@ import pytest
 from repro import cli
 from repro.errors import ParameterError
 from repro.graph import from_edges, gnm_random_graph, grid_graph, with_random_weights
-from repro.hopsets import build_hopset, exact_distance, hopset_distance
+from repro.hopsets import (
+    build_hopset,
+    build_limited_hopset,
+    build_weighted_hopset,
+    exact_distance,
+    hopset_distance,
+)
 from repro.kernels import available_backends, resolve_backend
 from repro.paths import (
     dijkstra,
     dijkstra_reference,
     dijkstra_scipy,
+    hop_limited_distances,
     set_default_backend,
     shortest_paths,
     shortest_paths_batch,
@@ -290,16 +297,34 @@ class TestDistributedSSSP:
         assert net.rounds >= 1 and net.total_messages > 0
 
 
-# every entry point that takes a vertex id, called with that id out of range
+# every entry point that takes a vertex id, called with that id out of
+# range; ``hs`` maps hopset kind ("unweighted", "weighted", "limited")
+# to a hopset built on ``g``
 _ID_ENTRY_POINTS = {
     "shortest_paths": lambda g, hs, v: shortest_paths(g, v),
     "shortest_paths_reference": lambda g, hs, v: shortest_paths(
         g, v, backend="reference"
     ),
     "shortest_paths_batch": lambda g, hs, v: shortest_paths_batch(g, [v]),
-    "hopset_distance_source": lambda g, hs, v: hopset_distance(hs, v, 5),
-    "hopset_distance_target": lambda g, hs, v: hopset_distance(hs, 0, v),
+    "hopset_distance_source": lambda g, hs, v: hopset_distance(hs["unweighted"], v, 5),
+    "hopset_distance_target": lambda g, hs, v: hopset_distance(hs["unweighted"], 0, v),
     "exact_distance": lambda g, hs, v: exact_distance(g, 0, v),
+    "hop_limited_distances": lambda g, hs, v: hop_limited_distances(
+        hs["unweighted"].union_csr(), [v], 4
+    ),
+    "weighted_query_source": lambda g, hs, v: hs["weighted"].query(v, 5),
+    "weighted_query_target": lambda g, hs, v: hs["weighted"].query(0, v),
+    "weighted_query_with_estimate_source": lambda g, hs, v: hs[
+        "weighted"
+    ].query_with_estimate(v, 5, 10.0),
+    "weighted_query_with_estimate_target": lambda g, hs, v: hs[
+        "weighted"
+    ].query_with_estimate(0, v, 10.0),
+    "weighted_query_source_no_scales": lambda g, hs, v: build_weighted_hopset(
+        from_edges(g.n, np.empty((0, 2), dtype=np.int64)), seed=1
+    ).query(v, 5),
+    "limited_query_source": lambda g, hs, v: hs["limited"].query(v, 5),
+    "limited_query_target": lambda g, hs, v: hs["limited"].query(0, v),
 }
 
 
@@ -307,7 +332,11 @@ class TestVertexIdRange:
     @pytest.fixture(scope="class")
     def built(self):
         g = _random_weighted(100, 400, seed=53)
-        return g, build_hopset(g, seed=1)
+        return g, {
+            "unweighted": build_hopset(g, seed=1),
+            "weighted": build_weighted_hopset(g, seed=1),
+            "limited": build_limited_hopset(g, seed=1),
+        }
 
     @pytest.mark.parametrize("entry", sorted(_ID_ENTRY_POINTS))
     @pytest.mark.parametrize("where", ["minus_one", "n"])

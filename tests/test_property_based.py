@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.graph import UnionFind, from_edges, quotient_graph
 from repro.graph.validation import validate_graph
-from repro.paths import arcs_from_graph, hop_limited_distances
+from repro.paths import hop_limited_distances
 from repro.paths.dijkstra import dijkstra, dijkstra_scipy
 from repro.clustering import est_cluster
 
@@ -128,9 +128,9 @@ class TestPathProperties:
     def test_hop_limited_monotone_and_consistent(self, spec, h):
         n, edges, weights = spec
         g = from_edges(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), weights)
-        arcs = arcs_from_graph(g)
-        d_h, _, _ = hop_limited_distances(arcs, np.array([0]), h)
-        d_h1, _, _ = hop_limited_distances(arcs, np.array([0]), h + 1)
+        csr = (g.indptr, g.indices, g.weights)
+        d_h, _, _ = hop_limited_distances(csr, np.array([0]), h)
+        d_h1, _, _ = hop_limited_distances(csr, np.array([0]), h + 1)
         d_full = dijkstra_scipy(g, 0)
         assert (d_h1 <= d_h + 1e-12).all()
         assert (d_h >= d_full - 1e-9).all()  # limited never beats optimal

@@ -2,11 +2,11 @@
 
 Three layers are pinned here:
 
-* the frontier-based hop-limited kernel behind `hopset_distance` is
-  label-identical to dense synchronous Bellman–Ford
-  (`hop_limited_distances`) for every budget, batched or singleton,
-  warm-started or fresh — and exact against Dijkstra at full
-  convergence;
+* the frontier-based hop-limited kernel behind every h-hop query is
+  label-identical to dense synchronous Bellman–Ford (the
+  `dense_hop_distances` oracle) for every budget, batched or
+  singleton, on plain graphs and on hopset unions — and exact against
+  Dijkstra at full convergence;
 * `DistanceServer` semantics: rows are exact on every engine backend,
   batched answers equal singleton answers, the LRU source-row cache
   hits/evicts as documented, the coalescing front door preserves
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import arcs_from_graph, combine_arcs, dense_hop_distances
 from repro import cli
 from repro.errors import ParameterError
 from repro.graph import from_edges, gnm_random_graph, grid_graph, with_random_weights
@@ -26,11 +27,7 @@ from repro.graph.csr import csr_from_arrays
 from repro.hopsets import HopsetParams, build_hopset
 from repro.kernels.numba_kernel import HAVE_NUMBA
 from repro.kernels.numpy_kernel import hop_sssp_batch
-from repro.paths.bellman_ford import (
-    arcs_from_graph,
-    arcset_to_csr,
-    hop_limited_distances,
-)
+from repro.paths import hop_limited_distances
 from repro.paths.dijkstra import dijkstra_scipy
 from repro.pram import PramTracker
 from repro.serve import DistanceServer, ServerStats, load_hopset, save_hopset
@@ -41,6 +38,10 @@ PARAMS = HopsetParams(epsilon=0.5, delta=1.5, gamma1=0.15, gamma2=0.5)
 def _random_weighted(n, m, seed):
     g = gnm_random_graph(n, m, seed=seed, connected=True)
     return with_random_weights(g, 1.0, 9.0, "uniform", seed=seed + 1)
+
+
+def _csr(g):
+    return g.indptr, g.indices, g.weights
 
 
 def _disconnected_int_graph():
@@ -75,18 +76,27 @@ class TestFrontierKernel:
         seed=st.integers(0, 1000),
         h=st.integers(1, 40),
         src=st.integers(0, 59),
+        union=st.booleans(),
     )
-    def test_matches_dense_bellman_ford(self, seed, h, src):
+    def test_matches_dense_bellman_ford(self, seed, h, src, union):
+        # the front door against the dense oracle on the same arcs: G
+        # alone, or G plus a hopset drawn on it (the union compile keeps
+        # parallel and duplicate arcs)
         g = _random_weighted(60, 150, seed)
         arcs = arcs_from_graph(g)
-        indptr, indices, w = arcset_to_csr(arcs)
-        dd, dh, _ = hop_limited_distances(arcs, np.array([src]), h)
-        fd, fh, round_arcs, frontier = hop_sssp_batch(
-            indptr, indices, w, g.n, np.array([src]), np.array([0, 1]), h
-        )
+        csr = _csr(g)
+        if union:
+            hs = build_hopset(g, PARAMS, seed=seed)
+            arcs = combine_arcs(arcs, hs.eu, hs.ev, hs.ew)
+            csr = hs.union_csr()
+        dt, ft = PramTracker(n=g.n), PramTracker(n=g.n)
+        dd, dh, drounds = dense_hop_distances(arcs, np.array([src]), h, dt)
+        fd, fh, frounds = hop_limited_distances(csr, np.array([src]), h, ft)
         assert np.allclose(dd, fd, equal_nan=True)
         assert np.array_equal(dh, fh)
-        if frontier.shape[0] == 0:
+        assert drounds == frounds == ft.rounds == dt.rounds
+        assert ft.work <= dt.work
+        if frounds < h:
             # converged: full-budget answer is the exact distance
             assert np.allclose(fd, dijkstra_scipy(g, src))
 
@@ -94,7 +104,7 @@ class TestFrontierKernel:
     @given(seed=st.integers(0, 1000), h=st.integers(1, 50))
     def test_batch_equals_singletons(self, seed, h):
         g = _random_weighted(50, 120, seed)
-        indptr, indices, w = arcset_to_csr(arcs_from_graph(g))
+        indptr, indices, w = _csr(g)
         runs = np.array([0, 7, 13, 7])  # duplicate sources allowed
         bd, bh, _, _ = hop_sssp_batch(
             indptr, indices, w, g.n, runs, np.arange(5), h
@@ -107,33 +117,11 @@ class TestFrontierKernel:
             assert np.array_equal(bd[i], sd)
             assert np.array_equal(bh[i], sh)
 
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 1000), cut=st.integers(1, 30))
-    def test_warm_start_equals_fresh(self, seed, cut):
-        g = _random_weighted(60, 150, seed)
-        indptr, indices, w = arcset_to_csr(arcs_from_graph(g))
-        src, ptr = np.array([3]), np.array([0, 1])
-        full_h = 60
-        gd, gh, gra, _ = hop_sssp_batch(indptr, indices, w, g.n, src, ptr, full_h)
-        d1, h1, ra1, fr1 = hop_sssp_batch(indptr, indices, w, g.n, src, ptr, cut)
-        d2, h2, ra2, _ = hop_sssp_batch(
-            indptr, indices, w, g.n, src, ptr, full_h,
-            state=(d1, h1, fr1, cut),
-        )
-        assert np.allclose(d2, gd, equal_nan=True)
-        assert np.array_equal(h2, gh)
-        # every hop executed exactly once across the two calls
-        assert len(ra1) + len(ra2) == len(gra)
-
     def test_multi_source_run(self):
         g = _random_weighted(40, 100, seed=3)
-        arcs = arcs_from_graph(g)
-        indptr, indices, w = arcset_to_csr(arcs)
         srcs = np.array([0, 5, 9])
-        dd, dh, _ = hop_limited_distances(arcs, srcs, 10)
-        fd, fh, _, _ = hop_sssp_batch(
-            indptr, indices, w, g.n, srcs, np.array([0, 3]), 10
-        )
+        dd, dh, _ = dense_hop_distances(arcs_from_graph(g), srcs, 10)
+        fd, fh, _ = hop_limited_distances(_csr(g), srcs, 10)
         assert np.allclose(dd, fd, equal_nan=True)
         assert np.array_equal(dh, fh)
 
@@ -141,7 +129,7 @@ class TestFrontierKernel:
         # a path relaxes one new vertex per round; charged arcs are the
         # frontier's out-degrees, not the whole arc set
         g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        indptr, indices, w = arcset_to_csr(arcs_from_graph(g))
+        indptr, indices, w = _csr(g)
         _, _, round_arcs, frontier = hop_sssp_batch(
             indptr, indices, w, 4, np.array([0]), np.array([0, 1]), 100
         )
@@ -223,7 +211,6 @@ class TestDistanceServer:
         srv.query_batch([(0, 5), (3, 2)])
         for h in (hs, srv.hopset):
             assert "_union_csr" not in h.__dict__
-            assert "_arcs" not in h.__dict__
 
     def test_front_door_ordering_with_duplicates(self, served):
         g, hs = served
