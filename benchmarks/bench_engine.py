@@ -1,9 +1,11 @@
 """Backend shoot-out for the bucket shortest-path engine.
 
-Compares the heapq reference, the vectorized numpy kernel, and (when
-installed) the numba JIT kernel on the workloads the engine actually
-serves — single-source SSSP and the all-source EST race — in *both*
-weight regimes, at the acceptance scale of n = 10^5, m = 5*10^5:
+Compares the vectorized numpy kernel and (when installed) the numba JIT
+kernel with the pure-Python heapq Dijkstra — the sequential baseline,
+``dijkstra_reference`` from ``tests/oracles`` — on the workloads the
+engine actually serves (single-source SSSP and the all-source EST race)
+in *both* weight regimes, at the acceptance scale of n = 10^5,
+m = 5*10^5:
 
 ``int_dial``
     Small integer weights (the Section 5 "weighted parallel BFS"
@@ -14,6 +16,11 @@ weight regimes, at the acceptance scale of n = 10^5, m = 5*10^5:
     Real-valued weights through the light/heavy split kernels (true
     delta-stepping, no quantization detour).  Acceptance bar:
     ``numpy >= 3x reference`` (``acceptance.float_min_speedup``).
+
+scipy's compiled Dijkstra (``scipy.sparse.csgraph.dijkstra``) is timed
+beside them on the single-source workload of both graphs: its row
+records ``numpy_vs_scipy``, numpy seconds over scipy seconds (below 1
+means the numpy engine is faster), with no floor yet.
 
 Emits a machine-readable ``BENCH_engine.json`` at the repo root via
 :func:`_report.record_json` (which also records the machine: cores
@@ -29,19 +36,30 @@ about them.
 from __future__ import annotations
 
 import os
+import sys
 import time
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
 import _report
 from repro.graph import gnm_random_graph, with_random_weights
 from repro.kernels import available_backends
-from repro.paths import dijkstra_scipy, shortest_paths
+from repro.paths import shortest_paths
 from repro.rng import resolve_rng
+
+_TESTS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"
+)
+sys.path.insert(0, _TESTS_DIR)
+try:
+    from oracles import dijkstra_reference
+finally:
+    sys.path.remove(_TESTS_DIR)
 
 COLUMNS = [
     "section", "workload", "n", "m", "backend", "seconds",
-    "speedup_vs_reference", "buckets", "rounds",
+    "speedup_vs_reference", "numpy_vs_scipy", "buckets", "rounds",
 ]
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") == "1"
@@ -58,16 +76,16 @@ def _graphs():
     return g_int, g_float
 
 
-def _time_backend(g, sources, offsets, weights, backend, repeats=1):
+def _best_of(repeats, fn, *args, **kwargs):
+    """Best wall time of ``repeats`` calls of ``fn(*args, **kwargs)``,
+    and the last call's result."""
     best = float("inf")
-    res = None
+    out = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        res = shortest_paths(
-            g, sources, offsets=offsets, weights=weights, backend=backend
-        )
+        out = fn(*args, **kwargs)
         best = min(best, time.perf_counter() - t0)
-    return best, res
+    return best, out
 
 
 def run_engine_bench(repeats: int = 2) -> dict:
@@ -114,35 +132,32 @@ def run_engine_bench(repeats: int = 2) -> dict:
     }
     for sec_name, sec in sections.items():
         g = sec["graph"]
+        w = sec["weights"]
         out = {"weights": sec["weights_desc"], "backends": {}}
         payload["sections"][sec_name] = out
+        row = dict(section=sec_name, n=g.n, m=g.m)
+        ref_dists = {}
         for wl_name, (srcs, offs) in sec["workloads"].items():
-            ref_t, ref_res = _time_backend(
-                g, srcs, offs, sec["weights"], "reference", repeats=repeats
+            ref_t, (ref_dist, _, _) = _best_of(
+                repeats, dijkstra_reference, g, srcs, offsets=offs, weights=w
             )
+            ref_dists[wl_name] = ref_dist
             out["backends"].setdefault("reference", {})[wl_name] = {
                 "seconds": ref_t,
                 "speedup_vs_reference": 1.0,
-                "buckets": ref_res.buckets,
-                "relax_rounds": ref_res.relax_rounds,
             }
             _report.record(
-                "Engine backend shoot-out",
-                COLUMNS,
-                section=sec_name, workload=wl_name, n=g.n, m=g.m,
+                "Engine backend shoot-out", COLUMNS, **row, workload=wl_name,
                 backend="reference", seconds=round(ref_t, 3),
-                speedup_vs_reference=1.0, buckets=ref_res.buckets,
-                rounds=ref_res.relax_rounds,
+                speedup_vs_reference=1.0,
             )
             for backend in available_backends():
-                if backend == "reference":
-                    continue
-                sec_time, res = _time_backend(
-                    g, srcs, offs, sec["weights"], backend, repeats=repeats
+                sec_time, res = _best_of(
+                    repeats, shortest_paths, g, srcs, offsets=offs, weights=w,
+                    backend=backend,
                 )
                 assert np.allclose(
-                    np.asarray(res.dist, dtype=np.float64),
-                    np.asarray(ref_res.dist, dtype=np.float64),
+                    np.asarray(res.dist, dtype=np.float64), ref_dist
                 ), f"{sec_name}/{wl_name}/{backend} diverged from the oracle"
                 speedup = ref_t / max(sec_time, 1e-12)
                 out["backends"].setdefault(backend, {})[wl_name] = {
@@ -153,20 +168,30 @@ def run_engine_bench(repeats: int = 2) -> dict:
                     "arcs_relaxed": res.arcs_relaxed,
                 }
                 _report.record(
-                    "Engine backend shoot-out",
-                    COLUMNS,
-                    section=sec_name, workload=wl_name, n=g.n, m=g.m,
+                    "Engine backend shoot-out", COLUMNS, **row, workload=wl_name,
                     backend=backend, seconds=round(sec_time, 3),
                     speedup_vs_reference=round(speedup, 1),
                     buckets=res.buckets, rounds=res.relax_rounds,
                 )
 
-    # oracle spot check on the float instance
-    oracle = dijkstra_scipy(g_float, 0)
-    numpy_float = payload["sections"]["float_delta_stepping"]["backends"]["numpy"]
-    assert numpy_float["sssp_single_source"]["seconds"] > 0
-    res = shortest_paths(g_float, 0)
-    assert np.allclose(res.dist, oracle)
+        # the external compiled baseline, single source; the CSR matrix
+        # is built once, untimed, as the suite does
+        srcs, _ = sec["workloads"]["sssp_single_source"]
+        csr = g.to_scipy()
+        sp_t, sp_dist = _best_of(
+            repeats, sp_dijkstra, csr, directed=False, indices=int(srcs[0])
+        )
+        assert np.allclose(sp_dist, ref_dists["sssp_single_source"])
+        numpy_t = out["backends"]["numpy"]["sssp_single_source"]["seconds"]
+        ratio = numpy_t / max(sp_t, 1e-12)
+        out["backends"]["scipy"] = {
+            "sssp_single_source": {"seconds": sp_t, "numpy_vs_scipy": ratio}
+        }
+        _report.record(
+            "Engine backend shoot-out", COLUMNS, **row,
+            workload="sssp_single_source", backend="scipy",
+            seconds=round(sp_t, 3), numpy_vs_scipy=round(ratio, 2),
+        )
 
     int_speedups = [
         w["speedup_vs_reference"]

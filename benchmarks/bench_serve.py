@@ -140,10 +140,9 @@ def run_serve_bench(
     # compiled once before timing: the union CSR is memoized per
     # hopset, so a query pays only the search
     union = hs.union_csr()
-    one_run = np.array([0, 1], dtype=np.int64)
 
     def hop_row(s: int, h: int) -> np.ndarray:
-        return hop_sssp_batch(*union, g.n, np.array([s]), one_run, h)[0]
+        return hop_sssp_batch(*union, np.array([s]), h)[0]
 
     # best of REPEATS: single shots of these seconds-long searches
     # jitter by +-20% on a shared box, more than the bar's margin

@@ -33,8 +33,8 @@ Commands
     Run the AST-based invariant checker (:mod:`repro.lint`) over
     files/directories; exit 1 when findings survive.
 
-Weighted commands accept ``--backend {numpy,numba,reference}`` to pick
-the shortest-path kernel (see :mod:`repro.paths.engine`).  Unlike the
+Weighted commands accept ``--backend {numpy,numba}`` to pick the
+shortest-path kernel (see :mod:`repro.paths.engine`).  Unlike the
 library registry (which degrades ``numba`` to ``numpy`` with a warning
 when the JIT toolchain is missing), an explicit CLI request for an
 unavailable backend is an error — the user asked for it by name.
@@ -48,9 +48,9 @@ file and a malformed query or update line exit 2 the same way.
 ``cluster-tree`` also accept ``--workers N`` — the core cap for the
 numba backend's ``prange`` batch cores (``1`` = serial, the default;
 ``0`` or negative = all cores; see
-:func:`repro.parallel.pool.effective_workers`).  The numpy and
-reference kernels run serially whatever its value.  Worker count
-changes wall-clock only: results are bit-identical.
+:func:`repro.parallel.pool.effective_workers`).  The numpy kernel runs
+serially whatever its value.  Worker count changes wall-clock only:
+results are bit-identical.
 
 Examples::
 
@@ -152,10 +152,10 @@ def _workers_from_args(args: argparse.Namespace) -> "Optional[int]":
 def _add_backend_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--backend",
-        choices=["numpy", "numba", "reference"],
+        choices=["numpy", "numba"],
         default=None,
-        help="shortest-path kernel (default: engine default, numpy); an "
-        "explicitly requested backend must be available — no silent fallback",
+        help="shortest-path kernel (default: numpy); an explicitly "
+        "requested backend must be available — no silent fallback",
     )
 
 

@@ -24,7 +24,7 @@ from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.graph.dedup import presence_unique
 from repro.paths.bfs import bfs_with_start_times
-from repro.paths.engine import shortest_paths
+from repro.paths.engine import check_finite, shortest_paths
 from repro.paths.weighted_bfs import weighted_bfs_with_start_times
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike
@@ -208,7 +208,7 @@ def _canonical_dial_race(
     The engine's ``dist`` is kernel-independent, but ``owner`` is not
     when several sources achieve a vertex's raced distance exactly: the
     bucket kernels only claim on *strict* improvement, so the first
-    scheduled writer keeps equal-key ties, while the reference heap
+    scheduled writer keeps equal-key ties, while numba's heap core
     breaks them by source rank — canonicalizing parents alone
     (:func:`_canonical_tree_parents`) cannot reconcile forests whose
     owners already disagree.  This pass recomputes both labels from
@@ -299,6 +299,8 @@ def est_cluster(
         shifts = np.asarray(shifts, dtype=np.float64)
         if shifts.shape[0] != n:
             raise ParameterError("shifts must have length n")
+        # start times are max(shift) - shift: one bad shift poisons all
+        check_finite("shifts", shifts)
 
     if method == "auto":
         method = "round" if g.is_unweighted else "exact"
@@ -465,6 +467,7 @@ def est_cluster_forest(
     shifts = np.asarray(shifts, dtype=np.float64)
     if shifts.shape[0] != n:
         raise ParameterError("shifts must have length n")
+    check_finite("shifts", shifts)
     if n == 0:
         return Clustering(
             center=np.empty(0, np.int64),

@@ -14,11 +14,9 @@ Backends
     The same algorithm JIT-compiled with numba.  Optional: when numba
     is not importable the registry silently maps it to ``numpy`` so
     callers can request it unconditionally.
-``reference``
-    The original pure-Python heapq Dijkstra
-    (:func:`repro.paths.dijkstra.dijkstra_reference`); kept as the
-    correctness oracle and the benchmark baseline.  Resolved by the
-    engine, not by this registry, because it lives in the paths layer.
+
+The pure-Python heapq Dijkstra the kernels are checked against is a
+test oracle (``tests/oracles/dijkstra.py``), not a backend.
 """
 
 from __future__ import annotations
@@ -39,17 +37,14 @@ from repro.kernels.numba_kernel import (
     bucket_sssp_numba,
 )
 
-BACKENDS = ("numpy", "numba", "reference")
+BACKENDS = ("numpy", "numba")
 
 _warned_numba = False
 
 
 def available_backends() -> List[str]:
     """Backends that will actually run (numba only when importable)."""
-    out = ["numpy", "reference"]
-    if HAVE_NUMBA:
-        out.insert(1, "numba")
-    return out
+    return ["numpy", "numba"] if HAVE_NUMBA else ["numpy"]
 
 
 def require_backend(name: str) -> str:

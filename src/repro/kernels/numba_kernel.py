@@ -15,12 +15,12 @@ compiled scalar passes.  Two cores:
     drains a light-edge worklist to its fixpoint, then relaxes every
     settled member's heavy arcs once (heavy candidates always land in
     later buckets).  Relaxations accept *strict* improvements only —
-    the same cross-round rule as the heapq reference and the numpy
-    kernel — and work is generated in deterministic order seeded by
-    source rank, so the equal-offset races the engine pins (earlier
-    source entry wins) resolve identically; as everywhere else, forest
-    parents/owners on exact measure-zero ties may be
-    schedule-dependent while distances are always exact.
+    the same cross-round rule as the numpy kernel — and work is
+    generated in deterministic order seeded by source rank, so the
+    equal-offset races the engine pins (earlier source entry wins)
+    resolve identically; as everywhere else, forest parents/owners on
+    exact measure-zero ties may be schedule-dependent while distances
+    are always exact.
 
 Distances are computed in ``float64``; integer-weight callers get
 exact results for values below 2**53 (the engine converts back).
@@ -99,7 +99,7 @@ def _numba_thread_cap(nw: int):
 
 @njit(cache=True)
 def _heap_sssp_core(
-    indptr, indices, weights, n, sources, offsets, ranks, max_dist
+    indptr, indices, weights, n, sources, offsets, ranks
 ):  # pragma: no cover - compiled path; covered when numba is present
     inf = np.inf
     dist = np.full(n, inf, dtype=np.float64)
@@ -196,8 +196,6 @@ def _heap_sssp_core(
             j = best
         if settled[v] or d > dist[v]:
             continue  # lazy deletion of stale entries
-        if max_dist >= 0.0 and d > max_dist:
-            break
         settled[v] = True
         dv = dist[v]
         rv = rank[v]
@@ -244,7 +242,7 @@ def _heap_sssp_core(
                     else:
                         break
 
-    return dist, parent, owner, settled, arcs
+    return dist, parent, owner, arcs
 
 
 @njit(cache=True)
@@ -260,7 +258,6 @@ def _delta_sssp_core(
     offsets,
     ranks,
     delta,
-    max_dist,
 ):  # pragma: no cover - compiled path; covered via the pure-Python stub
     inf = np.inf
     norank = np.iinfo(np.int64).max
@@ -313,8 +310,6 @@ def _delta_sssp_core(
         pend_n = m2
         if pend_n == 0:
             break
-        if max_dist >= 0.0 and d_min > max_dist:
-            break
         hi = (d_min // delta) * delta + delta
         if hi <= d_min:
             # roundoff degenerate bucket, same guard as the numpy kernel
@@ -362,8 +357,8 @@ def _delta_sssp_core(
                 arcs += 1
                 nd = dv + l_w[a]
                 # strict improvement only — the same cross-round rule as
-                # the heapq reference and the numpy kernel, so equal-key
-                # claims resolve by generation order (seeded by rank)
+                # the numpy kernel, so equal-key claims resolve by
+                # generation order (seeded by rank)
                 if nd < dist[u]:
                     dist[u] = nd
                     parent[u] = v
@@ -404,13 +399,13 @@ def _delta_sssp_core(
                         pend[pend_n] = u
                         pend_n += 1
 
-    return dist, parent, owner, settled, arcs, buckets
+    return dist, parent, owner, arcs, buckets
 
 
 @njit(cache=True, parallel=True)
 def _heap_sssp_batch_core(
-    indptr, indices, weights, n, run_src, run_ptr, offsets, ranks, md,
-    dist, parent, owner, settled, arcs_out,
+    indptr, indices, weights, n, run_src, run_ptr, offsets, ranks,
+    dist, parent, owner, arcs_out,
 ):  # pragma: no cover - compiled path; covered via the pure-Python stub
     k = run_ptr.shape[0] - 1
     for r in prange(k):
@@ -419,35 +414,33 @@ def _heap_sssp_batch_core(
         # the nested core allocates every scratch array (heap, labels)
         # inside this iteration: thread-private state, bit-identical
         # per-run output, disjoint destination slices
-        d, p, o, s, arcs = _heap_sssp_core(
+        d, p, o, arcs = _heap_sssp_core(
             indptr, indices, weights, n,
-            run_src[lo:hi], offsets[lo:hi], ranks[lo:hi], md,
+            run_src[lo:hi], offsets[lo:hi], ranks[lo:hi],
         )
         dist[r * n : (r + 1) * n] = d
         parent[r * n : (r + 1) * n] = p
         owner[r * n : (r + 1) * n] = o
-        settled[r * n : (r + 1) * n] = s
         arcs_out[r] = arcs
 
 
 @njit(cache=True, parallel=True)
 def _delta_sssp_batch_core(
     l_indptr, l_indices, l_w, h_indptr, h_indices, h_w, n,
-    run_src, run_ptr, offsets, ranks, delta, md,
-    dist, parent, owner, settled, arcs_out, buckets_out,
+    run_src, run_ptr, offsets, ranks, delta,
+    dist, parent, owner, arcs_out, buckets_out,
 ):  # pragma: no cover - compiled path; covered via the pure-Python stub
     k = run_ptr.shape[0] - 1
     for r in prange(k):
         lo = run_ptr[r]
         hi = run_ptr[r + 1]
-        d, p, o, s, arcs, nb = _delta_sssp_core(
+        d, p, o, arcs, nb = _delta_sssp_core(
             l_indptr, l_indices, l_w, h_indptr, h_indices, h_w, n,
-            run_src[lo:hi], offsets[lo:hi], ranks[lo:hi], delta, md,
+            run_src[lo:hi], offsets[lo:hi], ranks[lo:hi], delta,
         )
         dist[r * n : (r + 1) * n] = d
         parent[r * n : (r + 1) * n] = p
         owner[r * n : (r + 1) * n] = o
-        settled[r * n : (r + 1) * n] = s
         arcs_out[r] = arcs
         buckets_out[r] = nb
 
@@ -461,9 +454,8 @@ def bucket_sssp_numba(
     offsets: np.ndarray,
     ranks: np.ndarray,
     delta: Optional[float],
-    max_dist: Optional[float] = None,
     light_heavy: Optional[Tuple[np.ndarray, ...]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[int], List[int]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int], List[int]]:
     """Numba wrapper matching :func:`repro.kernels.numpy_kernel.bucket_sssp`.
 
     With ``light_heavy`` (a :func:`split_light_heavy` partition) the
@@ -478,10 +470,9 @@ def bucket_sssp_numba(
     """
     if not HAVE_NUMBA:  # defensive: the registry should prevent this
         raise RuntimeError("numba backend requested but numba is not installed")
-    md = -1.0 if max_dist is None else float(max_dist)
     if light_heavy is not None:
         lip, lidx, lw, hip, hidx, hw = light_heavy
-        dist, parent, owner, settled, arcs, buckets = _delta_sssp_core(
+        dist, parent, owner, arcs, buckets = _delta_sssp_core(
             np.asarray(lip, dtype=np.int64),
             np.asarray(lidx, dtype=np.int64),
             np.asarray(lw, dtype=np.float64),
@@ -493,7 +484,6 @@ def bucket_sssp_numba(
             np.asarray(offsets, dtype=np.float64),
             np.asarray(ranks, dtype=np.int64),
             float(delta),
-            md,
         )
         buckets = int(buckets)
         bucket_work = [int(arcs)] + [0] * max(buckets - 1, 0) if buckets else []
@@ -501,8 +491,8 @@ def bucket_sssp_numba(
         # ledger is reconstructed as one round per processed bucket
         # (the numpy kernel reports the real light/heavy round counts)
         bucket_rounds = [1] * buckets
-        return dist, parent, owner, settled, bucket_work, bucket_rounds
-    dist, parent, owner, settled, arcs = _heap_sssp_core(
+        return dist, parent, owner, bucket_work, bucket_rounds
+    dist, parent, owner, arcs = _heap_sssp_core(
         np.asarray(indptr, dtype=np.int64),
         np.asarray(indices, dtype=np.int64),
         np.asarray(weights, dtype=np.float64),
@@ -510,14 +500,13 @@ def bucket_sssp_numba(
         np.asarray(sources, dtype=np.int64),
         np.asarray(offsets, dtype=np.float64),
         np.asarray(ranks, dtype=np.int64),
-        md,
     )
     from repro.kernels.numpy_kernel import count_occupied_buckets
 
-    buckets = count_occupied_buckets(dist, settled, delta)
+    buckets = count_occupied_buckets(dist, delta)
     bucket_work = [int(arcs)] + [0] * max(buckets - 1, 0) if buckets else []
     bucket_rounds = [1] * buckets
-    return dist, parent, owner, settled, bucket_work, bucket_rounds
+    return dist, parent, owner, bucket_work, bucket_rounds
 
 
 def bucket_sssp_batch_numba(
@@ -530,10 +519,9 @@ def bucket_sssp_batch_numba(
     offsets: np.ndarray,
     ranks: np.ndarray,
     delta: Optional[float],
-    max_dist: Optional[float] = None,
     light_heavy: Optional[Tuple[np.ndarray, ...]] = None,
     workers: WorkersArg = DEFAULT_WORKERS,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[int], List[int]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int], List[int]]:
     """Batch counterpart of :func:`repro.kernels.numpy_kernel.bucket_sssp_batch`.
 
     Each run is one compiled pass (no interpreter-per-edge cost): with
@@ -570,8 +558,6 @@ def bucket_sssp_batch_numba(
     dist = np.empty(k * n, dtype=np.float64)
     parent = np.empty(k * n, dtype=np.int64)
     owner = np.empty(k * n, dtype=np.int64)
-    settled = np.empty(k * n, dtype=bool)
-    md = -1.0 if max_dist is None else float(max_dist)
     nw = effective_workers(workers)
 
     if nw > 1 and k > 1:
@@ -581,22 +567,20 @@ def bucket_sssp_batch_numba(
             with _numba_thread_cap(nw):
                 _delta_sssp_batch_core(
                     lip, lidx, lw, hip, hidx, hw, n,
-                    run_src, run_ptr, offsets, ranks, float(delta), md,
-                    dist, parent, owner, settled, arcs_out, buckets_out,
+                    run_src, run_ptr, offsets, ranks, float(delta),
+                    dist, parent, owner, arcs_out, buckets_out,
                 )
             max_buckets = int(buckets_out.max()) if k else 0
         else:
             with _numba_thread_cap(nw):
                 _heap_sssp_batch_core(
-                    indptr, indices, w, n, run_src, run_ptr, offsets, ranks, md,
-                    dist, parent, owner, settled, arcs_out,
+                    indptr, indices, w, n, run_src, run_ptr, offsets, ranks,
+                    dist, parent, owner, arcs_out,
                 )
             max_buckets = 0
             for r in range(k):
                 sl = slice(r * n, (r + 1) * n)
-                max_buckets = max(
-                    max_buckets, count_occupied_buckets(dist[sl], settled[sl], delta)
-                )
+                max_buckets = max(max_buckets, count_occupied_buckets(dist[sl], delta))
         total_arcs = int(arcs_out.sum())
     else:
         total_arcs = 0
@@ -604,20 +588,20 @@ def bucket_sssp_batch_numba(
         for r in range(k):
             lo, hi = int(run_ptr[r]), int(run_ptr[r + 1])
             if light_heavy is not None:
-                d, p, o, s, arcs, nb = _delta_sssp_core(
+                d, p, o, arcs, nb = _delta_sssp_core(
                     lip, lidx, lw, hip, hidx, hw, n,
-                    run_src[lo:hi], offsets[lo:hi], ranks[lo:hi], float(delta), md,
+                    run_src[lo:hi], offsets[lo:hi], ranks[lo:hi], float(delta),
                 )
                 max_buckets = max(max_buckets, int(nb))
             else:
-                d, p, o, s, arcs = _heap_sssp_core(
+                d, p, o, arcs = _heap_sssp_core(
                     indptr, indices, w, n,
-                    run_src[lo:hi], offsets[lo:hi], ranks[lo:hi], md,
+                    run_src[lo:hi], offsets[lo:hi], ranks[lo:hi],
                 )
-                max_buckets = max(max_buckets, count_occupied_buckets(d, s, delta))
+                max_buckets = max(max_buckets, count_occupied_buckets(d, delta))
             sl = slice(r * n, (r + 1) * n)
-            dist[sl], parent[sl], owner[sl], settled[sl] = d, p, o, s
+            dist[sl], parent[sl], owner[sl] = d, p, o
             total_arcs += int(arcs)
     bucket_work = [total_arcs] + [0] * max(max_buckets - 1, 0) if max_buckets else []
     bucket_rounds = [1] * max_buckets
-    return dist, parent, owner, settled, bucket_work, bucket_rounds
+    return dist, parent, owner, bucket_work, bucket_rounds

@@ -35,8 +35,8 @@ operations.
 Concurrent claims on a vertex are resolved deterministically: the
 lexicographically smallest ``(candidate distance, owner rank, relaxing
 vertex)`` wins, where *rank* is the position of the owning source in
-the caller's source array (earlier entries win ties, matching the
-reference Dijkstra's documented tie rule).  :func:`claim_min` finds
+the caller's source array (earlier entries win ties, the tie rule of
+a heap Dijkstra keyed on ``(distance, rank)``).  :func:`claim_min` finds
 the winners with scatter-min passes into a per-call scratch word per
 state — linear in the claims, no sort — and later passes run only when
 an equal-distance tie is present.  Frontier and bucket-member unions
@@ -54,14 +54,14 @@ import numpy as np
 INT_INF = np.iinfo(np.int64).max
 
 
-def count_occupied_buckets(dist: np.ndarray, mask: np.ndarray, delta: float) -> int:
-    """Distinct width-``delta`` distance bands among ``dist[mask]``.
+def count_occupied_buckets(dist: np.ndarray, delta: float) -> int:
+    """Distinct width-``delta`` distance bands among the finite ``dist``.
 
-    Sequential backends (heapq reference, numba heap) reconstruct
-    their bucket ledger from the final labeling with this — the depth
-    the equivalent bucket schedule would take.
+    The numba heap core is sequential and reconstructs its bucket
+    ledger from the final labeling with this — the depth the
+    equivalent bucket schedule would take.
     """
-    reached = dist[mask]
+    reached = dist[np.isfinite(dist)]
     if reached.shape[0] == 0:
         return 0
     return int(np.unique((reached // float(delta)).astype(np.int64)).shape[0])
@@ -195,50 +195,36 @@ def hop_sssp_batch(
     indptr: np.ndarray,
     indices: np.ndarray,
     weights: np.ndarray,
-    n: int,
-    run_src: np.ndarray,
-    run_ptr: np.ndarray,
+    sources: np.ndarray,
     h: int,
-) -> Tuple[np.ndarray, np.ndarray, List[int], np.ndarray]:
-    """Source-tagged batch of ``k`` frontier-based h-hop Bellman–Ford runs.
+) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """Frontier-based h-hop Bellman–Ford from ``sources`` at distance 0.
 
-    The query-side twin of :func:`bucket_sssp_batch`: run ``r`` is the
-    multi-source *hop-limited* search seeded at distance 0 by
-    ``run_src[run_ptr[r]:run_ptr[r+1]]`` on the composite state space
-    ``r * n + v``, and every synchronous round is one batched
-    gather/scatter over the frontier arcs of **all** runs at once.
-    Unlike dense synchronous Bellman–Ford (which relaxes every arc
-    every round), round ``t`` gathers only from states improved in
-    round ``t - 1`` — by synchronous semantics an unimproved state's
-    out-arcs were already fully applied, so skipping them changes
-    nothing.  Per run the result equals the dense reference
-    ``dense_hop_distances`` (``tests/oracles/bellman_ford.py``) on the
-    same arcs: ``dist`` is the minimum weight over paths of at most
-    ``h`` arcs and ``hops`` the round each value stabilized.
+    Every synchronous round is one batched gather/scatter over the
+    frontier arcs.  Unlike dense synchronous Bellman–Ford (which
+    relaxes every arc every round), round ``t`` gathers only from
+    vertices improved in round ``t - 1`` — by synchronous semantics an
+    unimproved vertex's out-arcs were already fully applied, so
+    skipping them changes nothing.  The result equals the dense
+    reference ``dense_hop_distances`` (``tests/oracles/bellman_ford.py``)
+    on the same arcs: ``dist`` is the minimum weight over paths of at
+    most ``h`` arcs and ``hops`` the round each value stabilized.
 
-    Returns ``(dist, hops, round_arcs, frontier)``: flat ``k * n``
-    label arrays, the arcs gathered by each executed round (the PRAM
-    work ledger — ``len(round_arcs)`` rounds ran in this call), and
-    the composite states improved in the final round (empty iff the
-    search converged: no deeper budget can change anything).
+    Returns ``(dist, hops, round_arcs)``: length-``n`` label arrays and
+    the arcs gathered by each executed round (the PRAM work ledger —
+    ``len(round_arcs)`` rounds ran).  The search stops early once a
+    round improves nothing.  (The ``_batch`` name predates the
+    single-search form; the benchmark suite's tracer resolves it.)
     """
-    run_src = np.asarray(run_src, dtype=np.int64)
-    run_ptr = np.asarray(run_ptr, dtype=np.int64)
+    n = indptr.shape[0] - 1
+    sources = np.asarray(sources, dtype=np.int64)
     weights = np.asarray(weights).astype(np.float64, copy=False)
-    k = run_ptr.shape[0] - 1
-    single = k == 1
-    nn = k * n
-    # claim scratch, one word per state (see _min_mask / _once_mask)
-    claim_buf = np.empty(nn, dtype=np.int64)
+    # claim scratch, one word per vertex (see _min_mask / _once_mask)
+    claim_buf = np.empty(n, dtype=np.int64)
 
-    dist = np.full(nn, np.inf, dtype=np.float64)
-    hops = np.zeros(nn, dtype=np.int64)
-    if single:
-        comp = run_src
-    else:
-        run_of = np.repeat(np.arange(k, dtype=np.int64), np.diff(run_ptr))
-        comp = run_of * n + run_src
-    frontier = comp[_once_mask(comp, claim_buf)]
+    dist = np.full(n, np.inf, dtype=np.float64)
+    hops = np.zeros(n, dtype=np.int64)
+    frontier = sources[_once_mask(sources, claim_buf)]
     dist[frontier] = 0.0
     r = 0
 
@@ -247,24 +233,19 @@ def hop_sssp_batch(
         r += 1
         # improving candidates out of the frontier, against the
         # pre-round labels
-        vv = frontier if single else frontier % n
-        starts = indptr[vv]
-        counts = indptr[vv + 1] - starts
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
         total = int(counts.sum())
         round_arcs.append(total)
         arc_off = np.repeat(np.cumsum(counts) - counts, counts)
         arc_idx = np.arange(total, dtype=np.int64) - arc_off + np.repeat(starts, counts)
-        if single:
-            nbr = indices[arc_idx]
-        else:
-            nbr = np.repeat(frontier - vv, counts) + indices[arc_idx]
+        nbr = indices[arc_idx]
         cand = np.repeat(dist[frontier], counts) + weights[arc_idx]
         improving = cand < dist[nbr]
         nbr, cand = nbr[improving], cand[improving]
         if nbr.shape[0] == 0:
-            frontier = np.empty(0, dtype=np.int64)
             break
-        # one winner per claimed state: the minimum candidate (equal
+        # one winner per claimed vertex: the minimum candidate (equal
         # minima are interchangeable)
         keep = _min_mask(nbr, cand, claim_buf)
         nbr, cand = nbr[keep], cand[keep]
@@ -275,7 +256,7 @@ def hop_sssp_batch(
         hops[win_v] = r
         frontier = win_v
 
-    return dist, hops, round_arcs, frontier
+    return dist, hops, round_arcs
 
 
 def bucket_sssp(
@@ -287,9 +268,8 @@ def bucket_sssp(
     offsets: np.ndarray,
     ranks: np.ndarray,
     delta: Optional[float],
-    max_dist: Optional[float] = None,
     light_heavy: Optional[Tuple[np.ndarray, ...]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[int], List[int]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int], List[int]]:
     """Multi-source bucket SSSP over raw CSR arrays.
 
     Parameters
@@ -300,20 +280,16 @@ def bucket_sssp(
     ranks:
         Tie-break rank per source entry (position in the caller's
         source array).
-    max_dist:
-        Stop once the next occupied bucket starts beyond this value;
-        vertices not settled by then keep their (possibly tentative)
-        labels — the caller decides how to report them.
     light_heavy:
         Optional :func:`split_light_heavy` partition at this ``delta``;
         when given, buckets run the light-edge fixpoint loop plus one
         heavy settle pass (real-weight delta-stepping) instead of
         relaxing every arc each round.
 
-    Returns ``(dist, parent, owner, settled, bucket_work,
-    bucket_rounds)``: ``bucket_work[i]`` is the PRAM work (frontier
-    arcs, floored at frontier size) spent on the i-th processed bucket
-    and ``bucket_rounds[i]`` its relaxation-round count.
+    Returns ``(dist, parent, owner, bucket_work, bucket_rounds)``:
+    ``bucket_work[i]`` is the PRAM work (frontier arcs, floored at
+    frontier size) spent on the i-th processed bucket and
+    ``bucket_rounds[i]`` its relaxation-round count.
 
     Implemented as the ``k = 1`` case of :func:`bucket_sssp_batch` (one
     shared relaxation loop; the batch kernel skips all composite-id
@@ -331,7 +307,6 @@ def bucket_sssp(
         offsets,
         ranks,
         delta,
-        max_dist,
         light_heavy,
     )
 
@@ -346,9 +321,8 @@ def bucket_sssp_batch(
     offsets: np.ndarray,
     ranks: np.ndarray,
     delta: Optional[float],
-    max_dist: Optional[float] = None,
     light_heavy: Optional[Tuple[np.ndarray, ...]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[int], List[int]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int], List[int]]:
     """Source-tagged batch of ``k`` independent bucket-SSSP runs.
 
     Run ``r`` is the multi-source search seeded by
@@ -363,9 +337,10 @@ def bucket_sssp_batch(
     never claim the same state, so runs cannot interact, and each run's
     labels equal a standalone :func:`bucket_sssp` call's.
 
-    Returns flat length-``k*n`` arrays ``(dist, parent, owner, settled,
-    bucket_work, bucket_rounds)``; ``parent``/``owner`` hold *vertex*
-    ids (not composites) and the caller reshapes to ``(k, n)``.
+    Returns flat length-``k*n`` arrays ``(dist, parent, owner)`` and
+    the ledger lists ``bucket_work, bucket_rounds``; ``parent``/``owner``
+    hold *vertex* ids (not composites) and the caller reshapes to
+    ``(k, n)``.
     ``bucket_work[i]`` is the PRAM work (frontier arcs, floored at
     frontier size) of the i-th processed bucket and ``bucket_rounds[i]``
     its relaxation-round count.
@@ -487,9 +462,6 @@ def bucket_sssp_batch(
             continue
         d_pend = dist[pend]
         d_min = d_pend.min()
-        if max_dist is not None and d_min > max_dist:
-            pending.append(pend)  # preserved for the caller's cleanup
-            break
         hi = (d_min // delta) * delta + delta
         if hi <= d_min:
             # float roundoff at extreme d_min/delta ratios can make the
@@ -554,4 +526,4 @@ def bucket_sssp_batch(
         bucket_work.append(work)
         bucket_rounds.append(rounds)
 
-    return dist, parent, owner, settled, bucket_work, bucket_rounds
+    return dist, parent, owner, bucket_work, bucket_rounds

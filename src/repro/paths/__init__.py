@@ -14,28 +14,22 @@ These are the substrates the paper's constructions consume:
   front door for ``dist^h_{E ∪ E'}`` (the hopset query of
   Klein–Subramanian [KS97]): synchronous Bellman–Ford on the frontier
   kernel, over any CSR triple (a hopset's union CSR or ``G``'s own);
-* **Dijkstra** — engine front-end; the pure-Python heap loop survives
-  as :func:`~repro.paths.dijkstra.dijkstra_reference` (the sequential
-  baseline and oracle).
+* **Dijkstra** — :func:`dijkstra` is an engine front-end and
+  :func:`dijkstra_scipy` the external oracle; the sequential heap
+  Dijkstra of Theorem 1.2's work comparison is a test oracle
+  (``tests/oracles/dijkstra.py``).
 """
 
 from repro.paths.bfs import bfs, multi_source_bfs, bfs_with_start_times
 from repro.paths.engine import (
     BatchShortestPathResult,
     ShortestPathResult,
-    set_default_backend,
     shortest_paths,
     shortest_paths_batch,
-    sssp,
 )
 from repro.paths.weighted_bfs import dial_sssp, weighted_bfs_with_start_times
 from repro.paths.bellman_ford import hop_limited_distances
-from repro.paths.dijkstra import (
-    dijkstra,
-    dijkstra_reference,
-    dijkstra_scipy,
-    st_distance,
-)
+from repro.paths.dijkstra import dijkstra, dijkstra_scipy, st_distance
 from repro.paths.trees import extract_path, tree_depths, verify_sssp_tree
 
 __all__ = [
@@ -46,13 +40,10 @@ __all__ = [
     "ShortestPathResult",
     "shortest_paths",
     "shortest_paths_batch",
-    "sssp",
-    "set_default_backend",
     "dial_sssp",
     "weighted_bfs_with_start_times",
     "hop_limited_distances",
     "dijkstra",
-    "dijkstra_reference",
     "dijkstra_scipy",
     "st_distance",
     "extract_path",

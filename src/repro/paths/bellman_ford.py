@@ -52,10 +52,7 @@ def hop_limited_distances(
     n = int(indptr.shape[0]) - 1
     sources = np.asarray(sources, dtype=np.int64)
     check_vertex_ids(sources, n)
-    run_ptr = np.asarray([0, sources.shape[0]], dtype=np.int64)
-    dist, hops, round_arcs, _ = hop_sssp_batch(
-        indptr, indices, weights, n, sources, run_ptr, h
-    )
+    dist, hops, round_arcs = hop_sssp_batch(indptr, indices, weights, sources, h)
     for arcs in round_arcs:
         tracker.parallel_round(work=arcs)
     return dist, hops, len(round_arcs)

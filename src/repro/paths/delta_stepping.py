@@ -10,8 +10,8 @@ each *phase* settles one width-``delta`` bucket by repeatedly relaxing
 its light edges (``w <= delta``), then relaxes heavy edges once.  PRAM
 accounting comes from the engine's ledger: every inner light-edge
 iteration and the heavy relaxation are rounds; total depth ~
-``(max_dist / delta) * (light iterations per bucket)``, the classic
-tradeoff in ``delta``.
+``(largest distance / delta) * (light iterations per bucket)``, the
+classic tradeoff in ``delta``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Exact shortest paths: engine front-end, heapq reference, scipy oracle.
+"""Exact shortest paths: engine front-end and scipy oracle.
 
 Dijkstra is the sequential baseline of Theorem 1.2's comparison (the
 thing the parallel pipeline must beat in depth while staying within
@@ -6,16 +6,15 @@ polylog factors in work).  Real-valued start offsets are what make
 *exact* EST clustering possible (cluster of v = argmin_u dist(u,v) -
 delta_u is a race with initial keys delta_max - delta_u).
 
-:func:`dijkstra` keeps its historical signature but now executes on
-the bucket-parallel engine (:mod:`repro.paths.engine`) — callers get
-the vectorized kernels transparently.  The original pure-Python heap
-loop survives as :func:`dijkstra_reference`: the correctness oracle,
-the benchmark baseline, and the engine's ``backend="reference"``.
+:func:`dijkstra` keeps its historical signature but executes on the
+bucket-parallel engine (:mod:`repro.paths.engine`) — callers get the
+vectorized kernels transparently.  The pure-Python heap loop it
+replaced is a test oracle (``tests/oracles/dijkstra.py``), and scipy's
+compiled Dijkstra (:func:`dijkstra_scipy`) is the external check.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Optional, Tuple
 
 import numpy as np
@@ -55,64 +54,6 @@ def dijkstra(
         workers=workers,
     )
     return res.dist, res.parent, res.owner
-
-
-def dijkstra_reference(
-    g: CSRGraph,
-    sources: np.ndarray | int,
-    offsets: Optional[np.ndarray] = None,
-    weights: Optional[np.ndarray] = None,
-    max_dist: Optional[float] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The original pure-Python heapq Dijkstra (kept as the oracle).
-
-    Same contract as :func:`dijkstra`; ``weights`` overrides the CSR
-    slot weights and ``max_dist`` stops the search once popped keys
-    exceed it (vertices beyond stay unreached).
-    """
-    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    if offsets is None:
-        offsets = np.zeros(sources.shape[0], dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.float64)
-
-    n = g.n
-    dist = np.full(n, np.inf, dtype=np.float64)
-    parent = np.full(n, -1, dtype=np.int64)
-    owner = np.full(n, -1, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
-
-    heap: list[tuple[float, int, int, int, int, int]] = []
-    for i, (s, off) in enumerate(zip(sources, offsets)):
-        # tuple: (key, owner rank, relaxing vertex, vertex, parent,
-        # owner); rank first so equal-key pops favor the earlier
-        # source entry — the same tie rule the bucket kernels use.
-        heapq.heappush(heap, (float(off), i, -1, int(s), -1, int(s)))
-
-    indptr, indices = g.indptr, g.indices
-    w = g.weights if weights is None else np.asarray(weights, dtype=np.float64)
-    while heap:
-        d, r, _, v, p, o = heapq.heappop(heap)
-        if done[v]:
-            continue
-        if max_dist is not None and d > max_dist:
-            break
-        done[v] = True
-        dist[v] = d
-        parent[v] = p
-        owner[v] = o
-        for j in range(indptr[v], indptr[v + 1]):
-            u = int(indices[j])
-            if not done[u]:
-                nd = d + float(w[j])
-                if nd < dist[u]:
-                    dist[u] = nd
-                    heapq.heappush(heap, (nd, r, v, u, v, o))
-    if max_dist is not None:
-        pruned = ~done
-        dist[pruned] = np.inf
-        parent[pruned] = -1
-        owner[pruned] = -1
-    return dist, parent, owner
 
 
 def dijkstra_scipy(g: CSRGraph, source: int) -> np.ndarray:

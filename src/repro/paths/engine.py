@@ -22,8 +22,9 @@ Engine API
 clustering is defined by.  ``owner[v]`` is the arg-min source (ties
 broken toward the earlier entry in ``sources``), ``parent`` the
 shortest-path-forest parent.  ``weights`` overrides the graph's CSR
-weights (used by the rounded-graph pipelines), and ``max_dist`` prunes
-the search to a ball, leaving everything beyond unreached.
+weights (used by the rounded-graph pipelines).  Offsets must be finite,
+override weights finite and non-negative, and ``delta`` positive and
+finite; anything else raises :class:`~repro.errors.ParameterError`.
 
 :func:`shortest_paths_batch` runs ``k`` *independent* searches in one
 call and returns ``(k, n)`` matrices::
@@ -41,12 +42,12 @@ recursion level in a single call.  The dense ``(k, n)`` output means
 ``k`` should stay moderate (the builder chunks its runs); the tracker
 is charged the runs' *parallel* composition: ``work`` sums over runs,
 ``rounds`` is the shared schedule length (numpy) or the longest run
-(sequential backends).
+(numba).
 
 Backend selection
 -----------------
-``backend=`` picks the kernel per call; :func:`set_default_backend`
-(or the CLI ``--backend`` flag) changes the process-wide default:
+``backend=`` picks the kernel per call (the CLI's ``--backend`` flag
+passes it through):
 
 ``numpy`` (default)
     Frontier-vectorized bucket relaxation; exact, deterministic.
@@ -54,9 +55,9 @@ Backend selection
     JIT-compiled scalar kernel; requested freely — when numba is not
     installed the registry degrades to ``numpy`` with a one-time
     warning.
-``reference``
-    The original heapq Dijkstra (:func:`dijkstra_reference`), kept as
-    correctness oracle and benchmark baseline.
+
+The sequential heapq Dijkstra that Theorem 1.2 measures work against
+is a test oracle (``tests/oracles/dijkstra.py``), not a backend.
 
 Integer weights *and* integer offsets switch distances to ``int64``
 and default ``delta`` to 1 — exact Dial buckets, i.e. the "weighted
@@ -70,8 +71,8 @@ light-edge fixpoint loop plus a single heavy settle pass.  ``delta``
 defaults to ``max_w / average degree``
 (:meth:`CSRGraph.suggest_delta`, the Meyer–Sanders heuristic); on the
 numpy kernel the tracker sees every light iteration and the heavy
-pass as separate relaxation rounds (sequential backends reconstruct
-one round per bucket, as they always have).
+pass as separate relaxation rounds (the sequential numba cores
+reconstruct one round per bucket).
 
 Multicore execution (``workers=``)
 ----------------------------------
@@ -81,9 +82,9 @@ default, ``None`` = all cores, any other value a core cap;
 truth for the resolution).  Only the numba kernel reads it: its batch
 wrapper routes ``workers > 1`` through ``prange``-parallel compiled
 cores that execute the batch's runs concurrently with thread-private
-scratch, bit-identical to the sequential loop.  The numpy kernel and
-the reference oracle always run serially (frontier thread shards
-measured at most ~1.16x of serial on 2 cores and were removed).  The
+scratch, bit-identical to the sequential loop.  The numpy kernel
+always runs serially (frontier thread shards measured at most ~1.16x
+of serial on 2 cores and were removed).  The
 PRAM ledger is unaffected: hardware threads change wall-clock, not the
 round/work accounting.
 
@@ -116,16 +117,9 @@ from repro.kernels import (
     bucket_sssp_numba,
     resolve_backend,
 )
-from repro.kernels.numpy_kernel import (
-    INT_INF,
-    count_occupied_buckets,
-    split_light_heavy,
-    suggest_delta,
-)
+from repro.kernels.numpy_kernel import INT_INF, split_light_heavy, suggest_delta
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
-
-_DEFAULT_BACKEND = "numpy"
 
 
 def check_vertex_ids(ids: np.ndarray, n: int, what: str = "source") -> None:
@@ -140,11 +134,20 @@ def check_vertex_ids(ids: np.ndarray, n: int, what: str = "source") -> None:
         raise ParameterError(f"{what} {bad} out of range [0, {n})")
 
 
-def set_default_backend(name: str) -> str:
-    """Set the process-wide default backend; returns the resolved name."""
-    global _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = resolve_backend(name)
-    return _DEFAULT_BACKEND
+def check_finite(name: str, values: np.ndarray, nonnegative: bool = False) -> None:
+    """Raise :class:`ParameterError` naming ``name`` unless every entry
+    is finite (and ``>= 0`` when ``nonnegative``).
+
+    NaN and infinity never fail on their own inside a race: they leave
+    every vertex unreached, break a bucket index, or (with negative
+    weights) keep a search from finishing.
+    """
+    ok = np.isfinite(values)
+    if nonnegative:
+        ok &= values >= 0
+    if not ok.all():
+        rule = "finite and non-negative" if nonnegative else "finite"
+        raise ParameterError(f"{name} must be {rule}, got {values[~ok][0]}")
 
 
 @dataclass(frozen=True)
@@ -180,15 +183,13 @@ def shortest_paths(
     weights: Optional[np.ndarray] = None,
     delta: Optional[float] = None,
     backend: Optional[str] = None,
-    max_dist: Optional[float] = None,
     tracker: Optional[PramTracker] = None,
     workers: WorkersArg = DEFAULT_WORKERS,
 ) -> ShortestPathResult:
     """Exact multi-source shortest paths with optional start offsets.
 
-    See the module docstring for the full API contract.  Results are
-    equivalent to the reference Dijkstra: ``dist[v]`` is
-    ``min_i offsets[i] + d(sources[i], v)`` and ``owner[v]`` the
+    See the module docstring for the full API contract.  ``dist[v]``
+    is ``min_i offsets[i] + d(sources[i], v)`` and ``owner[v]`` the
     arg-min source vertex.
 
     ``workers`` is accepted for a uniform signature across the entry
@@ -208,28 +209,22 @@ def shortest_paths(
         raise ParameterError("offsets must match sources in length")
     w, int_mode, delta = _resolve_weights_and_delta(g, weights, offsets, delta)
 
-    name = resolve_backend(backend or _DEFAULT_BACKEND)
+    name = resolve_backend(backend or "numpy")
     ranks = np.arange(sources.shape[0], dtype=np.int64)
-
-    if name == "reference":
-        return _run_reference(g, sources, offsets, w, int_mode, delta, max_dist, tracker)
 
     split = _resolve_split(g, weights, w, delta, int_mode)
     if name == "numba":
-        dist, parent, owner, settled, bucket_work, bucket_rounds = bucket_sssp_numba(
-            g.indptr, g.indices, w, g.n, sources, offsets, ranks, delta, max_dist,
+        dist, parent, owner, bucket_work, bucket_rounds = bucket_sssp_numba(
+            g.indptr, g.indices, w, g.n, sources, offsets, ranks, delta,
             light_heavy=split,
         )
         if int_mode:
             dist = _float_to_int_dist(dist)
     else:
-        dist, parent, owner, settled, bucket_work, bucket_rounds = bucket_sssp(
-            g.indptr, g.indices, w, g.n, sources, offsets, ranks, delta, max_dist,
+        dist, parent, owner, bucket_work, bucket_rounds = bucket_sssp(
+            g.indptr, g.indices, w, g.n, sources, offsets, ranks, delta,
             light_heavy=split,
         )
-
-    if max_dist is not None:
-        dist = _prune_to_ball(dist, parent, owner, settled, int_mode, max_dist)
 
     work = int(sum(bucket_work))
     rounds = int(sum(bucket_rounds))
@@ -247,15 +242,6 @@ def shortest_paths(
     )
 
 
-def sssp(
-    g: CSRGraph,
-    source: int,
-    **kwargs: Any,
-) -> ShortestPathResult:
-    """Single-source convenience wrapper around :func:`shortest_paths`."""
-    return shortest_paths(g, np.asarray([source]), **kwargs)
-
-
 @dataclass(frozen=True)
 class BatchShortestPathResult:
     """``k`` independent searches, stacked into ``(k, n)`` matrices.
@@ -266,7 +252,7 @@ class BatchShortestPathResult:
     ledger fields describe the batch as one parallel composition:
     ``arcs_relaxed`` sums every run's work, ``relax_rounds`` is the
     shared schedule length on the numpy kernel and the longest single
-    run on the sequential backends.
+    run on numba.
     """
 
     dist: np.ndarray
@@ -334,7 +320,6 @@ def shortest_paths_batch(
     weights: Optional[np.ndarray] = None,
     delta: Optional[float] = None,
     backend: Optional[str] = None,
-    max_dist: Optional[float] = None,
     tracker: Optional[PramTracker] = None,
     workers: WorkersArg = DEFAULT_WORKERS,
 ) -> BatchShortestPathResult:
@@ -353,7 +338,7 @@ def shortest_paths_batch(
         Core cap for the numba kernel (``1`` = serial, ``None`` = all
         cores), which dispatches the batch's runs through its
         ``prange``-parallel cores, bit-identical to ``workers=1``.  The
-        numpy and reference kernels run serially.
+        numpy kernel runs serially.
 
     Every run's results match a standalone :func:`shortest_paths` call
     with the same sources/offsets (distances bit-for-bit; forest
@@ -371,7 +356,7 @@ def shortest_paths_batch(
     k = run_ptr.shape[0] - 1
     w, int_mode, delta = _resolve_weights_and_delta(g, weights, offs, delta)
 
-    name = resolve_backend(backend or _DEFAULT_BACKEND)
+    name = resolve_backend(backend or "numpy")
     if k == 0:
         # zero runs: nothing to schedule on any backend — shape the
         # empty (0, n) result here instead of tripping the kernels'
@@ -393,68 +378,19 @@ def shortest_paths_batch(
     else:
         ranks = np.empty(0, np.int64)
 
-    if name == "numpy":
-        split = _resolve_split(g, weights, w, delta, int_mode)
-        dist, parent, owner, settled, bucket_work, bucket_rounds = bucket_sssp_batch(
+    split = _resolve_split(g, weights, w, delta, int_mode)
+    if name == "numba":
+        dist, parent, owner, bucket_work, bucket_rounds = bucket_sssp_batch_numba(
             g.indptr, g.indices, w, g.n, run_src, run_ptr, offs, ranks, delta,
-            max_dist, light_heavy=split,
-        )
-        buckets = len(bucket_work)
-    elif name == "numba":
-        split = _resolve_split(g, weights, w, delta, int_mode)
-        dist, parent, owner, settled, bucket_work, bucket_rounds = (
-            bucket_sssp_batch_numba(
-                g.indptr,
-                g.indices,
-                w,
-                g.n,
-                run_src,
-                run_ptr,
-                offs,
-                ranks,
-                delta,
-                max_dist,
-                light_heavy=split,
-                workers=workers,
-            )
+            light_heavy=split, workers=workers,
         )
         if int_mode:
             dist = _float_to_int_dist(dist)
-        buckets = len(bucket_work)
-    else:  # reference: one heapq oracle per run, parallel-composed
-        from repro.paths.dijkstra import dijkstra_reference
-
-        inf = INT_INF if int_mode else np.inf
-        dist = np.full(k * g.n, inf, dtype=np.int64 if int_mode else np.float64)
-        parent = np.full(k * g.n, -1, dtype=np.int64)
-        owner = np.full(k * g.n, -1, dtype=np.int64)
-        settled = np.zeros(k * g.n, dtype=bool)
-        buckets = 0
-        work_per_run = 2 * g.m + g.n
-        total_work = 0
-        for r in range(k):
-            lo, hi_i = int(run_ptr[r]), int(run_ptr[r + 1])
-            d, p, o = dijkstra_reference(
-                g,
-                run_src[lo:hi_i],
-                offsets=offs[lo:hi_i].astype(np.float64),
-                weights=w,
-                max_dist=max_dist,
-            )
-            sl = slice(r * g.n, (r + 1) * g.n)
-            settled[sl] = np.isfinite(d)
-            b = count_occupied_buckets(d, np.isfinite(d), delta)
-            buckets = max(buckets, b)
-            if b:
-                total_work += work_per_run
-            if int_mode:
-                d = _float_to_int_dist(d)
-            dist[sl], parent[sl], owner[sl] = d, p, o
-        bucket_work = [total_work] + [0] * max(buckets - 1, 0) if buckets else []
-        bucket_rounds = [1] * buckets
-
-    if max_dist is not None:
-        dist = _prune_to_ball(dist, parent, owner, settled, int_mode, max_dist)
+    else:
+        dist, parent, owner, bucket_work, bucket_rounds = bucket_sssp_batch(
+            g.indptr, g.indices, w, g.n, run_src, run_ptr, offs, ranks, delta,
+            light_heavy=split,
+        )
 
     work = int(sum(bucket_work))
     rounds = int(sum(bucket_rounds))
@@ -464,7 +400,7 @@ def shortest_paths_batch(
         dist=dist.reshape(k, g.n),
         parent=parent.reshape(k, g.n),
         owner=owner.reshape(k, g.n),
-        buckets=buckets,
+        buckets=len(bucket_work),
         relax_rounds=rounds,
         arcs_relaxed=work,
         backend=name,
@@ -478,12 +414,16 @@ def _resolve_weights_and_delta(
     offsets: np.ndarray,
     delta: Optional[float],
 ) -> Tuple[np.ndarray, bool, float]:
-    """Shared per-call setup: weight override validation, integer
-    (Dial) mode detection, and the default bucket width — one policy
-    for single and batched calls."""
+    """Shared per-call setup: input validation (finite offsets, finite
+    non-negative override weights, a positive finite ``delta``),
+    integer (Dial) mode detection, and the default bucket width — one
+    policy for single and batched calls."""
     w = g.weights if weights is None else np.asarray(weights)
     if w.shape[0] != g.num_arcs:
         raise ParameterError("weights must have one entry per CSR slot")
+    if weights is not None:
+        check_finite("weights", w, nonnegative=True)
+    check_finite("offsets", offsets)
     int_mode = np.issubdtype(w.dtype, np.integer) and np.issubdtype(
         offsets.dtype, np.integer
     )
@@ -496,8 +436,8 @@ def _resolve_weights_and_delta(
             delta = suggest_delta(
                 g.n, g.num_arcs, float(w.max()) if w.shape[0] else 1.0
             )
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
+    if not (delta > 0 and np.isfinite(delta)):
+        raise ParameterError(f"delta must be positive and finite, got {delta}")
     if int_mode:
         delta = max(int(delta), 1)
     return w, int_mode, delta
@@ -519,68 +459,9 @@ def _resolve_split(
     return split_light_heavy(g.indptr, g.indices, w, delta)
 
 
-def _prune_to_ball(
-    dist: np.ndarray,
-    parent: np.ndarray,
-    owner: np.ndarray,
-    settled: np.ndarray,
-    int_mode: bool,
-    max_dist: float,
-) -> np.ndarray:
-    """Ball cleanup shared by single and batched calls: vertices whose
-    buckets were cut off, plus bucket-mates that settled just beyond
-    the cutoff (the numpy kernel finishes whole buckets), report as
-    unreached — keeping every backend's reachability identical at
-    ``dist <= max_dist``.  Mutates ``parent``/``owner`` in place and
-    returns the pruned distance array."""
-    cut = ~settled
-    cut |= dist > max_dist
-    dist = dist.copy()
-    dist[cut] = INT_INF if int_mode else np.inf
-    parent[cut] = -1
-    owner[cut] = -1
-    return dist
-
-
 def _float_to_int_dist(dist: np.ndarray) -> np.ndarray:
     """Map a float distance array back to Dial's int64 convention."""
     out = np.full(dist.shape[0], INT_INF, dtype=np.int64)
     finite = np.isfinite(dist)
     out[finite] = np.rint(dist[finite]).astype(np.int64)
     return out
-
-
-def _run_reference(
-    g: CSRGraph,
-    sources: np.ndarray,
-    offsets: np.ndarray,
-    w: np.ndarray,
-    int_mode: bool,
-    delta: float,
-    max_dist: Optional[float],
-    tracker: PramTracker,
-) -> ShortestPathResult:
-    """Heapq oracle wrapped into the engine's result/accounting shape."""
-    from repro.paths.dijkstra import dijkstra_reference
-
-    dist, parent, owner = dijkstra_reference(
-        g, sources, offsets=offsets.astype(np.float64), weights=w, max_dist=max_dist
-    )
-    buckets = count_occupied_buckets(dist, np.isfinite(dist), delta)
-    # the sequential oracle is charged as the equivalent level-sync
-    # search: one round per occupied bucket, O(m + n) total work
-    work = 2 * g.m + g.n
-    if buckets:
-        tracker.parallel_round(work=work, rounds=buckets)
-    if int_mode:
-        dist = _float_to_int_dist(dist)
-    return ShortestPathResult(
-        dist=dist,
-        parent=parent,
-        owner=owner,
-        buckets=buckets,
-        relax_rounds=buckets,
-        arcs_relaxed=work if buckets else 0,
-        backend="reference",
-        delta=float(delta),
-    )

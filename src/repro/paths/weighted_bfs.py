@@ -21,6 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
@@ -33,7 +34,6 @@ def dial_sssp(
     sources: np.ndarray,
     weights_int: Optional[np.ndarray] = None,
     offsets: Optional[np.ndarray] = None,
-    max_dist: Optional[int] = None,
     tracker: Optional[PramTracker] = None,
     backend: Optional[str] = None,
     workers: WorkersArg = DEFAULT_WORKERS,
@@ -49,8 +49,6 @@ def dial_sssp(
     offsets:
         Optional non-negative integer start offsets per source (the
         shifted-start race of EST clustering).
-    max_dist:
-        Stop once the sweep level exceeds this (distances beyond stay INF).
     backend:
         Kernel choice, as in :func:`repro.paths.engine.shortest_paths`.
     workers:
@@ -68,11 +66,11 @@ def dial_sssp(
     if weights_int is None:
         w = g.weights.astype(np.int64)
         if not np.array_equal(w.astype(np.float64), g.weights):
-            raise ValueError("dial_sssp requires integer weights; pass weights_int")
+            raise ParameterError("dial_sssp requires integer weights; pass weights_int")
     else:
         w = np.asarray(weights_int, dtype=np.int64)
     if (w < 1).any():
-        raise ValueError("dial_sssp requires weights >= 1")
+        raise ParameterError("dial_sssp requires weights >= 1")
     if offsets is None:
         offsets = np.zeros(sources.shape[0], dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -83,7 +81,6 @@ def dial_sssp(
         offsets=offsets,
         weights=w,
         delta=1,
-        max_dist=max_dist,
         backend=backend,
         tracker=tracker,
         workers=workers,

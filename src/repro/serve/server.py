@@ -93,9 +93,8 @@ class DistanceServer:
         is the server's whole world; queries never read the hopset
         edges, which are held so :meth:`apply_updates` can repair them.
     backend:
-        Engine backend: ``"numpy"`` (default), ``"numba"`` or
-        ``"reference"``; resolved through
-        :func:`repro.kernels.resolve_backend`, so a numba request
+        Engine backend: ``"numpy"`` (default) or ``"numba"``; resolved
+        through :func:`repro.kernels.resolve_backend`, so a numba request
         degrades to numpy with a warning when the JIT toolchain is
         missing (CLI callers that demand numba by name are vetted by
         ``require_backend`` before construction).  Every backend

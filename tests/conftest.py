@@ -1,11 +1,22 @@
-"""Shared fixtures: a zoo of small graphs exercised across test modules."""
+"""Shared fixtures: a zoo of small graphs exercised across test modules,
+and the engine kernel under test."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from oracles import engine_kernel
 from repro.graph import from_edges, gnm_random_graph, grid_graph, path_graph, with_random_weights
+
+
+@pytest.fixture
+def backend(request):
+    """The ``backend=`` value for an indirectly parametrized kernel name
+    (``oracles.KERNELS``): ``"reference"`` runs the engine on the heapq
+    oracle for the duration of the test."""
+    with engine_kernel(request.param) as name:
+        yield name
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import KERNELS, engine_kernel
 from repro.clustering import (
     adjacent_cluster_counts,
     ball_cluster_count,
@@ -181,9 +182,8 @@ class TestCanonicalForestsAcrossBackends:
     parent forests exactly like the exact float mode: ties between
     equally-tight tree arcs resolve to the minimum source, so the forest
     edge set is a function of the distances alone — identical on every
-    backend and worker count."""
-
-    BACKENDS = ["numpy", "reference"]
+    backend and worker count.  Every race also runs on the heapq oracle
+    kernel (``oracles.KERNELS``), which breaks ties differently."""
 
     @staticmethod
     def _forest_key(c):
@@ -191,15 +191,14 @@ class TestCanonicalForestsAcrossBackends:
         return set(zip(child.tolist(), parent.tolist()))
 
     def _all_clusterings(self, g, beta, seed, workers=1):
-        from repro.kernels.numba_kernel import HAVE_NUMBA
-
-        backends = list(self.BACKENDS) + (["numba"] if HAVE_NUMBA else [])
-        return [
-            est_cluster(
-                g, beta, seed=seed, method="round", backend=b, workers=workers
-            )
-            for b in backends
-        ]
+        out = []
+        for kernel in KERNELS:
+            with engine_kernel(kernel) as backend:
+                out.append(est_cluster(
+                    g, beta, seed=seed, method="round", backend=backend,
+                    workers=workers,
+                ))
+        return out
 
     def test_dial_round_mode_forest_identical(self, small_int_weighted):
         results = self._all_clusterings(small_int_weighted, 0.2, seed=3)
@@ -229,7 +228,6 @@ class TestCanonicalForestsAcrossBackends:
         from repro.clustering import est_cluster_forest
         from repro.clustering.shifts import sample_shifts
         from repro.graph.builders import induced_subgraph_forest
-        from repro.kernels.numba_kernel import HAVE_NUMBA
         from repro.rng import resolve_rng
 
         g = small_int_weighted
@@ -240,14 +238,13 @@ class TestCanonicalForestsAcrossBackends:
             sample_shifts(half, 0.3, resolve_rng(1)),
             sample_shifts(g.n - half, 0.3, resolve_rng(2)),
         ])
-        backends = ["numpy", "reference"] + (["numba"] if HAVE_NUMBA else [])
-        results = [
-            est_cluster_forest(
-                forest.graph, 0.3, forest.ptr, shifts, method="round",
-                backend=b,
-            )
-            for b in backends
-        ]
+        results = []
+        for kernel in KERNELS:
+            with engine_kernel(kernel) as backend:
+                results.append(est_cluster_forest(
+                    forest.graph, 0.3, forest.ptr, shifts, method="round",
+                    backend=backend,
+                ))
         base = results[0]
         for other in results[1:]:
             assert np.array_equal(base.labels, other.labels)

@@ -32,8 +32,9 @@ class TestDeltaStepping:
         assert p_small >= p_big
 
     def test_invalid_delta(self, small_weighted):
-        with pytest.raises(ParameterError):
-            delta_stepping(small_weighted, 0, delta=0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="delta"):
+                delta_stepping(small_weighted, 0, delta=bad)
 
     def test_empty_graph(self, empty_graph):
         dist, phases = delta_stepping(empty_graph, 0)

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import engine_kernel
 from repro import cli
 from repro.dynamic import UpdateBatch, apply_batch, repair_hopset
 from repro.errors import ParameterError
@@ -182,9 +183,10 @@ class TestDynamicHopset:
                 got = DistanceServer(result, cache_rows=0).distance_row(3)
                 assert np.allclose(got, want)
 
-    @pytest.mark.parametrize("backend", ["numpy", "reference"])
+    # "reference" runs every engine search on the heapq oracle kernel
+    @pytest.mark.parametrize("kernel", ["numpy", "reference"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_determinism_across_backends_and_workers(self, backend, workers):
+    def test_determinism_across_backends_and_workers(self, kernel, workers):
         g0 = _weighted(140, 360, seed=7)
 
         def churned(**kw):
@@ -195,7 +197,8 @@ class TestDynamicHopset:
             return hs
 
         base = churned()
-        other = churned(backend=backend, workers=workers)
+        with engine_kernel(kernel) as backend:
+            other = churned(backend=backend, workers=workers)
         assert _hopset_key(base) == _hopset_key(other)
 
     def test_locality_on_high_diameter_graph(self):

@@ -15,13 +15,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.kernels as kernels
+from oracles import KERNELS, dijkstra_reference
 from repro.errors import ParameterError
 from repro.graph import from_edges, gnm_random_graph, with_random_weights
 from repro.kernels import available_backends, require_backend, split_light_heavy
 from repro.kernels.numba_kernel import _delta_sssp_core
 from repro.paths import shortest_paths, shortest_paths_batch
 from repro.paths.delta_stepping import delta_stepping
-from repro.paths.dijkstra import dijkstra_reference, dijkstra_scipy
+from repro.paths.dijkstra import dijkstra_scipy
 from repro.pram import PramTracker
 
 SETTINGS = settings(
@@ -121,16 +122,6 @@ class TestFloatPathMatchesReference:
         assert np.allclose(res.dist, dist)
         assert np.array_equal(res.owner, owner)
 
-    def test_max_dist_prunes_identically(self):
-        g = _random_float_graph(80, 240, seed=9)
-        full = dijkstra_scipy(g, 0)
-        cut = float(np.median(full))
-        res = shortest_paths(g, 0, max_dist=cut)
-        near = full <= cut
-        assert np.allclose(res.dist[near], full[near])
-        assert np.isinf(res.dist[~near]).all()
-        assert (res.owner[~near] == -1).all()
-
     def test_int_weights_keep_dial_fast_path(self):
         g = gnm_random_graph(60, 200, seed=11, connected=True)
         g = with_random_weights(g, 1, 9, "integer", seed=12)
@@ -157,7 +148,7 @@ class TestDeltaCore:
     """The numba delta-stepping core, exercised directly (pure-Python
     stub without numba; the compiled artifact in the numba CI job)."""
 
-    def _run(self, g, sources, offsets, delta, max_dist=None):
+    def _run(self, g, sources, offsets, delta):
         split = split_light_heavy(g.indptr, g.indices, g.weights, delta)
         ranks = np.arange(len(sources), dtype=np.int64)
         return _delta_sssp_core(
@@ -167,7 +158,6 @@ class TestDeltaCore:
             np.asarray(offsets, np.float64),
             ranks,
             float(delta),
-            -1.0 if max_dist is None else float(max_dist),
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -175,36 +165,27 @@ class TestDeltaCore:
     def test_matches_reference(self, seed, delta_kind):
         g = _random_float_graph(60, 220, seed=seed)
         delta = {"auto": g.suggest_delta(), "tiny": 0.05, "huge": 1e6}[delta_kind]
-        dist, parent, owner, settled, arcs, buckets = self._run(g, [4], [0.0], delta)
+        dist, parent, owner, arcs, buckets = self._run(g, [4], [0.0], delta)
         dref, pref, oref = dijkstra_reference(g, 4)
         assert np.allclose(dist, dref)
         assert np.array_equal(parent, pref)
         assert np.array_equal(owner, oref)
-        assert settled.all() and arcs >= g.num_arcs and buckets >= 1
+        assert np.isfinite(dist).all() and arcs >= g.num_arcs and buckets >= 1
 
     def test_rank_tie_break(self):
         # two equal-distance claims: the earlier source entry must win
         g = from_edges(6, [(3, 4), (4, 5), (0, 1), (1, 5)])
-        _, _, owner, _, _, _ = self._run(g, [3, 0], [0.0, 0.0], g.suggest_delta())
+        _, _, owner, _, _ = self._run(g, [3, 0], [0.0, 0.0], g.suggest_delta())
         assert owner[5] == 3
-
-    def test_max_dist(self):
-        g = _random_float_graph(50, 160, seed=21)
-        full = dijkstra_scipy(g, 0)
-        cut = float(np.median(full))
-        dist, _, _, settled, _, _ = self._run(g, [0], [0.0], 1.0, max_dist=cut)
-        inside = settled & (dist <= cut)
-        assert np.allclose(dist[inside], full[inside])
-        # the core finishes whole buckets: anything settled past the
-        # cutoff sits in the final width-1.0 bucket (engine prunes it)
-        assert not settled[full > cut + 1.0].any()
 
 
 class TestBackendRegistry:
     def test_available_backends_reports_reality(self):
         avail = available_backends()
-        assert "numpy" in avail and "reference" in avail
+        assert "numpy" in avail and "reference" not in avail
         assert ("numba" in avail) == kernels.HAVE_NUMBA
+        with pytest.raises(ParameterError):
+            kernels.resolve_backend("reference")
 
     def test_require_backend_strict(self, monkeypatch):
         assert require_backend("numpy") == "numpy"
@@ -232,7 +213,7 @@ class TestBackendRegistry:
             warnings.simplefilter("error")
             shortest_paths(g, 0, backend="numba")
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("backend", KERNELS, indirect=True)
     def test_float_path_all_backends(self, backend):
         g = _random_float_graph(90, 330, seed=37)
         res = shortest_paths(g, 3, backend=backend)
@@ -250,6 +231,15 @@ class TestCLIBackendContract:
         assert rc == 2
         err = capsys.readouterr().err
         assert "numba" in err and "available" in err
+
+    def test_reference_is_not_a_backend(self, capsys):
+        # the heapq Dijkstra is a test oracle now, not a CLI choice
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["sssp", "--n", "40", "--m", "120", "--backend", "reference"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_explicit_available_backend_runs(self, capsys):
         from repro.cli import main

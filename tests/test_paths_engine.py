@@ -1,9 +1,13 @@
 """Equivalence and determinism tests for the bucket shortest-path engine."""
 
+import math
+
 import numpy as np
 import pytest
 
+from oracles import KERNELS, dijkstra_reference, engine_kernel
 from repro import cli
+from repro.clustering import est_cluster, est_cluster_forest
 from repro.errors import ParameterError
 from repro.graph import from_edges, gnm_random_graph, grid_graph, with_random_weights
 from repro.hopsets import (
@@ -13,16 +17,13 @@ from repro.hopsets import (
     exact_distance,
     hopset_distance,
 )
-from repro.kernels import available_backends, resolve_backend
+from repro.kernels import resolve_backend
 from repro.paths import (
     dijkstra,
-    dijkstra_reference,
     dijkstra_scipy,
     hop_limited_distances,
-    set_default_backend,
     shortest_paths,
     shortest_paths_batch,
-    sssp,
 )
 from repro.pram import PramTracker
 
@@ -34,18 +35,15 @@ def _random_weighted(n, m, seed, lo=1.0, hi=40.0, kind="loguniform"):
     return with_random_weights(g, lo, hi, kind, seed=seed + 1000)
 
 
-BACKENDS = available_backends()
-
-
 class TestSingleSource:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", KERNELS, indirect=True)
     def test_matches_scipy(self, seed, backend):
         g = _random_weighted(150, 600, seed)
         res = shortest_paths(g, 0, backend=backend)
         assert np.allclose(res.dist, dijkstra_scipy(g, 0))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", KERNELS, indirect=True)
     def test_matches_reference_labels(self, backend):
         # random real weights: ties have measure zero, so parent/owner
         # must agree with the heapq oracle exactly
@@ -63,8 +61,9 @@ class TestSingleSource:
         assert np.array_equal(a.dist, b.dist)
 
     def test_sssp_convenience(self):
+        # a scalar source is the single-source search
         g = _random_weighted(60, 180, seed=4)
-        assert np.allclose(sssp(g, 0).dist, dijkstra_scipy(g, 0))
+        assert np.allclose(shortest_paths(g, 0).dist, dijkstra_scipy(g, 0))
 
     def test_unreached_labels(self, disconnected):
         res = shortest_paths(disconnected, 0)
@@ -74,7 +73,7 @@ class TestSingleSource:
 
 class TestMultiSourceOffsets:
     @pytest.mark.parametrize("seed", [11, 12, 13])
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", KERNELS, indirect=True)
     def test_race_matches_reference(self, seed, backend):
         g = _random_weighted(120, 500, seed)
         rng = np.random.default_rng(seed)
@@ -86,7 +85,7 @@ class TestMultiSourceOffsets:
         assert np.array_equal(res.owner, owner)
         assert np.array_equal(res.parent, parent)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", KERNELS, indirect=True)
     def test_all_source_race_argmin(self, backend):
         # the EST-exact workload: every vertex races with a real offset
         g = _random_weighted(90, 360, seed=17)
@@ -122,28 +121,30 @@ class TestDeterminism:
     def test_tie_break_prefers_earlier_source(self):
         # path 0-1-2-3-4: sources 0 and 4 meet at vertex 2 at distance 2
         g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        for backend in BACKENDS:
-            res = shortest_paths(
-                g,
-                np.array([0, 4]),
-                offsets=np.array([0.0, 0.0]),
-                backend=backend,
-            )
-            assert res.owner[2] == 0, backend
+        for kernel in KERNELS:
+            with engine_kernel(kernel) as backend:
+                res = shortest_paths(
+                    g,
+                    np.array([0, 4]),
+                    offsets=np.array([0.0, 0.0]),
+                    backend=backend,
+                )
+            assert res.owner[2] == 0, kernel
 
     def test_tie_break_rank_beats_vertex_order(self):
         # two disjoint branches meet at 5 at distance 2; the rank-0
         # source (vertex 3) must win on every backend even though the
         # competing branch settles lower vertex ids first
         g = from_edges(6, [(3, 4), (4, 5), (0, 1), (1, 5)])
-        for backend in BACKENDS:
-            res = shortest_paths(
-                g,
-                np.array([3, 0]),
-                offsets=np.array([0.0, 0.0]),
-                backend=backend,
-            )
-            assert res.owner[5] == 3, backend
+        for kernel in KERNELS:
+            with engine_kernel(kernel) as backend:
+                res = shortest_paths(
+                    g,
+                    np.array([3, 0]),
+                    offsets=np.array([0.0, 0.0]),
+                    backend=backend,
+                )
+            assert res.owner[5] == 3, kernel
 
     def test_tiny_delta_terminates(self):
         # float roundoff: (d // delta) * delta + delta == d when
@@ -155,9 +156,10 @@ class TestDeterminism:
     @pytest.mark.parametrize("seed", [31, 32])
     def test_backends_agree_on_random_weights(self, seed):
         g = _random_weighted(130, 520, seed)
-        results = [
-            shortest_paths(g, 0, backend=b) for b in BACKENDS
-        ]
+        results = []
+        for kernel in KERNELS:
+            with engine_kernel(kernel) as backend:
+                results.append(shortest_paths(g, 0, backend=backend))
         for r in results[1:]:
             assert np.allclose(results[0].dist, r.dist)
             assert np.array_equal(results[0].owner, r.owner)
@@ -177,17 +179,6 @@ class TestDialIntegerMode:
         )
         # Dial: one relaxation round per bucket
         assert res.relax_rounds == res.buckets
-
-    def test_max_dist_prunes(self, small_int_weighted):
-        w = small_int_weighted.weights.astype(np.int64)
-        res = shortest_paths(
-            small_int_weighted, 0, offsets=np.array([0]), weights=w, max_dist=3
-        )
-        full = dijkstra_scipy(small_int_weighted, 0)
-        near = full <= 3
-        assert (res.dist[near].astype(float) == full[near]).all()
-        assert (res.dist[full > 4] == INT_INF).all()
-        assert (res.owner[res.dist == INT_INF] == -1).all()
 
 
 class TestAccountingAndBackends:
@@ -220,28 +211,6 @@ class TestAccountingAndBackends:
         with pytest.raises(ParameterError):
             resolve_backend("cuda")
 
-    def test_max_dist_consistent_across_backends(self):
-        # the cutoff must fall inside a bucket and still prune identically
-        g = _random_weighted(80, 240, seed=47)
-        cut = float(np.median(dijkstra_scipy(g, 0)))
-        results = [
-            shortest_paths(g, 0, max_dist=cut, backend=b, delta=cut * 0.7)
-            for b in BACKENDS
-        ]
-        for r in results[1:]:
-            assert np.allclose(results[0].dist, r.dist, equal_nan=True)
-            assert np.array_equal(np.isinf(results[0].dist), np.isinf(r.dist))
-
-    def test_default_backend_roundtrip(self):
-        g = _random_weighted(30, 90, seed=45)
-        assert shortest_paths(g, 0).backend == "numpy"
-        try:
-            assert set_default_backend("reference") == "reference"
-            assert shortest_paths(g, 0).backend == "reference"
-        finally:
-            set_default_backend("numpy")
-        assert shortest_paths(g, 0).backend == "numpy"
-
     def test_numba_request_degrades_gracefully(self):
         # on machines without numba this resolves to numpy; with numba
         # it runs the JIT kernel — either way the answer is exact
@@ -268,15 +237,6 @@ class TestDijkstraFrontEnd:
         dref, pref, oref = dijkstra_reference(small_weighted, 0)
         assert np.array_equal(parent, pref) and np.array_equal(owner, oref)
 
-    def test_reference_max_dist(self, small_weighted):
-        full = dijkstra_scipy(small_weighted, 0)
-        cut = float(np.median(full[np.isfinite(full)]))
-        dist, parent, owner = dijkstra_reference(small_weighted, 0, max_dist=cut)
-        near = full <= cut
-        assert np.allclose(dist[near], full[near])
-        assert np.isinf(dist[~near]).all()
-        assert (owner[~near] == -1).all()
-
     def test_grid_unweighted(self):
         g = grid_graph(12, 12)
         dist, _, _ = dijkstra(g, 0)
@@ -297,13 +257,18 @@ class TestDistributedSSSP:
         assert net.rounds >= 1 and net.total_messages > 0
 
 
+def _on_reference_kernel(call):
+    with engine_kernel("reference"):
+        return call()
+
+
 # every entry point that takes a vertex id, called with that id out of
 # range; ``hs`` maps hopset kind ("unweighted", "weighted", "limited")
 # to a hopset built on ``g``
 _ID_ENTRY_POINTS = {
     "shortest_paths": lambda g, hs, v: shortest_paths(g, v),
-    "shortest_paths_reference": lambda g, hs, v: shortest_paths(
-        g, v, backend="reference"
+    "shortest_paths_reference": lambda g, hs, v: _on_reference_kernel(
+        lambda: shortest_paths(g, v)
     ),
     "shortest_paths_batch": lambda g, hs, v: shortest_paths_batch(g, [v]),
     "hopset_distance_source": lambda g, hs, v: hopset_distance(hs["unweighted"], v, 5),
@@ -362,3 +327,61 @@ class TestVertexIdRange:
         assert captured.err.startswith("error: ")
         assert "out of range [0, 100)" in captured.err
         assert "query" not in captured.out
+
+
+def _est_on_grid(shift, method):
+    return lambda g: est_cluster(
+        grid_graph(5, 5), 0.5, shifts=np.full(25, shift), method=method
+    )
+
+
+# inputs that used to reach a kernel unchecked, each with the parameter
+# its error must name: a NaN or infinite delta failed on an index, NaN
+# offsets left every vertex unreached, negative override weights never
+# finished, and NaN or infinite EST shifts left every vertex without a
+# center (exact) or alone in its cluster (round)
+_BAD_INPUTS = {
+    "delta_nan": ("delta", lambda g: shortest_paths(g, 0, delta=math.nan)),
+    "delta_inf": ("delta", lambda g: shortest_paths(g, 0, delta=math.inf)),
+    "batch_delta_nan": ("delta", lambda g: shortest_paths_batch(g, [0, 1], delta=math.nan)),
+    "batch_delta_inf": ("delta", lambda g: shortest_paths_batch(g, [0, 1], delta=math.inf)),
+    "offsets_nan": ("offsets", lambda g: shortest_paths(g, [0], offsets=[math.nan])),
+    "offsets_inf": ("offsets", lambda g: shortest_paths(g, [0], offsets=[math.inf])),
+    "batch_offsets_nan": (
+        "offsets", lambda g: shortest_paths_batch(g, [[0, 1]], [[0.0, math.nan]])
+    ),
+    "weights_negative": (
+        "weights", lambda g: shortest_paths(g, 0, weights=-np.ones(g.num_arcs))
+    ),
+    "weights_nan": (
+        "weights", lambda g: shortest_paths(g, 0, weights=np.full(g.num_arcs, math.nan))
+    ),
+    "batch_weights_negative": (
+        "weights", lambda g: shortest_paths_batch(g, [0], weights=-np.ones(g.num_arcs))
+    ),
+    "est_exact_shifts_nan": ("shifts", _est_on_grid(math.nan, "exact")),
+    "est_exact_shifts_inf": ("shifts", _est_on_grid(math.inf, "exact")),
+    "est_round_shifts_nan": ("shifts", _est_on_grid(math.nan, "round")),
+    "est_forest_shifts_inf": (
+        "shifts",
+        lambda g: est_cluster_forest(
+            grid_graph(5, 5), 0.5, np.array([0, 25]), np.full(25, math.inf)
+        ),
+    ),
+}
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+    def test_rejected_by_name(self, case):
+        g = _random_weighted(50, 200, seed=57)
+        name, call = _BAD_INPUTS[case]
+        with pytest.raises(ParameterError, match=name):
+            call(g)
+
+    def test_cli_nan_delta_is_a_message(self, capsys):
+        rc = cli.main(["sssp", "--n", "100", "--m", "400", "--delta", "nan"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: delta must be positive and finite")
+        assert "Traceback" not in captured.err

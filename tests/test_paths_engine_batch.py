@@ -11,13 +11,12 @@ avoid except where the test checks owners specifically).
 import numpy as np
 import pytest
 
+from oracles import KERNELS, engine_kernel
 from repro.errors import ParameterError
 from repro.graph import from_edges, gnm_random_graph, with_random_weights
-from repro.kernels import available_backends
 from repro.paths import shortest_paths, shortest_paths_batch
 from repro.pram import PramTracker
 
-BACKENDS = available_backends()
 INT_INF = np.iinfo(np.int64).max
 
 
@@ -39,7 +38,7 @@ def _multi_component(seed):
 
 
 class TestSingletonRuns:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", KERNELS, indirect=True)
     def test_matches_per_source_loop_float(self, backend):
         g = _weighted(150, 600, seed=3)
         srcs = np.array([0, 17, 63, 149])
@@ -50,7 +49,7 @@ class TestSingletonRuns:
             assert np.allclose(res.dist[i], single.dist)
             assert np.array_equal(res.owner[i], single.owner)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", KERNELS, indirect=True)
     def test_matches_per_source_loop_integer(self, backend):
         g = _weighted(120, 480, seed=5, kind="integer", lo=1, hi=9)
         w = g.weights.astype(np.int64)
@@ -62,7 +61,7 @@ class TestSingletonRuns:
             assert np.array_equal(res.dist[i], single.dist)
             assert np.array_equal(res.owner[i], single.owner)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", KERNELS, indirect=True)
     def test_multi_component_rows_stay_confined(self, backend):
         g = _multi_component(seed=11)
         srcs = np.array([0, 45, 101])  # one source per component
@@ -77,19 +76,20 @@ class TestSingletonRuns:
         # path 0-1-2-3-4 raced from both ends inside one run: the batch
         # must reproduce the engine's rank tie-break (earlier source wins)
         g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        for backend in BACKENDS:
-            res = shortest_paths_batch(
-                g, [np.array([0, 4])], [np.array([0, 0])], backend=backend
-            )
-            single = shortest_paths(
-                g, np.array([0, 4]), offsets=np.array([0, 0]), backend=backend
-            )
-            assert np.array_equal(res.owner[0], single.owner), backend
-            assert np.array_equal(res.dist[0], single.dist), backend
+        for kernel in KERNELS:
+            with engine_kernel(kernel) as backend:
+                res = shortest_paths_batch(
+                    g, [np.array([0, 4])], [np.array([0, 0])], backend=backend
+                )
+                single = shortest_paths(
+                    g, np.array([0, 4]), offsets=np.array([0, 0]), backend=backend
+                )
+            assert np.array_equal(res.owner[0], single.owner), kernel
+            assert np.array_equal(res.dist[0], single.dist), kernel
 
 
 class TestMultiSourceRuns:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", KERNELS, indirect=True)
     def test_runs_with_offsets(self, backend):
         g = _weighted(100, 400, seed=7)
         rng = np.random.default_rng(7)
@@ -109,15 +109,6 @@ class TestMultiSourceRuns:
         assert np.isfinite(res.dist[0][:40]).all()
         assert np.isinf(res.dist[0][40:]).all()
         assert np.isinf(res.dist[1][:40]).all()
-
-    def test_max_dist_prunes_each_run(self):
-        g = _weighted(80, 240, seed=9)
-        srcs = np.array([0, 40])
-        res = shortest_paths_batch(g, srcs, max_dist=4.0)
-        for i, s in enumerate(srcs):
-            single = shortest_paths(g, int(s), max_dist=4.0)
-            assert np.allclose(res.dist[i], single.dist, equal_nan=True)
-            assert np.array_equal(np.isinf(res.dist[i]), np.isinf(single.dist))
 
 
 class TestShapesAndLedger:
@@ -167,7 +158,10 @@ class TestShapesAndLedger:
     def test_backends_agree(self):
         g = _weighted(110, 440, seed=27)
         srcs = np.array([0, 33, 77])
-        results = [shortest_paths_batch(g, srcs, backend=b) for b in BACKENDS]
+        results = []
+        for kernel in KERNELS:
+            with engine_kernel(kernel) as backend:
+                results.append(shortest_paths_batch(g, srcs, backend=backend))
         for r in results[1:]:
             assert np.allclose(results[0].dist, r.dist)
             assert np.array_equal(results[0].owner, r.owner)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ParameterError
 from repro.graph import from_edges, gnm_random_graph, with_random_weights
 from repro.paths import dial_sssp, weighted_bfs_with_start_times
 from repro.paths.dijkstra import dijkstra_scipy
@@ -41,20 +42,13 @@ class TestDialSSSP:
         assert list(dist) == [0, 1, 2]
 
     def test_rejects_non_integer_weights(self, small_weighted):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             dial_sssp(small_weighted, np.array([0]))
 
     def test_rejects_zero_weights(self, int_graph):
         w = np.zeros(int_graph.num_arcs, dtype=np.int64)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             dial_sssp(int_graph, np.array([0]), weights_int=w)
-
-    def test_max_dist_truncates(self, int_graph):
-        dist, _, owner, _ = dial_sssp(int_graph, np.array([0]), max_dist=2)
-        far = dist == INF
-        full = dijkstra_scipy(int_graph, 0)
-        # everything within distance 2 must be settled
-        assert not far[full <= 2].any()
 
     def test_levels_bounded_by_max_distance(self, int_graph):
         t = PramTracker(n=int_graph.n, depth_per_round=1)

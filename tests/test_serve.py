@@ -4,10 +4,10 @@ Three layers are pinned here:
 
 * the frontier-based hop-limited kernel behind every h-hop query is
   label-identical to dense synchronous Bellman–Ford (the
-  `dense_hop_distances` oracle) for every budget, batched or
-  singleton, on plain graphs and on hopset unions — and exact against
-  Dijkstra at full convergence;
-* `DistanceServer` semantics: rows are exact on every engine backend,
+  `dense_hop_distances` oracle) for every budget, single- or
+  multi-source, on plain graphs and on hopset unions — and exact
+  against Dijkstra at full convergence;
+* `DistanceServer` semantics: rows are exact on every engine kernel,
   batched answers equal singleton answers, the LRU source-row cache
   hits/evicts as documented, the coalescing front door preserves
   request order, and the union CSR is never compiled;
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import arcs_from_graph, combine_arcs, dense_hop_distances
+from oracles import arcs_from_graph, combine_arcs, dense_hop_distances, engine_kernel
 from repro import cli
 from repro.errors import ParameterError
 from repro.graph import from_edges, gnm_random_graph, grid_graph, with_random_weights
@@ -100,23 +100,6 @@ class TestFrontierKernel:
             # converged: full-budget answer is the exact distance
             assert np.allclose(fd, dijkstra_scipy(g, src))
 
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 1000), h=st.integers(1, 50))
-    def test_batch_equals_singletons(self, seed, h):
-        g = _random_weighted(50, 120, seed)
-        indptr, indices, w = _csr(g)
-        runs = np.array([0, 7, 13, 7])  # duplicate sources allowed
-        bd, bh, _, _ = hop_sssp_batch(
-            indptr, indices, w, g.n, runs, np.arange(5), h
-        )
-        bd, bh = bd.reshape(4, g.n), bh.reshape(4, g.n)
-        for i, s in enumerate(runs):
-            sd, sh, _, _ = hop_sssp_batch(
-                indptr, indices, w, g.n, np.array([s]), np.array([0, 1]), h
-            )
-            assert np.array_equal(bd[i], sd)
-            assert np.array_equal(bh[i], sh)
-
     def test_multi_source_run(self):
         g = _random_weighted(40, 100, seed=3)
         srcs = np.array([0, 5, 9])
@@ -130,20 +113,15 @@ class TestFrontierKernel:
         # frontier's out-degrees, not the whole arc set
         g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
         indptr, indices, w = _csr(g)
-        _, _, round_arcs, frontier = hop_sssp_batch(
-            indptr, indices, w, 4, np.array([0]), np.array([0, 1]), 100
-        )
-        assert frontier.shape[0] == 0
+        _, _, round_arcs = hop_sssp_batch(indptr, indices, w, np.array([0]), 100)
         assert round_arcs == [1, 2, 2, 1]  # deg(0), deg(1), deg(2), deg(3)
 
     def test_empty_sources_and_empty_graph(self):
         indptr = np.zeros(4, dtype=np.int64)
         empty_i = np.empty(0, dtype=np.int64)
         empty_w = np.empty(0, dtype=np.float64)
-        d, h, ra, fr = hop_sssp_batch(
-            indptr, empty_i, empty_w, 3, empty_i, np.array([0, 0]), 5
-        )
-        assert np.isinf(d).all() and not ra and fr.shape[0] == 0
+        d, h, ra = hop_sssp_batch(indptr, empty_i, empty_w, empty_i, 5)
+        assert d.shape == (3,) and np.isinf(d).all() and not ra
 
 # ----------------------------------------------------------------------
 # DistanceServer
@@ -183,8 +161,8 @@ class TestDistanceServer:
 
     @pytest.mark.parametrize("kind", ["unit", "float", "disconnected_int"])
     def test_reference_backend_serves_exact_rows(self, kind):
-        # exact serving runs on every engine backend, the heapq
-        # reference included: same rows as numpy and as scipy
+        # exact serving is kernel-independent: the server run on the
+        # heapq oracle kernel returns the same rows as numpy and scipy
         g = {
             "unit": lambda: gnm_random_graph(80, 240, seed=7, connected=True),
             "float": lambda: _random_weighted(90, 300, seed=8),
@@ -192,11 +170,12 @@ class TestDistanceServer:
         }[kind]()
         hs = build_hopset(g, PARAMS, seed=2)
         sources = [0, 41, g.n - 1]
-        ref = DistanceServer(hs, backend="reference")
-        assert ref.backend == "reference"
-        D = ref.distances(sources)
+        with engine_kernel("reference"):
+            D = DistanceServer(hs).distances(sources)
         assert D.dtype == np.float64
         assert np.array_equal(D, DistanceServer(hs).distances(sources))
+        with pytest.raises(ParameterError, match="unknown backend"):
+            DistanceServer(hs, backend="reference")
         for row, s in zip(D, sources):
             assert np.allclose(row, dijkstra_scipy(g, s))
 

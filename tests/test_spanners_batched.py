@@ -29,7 +29,7 @@ from repro.pram import PramTracker
 from repro.spanners import verify_spanner, weighted_spanner
 from repro.spanners.unweighted import unweighted_spanner
 
-from oracles import weighted_spanner_recursive
+from oracles import KERNELS, engine_kernel, weighted_spanner_recursive
 
 SETTINGS = settings(
     max_examples=15,
@@ -123,10 +123,11 @@ class TestCrossBackend:
     so :func:`repro.clustering.est._canonical_tree_parents` now makes
     the exact-mode cluster forests kernel-independent; these tests pin
     the resulting contract.  The PRAM ledger must also agree across the
-    real kernels (numpy / numba); the ``reference`` oracle is excluded
-    from ledger equality by design — it charges a synthetic
+    real kernels (numpy / numba); the heapq ``reference`` oracle kernel
+    is excluded from ledger equality by design — it charges a synthetic
     ``2m + n``-per-search, one-round-per-bucket estimate instead of
-    simulating the bucket schedule (see ``engine._run_reference``).
+    simulating the bucket schedule (see
+    ``oracles.dijkstra.reference_bucket_sssp_batch``).
     """
 
     def _build(self, g, backend, strategy, unweighted=False):
@@ -149,19 +150,21 @@ class TestCrossBackend:
     def test_weighted_backends_agree(self, small_weighted, strategy):
         base, base_ledger = self._build(small_weighted, "numpy", strategy)
         assert base_ledger[0] > 0 and base_ledger[1] > 0
-        for backend in available_backends():
-            sp, ledger = self._build(small_weighted, backend, strategy)
-            assert np.array_equal(sp.edge_ids, base.edge_ids), backend
-            if backend != "reference":
-                assert ledger == base_ledger, backend
+        for kernel in KERNELS:
+            with engine_kernel(kernel) as backend:
+                sp, ledger = self._build(small_weighted, backend, strategy)
+            assert np.array_equal(sp.edge_ids, base.edge_ids), kernel
+            if kernel != "reference":
+                assert ledger == base_ledger, kernel
 
     def test_unweighted_backends_agree(self, small_gnm):
         base, base_ledger = self._build(small_gnm, "numpy", None, unweighted=True)
-        for backend in available_backends():
-            sp, ledger = self._build(small_gnm, backend, None, unweighted=True)
-            assert np.array_equal(sp.edge_ids, base.edge_ids), backend
-            if backend != "reference":
-                assert ledger == base_ledger, backend
+        for kernel in KERNELS:
+            with engine_kernel(kernel) as backend:
+                sp, ledger = self._build(small_gnm, backend, None, unweighted=True)
+            assert np.array_equal(sp.edge_ids, base.edge_ids), kernel
+            if kernel != "reference":
+                assert ledger == base_ledger, kernel
 
     def test_numba_backend_when_available(self, small_weighted):
         if "numba" not in available_backends():
