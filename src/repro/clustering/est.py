@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
-from repro.graph.dedup import presence_unique
+from repro.graph.dedup import presence_unique, stable_argsort
 from repro.paths.bfs import bfs_with_start_times
 from repro.paths.engine import check_finite, shortest_paths
 from repro.paths.weighted_bfs import weighted_bfs_with_start_times
@@ -104,17 +104,18 @@ class Clustering:
 
     @cached_property
     def member_order(self) -> np.ndarray:
-        """Vertex ids grouped by compact label (one argsort, cached).
+        """Vertex ids grouped by compact label (one radix order, cached).
 
-        Stable sort keeps ids ascending inside each cluster, so slicing
-        this array reproduces exactly what per-label ``flatnonzero``
-        scans used to return — at O(n log n) once instead of
+        The order is stable, so ids stay ascending inside each cluster
+        and slicing this array reproduces exactly what per-label
+        ``flatnonzero`` scans used to return — at O(n) once
+        (:func:`~repro.graph.dedup.stable_argsort`) instead of
         O(n * num_clusters) across a loop over clusters.  Frozen
         read-only: ``members()``/``members_list()`` hand out views of
         it, and a caller mutating a view must fail loudly instead of
         silently corrupting the shared index.
         """
-        order = np.argsort(self.labels, kind="stable")
+        order = stable_argsort(self.labels)
         order.setflags(write=False)
         return order
 

@@ -44,6 +44,7 @@ from repro.errors import ParameterError
 from repro.graph.builders import induced_subgraph
 from repro.graph.components import connected_components
 from repro.graph.csr import CSRGraph
+from repro.graph.dedup import rows_by_value
 from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng
@@ -335,13 +336,9 @@ def build_cluster_tree(
             max_beta_doublings,
         )
         stats = _children_stats(g, sub, vmap, labels, k)
-        order = np.argsort(labels, kind="stable")
-        slices = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(np.bincount(labels, minlength=k), out=slices[1:])
-
         to_push = []
-        for j in range(k):
-            child_vertices = vmap[order[slices[j] : slices[j + 1]]]
+        for j, rows in enumerate(rows_by_value(labels, k)):
+            child_vertices = vmap[rows]
             satisfied = req.check(stats[j])
             child = ClusterTreeNode(
                 id=next_id, parent=nid, level=node.level + 1,

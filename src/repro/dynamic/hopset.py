@@ -31,7 +31,7 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.graph.builders import induced_subgraph_forest
 from repro.graph.csr import CSRGraph
-from repro.graph.dedup import presence_unique
+from repro.graph.dedup import presence_unique, stable_argsort
 from repro.hopsets.params import HopsetParams
 from repro.hopsets.result import HopsetResult
 from repro.hopsets.unweighted import _Collector, _run_levels
@@ -95,7 +95,7 @@ def repair_hopset(
     rebuild = dirty[counts[dirty] > n_final]
     out = _Collector()
     if rebuild.size:
-        order = np.argsort(st.top_labels, kind="stable")
+        order = stable_argsort(st.top_labels)
         starts = np.zeros(nb + 1, dtype=np.int64)
         np.cumsum(counts, out=starts[1:])
         groups = [order[starts[b]:starts[b + 1]] for b in rebuild]

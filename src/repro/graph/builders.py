@@ -154,7 +154,10 @@ def induced_subgraph_forest(
     cat = np.concatenate(groups) if ptr[-1] else np.empty(0, np.int64)
     group_of = np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
 
-    if np.unique(cat).shape[0] != cat.shape[0]:
+    if cat.size and (int(cat.min()) < 0 or int(cat.max()) >= g.n):
+        bad = int(cat[(cat < 0) | (cat >= g.n)][0])
+        raise GraphFormatError(f"vertex {bad} out of range [0, {g.n})")
+    if np.bincount(cat, minlength=g.n).max(initial=0) > 1:
         raise GraphFormatError("vertex groups must be pairwise disjoint")
     label = np.full(g.n, -1, dtype=np.int64)
     label[cat] = np.arange(cat.shape[0], dtype=np.int64)

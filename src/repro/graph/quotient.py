@@ -62,8 +62,9 @@ def quotient_graph(
         Optional identifiers carried along (defaults to 0..m-1).
 
     Fully vectorized: label compaction via ``np.unique``, self-loop
-    removal via a mask, parallel-edge merge via a lexsort on
-    ``(u', v', w)`` keeping the first (= lightest) of each run.
+    removal via a mask, parallel-edge merge via
+    :func:`~repro.graph.dedup.first_of_runs` on runs of ``(u', v')``
+    keeping the lightest edge of each (the earliest on ties).
     """
     labels = np.asarray(labels, dtype=np.int64)
     uniq, vmap = np.unique(labels, return_inverse=True)
@@ -142,19 +143,20 @@ def quotient_forest(
     Each group carries its own contraction (its edges' endpoint labels
     are already that group's class representatives, e.g. union–find
     roots); the result packs every group's quotient as one block of a
-    block-diagonal CSR union — one ``np.unique`` over group-tagged
-    endpoint keys and one dedup lexsort for the whole level, however
-    many groups there are.  The level-synchronous weighted spanner uses
-    this to do the inter-level contraction once per level instead of
-    once per group.
+    block-diagonal CSR union — one ``presence_unique`` over group-tagged
+    endpoint keys and one radix-ordered parallel-edge dedup
+    (:func:`~repro.graph.dedup.first_of_runs`) for the whole level,
+    however many groups there are.  The level-synchronous weighted
+    spanner uses this to do the inter-level contraction once per level
+    instead of once per group.
 
     Per-block equivalence with :func:`quotient_graph` is exact: the
     vertex key ``group * span + label`` sorts blocks contiguously with
     labels ascending inside each block (the order a standalone
-    ``np.unique`` over that group's labels produces), and the dedup
-    lexsort on ``(w, v, u)`` cannot interleave groups because ``u`` is
-    block-contiguous — ties resolve by input order within a group
-    exactly as in the standalone call.
+    ``np.unique`` over that group's labels produces), and the dedup's
+    runs of ``(u, v)`` cannot interleave groups because ``u`` is
+    block-contiguous — weight ties resolve by input order within a
+    group exactly as in the standalone call.
 
     Parameters
     ----------

@@ -21,11 +21,12 @@ counting sort, never materializing the full edge list in Python:
    accumulate per-vertex counts;
 2. **scatter** — counting-sort the scratch into per-vertex buckets on
    disk (prefix-sum offsets + a running per-vertex cursor);
-3. **dedup** — per contiguous vertex block, ``lexsort((w, v, u))`` +
-   first-of-run, merging parallel edges by minimum weight.  Runs of a
-   ``(u, v)`` pair never cross block boundaries (blocks partition by
-   ``u``), so the block-local sort is value-identical to the global
-   sort :func:`repro.graph.builders.from_edges` performs in RAM;
+3. **dedup** — per contiguous vertex block,
+   :func:`~repro.graph.dedup.first_of_runs` over ``(u, v)`` runs,
+   merging parallel edges by minimum weight.  Runs of a ``(u, v)``
+   pair never cross block boundaries (blocks partition by ``u``), so
+   the block-local dedup is value-identical to the global one
+   :func:`repro.graph.builders.from_edges` performs in RAM;
 4. **assemble** — two scatter sub-passes (u-side arcs, then v-side
    arcs) sharing one per-row cursor, replicating ``build_csr``'s
    stable sort-by-source arc order **bit for bit**.
@@ -329,7 +330,7 @@ def _ingest(
         bw = np.empty(0, np.float64)
     os.remove(canon)
 
-    # ---- pass 3: per-vertex-block lexsort + min-weight dedup ---------
+    # ---- pass 3: per-vertex-block min-weight dedup -------------------
     if m_raw:
         du = open_memmap(
             os.path.join(tmp, "du.npy"), mode="w+", dtype=id_dt, shape=(m_raw,)

@@ -75,7 +75,7 @@ class UnionFind:
         per-level forest contractions (hundreds of thousands of edges)
         were the dominant profile cost under the old per-edge sweep.
         Root sizes are rebuilt exactly for every touched component from
-        the pre-call root sizes.
+        the pre-call root sizes, with one ``bincount`` over the root ids.
         """
         a = self.find_many(us)
         b = self.find_many(vs)
@@ -97,11 +97,11 @@ class UnionFind:
             a = self.find_many(a)
             b = self.find_many(b)
         if merged:
+            # every component's root is one of the pre-call roots r0
             roots = self.find_many(r0)
-            uniq, inv = np.unique(roots, return_inverse=True)
-            totals = np.zeros(uniq.shape[0], dtype=np.int64)
-            np.add.at(totals, inv, pre_sizes)
-            self.size[uniq] = totals
+            totals = np.bincount(roots, weights=pre_sizes)
+            top = r0[roots == r0]
+            self.size[top] = totals[top].astype(np.int64)
             self.n_components -= merged
         return merged
 

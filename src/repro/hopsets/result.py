@@ -8,6 +8,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.graph.dedup import stable_argsort
 from repro.paths.bellman_ford import CSRArrays
 
 
@@ -17,9 +18,10 @@ def union_csr_of(hopset: Any) -> CSRArrays:
     ``hopset`` is a frozen hopset (:class:`HopsetResult` or
     :class:`~repro.hopsets.limited.LimitedHopset`): both directions of
     every edge of ``hopset.graph`` and of every extra edge
-    ``(eu[i], ev[i], ew[i])``, grouped by source with a stable counting
-    sort.  Parallel and duplicate arcs are kept; the h-hop search takes
-    the minimum over them.  Compiled once and stored on the hopset.
+    ``(eu[i], ev[i], ew[i])``, grouped by source with a stable radix
+    order (:func:`~repro.graph.dedup.stable_argsort`).  Parallel and
+    duplicate arcs are kept; the h-hop search takes the minimum over
+    them.  Compiled once and stored on the hopset.
     """
     cached = hopset.__dict__.get("_union_csr")
     if cached is not None:
@@ -28,7 +30,7 @@ def union_csr_of(hopset: Any) -> CSRArrays:
     src = np.concatenate([g.edge_u, g.edge_v, eu, ev]).astype(np.int64, copy=False)
     dst = np.concatenate([g.edge_v, g.edge_u, ev, eu]).astype(np.int64, copy=False)
     w = np.concatenate([g.edge_w, g.edge_w, ew, ew]).astype(np.float64, copy=False)
-    order = np.argsort(src, kind="stable")
+    order = stable_argsort(src)
     indptr = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=g.n), out=indptr[1:])
     cached = (indptr, dst[order], w[order])

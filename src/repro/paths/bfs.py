@@ -18,9 +18,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.graph.dedup import first_of_runs, presence_unique
 from repro.kernels.numpy_kernel import expand_frontier
+from repro.paths.engine import check_vertex_ids
 from repro.pram.tracker import PramTracker, null_tracker
 
 INF = np.iinfo(np.int64).max
@@ -84,14 +86,22 @@ def bfs_with_start_times(
     round each vertex was claimed (start-shifted), ``dist`` is
     ``arrival - start_time[owner]`` (hops from the owning source),
     ``parent`` the claiming arc's tail, and ``owner`` the source id.
+    Raises :class:`ParameterError` for a source id outside ``[0, n)``
+    or a ``start_time``/``priority`` not holding one entry per source.
     """
     tracker = tracker or null_tracker()
     start_time = np.asarray(start_time, dtype=np.int64)
     source_ids = np.asarray(source_ids, dtype=np.int64)
+    check_vertex_ids(source_ids, g.n)
     k = source_ids.shape[0]
     if priority is None:
         priority = np.arange(k, dtype=np.float64)
     priority = np.asarray(priority, dtype=np.float64)
+    for name, arr in (("start_time", start_time), ("priority", priority)):
+        if arr.shape != (k,):
+            raise ParameterError(
+                f"{name} has shape {arr.shape}, expected one entry per source ({k},)"
+            )
 
     n = g.n
     arrival = np.full(n, INF, dtype=np.int64)

@@ -24,6 +24,7 @@ import numpy as np
 from repro.clustering.est import est_cluster
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
+from repro.graph.dedup import rows_by_value
 from repro.graph.unionfind import UnionFind
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng
@@ -69,14 +70,13 @@ def low_stretch_spanning_tree(
     uf = UnionFind(g.n)
     kept: List[np.ndarray] = []
     bucket = weight_buckets(g)
-    levels = np.unique(bucket) if g.m else np.empty(0, np.int64)
+    num_buckets = int(bucket.max()) + 1 if g.m else 0
 
     iterations = 0
     # process weight levels lightest-first; within a level iterate until
     # the level's edges are exhausted (all endpoints merged)
-    for b in levels:
-        ids_level = np.flatnonzero(bucket == b)
-        while iterations < max_iterations:
+    for ids_level in rows_by_value(bucket, num_buckets):
+        while ids_level.size and iterations < max_iterations:
             iterations += 1
             q = contracted_quotient(g, uf, ids_level)
             if q is None:

@@ -46,7 +46,7 @@ from repro.clustering.est import est_cluster_forest
 from repro.clustering.shifts import sample_shifts
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
-from repro.graph.dedup import first_of_runs, presence_unique
+from repro.graph.dedup import first_of_runs, presence_unique, rows_by_value, stable_argsort
 from repro.graph.quotient import QuotientResult, quotient_forest, quotient_graph
 from repro.graph.unionfind import UnionFind
 from repro.pram.tracker import PramTracker, null_tracker
@@ -99,7 +99,7 @@ def well_separated_groups(bucket: np.ndarray, k: float, separation: float = 4.0)
     bucket index is congruent to ``j`` modulo the stride.
     """
     s = group_stride(k, separation)
-    return [np.flatnonzero(bucket % s == j) for j in range(s)]
+    return rows_by_value(bucket % s, s)
 
 
 def contracted_quotient(
@@ -167,8 +167,8 @@ def _boundary_edge_ids(gq: CSRGraph, labels: np.ndarray) -> np.ndarray:
 
 def _well_separated_spanner_batched(
     g: CSRGraph,
-    groups: List[np.ndarray],
     bucket: np.ndarray,
+    bucket_group: np.ndarray,
     k: float,
     seeds: np.ndarray,
     method: str,
@@ -180,13 +180,15 @@ def _well_separated_spanner_batched(
 ) -> np.ndarray:
     """All groups' Algorithm 3 runs, executed level-synchronously.
 
-    Round ``t`` processes the ``t``-th weight level of *every* group at
-    once, with no per-group work at all beyond drawing each group's
-    shifts from its own stream:
+    ``bucket_group[b]`` is the group of weight bucket ``b``; group ``j``
+    draws from ``seeds[j]``.  Round ``t`` processes the ``t``-th weight
+    level of *every* group at once, with no per-group work at all
+    beyond drawing each group's shifts from its own stream:
 
-    * the level schedule is materialized upfront as one stable lexsort
-      of the edge list by ``(level rank, group)`` — round ``t`` is a
-      contiguous slice, already grouped with ascending edge ids;
+    * the level schedule is materialized upfront from one rank table
+      over the occupied buckets and one radix order of the edge list by
+      ``(level rank, group)`` — round ``t`` is a contiguous slice,
+      already grouped with ascending edge ids;
     * all groups' running contractions live in a *single* union–find
       over the group-tagged id space ``[0, s * n)`` (group ``j`` owns
       ``[j * n, (j + 1) * n)``), so one ``find_many`` resolves the
@@ -208,6 +210,8 @@ def _well_separated_spanner_batched(
     identical edge sets per seed.
     """
     n = g.n
+    num_groups = int(seeds.shape[0])
+    grp_of = bucket_group[bucket]
     beta = spanner_beta(n, k)
     rngs = [resolve_rng(int(s)) for s in seeds]
     kept: List[np.ndarray] = []
@@ -223,31 +227,35 @@ def _well_separated_spanner_batched(
             float(k),
             method,
             seeds.tobytes(),
-            np.asarray([grp.shape[0] for grp in groups], np.int64).tobytes(),
+            np.bincount(grp_of, minlength=num_groups).tobytes(),
         )
         saved = _ckpt.load_if_exists(checkpoint_path, "spanner", fp)
     else:
         saved = None
 
-    # ---- level schedule: one lexsort instead of per-group scans -------
-    grp_of = np.empty(g.m, dtype=np.int64)
-    level_rank = np.empty(g.m, dtype=np.int64)
-    num_levels = np.zeros(len(groups), dtype=np.int64)
-    for j, grp in enumerate(groups):
-        grp_of[grp] = j
-        if grp.size:
-            levels = np.unique(bucket[grp])
-            num_levels[j] = levels.shape[0]
-            level_rank[grp] = np.searchsorted(levels, bucket[grp])
-    order = np.lexsort((grp_of, level_rank)) if g.m else np.empty(0, np.int64)
-    max_rounds = int(num_levels.max()) if len(groups) else 0
-    round_ptr = np.searchsorted(
-        level_rank[order], np.arange(max_rounds + 1, dtype=np.int64)
+    # ---- level schedule: one rank table, one radix order ---------------
+    # a group's t-th level is its t-th occupied bucket by weight; the
+    # occupied buckets ascend, so a stable order by group lists every
+    # group's levels in weight order and ranks them
+    per_bucket = np.bincount(bucket, minlength=bucket_group.shape[0])
+    occupied = np.flatnonzero(per_bucket)
+    occ_group = bucket_group[occupied]
+    num_levels = np.bincount(occ_group, minlength=num_groups)
+    rank = np.empty(occupied.shape[0], dtype=np.int64)
+    rank[stable_argsort(occ_group)] = np.arange(occupied.shape[0]) - np.repeat(
+        np.cumsum(num_levels) - num_levels, num_levels
     )
+    slot = np.zeros(bucket_group.shape[0], dtype=np.int64)
+    slot[occupied] = rank * num_groups + occ_group
+    order = stable_argsort(slot[bucket])
+    max_rounds = int(num_levels.max()) if num_groups else 0
+    round_ptr = np.zeros(max_rounds + 1, dtype=np.int64)
+    per_round = np.bincount(rank, weights=per_bucket[occupied], minlength=max_rounds)
+    np.cumsum(per_round.astype(np.int64), out=round_ptr[1:])
 
     # ---- one union-find over the group-tagged vertex space ------------
     # only groups that reach a second level ever read their block
-    base = np.full(len(groups), -1, dtype=np.int64)
+    base = np.full(num_groups, -1, dtype=np.int64)
     multi = np.flatnonzero(num_levels >= 2)
     base[multi] = np.arange(multi.shape[0], dtype=np.int64) * n
     uf = UnionFind(int(multi.shape[0]) * n)
@@ -301,8 +309,8 @@ def _well_separated_spanner_batched(
         gj, ru, rv, ids = gj[live], ru[live], rv[live], ids[live]
 
         # compact the round's still-active groups into blocks
-        active = presence_unique(len(groups), (gj,), sparse_factor=0)
-        blk_of_group = np.empty(len(groups), dtype=np.int64)
+        active = presence_unique(num_groups, (gj,), sparse_factor=0)
+        blk_of_group = np.empty(num_groups, dtype=np.int64)
         blk_of_group[active] = np.arange(active.shape[0], dtype=np.int64)
 
         # ---- the round's contraction, once, on the union --------------
@@ -396,23 +404,30 @@ def weighted_spanner(
     """
     if checkpoint_every < 1:
         raise ParameterError("checkpoint_every must be >= 1")
-    group_stride(k, separation)  # validates k and separation (> 1) for
-    # both grouping modes; the value is recomputed where needed
+    # validates k and separation (> 1) for both grouping modes
+    stride = group_stride(k, separation)
     tracker = tracker or null_tracker()
     rng = resolve_rng(seed)
     bucket = weight_buckets(g)
+    num_buckets = int(bucket.max()) + 1 if g.m else 0
+    occupied = presence_unique(num_buckets, (bucket,), sparse_factor=0)
 
+    # group j takes the buckets b with bucket_group[b] == j: b ≡ j (mod
+    # stride) with grouping, the j-th occupied bucket alone without
     if grouping:
-        groups = well_separated_groups(bucket, k, separation)
+        num_groups = stride
+        bucket_group = np.arange(num_buckets, dtype=np.int64) % stride
     else:
-        groups = [np.flatnonzero(bucket == b) for b in np.unique(bucket)]
+        num_groups = int(occupied.shape[0])
+        bucket_group = np.zeros(num_buckets, dtype=np.int64)
+        bucket_group[occupied] = np.arange(num_groups, dtype=np.int64)
 
     # one spawned stream per group: the per-group oracle hands group j
     # the same child generator, so the seeded edge sets coincide exactly
-    seeds = spawn_seeds(rng, len(groups))
+    seeds = spawn_seeds(rng, num_groups)
 
     edge_ids = _well_separated_spanner_batched(
-        g, groups, bucket, k, seeds, method, tracker,
+        g, bucket, bucket_group, k, seeds, method, tracker,
         backend=backend, workers=workers,
         checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
     )
@@ -421,15 +436,14 @@ def weighted_spanner(
 
         _ckpt.clear(checkpoint_path)
 
-    n_groups = len(groups)
     return SpannerResult(
         graph=g,
         edge_ids=edge_ids,
         stretch_bound=_weighted_stretch_bound(g.n, k),
         meta={
             "k": float(k),
-            "num_groups": float(n_groups),
-            "num_buckets": float(np.unique(bucket).shape[0]) if g.m else 0.0,
+            "num_groups": float(num_groups),
+            "num_buckets": float(occupied.shape[0]),
             "weight_ratio": g.weight_ratio,
             "grouping": float(grouping),
         },

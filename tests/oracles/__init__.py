@@ -7,7 +7,9 @@ time, consuming the same spawned RNG streams, so for a fixed seed they
 must emit the same edge sets.  :func:`check_level_invariants` checks a
 hopset's per-level statistics against Section 4's schedule, and
 :func:`dense_hop_distances` is the dense synchronous Bellman–Ford the
-frontier h-hop kernel must match label for label.
+frontier h-hop kernel must match label for label, and
+:func:`first_of_runs_lexsort` is the comparison-sort dedup the radix
+``first_of_runs`` must match index for index.
 :func:`dijkstra_reference` is the sequential heapq Dijkstra, and
 :func:`engine_kernel` runs the bucket engine on it as a second,
 differently tie-breaking kernel.  Tests and the benches
@@ -17,6 +19,7 @@ them; nothing under ``src/`` may.
 """
 
 from .bellman_ford import ArcSet, arcs_from_graph, combine_arcs, dense_hop_distances
+from .dedup import first_of_runs_lexsort
 from .dijkstra import KERNELS, dijkstra_reference, engine_kernel
 from .hopsets import build_hopset_recursive
 from .levels import check_level_invariants
@@ -32,5 +35,6 @@ __all__ = [
     "dense_hop_distances",
     "dijkstra_reference",
     "engine_kernel",
+    "first_of_runs_lexsort",
     "weighted_spanner_recursive",
 ]

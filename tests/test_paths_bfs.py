@@ -1,12 +1,15 @@
 """Unit tests for level-synchronous BFS (including start-time races)."""
 
 import numpy as np
+import pytest
 
+from repro.errors import ParameterError
 from repro.graph import gnm_random_graph, grid_graph, path_graph
 from repro.paths import bfs, multi_source_bfs
 from repro.paths.bfs import INF, bfs_with_start_times
 from repro.paths.dijkstra import dijkstra_scipy
 from repro.pram import PramTracker
+from repro.spanners.low_stretch_tree import bfs_tree
 
 
 class TestSingleSource:
@@ -129,3 +132,27 @@ class TestStartTimeRace:
         )
         assert owner[3] == 0
         assert owner[10] == -1
+
+
+class TestBadSources:
+    """Out-of-range sources and mismatched per-source arrays fail by name
+    on the path 0-1-2-3 instead of wrapping (-2 read as vertex 2) or
+    failing inside numpy."""
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda g: multi_source_bfs(g, [0, -2]), "source -2 out of range"),
+            (lambda g: bfs(g, -1), "source -1 out of range"),
+            (lambda g: bfs(g, 4), "source 4 out of range"),
+            (lambda g: bfs_tree(g, root=7), "source 7 out of range"),
+            (lambda g: bfs_with_start_times(g, [0], [5]), "source 5 out of range"),
+            (lambda g: bfs_with_start_times(g, [0, 1], [0]), "start_time"),
+            (lambda g: bfs_with_start_times(g, [0], [0], priority=[0.0, 1.0]), "priority"),
+        ],
+        ids=["multi_negative", "bfs_negative", "bfs_n", "bfs_tree_root",
+             "start_times_source", "start_time_length", "priority_length"],
+    )
+    def test_rejected_by_name(self, call, match):
+        with pytest.raises(ParameterError, match=match):
+            call(path_graph(4))
