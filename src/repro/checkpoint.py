@@ -9,7 +9,10 @@ level boundaries natural checkpoint cuts: serialize the state before
 level ``t`` runs, and a resumed build re-enters the loop at ``t`` with
 bit-identical arrays and RNG cursors — so the finished edge set equals
 the uninterrupted run's **bit for bit** (pinned by
-``tests/test_checkpoint_resume.py``).
+``tests/test_checkpoint_resume.py``).  Both builders save at every
+level boundary after the first; the cluster-tree driver
+(:mod:`repro.ctree.driver`) saves its work stack every
+``CHECKPOINT_EVERY`` (8) expansions.  Neither cadence is a parameter.
 
 Format: one ``.npz`` with the numpy state plus a JSON member carrying
 scalars, RNG ``bit_generator`` states (exact integer state — never

@@ -25,7 +25,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.dedup import presence_unique, stable_argsort
 from repro.paths.bfs import bfs_with_start_times
 from repro.paths.engine import check_finite, shortest_paths
-from repro.paths.weighted_bfs import weighted_bfs_with_start_times
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike
 from repro.clustering.shifts import sample_shifts
@@ -258,6 +257,65 @@ def _canonical_dial_race(
     return own, parent
 
 
+def _race(
+    g: CSRGraph,
+    mode: int,
+    sources: np.ndarray,
+    start_real: np.ndarray,
+    tracker: PramTracker,
+    backend: Optional[str],
+    workers: WorkersArg,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Run one EST race from ``sources`` on one engine.
+
+    ``mode`` is 0 (BFS race on ``floor`` start times, ties broken by the
+    fractional start), 1 (Dial race on integer weights, then
+    :func:`_canonical_dial_race`) or 2 (exact race on real start times,
+    then :func:`_canonical_tree_parents`); :func:`_forest_group_modes`
+    picks it.  ``sources`` are ascending vertex ids and ``start_real``
+    holds every vertex's start time ``delta_max - shift``.  Returns
+    length-``n`` ``(center, parent, dist_to_center)`` arrays, meaningful
+    on the vertices the sources reach, and the race's round count (0
+    for the exact race).
+    """
+
+    def at_sources(a: np.ndarray) -> np.ndarray:
+        # n ascending ids are every vertex: no gather on the one-block path
+        return a if sources.shape[0] == g.n else a[sources]
+
+    if mode == 2:
+        with tracker.phase("est_exact"):
+            # the engine charges the tracker its real ledger (work =
+            # arcs relaxed, rounds = relaxation rounds)
+            res = shortest_paths(
+                g, sources, offsets=at_sources(start_real), tracker=tracker,
+                backend=backend, workers=workers,
+            )
+        parent = _canonical_tree_parents(g, res.dist, res.parent, res.owner)
+        return res.owner, parent, res.dist - start_real[res.owner], 0
+    start_int = np.floor(start_real).astype(np.int64)
+    if mode == 0:
+        with tracker.phase("est_round"):
+            arrival, dist_hops, parent, owner = bfs_with_start_times(
+                g,
+                start_time=at_sources(start_int),
+                source_ids=sources,
+                priority=at_sources(start_real),  # fractional tie-break
+                tracker=tracker,
+            )
+        rounds = int(at_sources(arrival).max(initial=-1)) + 1
+        return owner, parent, dist_hops.astype(np.float64), rounds
+    w_int = g.weights.astype(np.int64)
+    with tracker.phase("est_round"):
+        res = shortest_paths(
+            g, sources, offsets=at_sources(start_int), weights=w_int, delta=1,
+            tracker=tracker, backend=backend, workers=workers,
+        )
+    owner, parent = _canonical_dial_race(g, res.dist, start_int, w_int, sources)
+    dist_to_center = (res.dist - start_int[owner]).astype(np.float64)
+    return owner, parent, dist_to_center, res.buckets
+
+
 def est_cluster(
     g: CSRGraph,
     beta: float,
@@ -269,6 +327,14 @@ def est_cluster(
     workers: WorkersArg = DEFAULT_WORKERS,
 ) -> Clustering:
     """Run EST clustering on ``g`` with parameter ``beta``.
+
+    The single-block case of :func:`est_cluster_forest`: it draws the
+    shifts, resolves its own ``auto`` and races every vertex from the
+    global ``delta_max`` through the same race body, without the
+    forest's group bookkeeping.  The test reference
+    ``tests/oracles/est.py:est_cluster_reference`` runs a separate
+    single-graph race; the two must agree output for output and ledger
+    for ledger.
 
     Parameters
     ----------
@@ -307,61 +373,15 @@ def est_cluster(
         method = "round" if g.is_unweighted else "exact"
     if method not in ("exact", "round"):
         raise ParameterError(f"unknown method {method!r}")
+    mode = int(_forest_group_modes(g, None, 1, method)[0])
 
     delta_max = float(shifts.max()) if n else 0.0
-    start_real = delta_max - shifts  # >= 0
-
-    if method == "exact":
-        with tracker.phase("est_exact"):
-            # all-source race on the bucket engine; the engine charges
-            # the tracker its real ledger (work = arcs relaxed, rounds
-            # = relaxation rounds) instead of a synthetic estimate
-            res = shortest_paths(
-                g, np.arange(n), offsets=start_real, tracker=tracker,
-                backend=backend, workers=workers,
-            )
-            dist, owner = res.dist, res.owner
-            parent = _canonical_tree_parents(g, dist, res.parent, owner)
-        dist_to_center = dist - start_real[owner]
-        rounds = 0
-    else:
-        start_int = np.floor(start_real).astype(np.int64)
-        if g.is_unweighted:
-            with tracker.phase("est_round"):
-                arrival, dist_hops, parent, owner = bfs_with_start_times(
-                    g,
-                    start_time=start_int,
-                    source_ids=np.arange(n, dtype=np.int64),
-                    priority=start_real,  # fractional tie-break
-                    tracker=tracker,
-                )
-            dist_to_center = dist_hops.astype(np.float64)
-            rounds = int(arrival.max()) + 1 if n else 0
-        else:
-            w_int = g.weights.astype(np.int64)
-            if not np.array_equal(w_int.astype(np.float64), g.weights):
-                raise ParameterError(
-                    "round method on weighted graphs requires integer weights; "
-                    "use method='exact' or round the weights first"
-                )
-            with tracker.phase("est_round"):
-                sdist, parent, owner, levels = weighted_bfs_with_start_times(
-                    g,
-                    start_time=start_int,
-                    weights_int=w_int,
-                    tracker=tracker,
-                    backend=backend,
-                    workers=workers,
-                )
-                owner, parent = _canonical_dial_race(
-                    g, sdist, start_int, w_int,
-                    sources=np.arange(n, dtype=np.int64),
-                )
-            dist_to_center = (sdist - start_int[owner]).astype(np.float64)
-            rounds = levels
-
+    center, parent, dist_to_center, rounds = _race(
+        g, mode, np.arange(n, dtype=np.int64), delta_max - shifts,
+        tracker, backend, workers,
+    )
     return Clustering(
-        center=owner,
+        center=center,
         parent=parent,
         dist_to_center=dist_to_center,
         shifts=shifts,
@@ -371,41 +391,44 @@ def est_cluster(
 
 
 def _forest_group_modes(
-    g: CSRGraph, group_of: np.ndarray, k: int, method: str
+    g: CSRGraph, group_of: Optional[np.ndarray], k: int, method: str
 ) -> np.ndarray:
     """Resolve each group's race engine: 0 = BFS, 1 = Dial, 2 = exact.
 
-    Mirrors the depth-first hopset oracle's dispatch
-    (``_cluster_method`` in ``tests/oracles/hopsets.py``, followed by
-    :func:`est_cluster`'s round-mode split): under ``auto``,
-    unweighted blocks race by BFS, integer-weighted blocks by the
-    quantized Dial race, everything else exactly.  Note this is NOT
-    :func:`est_cluster`'s own ``auto`` (which keeps integer-weighted
-    graphs on the exact real-shift race) — the level-synchronous
+    The one place that maps a method and block weights to an engine
+    for :func:`_race`; ``group_of`` is ``None`` for a single block
+    (:func:`est_cluster`, which resolves its own ``auto`` first).
+    Under ``round``/``auto``, unweighted blocks race by BFS,
+    integer-weighted blocks by the quantized Dial race, everything
+    else exactly — and ``round`` refuses a block of the last kind.
+    This ``auto`` mirrors the depth-first hopset oracle's dispatch
+    (``_cluster_method`` in ``tests/oracles/hopsets.py``), NOT
+    :func:`est_cluster`'s own ``auto``, which keeps integer-weighted
+    graphs on the exact real-shift race: the level-synchronous
     builder's equivalence contract is with that oracle, which
-    quantizes integer blocks.  Evaluated per block of a block-diagonal
-    union from one vectorized pass over the edge list (a group is
-    *unweighted* when every edge weighs 1 and *integer* when every
-    weight round-trips through int64; edgeless groups count as
-    unweighted, matching ``CSRGraph.is_unweighted`` on an empty graph).
+    quantizes integer blocks.  An unweighted graph answers from its
+    cached weight stats; otherwise one vectorized pass over the edge
+    list classifies every block (a group is *unweighted* when every
+    edge weighs 1 and *integer* when every weight round-trips through
+    int64; edgeless groups count as unweighted, matching
+    ``CSRGraph.is_unweighted`` on an empty graph).
     """
     if method == "exact":
         return np.full(k, 2, dtype=np.int64)
-    unw = np.ones(k, dtype=np.uint8)
-    isint = np.ones(k, dtype=np.uint8)
-    if g.m:
-        egrp = group_of[g.edge_u]
-        w = g.edge_w
-        np.minimum.at(unw, egrp, (w == 1.0).astype(np.uint8))
-        # int64 round-trip, the same overflow-safe integrality check
-        # every other dispatch site uses (inf / >=2**63 weights must
-        # fall through to the exact engine, not wrap in Dial mode)
-        with np.errstate(invalid="ignore"):
-            w_rt = w.astype(np.int64).astype(np.float64)
-        np.minimum.at(isint, egrp, (w_rt == w).astype(np.uint8))
-    modes = np.full(k, 2, dtype=np.int64)
-    modes[isint == 1] = 1
-    modes[unw == 1] = 0
+    if g.is_unweighted:
+        return np.zeros(k, dtype=np.int64)
+    w = g.edge_w
+    edge_group = (
+        np.zeros(g.m, dtype=np.int64) if group_of is None else group_of[g.edge_u]
+    )
+    # int64 round-trip, the same overflow-safe integrality check every
+    # other dispatch site uses (inf / >=2**63 weights must fall through
+    # to the exact engine, not wrap in Dial mode)
+    with np.errstate(invalid="ignore"):
+        w_rt = w.astype(np.int64).astype(np.float64)
+    modes = np.zeros(k, dtype=np.int64)
+    modes[edge_group[w != 1.0]] = 1
+    modes[edge_group[w_rt != w]] = 2
     if method == "round" and (modes == 2).any():
         raise ParameterError(
             "round method on weighted graphs requires integer weights; "
@@ -439,20 +462,22 @@ def est_cluster_forest(
     quotient blocks all race on the BFS engine under ``round``/
     ``auto``).
 
-    Equivalence with per-block :func:`est_cluster` — called the way the
-    depth-first hopset oracle calls it, i.e. with the method pre-resolved
-    by ``_cluster_method`` in ``tests/oracles/hopsets.py`` (under
-    ``auto``, integer-weighted blocks take the quantized round race;
-    see :func:`_forest_group_modes`) — is exact, not just
-    distributional: the start times
-    ``delta_max - shift`` are computed with each group's *own*
-    ``delta_max`` (quantized starts in round mode depend nonlinearly on
-    it), every vertex races with the same priority/rank order it would
-    have locally (blocks preserve relative vertex order), and groups
-    resolving to different engines (BFS race for unweighted blocks,
-    Dial for integer weights, bucket engine otherwise) get one race per
-    engine over the same union, sourced only at their own blocks.
-    Seeded equality tests pin this.
+    Equivalence with per-block clustering is exact, not just
+    distributional.  The reference is the single-graph race body kept
+    in the test tree (``tests/oracles/est.py:est_cluster_reference``),
+    called the way the depth-first hopset oracle calls it, i.e. with
+    the method pre-resolved by ``_cluster_method`` in
+    ``tests/oracles/hopsets.py`` (under ``auto``, integer-weighted
+    blocks take the quantized round race; see
+    :func:`_forest_group_modes`).  The start times ``delta_max - shift``
+    are computed with each group's *own* ``delta_max`` (quantized
+    starts in round mode depend nonlinearly on it), every vertex races
+    with the same priority/rank order it would have locally (blocks
+    preserve relative vertex order), and groups resolving to different
+    engines (BFS race for unweighted blocks, Dial for integer weights,
+    bucket engine otherwise) get one :func:`_race` per engine over the
+    same union, sourced only at their own blocks.  Seeded equality
+    tests pin this.
 
     ``shifts`` must be pre-drawn (length ``n``) — the caller owns the
     per-group RNG discipline.
@@ -480,12 +505,11 @@ def est_cluster_forest(
         )
 
     gsizes = np.diff(group_ptr)
-    if (gsizes <= 0).any() or int(group_ptr[-1]) != n:
+    if k < 1 or group_ptr[0] != 0 or (gsizes <= 0).any() or group_ptr[-1] != n:
         raise ParameterError("group_ptr must partition [0, n) into non-empty ranges")
     group_of = np.repeat(np.arange(k, dtype=np.int64), gsizes)
     delta_max = np.maximum.reduceat(shifts, group_ptr[:-1])
     start_real = delta_max[group_of] - shifts  # >= 0, per-group origin
-    start_int = np.floor(start_real).astype(np.int64)
 
     modes = _forest_group_modes(g, group_of, k, method)
     center = np.full(n, -1, dtype=np.int64)
@@ -498,52 +522,11 @@ def est_cluster_forest(
         verts = np.flatnonzero(mode_of_vertex == mode)
         if verts.shape[0] == 0:
             continue
-        if mode == 0:
-            with tracker.phase("est_round"):
-                arrival, dist_hops, par, own = bfs_with_start_times(
-                    g,
-                    start_time=start_int[verts],
-                    source_ids=verts,
-                    priority=start_real[verts],
-                    tracker=tracker,
-                )
-            center[verts] = own[verts]
-            parent[verts] = par[verts]
-            dist_to_center[verts] = dist_hops[verts].astype(np.float64)
-            if verts.shape[0]:
-                rounds = max(rounds, int(arrival[verts].max()) + 1)
-        elif mode == 1:
-            w_int = g.weights.astype(np.int64)
-            with tracker.phase("est_round"):
-                res = shortest_paths(
-                    g,
-                    verts,
-                    offsets=start_int[verts],
-                    weights=w_int,
-                    delta=1,
-                    tracker=tracker,
-                    backend=backend,
-                    workers=workers,
-                )
-            own, par = _canonical_dial_race(
-                g, res.dist, start_int, w_int, sources=verts
-            )
-            center[verts] = own[verts]
-            parent[verts] = par[verts]
-            dist_to_center[verts] = (
-                res.dist[verts] - start_int[own[verts]]
-            ).astype(np.float64)
-            rounds = max(rounds, res.buckets)
-        else:
-            with tracker.phase("est_exact"):
-                res = shortest_paths(
-                    g, verts, offsets=start_real[verts], tracker=tracker,
-                    backend=backend, workers=workers,
-                )
-            par = _canonical_tree_parents(g, res.dist, res.parent, res.owner)
-            center[verts] = res.owner[verts]
-            parent[verts] = par[verts]
-            dist_to_center[verts] = res.dist[verts] - start_real[res.owner[verts]]
+        own, par, dist, r = _race(g, mode, verts, start_real, tracker, backend, workers)
+        center[verts] = own[verts]
+        parent[verts] = par[verts]
+        dist_to_center[verts] = dist[verts]
+        rounds = max(rounds, r)
 
     return Clustering(
         center=center,

@@ -6,14 +6,18 @@ nodes, each expansion running EST (or LDD) clustering on the node's
 induced subgraph, every resulting cluster validated against a pluggable
 :mod:`requirement <repro.ctree.requirements>`; failures are pushed back
 for recursive reclustering, and the finished hierarchy is emitted as a
-:class:`~repro.ctree.tree.ClusterTree` with per-node stats.
+:class:`~repro.ctree.tree.ClusterTree` with per-node stats.  An
+expansion is the one-block case of the level-synchronous builders'
+primitives: :func:`~repro.graph.builders.induced_subgraph` is the
+one-group forest cut and :func:`~repro.clustering.est.est_cluster` runs
+the forest race's body on every vertex.
 
 Guarantees:
 
 * **Termination with satisfied leaves.**  An expansion that returns a
   single cluster covering the whole node retries with doubled ``beta``
   (EST at large ``beta`` degenerates to singletons), and after
-  ``max_beta_doublings`` the split is forced to singletons outright —
+  ``MAX_BETA_DOUBLINGS`` (60) the split is forced to singletons outright —
   so failing clusters strictly shrink, and size-1 clusters satisfy
   every built-in requirement vacuously.  Only explicit ``min_size`` /
   ``max_depth`` cut-offs can leave an unsatisfied (``forced``) leaf.
@@ -22,7 +26,7 @@ Guarantees:
   label order — the same seed always yields the same tree.
 * **Durability.**  With ``checkpoint_path=`` the complete driver state
   (finished nodes, pending stack, RNG cursor) is serialized through
-  :mod:`repro.checkpoint` every ``checkpoint_every`` expansions; a
+  :mod:`repro.checkpoint` every ``CHECKPOINT_EVERY`` (8) expansions; a
   killed run resumes to the *bit-identical* tree of the uninterrupted
   build, and a checkpoint from different inputs is refused by
   fingerprint.
@@ -50,6 +54,8 @@ from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng
 
 CLUSTERERS = ("est", "ldd")
+CHECKPOINT_EVERY = 8  # expansions between work-stack checkpoints
+MAX_BETA_DOUBLINGS = 60  # beta retries before a split is forced to singletons
 
 
 def _conductance_from(cut: np.ndarray, vol: np.ndarray, two_m: int) -> np.ndarray:
@@ -131,17 +137,16 @@ def _split_labels(
     tracker: PramTracker,
     backend: Optional[str],
     workers: WorkersArg,
-    max_beta_doublings: int,
 ) -> Tuple[np.ndarray, int, float]:
     """Cluster ``sub`` into >= 2 pieces (or singletons), deterministically.
 
     Returns ``(labels, k, beta_used)``.  A run that returns one cluster
     covering a multi-vertex node makes no progress, so ``beta`` doubles
     and the race reruns (consuming the RNG stream deterministically);
-    past ``max_beta_doublings`` the split is forced to singletons.
+    past ``MAX_BETA_DOUBLINGS`` the split is forced to singletons.
     """
     beta_t = float(beta)
-    for _ in range(max_beta_doublings + 1):
+    for _ in range(MAX_BETA_DOUBLINGS + 1):
         if clusterer == "est":
             c = est_cluster(
                 sub, beta_t, seed=rng, method=method, tracker=tracker,
@@ -242,8 +247,6 @@ def build_cluster_tree(
     backend: Optional[str] = None,
     workers: WorkersArg = DEFAULT_WORKERS,
     checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 8,
-    max_beta_doublings: int = 60,
 ) -> ClusterTree:
     """Decompose ``g`` into a validated cluster hierarchy.
 
@@ -268,7 +271,7 @@ def build_cluster_tree(
     backend / workers / tracker:
         Plumbed into every EST race exactly as in
         :func:`repro.clustering.est.est_cluster`.
-    checkpoint_path / checkpoint_every:
+    checkpoint_path:
         Work-stack durability via :mod:`repro.checkpoint`; see the
         module docstring.
 
@@ -322,7 +325,7 @@ def build_cluster_tree(
         if (
             checkpoint_path is not None
             and processed
-            and processed % checkpoint_every == 0
+            and processed % CHECKPOINT_EVERY == 0
         ):
             _save_checkpoint(
                 checkpoint_path, fp, nodes, stack, next_id, processed, rng
@@ -333,7 +336,6 @@ def build_cluster_tree(
         sub, vmap = induced_subgraph(g, node.vertices)
         labels, k, beta_used = _split_labels(
             sub, beta, rng, clusterer, method, tracker, backend, workers,
-            max_beta_doublings,
         )
         stats = _children_stats(g, sub, vmap, labels, k)
         to_push = []

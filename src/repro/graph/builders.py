@@ -85,17 +85,13 @@ def induced_subgraph(g: CSRGraph, vertices: np.ndarray) -> Tuple[CSRGraph, np.nd
     """Induced subgraph on ``vertices`` with compact relabeling.
 
     Returns ``(subgraph, vertex_map)`` where ``vertex_map[i]`` is the
-    original id of subgraph vertex ``i``.  Fully vectorized: a scatter
-    into an ``n``-sized label table, then a mask over the edge list.
+    original id of subgraph vertex ``i``.  This is the one-group
+    :func:`induced_subgraph_forest`, so it shares its cut and its input
+    checks: an id outside ``[0, n)`` or a repeated id raises
+    :class:`~repro.errors.GraphFormatError`.
     """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    label = np.full(g.n, -1, dtype=np.int64)
-    label[vertices] = np.arange(vertices.shape[0], dtype=np.int64)
-    lu = label[g.edge_u]
-    lv = label[g.edge_v]
-    keep = (lu >= 0) & (lv >= 0)
-    sub = build_subgraph_from_mask(g, keep, vertices.shape[0], lu, lv)
-    return sub, vertices
+    forest = induced_subgraph_forest(g, [vertices])
+    return forest.graph, forest.vmap
 
 
 @dataclass(frozen=True)
@@ -128,17 +124,21 @@ class SubgraphForest:
 def induced_subgraph_forest(
     g: CSRGraph, vertex_groups: Sequence[np.ndarray]
 ) -> SubgraphForest:
-    """Batch version of :func:`induced_subgraph` over *disjoint* groups.
+    """Induced subgraphs of *disjoint* vertex groups, as one union.
 
     Builds one CSR graph containing the induced subgraph of every group
     as a separate block — one scatter into an ``n``-sized label table
     and one mask over the edge list, regardless of how many groups
     there are (the recursive hopset builder paid one full edge-list
-    scan *per cluster* for the same information).
+    scan *per cluster* for the same information).  Each group's
+    vertices keep their relative order inside its block, so a block
+    equals the standalone induced subgraph of its vertex array (the
+    single-graph cut ``tests/oracles/subgraph.py:induced_subgraph_reference``
+    is the test reference).
 
-    Groups must be pairwise disjoint; each group's vertices keep their
-    relative order inside its block, so per-block results match a
-    standalone ``induced_subgraph`` on the same vertex array.
+    Raises :class:`~repro.errors.GraphFormatError` for a vertex id
+    outside ``[0, n)`` or one listed twice (within a group or across
+    groups).
     """
     if len(vertex_groups) == 0:
         return SubgraphForest(
@@ -157,17 +157,23 @@ def induced_subgraph_forest(
     if cat.size and (int(cat.min()) < 0 or int(cat.max()) >= g.n):
         bad = int(cat[(cat < 0) | (cat >= g.n)][0])
         raise GraphFormatError(f"vertex {bad} out of range [0, {g.n})")
-    if np.bincount(cat, minlength=g.n).max(initial=0) > 1:
-        raise GraphFormatError("vertex groups must be pairwise disjoint")
+    pos = np.arange(cat.shape[0], dtype=np.int64)
     label = np.full(g.n, -1, dtype=np.int64)
-    label[cat] = np.arange(cat.shape[0], dtype=np.int64)
+    label[cat] = pos
+    # a repeated vertex leaves a position whose label points elsewhere
+    lost = label[cat] != pos
+    if lost.any():
+        bad = int(cat[np.argmax(lost)])
+        raise GraphFormatError(
+            f"vertex {bad} is listed twice; vertex groups must be pairwise disjoint"
+        )
     lu = label[g.edge_u]
     lv = label[g.edge_v]
     keep = (lu >= 0) & (lv >= 0)
-    same = group_of[lu[keep]] == group_of[lv[keep]]
-    ku = lu[keep][same]
-    kv = lv[keep][same]
-    kw = g.edge_w[keep][same]
+    ku, kv, kw = lu[keep], lv[keep], g.edge_w[keep]
+    if len(groups) > 1:
+        same = group_of[ku] == group_of[kv]
+        ku, kv, kw = ku[same], kv[same], kw[same]
     return SubgraphForest(
         graph=build_csr(int(cat.shape[0]), ku, kv, kw),
         vmap=cat,
@@ -176,22 +182,7 @@ def induced_subgraph_forest(
     )
 
 
-def build_subgraph_from_mask(
-    g: CSRGraph,
-    edge_mask: np.ndarray,
-    n_sub: int,
-    lu: np.ndarray,
-    lv: np.ndarray,
-) -> CSRGraph:
-    """Internal helper: subgraph from a boolean edge mask + relabeled endpoints."""
-    from repro.graph.csr import build_csr
-
-    return build_csr(n_sub, lu[edge_mask], lv[edge_mask], g.edge_w[edge_mask])
-
-
 def subgraph_by_edge_ids(g: CSRGraph, edge_ids: np.ndarray) -> CSRGraph:
     """Subgraph of ``g`` on the same vertex set keeping only ``edge_ids``."""
     edge_ids = np.asarray(edge_ids, dtype=np.int64)
-    from repro.graph.csr import build_csr
-
     return build_csr(g.n, g.edge_u[edge_ids], g.edge_v[edge_ids], g.edge_w[edge_ids])

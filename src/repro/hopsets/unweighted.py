@@ -277,7 +277,6 @@ def _build_level_sync(
     backend: Optional[str] = None,
     workers: WorkersArg = DEFAULT_WORKERS,
     checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 1,
     structure: Optional[Dict[str, np.ndarray]] = None,
 ) -> None:
     """Level-synchronous execution of Algorithm 4.
@@ -347,7 +346,6 @@ def _build_level_sync(
         backend=backend,
         workers=workers,
         checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
         fp=fp,
         structure=structure,
     )
@@ -367,7 +365,6 @@ def _run_levels(
     backend: Optional[str] = None,
     workers: WorkersArg = DEFAULT_WORKERS,
     checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 1,
     fp: Optional[str] = None,
     structure: Optional[Dict[str, np.ndarray]] = None,
 ) -> None:
@@ -396,7 +393,7 @@ def _run_levels(
     n_final = params.n_final(n_top)
     rho = params.rho(n_top)
     while rngs and level < params.max_levels:
-        if checkpoint_path is not None and level and level % checkpoint_every == 0:
+        if checkpoint_path is not None and level:
             from repro import checkpoint as _ckpt
 
             arrays = {
@@ -519,7 +516,6 @@ def build_hopset(
     backend: Optional[str] = None,
     workers: WorkersArg = DEFAULT_WORKERS,
     checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 1,
     record_structure: bool = False,
 ) -> HopsetResult:
     """Run Algorithm 4 on ``g`` and return the hopset.
@@ -552,8 +548,6 @@ def build_hopset(
     Section 5 pipeline calls this on rounded integer graphs.
     """
     params = params or HopsetParams()
-    if checkpoint_every < 1:
-        raise ParameterError("checkpoint_every must be >= 1")
     tracker = tracker or null_tracker()
     rng = resolve_rng(seed)
     out = _Collector()
@@ -570,7 +564,6 @@ def build_hopset(
             backend=backend,
             workers=workers,
             checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
             structure=structure,
         )
     if checkpoint_path is not None:

@@ -8,8 +8,9 @@ These are the substrates the paper's constructions consume:
   style frontier-vectorized multi-source SSSP, with Dial buckets for
   integer weights; every weighted exact search runs through it;
 * **weighted parallel BFS** (bucketed / Dial) — the "weighted parallel
-  BFS" of Section 5, whose depth is the number of *distance levels*
-  (now a thin integer-mode layer over the engine);
+  BFS" of Section 5, whose depth is the number of *distance levels*:
+  :func:`dial_sssp`, a thin integer-mode layer over the engine (the
+  EST races call the engine's Dial mode directly);
 * **h-hop-limited search** — :func:`hop_limited_distances`, the one
   front door for ``dist^h_{E ∪ E'}`` (the hopset query of
   Klein–Subramanian [KS97]): synchronous Bellman–Ford on the frontier
@@ -27,7 +28,7 @@ from repro.paths.engine import (
     shortest_paths,
     shortest_paths_batch,
 )
-from repro.paths.weighted_bfs import dial_sssp, weighted_bfs_with_start_times
+from repro.paths.weighted_bfs import dial_sssp
 from repro.paths.bellman_ford import hop_limited_distances
 from repro.paths.dijkstra import dijkstra, dijkstra_scipy, st_distance
 from repro.paths.trees import extract_path, tree_depths, verify_sssp_tree
@@ -41,7 +42,6 @@ __all__ = [
     "shortest_paths",
     "shortest_paths_batch",
     "dial_sssp",
-    "weighted_bfs_with_start_times",
     "hop_limited_distances",
     "dijkstra",
     "dijkstra_scipy",

@@ -10,9 +10,10 @@ bounds by ``O(c k / ζ)``.
 engine (:func:`repro.paths.engine.shortest_paths`) running in its
 integer Dial mode (``delta = 1``): each distance level is one batched
 relaxation round, exact for integer weights, and the tracker's round
-count equals the number of levels swept.
-:func:`weighted_bfs_with_start_times` is the weighted EST-clustering
-engine: a race between all vertices with integer start times.
+count equals the number of levels swept.  The weighted EST race
+(every vertex a source with an integer start offset) calls the engine
+directly from :mod:`repro.clustering.est`; ``dial_sssp`` serves the
+center searches of the depth-first test oracles and ``bench_scale.py``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
-
-INF = np.iinfo(np.int64).max
 
 
 def dial_sssp(
@@ -86,30 +85,3 @@ def dial_sssp(
         workers=workers,
     )
     return res.dist, res.parent, res.owner, res.buckets
-
-
-def weighted_bfs_with_start_times(
-    g: CSRGraph,
-    start_time: np.ndarray,
-    weights_int: Optional[np.ndarray] = None,
-    tracker: Optional[PramTracker] = None,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Race all vertices with integer start offsets over integer weights.
-
-    Used by the weighted EST clustering: every vertex is a source with
-    offset ``start_time[v]``; returns ``(shifted_dist, parent, owner,
-    levels)``.  The true distance from a vertex to its owning center is
-    ``shifted_dist[v] - start_time[owner[v]]``.
-    """
-    sources = np.arange(g.n, dtype=np.int64)
-    return dial_sssp(
-        g,
-        sources,
-        weights_int=weights_int,
-        offsets=np.asarray(start_time, dtype=np.int64),
-        tracker=tracker,
-        backend=backend,
-        workers=workers,
-    )

@@ -59,9 +59,10 @@ def unweighted_spanner(
         Stretch parameter; the result is an O(k)-spanner of expected
         size O(n^(1+1/k)).
     clustering:
-        Optionally reuse a precomputed EST clustering (must have been
-        built with ``spanner_beta(n, k)``); mainly for tests that need
-        to control the randomness.
+        Optionally reuse a precomputed EST clustering of ``g`` (must
+        have been built with ``spanner_beta(n, k)``); mainly for tests
+        that need to control the randomness.  A clustering of a graph
+        with another vertex count raises :class:`ParameterError`.
     backend, workers:
         Kernel and core-cap knobs for the clustering race, as in
         :func:`repro.clustering.est.est_cluster` (they only reach the
@@ -73,6 +74,10 @@ def unweighted_spanner(
     """
     if not g.is_unweighted:
         raise ParameterError("unweighted_spanner requires an unweighted graph")
+    if clustering is not None and clustering.n != g.n:
+        raise ParameterError(
+            f"clustering covers {clustering.n} vertices but the graph has {g.n}"
+        )
     tracker = tracker or null_tracker()
     beta = spanner_beta(g.n, k)
 

@@ -176,7 +176,6 @@ def _well_separated_spanner_batched(
     backend: Optional[str] = None,
     workers: WorkersArg = DEFAULT_WORKERS,
     checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 1,
 ) -> np.ndarray:
     """All groups' Algorithm 3 runs, executed level-synchronously.
 
@@ -271,7 +270,7 @@ def _well_separated_spanner_batched(
         t_start = saved.level
 
     for t in range(t_start, max_rounds):
-        if checkpoint_path is not None and t and t % checkpoint_every == 0:
+        if checkpoint_path is not None and t:
             from repro import checkpoint as _ckpt
 
             _ckpt.BuildCheckpoint(
@@ -373,7 +372,6 @@ def weighted_spanner(
     backend: Optional[str] = None,
     workers: WorkersArg = DEFAULT_WORKERS,
     checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 1,
 ) -> SpannerResult:
     """Construct an O(k)-spanner of a weighted graph (Theorem 3.3).
 
@@ -402,8 +400,6 @@ def weighted_spanner(
     parallel (the shared level schedule itself realizes the parallel
     composition).
     """
-    if checkpoint_every < 1:
-        raise ParameterError("checkpoint_every must be >= 1")
     # validates k and separation (> 1) for both grouping modes
     stride = group_stride(k, separation)
     tracker = tracker or null_tracker()
@@ -429,7 +425,7 @@ def weighted_spanner(
     edge_ids = _well_separated_spanner_batched(
         g, bucket, bucket_group, k, seeds, method, tracker,
         backend=backend, workers=workers,
-        checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
+        checkpoint_path=checkpoint_path,
     )
     if checkpoint_path is not None:
         from repro import checkpoint as _ckpt

@@ -1,5 +1,5 @@
-"""Correctness oracles for the engine, the level-synchronous builders
-and the h-hop query.
+"""Correctness oracles for the engine, the level-synchronous builders,
+the single-graph EST race and cut, and the h-hop query.
 
 The product builders run the paper's parallel recursions level by
 level.  The oracles here run the same recursions one subproblem at a
@@ -10,6 +10,11 @@ hopset's per-level statistics against Section 4's schedule, and
 frontier h-hop kernel must match label for label, and
 :func:`first_of_runs_lexsort` is the comparison-sort dedup the radix
 ``first_of_runs`` must match index for index.
+:func:`est_cluster_reference` and :func:`induced_subgraph_reference`
+are the single-graph EST race and induced-subgraph cut that
+``est_cluster`` and ``induced_subgraph`` ran before they became the
+one-block cases of the forest primitives; both must match output for
+output, and the depth-first oracles cluster and cut with them.
 :func:`dijkstra_reference` is the sequential heapq Dijkstra, and
 :func:`engine_kernel` runs the bucket engine on it as a second,
 differently tie-breaking kernel.  Tests and the benches
@@ -21,9 +26,11 @@ them; nothing under ``src/`` may.
 from .bellman_ford import ArcSet, arcs_from_graph, combine_arcs, dense_hop_distances
 from .dedup import first_of_runs_lexsort
 from .dijkstra import KERNELS, dijkstra_reference, engine_kernel
+from .est import est_cluster_reference
 from .hopsets import build_hopset_recursive
 from .levels import check_level_invariants
 from .spanners import weighted_spanner_recursive
+from .subgraph import induced_subgraph_reference
 
 __all__ = [
     "KERNELS",
@@ -35,6 +42,8 @@ __all__ = [
     "dense_hop_distances",
     "dijkstra_reference",
     "engine_kernel",
+    "est_cluster_reference",
     "first_of_runs_lexsort",
+    "induced_subgraph_reference",
     "weighted_spanner_recursive",
 ]

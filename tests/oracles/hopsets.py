@@ -3,9 +3,10 @@
 :func:`repro.hopsets.build_hopset` executes the paper's parallel
 recursion level by level — one EST race and one batched center-search
 pass per level over a block-diagonal union of every subproblem.  This
-module keeps the original depth-first execution: one ``est_cluster``
-per subproblem, one search per large-cluster center, one recursive
-call per surviving cluster.  Both draw per-subproblem randomness from
+module keeps the original depth-first execution: one single-graph EST
+race (``est_cluster_reference``) per subproblem, one search per
+large-cluster center, one recursive call per surviving cluster, each
+cut by ``induced_subgraph_reference``.  Both draw per-subproblem randomness from
 the same spawned streams, so for a fixed seed they emit *identical*
 edge sets and level statistics (pinned by ``test_hopsets_batched.py``
 and ``benchmarks/bench_hopset.py``).
@@ -21,8 +22,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.clustering.est import est_cluster
-from repro.graph.builders import induced_subgraph
 from repro.graph.csr import CSRGraph
 from repro.hopsets.params import HopsetParams
 from repro.hopsets.result import HopsetResult
@@ -33,6 +32,9 @@ from repro.paths.engine import shortest_paths
 from repro.paths.weighted_bfs import dial_sssp
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn_seeds
+
+from .est import est_cluster_reference
+from .subgraph import induced_subgraph_reference
 
 
 def _center_distances(
@@ -101,7 +103,7 @@ def _recurse(
         return
 
     beta = params.beta_at(level, n_top)
-    clustering = est_cluster(
+    clustering = est_cluster_reference(
         sub,
         beta,
         seed=rng,
@@ -128,7 +130,7 @@ def _recurse(
             members = clustering.members(lab)
             if members.shape[0] <= n_final:
                 continue
-            csub, _ = induced_subgraph(sub, members)
+            csub, _ = induced_subgraph_reference(sub, members)
             child_tracker = tracker.fork()
             _recurse(
                 csub,
@@ -204,7 +206,7 @@ def _recurse(
         members = clustering.members(int(lab))
         if members.shape[0] <= n_final:
             continue
-        csub, _ = induced_subgraph(sub, members)
+        csub, _ = induced_subgraph_reference(sub, members)
         child_tracker = tracker.fork()
         _recurse(
             csub,

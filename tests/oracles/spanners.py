@@ -17,7 +17,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.clustering.est import est_cluster
 from repro.graph.csr import CSRGraph
 from repro.graph.unionfind import UnionFind
 from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
@@ -33,6 +32,8 @@ from repro.spanners.weighted import (
     weight_buckets,
     well_separated_groups,
 )
+
+from .est import est_cluster_reference
 
 
 def _well_separated_spanner(
@@ -68,7 +69,7 @@ def _well_separated_spanner(
         gq = q.graph
 
         with tracker.phase("group_level"):
-            clustering = est_cluster(
+            clustering = est_cluster_reference(
                 gq, beta, seed=rng, method=method, tracker=tracker,
                 backend=backend, workers=workers,
             )

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import repro.hopsets.unweighted as hopset_mod
 import repro.spanners.weighted as spanner_mod
 from repro.checkpoint import BuildCheckpoint, graph_fingerprint, rng_from_state, rng_state
-from repro.errors import GraphFormatError, ParameterError
+from repro.errors import GraphFormatError
 from repro.graph import gnm_random_graph, with_random_weights
 from repro.hopsets import build_hopset
 from repro.spanners.weighted import weighted_spanner
@@ -115,11 +115,6 @@ class TestHopsetResume:
         with pytest.raises(GraphFormatError, match="different build"):
             build_hopset(g2, seed=3, checkpoint_path=cp)
 
-    def test_checkpoint_requires_batched_strategy(self, tmp_path):
-        g = gnm_random_graph(50, 120, seed=0)
-        with pytest.raises(ParameterError):
-            build_hopset(g, checkpoint_path=tmp_path / "h.npz", checkpoint_every=0)
-
 
 class TestSpannerResume:
     @settings(max_examples=8, deadline=None)
@@ -143,13 +138,6 @@ class TestSpannerResume:
             resumed = weighted_spanner(g, k=3, seed=seed, checkpoint_path=cp)
             assert np.array_equal(ref.edge_ids, resumed.edge_ids)
             assert not os.path.exists(cp)
-
-    def test_checkpoint_requires_batched_strategy(self, tmp_path):
-        g = with_random_weights(gnm_random_graph(60, 150, seed=0), seed=1)
-        with pytest.raises(ParameterError):
-            weighted_spanner(
-                g, k=3, checkpoint_path=tmp_path / "s.npz", checkpoint_every=0
-            )
 
 
 class TestCheckpointFile:

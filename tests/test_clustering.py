@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import KERNELS, engine_kernel
+from oracles import KERNELS, engine_kernel, est_cluster_reference
 from repro.clustering import (
     adjacent_cluster_counts,
     ball_cluster_count,
@@ -17,6 +17,13 @@ from repro.clustering import (
     shift_upper_bound,
 )
 from repro.errors import ParameterError
+from repro.graph import (
+    barabasi_albert_graph,
+    from_edges,
+    gnm_random_graph,
+    grid_graph,
+    with_random_weights,
+)
 from repro.paths.dijkstra import all_pairs_distances
 from repro.paths.trees import extract_path
 from repro.pram import PramTracker
@@ -167,8 +174,6 @@ class TestDiagnostics:
         assert ball_cluster_count(small_gnm, c, 0, 0.0) == 1
 
     def test_singleton_graph(self):
-        from repro.graph import from_edges
-
         g = from_edges(1, [])
         c = est_cluster(g, 0.5, seed=1, method="exact")
         assert c.num_clusters == 1
@@ -250,3 +255,93 @@ class TestCanonicalForestsAcrossBackends:
             assert np.array_equal(base.labels, other.labels)
             assert np.array_equal(base.parent, other.parent)
             assert self._forest_key(base) == self._forest_key(other)
+
+
+# ----------------------------------------------------------------------
+# est_cluster is the one-block race of est_cluster_forest; its pre-fold
+# single-graph body is the test reference and must agree exactly
+# ----------------------------------------------------------------------
+def _reference_graphs():
+    g = gnm_random_graph(150, 600, seed=31, connected=True)
+    isolated = [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (7, 8)]  # 3, 9, 10, 11 alone
+    return {
+        "unweighted": g,
+        "grid": grid_graph(9, 11),
+        "ba": barabasi_albert_graph(200, 3, seed=32),
+        "integer": with_random_weights(g, 1, 9, "integer", seed=33),
+        "float": with_random_weights(g, 1.0, 64.0, "loguniform", seed=34),
+        "isolated": from_edges(12, isolated),
+        "isolated-int": from_edges(12, isolated, weights=[2, 3, 1, 4, 2, 5]),
+        "empty": from_edges(0, []),
+        "single": from_edges(1, []),
+    }
+
+
+REFERENCE_GRAPHS = _reference_graphs()
+
+
+def _traced(fn, g, **kw):
+    t = PramTracker(n=g.n)
+    c = fn(g, tracker=t, **kw)
+    return c, (t.work, t.depth, t.rounds, t.phase_work, t.phase_depth)
+
+
+def _assert_same_clustering(a, b):
+    for field in ("center", "parent", "dist_to_center", "shifts"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype, field
+        assert np.array_equal(x, y), field
+    assert a.rounds == b.rounds
+    assert a.beta == b.beta
+
+
+class TestMatchesReference:
+    """``est_cluster`` against ``oracles.est_cluster_reference`` on
+    every engine: outputs and the tracker's ledger are identical."""
+
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 1.5])
+    @pytest.mark.parametrize("method", ["auto", "round", "exact"])
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_GRAPHS))
+    def test_equal_to_reference(self, kind, method, beta):
+        g = REFERENCE_GRAPHS[kind]
+        kw = dict(beta=beta, seed=7, method=method)
+        if kind == "float" and method == "round":
+            with pytest.raises(ParameterError) as ref_err:
+                est_cluster_reference(g, **kw)
+            with pytest.raises(ParameterError) as err:
+                est_cluster(g, **kw)
+            assert str(err.value) == str(ref_err.value)
+            return
+        c, ledger = _traced(est_cluster, g, **kw)
+        ref, ref_ledger = _traced(est_cluster_reference, g, **kw)
+        _assert_same_clustering(c, ref)
+        assert ledger == ref_ledger
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "kind,method",
+        [
+            ("integer", "round"),
+            ("integer", "exact"),
+            ("float", "exact"),
+            ("isolated-int", "round"),
+            ("grid", "exact"),
+        ],
+    )
+    def test_engine_races_equal_on_every_kernel(self, kind, method, kernel):
+        g = REFERENCE_GRAPHS[kind]
+        with engine_kernel(kernel) as backend:
+            kw = dict(beta=0.3, seed=11, method=method, backend=backend)
+            c, ledger = _traced(est_cluster, g, **kw)
+            ref, ref_ledger = _traced(est_cluster_reference, g, **kw)
+        _assert_same_clustering(c, ref)
+        assert ledger == ref_ledger
+
+    def test_given_shifts_equal_to_reference(self, small_int_weighted):
+        shifts = sample_shifts(small_int_weighted.n, 0.2, seed=4)
+        for method in ("round", "exact"):
+            c = est_cluster(small_int_weighted, 0.2, shifts=shifts, method=method)
+            ref = est_cluster_reference(
+                small_int_weighted, 0.2, shifts=shifts, method=method
+            )
+            _assert_same_clustering(c, ref)

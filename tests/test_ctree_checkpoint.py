@@ -22,7 +22,12 @@ from repro import checkpoint as _ckpt
 from repro.ctree import build_cluster_tree
 from repro.graph import barabasi_albert_graph
 
-CKPT_EVERY = 2
+CKPT_EVERY = drv.CHECKPOINT_EVERY
+# the clean build of _graph() makes 71 expansions and 150 est_cluster
+# calls; the first save (before expansion 8) follows call 13, so a kill
+# at SAVED_KILL leaves a checkpoint on disk
+TOTAL_CALLS = 150
+SAVED_KILL = 20
 
 
 class SimulatedKill(Exception):
@@ -58,13 +63,12 @@ def _graph():
 
 def _build(g, path=None, seed=21, **kw):
     return build_cluster_tree(
-        g, "degree:2", seed=seed, checkpoint_path=path,
-        checkpoint_every=CKPT_EVERY, **kw,
+        g, "degree:2", seed=seed, checkpoint_path=path, **kw,
     )
 
 
 @settings(deadline=None, max_examples=8)
-@given(kill_at=st.integers(min_value=1, max_value=12))
+@given(kill_at=st.integers(min_value=1, max_value=TOTAL_CALLS - 1))
 def test_kill_and_resume_bit_identical(tmp_path_factory, kill_at):
     g = _graph()
     clean = _build(g)
@@ -105,7 +109,7 @@ def test_wrong_seed_refuses_checkpoint(tmp_path):
 
     g = _graph()
     path = str(tmp_path / "ctree.npz")
-    with _KillSwitch(6):
+    with _KillSwitch(SAVED_KILL):
         with pytest.raises(SimulatedKill):
             _build(g, path=path)
     assert os.path.exists(path)
@@ -121,7 +125,7 @@ def test_wrong_requirement_refuses_checkpoint(tmp_path):
 
     g = _graph()
     path = str(tmp_path / "ctree.npz")
-    with _KillSwitch(6):
+    with _KillSwitch(SAVED_KILL):
         with pytest.raises(SimulatedKill):
             _build(g, path=path)
 
@@ -140,7 +144,7 @@ def test_wrong_kind_refused(tmp_path):
 
     g = _graph()
     path = str(tmp_path / "ctree.npz")
-    with _KillSwitch(6):
+    with _KillSwitch(SAVED_KILL):
         with pytest.raises(SimulatedKill):
             _build(g, path=path)
     saved = _ckpt.BuildCheckpoint.load(path)
@@ -151,7 +155,7 @@ def test_wrong_kind_refused(tmp_path):
 def test_checkpoint_roundtrip_preserves_driver_state(tmp_path):
     g = _graph()
     path = str(tmp_path / "ctree.npz")
-    with _KillSwitch(9):
+    with _KillSwitch(2 * SAVED_KILL):
         with pytest.raises(SimulatedKill):
             _build(g, path=path)
     saved = _ckpt.BuildCheckpoint.load(path)

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+from oracles import induced_subgraph_reference
 from repro.errors import GraphFormatError
-from repro.graph import from_edges
+from repro.graph import (
+    barabasi_albert_graph,
+    from_edges,
+    gnm_random_graph,
+    grid_graph,
+    with_random_weights,
+)
 from repro.graph.builders import induced_subgraph, subgraph_by_edge_ids
 
 
@@ -89,3 +96,46 @@ class TestSubgraphByEdgeIds:
         assert sub.m == 3
         assert sub.n == small_weighted.n
         assert np.allclose(np.sort(sub.edge_w), np.sort(small_weighted.edge_w[ids]))
+
+
+class TestInducedSubgraphMatchesReference:
+    """``induced_subgraph`` is the one-group ``induced_subgraph_forest``;
+    the cut it replaced (``oracles.induced_subgraph_reference``) must
+    give the same CSR arrays and vertex map on every subset."""
+
+    @pytest.mark.parametrize("kind", ["ba", "weighted-gnm"])
+    def test_random_subsets_of_every_size(self, kind):
+        if kind == "ba":
+            g = barabasi_albert_graph(160, 3, seed=41)
+        else:
+            g = with_random_weights(
+                gnm_random_graph(120, 480, seed=42), 1.0, 50.0, "loguniform", seed=43
+            )
+        rng = np.random.default_rng(44)
+        fields = ("indptr", "indices", "weights", "edge_ids", "edge_u", "edge_v", "edge_w")
+        for size in range(g.n + 1):
+            picked = rng.permutation(g.n)[:size]
+            for vs in (picked, np.sort(picked)):
+                sub, vmap = induced_subgraph(g, vs)
+                ref, ref_vmap = induced_subgraph_reference(g, vs)
+                assert sub.n == ref.n == size
+                assert vmap.dtype == ref_vmap.dtype
+                assert np.array_equal(vmap, ref_vmap)
+                for f in fields:
+                    a, b = getattr(sub, f), getattr(ref, f)
+                    assert a.dtype == b.dtype, f
+                    assert np.array_equal(a, b), f
+
+    @pytest.mark.parametrize(
+        "vs,message",
+        [
+            ([-1, 7, 5], "vertex -1 out of range"),
+            ([9], "vertex 9 out of range"),
+            ([4, 12, 0], "vertex 12 out of range"),
+            ([0, 0, 1], "vertex 0 is listed twice"),
+            ([3, 8, 2, 8], "vertex 8 is listed twice"),
+        ],
+    )
+    def test_bad_ids_raise_typed_error(self, vs, message):
+        with pytest.raises(GraphFormatError, match=message):
+            induced_subgraph(grid_graph(3, 3), np.array(vs))

@@ -12,19 +12,22 @@ import pytest
 
 from repro.clustering import est_cluster, est_cluster_forest
 from repro.clustering.shifts import sample_shifts
-from repro.errors import GraphFormatError
+from repro.errors import GraphFormatError, ParameterError
 from repro.graph import (
     from_edges,
     gnm_random_graph,
     grid_graph,
-    induced_subgraph,
     induced_subgraph_forest,
     with_random_weights,
 )
 from repro.hopsets import HopsetParams, build_hopset, build_limited_hopset
 from repro.pram import PramTracker
 
-from oracles import build_hopset_recursive
+from oracles import (
+    build_hopset_recursive,
+    est_cluster_reference,
+    induced_subgraph_reference,
+)
 from oracles.hopsets import _cluster_method
 
 PARAMS = HopsetParams(epsilon=0.5, delta=1.5, gamma1=0.15, gamma2=0.5)
@@ -156,7 +159,7 @@ class TestForestPrimitives:
         forest = induced_subgraph_forest(small_weighted, groups)
         assert forest.num_groups == 3
         for j, grp in enumerate(groups):
-            sub, _ = induced_subgraph(small_weighted, grp)
+            sub, _ = induced_subgraph_reference(small_weighted, grp)
             lo, hi = int(forest.ptr[j]), int(forest.ptr[j + 1])
             assert hi - lo == sub.n
             assert np.array_equal(forest.vmap[lo:hi], grp)
@@ -186,6 +189,12 @@ class TestForestPrimitives:
                 small_grid, [np.array([0, 1, 2]), np.array([2, 3])]
             )
 
+    @pytest.mark.parametrize("ptr", [[1, 16], [2, 8, 16]])
+    def test_forest_race_rejects_group_ptr_not_starting_at_zero(self, ptr):
+        g = grid_graph(4, 4)
+        with pytest.raises(ParameterError, match="group_ptr"):
+            est_cluster_forest(g, 0.3, np.array(ptr), np.zeros(g.n))
+
     @pytest.mark.parametrize(
         "kind,method",
         [
@@ -213,8 +222,8 @@ class TestForestPrimitives:
         cf = est_cluster_forest(forest.graph, beta, forest.ptr, shifts, method=method)
         off = 0
         for grp in groups:
-            sub, _ = induced_subgraph(g, grp)
-            ref = est_cluster(
+            sub, _ = induced_subgraph_reference(g, grp)
+            ref = est_cluster_reference(
                 sub,
                 beta,
                 shifts=shifts[off : off + grp.shape[0]],

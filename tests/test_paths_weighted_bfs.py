@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.graph import from_edges, gnm_random_graph, with_random_weights
-from repro.paths import dial_sssp, weighted_bfs_with_start_times
+from repro.paths import dial_sssp
 from repro.paths.dijkstra import dijkstra_scipy
 from repro.pram import PramTracker
 
@@ -72,7 +72,7 @@ class TestWeightedRace:
     def test_all_vertices_owned(self, int_graph):
         n = int_graph.n
         starts = np.random.default_rng(5).integers(0, 10, n)
-        sdist, parent, owner, _ = weighted_bfs_with_start_times(int_graph, starts)
+        sdist, parent, owner, _ = dial_sssp(int_graph, np.arange(n), offsets=starts)
         assert (owner >= 0).all()
         # owners own themselves
         assert (owner[owner] == owner).all()
@@ -81,7 +81,7 @@ class TestWeightedRace:
         n = int_graph.n
         rng = np.random.default_rng(6)
         starts = rng.integers(0, 8, n)
-        sdist, _, owner, _ = weighted_bfs_with_start_times(int_graph, starts)
+        sdist, _, owner, _ = dial_sssp(int_graph, np.arange(n), offsets=starts)
         # brute force via scipy APSP
         from scipy.sparse.csgraph import dijkstra as sp
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.graph import gnm_random_graph, path_graph
+from repro.graph import gnm_random_graph, grid_graph, path_graph
 from repro.graph.validation import is_subgraph
 from repro.pram import PramTracker
 from repro.spanners import max_edge_stretch, unweighted_spanner, verify_spanner
@@ -81,6 +81,18 @@ class TestUnweightedSpanner:
         sp1 = unweighted_spanner(small_gnm, 3, clustering=c)
         sp2 = unweighted_spanner(small_gnm, 3, clustering=c)
         assert np.array_equal(sp1.edge_ids, sp2.edge_ids)
+
+    @pytest.mark.parametrize("other", ["grid5x5", "path5"])
+    def test_rejects_clustering_of_another_graph(self, other):
+        from repro.clustering import est_cluster
+
+        g = grid_graph(4, 4)
+        h = grid_graph(5, 5) if other == "grid5x5" else path_graph(5)
+        c = est_cluster(h, spanner_beta(h.n, 3), seed=5)
+        with pytest.raises(
+            ParameterError, match=f"covers {h.n} vertices but the graph has 16"
+        ):
+            unweighted_spanner(g, 3, clustering=c)
 
     def test_density_property(self, small_gnm):
         sp = unweighted_spanner(small_gnm, 3, seed=1)
