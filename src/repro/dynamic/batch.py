@@ -29,7 +29,7 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph, build_csr
 from repro.graph.dedup import first_of_runs, presence_unique
-from repro.paths.engine import check_vertex_ids
+from repro.graph.validation import check_vertex_ids
 
 
 def _canonical_pairs(
@@ -60,8 +60,9 @@ class UpdateBatch:
     delete_v: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
     def __post_init__(self) -> None:
-        iu = np.asarray(self.insert_u, dtype=np.int64)
-        iv = np.asarray(self.insert_v, dtype=np.int64)
+        # integral ids only; ranges are checked when a graph is known
+        iu = check_vertex_ids(self.insert_u, None, "vertex")
+        iv = check_vertex_ids(self.insert_v, None, "vertex")
         iw = np.asarray(self.insert_w, dtype=np.float64)
         if not (iu.shape == iv.shape == iw.shape):
             raise ParameterError("insert arrays must share one shape")
@@ -74,8 +75,8 @@ class UpdateBatch:
         if lo.size:
             win = first_of_runs((lo, hi), prefer=(w,))
             lo, hi, w = lo[win], hi[win], w[win]
-        du = np.asarray(self.delete_u, dtype=np.int64)
-        dv = np.asarray(self.delete_v, dtype=np.int64)
+        du = check_vertex_ids(self.delete_u, None, "vertex")
+        dv = check_vertex_ids(self.delete_v, None, "vertex")
         if du.shape != dv.shape:
             raise ParameterError("delete arrays must share one shape")
         if du.size and (du.min() < 0 or dv.min() < 0):
@@ -111,11 +112,11 @@ class UpdateBatch:
         ins = list(inserts)
         dels = list(deletes)
         return cls(
-            insert_u=np.asarray([t[0] for t in ins], dtype=np.int64),
-            insert_v=np.asarray([t[1] for t in ins], dtype=np.int64),
+            insert_u=[t[0] for t in ins],
+            insert_v=[t[1] for t in ins],
             insert_w=np.asarray([t[2] for t in ins], dtype=np.float64),
-            delete_u=np.asarray([t[0] for t in dels], dtype=np.int64),
-            delete_v=np.asarray([t[1] for t in dels], dtype=np.int64),
+            delete_u=[t[0] for t in dels],
+            delete_v=[t[1] for t in dels],
         )
 
 

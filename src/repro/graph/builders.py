@@ -17,6 +17,7 @@ import numpy as np
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph, build_csr
 from repro.graph.dedup import first_of_runs
+from repro.graph.validation import check_vertex_ids
 
 
 def from_edges(
@@ -147,16 +148,20 @@ def induced_subgraph_forest(
             group=np.empty(0, np.int64),
             ptr=np.zeros(1, np.int64),
         )
-    groups = [np.asarray(v, dtype=np.int64) for v in vertex_groups]
+    groups = [np.asarray(v) for v in vertex_groups]
+    for v in groups:
+        if v.ndim != 1:
+            raise GraphFormatError(f"each vertex group must be 1-D, got shape {v.shape}")
     sizes = np.array([v.shape[0] for v in groups], dtype=np.int64)
     ptr = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
     np.cumsum(sizes, out=ptr[1:])
-    cat = np.concatenate(groups) if ptr[-1] else np.empty(0, np.int64)
+    # one id check over every group (integral, in range)
+    cat = check_vertex_ids(
+        np.concatenate(groups) if ptr[-1] else np.empty(0, np.int64),
+        g.n, "vertex", GraphFormatError,
+    )
     group_of = np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
 
-    if cat.size and (int(cat.min()) < 0 or int(cat.max()) >= g.n):
-        bad = int(cat[(cat < 0) | (cat >= g.n)][0])
-        raise GraphFormatError(f"vertex {bad} out of range [0, {g.n})")
     pos = np.arange(cat.shape[0], dtype=np.int64)
     label = np.full(g.n, -1, dtype=np.int64)
     label[cat] = pos

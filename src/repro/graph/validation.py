@@ -1,15 +1,20 @@
-"""Structural validators for :class:`~repro.graph.csr.CSRGraph`.
+"""Structural validators for :class:`~repro.graph.csr.CSRGraph`, and
+the one vertex-id check every entry point shares.
 
-Used by tests and by ``verify=True`` code paths of the algorithms.
-Raise :class:`~repro.errors.VerificationError` on violation so checks
-survive ``python -O``.
+The graph validators are used by tests and by ``verify=True`` code
+paths of the algorithms; they raise
+:class:`~repro.errors.VerificationError` on violation so checks survive
+``python -O``.  :func:`check_vertex_ids` raises the caller's input-error
+type instead.
 """
 
 from __future__ import annotations
 
+from typing import Any, Optional, Type
+
 import numpy as np
 
-from repro.errors import VerificationError
+from repro.errors import ParameterError, ReproError, VerificationError
 from repro.graph.csr import CSRGraph
 
 
@@ -62,3 +67,43 @@ def is_subgraph(h: CSRGraph, g: CSRGraph) -> bool:
     if not ok.all():
         return False
     return bool(np.allclose(g.edge_w[pos], h.edge_w))
+
+
+def check_vertex_ids(
+    ids: Any,
+    n: Optional[int],
+    what: str = "source",
+    error: Type[ReproError] = ParameterError,
+) -> np.ndarray:
+    """Convert raw vertex ids to a 1-D ``int64`` array, raising
+    ``error`` naming the first bad one unless every id is an integral
+    value in ``[0, n)``.  ``n=None`` skips the range check, for ids not
+    yet bound to a graph.
+
+    Ids are checked where they enter the library and *before* any cast,
+    so a bad id fails by name instead of answering for another vertex:
+    ``np.asarray(1.7, dtype=np.int64)`` is vertex 1, and numpy reads
+    ``-1`` as ``n - 1``.  A scalar becomes a length-1 array; integral
+    floats such as ``2.0`` pass; non-finite or fractional values and
+    arrays of more than one dimension are refused.
+    """
+    try:
+        arr = np.asarray(ids)
+    except ValueError:  # ragged nesting
+        raise error(f"{what} ids must be a scalar or a 1-D array") from None
+    if arr.ndim > 1:
+        raise error(f"{what} ids must be a scalar or a 1-D array, got shape {arr.shape}")
+    arr = arr.reshape(-1)
+    if arr.dtype.kind not in "iu":
+        try:
+            vals = arr.astype(np.float64)
+        except (TypeError, ValueError):
+            raise error(f"{what} ids must be integers, got {arr.dtype} values") from None
+        ok = np.isfinite(vals) & (vals == np.rint(vals)) & (np.abs(vals) < 2.0**63)
+        if not ok.all():
+            raise error(f"{what} {arr[np.argmin(ok)]} is not an integer vertex id")
+        arr = vals.astype(np.int64)
+    if n is not None and arr.size and (int(arr.min()) < 0 or int(arr.max()) >= n):
+        bad = int(arr[(arr < 0) | (arr >= n)][0])
+        raise error(f"{what} {bad} out of range [0, {n})")
+    return arr.astype(np.int64, copy=False)

@@ -25,12 +25,12 @@ from repro.errors import ParameterError
 from repro.graph.builders import from_edges
 from repro.graph.csr import CSRGraph
 from repro.graph.dedup import first_of_runs
+from repro.graph.validation import check_vertex_ids
 from repro.hopsets.params import HopsetParams
 from repro.hopsets.result import union_csr_of
 from repro.hopsets.rounding import round_weights
 from repro.hopsets.unweighted import build_hopset
 from repro.paths.bellman_ford import CSRArrays, hop_limited_distances
-from repro.paths.engine import check_vertex_ids
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn
 from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
@@ -66,7 +66,7 @@ class LimitedHopset:
         self, s: int, t: int, tracker: Optional[PramTracker] = None
     ) -> Tuple[float, int]:
         """Approximate s-t distance with an ``n^alpha``-hop search."""
-        check_vertex_ids(np.asarray([t], dtype=np.int64), self.graph.n, "target")
+        (t,) = check_vertex_ids([t], self.graph.n, "target")
         dist, hops, _ = hop_limited_distances(
             self.union_csr(), np.asarray([s]), self.hop_budget, tracker
         )

@@ -26,16 +26,16 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.graph.validation import check_vertex_ids
 from repro.hopsets.result import HopsetResult
 from repro.paths.bellman_ford import hop_limited_distances
 from repro.paths.dijkstra import dijkstra_scipy
-from repro.paths.engine import check_vertex_ids
 from repro.pram.tracker import PramTracker, null_tracker
 
 
 def exact_distance(g: CSRGraph, s: int, t: int) -> float:
     """Ground truth s-t distance (scipy Dijkstra)."""
-    check_vertex_ids(np.asarray([s, t], dtype=np.int64), g.n, "vertex")
+    s, t = check_vertex_ids([s, t], g.n, "vertex")
     return float(dijkstra_scipy(g, s)[t])
 
 
@@ -71,7 +71,7 @@ def hopset_distance(
     """
     tracker = tracker or null_tracker()
     n = hopset.graph.n
-    check_vertex_ids(np.asarray([t], dtype=np.int64), n, "target")
+    (t,) = check_vertex_ids([t], n, "target")
     with tracker.phase("query"):
         dist, hops, _ = hop_limited_distances(
             hopset.union_csr(), np.asarray([s]), n if h is None else h, tracker

@@ -27,13 +27,13 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.graph.builders import from_edges
 from repro.graph.csr import CSRGraph
+from repro.graph.validation import check_vertex_ids
 from repro.hopsets.params import HopsetParams
 from repro.hopsets.result import HopsetResult
 from repro.hopsets.rounding import RoundedGraph, round_weights
 from repro.hopsets.unweighted import build_hopset
 from repro.hopsets.query import suggested_hop_bound
 from repro.paths.bellman_ford import hop_limited_distances
-from repro.paths.engine import check_vertex_ids
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn
 from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
@@ -78,7 +78,7 @@ class WeightedHopset:
         are max-merged); the minimum converted estimate wins.
         """
         # s too: with no scales (an edgeless graph) no search checks it
-        check_vertex_ids(np.asarray([s, t], dtype=np.int64), self.graph.n, "vertex")
+        s, t = check_vertex_ids([s, t], self.graph.n, "vertex")
         tracker = tracker or null_tracker()
         best = math.inf
         best_hops = 0
@@ -124,7 +124,7 @@ class WeightedHopset:
         factor ``c = n^eta`` below the truth; the returned value is
         still an upper bound on the true distance.
         """
-        check_vertex_ids(np.asarray([t], dtype=np.int64), self.graph.n, "target")
+        (t,) = check_vertex_ids([t], self.graph.n, "target")
         sc = self.scale_for(d_estimate)
         budget = h if h is not None else _scale_hop_budget(sc)
         dist, hops, _ = hop_limited_distances(

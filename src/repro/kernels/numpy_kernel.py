@@ -30,7 +30,18 @@ relaxation rounds, keeping the PRAM depth accounting honest.
 Every relaxation round is one batched gather/scatter over all frontier
 arcs, so a round is one CRCW PRAM step and the interpreter executes
 O(buckets x inner rounds) numpy calls instead of O(n + m) heap
-operations.
+operations.  Wall time is therefore rounds x per-round dispatch plus
+arcs x passes per arc, and a round keeps both small: one expansion
+(:func:`expand_frontier`, three arc-length passes) lists the
+frontier's CSR slots; candidate distances are gathered once per
+frontier vertex and repeated over its arcs, adding the arc weights
+only when they are not all equal (a uniform-weight graph adds one
+scalar, on the split path too); one index filter keeps the improving
+arcs.  A light or heavy half with no arcs at all returns before any
+gather, but its round and its frontier-size work are still charged,
+so the ledger is the same as if it had run.  Owner ranks are
+propagated only when some seed has a nonzero rank (multi-source runs):
+otherwise no claim ever reads them.
 
 Concurrent claims on a vertex are resolved deterministically: the
 lexicographically smallest ``(candidate distance, owner rank, relaxing
@@ -175,20 +186,22 @@ def claim_min(
 def expand_frontier(
     indptr: np.ndarray, frontier: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """All CSR slots out of ``frontier``: returns (arc_index, arc_source).
+    """All CSR slots out of ``frontier``: returns ``(arc_index, counts)``.
 
-    Per-vertex adjacency ranges are flattened with a repeat +
-    cumulative-offset trick (no Python loop over vertices).
+    ``arc_index`` lists each frontier vertex's adjacency range in
+    frontier order (a vertex listed twice is expanded twice) and
+    ``counts[i]`` is the out-degree of ``frontier[i]``, so a caller
+    spreads a per-vertex array over its arcs with
+    ``np.repeat(x, counts)`` and repeats only what it needs.  The slots
+    are ``repeat(start - exclusive_cumsum(counts)) + arange(total)``:
+    three arc-length passes, no Python loop over vertices.
     """
     starts = indptr[frontier]
     counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    arc_index = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, counts)
-    arc_source = np.repeat(frontier, counts)
-    return arc_index, arc_source
+    # cumsum promotes compact (int32) CSR offsets to int64
+    arc_index = (starts - (counts.cumsum() - counts)).repeat(counts)
+    arc_index += np.arange(arc_index.shape[0], dtype=arc_index.dtype)
+    return arc_index, counts
 
 
 def hop_sssp_batch(
@@ -233,18 +246,15 @@ def hop_sssp_batch(
         r += 1
         # improving candidates out of the frontier, against the
         # pre-round labels
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        round_arcs.append(total)
-        arc_off = np.repeat(np.cumsum(counts) - counts, counts)
-        arc_idx = np.arange(total, dtype=np.int64) - arc_off + np.repeat(starts, counts)
+        arc_idx, counts = expand_frontier(indptr, frontier)
+        round_arcs.append(int(arc_idx.shape[0]))
         nbr = indices[arc_idx]
-        cand = np.repeat(dist[frontier], counts) + weights[arc_idx]
-        improving = cand < dist[nbr]
-        nbr, cand = nbr[improving], cand[improving]
-        if nbr.shape[0] == 0:
+        cand = dist[frontier].repeat(counts)
+        cand += weights[arc_idx]
+        sel = (cand < dist[nbr]).nonzero()[0]
+        if sel.shape[0] == 0:
             break
+        nbr, cand = nbr[sel], cand[sel]
         # one winner per claimed vertex: the minimum candidate (equal
         # minima are interchangeable)
         keep = _min_mask(nbr, cand, claim_buf)
@@ -293,7 +303,9 @@ def bucket_sssp(
 
     Implemented as the ``k = 1`` case of :func:`bucket_sssp_batch` (one
     shared relaxation loop; the batch kernel skips all composite-id
-    arithmetic for a single run, so this costs nothing extra).
+    arithmetic for a single run, so this costs nothing extra).  Labels
+    and ledgers equal those of the per-arc round the kernel used before
+    (``tests/oracles/bucket.py``), value for value and dtype for dtype.
     """
     sources = np.asarray(sources, dtype=np.int64)
     run_ptr = np.asarray([0, sources.shape[0]], dtype=np.int64)
@@ -378,15 +390,17 @@ def bucket_sssp_batch(
     settled = np.zeros(nn, dtype=bool)
     bucket_work: List[int] = []
     bucket_rounds: List[int] = []
-    # uniform-weight fast path (the unweighted/Dial hot case): candidate
-    # distances become one scalar add instead of a per-arc gather
+    # uniform-weight fast path (unweighted graphs, on the Dial and the
+    # split schedule alike; both halves of a split hold the same weight):
+    # candidate distances become one scalar add instead of a per-arc gather
     w_const = None
     if weights.shape[0] and (weights == weights[0]).all():
         w_const = weights[0]
 
     # claim_buf is the claim scratch, one word per state.  rank[] only
     # ever holds seed ranks, so when every seed has rank 0 (single-source
-    # runs) the rank tie-break cannot separate claims
+    # runs) the rank tie-break cannot separate claims and rank[] is
+    # neither read nor propagated
     claim_rank = rank if ranks.any() else None
 
     def _relax_round(
@@ -398,38 +412,39 @@ def bucket_sssp_batch(
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], int]:
         """One claim-resolved relaxation of ``frontier`` over the
         sub-adjacency ``(xip, xidx, xw)``: gathers the improving
-        candidates against the pre-round labels, then updates the label
-        arrays in place.  Returns ``(win_v, win_d, arcs)`` with
-        ``win_v=None`` when nothing improved."""
-        vv = frontier if single else frontier % n
-        starts = xip[vv]
-        counts = xip[vv + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            # e.g. every light round when all arcs are heavy
+        candidates against the pre-round labels (``wc``, when given, is
+        the weight of every arc), then updates the label arrays in
+        place.  Returns ``(win_v, win_d, arcs)`` with ``win_v=None``
+        when nothing improved."""
+        if xidx.shape[0] == 0:
+            # an empty half (every light round when all arcs are heavy):
+            # no gather at all; the caller still charges the round
             return None, None, 0
-        arc_off = np.repeat(np.cumsum(counts) - counts, counts)
-        arc_idx = (
-            np.arange(total, dtype=np.int64) - arc_off + np.repeat(starts, counts)
-        )
-        arc_src = np.repeat(frontier, counts)
+        vv = frontier if single else frontier % n
+        arc_idx, counts = expand_frontier(xip, vv)
+        total = int(arc_idx.shape[0])
         if single:
             nbr = xidx[arc_idx]
         else:
-            nbr = np.repeat(frontier - vv, counts) + xidx[arc_idx]
+            nbr = (frontier - vv).repeat(counts)
+            nbr += xidx[arc_idx]
+        # one gather per frontier vertex: entry for entry the same IEEE
+        # sum as dist[arc tail] + w, so labels stay bit-identical
         if wc is not None:
-            cand = dist[arc_src] + wc
+            cand = (dist[frontier] + wc).repeat(counts)
         else:
-            cand = dist[arc_src] + xw[arc_idx]
-        improving = cand < dist[nbr]
-        nbr, src, cand = nbr[improving], arc_src[improving], cand[improving]
-        if nbr.shape[0] == 0:
+            cand = dist[frontier].repeat(counts)
+            cand += xw[arc_idx]
+        sel = (cand < dist[nbr]).nonzero()[0]
+        if sel.shape[0] == 0:
             return None, None, total
-        win_v, win_p, win_d = claim_min(nbr, src, cand, claim_rank, claim_buf)
+        src = frontier.repeat(counts)[sel]
+        win_v, win_p, win_d = claim_min(nbr[sel], src, cand[sel], claim_rank, claim_buf)
         dist[win_v] = win_d
         parent[win_v] = win_p if single else win_p % n
         owner[win_v] = owner[win_p]
-        rank[win_v] = rank[win_p]
+        if claim_rank is not None:
+            rank[win_v] = rank[win_p]
         return win_v, win_d, total
 
     pending: List[np.ndarray] = []
@@ -483,7 +498,7 @@ def bucket_sssp_batch(
                 rounds += 1
                 settled[frontier] = True
                 member_chunks.append(frontier)
-                win_v, win_d, arcs = _relax_round(frontier, lip, lidx, lw)
+                win_v, win_d, arcs = _relax_round(frontier, lip, lidx, lw, w_const)
                 work += max(arcs, int(frontier.shape[0]))
                 if win_v is None:
                     break
@@ -500,7 +515,7 @@ def bucket_sssp_batch(
                 # heavy candidates land at >= hi, so one pass settles
                 # the bucket's heavy arcs for good
                 rounds += 1
-                win_v, win_d, arcs = _relax_round(members, hip, hidx, hw)
+                win_v, win_d, arcs = _relax_round(members, hip, hidx, hw, w_const)
                 work += max(arcs, int(members.shape[0]))
                 if win_v is not None:
                     pending.append(win_v)

@@ -23,8 +23,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.errors import ParameterError
+from repro.graph.validation import check_vertex_ids
 from repro.kernels.numpy_kernel import hop_sssp_batch
-from repro.paths.engine import check_vertex_ids
 from repro.pram.tracker import PramTracker, null_tracker
 
 CSRArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -46,12 +47,16 @@ def hop_limited_distances(
 
     Ledger: each executed round is charged at the arcs it gathered —
     the out-arcs of the vertices improved in the round before.
+
+    Raises :class:`~repro.errors.ParameterError` for a negative ``h``
+    or a source that is not an integral vertex id in ``[0, n)``.
     """
     tracker = tracker or null_tracker()
     indptr, indices, weights = csr
     n = int(indptr.shape[0]) - 1
-    sources = np.asarray(sources, dtype=np.int64)
-    check_vertex_ids(sources, n)
+    sources = check_vertex_ids(sources, n)
+    if h < 0:
+        raise ParameterError(f"h must be a non-negative hop bound, got {h}")
     dist, hops, round_arcs = hop_sssp_batch(indptr, indices, weights, sources, h)
     for arcs in round_arcs:
         tracker.parallel_round(work=arcs)

@@ -21,8 +21,8 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.graph.dedup import first_of_runs, presence_unique
+from repro.graph.validation import check_vertex_ids
 from repro.kernels.numpy_kernel import expand_frontier
-from repro.paths.engine import check_vertex_ids
 from repro.pram.tracker import PramTracker, null_tracker
 
 INF = np.iinfo(np.int64).max
@@ -31,10 +31,13 @@ INF = np.iinfo(np.int64).max
 def _frontier_arcs(g: CSRGraph, frontier: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """All CSR slots out of ``frontier``: returns (arc_index, arc_source).
 
-    One shared vectorized "expand" (repeat + cumulative-offset, no
-    Python loop) serves both BFS and the bucket kernels.
+    The slots come from the kernels' one expansion helper
+    (:func:`~repro.kernels.numpy_kernel.expand_frontier`, shared with
+    the bucket and h-hop kernels); the race needs each arc's tail, so
+    the frontier is repeated over its out-degrees here.
     """
-    return expand_frontier(g.indptr, frontier)
+    arc_idx, counts = expand_frontier(g.indptr, frontier)
+    return arc_idx, np.repeat(frontier, counts)
 
 
 def multi_source_bfs(
@@ -49,7 +52,7 @@ def multi_source_bfs(
     source, BFS-tree parent (-1 at sources/unreached), and the id of the
     source that claimed each vertex (-1 if unreached).
     """
-    sources = np.asarray(sources, dtype=np.int64)
+    sources = check_vertex_ids(sources, g.n)
     return bfs_with_start_times(
         g,
         start_time=np.zeros(sources.shape[0], dtype=np.int64),
@@ -91,8 +94,7 @@ def bfs_with_start_times(
     """
     tracker = tracker or null_tracker()
     start_time = np.asarray(start_time, dtype=np.int64)
-    source_ids = np.asarray(source_ids, dtype=np.int64)
-    check_vertex_ids(source_ids, g.n)
+    source_ids = check_vertex_ids(source_ids, g.n)
     k = source_ids.shape[0]
     if priority is None:
         priority = np.arange(k, dtype=np.float64)
@@ -157,7 +159,7 @@ def bfs_with_start_times(
         tracker.parallel_round(work=max(int(arc_idx.shape[0]), int(frontier.shape[0])))
         levels += 1
         nbr = g.indices[arc_idx]
-        unclaimed = arrival[nbr] == INF
+        unclaimed = np.flatnonzero(arrival[nbr] == INF)
         nbr = nbr[unclaimed]
         arc_src = arc_src[unclaimed]
         new_frontier = np.empty(0, np.int64)

@@ -22,9 +22,11 @@ Engine API
 clustering is defined by.  ``owner[v]`` is the arg-min source (ties
 broken toward the earlier entry in ``sources``), ``parent`` the
 shortest-path-forest parent.  ``weights`` overrides the graph's CSR
-weights (used by the rounded-graph pipelines).  Offsets must be finite,
-override weights finite and non-negative, and ``delta`` positive and
-finite; anything else raises :class:`~repro.errors.ParameterError`.
+weights (used by the rounded-graph pipelines).  Sources must be
+integral vertex ids in ``[0, n)`` (a scalar or a 1-D array), offsets
+one finite entry per source, override weights one finite non-negative
+entry per CSR slot, and ``delta`` positive and finite; anything else
+raises :class:`~repro.errors.ParameterError`.
 
 :func:`shortest_paths_batch` runs ``k`` *independent* searches in one
 call and returns ``(k, n)`` matrices::
@@ -110,6 +112,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
+from repro.graph.validation import check_vertex_ids
 from repro.kernels import (
     bucket_sssp,
     bucket_sssp_batch,
@@ -120,18 +123,6 @@ from repro.kernels import (
 from repro.kernels.numpy_kernel import INT_INF, split_light_heavy, suggest_delta
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
-
-
-def check_vertex_ids(ids: np.ndarray, n: int, what: str = "source") -> None:
-    """Raise :class:`ParameterError` unless every id lies in ``[0, n)``.
-
-    Ids are checked where they enter the library, so an out-of-range
-    vertex fails by name instead of wrapping around (numpy reads ``-1``
-    as ``n - 1``) or failing deep inside a kernel.
-    """
-    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= n):
-        bad = int(ids[(ids < 0) | (ids >= n)][0])
-        raise ParameterError(f"{what} {bad} out of range [0, {n})")
 
 
 def check_finite(name: str, values: np.ndarray, nonnegative: bool = False) -> None:
@@ -198,15 +189,8 @@ def shortest_paths(
     :func:`shortest_paths_batch`).
     """
     tracker = tracker or null_tracker()
-    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    check_vertex_ids(sources, g.n)
-
-    if offsets is None:
-        offsets = np.zeros(sources.shape[0], dtype=np.int64)
-    else:
-        offsets = np.asarray(offsets)
-    if offsets.shape[0] != sources.shape[0]:
-        raise ParameterError("offsets must match sources in length")
+    sources = check_vertex_ids(sources, g.n)
+    offsets = _offsets_for(sources, offsets)
     w, int_mode, delta = _resolve_weights_and_delta(g, weights, offsets, delta)
 
     name = resolve_backend(backend or "numpy")
@@ -269,43 +253,60 @@ class BatchShortestPathResult:
         return int(self.dist.shape[0])
 
 
+def _offsets_for(sources: np.ndarray, offsets: Optional[Any]) -> np.ndarray:
+    """Start offsets for ``sources``: all-zero integers when ``None``
+    (keeping Dial mode available), else exactly one 1-D entry per
+    source."""
+    if offsets is None:
+        return np.zeros(sources.shape[0], dtype=np.int64)
+    offsets = np.asarray(offsets)
+    if offsets.shape != sources.shape:
+        raise ParameterError(
+            f"offsets must hold one entry per source, shape {sources.shape}; "
+            f"got shape {offsets.shape}"
+        )
+    return offsets
+
+
 def _normalize_runs(
     sources: Union[np.ndarray, int, Sequence[Any]],
     offsets: Optional[Union[np.ndarray, Sequence[Any]]],
+    n: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten batch sources into ``(run_src, run_ptr, offs)``.
+    """Flatten batch sources into ``(run_src, run_ptr, offs)``, checking
+    every source against ``[0, n)``.
 
     ``sources`` is either a flat integer array (k singleton runs) or a
     sequence of per-run source arrays; ``offsets`` mirrors its shape
     (``None`` = all-zero integer offsets, keeping Dial mode available).
     """
-    is_flat = isinstance(sources, np.ndarray) and sources.ndim == 1
+    is_flat = np.isscalar(sources) or (
+        isinstance(sources, np.ndarray) and sources.ndim <= 1
+    )
     if not is_flat and not isinstance(sources, np.ndarray):
         seq = list(sources)
         is_flat = all(np.isscalar(s) or np.ndim(s) == 0 for s in seq)
-        sources = np.asarray(seq, dtype=np.int64) if is_flat else seq
+        sources = np.asarray(seq) if is_flat else seq
     if is_flat:
-        run_src = np.asarray(sources, dtype=np.int64)
+        run_src = check_vertex_ids(sources, n)
         run_ptr = np.arange(run_src.shape[0] + 1, dtype=np.int64)
-        if offsets is None:
-            offs = np.zeros(run_src.shape[0], dtype=np.int64)
-        else:
-            offs = np.asarray(offsets)
-            if offs.shape[0] != run_src.shape[0]:
-                raise ParameterError("offsets must match sources in length")
-        return run_src, run_ptr, offs
-    runs = [np.atleast_1d(np.asarray(r, dtype=np.int64)) for r in sources]
+        return run_src, run_ptr, _offsets_for(run_src, offsets)
+    runs = [np.atleast_1d(np.asarray(r)) for r in sources]
+    for r in runs:
+        if r.ndim > 1:
+            raise ParameterError(f"each run's sources must be 1-D, got shape {r.shape}")
     run_ptr = np.zeros(len(runs) + 1, dtype=np.int64)
     np.cumsum([r.shape[0] for r in runs], out=run_ptr[1:])
-    run_src = (
-        np.concatenate(runs) if runs else np.empty(0, np.int64)
+    # one check over every run's sources
+    run_src = check_vertex_ids(
+        np.concatenate(runs) if runs else np.empty(0, np.int64), n
     )
     if offsets is None:
         offs = np.zeros(run_src.shape[0], dtype=np.int64)
     else:
         per_run = [np.atleast_1d(np.asarray(o)) for o in offsets]
         if len(per_run) != len(runs) or any(
-            o.shape[0] != r.shape[0] for o, r in zip(per_run, runs)
+            o.shape != r.shape for o, r in zip(per_run, runs)
         ):
             raise ParameterError("offsets must mirror the per-run source shapes")
         offs = np.concatenate(per_run) if per_run else np.empty(0, np.int64)
@@ -351,8 +352,7 @@ def shortest_paths_batch(
     still returns correctly shaped ``(k, n)`` all-unreached matrices.
     """
     tracker = tracker or null_tracker()
-    run_src, run_ptr, offs = _normalize_runs(sources, offsets)
-    check_vertex_ids(run_src, g.n)
+    run_src, run_ptr, offs = _normalize_runs(sources, offsets, g.n)
     k = run_ptr.shape[0] - 1
     w, int_mode, delta = _resolve_weights_and_delta(g, weights, offs, delta)
 
@@ -419,8 +419,11 @@ def _resolve_weights_and_delta(
     integer (Dial) mode detection, and the default bucket width — one
     policy for single and batched calls."""
     w = g.weights if weights is None else np.asarray(weights)
-    if w.shape[0] != g.num_arcs:
-        raise ParameterError("weights must have one entry per CSR slot")
+    if w.shape != (g.num_arcs,):
+        raise ParameterError(
+            f"weights must have one entry per CSR slot, shape ({g.num_arcs},); "
+            f"got shape {w.shape}"
+        )
     if weights is not None:
         check_finite("weights", w, nonnegative=True)
     check_finite("offsets", offsets)

@@ -36,6 +36,7 @@ import numpy as np
 from repro.checkpoint import graph_fingerprint
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
+from repro.graph.validation import check_vertex_ids
 from repro.hopsets.result import HopsetResult, RepairStructure
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -196,10 +197,7 @@ class DistanceServer:
         insertions below may cause."""
         got: Dict[int, np.ndarray] = {}
         missing: List[int] = []
-        for s in sources:
-            s = int(s)
-            if not 0 <= s < self._n:
-                raise ParameterError(f"source {s} out of range [0, {self._n})")
+        for s in check_vertex_ids(sources, self._n).tolist():
             if s in got:
                 continue
             row = self._cache.get(s)
@@ -326,40 +324,38 @@ class DistanceServer:
 
     def query(self, s: int, t: int) -> float:
         """One s-t distance (``inf`` when ``t`` is unreachable)."""
-        if not 0 <= int(t) < self._n:
-            raise ParameterError(f"target {t} out of range [0, {self._n})")
+        (t,) = check_vertex_ids([t], self._n, "target")
         self.stats.queries += 1
-        return float(self._rows_for([s])[int(s)][int(t)])
+        return float(self._rows_for([s])[int(s)][t])
 
     def query_batch(self, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
         """The coalescing front door: answer ``k`` concurrent s-t
         queries with as few kernel runs as their distinct uncached
         sources require.  Returns distances aligned with ``pairs``."""
-        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        arr = np.asarray(pairs).reshape(-1, 2)
         k = arr.shape[0]
         self.stats.queries += k
         self.stats.batches += 1
         if k == 0:
             return np.empty(0, dtype=np.float64)
-        if (arr[:, 1] < 0).any() or (arr[:, 1] >= self._n).any():
-            bad = arr[(arr[:, 1] < 0) | (arr[:, 1] >= self._n), 1][0]
-            raise ParameterError(f"target {bad} out of range [0, {self._n})")
-        rows = self._rows_for(arr[:, 0])
+        dst = check_vertex_ids(arr[:, 1], self._n, "target")
+        src = check_vertex_ids(arr[:, 0], self._n)
+        rows = self._rows_for(src)
         # one fancy-index per distinct source: group the pairs by
         # source instead of stacking the rows, which would copy a
         # (distinct sources x n) block
-        order = np.argsort(arr[:, 0], kind="stable")
-        src = arr[order, 0]
+        order = np.argsort(src, kind="stable")
+        s_sorted = src[order]
         out = np.empty(k, dtype=np.float64)
-        for idx in np.split(order, np.flatnonzero(src[1:] != src[:-1]) + 1):
-            out[idx] = rows[int(arr[idx[0], 0])][arr[idx, 1]]
+        for idx in np.split(order, np.flatnonzero(s_sorted[1:] != s_sorted[:-1]) + 1):
+            out[idx] = rows[int(src[idx[0]])][dst[idx]]
         return out
 
     def distances(self, sources: Sequence[int]) -> np.ndarray:
         """``(k, n)`` distance matrix for ``k`` sources (k-source batch
         query).  Rows are independent copies; duplicates in ``sources``
         cost one kernel run only."""
-        src = np.asarray(sources, dtype=np.int64).reshape(-1)
+        src = check_vertex_ids(sources, self._n)
         self.stats.queries += src.shape[0]
         self.stats.batches += 1
         rows = self._rows_for(src)

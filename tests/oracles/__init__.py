@@ -9,7 +9,9 @@ hopset's per-level statistics against Section 4's schedule, and
 :func:`dense_hop_distances` is the dense synchronous Bellman–Ford the
 frontier h-hop kernel must match label for label, and
 :func:`first_of_runs_lexsort` is the comparison-sort dedup the radix
-``first_of_runs`` must match index for index.
+``first_of_runs`` must match index for index, and
+:func:`bucket_sssp_batch_reference` the per-arc relaxation round the
+numpy bucket kernel must match label for label and ledger for ledger.
 :func:`est_cluster_reference` and :func:`induced_subgraph_reference`
 are the single-graph EST race and induced-subgraph cut that
 ``est_cluster`` and ``induced_subgraph`` ran before they became the
@@ -24,6 +26,7 @@ them; nothing under ``src/`` may.
 """
 
 from .bellman_ford import ArcSet, arcs_from_graph, combine_arcs, dense_hop_distances
+from .bucket import bucket_sssp_batch_reference
 from .dedup import first_of_runs_lexsort
 from .dijkstra import KERNELS, dijkstra_reference, engine_kernel
 from .est import est_cluster_reference
@@ -36,6 +39,7 @@ __all__ = [
     "KERNELS",
     "ArcSet",
     "arcs_from_graph",
+    "bucket_sssp_batch_reference",
     "build_hopset_recursive",
     "check_level_invariants",
     "combine_arcs",

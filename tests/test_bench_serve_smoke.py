@@ -51,6 +51,8 @@ def test_payload_schema_and_correctness(bench_serve):
     assert payload["h_limited"]["h"] >= 1
     # at toy scale the speedup bars are recorded, not asserted
     assert acc["batched_speedup"] > 0
+    row = payload["batched_vs_singleton"]
+    assert row["scipy_seconds"] > 0 and row["batched_vs_scipy"] > 0
 
 
 def test_big_constants_give_acceptance_scale(bench_serve):

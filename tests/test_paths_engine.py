@@ -8,8 +8,15 @@ import pytest
 from oracles import KERNELS, dijkstra_reference, engine_kernel
 from repro import cli
 from repro.clustering import est_cluster, est_cluster_forest
-from repro.errors import ParameterError
-from repro.graph import from_edges, gnm_random_graph, grid_graph, with_random_weights
+from repro.dynamic import UpdateBatch
+from repro.errors import GraphFormatError, ParameterError
+from repro.graph import (
+    from_edges,
+    gnm_random_graph,
+    grid_graph,
+    induced_subgraph,
+    with_random_weights,
+)
 from repro.hopsets import (
     build_hopset,
     build_limited_hopset,
@@ -22,10 +29,12 @@ from repro.paths import (
     dijkstra,
     dijkstra_scipy,
     hop_limited_distances,
+    multi_source_bfs,
     shortest_paths,
     shortest_paths_batch,
 )
 from repro.pram import PramTracker
+from repro.serve import DistanceServer
 
 INT_INF = np.iinfo(np.int64).max
 
@@ -312,6 +321,13 @@ class TestVertexIdRange:
         with pytest.raises(ParameterError, match=rf"{v} out of range \[0, {g.n}\)"):
             _ID_ENTRY_POINTS[entry](g, hs, v)
 
+    @pytest.mark.parametrize("entry", sorted(_ID_ENTRY_POINTS))
+    def test_fractional_id_names_itself(self, built, entry):
+        g, hs = built
+        # never truncated to vertex 1
+        with pytest.raises(ParameterError, match=r"1\.7 is not an integer vertex id"):
+            _ID_ENTRY_POINTS[entry](g, hs, 1.7)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -359,6 +375,15 @@ _BAD_INPUTS = {
     "batch_weights_negative": (
         "weights", lambda g: shortest_paths_batch(g, [0], weights=-np.ones(g.num_arcs))
     ),
+    # wrong shapes used to fail inside numpy (IndexError, broadcast error)
+    "offsets_scalar": ("offsets", lambda g: shortest_paths(g, 0, offsets=5)),
+    "batch_offsets_scalar": (
+        "offsets", lambda g: shortest_paths_batch(g, np.array([0, 1]), offsets=3)
+    ),
+    "offsets_column": ("offsets", lambda g: shortest_paths(g, [0, 1], offsets=[[1], [2]])),
+    "weights_column": (
+        "weights", lambda g: shortest_paths(g, 0, weights=np.ones((g.num_arcs, 1)))
+    ),
     "est_exact_shifts_nan": ("shifts", _est_on_grid(math.nan, "exact")),
     "est_exact_shifts_inf": ("shifts", _est_on_grid(math.inf, "exact")),
     "est_round_shifts_nan": ("shifts", _est_on_grid(math.nan, "round")),
@@ -385,3 +410,75 @@ class TestNonFiniteInputs:
         assert rc == 2
         assert captured.err.startswith("error: delta must be positive and finite")
         assert "Traceback" not in captured.err
+
+
+def _path4():
+    """The path 0-1-2-3 with weights 1, 2, 3."""
+    return from_edges(4, np.array([[0, 1], [1, 2], [2, 3]]), np.array([1.0, 2.0, 3.0]))
+
+
+# entry points that truncated a fractional id (or a 2-D id array) to
+# another vertex's answer, each with the error type it raises for bad ids
+_NON_INTEGRAL_CALLS = {
+    "shortest_paths_2d": (
+        ParameterError, "shape", lambda g, srv: shortest_paths(g, np.array([[0, 1]]))
+    ),
+    "shortest_paths_batch_flat": (
+        ParameterError, "0.5", lambda g, srv: shortest_paths_batch(g, [0.5, 2.7])
+    ),
+    "shortest_paths_batch_run": (
+        ParameterError, "2.5", lambda g, srv: shortest_paths_batch(g, [[0, 1], [2.5]])
+    ),
+    "multi_source_bfs": (ParameterError, "0.5", lambda g, srv: multi_source_bfs(g, [0.5])),
+    "server_query_source": (ParameterError, "1.7", lambda g, srv: srv.query(1.7, 3)),
+    "server_query_target": (ParameterError, "3.2", lambda g, srv: srv.query(1, 3.2)),
+    "server_query_batch": (
+        ParameterError, r"1\.7|3\.2", lambda g, srv: srv.query_batch([(1.7, 3.2)])
+    ),
+    "server_distances": (ParameterError, "0.9", lambda g, srv: srv.distances([0.9])),
+    "server_distance_row": (ParameterError, "2.5", lambda g, srv: srv.distance_row(2.5)),
+    "update_batch_from_tuples": (
+        ParameterError, "0.4", lambda g, srv: UpdateBatch.from_tuples([(0.4, 2.6, 1.0)], [])
+    ),
+    "update_batch_delete": (
+        ParameterError, "1.5", lambda g, srv: UpdateBatch.from_tuples([], [(1.5, 3)])
+    ),
+    "induced_subgraph": (
+        GraphFormatError, "0.5", lambda g, srv: induced_subgraph(g, [0.5, 2.2])
+    ),
+    "induced_subgraph_2d": (
+        GraphFormatError, "1-D", lambda g, srv: induced_subgraph(g, np.array([[0, 1]]))
+    ),
+}
+
+
+class TestNonIntegralIds:
+    @pytest.fixture(scope="class")
+    def path(self):
+        g = _path4()
+        return g, DistanceServer(build_hopset(g, seed=1))
+
+    @pytest.mark.parametrize("entry", sorted(_NON_INTEGRAL_CALLS))
+    def test_refused_by_value(self, path, entry):
+        error, match, call = _NON_INTEGRAL_CALLS[entry]
+        with pytest.raises(error, match=match):
+            call(*path)
+
+    def test_negative_hop_bound_is_refused(self):
+        g = _path4()
+        with pytest.raises(ParameterError, match="h must be a non-negative"):
+            hop_limited_distances((g.indptr, g.indices, g.weights), [0], -1)
+
+    def test_integral_floats_still_answer(self, path):
+        g, srv = path
+        assert np.array_equal(shortest_paths(g, 2.0).dist, shortest_paths(g, 2).dist)
+        assert np.array_equal(
+            shortest_paths_batch(g, np.array([0.0, 3.0])).dist,
+            shortest_paths_batch(g, [0, 3]).dist,
+        )
+        assert srv.query(1.0, 3.0) == srv.query(1, 3) == 5.0
+        assert srv.query_batch([(0.0, 2.0)]).tolist() == [3.0]
+        b = UpdateBatch.from_tuples([(0.0, 2.0, 1.0)], [(1.0, 2.0)])
+        assert b.insert_u.tolist() == [0] and b.delete_v.tolist() == [2]
+        sub, vmap = induced_subgraph(g, np.array([1.0, 2.0]))
+        assert vmap.tolist() == [1, 2] and sub.m == 1
