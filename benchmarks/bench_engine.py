@@ -20,7 +20,11 @@ m = 5*10^5:
 scipy's compiled Dijkstra (``scipy.sparse.csgraph.dijkstra``) is timed
 beside them on the single-source workload of both graphs: its row
 records ``numpy_vs_scipy``, numpy seconds over scipy seconds (below 1
-means the numpy engine is faster), with no floor yet.
+means the numpy engine is faster), with no floor yet.  Each section's
+``batch_8_sources`` row times ``shortest_paths_batch`` on 8 sources
+(one ``(8, n)`` distance matrix) against scipy's
+``dijkstra(indices=<the same 8>)`` and records ``batch_vs_scipy`` the
+same way, also with no floor.
 
 Emits a machine-readable ``BENCH_engine.json`` at the repo root via
 :func:`_report.record_json` (which also records the machine: cores
@@ -45,7 +49,7 @@ from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 import _report
 from repro.graph import gnm_random_graph, with_random_weights
 from repro.kernels import available_backends
-from repro.paths import shortest_paths
+from repro.paths import shortest_paths, shortest_paths_batch
 from repro.rng import resolve_rng
 
 _TESTS_DIR = os.path.join(
@@ -59,7 +63,8 @@ finally:
 
 COLUMNS = [
     "section", "workload", "n", "m", "backend", "seconds",
-    "speedup_vs_reference", "numpy_vs_scipy", "buckets", "rounds",
+    "speedup_vs_reference", "numpy_vs_scipy", "batch_vs_scipy", "buckets",
+    "rounds",
 ]
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") == "1"
@@ -67,6 +72,7 @@ BIG_N, BIG_M = (4_000, 20_000) if SMOKE else (100_000, 500_000)
 
 INT_TARGET = 5.0
 FLOAT_TARGET = 3.0
+BATCH_SOURCES = 8
 
 
 def _graphs():
@@ -96,6 +102,7 @@ def run_engine_bench(repeats: int = 2) -> dict:
     g_int, g_float = _graphs()
     rng = resolve_rng(73)
     est_offsets = rng.exponential(5.0, g_float.n)
+    batch_srcs = rng.choice(g_float.n, size=min(BATCH_SOURCES, g_float.n), replace=False)
     sections = {
         "int_dial": {
             "graph": g_int,
@@ -192,6 +199,34 @@ def run_engine_bench(repeats: int = 2) -> dict:
             workload="sssp_single_source", backend="scipy",
             seconds=round(sp_t, 3), numpy_vs_scipy=round(ratio, 2),
         )
+
+        # the multi-source batch: one (8, n) matrix against scipy's
+        # multi-source call on the same sources
+        batch_t, bres = _best_of(
+            repeats, shortest_paths_batch, g, batch_srcs, weights=w, backend="numpy"
+        )
+        spb_t, spb_dist = _best_of(
+            repeats, sp_dijkstra, csr, directed=False, indices=batch_srcs
+        )
+        assert np.allclose(np.asarray(bres.dist, dtype=np.float64), spb_dist), (
+            f"{sec_name}/batch diverged from scipy"
+        )
+        batch_ratio = batch_t / max(spb_t, 1e-12)
+        out["batch_8_sources"] = {
+            "sources": batch_srcs.tolist(),
+            "numpy_seconds": batch_t,
+            "scipy_seconds": spb_t,
+            "batch_vs_scipy": batch_ratio,
+            "buckets": bres.buckets,
+            "relax_rounds": bres.relax_rounds,
+            "arcs_relaxed": bres.arcs_relaxed,
+        }
+        for backend, secs in (("numpy", batch_t), ("scipy", spb_t)):
+            _report.record(
+                "Engine backend shoot-out", COLUMNS, **row,
+                workload="batch_8_sources", backend=backend,
+                seconds=round(secs, 3), batch_vs_scipy=round(batch_ratio, 2),
+            )
 
     int_speedups = [
         w["speedup_vs_reference"]

@@ -54,6 +54,10 @@ an equal-distance tie is present.  Frontier and bucket-member unions
 are deduplicated the same way (:func:`_once_mask`), not by
 ``np.unique``; frontier order therefore follows claim order, which no
 label or ledger depends on.
+
+Callers that read only distances skip the claims altogether:
+:func:`bucket_sssp_batch` with ``labels=False`` (what
+``shortest_paths_batch`` runs) keeps no parent, owner or rank.
 """
 
 from __future__ import annotations
@@ -334,7 +338,8 @@ def bucket_sssp_batch(
     ranks: np.ndarray,
     delta: Optional[float],
     light_heavy: Optional[Tuple[np.ndarray, ...]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int], List[int]]:
+    labels: bool = True,
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], List[int], List[int]]:
     """Source-tagged batch of ``k`` independent bucket-SSSP runs.
 
     Run ``r`` is the multi-source search seeded by
@@ -361,6 +366,14 @@ def bucket_sssp_batch(
     *shared* CSR at this ``delta``) switches buckets to the light-loop
     + heavy-pass schedule; composite ids index the split through
     ``comp % n`` exactly like the full adjacency.
+
+    ``labels=False`` runs the distances-only round and returns ``None``
+    for ``parent`` and ``owner``: no parent, owner or rank array is
+    allocated, a seed keeps its minimum offset, and each round writes
+    its improving candidates with one ``np.minimum.at`` after all of
+    its reads, its winners being the distinct improved states.  The
+    winners and their values are the claim-resolved round's, so
+    ``dist`` and both ledgers are identical in either mode.
     """
     int_mode = (
         np.issubdtype(np.asarray(weights).dtype, np.integer)
@@ -380,13 +393,24 @@ def bucket_sssp_batch(
     nn = k * n
 
     dist = np.full(nn, inf, dtype=dtype)
-    # rank and the claim scratch share one block: as two blocks the
-    # per-call free pushed the allocator into trimming and re-faulting
-    # the heap, doubling page faults on batched builds
-    rank, claim_buf = np.empty((2, nn), dtype=np.int64)
-    rank[:] = np.iinfo(np.int64).max
-    parent = np.full(nn, -1, dtype=np.int64)
-    owner = np.full(nn, -1, dtype=np.int64)
+    parent: Optional[np.ndarray] = None
+    owner: Optional[np.ndarray] = None
+    claim_rank: Optional[np.ndarray] = None
+    if labels:
+        # rank and the claim scratch share one block: as two blocks the
+        # per-call free pushed the allocator into trimming and
+        # re-faulting the heap, doubling page faults on batched builds
+        rank, claim_buf = np.empty((2, nn), dtype=np.int64)
+        rank[:] = np.iinfo(np.int64).max
+        parent = np.full(nn, -1, dtype=np.int64)
+        owner = np.full(nn, -1, dtype=np.int64)
+        # rank[] only ever holds seed ranks, so when every seed has rank
+        # 0 (single-source runs) the rank tie-break cannot separate
+        # claims and rank[] is neither read nor propagated
+        if ranks.any():
+            claim_rank = rank
+    else:
+        claim_buf = np.empty(nn, dtype=np.int64)
     settled = np.zeros(nn, dtype=bool)
     bucket_work: List[int] = []
     bucket_rounds: List[int] = []
@@ -397,12 +421,6 @@ def bucket_sssp_batch(
     if weights.shape[0] and (weights == weights[0]).all():
         w_const = weights[0]
 
-    # claim_buf is the claim scratch, one word per state.  rank[] only
-    # ever holds seed ranks, so when every seed has rank 0 (single-source
-    # runs) the rank tie-break cannot separate claims and rank[] is
-    # neither read nor propagated
-    claim_rank = rank if ranks.any() else None
-
     def _relax_round(
         frontier: np.ndarray,
         xip: np.ndarray,
@@ -410,12 +428,12 @@ def bucket_sssp_batch(
         xw: np.ndarray,
         wc: Optional[float] = None,
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], int]:
-        """One claim-resolved relaxation of ``frontier`` over the
-        sub-adjacency ``(xip, xidx, xw)``: gathers the improving
-        candidates against the pre-round labels (``wc``, when given, is
-        the weight of every arc), then updates the label arrays in
-        place.  Returns ``(win_v, win_d, arcs)`` with ``win_v=None``
-        when nothing improved."""
+        """One relaxation of ``frontier`` over the sub-adjacency
+        ``(xip, xidx, xw)``: gathers the improving candidates against
+        the pre-round labels (``wc``, when given, is the weight of every
+        arc), then updates the label arrays in place, claim-resolved
+        unless the call is distances-only.  Returns ``(win_v, win_d,
+        arcs)`` with ``win_v=None`` when nothing improved."""
         if xidx.shape[0] == 0:
             # an empty half (every light round when all arcs are heavy):
             # no gather at all; the caller still charges the round
@@ -438,13 +456,20 @@ def bucket_sssp_batch(
         sel = (cand < dist[nbr]).nonzero()[0]
         if sel.shape[0] == 0:
             return None, None, total
+        if parent is None or owner is None:
+            # distances only: every improved state wins, at its minimum
+            # candidate; the write follows every read of the round
+            nbr, cand = nbr[sel], cand[sel]
+            win_v = nbr[_once_mask(nbr, claim_buf)]
+            np.minimum.at(dist, nbr, cand)
+            return win_v, dist[win_v], total
         src = frontier.repeat(counts)[sel]
         win_v, win_p, win_d = claim_min(nbr[sel], src, cand[sel], claim_rank, claim_buf)
         dist[win_v] = win_d
         parent[win_v] = win_p if single else win_p % n
         owner[win_v] = owner[win_p]
         if claim_rank is not None:
-            rank[win_v] = rank[win_p]
+            claim_rank[win_v] = claim_rank[win_p]
         return win_v, win_d, total
 
     pending: List[np.ndarray] = []
@@ -454,15 +479,20 @@ def bucket_sssp_batch(
         else:
             run_of = np.repeat(np.arange(k, dtype=np.int64), np.diff(run_ptr))
             comp = run_of * n + run_src
-        # best (offset, rank) per distinct composite seeds that run;
-        # ranks are distinct within a run, so one rank pass is final
-        keep = _min_mask(comp, offsets, claim_buf)
-        cs, off_s, rk_s = comp[keep], offsets[keep], ranks[keep]
-        keep = _min_mask(cs, rk_s, claim_buf)
-        cs, off_s, rk_s = cs[keep], off_s[keep], rk_s[keep]
-        dist[cs] = off_s
-        owner[cs] = cs if single else cs % n
-        rank[cs] = rk_s
+        if parent is None or owner is None:
+            # distances only: the minimum offset per distinct composite
+            np.minimum.at(dist, comp, offsets)
+            cs = comp[_once_mask(comp, claim_buf)]
+        else:
+            # best (offset, rank) per distinct composite seeds that run;
+            # ranks are distinct within a run, so one rank pass is final
+            keep = _min_mask(comp, offsets, claim_buf)
+            cs, off_s, rk_s = comp[keep], offsets[keep], ranks[keep]
+            keep = _min_mask(cs, rk_s, claim_buf)
+            cs, off_s, rk_s = cs[keep], off_s[keep], rk_s[keep]
+            dist[cs] = off_s
+            owner[cs] = cs if single else cs % n
+            rank[cs] = rk_s
         pending.append(cs)
 
     while pending:

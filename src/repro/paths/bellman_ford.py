@@ -48,16 +48,19 @@ def hop_limited_distances(
     Ledger: each executed round is charged at the arcs it gathered —
     the out-arcs of the vertices improved in the round before.
 
-    Raises :class:`~repro.errors.ParameterError` for a negative ``h``
-    or a source that is not an integral vertex id in ``[0, n)``.
+    Raises :class:`~repro.errors.ParameterError` for an ``h`` that is
+    not a non-negative integer by value (``2.0`` passes; ``2.5``, NaN
+    and infinity do not: a fractional bound would be rounded up to a
+    longer search) or a source that is not an integral vertex id in
+    ``[0, n)``.
     """
     tracker = tracker or null_tracker()
     indptr, indices, weights = csr
     n = int(indptr.shape[0]) - 1
     sources = check_vertex_ids(sources, n)
-    if h < 0:
-        raise ParameterError(f"h must be a non-negative hop bound, got {h}")
-    dist, hops, round_arcs = hop_sssp_batch(indptr, indices, weights, sources, h)
+    if not (np.isfinite(h) and h >= 0 and h == int(h)):
+        raise ParameterError(f"h must be a non-negative integral hop bound, got {h}")
+    dist, hops, round_arcs = hop_sssp_batch(indptr, indices, weights, sources, int(h))
     for arcs in round_arcs:
         tracker.parallel_round(work=arcs)
     return dist, hops, len(round_arcs)

@@ -89,11 +89,22 @@ def bfs_with_start_times(
     round each vertex was claimed (start-shifted), ``dist`` is
     ``arrival - start_time[owner]`` (hops from the owning source),
     ``parent`` the claiming arc's tail, and ``owner`` the source id.
-    Raises :class:`ParameterError` for a source id outside ``[0, n)``
-    or a ``start_time``/``priority`` not holding one entry per source.
+    Raises :class:`ParameterError` for a source id outside ``[0, n)``,
+    a ``start_time``/``priority`` not holding one entry per source, or
+    a start time that is not an integer by value (``3.0`` passes;
+    ``1.9``, NaN and infinity do not: a cast would truncate them and
+    wake the source a round early).
     """
     tracker = tracker or null_tracker()
-    start_time = np.asarray(start_time, dtype=np.int64)
+    start_time = np.asarray(start_time)
+    if start_time.dtype.kind not in "iu":
+        vals = start_time.astype(np.float64)
+        ok = np.isfinite(vals) & (vals == np.floor(vals)) & (np.abs(vals) < 2.0**63)
+        if not ok.all():
+            raise ParameterError(
+                f"start_time must hold integral values, got {vals[~ok][0]}"
+            )
+    start_time = start_time.astype(np.int64, copy=False)
     source_ids = check_vertex_ids(source_ids, g.n)
     k = source_ids.shape[0]
     if priority is None:

@@ -29,7 +29,7 @@ entry per CSR slot, and ``delta`` positive and finite; anything else
 raises :class:`~repro.errors.ParameterError`.
 
 :func:`shortest_paths_batch` runs ``k`` *independent* searches in one
-call and returns ``(k, n)`` matrices::
+call and returns their ``(k, n)`` distance matrix::
 
     res = shortest_paths_batch(g, [3, 17, 42], tracker=t)
     res.dist[i]                          # distances of run i
@@ -40,11 +40,15 @@ advance together as one source-tagged frontier — every gather/scatter
 round relaxes the frontier arcs of *all* runs — so ``k`` searches cost
 one schedule instead of ``k``.  The level-synchronous hopset builder
 leans on this to resolve every large-cluster center search of a
-recursion level in a single call.  The dense ``(k, n)`` output means
-``k`` should stay moderate (the builder chunks its runs); the tracker
-is charged the runs' *parallel* composition: ``work`` sums over runs,
-``rounds`` is the shared schedule length (numpy) or the longest run
-(numba).
+recursion level in a single call, and the distance server to fill its
+cache rows.  Neither reads more than distances, so a batch returns
+only those: the numpy kernel runs its distances-only round
+(``labels=False``) and the numba cores' labels are dropped.  A run's
+parents and owners come from :func:`shortest_paths`.  The dense
+``(k, n)`` output means ``k`` should stay moderate (the builder chunks
+its runs); the tracker is charged the runs' *parallel* composition:
+``work`` sums over runs, ``rounds`` is the shared schedule length
+(numpy) or the longest run (numba).
 
 Backend selection
 -----------------
@@ -228,20 +232,18 @@ def shortest_paths(
 
 @dataclass(frozen=True)
 class BatchShortestPathResult:
-    """``k`` independent searches, stacked into ``(k, n)`` matrices.
+    """``k`` independent searches: a ``(k, n)`` distance matrix.
 
     ``dist[r, v]`` is run ``r``'s distance to ``v`` (``inf`` /
-    ``INT_INF`` when run ``r`` does not reach ``v``); ``parent`` and
-    ``owner`` hold vertex ids per run (``-1`` when unreached).  The
-    ledger fields describe the batch as one parallel composition:
-    ``arcs_relaxed`` sums every run's work, ``relax_rounds`` is the
-    shared schedule length on the numpy kernel and the longest single
-    run on numba.
+    ``INT_INF`` when run ``r`` does not reach ``v``).  A batch keeps no
+    parents or owners; :func:`shortest_paths` returns them for one
+    run.  The ledger fields describe the batch as one parallel
+    composition: ``arcs_relaxed`` sums every run's work,
+    ``relax_rounds`` is the shared schedule length on the numpy kernel
+    and the longest single run on numba.
     """
 
     dist: np.ndarray
-    parent: np.ndarray
-    owner: np.ndarray
     buckets: int
     relax_rounds: int
     arcs_relaxed: int
@@ -341,11 +343,11 @@ def shortest_paths_batch(
         ``prange``-parallel cores, bit-identical to ``workers=1``.  The
         numpy kernel runs serially.
 
-    Every run's results match a standalone :func:`shortest_paths` call
-    with the same sources/offsets (distances bit-for-bit; forest
-    parents may differ on exact ties because the shared schedule
-    interleaves buckets differently).  See the module docstring for
-    the sharing and accounting story.
+    Every run's distances equal, value for value and dtype for dtype,
+    those of a standalone :func:`shortest_paths` call with the same
+    sources/offsets; parents and owners come from that call, as the
+    batch resolves none.  See the module docstring for the sharing and
+    accounting story.
 
     A degenerate batch — zero runs, or runs whose sources never settle
     anything — charges the tracker nothing (0 work, 0 rounds) and
@@ -364,8 +366,6 @@ def shortest_paths_batch(
         return BatchShortestPathResult(
             dist=np.full((0, g.n), INT_INF if int_mode else np.inf,
                          dtype=np.int64 if int_mode else np.float64),
-            parent=np.full((0, g.n), -1, dtype=np.int64),
-            owner=np.full((0, g.n), -1, dtype=np.int64),
             buckets=0,
             relax_rounds=0,
             arcs_relaxed=0,
@@ -380,16 +380,16 @@ def shortest_paths_batch(
 
     split = _resolve_split(g, weights, w, delta, int_mode)
     if name == "numba":
-        dist, parent, owner, bucket_work, bucket_rounds = bucket_sssp_batch_numba(
+        dist, _, _, bucket_work, bucket_rounds = bucket_sssp_batch_numba(
             g.indptr, g.indices, w, g.n, run_src, run_ptr, offs, ranks, delta,
             light_heavy=split, workers=workers,
         )
         if int_mode:
             dist = _float_to_int_dist(dist)
     else:
-        dist, parent, owner, bucket_work, bucket_rounds = bucket_sssp_batch(
+        dist, _, _, bucket_work, bucket_rounds = bucket_sssp_batch(
             g.indptr, g.indices, w, g.n, run_src, run_ptr, offs, ranks, delta,
-            light_heavy=split,
+            light_heavy=split, labels=False,
         )
 
     work = int(sum(bucket_work))
@@ -398,8 +398,6 @@ def shortest_paths_batch(
         tracker.parallel_round(work=work, rounds=max(rounds, 1))
     return BatchShortestPathResult(
         dist=dist.reshape(k, g.n),
-        parent=parent.reshape(k, g.n),
-        owner=owner.reshape(k, g.n),
         buckets=len(bucket_work),
         relax_rounds=rounds,
         arcs_relaxed=work,

@@ -105,15 +105,18 @@ def reference_bucket_sssp_batch(
     ranks: np.ndarray,
     delta: float,
     light_heavy: Optional[Tuple[np.ndarray, ...]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int], List[int]]:
+    labels: bool = True,
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], List[int], List[int]]:
     """:func:`repro.kernels.numpy_kernel.bucket_sssp_batch`'s contract,
     one heapq search per run.
 
     Integer weights and offsets give ``int64`` distances, as on the
-    numpy kernel.  A search does not simulate the bucket schedule, so
-    its ledger is synthetic: ``2m + n`` work per run that reaches
-    anything and one round per occupied width-``delta`` bucket of the
-    longest run.  Tests keep it out of ledger equality.
+    numpy kernel; ``labels=False`` returns ``None`` for ``parent`` and
+    ``owner``, as the kernel's distances-only round does.  A search
+    does not simulate the bucket schedule, so its ledger is synthetic:
+    ``2m + n`` work per run that reaches anything and one round per
+    occupied width-``delta`` bucket of the longest run.  Tests keep it
+    out of ledger equality.
     """
     int_mode = np.issubdtype(np.asarray(weights).dtype, np.integer) and (
         np.issubdtype(np.asarray(offsets).dtype, np.integer)
@@ -141,6 +144,8 @@ def reference_bucket_sssp_batch(
         parent[r * n : (r + 1) * n] = p
         owner[r * n : (r + 1) * n] = o
     bucket_work = [work] + [0] * (buckets - 1) if buckets else []
+    if not labels:
+        return dist, None, None, bucket_work, [1] * buckets
     return dist, parent, owner, bucket_work, [1] * buckets
 
 

@@ -10,6 +10,9 @@ light/heavy split), over uniform, random integer, random float and
 log-uniform weights, default, tiny and huge ``delta``, integer, float
 and negative offsets, multi-source runs with repeated sources, k-run
 batches, disconnected and edgeless graphs, and int32 CSR arrays.
+The distances-only round (``labels=False``, the one
+``shortest_paths_batch`` runs) must return the labelled round's
+``dist`` and ledgers on the same inputs, and ``None`` labels.
 ``expand_frontier`` must list the slots of the five-pass formula it
 replaced, for frontiers with repeated and zero-degree vertices.
 """
@@ -21,7 +24,12 @@ from hypothesis import strategies as st
 
 from repro.graph.builders import from_edges
 from repro.graph.csr import csr_from_arrays
-from repro.kernels.numpy_kernel import bucket_sssp, bucket_sssp_batch, expand_frontier
+from repro.kernels.numpy_kernel import (
+    bucket_sssp,
+    bucket_sssp_batch,
+    expand_frontier,
+    split_light_heavy,
+)
 from repro.paths.engine import _normalize_runs, _resolve_split, _resolve_weights_and_delta
 
 from oracles import bucket_sssp_batch_reference
@@ -120,6 +128,15 @@ def assert_same(got, want):
     assert got[4] == want[4], "bucket_rounds"
 
 
+def assert_same_distances(got, want):
+    """A distances-only result ``got`` against a labelled one ``want``."""
+    assert got[1] is None and got[2] is None
+    assert got[0].dtype == want[0].dtype
+    assert np.array_equal(got[0], want[0])
+    assert got[3] == want[3], "bucket_work"
+    assert got[4] == want[4], "bucket_rounds"
+
+
 @st.composite
 def cases(draw):
     n = draw(st.one_of(st.integers(0, 12), st.integers(13, 120), st.integers(200, 600)))
@@ -205,6 +222,53 @@ class TestBatchMatchesReference:
             for sources in (np.arange(n), [np.array([0, 0])], np.empty(0, np.int64)):
                 args = kernel_inputs(g, sources, None, "default")
                 assert_same(bucket_sssp_batch(*args), bucket_sssp_batch_reference(*args))
+
+
+def parallel_arc_csr(n, edges, weights):
+    """Raw CSR arrays of an undirected multigraph: each edge, parallel
+    copies included, becomes one arc in each direction."""
+    u, v = np.asarray(edges).T
+    tail = np.concatenate([u, v])
+    order = np.argsort(tail, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
+    head = np.concatenate([v, u])[order]
+    return indptr, head, np.concatenate([weights, weights])[order]
+
+
+class TestDistancesOnlyRound:
+    @SETTINGS
+    @given(cases())
+    def test_random_cases(self, c):
+        g, sources, offsets = build_case(c)
+        args = kernel_inputs(g, sources, offsets, c["delta_kind"])
+        got = bucket_sssp_batch(*args, labels=False)
+        assert_same_distances(got, bucket_sssp_batch(*args))
+        assert_same_distances(got, bucket_sssp_batch_reference(*args))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_rank_ties_and_parallel_arcs(self, dtype):
+        """Sources of one run meet at equal distance (a rank tie the
+        labelled round settles), a run repeats a source, and the path
+        carries parallel arcs of equal and of larger weight."""
+        edges = [(0, 1), (1, 2), (1, 2), (1, 2), (2, 3), (2, 3), (3, 4)]
+        weights = np.array([1, 1, 1, 3, 1, 1, 1], dtype=dtype)
+        indptr, indices, w = parallel_arc_csr(5, edges, weights)
+        run_src = np.array([0, 4, 4, 0, 4, 2])
+        run_ptr = np.array([0, 2, 5, 6])
+        ranks = np.array([0, 1, 0, 1, 2, 0])
+        offsets = np.zeros(6, dtype=dtype)
+        delta = dtype(1)
+        split = None
+        if dtype is np.float64:
+            split = split_light_heavy(indptr, indices, w, delta)
+            assert split[4].shape[0] == 2  # the heavy parallel arcs
+        args = (indptr, indices, w, 5, run_src, run_ptr, offsets, ranks, delta, split)
+        got = bucket_sssp_batch(*args, labels=False)
+        assert_same_distances(got, bucket_sssp_batch(*args))
+        assert_same_distances(got, bucket_sssp_batch_reference(*args))
+        want = [0, 1, 2, 1, 0] * 2 + [2, 1, 0, 1, 2]
+        assert got[0].tolist() == want
 
 
 def expand_five_pass(indptr, frontier):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import ArcSet, arcs_from_graph, combine_arcs, dense_hop_distances
+from repro.errors import ParameterError
 from repro.graph import from_edges, path_graph
 from repro.hopsets.result import HopsetResult
 from repro.paths import hop_limited_distances
@@ -44,6 +45,20 @@ class TestHopLimited:
         dist, hops, _ = hop_limited_distances(_csr(g), np.array([0]), h=3)
         assert dist[3] == 3.0
         assert np.isinf(dist[4])  # needs 4 hops
+
+    @pytest.mark.parametrize("h", [2.5, float("nan"), float("inf")])
+    def test_non_integral_hop_bound_refused(self, h):
+        # a fractional bound used to be rounded up: h=2.5 on the path
+        # 0-1-2-3-4 ran three rounds and reached vertex 3
+        with pytest.raises(ParameterError, match="h must be"):
+            hop_limited_distances(_csr(path_graph(5)), np.array([0]), h=h)
+
+    @pytest.mark.parametrize("h", [2, 2.0, np.int64(2)])
+    def test_integral_hop_bound_unchanged(self, h):
+        dist, hops, rounds = hop_limited_distances(_csr(path_graph(5)), np.array([0]), h=h)
+        assert dist.tolist() == [0.0, 1.0, 2.0, np.inf, np.inf]
+        assert hops.tolist() == [0, 1, 2, 0, 0]
+        assert rounds == 2
 
     def test_full_budget_matches_dijkstra(self, small_weighted):
         dist, _, _ = hop_limited_distances(

@@ -137,7 +137,8 @@ class TestStartTimeRace:
 class TestBadSources:
     """Out-of-range sources and mismatched per-source arrays fail by name
     on the path 0-1-2-3 instead of wrapping (-2 read as vertex 2) or
-    failing inside numpy."""
+    failing inside numpy; fractional or non-finite start times fail on
+    the path 0-1-2-3-4 instead of being truncated."""
 
     @pytest.mark.parametrize(
         "call, match",
@@ -156,3 +157,20 @@ class TestBadSources:
     def test_rejected_by_name(self, call, match):
         with pytest.raises(ParameterError, match=match):
             call(path_graph(4))
+
+    @pytest.mark.parametrize(
+        "starts", [[1.9, 0.0], [np.nan, 0.0], [np.inf, 0.0], [0.0, -0.5]]
+    )
+    def test_fractional_start_times_refused(self, starts):
+        # a cast used to truncate 1.9 to 1: source 0 woke a round early
+        with pytest.raises(ParameterError, match="start_time"):
+            bfs_with_start_times(path_graph(5), np.array(starts), np.array([0, 4]))
+
+    def test_integral_float_start_times_accepted(self):
+        g = path_graph(5)
+        got = bfs_with_start_times(g, np.array([1.0, 0.0]), np.array([0, 4]))
+        want = bfs_with_start_times(g, np.array([1, 0]), np.array([0, 4]))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert got[3].tolist() == [0, 0, 4, 4, 4]
