@@ -2,8 +2,7 @@
 
 Every bench records paper-style rows here; a session-finish hook in
 ``benchmarks/conftest.py`` renders them as fixed-width tables to stdout
-and to ``bench_results/<table>.txt``, which
-:mod:`repro.exp.report_writer` stitches into one markdown report.
+and to ``bench_results/<table>.txt``.
 """
 
 from __future__ import annotations

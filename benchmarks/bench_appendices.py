@@ -4,7 +4,6 @@ hopsets, Lemma C.1 / Theorem C.2) benchmarks.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 import _report

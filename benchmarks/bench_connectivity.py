@@ -30,7 +30,7 @@ def test_connectivity_rounds_and_work(benchmark, beta):
         return ncc, rounds, t
 
     ncc, rounds, t = benchmark.pedantic(run, rounds=1, iterations=1)
-    ncc_ref, _ = connected_components(g, method="scipy")
+    ncc_ref, _ = connected_components(g)
     _report.record(
         "Parallel connectivity [SDB14]",
         ["beta", "rounds", "work", "work_per_edge", "components", "correct"],

@@ -23,7 +23,7 @@ Subpackage layout (see DESIGN.md for the full inventory):
 ``repro.hopsets``         Algorithm 4, Section 5, Appendices B–C,
                           KS97/Cohen-style baselines
 ``repro.analysis``        stretch/hop statistics, scaling fits, theory
-``repro.exp``             experiment harness and table rendering
+``repro.exp``             table rendering and named workloads
 ========================  ==============================================
 """
 

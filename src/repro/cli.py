@@ -403,7 +403,7 @@ def cmd_connectivity(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     t = PramTracker(n=g.n)
     ncc, labels, rounds = parallel_connectivity(g, beta=args.beta, seed=args.seed, tracker=t)
-    ncc_ref, _ = connected_components(g, method="scipy")
+    ncc_ref, _ = connected_components(g)
     print(f"graph: n={g.n} m={g.m}")
     print(f"components: {ncc} (oracle {ncc_ref}, {'match' if ncc == ncc_ref else 'MISMATCH'})")
     print(f"contraction rounds: {rounds}")

@@ -17,7 +17,7 @@ execution modes are provided:
     agree except on quantization ties.
 """
 
-from repro.clustering.shifts import sample_shifts, shift_upper_bound
+from repro.clustering.shifts import sample_shifts
 from repro.clustering.est import Clustering, est_cluster, est_cluster_forest
 from repro.clustering.ldd import LowDiameterDecomposition, low_diameter_decomposition
 from repro.clustering.diagnostics import (
@@ -30,7 +30,6 @@ from repro.clustering.diagnostics import (
 
 __all__ = [
     "sample_shifts",
-    "shift_upper_bound",
     "Clustering",
     "est_cluster",
     "est_cluster_forest",

@@ -30,6 +30,9 @@ from repro.rng import SeedLike
 from repro.clustering.shifts import sample_shifts
 from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 
+#: the race modes every EST entry point accepts
+EST_METHODS = ("auto", "exact", "round")
+
 
 @dataclass(frozen=True)
 class Clustering:
@@ -484,7 +487,7 @@ def est_cluster_forest(
     """
     if beta <= 0 or not np.isfinite(beta):
         raise ParameterError(f"beta must be a positive float, got {beta}")
-    if method not in ("auto", "exact", "round"):
+    if method not in EST_METHODS:
         raise ParameterError(f"unknown method {method!r}")
     tracker = tracker or null_tracker()
     n = g.n

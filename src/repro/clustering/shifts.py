@@ -2,14 +2,11 @@
 
 Lemma 2.1's diameter bound comes from the tail of the max shift:
 ``Pr[delta_max > k log(n) / beta] <= n^(1-k)``.  :func:`sample_shifts`
-draws the shifts; :func:`shift_upper_bound` returns the ``k``-th
-high-probability envelope used by tests and by the hopset depth
-accounting.
+draws the shifts, and
+:func:`repro.analysis.theory.lemma21_radius_bound` is that envelope.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -24,15 +21,3 @@ def sample_shifts(n: int, beta: float, seed: SeedLike = None) -> np.ndarray:
     rng = resolve_rng(seed)
     return rng.exponential(scale=1.0 / beta, size=n)
 
-
-def shift_upper_bound(n: int, beta: float, k: float = 2.0) -> float:
-    """High-probability envelope ``k * log(n) / beta`` for the max shift.
-
-    ``Pr[max shift > bound] <= n^(1-k)`` by the union bound in the
-    paper's Appendix A proof of Lemma 2.1.
-    """
-    if beta <= 0:
-        raise ParameterError("beta must be positive")
-    if n < 2:
-        return k / beta
-    return k * math.log(n) / beta

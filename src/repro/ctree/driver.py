@@ -116,7 +116,7 @@ def _children_stats(
 
 def _root_stats(g: CSRGraph) -> NodeStats:
     deg = np.asarray(g.degree())
-    ncc, _ = connected_components(g, method="scipy")
+    ncc, _ = connected_components(g)
     return NodeStats(
         size=g.n,
         cut=0,

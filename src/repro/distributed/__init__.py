@@ -18,12 +18,10 @@ simulator is synchronous message passing, not CRCW).
 
 from repro.distributed.engine import SyncNetwork, NodeProgram, RoundStats
 from repro.distributed.spanner import distributed_unweighted_spanner
-from repro.distributed.sssp import distributed_sssp
 
 __all__ = [
     "SyncNetwork",
     "NodeProgram",
     "RoundStats",
     "distributed_unweighted_spanner",
-    "distributed_sssp",
 ]

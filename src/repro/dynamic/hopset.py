@@ -10,7 +10,8 @@ update batch it suffices to
 2. drop the dirty blocks' edges from the retained structure, and
 3. re-run the level loop (:func:`repro.hopsets.unweighted._run_levels`)
    from level 1 on the dirty blocks' induced subgraphs of the *new*
-   graph, entering with their recorded seeds,
+   graph, entering with their recorded seeds and the build's recorded
+   EST method,
 
 and splice the rebuilt edges back in.  Clean blocks keep their edges:
 an intra-block edge of a clean block is unchanged by the batch (both
@@ -45,7 +46,6 @@ def repair_hopset(
     new_graph: CSRGraph,
     touched: np.ndarray,
     params: HopsetParams,
-    method: str = "auto",
     backend: Optional[str] = None,
     workers: WorkersArg = DEFAULT_WORKERS,
     tracker: Optional[PramTracker] = None,
@@ -55,7 +55,8 @@ def repair_hopset(
     ``new_graph`` must share the vertex set of ``result.graph`` (update
     batches change edges, never ``n``).  Requires the result to carry a
     :class:`~repro.hopsets.result.RepairStructure`
-    (``build_hopset(..., record_structure=True)``).
+    (``build_hopset(..., record_structure=True)``); the dirty blocks
+    are rebuilt with the EST method it records.
     """
     st = result.structure
     if st is None:
@@ -109,7 +110,7 @@ def repair_hopset(
             1,
             params,
             n,
-            method,
+            st.method,
             tracker,
             out,
             backend=backend,

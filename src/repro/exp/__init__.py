@@ -1,14 +1,10 @@
-"""Experiment harness: seeded repetition, aggregation, table rendering.
+"""Table rendering and named workloads for the benchmarks and examples.
 
-One :class:`~repro.exp.harness.Experiment` per paper artifact; the
-:mod:`~repro.exp.experiments` registry maps experiment ids (``fig1-unw``,
-``lemma22``, ...) to runnable small-scale closures.  Benchmarks and
-examples print their tables with :mod:`~repro.exp.tables`, and
-:mod:`~repro.exp.report_writer` renders the benchmarks'
-``bench_results/<table>.txt`` files as one markdown report.
+Benchmarks and examples print their paper-style tables with
+:mod:`~repro.exp.tables`; :mod:`~repro.exp.workloads` names the graph
+families the workload-generality bench sweeps.
 """
 
-from repro.exp.harness import Experiment, Trial, run_trials, aggregate
 from repro.exp.tables import Table, format_table
 
-__all__ = ["Experiment", "Trial", "run_trials", "aggregate", "Table", "format_table"]
+__all__ = ["Table", "format_table"]

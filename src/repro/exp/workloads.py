@@ -1,4 +1,4 @@
-"""Named workload registry for benches and experiments.
+"""Named workload registry for the benchmarks.
 
 Gives every evaluation graph family a stable name + parameterization so
 benchmark tables can cite their workloads ("grid-36", "gnm-1500x9000",

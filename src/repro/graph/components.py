@@ -1,11 +1,10 @@
-"""Connected components via label propagation (with scipy cross-check).
+"""Connected components through scipy's compiled labelling.
 
-The paper's Appendix B needs parallel connectivity (it cites Gazit's
-randomized connectivity); here we implement the classic *label
-propagation / pointer jumping* scheme which has the same role: each
-round every vertex adopts the minimum label in its closed neighborhood,
-followed by pointer doubling on the label forest.  Rounds are charged to
-the PRAM tracker by callers that care.
+The paper's parallel connectivity, the [SDB14] EST-contraction loop,
+is :func:`repro.graph.parallel_connectivity.parallel_connectivity`;
+these helpers are the plain component queries that the ctree driver,
+the CLI and the benchmarks ask of a graph (and the reference that
+connectivity is checked against).
 """
 
 from __future__ import annotations
@@ -17,56 +16,24 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 
 
-def connected_components(g: CSRGraph, method: str = "label_prop") -> Tuple[int, np.ndarray]:
-    """Return ``(n_components, labels)`` with compact labels in [0, n_components).
+def connected_components(g: CSRGraph) -> Tuple[int, np.ndarray]:
+    """Return ``(n_components, labels)`` with compact labels in [0, n_components)."""
+    from scipy.sparse.csgraph import connected_components as cc
 
-    ``method`` is ``"label_prop"`` (our parallel-style algorithm) or
-    ``"scipy"`` (C implementation, used as an oracle in tests).
-    """
-    if method == "scipy":
-        from scipy.sparse.csgraph import connected_components as cc
-
-        ncc, labels = cc(g.to_scipy(), directed=False)
-        return int(ncc), labels.astype(np.int64)
-    if method != "label_prop":
-        raise ValueError(f"unknown method {method!r}")
-
-    n = g.n
-    labels = np.arange(n, dtype=np.int64)
-    if g.m == 0:
-        return n, labels
-
-    src = g.arc_sources()
-    dst = g.indices
-    while True:
-        # hook: every vertex adopts the min label among neighbors
-        neighbor_min = labels.copy()
-        np.minimum.at(neighbor_min, src, labels[dst])
-        changed = neighbor_min < labels
-        if not changed.any():
-            break
-        labels = neighbor_min
-        # pointer jumping: compress label chains to fixpoint
-        while True:
-            nxt = labels[labels]
-            if np.array_equal(nxt, labels):
-                break
-            labels = nxt
-
-    _, compact = np.unique(labels, return_inverse=True)
-    return int(compact.max()) + 1 if n else 0, compact.astype(np.int64)
+    ncc, labels = cc(g.to_scipy(), directed=False)
+    return int(ncc), labels.astype(np.int64)
 
 
 def is_connected(g: CSRGraph) -> bool:
     """True when the graph has exactly one connected component (or is empty)."""
     if g.n <= 1:
         return True
-    ncc, _ = connected_components(g, method="scipy")
+    ncc, _ = connected_components(g)
     return ncc == 1
 
 
 def largest_component(g: CSRGraph) -> np.ndarray:
     """Vertex ids of the largest connected component."""
-    _, labels = connected_components(g, method="scipy")
+    _, labels = connected_components(g)
     counts = np.bincount(labels)
     return np.flatnonzero(labels == counts.argmax())

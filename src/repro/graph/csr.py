@@ -236,7 +236,7 @@ def csr_from_arrays(
 
     This is the construction path for storage formats that persist the
     CSR layout directly (:mod:`repro.graph.storage` stores,
-    ``save_npz(layout="csr")``): loading must not repeat the
+    :func:`repro.graph.io.save_npz` archives): loading must not repeat the
     counting-sort that :func:`build_csr` already did at build time, and
     ``np.memmap``-backed arrays must pass through untouched so their
     pages stay lazy.  Integer arrays may be compact dtypes (``int32``

@@ -12,12 +12,11 @@ Three tiers, by scale:
   after a small header; the fast path for bulk transfer.
   :func:`save_edgelist_binary` / :func:`load_edgelist_binary` /
   :func:`stream_edgelist_binary`.
-* **.npz archives** — :func:`save_npz` writes format **2** by default:
-  the assembled CSR layout (``layout="csr"``), which
-  :func:`load_npz` reconstructs with zero re-sorting via
-  :func:`repro.graph.csr.csr_from_arrays`.  ``layout="edges"`` writes
-  the legacy format-1 edge-list archive; :func:`load_npz` reads both
-  (legacy archives carry no ``format`` field and round-trip through
+* **.npz archives** — :func:`save_npz` writes format **2**: the
+  assembled CSR layout, which :func:`load_npz` reconstructs with zero
+  re-sorting via :func:`repro.graph.csr.csr_from_arrays`.
+  :func:`load_npz` still reads legacy format-1 edge-list archives
+  (they carry no ``format`` field and round-trip through
   :func:`repro.graph.builders.from_edges`, re-sorting on load).
 
 All malformed input is reported as
@@ -55,37 +54,29 @@ _TEXT_CHUNK = 1 << 18
 # ----------------------------------------------------------------------
 # .npz archives
 # ----------------------------------------------------------------------
-def save_npz(g: CSRGraph, path: PathLike, layout: str = "csr") -> None:
-    """Save as a compressed .npz archive.
+def save_npz(g: CSRGraph, path: PathLike) -> None:
+    """Save as a compressed format-2 .npz archive.
 
-    ``layout="csr"`` (default, format 2) stores every assembled array,
-    so :func:`load_npz` never re-sorts; ``layout="edges"`` writes the
-    legacy format-1 archive (undirected edge list + ``n``), smaller on
-    disk but rebuilt through :func:`from_edges` on every load.
+    Every assembled array is stored, so :func:`load_npz` never re-sorts.
     """
-    if layout == "csr":
-        np.savez_compressed(
-            path,
-            format=np.int64(NPZ_FORMAT_CSR),
-            n=np.int64(g.n),
-            indptr=g.indptr,
-            indices=g.indices,
-            weights=g.weights,
-            edge_ids=g.edge_ids,
-            edge_u=g.edge_u,
-            edge_v=g.edge_v,
-            edge_w=g.edge_w,
-        )
-    elif layout == "edges":
-        np.savez_compressed(
-            path, n=np.int64(g.n), edge_u=g.edge_u, edge_v=g.edge_v, edge_w=g.edge_w
-        )
-    else:
-        raise GraphFormatError(f"unknown npz layout {layout!r}")
+    np.savez_compressed(
+        path,
+        format=np.int64(NPZ_FORMAT_CSR),
+        n=np.int64(g.n),
+        indptr=g.indptr,
+        indices=g.indices,
+        weights=g.weights,
+        edge_ids=g.edge_ids,
+        edge_u=g.edge_u,
+        edge_v=g.edge_v,
+        edge_w=g.edge_w,
+    )
 
 
 def load_npz(path: PathLike) -> CSRGraph:
-    """Load an archive written by :func:`save_npz` (either format)."""
+    """Load an archive written by :func:`save_npz`, or a legacy
+    format-1 edge-list archive (``n``, ``edge_u``, ``edge_v``,
+    ``edge_w``)."""
     with np.load(path) as data:
         n = int(data["n"])
         if "format" in data.files:

@@ -61,11 +61,14 @@ class RepairStructure:
     single level-0 cluster.  Recording the level-0 labels plus the child
     seed spawned for each cluster therefore suffices to rebuild any one
     block independently and bit-identically (blocks never interact), the
-    foundation of :mod:`repro.dynamic`.
+    foundation of :mod:`repro.dynamic`.  A rebuild must also race with
+    the build's EST ``method``: on an unweighted graph ``"exact"`` and
+    ``"round"`` (what ``"auto"`` picks) cluster differently.
     """
 
     top_labels: np.ndarray  # int64[n]: level-0 cluster of each vertex
     top_seeds: np.ndarray  # int64[nclus]: child seed per level-0 cluster
+    method: str  # the build's EST method: "auto", "round" or "exact"
 
     @property
     def num_blocks(self) -> int:

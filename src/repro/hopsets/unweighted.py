@@ -51,6 +51,7 @@ from repro.graph.builders import induced_subgraph_forest
 from repro.graph.csr import CSRGraph, csr_from_arrays
 from repro.hopsets.params import HopsetParams
 from repro.hopsets.result import HopsetResult, LevelStats, RepairStructure
+from repro.kernels.numpy_kernel import INT_INF
 from repro.paths.engine import shortest_paths_batch
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn_seeds
@@ -142,15 +143,6 @@ class _Collector:
         )
 
 
-def _dist_matrix_to_float(D: np.ndarray) -> np.ndarray:
-    """Dial/int batch distances -> float64 with ``inf`` for unreached."""
-    if D.dtype.kind == "f":
-        return D
-    out = D.astype(np.float64)
-    out[D == np.iinfo(np.int64).max] = np.inf
-    return out
-
-
 def _pairs_within_segments(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """All ``i < j`` index pairs inside each segment of a flat array.
 
@@ -240,7 +232,7 @@ def _emit_level_edges(
                 backend=backend,
                 workers=workers,
             )
-            mats.append(_dist_matrix_to_float(res.dist))
+            mats.append(res.dist)
         D = mats[0] if len(mats) == 1 else np.vstack(mats)
 
     # ---- star edges: large-cluster members -> their center ------------
@@ -260,8 +252,11 @@ def _emit_level_edges(
         if i_idx.size:
             ci = centers[run_lab[i_idx]]
             cj = centers[run_lab[j_idx]]
+            # gather the clique entries from the matrix as it is (Dial
+            # rows are int64, INT_INF unreached): add_edges converts
+            # only the kept weights to float64
             d = D[slot_of_lab[run_lab[i_idx]], cj]
-            fin = np.isfinite(d)
+            fin = d != INT_INF if d.dtype.kind == "i" else np.isfinite(d)
             out.add_edges(vmap[ci[fin]], vmap[cj[fin]], d[fin], kind_code=1)
             out.bump(level, clique_edges=int(fin.sum()))
 
@@ -541,8 +536,8 @@ def build_hopset(
         output is identical for every value.
     record_structure:
         Attach a :class:`repro.hopsets.result.RepairStructure` (the
-        level-0 block labels and per-block child seeds) to the result,
-        enabling localized repair via :mod:`repro.dynamic`.
+        level-0 block labels, per-block child seeds and ``method``) to
+        the result, enabling localized repair via :mod:`repro.dynamic`.
 
     Works on unweighted and (positive-) weighted graphs alike; the
     Section 5 pipeline calls this on rounded integer graphs.
@@ -595,5 +590,6 @@ def build_hopset(
                 "top_labels", np.zeros(g.n, dtype=np.int64)
             ),
             top_seeds=structure.get("top_seeds", np.empty(0, dtype=np.int64)),
+            method=method,
         )
     return out.finish(g, meta, structure=repair)

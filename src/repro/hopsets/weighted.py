@@ -164,7 +164,6 @@ def build_weighted_hopset(
     method: str = "exact",
     tracker: Optional[PramTracker] = None,
     backend: Optional[str] = None,
-    rounding: bool = True,
     workers: WorkersArg = DEFAULT_WORKERS,
 ) -> WeightedHopset:
     """Build per-scale hopsets for a positively weighted graph.
@@ -186,15 +185,6 @@ def build_weighted_hopset(
     workers:
         Forwarded to every engine search inside the per-scale builds,
         as in :func:`repro.hopsets.unweighted.build_hopset`.
-    rounding:
-        ``True`` (default) applies the Klein–Subramanian rounding of
-        Lemma 5.2 before each per-scale build — the paper's route to
-        bounded weighted-BFS depth.  ``False`` skips the quantization
-        detour entirely and runs Algorithm 4 on the pruned *real*
-        weights: the engine's light/heavy delta-stepping kernels make
-        float searches first-class, every per-scale distance is exact
-        (zero rounding distortion, ``w_hat = 1``), and only the band
-        pruning from step (1) remains.
     """
     if not (0 < eta < 1):
         raise ParameterError("eta must lie in (0, 1)")
@@ -214,18 +204,10 @@ def build_weighted_hopset(
         pruned = from_edges(
             g.n, np.stack([g.edge_u[keep], g.edge_v[keep]], axis=1), g.edge_w[keep]
         )
-        # (2) round (Lemma 5.2, hop budget n) — or, with rounding off,
-        # keep the real weights and record an identity scale
         if pruned.m == 0:
-            rounded = None
-        elif rounding:
-            rounded = round_weights(pruned, d=d, k=max(g.n, 2), zeta=zeta)
-        else:
-            rounded = RoundedGraph(
-                graph=pruned, w_hat=1.0, d=float(d), k=max(g.n, 2), zeta=zeta
-            )
-        if rounded is None:
             continue
+        # (2) round (Lemma 5.2, hop budget n)
+        rounded = round_weights(pruned, d=d, k=max(g.n, 2), zeta=zeta)
         # (3) Algorithm 4 on the rounded graph
         hs = build_hopset(
             rounded.graph,
@@ -248,5 +230,5 @@ def build_weighted_hopset(
         eta=eta,
         zeta=zeta,
         params=params,
-        meta={"num_scales": float(len(scales)), "c": c, "rounding": float(rounding)},
+        meta={"num_scales": float(len(scales)), "c": c},
     )

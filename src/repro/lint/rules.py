@@ -15,7 +15,6 @@ API001  ``shortest_paths*`` callers plumb ``backend=``/``workers=``
 KRN001  numpy/numba kernel-registry parity
 BEN001  benchmarks carry an acceptance gate
 DUP001  no re-inlined dedup idioms (use :mod:`repro.graph.dedup`)
-SHD001  no shadowed builtins
 """
 
 from __future__ import annotations
@@ -511,67 +510,3 @@ class NoInlineDedupRule(Rule):
         return (isinstance(node, ast.Name) and node.id == "bool") or (
             isinstance(node, ast.Attribute) and node.attr in ("bool_", "bool")
         )
-
-
-# --------------------------------------------------------------------------
-# SHD001 — shadowed builtins
-# --------------------------------------------------------------------------
-
-_SHADOWABLE = {
-    "list", "dict", "set", "tuple", "str", "int", "float", "bool", "bytes",
-    "id", "type", "input", "filter", "map", "sum", "min", "max", "len",
-    "range", "next", "iter", "open", "vars", "format", "hash", "dir", "bin",
-    "all", "any", "sorted", "print", "object", "slice", "zip", "repr",
-}
-
-
-@register
-class ShadowedBuiltinRule(Rule):
-    id = "SHD001"
-    title = "no shadowed builtins"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        # class-body attribute assignments (`id = "RNG001"` on a rule
-        # class) are accessed through the instance, not the bare name:
-        # exempt direct class-body assigns, flag everything else
-        class_attr_assigns: Set[int] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                for stmt in node.body:
-                    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                        class_attr_assigns.add(id(stmt))
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = node.args
-                for a in (
-                    list(args.posonlyargs)
-                    + list(args.args)
-                    + list(args.kwonlyargs)
-                ):
-                    if a.arg in _SHADOWABLE:
-                        yield self.finding(
-                            ctx,
-                            a,
-                            f"parameter `{a.arg}` of `{node.name}` shadows "
-                            "a builtin",
-                        )
-            elif isinstance(node, ast.Assign) and id(node) not in class_attr_assigns:
-                for t in node.targets:
-                    if isinstance(t, ast.Name) and t.id in _SHADOWABLE:
-                        yield self.finding(
-                            ctx,
-                            t,
-                            f"assignment shadows builtin `{t.id}`",
-                        )
-            elif isinstance(node, (ast.For, ast.comprehension)):
-                t = node.target
-                names = (
-                    [t] if isinstance(t, ast.Name) else list(getattr(t, "elts", []))
-                )
-                for e in names:
-                    if isinstance(e, ast.Name) and e.id in _SHADOWABLE:
-                        yield self.finding(
-                            ctx,
-                            e,
-                            f"loop variable shadows builtin `{e.id}`",
-                        )

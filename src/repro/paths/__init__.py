@@ -21,7 +21,7 @@ These are the substrates the paper's constructions consume:
   (``tests/oracles/dijkstra.py``).
 """
 
-from repro.paths.bfs import bfs, multi_source_bfs, bfs_with_start_times
+from repro.paths.bfs import bfs, bfs_with_start_times
 from repro.paths.engine import (
     BatchShortestPathResult,
     ShortestPathResult,
@@ -35,7 +35,6 @@ from repro.paths.trees import extract_path, tree_depths, verify_sssp_tree
 
 __all__ = [
     "bfs",
-    "multi_source_bfs",
     "bfs_with_start_times",
     "BatchShortestPathResult",
     "ShortestPathResult",

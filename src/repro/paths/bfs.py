@@ -40,33 +40,13 @@ def _frontier_arcs(g: CSRGraph, frontier: np.ndarray) -> Tuple[np.ndarray, np.nd
     return arc_idx, np.repeat(frontier, counts)
 
 
-def multi_source_bfs(
-    g: CSRGraph,
-    sources: np.ndarray,
-    tracker: Optional[PramTracker] = None,
-    max_levels: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unweighted multi-source BFS.
-
-    Returns ``(dist, parent, owner)``: hop distance to the nearest
-    source, BFS-tree parent (-1 at sources/unreached), and the id of the
-    source that claimed each vertex (-1 if unreached).
-    """
-    sources = check_vertex_ids(sources, g.n)
-    return bfs_with_start_times(
-        g,
-        start_time=np.zeros(sources.shape[0], dtype=np.int64),
-        source_ids=sources,
-        tracker=tracker,
-        max_levels=max_levels,
-    )[1:]
-
-
 def bfs(
     g: CSRGraph, source: int, tracker: Optional[PramTracker] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Single-source BFS; returns ``(dist, parent)``."""
-    dist, parent, _ = multi_source_bfs(g, np.asarray([source]), tracker)
+    _, dist, parent, _ = bfs_with_start_times(
+        g, np.zeros(1, dtype=np.int64), np.asarray([source]), tracker=tracker
+    )
     return dist, parent
 
 
@@ -76,7 +56,6 @@ def bfs_with_start_times(
     source_ids: np.ndarray,
     priority: Optional[np.ndarray] = None,
     tracker: Optional[PramTracker] = None,
-    max_levels: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """BFS race with per-source integer start times.
 
@@ -135,7 +114,6 @@ def bfs_with_start_times(
     frontier = np.empty(0, np.int64)
     round_no = 0
     src_ptr = 0  # next not-yet-woken source in (t, sid, pr) order
-    levels = 0
     while True:
         # wake sources scheduled for this round that are still unclaimed:
         # one batched claim per round instead of np.append per source
@@ -168,7 +146,6 @@ def bfs_with_start_times(
 
         arc_idx, arc_src = _frontier_arcs(g, frontier)
         tracker.parallel_round(work=max(int(arc_idx.shape[0]), int(frontier.shape[0])))
-        levels += 1
         nbr = g.indices[arc_idx]
         unclaimed = np.flatnonzero(arrival[nbr] == INF)
         nbr = nbr[unclaimed]
@@ -187,8 +164,6 @@ def bfs_with_start_times(
             new_frontier = win_v
         frontier = new_frontier
         round_no += 1
-        if max_levels is not None and levels >= max_levels:
-            break
 
     dist = np.where(
         arrival == INF,

@@ -35,7 +35,10 @@ call and returns their ``(k, n)`` distance matrix::
     res.dist[i]                          # distances of run i
 
 Each run may itself be multi-source (pass a sequence of source arrays
-instead of a flat array of singletons).  On the numpy backend the runs
+instead of a flat array of singletons).  Every source starts at integer
+zero and the bucket width is the default one: the batch's two callers
+need nothing else, and start offsets or a ``delta`` stay
+:func:`shortest_paths` options.  On the numpy backend the runs
 advance together as one source-tagged frontier — every gather/scatter
 round relaxes the frontier arcs of *all* runs — so ``k`` searches cost
 one schedule instead of ``k``.  The level-synchronous hopset builder
@@ -271,16 +274,13 @@ def _offsets_for(sources: np.ndarray, offsets: Optional[Any]) -> np.ndarray:
 
 
 def _normalize_runs(
-    sources: Union[np.ndarray, int, Sequence[Any]],
-    offsets: Optional[Union[np.ndarray, Sequence[Any]]],
-    n: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten batch sources into ``(run_src, run_ptr, offs)``, checking
+    sources: Union[np.ndarray, int, Sequence[Any]], n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Flatten batch sources into ``(run_src, run_ptr)``, checking
     every source against ``[0, n)``.
 
     ``sources`` is either a flat integer array (k singleton runs) or a
-    sequence of per-run source arrays; ``offsets`` mirrors its shape
-    (``None`` = all-zero integer offsets, keeping Dial mode available).
+    sequence of per-run source arrays.
     """
     is_flat = np.isscalar(sources) or (
         isinstance(sources, np.ndarray) and sources.ndim <= 1
@@ -291,8 +291,7 @@ def _normalize_runs(
         sources = np.asarray(seq) if is_flat else seq
     if is_flat:
         run_src = check_vertex_ids(sources, n)
-        run_ptr = np.arange(run_src.shape[0] + 1, dtype=np.int64)
-        return run_src, run_ptr, _offsets_for(run_src, offsets)
+        return run_src, np.arange(run_src.shape[0] + 1, dtype=np.int64)
     runs = [np.atleast_1d(np.asarray(r)) for r in sources]
     for r in runs:
         if r.ndim > 1:
@@ -303,25 +302,14 @@ def _normalize_runs(
     run_src = check_vertex_ids(
         np.concatenate(runs) if runs else np.empty(0, np.int64), n
     )
-    if offsets is None:
-        offs = np.zeros(run_src.shape[0], dtype=np.int64)
-    else:
-        per_run = [np.atleast_1d(np.asarray(o)) for o in offsets]
-        if len(per_run) != len(runs) or any(
-            o.shape != r.shape for o, r in zip(per_run, runs)
-        ):
-            raise ParameterError("offsets must mirror the per-run source shapes")
-        offs = np.concatenate(per_run) if per_run else np.empty(0, np.int64)
-    return run_src, run_ptr, offs
+    return run_src, run_ptr
 
 
 def shortest_paths_batch(
     g: CSRGraph,
     sources: Union[np.ndarray, int, Sequence[Any]],
-    offsets: Optional[Union[np.ndarray, Sequence[Any]]] = None,
     *,
     weights: Optional[np.ndarray] = None,
-    delta: Optional[float] = None,
     backend: Optional[str] = None,
     tracker: Optional[PramTracker] = None,
     workers: WorkersArg = DEFAULT_WORKERS,
@@ -334,9 +322,8 @@ def shortest_paths_batch(
         Either a flat integer array — ``k`` single-source runs — or a
         sequence of source arrays, one per run (each run is then a
         multi-source search exactly as in :func:`shortest_paths`).
-    offsets:
-        Start times mirroring the shape of ``sources``; defaults to
-        integer zeros so integer weights still select Dial mode.
+        Every source starts at integer zero, so integer weights select
+        Dial mode, and the bucket width is the default one.
     workers:
         Core cap for the numba kernel (``1`` = serial, ``None`` = all
         cores), which dispatches the batch's runs through its
@@ -345,8 +332,8 @@ def shortest_paths_batch(
 
     Every run's distances equal, value for value and dtype for dtype,
     those of a standalone :func:`shortest_paths` call with the same
-    sources/offsets; parents and owners come from that call, as the
-    batch resolves none.  See the module docstring for the sharing and
+    sources; parents and owners come from that call, as the batch
+    resolves none.  See the module docstring for the sharing and
     accounting story.
 
     A degenerate batch — zero runs, or runs whose sources never settle
@@ -354,9 +341,10 @@ def shortest_paths_batch(
     still returns correctly shaped ``(k, n)`` all-unreached matrices.
     """
     tracker = tracker or null_tracker()
-    run_src, run_ptr, offs = _normalize_runs(sources, offsets, g.n)
+    run_src, run_ptr = _normalize_runs(sources, g.n)
     k = run_ptr.shape[0] - 1
-    w, int_mode, delta = _resolve_weights_and_delta(g, weights, offs, delta)
+    offs = np.zeros(run_src.shape[0], dtype=np.int64)
+    w, int_mode, delta = _resolve_weights_and_delta(g, weights, offs, None)
 
     name = resolve_backend(backend or "numpy")
     if k == 0:

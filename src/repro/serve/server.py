@@ -16,8 +16,8 @@ server adds:
   and this is where the throughput lives;
 * a **coalescing front door**: a batch of k concurrent s-t queries is
   deduplicated to its distinct uncached sources and dispatched as one
-  multi-source kernel call (chunked at ``max_batch_runs`` so a huge
-  batch never materializes an unbounded ``k x n`` label block);
+  multi-source kernel call (chunked so a huge batch never materializes
+  an unbounded ``k x n`` label block);
 * **updates under churn**: :meth:`DistanceServer.apply_updates` repairs
   the held hopset and evicts only the cached rows a batch can change.
 
@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.checkpoint import graph_fingerprint
+from repro.clustering.est import EST_METHODS
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.graph.validation import check_vertex_ids
@@ -47,7 +48,7 @@ from repro.paths.engine import shortest_paths_batch
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 
-# Auto-chunk target for the front door: kernel calls are sized to
+# Chunk target for the front door: kernel calls are sized to
 # ~this many flat labels (k = CHUNK_LABELS // n, clamped to [1, 256])
 # so per-round gather temporaries stay cache-resident on big graphs.
 CHUNK_LABELS = 1 << 18
@@ -108,41 +109,34 @@ class DistanceServer:
         Maximum source distance rows kept in the LRU (``0`` disables
         caching — every query pays a kernel run; the benchmark's
         singleton baseline).
-    max_batch_runs:
-        Cap on kernel runs per call; a front-door batch with more
-        distinct uncached sources is served in chunks of this size.
-        ``None`` (default) auto-sizes the chunk so one call's flat
-        label block stays around :data:`CHUNK_LABELS` entries — a
-        round's gather temporaries then stay cache-resident, which on
-        large graphs is worth far more than sharing round overhead
-        across runs.  The evidence is a measurement of the frontier
-        hop-limited kernel, which this server ran before it became
-        exact-only, not of the engine: at n=10^5 its per-run cost grew
-        ~1.7x from k=1 to k=32 in one flat block, and chunks of 2-4
-        kept near-singleton per-run cost while the front door still
-        coalesced duplicates.  Also the memory bound: label blocks
-        are O(``max_batch_runs * n``).
+
+    A front-door batch is served in kernel calls of at most
+    ``max(1, min(256, CHUNK_LABELS // n))`` distinct uncached sources,
+    so one call's flat label block stays around :data:`CHUNK_LABELS`
+    entries — a round's gather temporaries then stay cache-resident,
+    which on large graphs is worth far more than sharing round overhead
+    across runs.  The evidence is a measurement of the frontier
+    hop-limited kernel, which this server ran before it became
+    exact-only, not of the engine: at n=10^5 its per-run cost grew
+    ~1.7x from k=1 to k=32 in one flat block, and chunks of 2-4 kept
+    near-singleton per-run cost while the front door still coalesced
+    duplicates.  The chunk also bounds a call's label block to
+    O(``256 * n``) entries.
     """
 
     hopset: HopsetResult
     backend: Optional[str] = None
     workers: WorkersArg = DEFAULT_WORKERS
     cache_rows: int = 128
-    max_batch_runs: Optional[int] = None
     tracker: Optional[PramTracker] = None
     stats: ServerStats = field(default_factory=ServerStats)
 
     def __post_init__(self) -> None:
         if self.cache_rows < 0:
             raise ParameterError("cache_rows must be >= 0")
-        if self.max_batch_runs is None:
-            self.max_batch_runs = max(
-                1, min(256, CHUNK_LABELS // max(self.hopset.graph.n, 1))
-            )
-        if self.max_batch_runs <= 0:
-            raise ParameterError("max_batch_runs must be positive")
         self.backend = resolve_backend(self.backend or "numpy")
         self._n = self.hopset.graph.n
+        self._chunk = max(1, min(256, CHUNK_LABELS // max(self._n, 1)))
         self._cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._tracker = self.tracker or null_tracker()
 
@@ -192,9 +186,9 @@ class DistanceServer:
     def _rows_for(self, sources: Iterable[int]) -> Dict[int, np.ndarray]:
         """Distance rows for the given (not necessarily distinct)
         sources: cached rows are reused (LRU touch), the rest are
-        coalesced into as few kernel calls as ``max_batch_runs``
-        allows.  The returned dict outlives any cache eviction the
-        insertions below may cause."""
+        coalesced into as few kernel calls as the chunk allows.  The
+        returned dict outlives any cache eviction the insertions below
+        may cause."""
         got: Dict[int, np.ndarray] = {}
         missing: List[int] = []
         for s in check_vertex_ids(sources, self._n).tolist():
@@ -209,8 +203,8 @@ class DistanceServer:
                 self.stats.cache_misses += 1
                 missing.append(s)
                 got[s] = None  # placeholder keeps first-appearance order
-        for lo in range(0, len(missing), self.max_batch_runs):
-            chunk = np.asarray(missing[lo : lo + self.max_batch_runs], dtype=np.int64)
+        for lo in range(0, len(missing), self._chunk):
+            chunk = np.asarray(missing[lo : lo + self._chunk], dtype=np.int64)
             block = self._run_kernel(chunk)
             for i, s in enumerate(chunk):
                 row = block[i].copy()  # detach from the k x n block
@@ -372,13 +366,14 @@ def save_hopset(hopset: HopsetResult, path: str) -> None:
 
     The file is bound to ``hopset.graph`` by its
     :func:`repro.checkpoint.graph_fingerprint`.  A repair structure,
-    when present, rides along — a reloaded hopset then still supports
-    :meth:`DistanceServer.apply_updates`.
+    when present, rides along with the build's EST method — a reloaded
+    hopset then still supports :meth:`DistanceServer.apply_updates`.
     """
     extra: Dict[str, np.ndarray] = {}
     if hopset.structure is not None:
         extra["top_labels"] = hopset.structure.top_labels
         extra["top_seeds"] = hopset.structure.top_seeds
+        extra["method"] = np.array(hopset.structure.method)
     np.savez(
         path,
         fingerprint=np.array(graph_fingerprint(hopset.graph)),
@@ -396,7 +391,10 @@ def load_hopset(graph: CSRGraph, path: str) -> HopsetResult:
 
     Raises :class:`ParameterError` unless the file carries the graph's
     fingerprint: a hopset of another graph (an edge deleted, a weight
-    changed) would serve wrong distances.
+    changed) would serve wrong distances.  A repair structure must fit
+    the graph too (:func:`_load_structure`); a file written before the
+    build method was recorded loads as ``"auto"``, the only method
+    ``repro serve`` builds with.
     """
     expected = graph_fingerprint(graph)
     with np.load(path, allow_pickle=False) as z:
@@ -414,9 +412,7 @@ def load_hopset(graph: CSRGraph, path: str) -> HopsetResult:
         meta = json.loads(str(z["meta"]))
         structure = None
         if "top_labels" in z.files:
-            structure = RepairStructure(
-                top_labels=z["top_labels"], top_seeds=z["top_seeds"]
-            )
+            structure = _load_structure(z, graph.n, path)
         return HopsetResult(
             graph=graph,
             eu=z["eu"],
@@ -427,3 +423,32 @@ def load_hopset(graph: CSRGraph, path: str) -> HopsetResult:
             meta=meta,
             structure=structure,
         )
+
+
+def _load_structure(z: "np.lib.npyio.NpzFile", n: int, path: str) -> RepairStructure:
+    """The saved repair structure, refused with a :class:`ParameterError`
+    naming ``path`` unless a repair can index with it: ``n`` integer
+    ``top_labels``, one integer seed per block, every label a block
+    (a build that recorded no blocks emitted no edges, and a repair
+    then reads no label), and a known method."""
+    labels, seeds = z["top_labels"], z["top_seeds"]
+    method = str(z["method"]) if "method" in z.files else "auto"
+    problem = None
+    if (labels.shape != (n,) or labels.dtype.kind not in "iu"
+            or seeds.ndim != 1 or seeds.dtype.kind not in "iu"):
+        problem = (
+            f"top_labels has shape {labels.shape} and top_seeds {seeds.shape}; "
+            f"expected {n} integer labels and one integer seed per block"
+        )
+    elif (seeds.size or z["eu"].size) and n and not (
+        labels.min() >= 0 and labels.max() < seeds.size
+    ):
+        problem = f"top_labels holds labels outside [0, {seeds.size})"
+    elif method not in EST_METHODS:
+        problem = f"unknown build method {method!r}"
+    if problem is not None:
+        raise ParameterError(
+            f"hopset file {path} carries a repair structure that does not fit "
+            f"this graph: {problem}"
+        )
+    return RepairStructure(top_labels=labels, top_seeds=seeds, method=method)

@@ -17,7 +17,7 @@ from repro.spanners.result import SpannerResult
 from repro.spanners.unweighted import unweighted_spanner
 from repro.spanners.weighted import weighted_spanner, weight_buckets, well_separated_groups
 from repro.spanners.baselines import baswana_sen_spanner, greedy_spanner
-from repro.spanners.verify import edge_stretches, max_edge_stretch, verify_spanner, pair_stretches
+from repro.spanners.verify import edge_stretches, max_edge_stretch, verify_spanner
 from repro.spanners.sparsify import SparsifyResult, spanner_sparsify
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "edge_stretches",
     "max_edge_stretch",
     "verify_spanner",
-    "pair_stretches",
     "SparsifyResult",
     "spanner_sparsify",
 ]

@@ -24,11 +24,9 @@ import numpy as np
 from repro.clustering.est import Clustering, est_cluster
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
-from repro.graph.dedup import first_of_runs
-from repro.pram.primitives import charge_semisort
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike
-from repro.spanners.result import SpannerResult, edge_id_lookup
+from repro.spanners.result import SpannerResult, boundary_edge_ids, edge_id_lookup
 from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 
 
@@ -95,22 +93,8 @@ def unweighted_spanner(
     )
 
     # --- one edge per (boundary vertex, adjacent cluster) ---------------
-    # Work over directed arcs so each endpoint of a cut edge contributes
-    # a candidate; dedupe on the key (vertex, neighbor cluster).
     with tracker.phase("boundary"):
-        src = g.arc_sources()
-        dst = g.indices
-        eid = g.edge_ids
-        lab = clustering.labels
-        inter = lab[src] != lab[dst]
-        v_side = src[inter]
-        c_side = lab[dst[inter]]
-        e_side = eid[inter]
-        charge_semisort(tracker, int(inter.sum()) + g.n)
-        if v_side.size:
-            boundary_ids = e_side[first_of_runs((v_side, c_side), prefer=(e_side,))]
-        else:
-            boundary_ids = np.empty(0, np.int64)
+        boundary_ids = boundary_edge_ids(g, clustering.labels, tracker)
 
     edge_ids = np.unique(np.concatenate([forest_ids, boundary_ids]))
     return SpannerResult(

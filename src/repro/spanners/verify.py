@@ -83,35 +83,3 @@ def verify_spanner(
         )
     return worst
 
-
-def pair_stretches(
-    g: CSRGraph,
-    spanner: SpannerResult | CSRGraph,
-    n_pairs: int,
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """Stretch over random connected vertex pairs (distribution shape).
-
-    Pairs whose graph distance is infinite (different components) are
-    skipped; pairs at distance 0 (same vertex) are redrawn.
-    """
-    h = spanner.subgraph() if isinstance(spanner, SpannerResult) else spanner
-    rng = resolve_rng(seed)
-    from scipy.sparse.csgraph import dijkstra as sp_dijkstra
-
-    gs = g.to_scipy()
-    hs = h.to_scipy()
-    out = []
-    attempts = 0
-    while len(out) < n_pairs and attempts < 20 * n_pairs:
-        attempts += 1
-        s = int(rng.integers(0, g.n))
-        t = int(rng.integers(0, g.n))
-        if s == t:
-            continue
-        dg = sp_dijkstra(gs, directed=False, indices=s)[t]
-        if not np.isfinite(dg) or dg == 0:
-            continue
-        dh = sp_dijkstra(hs, directed=False, indices=s)[t]
-        out.append(dh / dg)
-    return np.asarray(out, dtype=np.float64)

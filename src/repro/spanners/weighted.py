@@ -46,12 +46,12 @@ from repro.clustering.est import est_cluster_forest
 from repro.clustering.shifts import sample_shifts
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
-from repro.graph.dedup import first_of_runs, presence_unique, rows_by_value, stable_argsort
+from repro.graph.dedup import presence_unique, rows_by_value, stable_argsort
 from repro.graph.quotient import QuotientResult, quotient_forest, quotient_graph
 from repro.graph.unionfind import UnionFind
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn_seeds
-from repro.spanners.result import SpannerResult, edge_id_lookup
+from repro.spanners.result import SpannerResult, boundary_edge_ids, edge_id_lookup
 from repro.spanners.unweighted import spanner_beta
 from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 
@@ -142,27 +142,6 @@ def _unique_edge_ids(m: int, parts: List[np.ndarray]) -> np.ndarray:
     ``np.unique`` was a visible profile cost.
     """
     return presence_unique(m, parts, sparse_factor=0)
-
-
-def _boundary_edge_ids(gq: CSRGraph, labels: np.ndarray) -> np.ndarray:
-    """One kept edge per (boundary vertex, adjacent cluster) pair.
-
-    Works over directed arcs so each endpoint of a cut edge contributes
-    a candidate; dedupes on the key ``(vertex, neighbor cluster)``,
-    keeping the lowest edge id.  Returns *quotient* edge ids.  On a
-    block-diagonal union this equals the per-block result concatenated:
-    vertex ids are block-contiguous, so no (v, c) run crosses blocks.
-    """
-    src = gq.arc_sources()
-    dst = gq.indices
-    lab = labels
-    inter = lab[src] != lab[dst]
-    if not inter.any():
-        return np.empty(0, np.int64)
-    v_side = src[inter]
-    c_side = lab[dst[inter]]
-    e_side = gq.edge_ids[inter]
-    return e_side[first_of_runs((v_side, c_side), prefer=(e_side,))]
 
 
 def _well_separated_spanner_batched(
@@ -354,7 +333,7 @@ def _well_separated_spanner_batched(
                 )
 
         # ---- boundary edges, one pass over the union's arcs -----------
-        qids = _boundary_edge_ids(union, clustering.labels)
+        qids = boundary_edge_ids(union, clustering.labels)
         if qids.size:
             kept.append(qf.rep_edge_ids[qids])
 

@@ -22,10 +22,9 @@ from repro.graph.unionfind import UnionFind
 from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn_seeds
-from repro.spanners.result import SpannerResult, edge_id_lookup
+from repro.spanners.result import SpannerResult, boundary_edge_ids, edge_id_lookup
 from repro.spanners.unweighted import spanner_beta
 from repro.spanners.weighted import (
-    _boundary_edge_ids,
     _unique_edge_ids,
     _weighted_stretch_bound,
     contracted_quotient,
@@ -83,7 +82,7 @@ def _well_separated_spanner(
             uf.union_edges(g.edge_u[forest_orig], g.edge_v[forest_orig])
 
         # boundary edges: one per (boundary quotient vertex, adjacent cluster)
-        qids = _boundary_edge_ids(gq, clustering.labels)
+        qids = boundary_edge_ids(gq, clustering.labels)
         if qids.size:
             kept.append(q.rep_edge_ids[qids])
 

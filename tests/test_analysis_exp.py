@@ -1,10 +1,10 @@
-"""Unit tests for analysis helpers and the experiment harness."""
+"""Unit tests for analysis helpers and table rendering."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import fit_power_law, hop_reduction_summary, stretch_summary, theory
-from repro.exp import Experiment, Table, aggregate, format_table, run_trials
+from repro.exp import Table, format_table
 from repro.graph import grid_graph
 from repro.hopsets import HopsetParams, build_hopset
 from repro.spanners import unweighted_spanner
@@ -67,29 +67,6 @@ class TestTheory:
         assert theory.lemma43_clique_bound(1000, 10, 5) == pytest.approx(2500)
 
 
-class TestHarness:
-    def test_run_trials_deterministic(self):
-        def fn(seed):
-            return {"x": float(seed % 7)}
-
-        a = run_trials(fn, 4, base_seed=1)
-        b = run_trials(fn, 4, base_seed=1)
-        assert [t.values for t in a] == [t.values for t in b]
-
-    def test_aggregate_stats(self):
-        def fn(seed):
-            return {"v": float(seed % 3)}
-
-        agg = aggregate(run_trials(fn, 10, base_seed=2))
-        assert agg["v"]["n"] == 10
-        assert agg["v"]["min"] <= agg["v"]["mean"] <= agg["v"]["max"]
-
-    def test_experiment_wrapper(self):
-        exp = Experiment(name="t", fn=lambda s: {"one": 1.0}, repetitions=2)
-        trials = exp.run()
-        assert len(trials) == 2
-
-
 class TestTables:
     def test_format_table_aligns(self):
         out = format_table("T", ["a", "bb"], [{"a": 1, "bb": 2.5}, {"a": 30}])
@@ -111,5 +88,6 @@ class TestTables:
         assert "| 1 | 2 |" in md
 
     def test_float_formatting(self):
-        out = format_table("F", ["x"], [{"x": 123456.789}])
+        out = format_table("F", ["x"], [{"x": 123456.789}, {"x": 0.0}])
         assert "1.23e+05" in out
+        assert out.splitlines()[-1].strip() == "0"

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import KERNELS, engine_kernel, est_cluster_reference
+from repro.analysis.theory import lemma21_radius_bound
+from repro.clustering.diagnostics import empirical_cut_probability
 from repro.clustering import (
     adjacent_cluster_counts,
     ball_cluster_count,
@@ -14,7 +16,6 @@ from repro.clustering import (
     cut_fraction,
     est_cluster,
     sample_shifts,
-    shift_upper_bound,
 )
 from repro.errors import ParameterError
 from repro.graph import (
@@ -42,12 +43,10 @@ class TestShifts:
     def test_invalid_beta(self):
         with pytest.raises(ParameterError):
             sample_shifts(10, 0.0)
-        with pytest.raises(ParameterError):
-            shift_upper_bound(10, -1.0)
 
     def test_upper_bound_rarely_exceeded(self):
         n, beta = 500, 0.3
-        bound = shift_upper_bound(n, beta, k=2.0)
+        bound = lemma21_radius_bound(n, beta, k=2.0)
         exceed = 0
         for seed in range(20):
             s = sample_shifts(n, beta, seed=seed)
@@ -136,6 +135,16 @@ class TestDiagnostics:
         mask = cut_edge_mask(small_gnm, c)
         assert mask.shape[0] == small_gnm.m
         assert cut_fraction(small_gnm, c) == pytest.approx(mask.mean())
+
+    @pytest.mark.parametrize("beta", [0.1, 0.3])
+    def test_empirical_cut_probability_within_cor23(self, beta):
+        # Corollary 2.3: Pr[edge of weight w is cut] <= beta * w
+        g = grid_graph(16, 16)
+        freq, bound = empirical_cut_probability(g, beta, trials=8, seed=1, method="exact")
+        assert freq.shape == bound.shape == (g.m,)
+        assert np.array_equal(bound, np.minimum(1.0, beta * g.edge_w))
+        assert ((freq >= 0) & (freq <= 1)).all()
+        assert freq.mean() <= bound.mean()
 
     def test_high_beta_cuts_more(self, small_gnm):
         rng = np.random.default_rng(0)

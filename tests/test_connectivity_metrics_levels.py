@@ -28,7 +28,7 @@ class TestParallelConnectivity:
     def test_matches_scipy(self, seed):
         g = gnm_random_graph(150, 180, seed=seed)  # sparse: many components
         ncc, labels, rounds = parallel_connectivity(g, seed=seed + 10)
-        ncc_ref, labels_ref = connected_components(g, method="scipy")
+        ncc_ref, labels_ref = connected_components(g)
         assert ncc == ncc_ref
         for comp in range(ncc_ref):
             members = np.flatnonzero(labels_ref == comp)

@@ -101,18 +101,18 @@ class TestFloatPathMatchesReference:
     @SETTINGS
     @given(float_graphs())
     def test_batch_matches_per_run_engine(self, spec):
-        g, sources, offsets, delta = spec
+        # a batch starts every source at zero at the default delta
+        g, sources, _, _ = spec
         # one singleton run per source plus one joint multi-source run
         runs = [np.asarray([s]) for s in sources] + [sources]
-        offs = [np.asarray([o]) for o in offsets] + [offsets]
-        batch = shortest_paths_batch(g, runs, offs, delta=delta)
+        batch = shortest_paths_batch(g, runs)
         assert batch.k == len(runs)
-        for i, (srcs, off) in enumerate(zip(runs, offs)):
-            dist, _, _ = dijkstra_reference(g, srcs, offsets=off)
+        for i, srcs in enumerate(runs):
+            dist, _, _ = dijkstra_reference(g, srcs)
             assert np.allclose(batch.dist[i], dist)
             # the batch row is the singleton run's, bit for bit, with
             # the same vertices unreached
-            single = shortest_paths(g, srcs, offsets=off, delta=delta)
+            single = shortest_paths(g, srcs)
             assert batch.dist[i].dtype == single.dist.dtype == np.float64
             assert np.array_equal(batch.dist[i], single.dist)
             assert np.array_equal(np.isinf(batch.dist[i]), single.owner == -1)
@@ -268,31 +268,3 @@ class TestDeltaSteppingFrontEnd:
         dist, _ = delta_stepping(g, 0)
         assert dist[2] == np.pi + np.e
 
-
-class TestWeightedHopsetFloatPassThrough:
-    def test_rounding_off_builds_exact_scales(self):
-        from repro.hopsets import build_weighted_hopset
-
-        g = _random_float_graph(60, 200, seed=47, lo=0.5, hi=20.0)
-        hs = build_weighted_hopset(g, seed=1, rounding=False)
-        assert hs.meta["rounding"] == 0.0
-        assert hs.scales and all(sc.rounded.w_hat == 1.0 for sc in hs.scales)
-        # estimates are upper bounds and close to the truth
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            s, t = rng.choice(g.n, size=2, replace=False)
-            true = float(dijkstra_scipy(g, int(s))[int(t)])
-            est, _ = hs.query(int(s), int(t))
-            assert est >= true - 1e-9
-            assert est <= 3.0 * true + 1e-9 or np.isinf(true)
-
-    def test_rounded_and_unrounded_agree_on_reachability(self):
-        from repro.hopsets import build_weighted_hopset
-
-        g = _random_float_graph(40, 120, seed=53)
-        a = build_weighted_hopset(g, seed=5, rounding=True)
-        b = build_weighted_hopset(g, seed=5, rounding=False)
-        assert a.meta["rounding"] == 1.0 and b.meta["rounding"] == 0.0
-        est_a, _ = a.query(0, g.n - 1)
-        est_b, _ = b.query(0, g.n - 1)
-        assert np.isfinite(est_a) == np.isfinite(est_b)

@@ -1,12 +1,10 @@
-"""Unit tests for connected components (label propagation vs scipy)."""
+"""Unit tests for the connected-component queries."""
 
 import numpy as np
-import pytest
 
 from repro.graph import (
     connected_components,
     from_edges,
-    gnm_random_graph,
     is_connected,
     largest_component,
 )
@@ -30,21 +28,6 @@ class TestConnectedComponents:
         ncc, labels = connected_components(empty_graph)
         assert ncc == 5
         assert np.unique(labels).shape[0] == 5
-
-    def test_label_prop_matches_scipy(self):
-        for seed in range(4):
-            g = gnm_random_graph(80, 90, seed=seed)
-            ncc_a, lab_a = connected_components(g, method="label_prop")
-            ncc_b, lab_b = connected_components(g, method="scipy")
-            assert ncc_a == ncc_b
-            # partitions equal up to relabeling
-            for comp in range(ncc_b):
-                members = np.flatnonzero(lab_b == comp)
-                assert np.unique(lab_a[members]).shape[0] == 1
-
-    def test_unknown_method(self, triangle):
-        with pytest.raises(ValueError):
-            connected_components(triangle, method="magic")
 
     def test_is_connected(self, small_grid, disconnected):
         assert is_connected(small_grid)

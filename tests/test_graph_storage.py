@@ -290,15 +290,13 @@ class TestNpzFormats:
         assert_identical(medium_weighted, load_npz(p))
 
     def test_legacy_edges_layout_still_readable(self, medium_weighted, tmp_path):
+        # format 1 as old writers laid it out: no format field, edges + n
+        g = medium_weighted
         p = tmp_path / "g.npz"
-        save_npz(medium_weighted, p, layout="edges")
-        with np.load(p) as data:
-            assert "format" not in data.files  # byte-compatible with old writers
-        assert_identical(medium_weighted, load_npz(p))
-
-    def test_unknown_layout_rejected(self, medium_weighted, tmp_path):
-        with pytest.raises(GraphFormatError):
-            save_npz(medium_weighted, tmp_path / "g.npz", layout="pickle")
+        np.savez_compressed(
+            p, n=np.int64(g.n), edge_u=g.edge_u, edge_v=g.edge_v, edge_w=g.edge_w
+        )
+        assert_identical(g, load_npz(p))
 
     def test_future_format_rejected(self, medium_weighted, tmp_path):
         p = tmp_path / "g.npz"

@@ -106,8 +106,18 @@ def draw_runs(rng, n, shape, k):
 
 
 def kernel_inputs(g, sources, offsets, delta_kind):
-    """The kernel call the engine makes for ``shortest_paths_batch``."""
-    run_src, run_ptr, offs = _normalize_runs(sources, offsets, g.n)
+    """The kernel call the engine makes for ``shortest_paths_batch``,
+    with ``offsets`` (``None``, one array for flat sources, or one
+    array per run) flattened alongside the runs: the engine's batch
+    starts every run at zero, but its kernel takes any offsets, as
+    ``shortest_paths`` passes them."""
+    run_src, run_ptr = _normalize_runs(sources, g.n)
+    if offsets is None:
+        offs = np.zeros(run_src.shape[0], dtype=np.int64)
+    elif isinstance(offsets, list):
+        offs = np.concatenate(offsets)
+    else:
+        offs = np.asarray(offsets)
     k = run_ptr.shape[0] - 1
     run_of = np.repeat(np.arange(k, dtype=np.int64), np.diff(run_ptr))
     ranks = np.arange(run_src.shape[0], dtype=np.int64) - run_ptr[run_of]

@@ -1,12 +1,10 @@
-"""Unit tests for the LDD interface, spanner sparsification, and the
-experiment registry."""
+"""Unit tests for the LDD interface and spanner sparsification."""
 
 import numpy as np
 import pytest
 
 from repro.clustering.ldd import LowDiameterDecomposition, low_diameter_decomposition
 from repro.errors import ParameterError, VerificationError
-from repro.exp.experiments import experiment_ids, run_experiment
 from repro.graph import gnm_random_graph, is_connected
 from repro.spanners.sparsify import spanner_sparsify
 
@@ -128,29 +126,3 @@ class TestSparsify:
         # sparsified distances dominate originals (edges removed/upweighted)
         assert (d_h >= d_g - 1e-9).all()
 
-
-class TestRegistry:
-    def test_ids_listed(self):
-        ids = experiment_ids()
-        assert "fig1-unw" in ids and "fig2" in ids and "appxB" in ids
-
-    def test_unknown_id(self):
-        with pytest.raises(KeyError):
-            run_experiment("nope")
-
-    @pytest.mark.parametrize("exp_id", ["lemma21", "cor23", "lemma43", "appxB"])
-    def test_runs_and_returns_table(self, exp_id):
-        t = run_experiment(exp_id, seed=1)
-        assert t.rows
-        assert t.render()
-
-    def test_fig_experiments(self):
-        for exp_id in ("fig1-unw", "fig2"):
-            t = run_experiment(exp_id, seed=2)
-            assert len(t.rows) >= 2
-
-    def test_duplicate_registration_rejected(self):
-        from repro.exp.experiments import register
-
-        with pytest.raises(ValueError):
-            register("fig2")(lambda seed: None)

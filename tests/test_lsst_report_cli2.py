@@ -1,4 +1,4 @@
-"""Unit tests for low-stretch trees, the report writer, and new CLI commands."""
+"""Unit tests for low-stretch trees and the newer CLI commands."""
 
 import numpy as np
 import pytest
@@ -73,38 +73,6 @@ class TestLowStretchTree:
         a = low_stretch_spanning_tree(small_gnm, k=3, seed=9)
         b = low_stretch_spanning_tree(small_gnm, k=3, seed=9)
         assert np.array_equal(a.edge_ids, b.edge_ids)
-
-
-class TestReportWriter:
-    def test_roundtrip(self, tmp_path):
-        from repro.exp.report_writer import collect_tables, write_report
-
-        d = tmp_path / "results"
-        d.mkdir()
-        (d / "Table_A.txt").write_text("Table A\n-------\nx\n1\n")
-        (d / "Table_B.txt").write_text("Table B\n-------\ny\n2\n")
-        (d / "ignore.json").write_text("{}")
-        out = tmp_path / "report.md"
-        n = write_report(str(d), str(out))
-        assert n == 2
-        text = out.read_text()
-        assert "## Table A" in text and "## Table B" in text
-        assert "ignore" not in text
-
-    def test_missing_dir(self, tmp_path):
-        from repro.exp.report_writer import collect_tables
-
-        with pytest.raises(FileNotFoundError):
-            collect_tables(str(tmp_path / "nope"))
-
-    def test_main_usage(self, tmp_path, capsys):
-        from repro.exp.report_writer import main
-
-        assert main([]) == 2
-        d = tmp_path / "r"
-        d.mkdir()
-        (d / "T.txt").write_text("T\n-\n")
-        assert main([str(d), str(tmp_path / "o.md")]) == 0
 
 
 class TestNewCLICommands:

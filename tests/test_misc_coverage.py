@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exp import Experiment, Table
+from repro.exp import Table
 from repro.graph import from_edges, gnm_random_graph
 from repro.pram import PramTracker
 from repro.spanners.result import SpannerResult
@@ -44,14 +44,6 @@ class TestTrackerComposition:
 
 
 class TestHarnessDetails:
-    def test_custom_base_seed_changes_trials(self):
-        def fn(seed):
-            return {"s": float(seed)}
-
-        a = Experiment(name="a", fn=fn, repetitions=3, base_seed=1).run()
-        b = Experiment(name="b", fn=fn, repetitions=3, base_seed=2).run()
-        assert [t.values for t in a] != [t.values for t in b]
-
     def test_table_missing_cell_renders_blank(self):
         t = Table(title="T", columns=["a", "b"])
         t.add(a=1)

@@ -5,11 +5,17 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.graph import gnm_random_graph, grid_graph, path_graph
-from repro.paths import bfs, multi_source_bfs
+from repro.paths import bfs
 from repro.paths.bfs import INF, bfs_with_start_times
 from repro.paths.dijkstra import dijkstra_scipy
 from repro.pram import PramTracker
 from repro.spanners.low_stretch_tree import bfs_tree
+
+
+def _multi_source(g, sources):
+    """``(dist, parent, owner)`` of a BFS from every source at round 0."""
+    sources = np.asarray(sources)
+    return bfs_with_start_times(g, np.zeros(sources.shape[0], dtype=np.int64), sources)[1:]
 
 
 class TestSingleSource:
@@ -27,7 +33,7 @@ class TestSingleSource:
             assert np.array_equal(dist.astype(float), dijkstra_scipy(g, 0))
 
     def test_unreachable_inf(self, disconnected):
-        dist, parent, owner = multi_source_bfs(disconnected, np.array([0]))
+        dist, parent, owner = _multi_source(disconnected, [0])
         assert dist[3] == INF
         assert owner[3] == -1
         assert parent[6] == -1
@@ -50,13 +56,13 @@ class TestSingleSource:
 class TestMultiSource:
     def test_ownership_partitions(self, small_grid):
         sources = np.array([0, 63])
-        dist, parent, owner = multi_source_bfs(small_grid, sources)
+        dist, parent, owner = _multi_source(small_grid, sources)
         assert set(np.unique(owner)) == {0, 63}
         assert owner[0] == 0 and owner[63] == 63
 
     def test_nearest_source_wins(self):
         g = path_graph(10)
-        dist, _, owner = multi_source_bfs(g, np.array([0, 9]))
+        dist, _, owner = _multi_source(g, [0, 9])
         assert owner[1] == 0
         assert owner[8] == 9
         assert dist[4] == 4
@@ -64,9 +70,9 @@ class TestMultiSource:
     def test_tie_break_deterministic(self):
         g = path_graph(5)
         # vertex 2 equidistant from both sources; source listed first wins
-        _, _, owner = multi_source_bfs(g, np.array([0, 4]))
+        _, _, owner = _multi_source(g, [0, 4])
         assert owner[2] == 0
-        _, _, owner2 = multi_source_bfs(g, np.array([4, 0]))
+        _, _, owner2 = _multi_source(g, [4, 0])
         assert owner2[2] == 4
 
 
@@ -122,17 +128,6 @@ class TestStartTimeRace:
             path = extract_path(parent, v)
             assert path[0] == owner[v]
 
-    def test_max_levels_truncation(self):
-        g = path_graph(20)
-        arrival, dist, parent, owner = bfs_with_start_times(
-            g,
-            start_time=np.array([0]),
-            source_ids=np.array([0]),
-            max_levels=3,
-        )
-        assert owner[3] == 0
-        assert owner[10] == -1
-
 
 class TestBadSources:
     """Out-of-range sources and mismatched per-source arrays fail by name
@@ -143,7 +138,7 @@ class TestBadSources:
     @pytest.mark.parametrize(
         "call, match",
         [
-            (lambda g: multi_source_bfs(g, [0, -2]), "source -2 out of range"),
+            (lambda g: _multi_source(g, [0, -2]), "source -2 out of range"),
             (lambda g: bfs(g, -1), "source -1 out of range"),
             (lambda g: bfs(g, 4), "source 4 out of range"),
             (lambda g: bfs_tree(g, root=7), "source 7 out of range"),

@@ -26,10 +26,10 @@ from repro.hopsets import (
 )
 from repro.kernels import resolve_backend
 from repro.paths import (
+    bfs_with_start_times,
     dijkstra,
     dijkstra_scipy,
     hop_limited_distances,
-    multi_source_bfs,
     shortest_paths,
     shortest_paths_batch,
 )
@@ -252,20 +252,6 @@ class TestDijkstraFrontEnd:
         assert np.allclose(dist, dijkstra_scipy(g, 0))
 
 
-class TestDistributedSSSP:
-    def test_matches_engine(self):
-        from repro.distributed import distributed_sssp
-
-        g = _random_weighted(50, 150, seed=51, lo=1.0, hi=8.0, kind="uniform")
-        srcs = np.array([0, 11])
-        offs = np.array([0.0, 2.0])
-        dist, parent, owner, net = distributed_sssp(g, srcs, offsets=offs)
-        res = shortest_paths(g, srcs, offsets=offs)
-        assert np.allclose(dist, res.dist)
-        assert np.array_equal(owner, res.owner)
-        assert net.rounds >= 1 and net.total_messages > 0
-
-
 def _on_reference_kernel(call):
     with engine_kernel("reference"):
         return call()
@@ -359,13 +345,8 @@ def _est_on_grid(shift, method):
 _BAD_INPUTS = {
     "delta_nan": ("delta", lambda g: shortest_paths(g, 0, delta=math.nan)),
     "delta_inf": ("delta", lambda g: shortest_paths(g, 0, delta=math.inf)),
-    "batch_delta_nan": ("delta", lambda g: shortest_paths_batch(g, [0, 1], delta=math.nan)),
-    "batch_delta_inf": ("delta", lambda g: shortest_paths_batch(g, [0, 1], delta=math.inf)),
     "offsets_nan": ("offsets", lambda g: shortest_paths(g, [0], offsets=[math.nan])),
     "offsets_inf": ("offsets", lambda g: shortest_paths(g, [0], offsets=[math.inf])),
-    "batch_offsets_nan": (
-        "offsets", lambda g: shortest_paths_batch(g, [[0, 1]], [[0.0, math.nan]])
-    ),
     "weights_negative": (
         "weights", lambda g: shortest_paths(g, 0, weights=-np.ones(g.num_arcs))
     ),
@@ -377,9 +358,6 @@ _BAD_INPUTS = {
     ),
     # wrong shapes used to fail inside numpy (IndexError, broadcast error)
     "offsets_scalar": ("offsets", lambda g: shortest_paths(g, 0, offsets=5)),
-    "batch_offsets_scalar": (
-        "offsets", lambda g: shortest_paths_batch(g, np.array([0, 1]), offsets=3)
-    ),
     "offsets_column": ("offsets", lambda g: shortest_paths(g, [0, 1], offsets=[[1], [2]])),
     "weights_column": (
         "weights", lambda g: shortest_paths(g, 0, weights=np.ones((g.num_arcs, 1)))
@@ -429,7 +407,9 @@ _NON_INTEGRAL_CALLS = {
     "shortest_paths_batch_run": (
         ParameterError, "2.5", lambda g, srv: shortest_paths_batch(g, [[0, 1], [2.5]])
     ),
-    "multi_source_bfs": (ParameterError, "0.5", lambda g, srv: multi_source_bfs(g, [0.5])),
+    "bfs_with_start_times": (
+        ParameterError, "0.5", lambda g, srv: bfs_with_start_times(g, [0], [0.5])
+    ),
     "server_query_source": (ParameterError, "1.7", lambda g, srv: srv.query(1.7, 3)),
     "server_query_target": (ParameterError, "3.2", lambda g, srv: srv.query(1, 3.2)),
     "server_query_batch": (

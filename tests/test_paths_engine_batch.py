@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from oracles import KERNELS, engine_kernel
-from repro.errors import ParameterError
 from repro.graph import from_edges, gnm_random_graph, with_random_weights
 from repro.paths import shortest_paths, shortest_paths_batch
 from repro.pram import PramTracker
@@ -84,28 +83,13 @@ class TestSingletonRuns:
         g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         for kernel in KERNELS:
             with engine_kernel(kernel) as backend:
-                res = shortest_paths_batch(
-                    g, [np.array([0, 4])], [np.array([0, 0])], backend=backend
-                )
-                single = shortest_paths(
-                    g, np.array([0, 4]), offsets=np.array([0, 0]), backend=backend
-                )
+                res = shortest_paths_batch(g, [np.array([0, 4])], backend=backend)
+                single = shortest_paths(g, np.array([0, 4]), backend=backend)
             _assert_row_matches(res.dist[0], single)
             assert res.dist[0].tolist() == [0, 1, 2, 1, 0], kernel
 
 
 class TestMultiSourceRuns:
-    @pytest.mark.parametrize("backend", KERNELS, indirect=True)
-    def test_runs_with_offsets(self, backend):
-        g = _weighted(100, 400, seed=7)
-        rng = np.random.default_rng(7)
-        runs = [rng.choice(g.n, size=c, replace=False) for c in (3, 1, 5)]
-        offs = [rng.uniform(0, 4, size=r.shape[0]) for r in runs]
-        res = shortest_paths_batch(g, runs, offs, backend=backend)
-        for i in range(3):
-            single = shortest_paths(g, runs[i], offsets=offs[i], backend=backend)
-            _assert_row_matches(res.dist[i], single)
-
     def test_runs_are_independent(self):
         # a vertex reached in run 0 stays unreached in a run sourced
         # elsewhere: no cross-run leakage through the shared frontier
@@ -142,15 +126,6 @@ class TestShapesAndLedger:
             shortest_paths(g, s).relax_rounds for s in (0, 5, 9)
         )
         assert res.relax_rounds < singles
-
-    def test_mismatched_offsets_rejected(self):
-        g = _weighted(30, 90, seed=23)
-        with pytest.raises(ParameterError):
-            shortest_paths_batch(g, np.array([0, 1]), np.array([0.0]))
-        with pytest.raises(ParameterError):
-            shortest_paths_batch(
-                g, [np.array([0, 1])], [np.array([0.0])]
-            )
 
     def test_deterministic(self):
         g = _weighted(90, 360, seed=25)

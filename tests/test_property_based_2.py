@@ -58,7 +58,7 @@ class TestApplications:
         from repro.graph.parallel_connectivity import parallel_connectivity
 
         ncc, labels, _ = parallel_connectivity(g, beta=0.3, seed=seed)
-        ncc_ref, lab_ref = connected_components(g, method="scipy")
+        ncc_ref, lab_ref = connected_components(g)
         assert ncc == ncc_ref
         for comp in range(ncc_ref):
             members = np.flatnonzero(lab_ref == comp)
@@ -71,9 +71,9 @@ class TestApplications:
         from repro.spanners.low_stretch_tree import low_stretch_spanning_tree
 
         t = low_stretch_spanning_tree(g, k=3, seed=seed)
-        ncc, _ = connected_components(g, method="scipy")
+        ncc, _ = connected_components(g)
         assert t.size == g.n - ncc
-        ncc_t, _ = connected_components(t.subgraph(), method="scipy")
+        ncc_t, _ = connected_components(t.subgraph())
         assert ncc_t == ncc
 
     @SETTINGS
@@ -83,8 +83,8 @@ class TestApplications:
         from repro.spanners.sparsify import spanner_sparsify
 
         res = spanner_sparsify(g, k=2, bundle=1, rounds=2, seed=seed)
-        ncc_g, _ = connected_components(g, method="scipy")
-        ncc_h, _ = connected_components(res.graph, method="scipy")
+        ncc_g, _ = connected_components(g)
+        ncc_h, _ = connected_components(res.graph)
         assert ncc_g == ncc_h
 
     @SETTINGS

@@ -22,7 +22,13 @@ from hypothesis import strategies as st
 from oracles import arcs_from_graph, combine_arcs, dense_hop_distances, engine_kernel
 from repro import cli
 from repro.errors import ParameterError
-from repro.graph import from_edges, gnm_random_graph, grid_graph, with_random_weights
+from repro.graph import (
+    from_edges,
+    gnm_random_graph,
+    grid_graph,
+    random_geometric_graph,
+    with_random_weights,
+)
 from repro.graph.csr import csr_from_arrays
 from repro.hopsets import HopsetParams, build_hopset
 from repro.kernels.numba_kernel import HAVE_NUMBA
@@ -217,9 +223,11 @@ class TestDistanceServer:
         srv.query(1, 4)  # miss again
         assert srv.stats.cache_misses == 4
 
-    def test_chunked_coalescing(self, served):
-        _, hs = served
-        srv = DistanceServer(hs, max_batch_runs=2)
+    def test_chunked_coalescing(self, served, monkeypatch):
+        g, hs = served
+        # a label budget of two rows makes the derived chunk two runs
+        monkeypatch.setattr("repro.serve.server.CHUNK_LABELS", 2 * g.n)
+        srv = DistanceServer(hs)
         srv.query_batch([(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)])
         assert srv.stats.kernel_runs == 5
         assert srv.stats.kernel_calls == 3  # ceil(5 / 2)
@@ -244,8 +252,6 @@ class TestDistanceServer:
         g, hs = served
         with pytest.raises(ParameterError):
             DistanceServer(hs, cache_rows=-1)
-        with pytest.raises(ParameterError):
-            DistanceServer(hs, max_batch_runs=0)
         srv = DistanceServer(hs)
         with pytest.raises(ParameterError):
             srv.query(-1, 0)
@@ -536,10 +542,74 @@ class TestApplyUpdates:
         assert hs2.structure is not None
         assert np.array_equal(hs2.structure.top_labels, hs.structure.top_labels)
         assert np.array_equal(hs2.structure.top_seeds, hs.structure.top_seeds)
+        assert hs2.structure.method == hs.structure.method == "auto"
         srv = DistanceServer(hs2)
         info = srv.apply_updates(UpdateBatch.from_tuples(inserts=[(0, 70, 1.5)]))
         srv.apply_updates(info["inverse"])
         assert np.allclose(srv.distance_row(0), dijkstra_scipy(g, 0))
+
+    @pytest.fixture(scope="class")
+    def exact_built(self):
+        # an unweighted graph, where "exact" and "auto" (= "round")
+        # races cluster differently
+        g = random_geometric_graph(600, 0.08, seed=3)
+        assert g.is_unweighted
+        hs = build_hopset(g, PARAMS, seed=11, method="exact", record_structure=True)
+        return g, hs
+
+    def test_inverse_restores_hopset_built_exact(self, exact_built, tmp_path):
+        # repair used to re-race dirty blocks with method="auto", so a
+        # batch and its inverse left another hopset behind
+        from repro.dynamic import UpdateBatch
+
+        g, hs = exact_built
+
+        def key(h):
+            return sorted(zip(h.eu.tolist(), h.ev.tolist(), h.ew.tolist(), h.kind.tolist()))
+
+        path = str(tmp_path / "hs_exact.npz")
+        save_hopset(hs, path)
+        dels = [(int(g.edge_u[i]), int(g.edge_v[i])) for i in range(0, 5 * 97, 97)]
+        for held in (hs, load_hopset(g, path)):  # as built, and reloaded
+            srv = DistanceServer(held, cache_rows=0)
+            info = srv.apply_updates(UpdateBatch.from_tuples(deletes=dels))
+            assert info["dirty_blocks"] > 0
+            srv.apply_updates(info["inverse"])
+            assert key(srv.hopset) == key(hs)
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda z: z.update(top_labels=z["top_labels"][:550]), "shape"),
+            (lambda z: z.update(top_labels=z["top_labels"] + 1000), "outside"),
+            (lambda z: z.update(method=np.array("greedy")), "greedy"),
+        ],
+        ids=["labels_cut", "labels_shifted", "unknown_method"],
+    )
+    def test_load_refuses_structure_not_fitting_graph(
+        self, exact_built, tmp_path, corrupt, match
+    ):
+        # both label corruptions used to load and then fail inside
+        # apply_updates with a bare IndexError
+        g, hs = exact_built
+        path = str(tmp_path / "hs.npz")
+        save_hopset(hs, path)
+        with np.load(path) as f:
+            z = dict(f)
+        corrupt(z)
+        np.savez(path, **z)
+        with pytest.raises(ParameterError, match=match) as err:
+            load_hopset(g, path)
+        assert path in str(err.value)
+
+    def test_file_without_method_loads_as_auto(self, dyn_served, tmp_path):
+        g, hs = dyn_served
+        path = str(tmp_path / "hs.npz")
+        save_hopset(hs, path)
+        with np.load(path) as f:
+            z = {k: f[k] for k in f.files if k != "method"}
+        np.savez(path, **z)
+        assert load_hopset(g, path).structure.method == "auto"
 
     def test_stats_include_invalidations(self):
         d = ServerStats().as_dict()

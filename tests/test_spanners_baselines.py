@@ -15,7 +15,8 @@ from repro.spanners import (
 
 
 class TestBaswanaSen:
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    # k = 5 runs phases in which no alive arc reaches a sampled cluster
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_stretch_2k_minus_1(self, small_gnm, k):
         for seed in range(3):
             sp = baswana_sen_spanner(small_gnm, k, seed=seed)

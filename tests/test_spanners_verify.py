@@ -6,7 +6,7 @@ import pytest
 from repro.errors import VerificationError
 from repro.graph import from_edges, path_graph
 from repro.graph.builders import subgraph_by_edge_ids
-from repro.spanners import edge_stretches, max_edge_stretch, pair_stretches, verify_spanner
+from repro.spanners import edge_stretches, max_edge_stretch, verify_spanner
 from repro.spanners.result import SpannerResult, edge_id_lookup
 
 
@@ -62,15 +62,6 @@ class TestEdgeStretches:
         sp = SpannerResult(graph=g, edge_ids=np.arange(1, g.m), stretch_bound=2.0)
         with pytest.raises(VerificationError):
             verify_spanner(g, sp)
-
-    def test_pair_stretches_bounded_by_edge_stretch(self, small_gnm):
-        from repro.spanners import unweighted_spanner
-
-        sp = unweighted_spanner(small_gnm, 3, seed=1)
-        ps = pair_stretches(small_gnm, sp, n_pairs=10, seed=2)
-        assert ps.shape[0] == 10
-        assert ps.max() <= max_edge_stretch(small_gnm, sp) + 1e-9
-        assert (ps >= 1.0 - 1e-9).all()
 
 
 class TestEdgeIdLookup:

@@ -1,8 +1,7 @@
-"""Unit tests for the workload registry and extended experiment registry."""
+"""Unit tests for the workload registry."""
 
 import pytest
 
-from repro.exp.experiments import experiment_ids, run_experiment
 from repro.exp.workloads import Workload, get_workload, workload_names
 from repro.graph.validation import validate_graph
 
@@ -46,15 +45,3 @@ class TestWorkloads:
         assert isinstance(w, Workload)
         assert w.description
 
-
-class TestExtendedRegistry:
-    @pytest.mark.parametrize("exp_id", ["sdb14", "kou14", "akpw"])
-    def test_application_experiments_run(self, exp_id):
-        t = run_experiment(exp_id, seed=5)
-        assert t.rows
-        assert t.render()
-
-    def test_registry_covers_applications(self):
-        ids = experiment_ids()
-        for required in ("sdb14", "kou14", "akpw"):
-            assert required in ids
