@@ -29,9 +29,6 @@ Commands
     print distances, bucket structure, and the PRAM ledger.
 ``generate``
     Emit a synthetic graph as an edge list.
-``lint``
-    Run the AST-based invariant checker (:mod:`repro.lint`) over
-    files/directories; exit 1 when findings survive.
 
 Weighted commands accept ``--backend {numpy,numba}`` to pick the
 shortest-path kernel (see :mod:`repro.paths.engine`).  Unlike the
@@ -486,29 +483,6 @@ def cmd_cluster_tree(args: argparse.Namespace) -> int:
     return 0 if tree.all_leaves_satisfied() else 1
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import all_rules, lint_paths
-
-    if args.list_rules:
-        for rule_id, rule in sorted(all_rules().items()):
-            print(f"{rule_id}  {rule.title}")
-        return 0
-    select = (
-        [s.strip() for s in args.select.split(",") if s.strip()]
-        if args.select
-        else None
-    )
-    findings = lint_paths(args.paths, select=select)
-    for f in findings:
-        print(f.render())
-    n = len(findings)
-    if n:
-        print(f"{n} finding{'s' if n != 1 else ''}")
-        return 1
-    print("clean")
-    return 0
-
-
 def cmd_sssp(args: argparse.Namespace) -> int:
     from repro.paths.engine import shortest_paths
 
@@ -715,29 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="edges per streaming chunk (default 4M)",
     )
     p.set_defaults(fn=cmd_ingest)
-
-    p = sub.add_parser(
-        "lint",
-        help="repo invariant checks (AST rules: determinism, plumbing, "
-        "kernel parity; see repro.lint)",
-    )
-    p.add_argument(
-        "paths",
-        nargs="*",
-        default=["src", "benchmarks"],
-        help="files or directories to lint (default: src benchmarks)",
-    )
-    p.add_argument(
-        "--select",
-        default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-    p.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    p.set_defaults(fn=cmd_lint)
 
     return ap
 

@@ -177,9 +177,12 @@ def apply_batch(g: CSRGraph, batch: UpdateBatch) -> ApplyResult:
     # ---- inserts against the survivors --------------------------------
     ilo, ihi, iw = batch.insert_u, batch.insert_v, batch.insert_w
     ins_ids, ins_found = _edge_positions(g, ilo, ihi)
-    survives = ins_found & keep_mask[np.maximum(ins_ids, 0)]
+    # gather only at found ids: an edgeless graph has nothing to index
+    survives = np.zeros_like(ins_found)
+    survives[ins_found] = keep_mask[ins_ids[ins_found]]
     # weight set on a surviving edge; identical weight is a no-op
-    wc_mask = survives & (g.edge_w[np.maximum(ins_ids, 0)] != iw)
+    wc_mask = np.zeros_like(survives)
+    wc_mask[survives] = g.edge_w[ins_ids[survives]] != iw[survives]
     noop_mask = survives & ~wc_mask
     fresh_mask = ~survives
     dropped_inserts = int(noop_mask.sum())

@@ -37,8 +37,8 @@ the row count.
 Before this module the repo carried ~8 hand-rolled copies of the dedup
 idioms (est/quotient/unionfind/bfs/weighted spanner/...), which is
 exactly the idiom sprawl that made new backends expensive to validate.
-Lint rule ``DUP001`` (:mod:`repro.lint.rules`) forbids re-inlining
-either pattern outside this file.  The bucket kernels use none of
+The ``DUP001`` check in ``tests/test_invariants.py`` forbids
+re-inlining either pattern outside this file.  The bucket kernels use none of
 these: their claims and frontier unions are resolved sort-free through
 per-state scratch (:func:`repro.kernels.numpy_kernel.claim_min`).
 

@@ -15,9 +15,9 @@ and this subpackage holds the policy that caps them:
   cap the engine calls *inside* the batched builders once, without
   threading a ``workers`` argument through every layer.
 
-The numpy kernels, the network simulator and ``repro lint`` run
-serially: thread fan-out there measured at most ~1.16x of serial on 2
-cores (the simulator and lint ran slower than serial) and was removed.
+The numpy kernels and the network simulator run serially: thread
+fan-out there measured at most ~1.16x of serial on 2 cores (the
+simulator ran slower than serial) and was removed.
 """
 
 from repro.parallel.pool import (

@@ -391,10 +391,11 @@ def load_hopset(graph: CSRGraph, path: str) -> HopsetResult:
 
     Raises :class:`ParameterError` unless the file carries the graph's
     fingerprint: a hopset of another graph (an edge deleted, a weight
-    changed) would serve wrong distances.  A repair structure must fit
-    the graph too (:func:`_load_structure`); a file written before the
-    build method was recorded loads as ``"auto"``, the only method
-    ``repro serve`` builds with.
+    changed) would serve wrong distances.  The edge arrays must fit the
+    graph (:func:`_load_edges`), and so must a repair structure
+    (:func:`_load_structure`); a file written before the build method
+    was recorded loads as ``"auto"``, the only method ``repro serve``
+    builds with.
     """
     expected = graph_fingerprint(graph)
     with np.load(path, allow_pickle=False) as z:
@@ -410,19 +411,54 @@ def load_hopset(graph: CSRGraph, path: str) -> HopsetResult:
                 f"{expected[:16]}); rebuild it"
             )
         meta = json.loads(str(z["meta"]))
+        eu, ev, ew, kind = _load_edges(z, graph.n, path)
         structure = None
         if "top_labels" in z.files:
             structure = _load_structure(z, graph.n, path)
         return HopsetResult(
             graph=graph,
-            eu=z["eu"],
-            ev=z["ev"],
-            ew=z["ew"],
-            kind=z["kind"],
+            eu=eu,
+            ev=ev,
+            ew=ew,
+            kind=kind,
             levels=[],
             meta=meta,
             structure=structure,
         )
+
+
+def _load_edges(
+    z: "np.lib.npyio.NpzFile", n: int, path: str
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The saved ``eu, ev, ew, kind``, refused with a
+    :class:`ParameterError` naming ``path`` unless they describe edges
+    of an ``n``-vertex graph: integer endpoints in ``[0, n)``, finite
+    non-negative weights and star/clique kinds, all of one length."""
+    eu, ev, ew, kind = z["eu"], z["ev"], z["ew"], z["kind"]
+    problem = None
+    if (eu.ndim != 1 or ev.shape != eu.shape
+            or eu.dtype.kind not in "iu" or ev.dtype.kind not in "iu"):
+        problem = (
+            f"eu has shape {eu.shape} and ev {ev.shape}; expected two 1-D "
+            "integer arrays of one length"
+        )
+    elif eu.size and not (
+        min(eu.min(), ev.min()) >= 0 and max(eu.max(), ev.max()) < n
+    ):
+        problem = f"edge endpoints outside [0, {n})"
+    elif (ew.shape != eu.shape or ew.dtype.kind not in "iuf"
+            or not np.all(np.isfinite(ew) & (ew >= 0))):
+        problem = (
+            f"ew has shape {ew.shape}; expected {eu.size} finite "
+            "non-negative weights"
+        )
+    elif kind.shape != eu.shape or not np.isin(kind, (0, 1)).all():
+        problem = f"kind has shape {kind.shape}; expected {eu.size} entries in {{0, 1}}"
+    if problem is not None:
+        raise ParameterError(
+            f"hopset file {path} carries edges that do not fit this graph: {problem}"
+        )
+    return eu, ev, ew, kind
 
 
 def _load_structure(z: "np.lib.npyio.NpzFile", n: int, path: str) -> RepairStructure:

@@ -25,6 +25,7 @@ from repro import cli
 from repro.dynamic import UpdateBatch, apply_batch, repair_hopset
 from repro.errors import ParameterError
 from repro.graph import (
+    from_edges,
     gnm_random_graph,
     grid_graph,
     with_random_weights,
@@ -69,6 +70,10 @@ def _graph_key(g):
         g.edge_v.tolist(),
         g.edge_w.tolist(),
     )
+
+
+def _edgeless(n):
+    return from_edges(n, np.empty((0, 2), dtype=np.int64))
 
 
 # ----------------------------------------------------------------------
@@ -121,6 +126,19 @@ class TestUpdateBatch:
         assert ar.stats["dropped_deletes"] == 1
         assert _graph_key(ar.graph) == _graph_key(g)
 
+    def test_insert_into_edgeless_graph(self):
+        # the insert path used to gather the m = 0 keep mask at id 0
+        ar = apply_batch(_edgeless(4), UpdateBatch.from_tuples(inserts=[(0, 3, 2.0)]))
+        assert ar.stats["inserted"] == 1
+        assert _graph_key(ar.graph) == ([0], [3], [2.0])
+        assert ar.inserted_ids.tolist() == [0]
+
+    def test_delete_from_edgeless_graph_is_dropped(self):
+        g = _edgeless(4)
+        ar = apply_batch(g, UpdateBatch.from_tuples(deletes=[(0, 3)], inserts=[(1, 2, 1.0)]))
+        assert ar.stats["dropped_deletes"] == 1
+        assert ar.stats["deleted"] == 0 and ar.stats["inserted"] == 1
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_apply_then_inverse_is_identity(self, seed):
@@ -167,6 +185,14 @@ class TestDynamicHopset:
         assert _graph_key(server.hopset.graph) == _graph_key(g)
         row1 = server.distance_row(0)
         assert np.array_equal(row0, row1)
+
+    def test_server_grows_edgeless_graph(self):
+        hs = build_hopset(_edgeless(5), PARAMS, seed=3, record_structure=True)
+        server = DistanceServer(hs)
+        assert server.query(0, 3) == np.inf
+        server.apply_updates(UpdateBatch.from_tuples(inserts=[(0, 3, 2.5)]))
+        assert server.query(0, 3) == 2.5
+        assert server.query(0, 4) == np.inf
 
     def test_differential_vs_full_rebuild_every_batch(self):
         g = _weighted(150, 400, seed=6)

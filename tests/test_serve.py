@@ -602,6 +602,43 @@ class TestApplyUpdates:
             load_hopset(g, path)
         assert path in str(err.value)
 
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda z: z["eu"].put(0, 605), r"outside \[0, 600\)"),
+            (lambda z: z["ev"].put(0, -1), r"outside \[0, 600\)"),
+            (lambda z: z.update(ev=z["ev"][:-1]), "one length"),
+            (lambda z: z.update(eu=z["eu"].astype(np.float64)), "integer"),
+            (lambda z: z["ew"].put(0, np.nan), "finite"),
+            (lambda z: z["ew"].put(0, -1.0), "non-negative"),
+            (lambda z: z.update(ew=z["ew"][:-1]), "ew has shape"),
+            (lambda z: z["kind"].put(0, 2), "kind"),
+            (lambda z: z.update(kind=z["kind"][:-1]), "kind"),
+        ],
+        ids=[
+            "eu_past_n", "ev_negative", "ev_cut", "eu_float", "ew_nan",
+            "ew_negative", "ew_cut", "kind_unknown", "kind_cut",
+        ],
+    )
+    def test_load_refuses_edges_not_fitting_graph(
+        self, exact_built, tmp_path, corrupt, match
+    ):
+        # an endpoint past n used to load, then fail inside apply_updates
+        # with a bare IndexError and inside hopset_distance with a numpy
+        # error; the edge arrays are checked with or without a structure
+        g, hs = exact_built
+        path = str(tmp_path / "hs.npz")
+        save_hopset(hs, path)
+        with np.load(path) as f:
+            z = {k: f[k].copy() for k in f.files}
+        corrupt(z)
+        plain = {k: v for k, v in z.items() if k not in ("top_labels", "top_seeds", "method")}
+        for arrays in (z, plain):
+            np.savez(path, **arrays)
+            with pytest.raises(ParameterError, match=match) as err:
+                load_hopset(g, path)
+            assert path in str(err.value)
+
     def test_file_without_method_loads_as_auto(self, dyn_served, tmp_path):
         g, hs = dyn_served
         path = str(tmp_path / "hs.npz")
