@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of four design choices in the hopset and clustering code.
 
 1. Geometric beta schedule (Claim 4.1) vs a flat beta at every level.
 2. Large-cluster threshold rho: size/hop tradeoff.

@@ -1,7 +1,7 @@
 """Backend shoot-out for the bucket shortest-path engine.
 
-Compares the vectorized numpy kernel and (when installed) the numba JIT
-kernel with the pure-Python heapq Dijkstra — the sequential baseline,
+Compares the vectorized numpy kernels with the pure-Python heapq
+Dijkstra — the sequential baseline,
 ``dijkstra_reference`` from ``tests/oracles`` — on the workloads the
 engine actually serves (single-source SSSP and the all-source EST race)
 in *both* weight regimes, at the acceptance scale of n = 10^5,
@@ -48,7 +48,6 @@ from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
 import _report
 from repro.graph import gnm_random_graph, with_random_weights
-from repro.kernels import available_backends
 from repro.paths import shortest_paths, shortest_paths_batch
 from repro.rng import resolve_rng
 
@@ -95,7 +94,8 @@ def _best_of(repeats, fn, *args, **kwargs):
 
 
 def run_engine_bench(repeats: int = 2) -> dict:
-    """Time every backend on both weight regimes; return the payload.
+    """Time numpy, the heapq reference and scipy on both weight
+    regimes; return the payload.
 
     Pure function (no file I/O) so the smoke path can exercise it.
     """
@@ -158,28 +158,26 @@ def run_engine_bench(repeats: int = 2) -> dict:
                 backend="reference", seconds=round(ref_t, 3),
                 speedup_vs_reference=1.0,
             )
-            for backend in available_backends():
-                sec_time, res = _best_of(
-                    repeats, shortest_paths, g, srcs, offsets=offs, weights=w,
-                    backend=backend,
-                )
-                assert np.allclose(
-                    np.asarray(res.dist, dtype=np.float64), ref_dist
-                ), f"{sec_name}/{wl_name}/{backend} diverged from the oracle"
-                speedup = ref_t / max(sec_time, 1e-12)
-                out["backends"].setdefault(backend, {})[wl_name] = {
-                    "seconds": sec_time,
-                    "speedup_vs_reference": speedup,
-                    "buckets": res.buckets,
-                    "relax_rounds": res.relax_rounds,
-                    "arcs_relaxed": res.arcs_relaxed,
-                }
-                _report.record(
-                    "Engine backend shoot-out", COLUMNS, **row, workload=wl_name,
-                    backend=backend, seconds=round(sec_time, 3),
-                    speedup_vs_reference=round(speedup, 1),
-                    buckets=res.buckets, rounds=res.relax_rounds,
-                )
+            sec_time, res = _best_of(
+                repeats, shortest_paths, g, srcs, offsets=offs, weights=w
+            )
+            assert np.allclose(
+                np.asarray(res.dist, dtype=np.float64), ref_dist
+            ), f"{sec_name}/{wl_name}/numpy diverged from the oracle"
+            speedup = ref_t / max(sec_time, 1e-12)
+            out["backends"].setdefault("numpy", {})[wl_name] = {
+                "seconds": sec_time,
+                "speedup_vs_reference": speedup,
+                "buckets": res.buckets,
+                "relax_rounds": res.relax_rounds,
+                "arcs_relaxed": res.arcs_relaxed,
+            }
+            _report.record(
+                "Engine backend shoot-out", COLUMNS, **row, workload=wl_name,
+                backend="numpy", seconds=round(sec_time, 3),
+                speedup_vs_reference=round(speedup, 1),
+                buckets=res.buckets, rounds=res.relax_rounds,
+            )
 
         # the external compiled baseline, single source; the CSR matrix
         # is built once, untimed, as the suite does
@@ -203,7 +201,7 @@ def run_engine_bench(repeats: int = 2) -> dict:
         # the multi-source batch: one (8, n) matrix against scipy's
         # multi-source call on the same sources
         batch_t, bres = _best_of(
-            repeats, shortest_paths_batch, g, batch_srcs, weights=w, backend="numpy"
+            repeats, shortest_paths_batch, g, batch_srcs, weights=w
         )
         spb_t, spb_dist = _best_of(
             repeats, sp_dijkstra, csr, directed=False, indices=batch_srcs

@@ -10,18 +10,23 @@ Quickstart::
     hopset = repro.build_hopset(g, seed=2)
     dist, hops = repro.hopset_distance(hopset, 0, 42)
 
-Subpackage layout (see DESIGN.md for the full inventory):
+Subpackage layout:
 
 ========================  ==============================================
-``repro.graph``           CSR graphs, generators, quotient/contraction
+``repro.graph``           CSR graphs, generators, quotient/contraction,
+                          out-of-core stores
 ``repro.pram``            PRAM work/depth cost model
-``repro.parallel``        worker policy for the numba batch cores
-``repro.paths``           BFS / weighted BFS / Bellman–Ford / Dijkstra
+``repro.kernels``         numpy bucket-relaxation and h-hop kernels
+``repro.paths``           BFS / weighted BFS / Bellman–Ford / the bucket
+                          engine behind every weighted search
 ``repro.clustering``      exponential start time clustering (Alg. 1)
 ``repro.ctree``           validated cluster trees on real graphs
 ``repro.spanners``        Algorithms 2–3 + Baswana–Sen/greedy baselines
 ``repro.hopsets``         Algorithm 4, Section 5, Appendices B–C,
                           KS97/Cohen-style baselines
+``repro.serve``           exact distance serving with a source-row cache
+``repro.dynamic``         update batches and localized hopset repair
+``repro.distributed``     message-passing simulation of the spanner
 ``repro.analysis``        stretch/hop statistics, scaling fits, theory
 ``repro.exp``             table rendering and named workloads
 ========================  ==============================================

@@ -26,28 +26,27 @@ Commands
     reclustered recursively; JSON and newick export.
 ``sssp``
     Run the bucket-parallel shortest-path engine from a source and
-    print distances, bucket structure, and the PRAM ledger.
+    print distances, bucket structure, and the PRAM ledger; ``--check``
+    compares the distances with scipy's Dijkstra.
+``connectivity``
+    Count connected components by iterated EST contraction and check
+    the count against scipy.
+``sparsify``
+    Sparsify a graph by iterated spanner peeling; optionally save the
+    result as an edge list.
 ``generate``
     Emit a synthetic graph as an edge list.
+``ingest``
+    Stream a text or binary edge list into a store directory that
+    ``-i`` then loads memmap-backed.
 
-Weighted commands accept ``--backend {numpy,numba}`` to pick the
-shortest-path kernel (see :mod:`repro.paths.engine`).  Unlike the
-library registry (which degrades ``numba`` to ``numpy`` with a warning
-when the JIT toolchain is missing), an explicit CLI request for an
-unavailable backend is an error — the user asked for it by name.
+Every search runs the numpy bucket kernels serially (see
+:mod:`repro.paths.engine`); there is no kernel or core-count option.
 
 Library errors (:class:`repro.errors.ReproError`) print ``error:
 <message>`` to stderr instead of a traceback: a failed verification
 exits 1, bad input or parameters exit 2.  A missing or unreadable input
 file and a malformed query or update line exit 2 the same way.
-
-``sssp``, ``hopset``, ``spanner``, ``serve``, ``update`` and
-``cluster-tree`` also accept ``--workers N`` — the core cap for the
-numba backend's ``prange`` batch cores (``1`` = serial, the default;
-``0`` or negative = all cores; see
-:func:`repro.parallel.pool.effective_workers`).  The numpy kernel runs
-serially whatever its value.  Worker count changes wall-clock only:
-results are bit-identical.
 
 Examples::
 
@@ -55,7 +54,7 @@ Examples::
     python -m repro.cli spanner -i g.txt -k 3 --seed 1
     python -m repro.cli hopset -i g.txt --query 0 899
     python -m repro.cli cluster -i g.txt --beta 0.2
-    python -m repro.cli sssp -i g.txt --source 0 --backend numpy --check
+    python -m repro.cli sssp -i g.txt --source 0 --check
 """
 
 from __future__ import annotations
@@ -123,39 +122,6 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_workers_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="cores for the numba backend's batched runs (1 = serial, 0 or "
-        "negative = all cores; numpy runs serially); results are identical "
-        "for every value",
-    )
-
-
-def _workers_from_args(args: argparse.Namespace) -> "Optional[int]":
-    from repro.parallel import set_default_workers
-
-    w = getattr(args, "workers", 1)
-    w = None if w is not None and w <= 0 else w
-    # the CLI worker request is also the session policy: engine calls
-    # made deep inside the batched builders (no explicit workers
-    # argument) follow the same knob
-    set_default_workers(w)
-    return w
-
-
-def _add_backend_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--backend",
-        choices=["numpy", "numba"],
-        default=None,
-        help="shortest-path kernel (default: numpy); an explicitly "
-        "requested backend must be available — no silent fallback",
-    )
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.kind == "grid":
         g = grid_graph(args.rows, args.cols)
@@ -180,17 +146,10 @@ def cmd_spanner(args: argparse.Namespace) -> int:
 
     g = _load_graph(args)
     t = PramTracker(n=g.n)
-    workers = _workers_from_args(args)
     if g.is_unweighted:
-        sp = unweighted_spanner(
-            g, args.k, seed=args.seed, tracker=t, backend=args.backend,
-            workers=workers,
-        )
+        sp = unweighted_spanner(g, args.k, seed=args.seed, tracker=t)
     else:
-        sp = weighted_spanner(
-            g, args.k, seed=args.seed, tracker=t, backend=args.backend,
-            workers=workers,
-        )
+        sp = weighted_spanner(g, args.k, seed=args.seed, tracker=t)
     stretch = max_edge_stretch(g, sp, sample_edges=min(g.m, 2000), seed=1)
     print(f"graph: n={g.n} m={g.m} {'unweighted' if g.is_unweighted else 'weighted'}")
     print(f"spanner: {sp.size} edges ({100 * sp.size / max(g.m, 1):.1f}% kept)")
@@ -208,14 +167,7 @@ def cmd_hopset(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     params = HopsetParams(epsilon=args.epsilon, delta=1.5, gamma1=0.15, gamma2=0.5)
     t = PramTracker(n=g.n)
-    hs = build_hopset(
-        g,
-        params,
-        seed=args.seed,
-        tracker=t,
-        backend=args.backend,
-        workers=_workers_from_args(args),
-    )
+    hs = build_hopset(g, params, seed=args.seed, tracker=t)
     print(f"graph: n={g.n} m={g.m}")
     print(f"hopset: {hs.size} edges ({hs.star_count} star, {hs.clique_count} clique)")
     print(f"pram: work={t.work} depth={t.depth}")
@@ -241,23 +193,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"loaded hopset: {args.hopset} ({hs.size} edges)")
     else:
         params = HopsetParams(epsilon=args.epsilon, delta=1.5, gamma1=0.15, gamma2=0.5)
-        hs = build_hopset(
-            g, params, seed=args.seed, backend=args.backend,
-            workers=_workers_from_args(args),
-        )
+        hs = build_hopset(g, params, seed=args.seed)
         print(f"built hopset: {hs.size} edges")
         if args.hopset:
             save_hopset(hs, args.hopset)
             print(f"saved hopset to {args.hopset}")
 
-    server = DistanceServer(
-        hs,
-        backend=args.backend,
-        workers=_workers_from_args(args),
-        cache_rows=args.cache_rows,
-    )
+    server = DistanceServer(hs, cache_rows=args.cache_rows)
     print(f"graph: n={g.n} m={g.m}; serving exact distances with "
-          f"backend={server.backend}, cache_rows={args.cache_rows}")
+          f"cache_rows={args.cache_rows}")
 
     if args.queries and args.queries != "-":
         with open(args.queries, "r", encoding="utf-8") as f:
@@ -299,16 +243,8 @@ def cmd_update(args: argparse.Namespace) -> int:
 
     g = _load_graph(args)
     params = HopsetParams(epsilon=args.epsilon, delta=1.5, gamma1=0.15, gamma2=0.5)
-    hs = build_hopset(
-        g, params, seed=args.seed, backend=args.backend,
-        workers=_workers_from_args(args), record_structure=True,
-    )
-    server = DistanceServer(
-        hs,
-        backend=args.backend,
-        workers=_workers_from_args(args),
-        cache_rows=args.cache_rows,
-    )
+    hs = build_hopset(g, params, seed=args.seed, record_structure=True)
+    server = DistanceServer(hs, cache_rows=args.cache_rows)
     print(f"graph: n={g.n} m={g.m}; hopset: {hs.size} edges "
           f"({hs.structure.num_blocks} repair blocks)")
 
@@ -428,7 +364,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     from repro.clustering import cluster_radii, cut_fraction, est_cluster
 
     g = _load_graph(args)
-    c = est_cluster(g, args.beta, seed=args.seed, backend=args.backend)
+    c = est_cluster(g, args.beta, seed=args.seed)
     radii = cluster_radii(c)
     print(f"graph: n={g.n} m={g.m}")
     print(f"clusters: {c.num_clusters} (sizes: max={int(c.sizes.max())}, median={int(np.median(c.sizes))})")
@@ -452,8 +388,6 @@ def cmd_cluster_tree(args: argparse.Namespace) -> int:
         seed=args.seed,
         min_size=args.min_size,
         max_depth=args.max_depth,
-        backend=args.backend,
-        workers=_workers_from_args(args),
         checkpoint_path=args.checkpoint,
     )
     seconds = time.perf_counter() - t0
@@ -488,21 +422,14 @@ def cmd_sssp(args: argparse.Namespace) -> int:
 
     g = _load_graph(args)
     t = PramTracker(n=g.n)
-    res = shortest_paths(
-        g,
-        args.source,
-        delta=args.delta,
-        backend=args.backend,
-        tracker=t,
-        workers=_workers_from_args(args),
-    )
+    res = shortest_paths(g, args.source, delta=args.delta, tracker=t)
     if res.dist.dtype.kind == "f":
         finite = np.isfinite(res.dist)
     else:
         finite = res.dist < np.iinfo(np.int64).max
     reached = int(finite.sum())
     print(f"graph: n={g.n} m={g.m} {'unweighted' if g.is_unweighted else 'weighted'}")
-    print(f"engine: backend={res.backend} delta={res.delta:g}")
+    print(f"engine: delta={res.delta:g}")
     print(
         f"sssp from {args.source}: reached {reached}/{g.n}, "
         f"max dist {float(res.dist[finite].max()) if reached else float('inf'):g}"
@@ -542,16 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spanner", help="build a spanner")
     _add_io_args(p)
-    _add_backend_arg(p)
-    _add_workers_arg(p)
     p.add_argument("-k", type=float, default=3.0, help="stretch parameter")
     p.add_argument("-o", "--output", help="write the spanner edge list here")
     p.set_defaults(fn=cmd_spanner)
 
     p = sub.add_parser("hopset", help="build a hopset (and query)")
     _add_io_args(p)
-    _add_backend_arg(p)
-    _add_workers_arg(p)
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--query", type=int, nargs=2, metavar=("S", "T"))
     p.set_defaults(fn=cmd_hopset)
@@ -562,8 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="serve exact distance queries", allow_abbrev=False
     )
     _add_io_args(p)
-    _add_backend_arg(p)
-    _add_workers_arg(p)
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument(
         "--hopset",
@@ -587,8 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(localized repair)",
     )
     _add_io_args(p)
-    _add_backend_arg(p)
-    _add_workers_arg(p)
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument(
         "--updates",
@@ -607,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="run one EST clustering")
     _add_io_args(p)
-    _add_backend_arg(p)
     p.add_argument("--beta", type=float, default=0.2)
     p.set_defaults(fn=cmd_cluster)
 
@@ -616,8 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="decompose a real graph into a validated cluster tree",
     )
     _add_io_args(p)
-    _add_backend_arg(p)
-    _add_workers_arg(p)
     p.add_argument(
         "--requirement",
         default="wellconnected",
@@ -656,8 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sssp", help="run the bucket shortest-path engine")
     _add_io_args(p)
-    _add_backend_arg(p)
-    _add_workers_arg(p)
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--delta", type=float, default=None, help="bucket width (default: heuristic)")
     p.add_argument("--check", action="store_true", help="verify against the scipy oracle")
@@ -695,20 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     from repro.errors import ReproError, VerificationError
-    from repro.kernels import require_backend
-    from repro.parallel import get_default_workers, set_default_workers
 
     args = build_parser().parse_args(argv)
-    # --workers sets session-wide policy for the duration of the
-    # command; restore afterwards so programmatic main() callers (tests,
-    # notebooks) don't inherit one command's knob
-    prev_policy = get_default_workers()
     try:
-        backend = getattr(args, "backend", None)
-        if backend is not None:
-            # the user asked for this kernel by name: hard-fail when it
-            # cannot run instead of the registry's silent numba -> numpy
-            require_backend(backend)
         return args.fn(args)
     except ReproError as exc:
         # a failed check exits 1 like a row mismatch; bad input or
@@ -719,8 +622,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         # a missing or unreadable -i / --queries / --updates file
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        set_default_workers(prev_policy)
 
 
 if __name__ == "__main__":

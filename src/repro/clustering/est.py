@@ -28,7 +28,6 @@ from repro.paths.engine import check_finite, shortest_paths
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike
 from repro.clustering.shifts import sample_shifts
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 
 #: the race modes every EST entry point accepts
 EST_METHODS = ("auto", "exact", "round")
@@ -171,7 +170,7 @@ def _canonical_tree_parents(
     candidate, candidates strictly decrease ``dist`` (weights are
     positive), and owners are constant along the chain, so the result
     is a valid cluster forest with the same tree distances and a
-    kernel-independent shape.  Cross-backend spanner/forest equality
+    kernel-independent shape.  Cross-kernel spanner/forest equality
     builds on this.
 
     ``weights`` overrides the per-slot arc weights (the integer Dial
@@ -206,13 +205,14 @@ def _canonical_dial_race(
     weights: np.ndarray,
     sources: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Backend-independent ``(owner, parent)`` for an integer Dial race.
+    """Kernel-independent ``(owner, parent)`` for an integer Dial race.
 
     The engine's ``dist`` is kernel-independent, but ``owner`` is not
     when several sources achieve a vertex's raced distance exactly: the
     bucket kernels only claim on *strict* improvement, so the first
-    scheduled writer keeps equal-key ties, while numba's heap core
-    breaks them by source rank — canonicalizing parents alone
+    scheduled writer keeps equal-key ties, while a heap Dijkstra (the
+    test tree's reference kernel) breaks them by source rank —
+    canonicalizing parents alone
     (:func:`_canonical_tree_parents`) cannot reconcile forests whose
     owners already disagree.  This pass recomputes both labels from
     ``dist`` only.  ``owner[v]`` becomes the *smallest-id* source
@@ -266,8 +266,6 @@ def _race(
     sources: np.ndarray,
     start_real: np.ndarray,
     tracker: PramTracker,
-    backend: Optional[str],
-    workers: WorkersArg,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Run one EST race from ``sources`` on one engine.
 
@@ -291,8 +289,7 @@ def _race(
             # the engine charges the tracker its real ledger (work =
             # arcs relaxed, rounds = relaxation rounds)
             res = shortest_paths(
-                g, sources, offsets=at_sources(start_real), tracker=tracker,
-                backend=backend, workers=workers,
+                g, sources, offsets=at_sources(start_real), tracker=tracker
             )
         parent = _canonical_tree_parents(g, res.dist, res.parent, res.owner)
         return res.owner, parent, res.dist - start_real[res.owner], 0
@@ -312,7 +309,7 @@ def _race(
     with tracker.phase("est_round"):
         res = shortest_paths(
             g, sources, offsets=at_sources(start_int), weights=w_int, delta=1,
-            tracker=tracker, backend=backend, workers=workers,
+            tracker=tracker,
         )
     owner, parent = _canonical_dial_race(g, res.dist, start_int, w_int, sources)
     dist_to_center = (res.dist - start_int[owner]).astype(np.float64)
@@ -326,8 +323,6 @@ def est_cluster(
     method: str = "auto",
     tracker: Optional[PramTracker] = None,
     shifts: Optional[np.ndarray] = None,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> Clustering:
     """Run EST clustering on ``g`` with parameter ``beta``.
 
@@ -350,14 +345,6 @@ def est_cluster(
     shifts:
         Pre-drawn shifts (tests/coupling experiments); drawn from
         ``seed`` if omitted.
-    backend:
-        Shortest-path kernel for the weighted races, as in
-        :func:`repro.paths.engine.shortest_paths`.
-    workers:
-        Forwarded to the weighted engine races (see
-        :func:`repro.paths.engine.shortest_paths`); every race is a
-        single search, so it runs serially on every backend.
-        Clusterings are identical for every value.
     """
     if beta <= 0 or not np.isfinite(beta):
         raise ParameterError(f"beta must be a positive float, got {beta}")
@@ -380,8 +367,7 @@ def est_cluster(
 
     delta_max = float(shifts.max()) if n else 0.0
     center, parent, dist_to_center, rounds = _race(
-        g, mode, np.arange(n, dtype=np.int64), delta_max - shifts,
-        tracker, backend, workers,
+        g, mode, np.arange(n, dtype=np.int64), delta_max - shifts, tracker
     )
     return Clustering(
         center=center,
@@ -447,8 +433,6 @@ def est_cluster_forest(
     shifts: np.ndarray,
     method: str = "auto",
     tracker: Optional[PramTracker] = None,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> Clustering:
     """EST-cluster every block of a block-diagonal union in one race.
 
@@ -525,7 +509,7 @@ def est_cluster_forest(
         verts = np.flatnonzero(mode_of_vertex == mode)
         if verts.shape[0] == 0:
             continue
-        own, par, dist, r = _race(g, mode, verts, start_real, tracker, backend, workers)
+        own, par, dist, r = _race(g, mode, verts, start_real, tracker)
         center[verts] = own[verts]
         parent[verts] = par[verts]
         dist_to_center[verts] = dist[verts]

@@ -23,7 +23,6 @@ from repro.clustering.diagnostics import cut_edge_mask
 from repro.clustering.est import Clustering, est_cluster
 from repro.errors import ParameterError, VerificationError
 from repro.graph.csr import CSRGraph
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng
 
@@ -72,8 +71,6 @@ def low_diameter_decomposition(
     diameter_constant: float = 4.0,
     max_attempts: int = 5,
     tracker: Optional[PramTracker] = None,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> LowDiameterDecomposition:
     """Produce a decomposition with certified diameter O(beta^-1 log n).
 
@@ -94,10 +91,7 @@ def low_diameter_decomposition(
 
     last_radius = math.inf
     for attempt in range(1, max_attempts + 1):
-        c = est_cluster(
-            g, beta, seed=rng, method=method, tracker=tracker,
-            backend=backend, workers=workers,
-        )
+        c = est_cluster(g, beta, seed=rng, method=method, tracker=tracker)
         radii = c.tree_radii()
         worst = float(radii.max()) if radii.size else 0.0
         last_radius = worst

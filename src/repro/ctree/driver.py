@@ -49,7 +49,6 @@ from repro.graph.builders import induced_subgraph
 from repro.graph.components import connected_components
 from repro.graph.csr import CSRGraph
 from repro.graph.dedup import rows_by_value
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng
 
@@ -135,8 +134,6 @@ def _split_labels(
     clusterer: str,
     method: str,
     tracker: PramTracker,
-    backend: Optional[str],
-    workers: WorkersArg,
 ) -> Tuple[np.ndarray, int, float]:
     """Cluster ``sub`` into >= 2 pieces (or singletons), deterministically.
 
@@ -148,14 +145,10 @@ def _split_labels(
     beta_t = float(beta)
     for _ in range(MAX_BETA_DOUBLINGS + 1):
         if clusterer == "est":
-            c = est_cluster(
-                sub, beta_t, seed=rng, method=method, tracker=tracker,
-                backend=backend, workers=workers,
-            )
+            c = est_cluster(sub, beta_t, seed=rng, method=method, tracker=tracker)
         else:
             c = low_diameter_decomposition(
-                sub, beta_t, seed=rng, method=method, tracker=tracker,
-                backend=backend, workers=workers,
+                sub, beta_t, seed=rng, method=method, tracker=tracker
             ).clustering
         if c.num_clusters > 1 or sub.n <= 1:
             return c.labels, c.num_clusters, beta_t
@@ -244,8 +237,6 @@ def build_cluster_tree(
     max_depth: Optional[int] = None,
     method: str = "auto",
     tracker: Optional[PramTracker] = None,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
     checkpoint_path: Optional[str] = None,
 ) -> ClusterTree:
     """Decompose ``g`` into a validated cluster hierarchy.
@@ -268,8 +259,8 @@ def build_cluster_tree(
         ``max_depth``) become leaves even when unsatisfied, flagged
         ``forced``.  With the defaults every leaf satisfies the
         requirement (singletons pass vacuously).
-    backend / workers / tracker:
-        Plumbed into every EST race exactly as in
+    tracker:
+        Charged by every EST race, as in
         :func:`repro.clustering.est.est_cluster`.
     checkpoint_path:
         Work-stack durability via :mod:`repro.checkpoint`; see the
@@ -334,9 +325,7 @@ def build_cluster_tree(
         node = nodes[nid]
         t0 = time.perf_counter()
         sub, vmap = induced_subgraph(g, node.vertices)
-        labels, k, beta_used = _split_labels(
-            sub, beta, rng, clusterer, method, tracker, backend, workers,
-        )
+        labels, k, beta_used = _split_labels(sub, beta, rng, clusterer, method, tracker)
         stats = _children_stats(g, sub, vmap, labels, k)
         to_push = []
         for j, rows in enumerate(rows_by_value(labels, k)):

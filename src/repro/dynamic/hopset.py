@@ -36,7 +36,6 @@ from repro.graph.dedup import presence_unique, stable_argsort
 from repro.hopsets.params import HopsetParams
 from repro.hopsets.result import HopsetResult
 from repro.hopsets.unweighted import _Collector, _run_levels
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import resolve_rng
 
@@ -46,8 +45,6 @@ def repair_hopset(
     new_graph: CSRGraph,
     touched: np.ndarray,
     params: HopsetParams,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
     tracker: Optional[PramTracker] = None,
 ) -> Tuple[HopsetResult, Dict[str, int]]:
     """Rebuild only the blocks of ``result`` that ``touched`` dirties.
@@ -113,8 +110,6 @@ def repair_hopset(
             st.method,
             tracker,
             out,
-            backend=backend,
-            workers=workers,
         )
     rebuilt = out.finish(new_graph, {})
 

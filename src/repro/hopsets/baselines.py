@@ -11,8 +11,8 @@
   nearby level-(i+1) hubs and the sparsest level forms a clique.
   Cohen's real construction uses recursive pairwise covers; this
   hierarchy reproduces the *shape* being compared (near-linear size,
-  polylog-ish hop counts, more work than Algorithm 4 at equal size) and
-  is documented as a substitution in DESIGN.md.
+  polylog-ish hop counts, more work than Algorithm 4 at equal size); it
+  is a substitution, not Cohen's algorithm.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from repro.hopsets.unweighted import build_hopset
 from repro.paths.bellman_ford import CSRArrays, hop_limited_distances
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 
 
 @dataclass(frozen=True)
@@ -80,16 +79,13 @@ def build_limited_hopset(
     zeta: float = 0.5,
     seed: SeedLike = None,
     tracker: Optional[PramTracker] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> LimitedHopset:
     """Run the Theorem C.2 iteration on ``g``.
 
     ``alpha`` is the target depth exponent; ``eta = alpha / 2``; the
     outer loop runs ``ceil(1 / eta)`` rounds, each covering all distance
     scales ``d = (n^eta)^i``.  Practical sizes only (every round builds
-    O(1/eta) hopsets); the benchmarks sweep small graphs.  Every inner
-    Algorithm 4 build runs with the given ``workers`` (the engine's
-    core cap — wall-clock only, identical output).
+    O(1/eta) hopsets); the benchmarks sweep small graphs.
     """
     if not (0 < alpha < 1):
         raise ParameterError("alpha must lie in (0, 1)")
@@ -150,7 +146,6 @@ def build_limited_hopset(
                 seed=child_rngs[i],
                 method="exact",
                 tracker=child_tracker,
-                workers=workers,
             )
             if hs.size:
                 new_eu.append(hs.eu)

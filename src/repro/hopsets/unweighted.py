@@ -51,11 +51,11 @@ from repro.graph.builders import induced_subgraph_forest
 from repro.graph.csr import CSRGraph, csr_from_arrays
 from repro.hopsets.params import HopsetParams
 from repro.hopsets.result import HopsetResult, LevelStats, RepairStructure
+from repro.kernels import check_backend
 from repro.kernels.numpy_kernel import INT_INF
 from repro.paths.engine import shortest_paths_batch
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn_seeds
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 
 # cap on rows x columns of one batched center-search distance matrix;
 # levels with more large clusters than fit are resolved in a few
@@ -177,10 +177,8 @@ def _emit_level_edges(
     large_mask: np.ndarray,
     lab_group: np.ndarray,
     k: int,
-    backend: Optional[str],
     tracker: PramTracker,
     out: _Collector,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> None:
     """Star and clique edges for one level, as vectorized label passes.
 
@@ -229,8 +227,6 @@ def _emit_level_edges(
                 runs[s0 : s0 + rows],
                 weights=w_int if use_int else None,
                 tracker=tracker,
-                backend=backend,
-                workers=workers,
             )
             mats.append(res.dist)
         D = mats[0] if len(mats) == 1 else np.vstack(mats)
@@ -269,8 +265,6 @@ def _build_level_sync(
     method: str,
     tracker: PramTracker,
     out: _Collector,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
     checkpoint_path: Optional[str] = None,
     structure: Optional[Dict[str, np.ndarray]] = None,
 ) -> None:
@@ -338,8 +332,6 @@ def _build_level_sync(
         method,
         tracker,
         out,
-        backend=backend,
-        workers=workers,
         checkpoint_path=checkpoint_path,
         fp=fp,
         structure=structure,
@@ -357,8 +349,6 @@ def _run_levels(
     method: str,
     tracker: PramTracker,
     out: _Collector,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
     checkpoint_path: Optional[str] = None,
     fp: Optional[str] = None,
     structure: Optional[Dict[str, np.ndarray]] = None,
@@ -428,8 +418,7 @@ def _run_levels(
             [sample_shifts(int(sz), beta, r) for sz, r in zip(gsizes, rngs)]
         )
         clustering = est_cluster_forest(
-            union, beta, ptr, shifts, method=method, tracker=tracker,
-            backend=backend, workers=workers,
+            union, beta, ptr, shifts, method=method, tracker=tracker
         )
         sizes = clustering.sizes
         centers = clustering.centers
@@ -467,10 +456,8 @@ def _run_levels(
                 large_mask,
                 lab_group,
                 k,
-                backend,
                 tracker,
                 out,
-                workers=workers,
             )
             recurse_mask = ~large_mask
             # index of each small cluster among its subproblem's smalls
@@ -509,7 +496,7 @@ def build_hopset(
     method: str = "auto",
     tracker: Optional[PramTracker] = None,
     backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
+    workers: Optional[int] = None,
     checkpoint_path: Optional[str] = None,
     record_structure: bool = False,
 ) -> HopsetResult:
@@ -523,17 +510,11 @@ def build_hopset(
     method:
         EST/BFS execution mode: ``auto`` (engine per weight type),
         ``round``, or ``exact``.
-    backend:
-        Shortest-path kernel for every weighted search inside the
-        build, as in :func:`repro.paths.engine.shortest_paths`.
-    workers:
-        Forwarded to every *weighted engine* search inside the build —
-        the per-level EST races and the Line-9 center searches.  Only
-        the numba backend's batched center searches use it (``1`` =
-        serial, ``None`` = all cores, as in
-        :func:`repro.paths.engine.shortest_paths_batch`); the numpy
-        kernels and the unweighted BFS races run serially.  Hopset
-        output is identical for every value.
+    backend, workers:
+        Kept only because the repository benchmark passes
+        ``backend="numpy", workers=1``: ``backend`` must be ``None`` or
+        ``"numpy"`` (anything else raises :class:`ParameterError`) and
+        ``workers`` is unused.  Both go with ROADMAP item 10(d).
     record_structure:
         Attach a :class:`repro.hopsets.result.RepairStructure` (the
         level-0 block labels, per-block child seeds and ``method``) to
@@ -542,6 +523,7 @@ def build_hopset(
     Works on unweighted and (positive-) weighted graphs alike; the
     Section 5 pipeline calls this on rounded integer graphs.
     """
+    check_backend(backend)
     params = params or HopsetParams()
     tracker = tracker or null_tracker()
     rng = resolve_rng(seed)
@@ -556,8 +538,6 @@ def build_hopset(
             method,
             tracker,
             out,
-            backend=backend,
-            workers=workers,
             checkpoint_path=checkpoint_path,
             structure=structure,
         )

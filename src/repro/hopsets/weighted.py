@@ -36,7 +36,6 @@ from repro.hopsets.query import suggested_hop_bound
 from repro.paths.bellman_ford import hop_limited_distances
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 
 
 @dataclass(frozen=True)
@@ -163,8 +162,6 @@ def build_weighted_hopset(
     seed: SeedLike = None,
     method: str = "exact",
     tracker: Optional[PramTracker] = None,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> WeightedHopset:
     """Build per-scale hopsets for a positively weighted graph.
 
@@ -179,12 +176,6 @@ def build_weighted_hopset(
     method:
         EST engine on rounded graphs; ``exact`` (bucket-engine race)
         by default because rounded integer ranges can be large.
-    backend:
-        Shortest-path kernel for the per-scale builds, as in
-        :func:`repro.paths.engine.shortest_paths`.
-    workers:
-        Forwarded to every engine search inside the per-scale builds,
-        as in :func:`repro.hopsets.unweighted.build_hopset`.
     """
     if not (0 < eta < 1):
         raise ParameterError("eta must lie in (0, 1)")
@@ -215,8 +206,6 @@ def build_weighted_hopset(
             seed=child_rngs[i],
             method=method,
             tracker=child_tracker,
-            backend=backend,
-            workers=workers,
         )
         scales.append(
             ScaleHopset(d=float(d), c=c, rounded=rounded, hopset=hs, kept_edges=int(keep.sum()))

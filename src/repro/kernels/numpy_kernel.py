@@ -1,4 +1,4 @@
-"""Vectorized bucket-relaxation SSSP kernel (numpy backend).
+"""Vectorized bucket-relaxation SSSP kernels.
 
 The algorithm is delta-stepping, in two flavors selected by the
 ``light_heavy`` argument:
@@ -67,19 +67,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 INT_INF = np.iinfo(np.int64).max
-
-
-def count_occupied_buckets(dist: np.ndarray, delta: float) -> int:
-    """Distinct width-``delta`` distance bands among the finite ``dist``.
-
-    The numba heap core is sequential and reconstructs its bucket
-    ledger from the final labeling with this — the depth the
-    equivalent bucket schedule would take.
-    """
-    reached = dist[np.isfinite(dist)]
-    if reached.shape[0] == 0:
-        return 0
-    return int(np.unique((reached // float(delta)).astype(np.int64)).shape[0])
 
 
 def suggest_delta(n: int, num_arcs: int, max_weight: float) -> float:

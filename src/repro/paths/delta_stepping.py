@@ -21,7 +21,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 from repro.pram.tracker import PramTracker, null_tracker
 
 
@@ -30,17 +29,13 @@ def delta_stepping(
     source: int,
     delta: Optional[float] = None,
     tracker: Optional[PramTracker] = None,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> Tuple[np.ndarray, int]:
     """Single-source shortest paths by delta-stepping.
 
     Returns ``(dist, phases)`` where ``phases`` is the number of bucket
     phases (the outer sequential dimension of the algorithm's depth).
     ``delta`` defaults to the engine's ``max_w / avg_degree``
-    heuristic (:meth:`CSRGraph.suggest_delta`); ``backend`` picks the
-    kernel and ``workers`` is forwarded to the engine (results are
-    identical for every value), as in
+    heuristic (:meth:`CSRGraph.suggest_delta`), as in
     :func:`repro.paths.engine.shortest_paths`.
     """
     from repro.paths.engine import shortest_paths
@@ -52,7 +47,5 @@ def delta_stepping(
         offsets=np.zeros(1, dtype=np.float64),  # force real-weight mode
         delta=delta,
         tracker=tracker,
-        backend=backend,
-        workers=workers,
     )
     return res.dist.astype(np.float64, copy=False), res.buckets

@@ -20,15 +20,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 
 
 def dijkstra(
     g: CSRGraph,
     sources: np.ndarray | int,
     offsets: Optional[np.ndarray] = None,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Multi-source exact distances with optional real start offsets.
 
@@ -36,9 +33,7 @@ def dijkstra(
     ``min_i offsets[i] + d(sources[i], v)``, ``owner[v]`` the arg-min
     source (ties broken toward the earlier entry in ``sources``), and
     ``parent`` the shortest-path-tree parent.  Runs on the bucket
-    engine (``backend``/``workers`` as in
-    :func:`repro.paths.engine.shortest_paths`; worker count never
-    changes the result).
+    engine (:func:`repro.paths.engine.shortest_paths`).
     """
     from repro.paths.engine import shortest_paths
 
@@ -50,8 +45,6 @@ def dijkstra(
         offsets=offsets
         if offsets is not None
         else np.zeros(np.atleast_1d(np.asarray(sources)).shape[0], dtype=np.float64),
-        backend=backend,
-        workers=workers,
     )
     return res.dist, res.parent, res.owner
 

@@ -38,35 +38,27 @@ Each run may itself be multi-source (pass a sequence of source arrays
 instead of a flat array of singletons).  Every source starts at integer
 zero and the bucket width is the default one: the batch's two callers
 need nothing else, and start offsets or a ``delta`` stay
-:func:`shortest_paths` options.  On the numpy backend the runs
+:func:`shortest_paths` options.  The runs
 advance together as one source-tagged frontier — every gather/scatter
 round relaxes the frontier arcs of *all* runs — so ``k`` searches cost
 one schedule instead of ``k``.  The level-synchronous hopset builder
 leans on this to resolve every large-cluster center search of a
 recursion level in a single call, and the distance server to fill its
 cache rows.  Neither reads more than distances, so a batch returns
-only those: the numpy kernel runs its distances-only round
-(``labels=False``) and the numba cores' labels are dropped.  A run's
-parents and owners come from :func:`shortest_paths`.  The dense
-``(k, n)`` output means ``k`` should stay moderate (the builder chunks
-its runs); the tracker is charged the runs' *parallel* composition:
-``work`` sums over runs, ``rounds`` is the shared schedule length
-(numpy) or the longest run (numba).
+only those: the kernel runs its distances-only round
+(``labels=False``).  A run's parents and owners come from
+:func:`shortest_paths`.  The dense ``(k, n)`` output means ``k``
+should stay moderate (the builder chunks its runs); the tracker is
+charged the runs' *parallel* composition: ``work`` sums over runs,
+``rounds`` is the shared schedule length.
 
-Backend selection
------------------
-``backend=`` picks the kernel per call (the CLI's ``--backend`` flag
-passes it through):
-
-``numpy`` (default)
-    Frontier-vectorized bucket relaxation; exact, deterministic.
-``numba``
-    JIT-compiled scalar kernel; requested freely — when numba is not
-    installed the registry degrades to ``numpy`` with a one-time
-    warning.
-
+Kernels
+-------
+Every search runs the frontier-vectorized bucket relaxation of
+:mod:`repro.kernels.numpy_kernel`, serially: exact and deterministic.
 The sequential heapq Dijkstra that Theorem 1.2 measures work against
-is a test oracle (``tests/oracles/dijkstra.py``), not a backend.
+is a test oracle (``tests/oracles/dijkstra.py``); tests run whole
+pipelines on it by swapping it in for this module's kernel functions.
 
 Integer weights *and* integer offsets switch distances to ``int64``
 and default ``delta`` to 1 — exact Dial buckets, i.e. the "weighted
@@ -78,24 +70,9 @@ the graph's arcs are partitioned into light (``w <= delta``) and heavy
 :meth:`CSRGraph.light_heavy_split` — and each bucket runs the
 light-edge fixpoint loop plus a single heavy settle pass.  ``delta``
 defaults to ``max_w / average degree``
-(:meth:`CSRGraph.suggest_delta`, the Meyer–Sanders heuristic); on the
-numpy kernel the tracker sees every light iteration and the heavy
-pass as separate relaxation rounds (the sequential numba cores
-reconstruct one round per bucket).
-
-Multicore execution (``workers=``)
-----------------------------------
-Every entry point takes a ``workers`` knob (``1`` = serial — the
-default, ``None`` = all cores, any other value a core cap;
-:func:`repro.parallel.pool.effective_workers` is the single source of
-truth for the resolution).  Only the numba kernel reads it: its batch
-wrapper routes ``workers > 1`` through ``prange``-parallel compiled
-cores that execute the batch's runs concurrently with thread-private
-scratch, bit-identical to the sequential loop.  The numpy kernel
-always runs serially (frontier thread shards measured at most ~1.16x
-of serial on 2 cores and were removed).  The
-PRAM ledger is unaffected: hardware threads change wall-clock, not the
-round/work accounting.
+(:meth:`CSRGraph.suggest_delta`, the Meyer–Sanders heuristic); the
+tracker sees every light iteration and the heavy pass as separate
+relaxation rounds.
 
 Bucket/round <-> PRAM accounting
 --------------------------------
@@ -120,16 +97,9 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.graph.validation import check_vertex_ids
-from repro.kernels import (
-    bucket_sssp,
-    bucket_sssp_batch,
-    bucket_sssp_batch_numba,
-    bucket_sssp_numba,
-    resolve_backend,
-)
+from repro.kernels import bucket_sssp, bucket_sssp_batch, check_backend
 from repro.kernels.numpy_kernel import INT_INF, split_light_heavy, suggest_delta
 from repro.pram.tracker import PramTracker, null_tracker
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 
 
 def check_finite(name: str, values: np.ndarray, nonnegative: bool = False) -> None:
@@ -165,7 +135,6 @@ class ShortestPathResult:
     buckets: int
     relax_rounds: int
     arcs_relaxed: int
-    backend: str
     delta: float
 
     def as_tuple(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -182,7 +151,7 @@ def shortest_paths(
     delta: Optional[float] = None,
     backend: Optional[str] = None,
     tracker: Optional[PramTracker] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
+    workers: Optional[int] = None,
 ) -> ShortestPathResult:
     """Exact multi-source shortest paths with optional start offsets.
 
@@ -190,32 +159,23 @@ def shortest_paths(
     is ``min_i offsets[i] + d(sources[i], v)`` and ``owner[v]`` the
     arg-min source vertex.
 
-    ``workers`` is accepted for a uniform signature across the entry
-    points; a single search runs serially on every backend (numba's
-    run-level ``prange`` parallelism lives in
-    :func:`shortest_paths_batch`).
+    ``backend`` (``None`` or ``"numpy"``; anything else raises
+    :class:`ParameterError`) and the unused ``workers`` remain only
+    because the repository benchmark passes them; they go with
+    ROADMAP item 10(d).
     """
+    check_backend(backend)
     tracker = tracker or null_tracker()
     sources = check_vertex_ids(sources, g.n)
     offsets = _offsets_for(sources, offsets)
     w, int_mode, delta = _resolve_weights_and_delta(g, weights, offsets, delta)
-
-    name = resolve_backend(backend or "numpy")
     ranks = np.arange(sources.shape[0], dtype=np.int64)
 
     split = _resolve_split(g, weights, w, delta, int_mode)
-    if name == "numba":
-        dist, parent, owner, bucket_work, bucket_rounds = bucket_sssp_numba(
-            g.indptr, g.indices, w, g.n, sources, offsets, ranks, delta,
-            light_heavy=split,
-        )
-        if int_mode:
-            dist = _float_to_int_dist(dist)
-    else:
-        dist, parent, owner, bucket_work, bucket_rounds = bucket_sssp(
-            g.indptr, g.indices, w, g.n, sources, offsets, ranks, delta,
-            light_heavy=split,
-        )
+    dist, parent, owner, bucket_work, bucket_rounds = bucket_sssp(
+        g.indptr, g.indices, w, g.n, sources, offsets, ranks, delta,
+        light_heavy=split,
+    )
 
     work = int(sum(bucket_work))
     rounds = int(sum(bucket_rounds))
@@ -228,7 +188,6 @@ def shortest_paths(
         buckets=len(bucket_work),
         relax_rounds=rounds,
         arcs_relaxed=work,
-        backend=name,
         delta=float(delta),
     )
 
@@ -241,16 +200,14 @@ class BatchShortestPathResult:
     ``INT_INF`` when run ``r`` does not reach ``v``).  A batch keeps no
     parents or owners; :func:`shortest_paths` returns them for one
     run.  The ledger fields describe the batch as one parallel
-    composition: ``arcs_relaxed`` sums every run's work,
-    ``relax_rounds`` is the shared schedule length on the numpy kernel
-    and the longest single run on numba.
+    composition: ``arcs_relaxed`` sums every run's work and
+    ``relax_rounds`` is the shared schedule length.
     """
 
     dist: np.ndarray
     buckets: int
     relax_rounds: int
     arcs_relaxed: int
-    backend: str
     delta: float
 
     @property
@@ -310,9 +267,7 @@ def shortest_paths_batch(
     sources: Union[np.ndarray, int, Sequence[Any]],
     *,
     weights: Optional[np.ndarray] = None,
-    backend: Optional[str] = None,
     tracker: Optional[PramTracker] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> BatchShortestPathResult:
     """Run ``k`` independent shortest-path searches as one batch.
 
@@ -324,11 +279,6 @@ def shortest_paths_batch(
         multi-source search exactly as in :func:`shortest_paths`).
         Every source starts at integer zero, so integer weights select
         Dial mode, and the bucket width is the default one.
-    workers:
-        Core cap for the numba kernel (``1`` = serial, ``None`` = all
-        cores), which dispatches the batch's runs through its
-        ``prange``-parallel cores, bit-identical to ``workers=1``.  The
-        numpy kernel runs serially.
 
     Every run's distances equal, value for value and dtype for dtype,
     those of a standalone :func:`shortest_paths` call with the same
@@ -346,18 +296,16 @@ def shortest_paths_batch(
     offs = np.zeros(run_src.shape[0], dtype=np.int64)
     w, int_mode, delta = _resolve_weights_and_delta(g, weights, offs, None)
 
-    name = resolve_backend(backend or "numpy")
     if k == 0:
-        # zero runs: nothing to schedule on any backend — shape the
-        # empty (0, n) result here instead of tripping the kernels'
-        # frontier loops, and charge the tracker nothing
+        # zero runs: nothing to schedule — shape the empty (0, n)
+        # result here instead of tripping the kernel's frontier loops,
+        # and charge the tracker nothing
         return BatchShortestPathResult(
             dist=np.full((0, g.n), INT_INF if int_mode else np.inf,
                          dtype=np.int64 if int_mode else np.float64),
             buckets=0,
             relax_rounds=0,
             arcs_relaxed=0,
-            backend=name,
             delta=float(delta),
         )
     if run_src.shape[0]:
@@ -367,18 +315,10 @@ def shortest_paths_batch(
         ranks = np.empty(0, np.int64)
 
     split = _resolve_split(g, weights, w, delta, int_mode)
-    if name == "numba":
-        dist, _, _, bucket_work, bucket_rounds = bucket_sssp_batch_numba(
-            g.indptr, g.indices, w, g.n, run_src, run_ptr, offs, ranks, delta,
-            light_heavy=split, workers=workers,
-        )
-        if int_mode:
-            dist = _float_to_int_dist(dist)
-    else:
-        dist, _, _, bucket_work, bucket_rounds = bucket_sssp_batch(
-            g.indptr, g.indices, w, g.n, run_src, run_ptr, offs, ranks, delta,
-            light_heavy=split, labels=False,
-        )
+    dist, _, _, bucket_work, bucket_rounds = bucket_sssp_batch(
+        g.indptr, g.indices, w, g.n, run_src, run_ptr, offs, ranks, delta,
+        light_heavy=split, labels=False,
+    )
 
     work = int(sum(bucket_work))
     rounds = int(sum(bucket_rounds))
@@ -389,7 +329,6 @@ def shortest_paths_batch(
         buckets=len(bucket_work),
         relax_rounds=rounds,
         arcs_relaxed=work,
-        backend=name,
         delta=float(delta),
     )
 
@@ -446,11 +385,3 @@ def _resolve_split(
     if weights is None:
         return g.light_heavy_split(delta)
     return split_light_heavy(g.indptr, g.indices, w, delta)
-
-
-def _float_to_int_dist(dist: np.ndarray) -> np.ndarray:
-    """Map a float distance array back to Dial's int64 convention."""
-    out = np.full(dist.shape[0], INT_INF, dtype=np.int64)
-    finite = np.isfinite(dist)
-    out[finite] = np.rint(dist[finite]).astype(np.int64)
-    return out

@@ -25,7 +25,6 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.pram.tracker import PramTracker, null_tracker
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 
 
 def dial_sssp(
@@ -34,8 +33,6 @@ def dial_sssp(
     weights_int: Optional[np.ndarray] = None,
     offsets: Optional[np.ndarray] = None,
     tracker: Optional[PramTracker] = None,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Multi-source SSSP on integer weights by bucketed level sweeps.
 
@@ -48,12 +45,6 @@ def dial_sssp(
     offsets:
         Optional non-negative integer start offsets per source (the
         shifted-start race of EST clustering).
-    backend:
-        Kernel choice, as in :func:`repro.paths.engine.shortest_paths`.
-    workers:
-        Forwarded to the engine (see
-        :func:`repro.paths.engine.shortest_paths`); results are
-        identical for every value.
 
     Returns ``(dist, parent, owner, levels)``; ``levels`` is the number
     of distance levels swept, i.e. the PRAM depth in rounds.
@@ -80,8 +71,6 @@ def dial_sssp(
         offsets=offsets,
         weights=w,
         delta=1,
-        backend=backend,
         tracker=tracker,
-        workers=workers,
     )
     return res.dist, res.parent, res.owner, res.buckets

@@ -3,7 +3,7 @@
 The paper analyses its algorithms in the CRCW PRAM model: *work* is the
 total number of operations, *depth* the longest chain of dependent
 operations.  Real shared-memory PRAM is unavailable in CPython (GIL),
-so — per the substitution table in DESIGN.md — we *measure the model*:
+so we *measure the model* instead of timing a parallel machine:
 every algorithm threads a :class:`~repro.pram.tracker.PramTracker`
 through its parallel primitives, and the benchmarks report the ledger
 (alongside wall-clock time of the vectorized kernels).

@@ -42,11 +42,10 @@ from repro.hopsets.result import HopsetResult, RepairStructure
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dynamic.batch import UpdateBatch
-from repro.kernels import resolve_backend
+from repro.kernels import check_backend
 from repro.kernels.numpy_kernel import INT_INF
 from repro.paths.engine import shortest_paths_batch
 from repro.pram.tracker import PramTracker, null_tracker
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 
 # Chunk target for the front door: kernel calls are sized to
 # ~this many flat labels (k = CHUNK_LABELS // n, clamped to [1, 256])
@@ -94,17 +93,11 @@ class DistanceServer:
         A built :class:`~repro.hopsets.result.HopsetResult`.  Its graph
         is the server's whole world; queries never read the hopset
         edges, which are held so :meth:`apply_updates` can repair them.
-    backend:
-        Engine backend: ``"numpy"`` (default) or ``"numba"``; resolved
-        through :func:`repro.kernels.resolve_backend`, so a numba request
-        degrades to numpy with a warning when the JIT toolchain is
-        missing (CLI callers that demand numba by name are vetted by
-        ``require_backend`` before construction).  Every backend
-        serves the same exact rows.
-    workers:
-        Core cap for the numba backend's ``prange`` batch cores
-        (``1`` serial, ``None`` = all cores); the numpy kernels run
-        serially.  Results are identical for every value.
+    backend, workers:
+        Kept only because the repository benchmark passes
+        ``backend="numpy", workers=1``: ``backend`` must be ``None`` or
+        ``"numpy"`` (anything else raises :class:`ParameterError`) and
+        ``workers`` is unused.  Both go with ROADMAP item 10(d).
     cache_rows:
         Maximum source distance rows kept in the LRU (``0`` disables
         caching — every query pays a kernel run; the benchmark's
@@ -126,15 +119,15 @@ class DistanceServer:
 
     hopset: HopsetResult
     backend: Optional[str] = None
-    workers: WorkersArg = DEFAULT_WORKERS
+    workers: Optional[int] = None
     cache_rows: int = 128
     tracker: Optional[PramTracker] = None
     stats: ServerStats = field(default_factory=ServerStats)
 
     def __post_init__(self) -> None:
+        check_backend(self.backend)
         if self.cache_rows < 0:
             raise ParameterError("cache_rows must be >= 0")
-        self.backend = resolve_backend(self.backend or "numpy")
         self._n = self.hopset.graph.n
         self._chunk = max(1, min(256, CHUNK_LABELS // max(self._n, 1)))
         self._cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
@@ -167,11 +160,7 @@ class DistanceServer:
         k = sources.shape[0]
         with self._tracker.phase("serve"):
             res = shortest_paths_batch(
-                self.hopset.graph,
-                sources,
-                backend=self.backend,
-                workers=self.workers,
-                tracker=self._tracker,
+                self.hopset.graph, sources, tracker=self._tracker
             )
             dist = res.dist
             if dist.dtype != np.float64:  # Dial: int64, INT_INF unreached
@@ -290,8 +279,6 @@ class DistanceServer:
             ar.graph,
             ar.touched,
             params=params,
-            backend=self.backend,
-            workers=self.workers,
             tracker=self.tracker,
         )
         stale = self._stale_sources(
@@ -325,8 +312,20 @@ class DistanceServer:
     def query_batch(self, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
         """The coalescing front door: answer ``k`` concurrent s-t
         queries with as few kernel runs as their distinct uncached
-        sources require.  Returns distances aligned with ``pairs``."""
-        arr = np.asarray(pairs).reshape(-1, 2)
+        sources require.  Returns distances aligned with ``pairs``,
+        which must form a ``(k, 2)`` array of ``(source, target)`` ids
+        (empty input returns an empty array)."""
+        try:
+            arr = np.asarray(pairs)
+        except ValueError as exc:  # ragged rows
+            raise ParameterError(f"pairs must be a (k, 2) array: {exc}") from exc
+        if arr.size == 0:
+            arr = arr.reshape(0, 2)
+        elif arr.ndim != 2 or arr.shape[1] != 2:
+            raise ParameterError(
+                f"pairs must be a (k, 2) array of (source, target) ids, "
+                f"got shape {arr.shape}"
+            )
         k = arr.shape[0]
         self.stats.queries += k
         self.stats.batches += 1

@@ -31,7 +31,6 @@ from repro.rng import SeedLike, resolve_rng
 from repro.spanners.result import SpannerResult, edge_id_lookup
 from repro.spanners.unweighted import spanner_beta
 from repro.spanners.weighted import contracted_quotient, weight_buckets
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 
 
 def low_stretch_spanning_tree(
@@ -41,8 +40,6 @@ def low_stretch_spanning_tree(
     method: str = "round",
     max_iterations: int = 200,
     tracker: Optional[PramTracker] = None,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> SpannerResult:
     """Build a spanning tree by iterated EST clustering + contraction.
 
@@ -52,9 +49,6 @@ def low_stretch_spanning_tree(
         Controls the per-level clustering granularity (beta =
         log(n)/(2k), as in the spanner); larger k contracts more
         aggressively per level.
-    backend, workers:
-        Kernel and core-cap knobs for the clustering races (engine
-        paths only); the tree is identical for every value.
 
     Returns a :class:`SpannerResult` whose edges form a spanning tree
     of each connected component (n - #components edges total).
@@ -81,10 +75,7 @@ def low_stretch_spanning_tree(
             q = contracted_quotient(g, uf, ids_level)
             if q is None:
                 break
-            c = est_cluster(
-                q.graph, beta, seed=rng, method=method, tracker=tracker,
-                backend=backend, workers=workers,
-            )
+            c = est_cluster(q.graph, beta, seed=rng, method=method, tracker=tracker)
             child, parent = c.forest_edges()
             if child.size == 0:
                 # singleton clusters everywhere: force progress by

@@ -27,7 +27,6 @@ from repro.graph.csr import CSRGraph
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike
 from repro.spanners.result import SpannerResult, boundary_edge_ids, edge_id_lookup
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 
 
 def spanner_beta(n: int, k: float) -> float:
@@ -44,8 +43,6 @@ def unweighted_spanner(
     method: str = "auto",
     tracker: Optional[PramTracker] = None,
     clustering: Optional[Clustering] = None,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> SpannerResult:
     """Construct an O(k)-spanner of an unweighted graph.
 
@@ -61,11 +58,6 @@ def unweighted_spanner(
         have been built with ``spanner_beta(n, k)``); mainly for tests
         that need to control the randomness.  A clustering of a graph
         with another vertex count raises :class:`ParameterError`.
-    backend, workers:
-        Kernel and core-cap knobs for the clustering race, as in
-        :func:`repro.clustering.est.est_cluster` (they only reach the
-        engine under ``method="exact"``; the round BFS race is serial).
-        The spanner is identical for every value.
 
     Returns a :class:`SpannerResult` whose ``meta`` records the number
     of clusters, forest edges, and boundary edges.
@@ -81,10 +73,7 @@ def unweighted_spanner(
 
     with tracker.phase("cluster"):
         if clustering is None:
-            clustering = est_cluster(
-                g, beta, seed=seed, method=method, tracker=tracker,
-                backend=backend, workers=workers,
-            )
+            clustering = est_cluster(g, beta, seed=seed, method=method, tracker=tracker)
 
     # --- forest edges --------------------------------------------------
     child, parent = clustering.forest_edges()

@@ -49,11 +49,11 @@ from repro.graph.csr import CSRGraph
 from repro.graph.dedup import presence_unique, rows_by_value, stable_argsort
 from repro.graph.quotient import QuotientResult, quotient_forest, quotient_graph
 from repro.graph.unionfind import UnionFind
+from repro.kernels import check_backend
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn_seeds
 from repro.spanners.result import SpannerResult, boundary_edge_ids, edge_id_lookup
 from repro.spanners.unweighted import spanner_beta
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 
 
 def weight_buckets(g: CSRGraph) -> np.ndarray:
@@ -152,8 +152,6 @@ def _well_separated_spanner_batched(
     seeds: np.ndarray,
     method: str,
     tracker: PramTracker,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
     checkpoint_path: Optional[str] = None,
 ) -> np.ndarray:
     """All groups' Algorithm 3 runs, executed level-synchronously.
@@ -312,8 +310,7 @@ def _well_separated_spanner_batched(
         )
         with tracker.phase("group_level"):
             clustering = est_cluster_forest(
-                union, beta, qf.ptr, shifts, method=method, tracker=tracker,
-                backend=backend, workers=workers,
+                union, beta, qf.ptr, shifts, method=method, tracker=tracker
             )
 
         # ---- forest edges -> original ids, contract in one call -------
@@ -349,7 +346,7 @@ def weighted_spanner(
     grouping: bool = True,
     tracker: Optional[PramTracker] = None,
     backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
+    workers: Optional[int] = None,
     checkpoint_path: Optional[str] = None,
 ) -> SpannerResult:
     """Construct an O(k)-spanner of a weighted graph (Theorem 3.3).
@@ -365,20 +362,18 @@ def weighted_spanner(
     separation:
         Well-separatedness constant (> 1): consecutive buckets inside
         one group differ in weight by at least ``separation * k``.
-    backend:
-        Shortest-path kernel for weighted races, as in
-        :func:`repro.paths.engine.shortest_paths` (the quotient graphs
-        are uniform, so this only matters under ``method="exact"``).
-    workers:
-        Forwarded to the engine races (see
-        :func:`repro.paths.engine.shortest_paths`), which run serially
-        on every backend; the spanner is identical for every value.
+    backend, workers:
+        Kept only because the repository benchmark passes
+        ``backend="numpy", workers=1``: ``backend`` must be ``None`` or
+        ``"numpy"`` (anything else raises :class:`ParameterError`) and
+        ``workers`` is unused.  Both go with ROADMAP item 10(d).
 
     Expected size O(n^(1+1/k) log k); stretch O(k); O(m) work and
     O(k log* n log U) depth, with the O(log k) groups running in
     parallel (the shared level schedule itself realizes the parallel
     composition).
     """
+    check_backend(backend)
     # validates k and separation (> 1) for both grouping modes
     stride = group_stride(k, separation)
     tracker = tracker or null_tracker()
@@ -403,7 +398,6 @@ def weighted_spanner(
 
     edge_ids = _well_separated_spanner_batched(
         g, bucket, bucket_group, k, seeds, method, tracker,
-        backend=backend, workers=workers,
         checkpoint_path=checkpoint_path,
     )
     if checkpoint_path is not None:

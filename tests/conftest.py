@@ -11,12 +11,13 @@ from repro.graph import from_edges, gnm_random_graph, grid_graph, path_graph, wi
 
 
 @pytest.fixture
-def backend(request):
-    """The ``backend=`` value for an indirectly parametrized kernel name
-    (``oracles.KERNELS``): ``"reference"`` runs the engine on the heapq
-    oracle for the duration of the test."""
-    with engine_kernel(request.param) as name:
-        yield name
+def kernel(request):
+    """Run the test on an indirectly parametrized engine kernel
+    (``oracles.KERNELS``): ``"reference"`` swaps the heapq oracle in
+    for the numpy kernels for the duration of the test.  Yields the
+    kernel name."""
+    with engine_kernel(request.param):
+        yield request.param
 
 
 @pytest.fixture

@@ -23,13 +23,22 @@ from unittest import mock
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.kernels import available_backends
-from repro.kernels.numpy_kernel import INT_INF, count_occupied_buckets
+from repro.kernels.numpy_kernel import INT_INF
 from repro.paths import engine
 
-#: every kernel the engine can run on here: the registry's backends
-#: plus this heapq oracle
-KERNELS = available_backends() + ["reference"]
+#: every kernel the engine can run on: the numpy kernels and this
+#: heapq oracle
+KERNELS = ["numpy", "reference"]
+
+
+def count_occupied_buckets(dist: np.ndarray, delta: float) -> int:
+    """Distinct width-``delta`` distance bands among the finite ``dist``:
+    the depth the equivalent bucket schedule would take, which the
+    adapters below report as their round count."""
+    reached = dist[np.isfinite(dist)]
+    if reached.shape[0] == 0:
+        return 0
+    return int(np.unique((reached // float(delta)).astype(np.int64)).shape[0])
 
 
 def _heapq_dijkstra(
@@ -170,19 +179,20 @@ def reference_bucket_sssp(
 
 
 @contextmanager
-def engine_kernel(name: str) -> Iterator[str]:
-    """Yield the ``backend=`` value that runs the engine on kernel ``name``.
+def engine_kernel(name: str) -> Iterator[None]:
+    """Run the engine on kernel ``name`` until the block exits.
 
     ``"reference"`` swaps the heapq adapters in for the engine's numpy
-    kernels until the block exits and yields ``"numpy"``; a registry
-    backend name is yielded unchanged.
+    kernels; ``"numpy"`` leaves them in place.
     """
-    if name != "reference":
-        yield name
+    if name not in KERNELS:
+        raise ValueError(f"unknown kernel {name!r}; choose from {KERNELS}")
+    if name == "numpy":
+        yield
         return
     with mock.patch.multiple(
         engine,
         bucket_sssp=reference_bucket_sssp,
         bucket_sssp_batch=reference_bucket_sssp_batch,
     ):
-        yield "numpy"
+        yield

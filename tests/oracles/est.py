@@ -25,7 +25,6 @@ from repro.clustering.est import (
 from repro.clustering.shifts import sample_shifts
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 from repro.paths.bfs import bfs_with_start_times
 from repro.paths.engine import check_finite, shortest_paths
 from repro.paths.weighted_bfs import dial_sssp
@@ -40,8 +39,6 @@ def est_cluster_reference(
     method: str = "auto",
     tracker: Optional[PramTracker] = None,
     shifts: Optional[np.ndarray] = None,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> Clustering:
     """EST clustering of ``g``, with the same arguments and result as
     :func:`repro.clustering.est_cluster` (``auto`` is ``round`` on
@@ -68,10 +65,7 @@ def est_cluster_reference(
 
     if method == "exact":
         with tracker.phase("est_exact"):
-            res = shortest_paths(
-                g, np.arange(n), offsets=start_real, tracker=tracker,
-                backend=backend, workers=workers,
-            )
+            res = shortest_paths(g, np.arange(n), offsets=start_real, tracker=tracker)
             dist, owner = res.dist, res.owner
             parent = _canonical_tree_parents(g, dist, res.parent, owner)
         dist_to_center = dist - start_real[owner]
@@ -103,8 +97,6 @@ def est_cluster_reference(
                     weights_int=w_int,
                     offsets=start_int,
                     tracker=tracker,
-                    backend=backend,
-                    workers=workers,
                 )
                 owner, parent = _canonical_dial_race(
                     g, sdist, start_int, w_int,

@@ -26,7 +26,6 @@ from repro.graph.csr import CSRGraph
 from repro.hopsets.params import HopsetParams
 from repro.hopsets.result import HopsetResult
 from repro.hopsets.unweighted import _Collector
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 from repro.paths.bfs import bfs
 from repro.paths.engine import shortest_paths
 from repro.paths.weighted_bfs import dial_sssp
@@ -41,8 +40,6 @@ def _center_distances(
     sub: CSRGraph,
     center: int,
     tracker: PramTracker,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> np.ndarray:
     """Distances from one center in the current subgraph (the Line 9 BFS).
 
@@ -61,13 +58,9 @@ def _center_distances(
             np.asarray([center]),
             weights_int=w_int,
             tracker=tracker,
-            backend=backend,
-            workers=workers,
         )
         return np.where(dist == np.iinfo(np.int64).max, np.inf, dist.astype(np.float64))
-    return shortest_paths(
-        sub, center, tracker=tracker, backend=backend, workers=workers
-    ).dist
+    return shortest_paths(sub, center, tracker=tracker).dist
 
 
 def _cluster_method(sub: CSRGraph, requested: str) -> str:
@@ -94,8 +87,6 @@ def _recurse(
     method: str,
     tracker: PramTracker,
     out: _Collector,
-    backend: "Optional[str]" = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> None:
     n_sub = sub.n
     n_final = params.n_final(n_top)
@@ -109,8 +100,6 @@ def _recurse(
         seed=rng,
         method=_cluster_method(sub, method),
         tracker=tracker,
-        backend=backend,
-        workers=workers,
     )
     sizes = clustering.sizes
     num_clusters = clustering.num_clusters
@@ -143,8 +132,6 @@ def _recurse(
                 method,
                 child_tracker,
                 out,
-                backend=backend,
-                workers=workers,
             )
             children.append(child_tracker)
         tracker.parallel_children(children)
@@ -165,11 +152,7 @@ def _recurse(
         bfs_children = []
         for c in center_ids:
             child_tracker = tracker.fork()
-            dists.append(
-                _center_distances(
-                    sub, int(c), child_tracker, backend=backend, workers=workers
-                )
-            )
+            dists.append(_center_distances(sub, int(c), child_tracker))
             bfs_children.append(child_tracker)
         tracker.parallel_children(bfs_children)
 
@@ -219,8 +202,6 @@ def _recurse(
             method,
             child_tracker,
             out,
-            backend=backend,
-            workers=workers,
         )
         children.append(child_tracker)
     tracker.parallel_children(children)
@@ -232,8 +213,6 @@ def build_hopset_recursive(
     seed: SeedLike = None,
     method: str = "auto",
     tracker: Optional[PramTracker] = None,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> HopsetResult:
     """Algorithm 4 depth-first; same arguments and edges as ``build_hopset``.
 
@@ -257,7 +236,5 @@ def build_hopset_recursive(
             method,
             tracker,
             out,
-            backend=backend,
-            workers=workers,
         )
     return out.finish(g, {})

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.unionfind import UnionFind
-from repro.parallel.pool import DEFAULT_WORKERS, WorkersArg
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn_seeds
 from repro.spanners.result import SpannerResult, boundary_edge_ids, edge_id_lookup
@@ -43,8 +42,6 @@ def _well_separated_spanner(
     rng: np.random.Generator,
     method: str,
     tracker: PramTracker,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> np.ndarray:
     """Algorithm 3 on one well-separated group; returns original edge ids.
 
@@ -69,8 +66,7 @@ def _well_separated_spanner(
 
         with tracker.phase("group_level"):
             clustering = est_cluster_reference(
-                gq, beta, seed=rng, method=method, tracker=tracker,
-                backend=backend, workers=workers,
+                gq, beta, seed=rng, method=method, tracker=tracker
             )
 
         # forest edges -> original ids, and contract them for next levels
@@ -97,8 +93,6 @@ def weighted_spanner_recursive(
     separation: float = 4.0,
     grouping: bool = True,
     tracker: Optional[PramTracker] = None,
-    backend: Optional[str] = None,
-    workers: WorkersArg = DEFAULT_WORKERS,
 ) -> SpannerResult:
     """Theorem 3.3 group by group; same arguments and edges as
     ``weighted_spanner``.
@@ -122,7 +116,7 @@ def weighted_spanner_recursive(
         kept.append(
             _well_separated_spanner(
                 g, grp, bucket, k, resolve_rng(int(seeds[j])),
-                method, child_tracker, backend=backend, workers=workers,
+                method, child_tracker,
             )
         )
         children.append(child_tracker)

@@ -21,7 +21,7 @@ import repro.hopsets.unweighted as hopset_mod
 import repro.spanners.weighted as spanner_mod
 from repro.checkpoint import BuildCheckpoint, graph_fingerprint, rng_from_state, rng_state
 from repro.errors import GraphFormatError
-from repro.graph import gnm_random_graph, with_random_weights
+from repro.graph import from_edges, gnm_random_graph, with_random_weights
 from repro.hopsets import build_hopset
 from repro.spanners.weighted import weighted_spanner
 
@@ -108,6 +108,20 @@ class TestHopsetResume:
     def test_wrong_graph_refused(self, tmp_path):
         g1 = with_random_weights(gnm_random_graph(250, 900, seed=1), seed=2)
         g2 = with_random_weights(gnm_random_graph(250, 900, seed=9), seed=2)
+        cp = tmp_path / "h.npz"
+        with _KillSwitch(hopset_mod, 1):
+            with pytest.raises(SimulatedKill):
+                build_hopset(g1, seed=3, checkpoint_path=cp)
+        with pytest.raises(GraphFormatError, match="different build"):
+            build_hopset(g2, seed=3, checkpoint_path=cp)
+
+    def test_one_reweighted_edge_refused(self, tmp_path):
+        # edge 80 fell outside the old fingerprint's strided sample
+        g1 = with_random_weights(gnm_random_graph(250, 900, seed=1), seed=2)
+        w = g1.edge_w.copy()
+        w[80] *= 1000.0
+        g2 = from_edges(g1.n, np.stack([g1.edge_u, g1.edge_v], axis=1), weights=w)
+        assert graph_fingerprint(g1) != graph_fingerprint(g2)
         cp = tmp_path / "h.npz"
         with _KillSwitch(hopset_mod, 1):
             with pytest.raises(SimulatedKill):

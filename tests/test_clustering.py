@@ -189,29 +189,26 @@ class TestDiagnostics:
 
 
 # ----------------------------------------------------------------------
-# ROADMAP item 2a: backend-independent forests in every race mode
+# ROADMAP item 2a: kernel-independent forests in every race mode
 # ----------------------------------------------------------------------
 class TestCanonicalForestsAcrossBackends:
     """Integer Dial round-mode races (EST mode 1) canonicalize their
     parent forests exactly like the exact float mode: ties between
     equally-tight tree arcs resolve to the minimum source, so the forest
     edge set is a function of the distances alone — identical on every
-    backend and worker count.  Every race also runs on the heapq oracle
-    kernel (``oracles.KERNELS``), which breaks ties differently."""
+    kernel.  Every race runs on the numpy kernels and on the heapq
+    oracle kernel (``oracles.KERNELS``), which breaks ties differently."""
 
     @staticmethod
     def _forest_key(c):
         child, parent = c.forest_edges()
         return set(zip(child.tolist(), parent.tolist()))
 
-    def _all_clusterings(self, g, beta, seed, workers=1):
+    def _all_clusterings(self, g, beta, seed):
         out = []
         for kernel in KERNELS:
-            with engine_kernel(kernel) as backend:
-                out.append(est_cluster(
-                    g, beta, seed=seed, method="round", backend=backend,
-                    workers=workers,
-                ))
+            with engine_kernel(kernel):
+                out.append(est_cluster(g, beta, seed=seed, method="round"))
         return out
 
     def test_dial_round_mode_forest_identical(self, small_int_weighted):
@@ -222,18 +219,10 @@ class TestCanonicalForestsAcrossBackends:
             assert np.array_equal(base.parent, other.parent)
             assert self._forest_key(base) == self._forest_key(other)
 
-    def test_dial_round_mode_workers_identical(self, small_int_weighted):
-        a = self._all_clusterings(small_int_weighted, 0.25, seed=9, workers=1)[0]
-        b = est_cluster(
-            small_int_weighted, 0.25, seed=9, method="round",
-            backend="numpy", workers=2,
-        )
-        assert np.array_equal(a.parent, b.parent)
-
     def test_dial_forest_arcs_are_tight(self, small_int_weighted):
         # every canonical parent arc is tight for the race distances
         g = small_int_weighted
-        c = est_cluster(g, 0.2, seed=3, method="round", backend="numpy")
+        c = est_cluster(g, 0.2, seed=3, method="round")
         child, parent = c.forest_edges()
         for ch, pa in zip(child.tolist()[:50], parent.tolist()[:50]):
             assert c.center[ch] == c.center[pa]
@@ -254,10 +243,9 @@ class TestCanonicalForestsAcrossBackends:
         ])
         results = []
         for kernel in KERNELS:
-            with engine_kernel(kernel) as backend:
+            with engine_kernel(kernel):
                 results.append(est_cluster_forest(
                     forest.graph, 0.3, forest.ptr, shifts, method="round",
-                    backend=backend,
                 ))
         base = results[0]
         for other in results[1:]:
@@ -339,8 +327,8 @@ class TestMatchesReference:
     )
     def test_engine_races_equal_on_every_kernel(self, kind, method, kernel):
         g = REFERENCE_GRAPHS[kind]
-        with engine_kernel(kernel) as backend:
-            kw = dict(beta=0.3, seed=11, method=method, backend=backend)
+        with engine_kernel(kernel):
+            kw = dict(beta=0.3, seed=11, method=method)
             c, ledger = _traced(est_cluster, g, **kw)
             ref, ref_ledger = _traced(est_cluster_reference, g, **kw)
         _assert_same_clustering(c, ref)

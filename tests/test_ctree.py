@@ -11,7 +11,6 @@ to the same topology.
 import json
 import os
 
-import numpy as np
 import pytest
 
 from repro.ctree import (
@@ -125,12 +124,6 @@ class TestDriver:
         tree.validate()
         assert tree.all_leaves_satisfied()
         assert tree.clusterer == "ldd"
-
-    def test_workers_and_backend_plumbing(self):
-        g, _ = load_snap(FIXTURE)
-        a = build_cluster_tree(g, "degree:2", seed=11, workers=2)
-        b = build_cluster_tree(g, "degree:2", seed=11)
-        assert a.signature() == b.signature()  # fan-out must not change output
 
     def test_min_size_forces_leaves(self):
         g = barabasi_albert_graph(150, 3, seed=4)
@@ -277,12 +270,12 @@ class TestCLI:
         assert rt.all_leaves_satisfied()
         parse_newick(npath.read_text())
 
-    def test_cluster_tree_ldd_with_workers(self, capsys):
+    def test_cluster_tree_ldd(self, capsys):
         from repro.cli import main
 
         rc = main(
             ["cluster-tree", "-i", FIXTURE, "--requirement", "degree:2",
-             "--clusterer", "ldd", "--seed", "3", "--workers", "2"]
+             "--clusterer", "ldd", "--seed", "3"]
         )
         assert rc == 0
         assert "leaves" in capsys.readouterr().out

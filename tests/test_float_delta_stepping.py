@@ -1,29 +1,28 @@
-"""Real-weight delta-stepping: light/heavy split, dtype dispatch, fallback.
+"""Real-weight delta-stepping: light/heavy split, dtype dispatch.
 
 Covers the float path of the bucket engine (light-edge fixpoint +
 heavy settle pass) against the heapq reference oracle — property-based
 over random float-weighted graphs, single-source and batched — plus
-the backend registry's strict/graceful numba handling and the CLI's
-explicit-backend error contract.
+the refusal of any ``backend=`` but ``"numpy"`` and of the removed
+CLI ``--backend`` flag.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.kernels as kernels
 from oracles import KERNELS, dijkstra_reference
 from repro.errors import ParameterError
 from repro.graph import from_edges, gnm_random_graph, with_random_weights
-from repro.kernels import available_backends, require_backend, split_light_heavy
-from repro.kernels.numba_kernel import _delta_sssp_core
+from repro.hopsets import build_hopset
+from repro.kernels import bucket_sssp, split_light_heavy
 from repro.paths import shortest_paths, shortest_paths_batch
 from repro.paths.delta_stepping import delta_stepping
 from repro.paths.dijkstra import dijkstra_scipy
 from repro.pram import PramTracker
+from repro.serve import DistanceServer
+from repro.spanners import weighted_spanner
 
 SETTINGS = settings(
     max_examples=25,
@@ -150,20 +149,25 @@ class TestFloatPathMatchesReference:
 
 
 class TestDeltaCore:
-    """The numba delta-stepping core, exercised directly (pure-Python
-    stub without numba; the compiled artifact in the numba CI job)."""
+    """The delta-stepping kernel with a light/heavy split, called
+    directly at the default, a tiny (every arc heavy) and a huge (every
+    arc light) bucket width."""
 
     def _run(self, g, sources, offsets, delta):
         split = split_light_heavy(g.indptr, g.indices, g.weights, delta)
         ranks = np.arange(len(sources), dtype=np.int64)
-        return _delta_sssp_core(
-            *split,
+        dist, parent, owner, work, rounds = bucket_sssp(
+            g.indptr,
+            g.indices,
+            g.weights,
             g.n,
             np.asarray(sources, np.int64),
             np.asarray(offsets, np.float64),
             ranks,
             float(delta),
+            light_heavy=split,
         )
+        return dist, parent, owner, sum(work), len(work)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("delta_kind", ["auto", "tiny", "huge"])
@@ -185,73 +189,60 @@ class TestDeltaCore:
 
 
 class TestBackendRegistry:
+    """What is left of the backend registry: ``repro.kernels.check_backend``
+    behind the four entry points the repository benchmark still calls
+    with ``backend="numpy"``."""
+
     def test_available_backends_reports_reality(self):
-        avail = available_backends()
-        assert "numpy" in avail and "reference" not in avail
-        assert ("numba" in avail) == kernels.HAVE_NUMBA
-        with pytest.raises(ParameterError):
-            kernels.resolve_backend("reference")
+        # the repository benchmark records HAVE_NUMBA; no numba kernel
+        # exists, so it must say so
+        import repro.kernels as kernels
 
-    def test_require_backend_strict(self, monkeypatch):
-        assert require_backend("numpy") == "numpy"
-        with pytest.raises(ParameterError):
-            require_backend("cuda")
-        monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
-        with pytest.raises(ParameterError, match="requested explicitly"):
-            require_backend("numba")
+        assert kernels.HAVE_NUMBA is False
+        assert not any("numba" in name for name in kernels.__all__)
 
-    def test_numba_fallback_warns_and_matches_numpy(self, monkeypatch):
-        # simulate a machine without numba regardless of the host: the
-        # registry must degrade to numpy with a warning and identical
-        # results, not crash
-        monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
-        monkeypatch.setattr(kernels, "_warned_numba", False)
+    def test_require_backend_strict(self):
         g = _random_float_graph(40, 130, seed=31)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            res = shortest_paths(g, 0, backend="numba")
-        assert res.backend == "numpy"
-        plain = shortest_paths(g, 0, backend="numpy")
-        assert np.array_equal(res.dist, plain.dist)
-        assert np.array_equal(res.parent, plain.parent)
-        # the warning is once-per-process: a second call stays silent
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            shortest_paths(g, 0, backend="numba")
+        hs = build_hopset(g, seed=1, backend="numpy", workers=1)
+        entry_points = {
+            "shortest_paths": lambda b: shortest_paths(g, 0, backend=b),
+            "build_hopset": lambda b: build_hopset(g, seed=1, backend=b),
+            "weighted_spanner": lambda b: weighted_spanner(g, 3, seed=1, backend=b),
+            "DistanceServer": lambda b: DistanceServer(hs, backend=b),
+        }
+        for call in entry_points.values():
+            call(None)
+            call("numpy")
+            for bad in ("numba", "cuda", "reference"):
+                with pytest.raises(ParameterError, match=f"unknown backend '{bad}'"):
+                    call(bad)
 
-    @pytest.mark.parametrize("backend", KERNELS, indirect=True)
-    def test_float_path_all_backends(self, backend):
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
+    def test_float_path_all_backends(self, kernel):
         g = _random_float_graph(90, 330, seed=37)
-        res = shortest_paths(g, 3, backend=backend)
+        res = shortest_paths(g, 3)
         assert np.allclose(res.dist, dijkstra_scipy(g, 3))
 
 
 class TestCLIBackendContract:
-    def test_explicit_unavailable_backend_errors(self, monkeypatch, capsys, tmp_path):
-        import repro.kernels as k
-
-        monkeypatch.setattr(k, "HAVE_NUMBA", False)
+    def test_explicit_unavailable_backend_errors(self, capsys):
+        # --backend is gone: asking for a kernel by name is an argparse
+        # error, not a silent run on numpy
         from repro.cli import main
 
-        rc = main(["sssp", "--n", "40", "--m", "120", "--backend", "numba"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "numba" in err and "available" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["sssp", "--n", "40", "--m", "120", "--backend", "numba"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend numba" in capsys.readouterr().err
 
     def test_reference_is_not_a_backend(self, capsys):
-        # the heapq Dijkstra is a test oracle now, not a CLI choice
+        # the heapq Dijkstra is a test oracle, not a CLI choice
         from repro.cli import main
 
         with pytest.raises(SystemExit) as exc:
             main(["sssp", "--n", "40", "--m", "120", "--backend", "reference"])
         assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
-
-    def test_explicit_available_backend_runs(self, capsys):
-        from repro.cli import main
-
-        assert main(["sssp", "--n", "40", "--m", "120", "--backend", "numpy", "--check"]) == 0
-        out = capsys.readouterr().out
-        assert "backend=numpy" in out and "match" in out
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDeltaSteppingFrontEnd:

@@ -2,8 +2,6 @@
 
 RNG001  all randomness flows through :mod:`repro.rng`
 RNG002  no seed derives from the wall clock or the PID
-API001  ``shortest_paths*`` call sites forward ``backend=``/``workers=``
-KRN001  each numpy ``*sssp*`` kernel has an exported numba twin
 BEN001  every ``bench_*`` file carries an acceptance gate
 DUP001  the dedup idioms live only in ``repro/graph/dedup.py``
 
@@ -179,85 +177,6 @@ def rng002(mod: Module) -> Iterator[Hit]:
             yield from clock_calls(node.value)
 
 
-# ---------------------------------------------------------------- API001
-
-ENGINE_FNS = ("shortest_paths", "shortest_paths_batch")
-
-
-def api001(mod: Module) -> Iterator[Hit]:
-    # the engine defines and dispatches these; benchmarks pin a
-    # configuration on purpose
-    if mod.is_file("repro/paths/engine.py") or mod.is_benchmark:
-        return
-    for node in mod.nodes:
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in ENGINE_FNS:
-            callee = func.id
-        elif isinstance(func, ast.Attribute) and func.attr in ENGINE_FNS:
-            callee = func.attr
-        else:
-            continue
-        passed = {kw.arg for kw in node.keywords}
-        if None in passed:  # **kwargs forwards everything
-            continue
-        missing = [k for k in ("backend", "workers") if k not in passed]
-        if missing:
-            yield node.lineno, (
-                f"call to {callee}() does not forward {' or '.join(missing)}= "
-                "— every layer between a public entry point and the engine "
-                "passes backend=/workers= through"
-            )
-
-
-# ---------------------------------------------------------------- KRN001
-
-
-def krn001(mod: Module) -> Iterator[Hit]:
-    if not mod.is_file("repro/kernels/__init__.py"):
-        return
-    numpy_kernels: List[Tuple[str, int]] = []
-    numba_names: Set[str] = set()
-    exported: Set[str] = set()
-    for node in mod.nodes:
-        if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module.endswith("numpy_kernel"):
-                numpy_kernels += [
-                    (a.name, node.lineno) for a in node.names if "sssp" in a.name
-                ]
-            elif module.endswith("numba_kernel"):
-                numba_names.update(a.name for a in node.names)
-        elif (
-            isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-            and isinstance(node.value, (ast.List, ast.Tuple))
-        ):
-            exported.update(
-                e.value
-                for e in node.value.elts
-                if isinstance(e, ast.Constant) and isinstance(e.value, str)
-            )
-    for name, line in numpy_kernels:
-        twin = f"{name}_numba"
-        if twin not in numba_names:
-            yield line, (
-                f"numpy kernel `{name}` has no numba twin `{twin}` in the "
-                "registry — every backend pair must stay swap-equivalent"
-            )
-        elif exported and twin not in exported:
-            yield line, (
-                f"numba twin `{twin}` is imported but not exported in "
-                "__all__ — registry consumers resolve kernels by name"
-            )
-    if numpy_kernels and "HAVE_NUMBA" not in numba_names:
-        yield 1, (
-            "kernel registry does not import HAVE_NUMBA — the numba -> "
-            "numpy fallback must be visible at the registry"
-        )
-
-
 # ---------------------------------------------------------------- BEN001
 
 
@@ -381,8 +300,6 @@ def _inline_dedups(
 CHECKS: Dict[str, Callable[[Module], Iterator[Hit]]] = {
     "RNG001": rng001,
     "RNG002": rng002,
-    "API001": api001,
-    "KRN001": krn001,
     "BEN001": ben001,
     "DUP001": dup001,
 }
@@ -414,11 +331,6 @@ def findings(roots: Sequence[str]) -> List[Tuple[str, int, str, str]]:
 PAIRS = {
     "RNG001": ("rng001_good.py", "rng001_bad.py"),
     "RNG002": ("rng002_good.py", "rng002_bad.py"),
-    "API001": ("api001_good.py", "api001_bad.py"),
-    "KRN001": (
-        os.path.join("krn001_good", "repro", "kernels", "__init__.py"),
-        os.path.join("krn001_bad", "repro", "kernels", "__init__.py"),
-    ),
     "BEN001": ("bench_gate_good.py", "bench_gate_bad.py"),
     "DUP001": ("dup001_good.py", "dup001_bad.py"),
 }
@@ -448,7 +360,6 @@ def test_bad_fixture_finding_counts():
     # pin the exact detection surface of the denser fixtures
     assert len(_hits("DUP001", PAIRS["DUP001"][1])) == 2  # both idioms
     assert len(_hits("RNG002", PAIRS["RNG002"][1])) == 2  # kwarg + assign
-    assert len(_hits("KRN001", PAIRS["KRN001"][1])) == 2  # twin + HAVE_NUMBA
 
 
 def test_tree_lints_clean():

@@ -94,3 +94,19 @@ class TestNewCLICommands:
         assert main(["sparsify", "-i", str(g_path), "--rounds", "2", "-o", str(s_path)]) == 0
         sp = load_edgelist(s_path)
         assert sp.m < 2000
+
+    def test_docstring_lists_every_subcommand(self):
+        # the module docstring is the command reference; it once listed
+        # 8 of the 11 subcommands
+        import argparse
+        import re
+
+        from repro import cli
+
+        ref = cli.__doc__.split("Commands\n--------\n", 1)[1]
+        documented = set(re.findall(r"^``([a-z-]+)``$", ref, flags=re.M))
+        sub = next(
+            a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        assert documented == set(sub.choices)

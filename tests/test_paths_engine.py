@@ -24,7 +24,6 @@ from repro.hopsets import (
     exact_distance,
     hopset_distance,
 )
-from repro.kernels import resolve_backend
 from repro.paths import (
     bfs_with_start_times,
     dijkstra,
@@ -46,18 +45,18 @@ def _random_weighted(n, m, seed, lo=1.0, hi=40.0, kind="loguniform"):
 
 class TestSingleSource:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    @pytest.mark.parametrize("backend", KERNELS, indirect=True)
-    def test_matches_scipy(self, seed, backend):
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
+    def test_matches_scipy(self, seed, kernel):
         g = _random_weighted(150, 600, seed)
-        res = shortest_paths(g, 0, backend=backend)
+        res = shortest_paths(g, 0)
         assert np.allclose(res.dist, dijkstra_scipy(g, 0))
 
-    @pytest.mark.parametrize("backend", KERNELS, indirect=True)
-    def test_matches_reference_labels(self, backend):
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
+    def test_matches_reference_labels(self, kernel):
         # random real weights: ties have measure zero, so parent/owner
         # must agree with the heapq oracle exactly
         g = _random_weighted(200, 800, seed=7)
-        res = shortest_paths(g, 5, backend=backend)
+        res = shortest_paths(g, 5)
         dist, parent, owner = dijkstra_reference(g, 5)
         assert np.allclose(res.dist, dist)
         assert np.array_equal(res.parent, parent)
@@ -82,25 +81,25 @@ class TestSingleSource:
 
 class TestMultiSourceOffsets:
     @pytest.mark.parametrize("seed", [11, 12, 13])
-    @pytest.mark.parametrize("backend", KERNELS, indirect=True)
-    def test_race_matches_reference(self, seed, backend):
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
+    def test_race_matches_reference(self, seed, kernel):
         g = _random_weighted(120, 500, seed)
         rng = np.random.default_rng(seed)
         srcs = rng.choice(g.n, size=7, replace=False).astype(np.int64)
         offs = rng.uniform(0.0, 5.0, 7)
-        res = shortest_paths(g, srcs, offsets=offs, backend=backend)
+        res = shortest_paths(g, srcs, offsets=offs)
         dist, parent, owner = dijkstra_reference(g, srcs, offsets=offs)
         assert np.allclose(res.dist, dist)
         assert np.array_equal(res.owner, owner)
         assert np.array_equal(res.parent, parent)
 
-    @pytest.mark.parametrize("backend", KERNELS, indirect=True)
-    def test_all_source_race_argmin(self, backend):
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
+    def test_all_source_race_argmin(self, kernel):
         # the EST-exact workload: every vertex races with a real offset
         g = _random_weighted(90, 360, seed=17)
         rng = np.random.default_rng(17)
         offs = rng.exponential(2.0, g.n)
-        res = shortest_paths(g, np.arange(g.n), offsets=offs, backend=backend)
+        res = shortest_paths(g, np.arange(g.n), offsets=offs)
         from repro.paths.dijkstra import all_pairs_distances
 
         key = all_pairs_distances(g) + offs[:, None]
@@ -131,27 +130,25 @@ class TestDeterminism:
         # path 0-1-2-3-4: sources 0 and 4 meet at vertex 2 at distance 2
         g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         for kernel in KERNELS:
-            with engine_kernel(kernel) as backend:
+            with engine_kernel(kernel):
                 res = shortest_paths(
                     g,
                     np.array([0, 4]),
                     offsets=np.array([0.0, 0.0]),
-                    backend=backend,
                 )
             assert res.owner[2] == 0, kernel
 
     def test_tie_break_rank_beats_vertex_order(self):
         # two disjoint branches meet at 5 at distance 2; the rank-0
-        # source (vertex 3) must win on every backend even though the
+        # source (vertex 3) must win on every kernel even though the
         # competing branch settles lower vertex ids first
         g = from_edges(6, [(3, 4), (4, 5), (0, 1), (1, 5)])
         for kernel in KERNELS:
-            with engine_kernel(kernel) as backend:
+            with engine_kernel(kernel):
                 res = shortest_paths(
                     g,
                     np.array([3, 0]),
                     offsets=np.array([0.0, 0.0]),
-                    backend=backend,
                 )
             assert res.owner[5] == 3, kernel
 
@@ -167,8 +164,8 @@ class TestDeterminism:
         g = _random_weighted(130, 520, seed)
         results = []
         for kernel in KERNELS:
-            with engine_kernel(kernel) as backend:
-                results.append(shortest_paths(g, 0, backend=backend))
+            with engine_kernel(kernel):
+                results.append(shortest_paths(g, 0))
         for r in results[1:]:
             assert np.allclose(results[0].dist, r.dist)
             assert np.array_equal(results[0].owner, r.owner)
@@ -218,19 +215,7 @@ class TestAccountingAndBackends:
         with pytest.raises(ParameterError):
             shortest_paths(g, np.array([0, 1]), offsets=np.array([0.0]))
         with pytest.raises(ParameterError):
-            resolve_backend("cuda")
-
-    def test_numba_request_degrades_gracefully(self):
-        # on machines without numba this resolves to numpy; with numba
-        # it runs the JIT kernel — either way the answer is exact
-        g = _random_weighted(50, 150, seed=46)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = shortest_paths(g, 0, backend="numba")
-        assert res.backend in ("numpy", "numba")
-        assert np.allclose(res.dist, dijkstra_scipy(g, 0))
+            shortest_paths(g, 0, backend="cuda")
 
     def test_empty_and_edgeless(self, empty_graph):
         res = shortest_paths(empty_graph, 0)

@@ -3,7 +3,7 @@
 The contract under test: every row of a batch holds exactly the
 distances a standalone :func:`shortest_paths` call with the same
 sources/offsets returns — value for value and dtype for dtype, with the
-same vertices unreached — on every backend, on multi-component graphs,
+same vertices unreached — on every kernel, on multi-component graphs,
 and under tie-heavy unweighted inputs.  A batch keeps no parents or
 owners: a run's labels come from :func:`shortest_paths`.
 """
@@ -47,33 +47,33 @@ def _multi_component(seed):
 
 
 class TestSingletonRuns:
-    @pytest.mark.parametrize("backend", KERNELS, indirect=True)
-    def test_matches_per_source_loop_float(self, backend):
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
+    def test_matches_per_source_loop_float(self, kernel):
         g = _weighted(150, 600, seed=3)
         srcs = np.array([0, 17, 63, 149])
-        res = shortest_paths_batch(g, srcs, backend=backend)
+        res = shortest_paths_batch(g, srcs)
         assert res.dist.shape == (4, g.n)
         for i, s in enumerate(srcs):
-            _assert_row_matches(res.dist[i], shortest_paths(g, int(s), backend=backend))
+            _assert_row_matches(res.dist[i], shortest_paths(g, int(s)))
 
-    @pytest.mark.parametrize("backend", KERNELS, indirect=True)
-    def test_matches_per_source_loop_integer(self, backend):
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
+    def test_matches_per_source_loop_integer(self, kernel):
         g = _weighted(120, 480, seed=5, kind="integer", lo=1, hi=9)
         w = g.weights.astype(np.int64)
         srcs = np.array([2, 50, 80])
-        res = shortest_paths_batch(g, srcs, weights=w, backend=backend)
+        res = shortest_paths_batch(g, srcs, weights=w)
         assert res.dist.dtype == np.int64  # Dial mode engages per batch
         for i, s in enumerate(srcs):
-            single = shortest_paths(g, int(s), weights=w, backend=backend)
+            single = shortest_paths(g, int(s), weights=w)
             _assert_row_matches(res.dist[i], single)
 
-    @pytest.mark.parametrize("backend", KERNELS, indirect=True)
-    def test_multi_component_rows_stay_confined(self, backend):
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
+    def test_multi_component_rows_stay_confined(self, kernel):
         g = _multi_component(seed=11)
         srcs = np.array([0, 45, 101])  # one source per component
-        res = shortest_paths_batch(g, srcs, backend=backend)
+        res = shortest_paths_batch(g, srcs)
         for i, s in enumerate(srcs):
-            single = shortest_paths(g, int(s), backend=backend)
+            single = shortest_paths(g, int(s))
             _assert_row_matches(res.dist[i], single)
 
     def test_unweighted_ties_distance_parity(self):
@@ -82,9 +82,9 @@ class TestSingletonRuns:
         # must equal the singleton race on every kernel
         g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         for kernel in KERNELS:
-            with engine_kernel(kernel) as backend:
-                res = shortest_paths_batch(g, [np.array([0, 4])], backend=backend)
-                single = shortest_paths(g, np.array([0, 4]), backend=backend)
+            with engine_kernel(kernel):
+                res = shortest_paths_batch(g, [np.array([0, 4])])
+                single = shortest_paths(g, np.array([0, 4]))
             _assert_row_matches(res.dist[0], single)
             assert res.dist[0].tolist() == [0, 1, 2, 1, 0], kernel
 
@@ -142,8 +142,8 @@ class TestShapesAndLedger:
         srcs = np.array([0, 33, 77])
         results = []
         for kernel in KERNELS:
-            with engine_kernel(kernel) as backend:
-                results.append(shortest_paths_batch(g, srcs, backend=backend))
+            with engine_kernel(kernel):
+                results.append(shortest_paths_batch(g, srcs))
         for r in results[1:]:
             assert r.dist.dtype == results[0].dist.dtype
             assert np.allclose(results[0].dist, r.dist)

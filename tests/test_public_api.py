@@ -28,13 +28,16 @@ class TestExports:
     def test_subpackages_importable(self):
         import repro.analysis
         import repro.clustering
+        import repro.ctree
         import repro.distributed
+        import repro.dynamic
         import repro.exp
         import repro.graph
         import repro.hopsets
-        import repro.parallel
+        import repro.kernels
         import repro.paths
         import repro.pram
+        import repro.serve
         import repro.spanners
 
     def test_version_string(self):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from oracles import arcs_from_graph, combine_arcs, dense_hop_distances, engine_kernel
 from repro import cli
+from repro.checkpoint import graph_fingerprint
 from repro.errors import ParameterError
 from repro.graph import (
     from_edges,
@@ -31,7 +32,6 @@ from repro.graph import (
 )
 from repro.graph.csr import csr_from_arrays
 from repro.hopsets import HopsetParams, build_hopset
-from repro.kernels.numba_kernel import HAVE_NUMBA
 from repro.kernels.numpy_kernel import hop_sssp_batch
 from repro.paths import hop_limited_distances
 from repro.paths.dijkstra import dijkstra_scipy
@@ -264,26 +264,25 @@ class TestDistanceServer:
         _, hs = served
         srv = DistanceServer(hs)
         assert srv.query_batch([]).shape == (0,)
+        assert srv.query_batch(np.empty((0, 2), dtype=np.int64)).shape == (0,)
         assert srv.distances([]).shape == (0, hs.graph.n)
 
-    def test_numba_fallback_monkeypatch(self, served, monkeypatch):
-        import repro.kernels as kernels
-
+    def test_query_batch_refuses_triples(self, served):
+        # reshape(-1, 2) once answered these as (0,1), (2,3) and (4,5)
         _, hs = served
-        monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
-        monkeypatch.setattr(kernels, "_warned_numba", False)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            srv = DistanceServer(hs, backend="numba")
-        assert srv.backend == "numpy"
-        assert np.isfinite(srv.query(0, 1))
+        srv = DistanceServer(hs)
+        with pytest.raises(ParameterError, match="pairs"):
+            srv.query_batch([(0, 1, 2), (3, 4, 5)])
+        assert srv.stats.kernel_runs == 0
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_numba_backend_matches_numpy(self, served):
+    def test_query_batch_refuses_flat_ids(self, served):
+        # an odd-length flat list failed inside numpy's reshape
         _, hs = served
-        pairs = [(0, 5), (9, 2), (0, 7)]
-        a = DistanceServer(hs, backend="numpy").query_batch(pairs)
-        b = DistanceServer(hs, backend="numba").query_batch(pairs)
-        assert np.array_equal(a, b)
+        srv = DistanceServer(hs)
+        with pytest.raises(ParameterError, match="pairs"):
+            srv.query_batch([1, 2, 3])
+        with pytest.raises(ParameterError, match="pairs"):
+            srv.query_batch([1, 2])
 
     def test_stats_as_dict_roundtrip(self):
         st_ = ServerStats(queries=3, cache_hits=1)
@@ -317,6 +316,24 @@ class TestPersistenceAndCLI:
         for other in (grid_graph(3, 3), one_less):
             with pytest.raises(ParameterError, match="built for"):
                 load_hopset(other, path)
+
+    def test_load_refuses_one_reweighted_edge(self, tmp_path):
+        # the fingerprint once hashed ~256 sampled entries per edge
+        # array; edge 80 was not among them, so this hopset loaded and
+        # answered 1.378 for a pair whose true distance is 12.04
+        g = with_random_weights(
+            gnm_random_graph(300, 1200, seed=1, connected=True), 1.0, 10.0,
+            "uniform", seed=2,
+        )
+        hs = build_hopset(g, HopsetParams(0.5, 1.5, 0.15, 0.5), seed=1)
+        path = str(tmp_path / "hs.npz")
+        save_hopset(hs, path)
+        w = g.edge_w.copy()
+        w[80] *= 1000.0
+        heavier = from_edges(g.n, np.stack([g.edge_u, g.edge_v], axis=1), weights=w)
+        assert graph_fingerprint(heavier) != graph_fingerprint(g)
+        with pytest.raises(ParameterError, match="built for"):
+            load_hopset(heavier, path)
 
     def test_load_unfingerprinted_file_rejected(self, served, tmp_path):
         # the pre-fingerprint layout recorded only n, which matches here

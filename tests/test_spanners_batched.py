@@ -4,12 +4,11 @@ The level-synchronous weighted spanner is a *re-scheduling* of the
 sequential per-group Algorithm 3 loop, not a different algorithm: for
 any fixed seed it must emit exactly the edge set the per-group oracle
 (``tests/oracles``) emits, on every weight regime, stretch parameter,
-EST method, worker count, and backend.  These tests pin that —
-property-based over random weighted graphs, with the stretch bound
-verified on every generated instance — plus the forest primitives the
-pipeline is built on
-(:func:`repro.graph.quotient.quotient_forest`) and cross-backend
-equality of both the spanner and its PRAM ledger.
+EST method and engine kernel.  These tests pin that — property-based
+over random weighted graphs, with the stretch bound verified on every
+generated instance — plus the forest primitives the pipeline is built
+on (:func:`repro.graph.quotient.quotient_forest`) and cross-kernel
+equality of the spanner.
 """
 
 import numpy as np
@@ -24,7 +23,6 @@ from repro.graph import (
     quotient_graph,
     with_random_weights,
 )
-from repro.kernels import available_backends
 from repro.pram import PramTracker
 from repro.spanners import verify_spanner, weighted_spanner
 from repro.spanners.unweighted import unweighted_spanner
@@ -79,14 +77,12 @@ class TestSeededEquivalence:
     @given(g=weighted_graphs(), seed=st.integers(min_value=0, max_value=2**16))
     @SETTINGS
     def test_workers_do_not_change_the_spanner(self, g, seed):
-        # exact method routes the EST races through the engine, where
-        # the workers knob actually reaches the kernels
+        # weighted_spanner keeps an unused workers= for the repository
+        # benchmark (ROADMAP item 10(d)); it must change nothing
         one = weighted_spanner(g, 4.0, seed=seed, method="exact", workers=1)
         four = weighted_spanner(g, 4.0, seed=seed, method="exact", workers=4)
         assert np.array_equal(one.edge_ids, four.edge_ids)
-        rec = weighted_spanner_recursive(
-            g, 4.0, seed=seed, method="exact", workers=4
-        )
+        rec = weighted_spanner_recursive(g, 4.0, seed=seed, method="exact")
         assert np.array_equal(one.edge_ids, rec.edge_ids)
 
     @given(seed=st.integers(min_value=0, max_value=2**16))
@@ -115,64 +111,50 @@ class TestSeededEquivalence:
 
 
 class TestCrossBackend:
-    """Every backend must emit the same spanner for the same seed.
+    """Every engine kernel must emit the same spanner for the same seed.
 
     Spanner forests come from race *parents*, which used to be pinned
     only when shortest paths are unique — on the spanners'
     uniform-weight quotient graphs equal-length claims are everywhere,
     so :func:`repro.clustering.est._canonical_tree_parents` now makes
     the exact-mode cluster forests kernel-independent; these tests pin
-    the resulting contract.  The PRAM ledger must also agree across the
-    real kernels (numpy / numba); the heapq ``reference`` oracle kernel
-    is excluded from ledger equality by design — it charges a synthetic
+    the resulting contract.  The heapq ``reference`` oracle kernel is
+    excluded from ledger equality by design — it charges a synthetic
     ``2m + n``-per-search, one-round-per-bucket estimate instead of
     simulating the bucket schedule (see
     ``oracles.dijkstra.reference_bucket_sssp_batch``).
     """
 
-    def _build(self, g, backend, strategy, unweighted=False):
+    def _build(self, g, strategy, unweighted=False):
         t = PramTracker(n=g.n)
         if unweighted:
-            sp = unweighted_spanner(
-                g, 3.0, seed=11, method="exact", backend=backend, tracker=t
-            )
+            build = unweighted_spanner
+        elif strategy == "batched":
+            build = weighted_spanner
         else:
-            build = (
-                weighted_spanner if strategy == "batched"
-                else weighted_spanner_recursive
-            )
-            sp = build(
-                g, 3.0, seed=11, method="exact", backend=backend, tracker=t
-            )
+            build = weighted_spanner_recursive
+        sp = build(g, 3.0, seed=11, method="exact", tracker=t)
         return sp, (t.work, t.depth, t.rounds)
 
     @pytest.mark.parametrize("strategy", ["batched", "recursive"])
     def test_weighted_backends_agree(self, small_weighted, strategy):
-        base, base_ledger = self._build(small_weighted, "numpy", strategy)
+        base, base_ledger = self._build(small_weighted, strategy)
         assert base_ledger[0] > 0 and base_ledger[1] > 0
         for kernel in KERNELS:
-            with engine_kernel(kernel) as backend:
-                sp, ledger = self._build(small_weighted, backend, strategy)
+            with engine_kernel(kernel):
+                sp, ledger = self._build(small_weighted, strategy)
             assert np.array_equal(sp.edge_ids, base.edge_ids), kernel
             if kernel != "reference":
                 assert ledger == base_ledger, kernel
 
     def test_unweighted_backends_agree(self, small_gnm):
-        base, base_ledger = self._build(small_gnm, "numpy", None, unweighted=True)
+        base, base_ledger = self._build(small_gnm, None, unweighted=True)
         for kernel in KERNELS:
-            with engine_kernel(kernel) as backend:
-                sp, ledger = self._build(small_gnm, backend, None, unweighted=True)
+            with engine_kernel(kernel):
+                sp, ledger = self._build(small_gnm, None, unweighted=True)
             assert np.array_equal(sp.edge_ids, base.edge_ids), kernel
             if kernel != "reference":
                 assert ledger == base_ledger, kernel
-
-    def test_numba_backend_when_available(self, small_weighted):
-        if "numba" not in available_backends():
-            pytest.skip("numba not installed")
-        a, la = self._build(small_weighted, "numba", "batched")
-        b, lb = self._build(small_weighted, "numpy", "batched")
-        assert np.array_equal(a.edge_ids, b.edge_ids)
-        assert la == lb
 
     def test_canonical_parents_certify(self, small_weighted):
         # the re-picked parents still certify the clustering: every
