@@ -1,25 +1,33 @@
-"""Durable build checkpoints for the level-synchronous builders.
+"""Durable checkpoints for the resumable loops.
 
-A multi-hour build at n = 10^7 must survive its process dying.  Both
-level-synchronous builders (:func:`repro.hopsets.build_hopset` and
-:func:`repro.spanners.weighted_spanner`)
-execute as a short loop of *levels* whose complete inter-level state is
-a handful of arrays plus the per-subproblem RNG streams.  That makes
-level boundaries natural checkpoint cuts: serialize the state before
-level ``t`` runs, and a resumed build re-enters the loop at ``t`` with
-bit-identical arrays and RNG cursors — so the finished edge set equals
+A multi-hour build at n = 10^7 must survive its process dying.  Three
+loops can resume: the hopset levels of
+:func:`repro.hopsets.build_hopset`, the weight rounds of
+:func:`repro.spanners.weighted_spanner`, and the work stack of
+:func:`repro.ctree.build_cluster_tree`.  Each one's state between two
+iterations is a handful of arrays plus its RNG streams, so iteration
+boundaries are natural checkpoint cuts: serialize the state before
+iteration ``t`` runs, and a resumed loop re-enters at ``t`` with
+bit-identical arrays and RNG cursors, so the finished output equals
 the uninterrupted run's **bit for bit** (pinned by
-``tests/test_checkpoint_resume.py``).  Both builders save at every
-level boundary after the first; the cluster-tree driver
-(:mod:`repro.ctree.driver`) saves its work stack every
+``tests/test_checkpoint_resume.py`` and
+``tests/test_ctree_checkpoint.py``).  The builders save before every
+level or round after the first; the cluster-tree driver saves every
 ``CHECKPOINT_EVERY`` (8) expansions.  Neither cadence is a parameter.
+
+Every loop goes through one :class:`CheckpointCut`: built once per call
+from the loop's inputs, it offers ``resume``, ``save`` and ``clear``,
+and each is a no-op without a path.  ``save`` takes a callable that
+packs the state, so a call without a path hashes and packs nothing.
 
 Format: one ``.npz`` with the numpy state plus a JSON member carrying
 scalars, RNG ``bit_generator`` states (exact integer state — never
-re-seeded), and a *fingerprint* of the build inputs.  Loading refuses a
-checkpoint whose fingerprint does not match the current call — a
+re-seeded), and a *fingerprint* of the loop's inputs.  Loading refuses
+a checkpoint whose fingerprint does not match the current call — a
 checkpoint from a different graph, parameter set, or seed silently
-producing a franken-build is the failure mode this guards against.
+producing a franken-build is the failure mode this guards against —
+and one written in another format (format 1 hopset checkpoints held
+the level's union CSR; format 2 holds its vertex lists).
 
 Writes are atomic (tmp file + ``os.replace``), so a crash during
 checkpointing leaves the previous checkpoint intact.
@@ -31,7 +39,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,7 +47,10 @@ from repro.errors import GraphFormatError
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
+
+#: what a loop's pack callable returns: (arrays, JSON-able scalars)
+State = Tuple[Dict[str, np.ndarray], Dict[str, Any]]
 
 
 def graph_fingerprint(g: Any, *extra: object) -> str:
@@ -76,14 +87,14 @@ def rng_from_state(state: dict) -> np.random.Generator:
 
 @dataclass
 class BuildCheckpoint:
-    """Serialized inter-level state of one batched build."""
+    """Serialized state of one resumable loop between two iterations."""
 
-    kind: str  # "hopset" | "spanner"
+    kind: str  # "hopset" | "spanner" | "ctree"
     fingerprint: str
-    level: int  # next level/round index to execute
+    level: int  # next level, round or expansion count to execute
     rng_states: List[dict]
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
-    scalars: Dict[str, object] = field(default_factory=dict)
+    scalars: Dict[str, Any] = field(default_factory=dict)
 
     def save(self, path: PathLike) -> None:
         """Atomically write; a crash mid-write keeps the old file."""
@@ -106,6 +117,10 @@ class BuildCheckpoint:
             )
         os.replace(tmp, path)
 
+    def generators(self) -> List[np.random.Generator]:
+        """The saved RNG streams, each positioned exactly at its cursor."""
+        return [rng_from_state(s) for s in self.rng_states]
+
     @classmethod
     def load(cls, path: PathLike) -> "BuildCheckpoint":
         with np.load(path) as data:
@@ -114,7 +129,9 @@ class BuildCheckpoint:
             header = json.loads(bytes(data["__header__"]).decode())
             if header.get("format") != CHECKPOINT_FORMAT:
                 raise GraphFormatError(
-                    f"unsupported checkpoint format {header.get('format')} in {path}"
+                    f"unsupported checkpoint format {header.get('format')} in {path} "
+                    f"(this version reads format {CHECKPOINT_FORMAT}); delete it to "
+                    "start over"
                 )
             arrays = {k: data[k] for k in data.files if k != "__header__"}
         return cls(
@@ -126,32 +143,64 @@ class BuildCheckpoint:
             scalars=header["scalars"],
         )
 
-    def check(self, kind: str, fingerprint: str, path: PathLike) -> None:
-        """Refuse to resume a checkpoint from different build inputs."""
-        if self.kind != kind:
-            raise GraphFormatError(
-                f"checkpoint {path} is a {self.kind!r} build, not {kind!r}"
-            )
-        if self.fingerprint != fingerprint:
-            raise GraphFormatError(
-                f"checkpoint {path} was written by a different build "
-                "(graph/parameters/seed fingerprint mismatch); delete it to "
-                "start over"
-            )
-
 
 def load_if_exists(
     path: Optional[PathLike], kind: str, fingerprint: str
 ) -> Optional[BuildCheckpoint]:
-    """The validated checkpoint at ``path``, or None to start fresh."""
+    """The checkpoint at ``path``, or None to start fresh; one written by
+    another kind of loop or from different inputs is refused."""
     if path is None or not os.path.exists(path):
         return None
     ckpt = BuildCheckpoint.load(path)
-    ckpt.check(kind, fingerprint, path)
+    if ckpt.kind != kind:
+        raise GraphFormatError(f"checkpoint {path} is a {ckpt.kind!r} build, not {kind!r}")
+    if ckpt.fingerprint != fingerprint:
+        raise GraphFormatError(
+            f"checkpoint {path} was written by a different build "
+            "(graph/parameters/seed fingerprint mismatch); delete it to "
+            "start over"
+        )
     return ckpt
 
 
-def clear(path: Optional[PathLike]) -> None:
-    """Remove a finished build's checkpoint (missing file is fine)."""
-    if path is not None and os.path.exists(path):
-        os.remove(path)
+class CheckpointCut:
+    """The checkpoint of one resumable loop: ``resume``, ``save``, ``clear``.
+
+    ``g`` and ``extra`` are the loop's inputs; the fingerprint binding
+    the file to them is taken here, and only when there is a ``path``.
+    Without one, every method is a no-op.
+    """
+
+    def __init__(self, path: Optional[PathLike], kind: str, g: Any, *extra: object) -> None:
+        self.path = path
+        self.kind = kind
+        self.fingerprint = "" if path is None else graph_fingerprint(g, *extra)
+
+    def resume(self) -> Optional[BuildCheckpoint]:
+        """The validated checkpoint to resume from, or None to start fresh."""
+        return load_if_exists(self.path, self.kind, self.fingerprint)
+
+    def save(
+        self,
+        level: int,
+        rngs: Sequence[np.random.Generator],
+        pack: Callable[[], State],
+    ) -> None:
+        """Write ``pack()``'s state and the cursors of ``rngs`` as the cut
+        before iteration ``level``; ``pack`` runs only when there is a path."""
+        if self.path is None:
+            return
+        arrays, scalars = pack()
+        BuildCheckpoint(
+            kind=self.kind,
+            fingerprint=self.fingerprint,
+            level=level,
+            rng_states=[rng_state(r) for r in rngs],
+            arrays=arrays,
+            scalars=scalars,
+        ).save(self.path)
+
+    def clear(self) -> None:
+        """Remove a finished loop's checkpoint (a missing file is fine)."""
+        if self.path is not None and os.path.exists(self.path):
+            os.remove(self.path)

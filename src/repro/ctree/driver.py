@@ -35,11 +35,12 @@ Guarantees:
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro import checkpoint as _ckpt
+from repro.checkpoint import BuildCheckpoint, CheckpointCut, State, rng_state
 from repro.clustering.est import est_cluster
 from repro.clustering.ldd import low_diameter_decomposition
 from repro.ctree.requirements import ClusterRequirement, NodeStats, parse_requirement
@@ -161,28 +162,10 @@ def _split_labels(
     )
 
 
-def _checkpoint_fingerprint(
-    g: CSRGraph,
-    req: ClusterRequirement,
-    clusterer: str,
-    beta: float,
-    min_size: int,
-    max_depth: Optional[int],
-    method: str,
-    rng: np.random.Generator,
-) -> str:
-    # the entry RNG state binds the checkpoint to the seed, exactly like
-    # the batched builders: resuming under a different seed must refuse
-    return _ckpt.graph_fingerprint(
-        g, req.spec, clusterer, beta, min_size, max_depth, method,
-        _ckpt.rng_state(rng),
-    )
-
-
-def _save_checkpoint(
-    path: str, fp: str, nodes: Dict[int, ClusterTreeNode], stack: List[int],
-    next_id: int, processed: int, rng: np.random.Generator,
-) -> None:
+def _driver_state(
+    nodes: Dict[int, ClusterTreeNode], stack: List[int], next_id: int
+) -> State:
+    """A cluster-tree checkpoint: every node so far and the work stack."""
     order = sorted(nodes)
     sizes = np.array([nodes[i].size for i in order], dtype=np.int64)
     ptr = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
@@ -192,26 +175,18 @@ def _save_checkpoint(
         if order
         else np.empty(0, np.int64)
     )
-    _ckpt.BuildCheckpoint(
-        kind="ctree",
-        fingerprint=fp,
-        level=processed,
-        rng_states=[_ckpt.rng_state(rng)],
-        arrays={
-            "node_order": np.asarray(order, dtype=np.int64),
-            "vertices_ptr": ptr,
-            "vertices_cat": cat,
-            "stack": np.asarray(stack, dtype=np.int64),
-        },
-        scalars={
-            "next_id": next_id,
-            "nodes": [nodes[i].to_dict(include_vertices=False) for i in order],
-        },
-    ).save(path)
+    arrays = {
+        "node_order": np.asarray(order, dtype=np.int64),
+        "vertices_ptr": ptr,
+        "vertices_cat": cat,
+        "stack": np.asarray(stack, dtype=np.int64),
+    }
+    nodes_meta = [nodes[i].to_dict(include_vertices=False) for i in order]
+    return arrays, {"next_id": next_id, "nodes": nodes_meta}
 
 
 def _load_checkpoint(
-    saved: _ckpt.BuildCheckpoint,
+    saved: BuildCheckpoint,
 ) -> Tuple[Dict[int, ClusterTreeNode], List[int], int, int, np.random.Generator]:
     order = saved.arrays["node_order"]
     ptr = saved.arrays["vertices_ptr"]
@@ -222,7 +197,7 @@ def _load_checkpoint(
         nd.vertices = cat[ptr[j] : ptr[j + 1]].astype(np.int64, copy=True)
         nodes[int(order[j])] = nd
     stack = [int(i) for i in saved.arrays["stack"]]
-    rng = _ckpt.rng_from_state(saved.rng_states[0])
+    rng = saved.generators()[0]
     return nodes, stack, int(saved.scalars["next_id"]), int(saved.level), rng
 
 
@@ -288,14 +263,13 @@ def build_cluster_tree(
         "clusterer": clusterer,
     }
 
-    fp = None
-    saved = None
-    if checkpoint_path is not None:
-        fp = _checkpoint_fingerprint(
-            g, req, clusterer, beta, min_size, max_depth, method, rng
-        )
-        saved = _ckpt.load_if_exists(checkpoint_path, "ctree", fp)
-
+    # the entry RNG state binds the checkpoint to the seed, exactly like
+    # the batched builders: resuming under a different seed must refuse
+    cut = CheckpointCut(
+        checkpoint_path, "ctree", g, req.spec, clusterer, beta, min_size,
+        max_depth, method, rng_state(rng),
+    )
+    saved = cut.resume()
     if saved is not None:
         nodes, stack, next_id, processed, rng = _load_checkpoint(saved)
     else:
@@ -313,14 +287,8 @@ def build_cluster_tree(
         stack = [0] if g.n > max(1, min_size) else []
 
     while stack:
-        if (
-            checkpoint_path is not None
-            and processed
-            and processed % CHECKPOINT_EVERY == 0
-        ):
-            _save_checkpoint(
-                checkpoint_path, fp, nodes, stack, next_id, processed, rng
-            )
+        if processed and processed % CHECKPOINT_EVERY == 0:
+            cut.save(processed, [rng], partial(_driver_state, nodes, stack, next_id))
         nid = stack.pop()
         node = nodes[nid]
         t0 = time.perf_counter()
@@ -355,6 +323,5 @@ def build_cluster_tree(
         graph_n=g.n, graph_m=g.m, requirement=req.spec,
         clusterer=clusterer, params=params, nodes=nodes, root=0,
     )
-    if checkpoint_path is not None:
-        _ckpt.clear(checkpoint_path)
+    cut.clear()
     return tree

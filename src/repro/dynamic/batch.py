@@ -13,10 +13,9 @@ and deletes applied atomically:
 
 :func:`apply_batch` produces the updated :class:`CSRGraph` (same
 key-sorted edge-list layout ``from_edges`` guarantees, so
-``edge_id_lookup`` keeps working), the old→new edge-id map, the set of
-*touched* vertices the hopset repair dirties blocks with, and the
-added/removed edge views the serving tier uses for exact cache
-invalidation.
+``edge_id_lookup`` keeps working), the set of *touched* vertices the
+hopset repair dirties blocks with, and the added/removed edge views
+the serving tier uses for exact cache invalidation.
 """
 
 from __future__ import annotations
@@ -132,9 +131,6 @@ class ApplyResult:
     """
 
     graph: CSRGraph
-    old_to_new: np.ndarray  # int64[old m]; -1 where the edge was deleted
-    inserted_ids: np.ndarray  # new-graph ids of fresh inserts
-    reweighted_ids: np.ndarray  # new-graph ids of weight-set survivors
     touched: np.ndarray  # sorted vertices incident to any applied change
     added_u: np.ndarray
     added_v: np.ndarray
@@ -202,13 +198,6 @@ def apply_batch(g: CSRGraph, batch: UpdateBatch) -> ApplyResult:
     order = np.argsort(cat_u * np.int64(n) + cat_v, kind="stable")
     new_graph = build_csr(n, cat_u[order], cat_v[order], cat_w[order])
 
-    new_pos = np.empty(order.shape[0], dtype=np.int64)
-    new_pos[order] = np.arange(order.shape[0], dtype=np.int64)
-    old_to_new = np.full(g.m, -1, dtype=np.int64)
-    old_to_new[kept_ids] = new_pos[: kept_ids.shape[0]]
-    inserted_ids = new_pos[kept_ids.shape[0]:]
-    reweighted_ids = old_to_new[wc_ids]
-
     # ---- repair views --------------------------------------------------
     dlo, dhi = g.edge_u[applied_del], g.edge_v[applied_del]
     dw = g.edge_w[applied_del]
@@ -241,9 +230,6 @@ def apply_batch(g: CSRGraph, batch: UpdateBatch) -> ApplyResult:
     }
     return ApplyResult(
         graph=new_graph,
-        old_to_new=old_to_new,
-        inserted_ids=inserted_ids,
-        reweighted_ids=reweighted_ids,
         touched=touched,
         added_u=added_u,
         added_v=added_v,

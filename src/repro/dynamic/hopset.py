@@ -1,16 +1,17 @@
 """Localized hopset repair on the batched builder's level-0 blocks.
 
-The batched builder's level 0 only splits the graph: every emitted
-hopset edge lives inside one level-0 cluster, and per-block randomness
-is a spawned child stream (:class:`repro.hopsets.result.RepairStructure`
+A hopset build is one level-0 race, which only splits the graph, and
+then the level loop on every level-0 block
+(:func:`repro.hopsets.unweighted._run_blocks`): every emitted hopset
+edge lives inside one level-0 cluster, and per-block randomness is a
+spawned child stream (:class:`repro.hopsets.result.RepairStructure`
 records the labels and seeds).  Blocks never interact, so after an
 update batch it suffices to
 
 1. mark every block containing a touched vertex *dirty*,
 2. drop the dirty blocks' edges from the retained structure, and
-3. re-run the level loop (:func:`repro.hopsets.unweighted._run_levels`)
-   from level 1 on the dirty blocks' induced subgraphs of the *new*
-   graph, entering with their recorded seeds and the build's recorded
+3. make the build's own call, ``_run_blocks``, on the dirty blocks of
+   the *new* graph, with their recorded seeds and the build's recorded
    EST method,
 
 and splice the rebuilt edges back in.  Clean blocks keep their edges:
@@ -20,7 +21,9 @@ certifying Definition 2.4 persist in the new graph; inserts only add
 paths.  A clean repair is bit-identical to what a full seeded build
 would emit for those blocks *on the original graph* — the partition is
 pinned at build time, which is exactly what makes repairs deterministic
-and batches invertible.
+and batches invertible.  Touching every vertex of an unchanged graph
+therefore returns the build's edges exactly (pinned by
+``tests/test_dynamic.py``).
 """
 
 from __future__ import annotations
@@ -30,14 +33,12 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.graph.builders import induced_subgraph_forest
 from repro.graph.csr import CSRGraph
-from repro.graph.dedup import presence_unique, stable_argsort
+from repro.graph.dedup import presence_unique
 from repro.hopsets.params import HopsetParams
 from repro.hopsets.result import HopsetResult
-from repro.hopsets.unweighted import _Collector, _run_levels
+from repro.hopsets.unweighted import _Collector, _run_blocks
 from repro.pram.tracker import PramTracker, null_tracker
-from repro.rng import resolve_rng
 
 
 def repair_hopset(
@@ -86,31 +87,10 @@ def repair_hopset(
     dirty_bitmap[dirty] = True
     keep = ~dirty_bitmap[st.top_labels[result.eu]]
 
-    # members per dirty block, ascending vertex id — the order
-    # ``Clustering.members`` handed the original build
     counts = np.bincount(st.top_labels, minlength=nb)
-    n_final = params.n_final(n)
-    rebuild = dirty[counts[dirty] > n_final]
+    rebuild = dirty[counts[dirty] > params.n_final(n)]
     out = _Collector()
-    if rebuild.size:
-        order = stable_argsort(st.top_labels)
-        starts = np.zeros(nb + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        groups = [order[starts[b]:starts[b + 1]] for b in rebuild]
-        rngs = [resolve_rng(int(st.top_seeds[b])) for b in rebuild]
-        forest = induced_subgraph_forest(new_graph, groups)
-        _run_levels(
-            forest.graph,
-            forest.vmap,
-            forest.ptr,
-            rngs,
-            1,
-            params,
-            n,
-            st.method,
-            tracker,
-            out,
-        )
+    _run_blocks(new_graph, st.top_labels, st.top_seeds, rebuild, params, st.method, tracker, out)
     rebuilt = out.finish(new_graph, {})
 
     eu = np.concatenate([result.eu[keep], rebuilt.eu])

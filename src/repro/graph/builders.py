@@ -104,22 +104,16 @@ class SubgraphForest:
     and no edge crosses groups, so any frontier algorithm run on
     ``graph`` executes all groups' searches simultaneously without
     interaction — the substrate of the level-synchronous hopset
-    builder.  ``vmap[i]`` is the parent-graph id of union vertex ``i``
-    and ``group[i]`` its group index.
+    builder.  ``vmap[i]`` is the parent-graph id of union vertex ``i``.
     """
 
     graph: CSRGraph
     vmap: np.ndarray
-    group: np.ndarray
     ptr: np.ndarray
 
     @property
     def num_groups(self) -> int:
         return int(self.ptr.shape[0] - 1)
-
-    def group_vertices(self, j: int) -> np.ndarray:
-        """Union vertex ids of group ``j`` (a contiguous range)."""
-        return np.arange(self.ptr[j], self.ptr[j + 1], dtype=np.int64)
 
 
 def induced_subgraph_forest(
@@ -145,7 +139,6 @@ def induced_subgraph_forest(
         return SubgraphForest(
             graph=build_csr(0, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64)),
             vmap=np.empty(0, np.int64),
-            group=np.empty(0, np.int64),
             ptr=np.zeros(1, np.int64),
         )
     groups = [np.asarray(v) for v in vertex_groups]
@@ -160,7 +153,6 @@ def induced_subgraph_forest(
         np.concatenate(groups) if ptr[-1] else np.empty(0, np.int64),
         g.n, "vertex", GraphFormatError,
     )
-    group_of = np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
 
     pos = np.arange(cat.shape[0], dtype=np.int64)
     label = np.full(g.n, -1, dtype=np.int64)
@@ -177,12 +169,12 @@ def induced_subgraph_forest(
     keep = (lu >= 0) & (lv >= 0)
     ku, kv, kw = lu[keep], lv[keep], g.edge_w[keep]
     if len(groups) > 1:
+        group_of = np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
         same = group_of[ku] == group_of[kv]
         ku, kv, kw = ku[same], kv[same], kw[same]
     return SubgraphForest(
         graph=build_csr(int(cat.shape[0]), ku, kv, kw),
         vmap=cat,
-        group=group_of,
         ptr=ptr,
     )
 

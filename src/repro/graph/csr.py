@@ -173,9 +173,6 @@ class CSRGraph:
     def neighbor_weights(self, v: int) -> np.ndarray:
         return self.weights[self.indptr[v] : self.indptr[v + 1]]
 
-    def neighbor_edge_ids(self, v: int) -> np.ndarray:
-        return self.edge_ids[self.indptr[v] : self.indptr[v + 1]]
-
     def iter_edges(self) -> Iterator[Tuple[int, int, float]]:
         """Iterate undirected edges as ``(u, v, w)`` tuples (slow path; tests only)."""
         for i in range(self.m):

@@ -17,7 +17,6 @@ valid upper bounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +39,6 @@ class RoundedGraph:
     def to_original_units(self, rounded_dist: float | np.ndarray) -> float | np.ndarray:
         """Convert a rounded-graph distance back to original weight units."""
         return self.w_hat * rounded_dist
-
-    @property
-    def level_budget(self) -> int:
-        """Lemma 5.2's bound on rounded path weight, i.e. the number of
-        weighted-BFS levels needed to recover a band path."""
-        # callers scale d so that the band is [d, c*d] with their own c
-        return int(math.ceil(self.k / self.zeta)) + 1
 
 
 def round_weights(g: CSRGraph, d: float, k: int, zeta: float) -> RoundedGraph:

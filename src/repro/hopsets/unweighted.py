@@ -31,6 +31,15 @@ the level's label arrays.  The PRAM ledger's per-level max-depth
 semantics then come from the shared schedules themselves instead of
 ``parallel_children`` bookkeeping.
 
+Level 0 emits no edge, so a build is one level-0 race followed by
+:func:`_run_blocks` on every level-0 block that recurses, the same
+entry :func:`repro.dynamic.repair_hopset` calls with the blocks an
+update batch dirties.  With ``checkpoint_path=`` the level loop saves,
+before each level, the union's vertex lists, the RNG cursors, the
+edges and level stats so far, and the level-0 labels and seeds
+(:mod:`repro.checkpoint`); a resumed build re-cuts the union from
+``g`` in one call.
+
 The depth-first execution — one ``est_cluster`` per cluster, one
 search per center — lives in ``tests/oracles`` as the correctness
 oracle: both draw per-subproblem randomness from the same spawned
@@ -40,15 +49,17 @@ by tests and the ``BENCH_hopset.json`` benchmark).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.checkpoint import BuildCheckpoint, CheckpointCut, State, rng_state
 from repro.clustering.est import Clustering, est_cluster_forest
 from repro.clustering.shifts import sample_shifts
-from repro.errors import ParameterError
 from repro.graph.builders import induced_subgraph_forest
-from repro.graph.csr import CSRGraph, csr_from_arrays
+from repro.graph.csr import CSRGraph
+from repro.graph.dedup import stable_argsort
 from repro.hopsets.params import HopsetParams
 from repro.hopsets.result import HopsetResult, LevelStats, RepairStructure
 from repro.kernels import check_backend
@@ -62,6 +73,9 @@ from repro.rng import SeedLike, resolve_rng, spawn_seeds
 # chunked batch calls instead of one (still level-synchronous in
 # spirit, and bounded at ~8e6 * 8 bytes per internal array)
 _BATCH_CELLS = 8_000_000
+
+# checkpoint keys of the collected edges
+_EDGE_KEYS = ("out_eu", "out_ev", "out_ew", "out_kind")
 
 
 class _Collector:
@@ -108,22 +122,32 @@ class _Collector:
             else:
                 d[k] += v
 
+    def edges(self) -> Tuple[np.ndarray, ...]:
+        """The edges collected so far: ``eu``, ``ev``, ``ew``, ``kind``."""
+        parts = (self.eu, self.ev, self.ew, self.kind)
+        dtypes = (np.int64, np.int64, np.float64, np.int8)
+        return tuple(np.concatenate(p) if p else np.empty(0, t) for p, t in zip(parts, dtypes))
+
+    def state(self, **arrays: np.ndarray) -> State:
+        """A checkpoint of the edges and level stats so far, with ``arrays``."""
+        arrays.update(zip(_EDGE_KEYS, self.edges()))
+        return arrays, {"level_stats": self.level_stats}
+
+    def restore(self, saved: BuildCheckpoint) -> None:
+        """Take back the edges and level stats of a :meth:`state` checkpoint."""
+        if saved.arrays["out_eu"].size:
+            self.eu, self.ev, self.ew, self.kind = ([saved.arrays[k]] for k in _EDGE_KEYS)
+        self.level_stats = {
+            int(lv): st for lv, st in saved.scalars["level_stats"].items()
+        }
+
     def finish(
         self,
         g: CSRGraph,
         meta: Dict[str, float],
         structure: Optional[RepairStructure] = None,
     ) -> HopsetResult:
-        if self.eu:
-            eu = np.concatenate(self.eu)
-            ev = np.concatenate(self.ev)
-            ew = np.concatenate(self.ew)
-            kind = np.concatenate(self.kind)
-        else:
-            eu = np.empty(0, np.int64)
-            ev = np.empty(0, np.int64)
-            ew = np.empty(0, np.float64)
-            kind = np.empty(0, np.int8)
+        eu, ev, ew, kind = self.edges()
         levels = [
             LevelStats(
                 level=lv,
@@ -257,107 +281,33 @@ def _emit_level_edges(
             out.bump(level, clique_edges=int(fin.sum()))
 
 
-def _build_level_sync(
+_NO_CUT = CheckpointCut(None, "hopset", None)
+
+
+def _run_blocks(
     g: CSRGraph,
+    labels: np.ndarray,
+    seeds: np.ndarray,
+    blocks: np.ndarray,
     params: HopsetParams,
-    n_top: int,
-    rng: np.random.Generator,
     method: str,
     tracker: PramTracker,
     out: _Collector,
-    checkpoint_path: Optional[str] = None,
-    structure: Optional[Dict[str, np.ndarray]] = None,
+    cut: CheckpointCut = _NO_CUT,
+    saved: Optional[BuildCheckpoint] = None,
 ) -> None:
-    """Level-synchronous execution of Algorithm 4.
+    """Levels 1 and deeper of Algorithm 4 on level-0 blocks of ``g``.
 
-    Initializes (or resumes from checkpoint) the per-level state and
-    hands it to :func:`_run_levels`, which owns the level loop.  When
-    ``structure`` is a dict, the level-0 labels and spawned child seeds
-    are recorded into it (the substrate of localized dynamic repair,
-    :mod:`repro.dynamic`).
-    """
-    n_final = params.n_final(n_top)
-    if g.n <= n_final:
-        return
-
-    fp = None
-    if checkpoint_path is not None:
-        from repro import checkpoint as _ckpt
-
-        # the entry RNG state binds the checkpoint to the seed: resuming
-        # under a different (or absent) seed is a fingerprint mismatch
-        fp = _ckpt.graph_fingerprint(
-            g, params, n_top, method, _ckpt.rng_state(rng)
-        )
-        saved = _ckpt.load_if_exists(checkpoint_path, "hopset", fp)
-    else:
-        saved = None
-
-    if saved is not None:
-        a = saved.arrays
-        union = csr_from_arrays(
-            int(saved.scalars["union_n"]),
-            a["g_indptr"], a["g_indices"], a["g_weights"], a["g_edge_ids"],
-            a["g_edge_u"], a["g_edge_v"], a["g_edge_w"],
-        )
-        vmap = a["vmap"]
-        ptr = a["ptr"]
-        rngs = [_ckpt.rng_from_state(s) for s in saved.rng_states]
-        level = saved.level
-        if a["out_eu"].size:
-            out.eu = [a["out_eu"]]
-            out.ev = [a["out_ev"]]
-            out.ew = [a["out_ew"]]
-            out.kind = [a["out_kind"]]
-        out.level_stats = {
-            int(lv): st for lv, st in saved.scalars["level_stats"].items()
-        }
-        if structure is not None and "top_labels" in a:
-            structure["top_labels"] = a["top_labels"]
-            structure["top_seeds"] = a["top_seeds"]
-    else:
-        union = g
-        vmap = np.arange(g.n, dtype=np.int64)
-        ptr = np.asarray([0, g.n], dtype=np.int64)
-        rngs = [rng]
-        level = 0
-    _run_levels(
-        union,
-        vmap,
-        ptr,
-        rngs,
-        level,
-        params,
-        n_top,
-        method,
-        tracker,
-        out,
-        checkpoint_path=checkpoint_path,
-        fp=fp,
-        structure=structure,
-    )
-
-
-def _run_levels(
-    union: CSRGraph,
-    vmap: np.ndarray,
-    ptr: np.ndarray,
-    rngs: List[np.random.Generator],
-    level: int,
-    params: HopsetParams,
-    n_top: int,
-    method: str,
-    tracker: PramTracker,
-    out: _Collector,
-    checkpoint_path: Optional[str] = None,
-    fp: Optional[str] = None,
-    structure: Optional[Dict[str, np.ndarray]] = None,
-) -> None:
-    """The level loop of the batched builder, from arbitrary entry state.
+    Block ``b`` is the vertex set ``labels == b`` (ascending ids) and
+    draws from the stream ``seeds[b]``.  A build passes every block
+    larger than ``n_final`` in ``blocks``, and
+    :func:`repro.dynamic.repair_hopset` the dirty ones; blocks never
+    interact, so both emit, bit for bit, a full build's edges for those
+    blocks.  ``saved``, a checkpoint of ``cut``, resumes the loop.
 
     State per level: a block-diagonal union of every active subproblem
     (vertices of subproblem ``j`` are the contiguous block
-    ``[ptr[j], ptr[j+1])``), the map ``vmap`` back to original ids, and
+    ``[ptr[j], ptr[j+1])``), the map ``vmap`` back to ids of ``g``, and
     one RNG per subproblem.  Each iteration runs one forest EST race,
     one (chunked) batch of center searches, two vectorized edge
     passes, and one forest rebuild for the next level.
@@ -365,53 +315,34 @@ def _run_levels(
     Randomness discipline matches the depth-first oracle
     (``tests/oracles``) stream-for-stream: subproblem ``j`` draws its
     shifts from its own generator, then spawns one child generator per
-    cluster (level 0) or per small cluster (deeper) and hands them to
-    the surviving children in label order — so both emit identical
-    edge sets per seed.
-
-    Because blocks never interact, entering at ``level=1`` with a
-    forest of selected level-0 clusters and their recorded spawn seeds
-    reproduces — bit for bit — the edges a full build emits for those
-    clusters.  That equivalence is what :mod:`repro.dynamic` leans on
-    to repair only dirty blocks after an update batch.
+    small cluster and hands them to the surviving children in label
+    order, so both emit identical edge sets per seed.
     """
-    n_final = params.n_final(n_top)
-    rho = params.rho(n_top)
+    if saved is not None:
+        groups = np.split(saved.arrays["vmap"], saved.arrays["ptr"][1:-1])
+        rngs = saved.generators()
+        level = saved.level
+        out.restore(saved)
+    elif blocks.size:
+        order = stable_argsort(labels)
+        starts = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=seeds.size))))
+        groups = [order[starts[b] : starts[b + 1]] for b in blocks]
+        rngs = [resolve_rng(int(seeds[b])) for b in blocks]
+        level = 1
+    else:
+        return
+    # an induced subgraph of an induced subgraph is the induced subgraph
+    # of the composed vertex list, so one cut of g enters any level
+    forest = induced_subgraph_forest(g, groups)
+    union, vmap, ptr = forest.graph, forest.vmap, forest.ptr
+    n_final = params.n_final(g.n)
+    rho = params.rho(g.n)
     while rngs and level < params.max_levels:
-        if checkpoint_path is not None and level:
-            from repro import checkpoint as _ckpt
-
-            arrays = {
-                "g_indptr": union.indptr,
-                "g_indices": union.indices,
-                "g_weights": union.weights,
-                "g_edge_ids": union.edge_ids,
-                "g_edge_u": union.edge_u,
-                "g_edge_v": union.edge_v,
-                "g_edge_w": union.edge_w,
-                "vmap": vmap,
-                "ptr": np.asarray(ptr),
-                "out_eu": np.concatenate(out.eu) if out.eu else np.empty(0, np.int64),
-                "out_ev": np.concatenate(out.ev) if out.ev else np.empty(0, np.int64),
-                "out_ew": np.concatenate(out.ew) if out.ew else np.empty(0, np.float64),
-                "out_kind": np.concatenate(out.kind) if out.kind else np.empty(0, np.int8),
-            }
-            if structure is not None and "top_labels" in structure:
-                arrays["top_labels"] = structure["top_labels"]
-                arrays["top_seeds"] = structure.get(
-                    "top_seeds", np.empty(0, np.int64)
-                )
-            _ckpt.BuildCheckpoint(
-                kind="hopset",
-                fingerprint=fp,
-                level=level,
-                rng_states=[_ckpt.rng_state(r) for r in rngs],
-                arrays=arrays,
-                scalars={"union_n": int(union.n), "level_stats": out.level_stats},
-            ).save(checkpoint_path)
+        state = partial(out.state, vmap=vmap, ptr=ptr, top_labels=labels, top_seeds=seeds)
+        cut.save(level, rngs, state)
         k = len(rngs)
         gsizes = np.diff(ptr)
-        beta = params.beta_at(level, n_top)
+        beta = params.beta_at(level, g.n)
 
         # ---- one EST race over every subproblem of the level ----------
         shifts = np.concatenate(
@@ -436,47 +367,34 @@ def _run_levels(
             beta=beta,
         )
 
-        if level == 0:
-            # top level only splits: every cluster becomes a subproblem
-            recurse_mask = np.ones(nclus, dtype=bool)
-            local_idx = np.arange(nclus, dtype=np.int64) - lab_start[lab_group]
-            spawn_counts = lab_per_group
-            if structure is not None:
-                # level-0 labels partition the graph into the blocks all
-                # deeper work (and every emitted edge) stays inside of
-                structure["top_labels"] = clustering.labels.copy()
-        else:
-            large_mask = sizes >= (gsizes.astype(np.float64) / rho)[lab_group]
-            out.bump(level, large_clusters=int(large_mask.sum()))
-            _emit_level_edges(
-                level,
-                union,
-                vmap,
-                clustering,
-                large_mask,
-                lab_group,
-                k,
-                tracker,
-                out,
-            )
-            recurse_mask = ~large_mask
-            # index of each small cluster among its subproblem's smalls
-            csum = np.cumsum(recurse_mask.astype(np.int64))
-            padded = np.concatenate(([0], csum))
-            local_idx = csum - 1 - padded[lab_start][lab_group]
-            spawn_counts = np.maximum(
-                np.bincount(lab_group[recurse_mask], minlength=k), 1
-            )
+        large_mask = sizes >= (gsizes.astype(np.float64) / rho)[lab_group]
+        out.bump(level, large_clusters=int(large_mask.sum()))
+        _emit_level_edges(
+            level,
+            union,
+            vmap,
+            clustering,
+            large_mask,
+            lab_group,
+            k,
+            tracker,
+            out,
+        )
+        recurse_mask = ~large_mask
+        # index of each small cluster among its subproblem's smalls
+        csum = np.cumsum(recurse_mask.astype(np.int64))
+        padded = np.concatenate(([0], csum))
+        local_idx = csum - 1 - padded[lab_start][lab_group]
+        spawn_counts = np.maximum(
+            np.bincount(lab_group[recurse_mask], minlength=k), 1
+        )
 
         child_labels = np.flatnonzero(recurse_mask & (sizes > n_final))
         if child_labels.size == 0:
             break
-        seeds = [spawn_seeds(rngs[j], int(spawn_counts[j])) for j in range(k)]
-        if structure is not None and level == 0:
-            # child seed of level-0 cluster ``lab`` is ``top_seeds[lab]``
-            structure["top_seeds"] = np.asarray(seeds[0], dtype=np.int64).copy()
+        child_seeds = [spawn_seeds(rngs[j], int(spawn_counts[j])) for j in range(k)]
         new_rngs = [
-            resolve_rng(int(seeds[lab_group[lab]][local_idx[lab]]))
+            resolve_rng(int(child_seeds[lab_group[lab]][local_idx[lab]]))
             for lab in child_labels
         ]
         child_groups = [clustering.members(int(lab)) for lab in child_labels]
@@ -527,24 +445,34 @@ def build_hopset(
     params = params or HopsetParams()
     tracker = tracker or null_tracker()
     rng = resolve_rng(seed)
+    # the entry RNG state binds the checkpoint to the seed: resuming
+    # under a different (or absent) seed is a fingerprint mismatch
+    cut = CheckpointCut(
+        checkpoint_path, "hopset", g, params, g.n, method, rng_state(rng)
+    )
     out = _Collector()
-    structure: Optional[Dict[str, np.ndarray]] = {} if record_structure else None
+    labels = np.zeros(g.n, dtype=np.int64)
+    seeds = blocks = np.empty(0, dtype=np.int64)
+    n_final = params.n_final(g.n)
     with tracker.phase("hopset"):
-        _build_level_sync(
-            g,
-            params,
-            g.n,
-            rng,
-            method,
-            tracker,
-            out,
-            checkpoint_path=checkpoint_path,
-            structure=structure,
-        )
-    if checkpoint_path is not None:
-        from repro import checkpoint as _ckpt
-
-        _ckpt.clear(checkpoint_path)  # the finished build owns no stale state
+        saved = cut.resume()
+        if saved is not None:
+            labels, seeds = saved.arrays["top_labels"], saved.arrays["top_seeds"]
+        elif g.n > n_final and params.max_levels > 0:
+            # level 0 only splits g: no edges, one child stream per
+            # cluster, and the clusters above n_final recurse
+            beta = params.beta_at(0, g.n)
+            top = est_cluster_forest(
+                g, beta, np.asarray([0, g.n], dtype=np.int64),
+                sample_shifts(g.n, beta, rng), method=method, tracker=tracker,
+            )
+            out.bump(0, subproblems=1, vertices=g.n, clusters=top.num_clusters, beta=beta)
+            labels = top.labels
+            blocks = np.flatnonzero(top.sizes > n_final)
+            if blocks.size:
+                seeds = spawn_seeds(rng, top.num_clusters)
+        _run_blocks(g, labels, seeds, blocks, params, method, tracker, out, cut, saved)
+    cut.clear()  # the finished build owns no stale state
     meta = {
         "epsilon": params.epsilon,
         "delta": params.delta,
@@ -552,24 +480,13 @@ def build_hopset(
         "gamma2": params.gamma2,
         "beta0": params.beta0(g.n),
         "rho": params.rho(g.n),
-        "n_final": float(params.n_final(g.n)),
+        "n_final": float(n_final),
         "c_growth": params.c_growth,
         "max_levels": float(params.max_levels),
     }
-    repair: Optional[RepairStructure] = None
-    if record_structure:
-        assert structure is not None
-        has_edges = any(a.size for a in out.eu)
-        if has_edges and "top_labels" not in structure:
-            # resumed from a pre-structure checkpoint: labels are gone
-            raise ParameterError(
-                "checkpoint predates record_structure; rebuild from scratch"
-            )
-        repair = RepairStructure(
-            top_labels=structure.get(
-                "top_labels", np.zeros(g.n, dtype=np.int64)
-            ),
-            top_seeds=structure.get("top_seeds", np.empty(0, dtype=np.int64)),
-            method=method,
-        )
+    repair = (
+        RepairStructure(top_labels=labels, top_seeds=seeds, method=method)
+        if record_structure
+        else None
+    )
     return out.finish(g, meta, structure=repair)

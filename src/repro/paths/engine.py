@@ -137,10 +137,6 @@ class ShortestPathResult:
     arcs_relaxed: int
     delta: float
 
-    def as_tuple(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The classic ``(dist, parent, owner)`` triple."""
-        return self.dist, self.parent, self.owner
-
 
 def shortest_paths(
     g: CSRGraph,

@@ -136,9 +136,6 @@ class DistanceServer:
     # ------------------------------------------------------------------
     # cache
     # ------------------------------------------------------------------
-    def clear_cache(self) -> None:
-        self._cache.clear()
-
     def cached_sources(self) -> List[int]:
         """Currently cached sources, least recently used first."""
         return list(self._cache)

@@ -38,10 +38,12 @@ spawned streams and emit *identical* edge sets for a fixed seed
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
 
+from repro.checkpoint import CheckpointCut, State
 from repro.clustering.est import est_cluster_forest
 from repro.clustering.shifts import sample_shifts
 from repro.errors import ParameterError
@@ -144,6 +146,16 @@ def _unique_edge_ids(m: int, parts: List[np.ndarray]) -> np.ndarray:
     return presence_unique(m, parts, sparse_factor=0)
 
 
+def _round_state(uf: UnionFind, kept: List[np.ndarray]) -> State:
+    """A spanner checkpoint: the shared union–find and the kept edge ids."""
+    arrays = {
+        "uf_parent": uf.parent,
+        "uf_size": uf.size,
+        "kept": np.concatenate(kept) if kept else np.empty(0, np.int64),
+    }
+    return arrays, {"uf_components": int(uf.n_components)}
+
+
 def _well_separated_spanner_batched(
     g: CSRGraph,
     bucket: np.ndarray,
@@ -152,7 +164,7 @@ def _well_separated_spanner_batched(
     seeds: np.ndarray,
     method: str,
     tracker: PramTracker,
-    checkpoint_path: Optional[str] = None,
+    cut: CheckpointCut,
 ) -> np.ndarray:
     """All groups' Algorithm 3 runs, executed level-synchronously.
 
@@ -184,6 +196,9 @@ def _well_separated_spanner_batched(
     ``tests/oracles``, draw no randomness for that level, so both
     consume each group's spawned stream level-for-level and emit
     identical edge sets per seed.
+
+    ``cut`` saves the union–find, the kept ids and the streams before
+    every round after the first, and resumes from them.
     """
     n = g.n
     num_groups = int(seeds.shape[0])
@@ -191,23 +206,6 @@ def _well_separated_spanner_batched(
     beta = spanner_beta(n, k)
     rngs = [resolve_rng(int(s)) for s in seeds]
     kept: List[np.ndarray] = []
-
-    fp = None
-    if checkpoint_path is not None:
-        from repro import checkpoint as _ckpt
-
-        # seeds derive from the caller's seed, so they bind it; group
-        # sizes bind the grouping/separation choice
-        fp = _ckpt.graph_fingerprint(
-            g,
-            float(k),
-            method,
-            seeds.tobytes(),
-            np.bincount(grp_of, minlength=num_groups).tobytes(),
-        )
-        saved = _ckpt.load_if_exists(checkpoint_path, "spanner", fp)
-    else:
-        saved = None
 
     # ---- level schedule: one rank table, one radix order ---------------
     # a group's t-th level is its t-th occupied bucket by weight; the
@@ -237,31 +235,19 @@ def _well_separated_spanner_batched(
     uf = UnionFind(int(multi.shape[0]) * n)
 
     t_start = 0
+    saved = cut.resume()
     if saved is not None:
         uf.parent = saved.arrays["uf_parent"]
         uf.size = saved.arrays["uf_size"]
         uf.n_components = int(saved.scalars["uf_components"])
         if saved.arrays["kept"].size:
             kept.append(saved.arrays["kept"])
-        rngs = [_ckpt.rng_from_state(s) for s in saved.rng_states]
+        rngs = saved.generators()
         t_start = saved.level
 
     for t in range(t_start, max_rounds):
-        if checkpoint_path is not None and t:
-            from repro import checkpoint as _ckpt
-
-            _ckpt.BuildCheckpoint(
-                kind="spanner",
-                fingerprint=fp,
-                level=t,
-                rng_states=[_ckpt.rng_state(r) for r in rngs],
-                arrays={
-                    "uf_parent": uf.parent,
-                    "uf_size": uf.size,
-                    "kept": np.concatenate(kept) if kept else np.empty(0, np.int64),
-                },
-                scalars={"uf_components": int(uf.n_components)},
-            ).save(checkpoint_path)
+        if t:
+            cut.save(t, rngs, partial(_round_state, uf, kept))
         ids = order[round_ptr[t] : round_ptr[t + 1]]
         gj = grp_of[ids]
         eu = g.edge_u[ids]
@@ -396,14 +382,16 @@ def weighted_spanner(
     # the same child generator, so the seeded edge sets coincide exactly
     seeds = spawn_seeds(rng, num_groups)
 
-    edge_ids = _well_separated_spanner_batched(
-        g, bucket, bucket_group, k, seeds, method, tracker,
-        checkpoint_path=checkpoint_path,
+    # seeds derive from the caller's seed, so they bind it; the
+    # bucket-to-group map binds the grouping/separation choice
+    cut = CheckpointCut(
+        checkpoint_path, "spanner", g, float(k), method, seeds.tobytes(),
+        bucket_group.tobytes(),
     )
-    if checkpoint_path is not None:
-        from repro import checkpoint as _ckpt
-
-        _ckpt.clear(checkpoint_path)
+    edge_ids = _well_separated_spanner_batched(
+        g, bucket, bucket_group, k, seeds, method, tracker, cut
+    )
+    cut.clear()
 
     return SpannerResult(
         graph=g,

@@ -17,12 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.checkpoint as checkpoint_mod
+import repro.ctree.driver as ctree_mod
 import repro.hopsets.unweighted as hopset_mod
 import repro.spanners.weighted as spanner_mod
 from repro.checkpoint import BuildCheckpoint, graph_fingerprint, rng_from_state, rng_state
+from repro.ctree import build_cluster_tree
 from repro.errors import GraphFormatError
-from repro.graph import from_edges, gnm_random_graph, with_random_weights
-from repro.hopsets import build_hopset
+from repro.graph import barabasi_albert_graph, from_edges, gnm_random_graph, with_random_weights
+from repro.hopsets import HopsetParams, build_hopset
+from repro.rng import resolve_rng
 from repro.spanners.weighted import weighted_spanner
 
 
@@ -129,6 +133,31 @@ class TestHopsetResume:
         with pytest.raises(GraphFormatError, match="different build"):
             build_hopset(g2, seed=3, checkpoint_path=cp)
 
+    def test_format_1_checkpoint_refused(self, tmp_path, monkeypatch):
+        # a format-1 hopset checkpoint held the level's union CSR and no
+        # level-0 labels: resuming it must fail typed, naming the format
+        g = with_random_weights(gnm_random_graph(250, 900, seed=1), seed=2)
+        fp = graph_fingerprint(
+            g, HopsetParams(), g.n, "auto", rng_state(resolve_rng(3))
+        )
+        csr = ("indptr", "indices", "weights", "edge_ids", "edge_u", "edge_v", "edge_w")
+        arrays = {f"g_{name}": getattr(g, name) for name in csr}
+        arrays.update(vmap=np.arange(g.n), ptr=np.asarray([0, g.n]))
+        cp = tmp_path / "h.npz"
+        with monkeypatch.context() as m:
+            m.setattr(checkpoint_mod, "CHECKPOINT_FORMAT", 1)
+            BuildCheckpoint(
+                kind="hopset",
+                fingerprint=fp,
+                level=1,
+                rng_states=[rng_state(resolve_rng(4))],
+                arrays=arrays,
+                scalars={"union_n": g.n, "level_stats": {}},
+            ).save(cp)
+        with pytest.raises(GraphFormatError, match="format 1"):
+            build_hopset(g, seed=3, checkpoint_path=cp)
+        assert os.path.exists(cp)  # refused, not silently cleared
+
 
 class TestSpannerResume:
     @settings(max_examples=8, deadline=None)
@@ -187,3 +216,23 @@ class TestCheckpointFile:
         assert graph_fingerprint(g1) != graph_fingerprint(g2)
         assert graph_fingerprint(g1) == graph_fingerprint(g1)
         assert graph_fingerprint(g1, "a") != graph_fingerprint(g1, "b")
+
+    def test_no_path_hashes_and_packs_nothing(self, monkeypatch):
+        # every loop calls its cut unconditionally; without a path the
+        # cut must neither fingerprint the graph nor pack any state
+        def refuse(*args, **kwargs):
+            raise AssertionError("checkpoint work without a checkpoint path")
+
+        monkeypatch.setattr(checkpoint_mod, "graph_fingerprint", refuse)
+        monkeypatch.setattr(hopset_mod._Collector, "state", refuse)
+        monkeypatch.setattr(spanner_mod, "_round_state", refuse)
+        monkeypatch.setattr(ctree_mod, "_driver_state", refuse)
+        g = with_random_weights(
+            gnm_random_graph(220, 700, seed=13), seed=14, low=1.0, high=4096.0
+        )
+        # each loop reaches an iteration that would save
+        assert len(build_hopset(g, seed=3).levels) >= 2
+        spanner = weighted_spanner(g, k=3, seed=3)
+        assert spanner.meta["num_buckets"] > spanner.meta["num_groups"]
+        tree = build_cluster_tree(barabasi_albert_graph(120, 3, seed=13), "degree:2", seed=21)
+        assert len(tree.nodes) > ctree_mod.CHECKPOINT_EVERY

@@ -129,14 +129,12 @@ def test_wrong_requirement_refuses_checkpoint(tmp_path):
         with pytest.raises(SimulatedKill):
             _build(g, path=path)
 
-    saved = _ckpt.BuildCheckpoint.load(path)
-    fp_other = drv._checkpoint_fingerprint(
-        g, drv.parse_requirement("conductance:0.5"), "est", 0.25, 1, None,
-        "auto", drv.resolve_rng(21),
-    )
-    assert saved.fingerprint != fp_other
+    assert os.path.exists(path)
+
+    # same graph and seed, another requirement: the fingerprint binds
+    # the requirement spec, so the checkpoint is refused
     with pytest.raises(GraphFormatError, match="different build"):
-        _ckpt.load_if_exists(path, "ctree", fp_other)
+        build_cluster_tree(g, "conductance:0.5", seed=21, checkpoint_path=path)
 
 
 def test_wrong_kind_refused(tmp_path):

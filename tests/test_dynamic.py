@@ -34,8 +34,11 @@ from repro.graph import (
 from repro.hopsets import HopsetParams, build_hopset
 from repro.paths.dijkstra import dijkstra_scipy
 from repro.serve import DistanceServer
+from repro.spanners.result import edge_id_lookup
 
 PARAMS = HopsetParams(epsilon=0.5, delta=1.5, gamma1=0.15, gamma2=0.5)
+# larger beta0: level 0 splits a graph into many blocks
+MANY_BLOCKS = HopsetParams(epsilon=0.5, delta=1.5, gamma1=0.15, gamma2=0.3)
 
 
 def _weighted(n, m, seed):
@@ -77,6 +80,15 @@ def _edgeless(n):
     return from_edges(n, np.empty((0, 2), dtype=np.int64))
 
 
+# "auto" races a unit-weight graph in round mode and "exact" does not,
+# so the two methods build different hopsets on the unit grid
+GRAPHS = {
+    "weighted-gnm": lambda: _weighted(120, 320, seed=5),
+    "weighted-grid": lambda: _weighted_grid(20, 20, seed=8),
+    "unit-grid": lambda: grid_graph(20, 20),
+}
+
+
 # ----------------------------------------------------------------------
 # UpdateBatch / apply_batch semantics
 # ----------------------------------------------------------------------
@@ -110,7 +122,8 @@ class TestUpdateBatch:
         assert ar.stats["weight_changed"] == 0
         ar = apply_batch(g, UpdateBatch.from_tuples(inserts=[(u, v, w + 1)]))
         assert ar.stats["weight_changed"] == 1
-        assert float(ar.graph.edge_w[ar.reweighted_ids[0]]) == w + 1
+        eid = edge_id_lookup(ar.graph, [u], [v])[0]
+        assert float(ar.graph.edge_w[eid]) == w + 1
         # weight increase lands in removed_* at the old weight
         assert ar.removed_w.tolist() == [w]
 
@@ -131,8 +144,8 @@ class TestUpdateBatch:
         # the insert path used to gather the m = 0 keep mask at id 0
         ar = apply_batch(_edgeless(4), UpdateBatch.from_tuples(inserts=[(0, 3, 2.0)]))
         assert ar.stats["inserted"] == 1
+        # the inserted pair is the new graph's only edge
         assert _graph_key(ar.graph) == ([0], [3], [2.0])
-        assert ar.inserted_ids.tolist() == [0]
 
     def test_delete_from_edgeless_graph_is_dropped(self):
         g = _edgeless(4)
@@ -151,13 +164,20 @@ class TestUpdateBatch:
 
     def test_edge_list_stays_key_sorted(self):
         g = _weighted(60, 150, seed=4)
-        ar = apply_batch(g, _random_batch(g, seed=7))
+        batch = _random_batch(g, seed=7)
+        ar = apply_batch(g, batch)
         keys = ar.graph.edge_u * ar.graph.n + ar.graph.edge_v
         assert np.all(np.diff(keys) > 0)
-        # old_to_new maps surviving ids onto identical endpoint pairs
-        kept = np.flatnonzero(ar.old_to_new >= 0)
-        assert np.array_equal(g.edge_u[kept], ar.graph.edge_u[ar.old_to_new[kept]])
-        assert np.array_equal(g.edge_v[kept], ar.graph.edge_v[ar.old_to_new[kept]])
+        # every pair the batch leaves alone keeps its weight
+        def weights(h):
+            return dict(zip(zip(h.edge_u.tolist(), h.edge_v.tolist()), h.edge_w.tolist()))
+
+        old, new = weights(g), weights(ar.graph)
+        named = set(zip(batch.delete_u.tolist(), batch.delete_v.tolist()))
+        named |= set(zip(batch.insert_u.tolist(), batch.insert_v.tolist()))
+        untouched = [pair for pair in old if pair not in named]
+        assert len(untouched) >= g.m - batch.size
+        assert all(new[pair] == old[pair] for pair in untouched)
 
 
 # ----------------------------------------------------------------------
@@ -249,6 +269,26 @@ class TestDynamicHopset:
         hs = build_hopset(g, PARAMS, seed=1)  # no record_structure
         with pytest.raises(ParameterError):
             repair_hopset(hs, g, np.array([0]), params=PARAMS)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        graph=st.sampled_from(sorted(GRAPHS)),
+        params=st.sampled_from([PARAMS, MANY_BLOCKS]),
+        method=st.sampled_from(["auto", "exact"]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_repairing_every_block_returns_the_build(self, graph, params, method, seed):
+        # a build is level 0 plus the repair's per-block loop on every
+        # block, so touching every vertex of the unchanged graph gives
+        # back the build's edges: same values, same order, same dtypes
+        g = GRAPHS[graph]()
+        hs = build_hopset(g, params, seed=seed, method=method, record_structure=True)
+        repaired, info = repair_hopset(hs, g, np.arange(g.n), params)
+        assert info["kept_edges"] == 0
+        for name in ("eu", "ev", "ew", "kind"):
+            got, want = getattr(repaired, name), getattr(hs, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
 
     def test_record_structure_preserves_edges(self):
         g = _weighted(100, 260, seed=10)
