@@ -18,7 +18,8 @@ level or round after the first; the cluster-tree driver saves every
 Every loop goes through one :class:`CheckpointCut`: built once per call
 from the loop's inputs, it offers ``resume``, ``save`` and ``clear``,
 and each is a no-op without a path.  ``save`` takes a callable that
-packs the state, so a call without a path hashes and packs nothing.
+packs the state, so a call without a path hashes and packs nothing,
+and it skips the level ``resume`` returned: that file is on disk.
 
 Format: one ``.npz`` with the numpy state plus a JSON member carrying
 scalars, RNG ``bit_generator`` states (exact integer state — never
@@ -175,10 +176,14 @@ class CheckpointCut:
         self.path = path
         self.kind = kind
         self.fingerprint = "" if path is None else graph_fingerprint(g, *extra)
+        self.resumed: Optional[int] = None
 
     def resume(self) -> Optional[BuildCheckpoint]:
         """The validated checkpoint to resume from, or None to start fresh."""
-        return load_if_exists(self.path, self.kind, self.fingerprint)
+        saved = load_if_exists(self.path, self.kind, self.fingerprint)
+        if saved is not None:
+            self.resumed = saved.level
+        return saved
 
     def save(
         self,
@@ -187,8 +192,9 @@ class CheckpointCut:
         pack: Callable[[], State],
     ) -> None:
         """Write ``pack()``'s state and the cursors of ``rngs`` as the cut
-        before iteration ``level``; ``pack`` runs only when there is a path."""
-        if self.path is None:
+        before iteration ``level``; ``pack`` runs only when there is a
+        path, and not for the level the loop resumed from."""
+        if self.path is None or level == self.resumed:
             return
         arrays, scalars = pack()
         BuildCheckpoint(

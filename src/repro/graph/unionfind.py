@@ -1,11 +1,9 @@
 """Array-backed union–find with vectorized bulk operations.
 
-The weighted spanner (Algorithm 3) contracts cluster forests level by
-level; a union–find over the *original* vertex ids is the cheapest way
-to maintain the running contraction.  ``find_many`` resolves a whole
-array of queries with path halving in a few vectorized passes, which is
-the pattern recommended by the optimization guide (replace per-element
-Python loops with array sweeps).
+:class:`UnionFind` merges components edge by edge (the low-stretch
+tree, the hopset scale ladder, ``contracted_quotient``).  The weighted
+spanner hooks cluster roots itself in a bare parent array and resolves
+endpoints with :func:`find_roots`, the vectorized sweep of ``find_many``.
 """
 
 from __future__ import annotations
@@ -32,23 +30,8 @@ class UnionFind:
         return int(x)
 
     def find_many(self, xs: np.ndarray) -> np.ndarray:
-        """Roots of every element of ``xs`` (vectorized path compression).
-
-        Repeatedly replaces labels with their parents until fixpoint;
-        the number of passes is the max tree height, which union by
-        size keeps at ``O(log n)``.  After the sweep, all visited nodes
-        are compressed directly to their roots.
-        """
-        xs = np.asarray(xs, dtype=np.int64)
-        p = self.parent
-        roots = xs.copy()
-        while True:
-            nxt = p[roots]
-            if np.array_equal(nxt, roots):
-                break
-            roots = p[nxt]  # two hops per pass (path halving flavor)
-        p[xs] = roots
-        return roots
+        """Roots of every element of ``xs`` (:func:`find_roots`)."""
+        return find_roots(self.parent, xs)
 
     def union(self, a: int, b: int) -> bool:
         """Merge the sets of ``a`` and ``b``; return True if they were distinct."""
@@ -71,9 +54,7 @@ class UnionFind:
         strictly, so a pass can never create a cycle; chains collapse
         through the next pass's path compression).  Every pass merges
         each live ``hi`` root exactly once, so the pass count is
-        logarithmic in the contracted component count — the spanner's
-        per-level forest contractions (hundreds of thousands of edges)
-        were the dominant profile cost under the old per-edge sweep.
+        logarithmic in the contracted component count.
         Root sizes are rebuilt exactly for every touched component from
         the pre-call root sizes, with one ``bincount`` over the root ids.
         """
@@ -110,3 +91,22 @@ class UnionFind:
         roots = self.find_many(np.arange(self.parent.shape[0]))
         _, labels = np.unique(roots, return_inverse=True)
         return labels
+
+
+def find_roots(parent: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Roots of every element of ``xs`` in the forest ``parent``.
+
+    Follows two parent hops per pass until fixpoint, so the number of
+    passes is half the tallest queried chain.  After the sweep, every
+    queried element points directly at its root (``parent`` is
+    compressed in place).
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    roots = xs.copy()
+    while True:
+        nxt = parent[roots]
+        if np.array_equal(nxt, roots):
+            break
+        roots = parent[nxt]  # two hops per pass (path halving flavor)
+    parent[xs] = roots
+    return roots

@@ -9,12 +9,12 @@ Pipeline (Section 3, Theorem 3.3):
    a group differ in weight by at least a ``Theta(k)`` factor (our
    separation constant is configurable).
 3. Inside each group run ``WellSeparatedSpanner``: walk the buckets in
-   increasing weight order, each time contracting everything connected
-   by the forests of previous levels (a union–find over the original
-   vertices), running an *unweighted* EST clustering on the quotient
-   graph of the current bucket, and keeping forest + boundary edges —
-   all reported as original-graph edge ids via the quotient's
-   representative-edge tracking.
+   increasing weight order, each time contracting the clusters of
+   previous levels (a level's forest spans exactly its clusters),
+   running an *unweighted* EST clustering on the quotient graph of the
+   current bucket, and keeping forest + boundary edges — all reported
+   as original-graph edge ids via the quotient's representative-edge
+   tracking.
 
 The O(log k) grouping is what reduces the naive O(log U) size overhead
 to O(log k); the ablation benchmark compares both.
@@ -50,7 +50,7 @@ from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.graph.dedup import presence_unique, rows_by_value, stable_argsort
 from repro.graph.quotient import QuotientResult, quotient_forest, quotient_graph
-from repro.graph.unionfind import UnionFind
+from repro.graph.unionfind import UnionFind, find_roots
 from repro.kernels import check_backend
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn_seeds
@@ -146,14 +146,10 @@ def _unique_edge_ids(m: int, parts: List[np.ndarray]) -> np.ndarray:
     return presence_unique(m, parts, sparse_factor=0)
 
 
-def _round_state(uf: UnionFind, kept: List[np.ndarray]) -> State:
-    """A spanner checkpoint: the shared union–find and the kept edge ids."""
-    arrays = {
-        "uf_parent": uf.parent,
-        "uf_size": uf.size,
-        "kept": np.concatenate(kept) if kept else np.empty(0, np.int64),
-    }
-    return arrays, {"uf_components": int(uf.n_components)}
+def _round_state(parent: np.ndarray, kept: List[np.ndarray]) -> State:
+    """A spanner checkpoint: the contraction forest and the kept edge ids."""
+    flat = np.concatenate(kept) if kept else np.empty(0, np.int64)
+    return {"uf_parent": parent, "kept": flat}, {}
 
 
 def _well_separated_spanner_batched(
@@ -177,19 +173,22 @@ def _well_separated_spanner_batched(
       over the occupied buckets and one radix order of the edge list by
       ``(level rank, group)`` — round ``t`` is a contiguous slice,
       already grouped with ascending edge ids;
-    * all groups' running contractions live in a *single* union–find
-      over the group-tagged id space ``[0, s * n)`` (group ``j`` owns
-      ``[j * n, (j + 1) * n)``), so one ``find_many`` resolves the
-      whole round and one ``union_edges`` applies the whole round's
-      forests — per-group roots and hence per-group quotients are
-      bitwise those of a standalone per-group union–find, just offset;
-      groups with a single weight level never consult it (their one
-      level starts uncontracted), which keeps the ``grouping=False``
-      ablation — one group per bucket — allocation-free;
+    * all groups' running contractions live in a *single* parent
+      array over the group-tagged id space ``[0, s * n)`` (group ``j``
+      owns ``[j * n, (j + 1) * n)``), so one :func:`find_roots`
+      resolves the whole round; groups with a single weight level
+      never consult it (their one level starts uncontracted), which
+      keeps the ``grouping=False`` ablation — one group per bucket —
+      allocation-free;
     * :func:`quotient_forest` builds the round's block-diagonal
       quotient union in one pass, :func:`est_cluster_forest` clusters
       every block in one race, and forest/boundary edges fall out of
-      two vectorized passes over the round's label arrays.
+      two vectorized passes over the round's label arrays;
+    * the contraction follows the cluster labels (a cluster's forest
+      spans exactly the cluster): one scatter over the round's quotient
+      vertices hooks each cluster's roots onto its smallest, so roots
+      stay component minima as in the oracle's ``UnionFind`` and the
+      per-group quotients are bitwise the oracle's, just offset.
 
     Groups whose round-``t`` level is fully contracted (or exhausted)
     contribute no block — and, exactly like the per-group oracle in
@@ -197,7 +196,7 @@ def _well_separated_spanner_batched(
     consume each group's spawned stream level-for-level and emit
     identical edge sets per seed.
 
-    ``cut`` saves the union–find, the kept ids and the streams before
+    ``cut`` saves the parent array, the kept ids and the streams before
     every round after the first, and resumes from them.
     """
     n = g.n
@@ -227,19 +226,17 @@ def _well_separated_spanner_batched(
     per_round = np.bincount(rank, weights=per_bucket[occupied], minlength=max_rounds)
     np.cumsum(per_round.astype(np.int64), out=round_ptr[1:])
 
-    # ---- one union-find over the group-tagged vertex space ------------
+    # ---- one parent array over the group-tagged vertex space ---------
     # only groups that reach a second level ever read their block
     base = np.full(num_groups, -1, dtype=np.int64)
     multi = np.flatnonzero(num_levels >= 2)
     base[multi] = np.arange(multi.shape[0], dtype=np.int64) * n
-    uf = UnionFind(int(multi.shape[0]) * n)
+    parent = np.arange(int(multi.shape[0]) * n, dtype=np.int64)
 
     t_start = 0
     saved = cut.resume()
     if saved is not None:
-        uf.parent = saved.arrays["uf_parent"]
-        uf.size = saved.arrays["uf_size"]
-        uf.n_components = int(saved.scalars["uf_components"])
+        parent = saved.arrays["uf_parent"]  # older files' uf_size is unread
         if saved.arrays["kept"].size:
             kept.append(saved.arrays["kept"])
         rngs = saved.generators()
@@ -247,24 +244,24 @@ def _well_separated_spanner_batched(
 
     for t in range(t_start, max_rounds):
         if t:
-            cut.save(t, rngs, partial(_round_state, uf, kept))
+            cut.save(t, rngs, partial(_round_state, parent, kept))
         ids = order[round_ptr[t] : round_ptr[t + 1]]
         gj = grp_of[ids]
         eu = g.edge_u[ids]
         ev = g.edge_v[ids]
 
-        # ---- contract the whole round through the shared UF -----------
+        # ---- contract the whole round through the shared forest -------
         tagged = base[gj] >= 0
         if tagged.all():
             off = base[gj]
-            ru = uf.find_many(off + eu) - off
-            rv = uf.find_many(off + ev) - off
+            ru = find_roots(parent, off + eu) - off
+            rv = find_roots(parent, off + ev) - off
         else:
             ru, rv = eu.copy(), ev.copy()
             if tagged.any():
                 off = base[gj[tagged]]
-                ru[tagged] = uf.find_many(off + eu[tagged]) - off
-                rv[tagged] = uf.find_many(off + ev[tagged]) - off
+                ru[tagged] = find_roots(parent, off + eu[tagged]) - off
+                rv[tagged] = find_roots(parent, off + ev[tagged]) - off
         live = ru != rv
         if not live.any():
             continue
@@ -299,26 +296,19 @@ def _well_separated_spanner_batched(
                 union, beta, qf.ptr, shifts, method=method, tracker=tracker
             )
 
-        # ---- forest edges -> original ids, contract in one call -------
-        child, parent = clustering.forest_edges()
-        if child.size:
-            qids = edge_id_lookup(union, child, parent)
-            forest_orig = qf.rep_edge_ids[qids]
-            kept.append(forest_orig)
-            block_of = np.searchsorted(qf.ptr, child, side="right") - 1
-            fgrp = active[block_of]
-            fsel = base[fgrp] >= 0
-            if fsel.any():
-                off = base[fgrp[fsel]]
-                uf.union_edges(
-                    off + g.edge_u[forest_orig[fsel]],
-                    off + g.edge_v[forest_orig[fsel]],
-                )
+        # ---- forest + boundary edges -> original ids ------------------
+        labels = clustering.labels
+        kept.append(qf.rep_edge_ids[edge_id_lookup(union, *clustering.forest_edges())])
+        kept.append(qf.rep_edge_ids[boundary_edge_ids(union, labels)])
 
-        # ---- boundary edges, one pass over the union's arcs -----------
-        qids = boundary_edge_ids(union, clustering.labels)
-        if qids.size:
-            kept.append(qf.rep_edge_ids[qids])
+        # ---- contract: hook every cluster's roots onto its smallest ---
+        # (a block's vertices ascend by root, so on its smallest vertex)
+        off = np.repeat(base[active], np.diff(qf.ptr))
+        sel = np.flatnonzero(off >= 0)
+        root = off + qf.vertex_reps  # tagged; meaningless outside sel
+        low = np.full(clustering.num_clusters, union.n, dtype=np.int64)
+        np.minimum.at(low, labels[sel], sel)
+        parent[root[sel]] = root[low[labels[sel]]]
 
     return _unique_edge_ids(g.m, kept)
 

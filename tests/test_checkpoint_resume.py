@@ -25,6 +25,7 @@ from repro.checkpoint import BuildCheckpoint, graph_fingerprint, rng_from_state,
 from repro.ctree import build_cluster_tree
 from repro.errors import GraphFormatError
 from repro.graph import barabasi_albert_graph, from_edges, gnm_random_graph, with_random_weights
+from repro.graph.unionfind import find_roots
 from repro.hopsets import HopsetParams, build_hopset
 from repro.rng import resolve_rng
 from repro.spanners.weighted import weighted_spanner
@@ -35,13 +36,14 @@ class SimulatedKill(Exception):
 
 
 class _KillSwitch:
-    """Raise after ``kill_at`` est_cluster_forest calls (monkeypatch target)."""
+    """Raise after ``kill_at`` calls of ``module.<name>`` (monkeypatch target)."""
 
-    def __init__(self, module, kill_at):
+    def __init__(self, module, kill_at, name="est_cluster_forest"):
         self.module = module
+        self.name = name
         self.kill_at = kill_at
         self.calls = 0
-        self.orig = module.est_cluster_forest
+        self.orig = getattr(module, name)
 
     def __enter__(self):
         def wrapped(*args, **kwargs):
@@ -50,11 +52,11 @@ class _KillSwitch:
                 raise SimulatedKill()
             return self.orig(*args, **kwargs)
 
-        self.module.est_cluster_forest = wrapped
+        setattr(self.module, self.name, wrapped)
         return self
 
     def __exit__(self, *exc):
-        self.module.est_cluster_forest = self.orig
+        setattr(self.module, self.name, self.orig)
         return False
 
 
@@ -181,6 +183,95 @@ class TestSpannerResume:
             resumed = weighted_spanner(g, k=3, seed=seed, checkpoint_path=cp)
             assert np.array_equal(ref.edge_ids, resumed.edge_ids)
             assert not os.path.exists(cp)
+
+    @pytest.mark.parametrize("kill_at", [1, 2, 3])
+    def test_union_find_layout_resumes(self, tmp_path, kill_at):
+        # checkpoints written while the spanner contracted through a
+        # UnionFind hold its parent forest (any shape, roots minimal),
+        # its sizes and its component count; they must keep resuming
+        g = with_random_weights(
+            gnm_random_graph(220, 700, seed=13), 1.0, 2.0**16, "loguniform", seed=14
+        )
+        ref = weighted_spanner(g, k=3, seed=5)
+        cp = tmp_path / "s.npz"
+        with _KillSwitch(spanner_mod, kill_at):
+            with pytest.raises(SimulatedKill):
+                weighted_spanner(g, k=3, seed=5, checkpoint_path=cp)
+        ck = BuildCheckpoint.load(cp)
+        assert ck.level == kill_at
+        parent = ck.arrays["uf_parent"]
+        ids = np.arange(parent.shape[0])
+        roots = find_roots(parent.copy(), ids)
+        # uncompressed: each member hangs off the next smaller one of
+        # its component, so the root (the minimum) heads a chain
+        order = np.lexsort((ids, roots))
+        same = roots[order[1:]] == roots[order[:-1]]
+        chain = ids.copy()
+        chain[order[1:][same]] = order[:-1][same]
+        assert (chain != roots).any()
+        sizes = np.ones_like(ids)
+        top = np.flatnonzero(roots == ids)
+        sizes[top] = np.bincount(roots)[top]
+        ck.arrays.update(uf_parent=chain, uf_size=sizes)
+        ck.scalars["uf_components"] = int(top.shape[0])
+        ck.save(cp)
+        resumed = weighted_spanner(g, k=3, seed=5, checkpoint_path=cp)
+        assert np.array_equal(ref.edge_ids, resumed.edge_ids)
+
+
+def _save_levels(monkeypatch):
+    """Every level written through ``BuildCheckpoint.save``, in order."""
+    levels = []
+    orig = BuildCheckpoint.save
+
+    def spy(self, path):
+        levels.append(self.level)
+        orig(self, path)
+
+    monkeypatch.setattr(BuildCheckpoint, "save", spy)
+    return levels
+
+
+def _loops():
+    """(build with a checkpoint path, kill module, kill target, kill count,
+    output signature) per resumable loop; the cluster-tree driver races
+    with ``est_cluster``.  Each kill leaves a checkpoint that a later
+    level of the resumed run overwrites."""
+    g = with_random_weights(gnm_random_graph(300, 1100, seed=5), seed=6)
+    gs = with_random_weights(
+        gnm_random_graph(220, 700, seed=13), seed=14, low=1.0, high=4096.0
+    )
+    ba = barabasi_albert_graph(120, 3, seed=13)
+    return {
+        "hopset": (
+            lambda cp: build_hopset(g, seed=3, checkpoint_path=cp),
+            hopset_mod, "est_cluster_forest", 1, _hopset_sig,
+        ),
+        "spanner": (
+            lambda cp: weighted_spanner(gs, k=3, seed=3, checkpoint_path=cp),
+            spanner_mod, "est_cluster_forest", 1, lambda sp: sp.edge_ids.tobytes(),
+        ),
+        "ctree": (
+            lambda cp: build_cluster_tree(ba, "degree:2", seed=21, checkpoint_path=cp),
+            ctree_mod, "est_cluster", 20, lambda tree: tree.signature(),
+        ),
+    }
+
+
+@pytest.mark.parametrize("loop", ["hopset", "spanner", "ctree"])
+def test_resumed_loop_keeps_the_checkpoint_it_loaded(tmp_path, monkeypatch, loop):
+    build, module, target, kill_at, sig = _loops()[loop]
+    ref = sig(build(None))
+    cp = tmp_path / "c.npz"
+    levels = _save_levels(monkeypatch)
+    with _KillSwitch(module, kill_at, target):
+        with pytest.raises(SimulatedKill):
+            build(cp)
+    resumed_from = BuildCheckpoint.load(cp).level
+    levels.clear()
+    assert sig(build(cp)) == ref
+    # the file on disk is that level's cut: writing it again is waste
+    assert levels and min(levels) > resumed_from, (resumed_from, levels)
 
 
 class TestCheckpointFile:

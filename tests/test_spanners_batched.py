@@ -38,17 +38,22 @@ SETTINGS = settings(
 
 @st.composite
 def weighted_graphs(draw):
-    """A connected weighted graph across regimes: int / narrow / wide float."""
+    """A connected weighted graph across regimes: int / narrow / wide /
+    deep float.  The deep regime's 60 buckets give a group up to 20
+    contracted levels (15 at ``k = 3``), so the spanner's cluster-root
+    hooking runs many rounds against the oracle's ``UnionFind``."""
     seed = draw(st.integers(min_value=0, max_value=2**16))
     n = draw(st.integers(min_value=5, max_value=90))
     m = min(draw(st.integers(min_value=n, max_value=5 * n)), n * (n - 1) // 2)
-    regime = draw(st.sampled_from(["integer", "narrow", "wide"]))
+    regime = draw(st.sampled_from(["integer", "narrow", "wide", "deep"]))
     g = gnm_random_graph(n, m, seed=seed, connected=True)
     if regime == "integer":
         return with_random_weights(g, 1, 50, "integer", seed=seed + 1)
     if regime == "narrow":
         return with_random_weights(g, 1.0, 8.0, "loguniform", seed=seed + 1)
-    return with_random_weights(g, 1.0, 2.0**24, "loguniform", seed=seed + 1)
+    if regime == "wide":
+        return with_random_weights(g, 1.0, 2.0**24, "loguniform", seed=seed + 1)
+    return with_random_weights(g, 1.0, 2.0**60, "loguniform", seed=seed + 1)
 
 
 def both(g, seed, **kw):
