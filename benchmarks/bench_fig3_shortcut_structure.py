@@ -16,7 +16,7 @@ import pytest
 
 import _report
 from repro.clustering import est_cluster
-from repro.paths.dijkstra import dijkstra
+from repro.paths.engine import shortest_paths
 from repro.paths.trees import extract_path
 
 COLUMNS = ["beta", "path_hops", "segments", "predicted_cuts", "large_segments", "replaced_frac"]
@@ -24,7 +24,7 @@ COLUMNS = ["beta", "path_hops", "segments", "predicted_cuts", "large_segments", 
 
 def _path_anatomy(g, beta, seed, rho=8.0):
     c = est_cluster(g, beta, seed=seed, method="exact")
-    dist, parent, _ = dijkstra(g, 0)
+    parent = shortest_paths(g, 0).parent
     path = extract_path(parent, g.n - 1)
     labels = c.labels
     threshold = g.n / rho

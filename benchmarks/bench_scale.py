@@ -141,16 +141,18 @@ def stage_ingest(edge_path: str, store_path: str, chunk: int) -> dict:
 
 def stage_query(store_path: str) -> dict:
     from repro.graph.storage import load_store
-    from repro.paths.weighted_bfs import dial_sssp
+    from repro.kernels.numpy_kernel import INT_INF
+    from repro.paths.engine import shortest_paths
 
     g = load_store(store_path, mmap_mode="r")
-    dist, parent, owner, levels = dial_sssp(g, np.array([0]))
-    reached = int(np.isfinite(dist).sum())
+    # the store's weights are the integers 1..WEIGHT_MAX: Dial mode
+    res = shortest_paths(g, 0, weights=g.weights.astype(np.int64), delta=1)
+    reached = res.dist != INT_INF
     return {
-        "reached": reached,
+        "reached": int(reached.sum()),
         "n": g.n,
-        "levels": int(levels),
-        "max_dist": float(dist[np.isfinite(dist)].max()),
+        "levels": res.buckets,
+        "max_dist": float(res.dist[reached].max()),
     }
 
 

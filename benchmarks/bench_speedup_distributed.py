@@ -23,8 +23,7 @@ from repro.distributed import distributed_unweighted_spanner
 from repro.graph import with_random_weights
 from repro.hopsets import HopsetParams, build_hopset, ks97_hopset, suggested_hop_bound
 from repro.hopsets.query import exact_distance
-from repro.paths import hop_limited_distances
-from repro.paths.delta_stepping import delta_stepping
+from repro.paths import hop_limited_distances, shortest_paths
 from repro.pram import PramTracker, processors_for_speedup
 
 PARAMS = HopsetParams(epsilon=0.5, delta=1.5, gamma1=0.15, gamma2=0.5)
@@ -96,7 +95,7 @@ def test_delta_stepping_vs_hopset_rounds(benchmark, bench_grid):
     def run():
         d_true = exact_distance(g, s, t)
         t_ds = PramTracker(n=g.n, depth_per_round=1)
-        dist_ds, phases = delta_stepping(g, s, tracker=t_ds)
+        dist_ds = shortest_paths(g, s, tracker=t_ds).dist
         hs = build_hopset(g, PARAMS, seed=114)
         budget = min(suggested_hop_bound(hs, d_true), g.n)
         t_hs = PramTracker(n=g.n, depth_per_round=1)

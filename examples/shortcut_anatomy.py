@@ -15,7 +15,7 @@ import numpy as np
 
 import repro
 from repro.clustering import est_cluster
-from repro.paths.dijkstra import dijkstra
+from repro.paths.engine import shortest_paths
 from repro.paths.trees import extract_path
 
 
@@ -32,7 +32,8 @@ def main() -> None:
     sizes = c.sizes
     large_labels = set(int(lab) for lab in np.flatnonzero(sizes >= threshold))
 
-    dist, parent, _ = dijkstra(g, s)
+    sp = shortest_paths(g, s)
+    dist, parent = sp.dist, sp.parent
     path = extract_path(parent, t)
     labels = c.labels
     print(f"grid {side}x{side}; clustering: {c.num_clusters} clusters, "
@@ -64,7 +65,7 @@ def main() -> None:
         skipped_hops = last[1] - first[0]
         star1 = float(c.dist_to_center[u])
         star2 = float(c.dist_to_center[v])
-        d_c1, _, _ = dijkstra(g, c1)
+        d_c1 = shortest_paths(g, c1).dist
         clique = float(d_c1[c2])
         direct = float(dist[path[last[1]]] - dist[path[first[0]]])
         print("Figure 3 replacement:")

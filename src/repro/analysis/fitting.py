@@ -7,8 +7,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.pram.report import fit_scaling_exponent
-
 
 @dataclass(frozen=True)
 class PowerLawFit:
@@ -23,14 +21,21 @@ class PowerLawFit:
 
 
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
-    """Fit and also report goodness-of-fit (R² in log space)."""
-    a, c = fit_scaling_exponent(xs, ys)
+    """Least-squares fit of ``log y = a log x + log c`` and its R² in
+    log space.
+
+    Points with a non-positive x or y are dropped before the fit; at
+    least two distinct x values must remain (``ValueError`` otherwise).
+    """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     ok = (x > 0) & (y > 0)
-    lx, ly = np.log(x[ok]), np.log(y[ok])
-    pred = a * lx + np.log(c)
-    ss_res = float(np.sum((ly - pred) ** 2))
+    x, y = x[ok], y[ok]
+    if np.unique(x).shape[0] < 2:
+        raise ValueError("need at least two distinct positive x values")
+    lx, ly = np.log(x), np.log(y)
+    a, logc = np.polyfit(lx, ly, 1)
+    ss_res = float(np.sum((ly - (a * lx + logc)) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return PowerLawFit(exponent=a, constant=c, r_squared=r2)
+    return PowerLawFit(exponent=float(a), constant=float(np.exp(logc)), r_squared=r2)

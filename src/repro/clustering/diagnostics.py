@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.clustering.est import Clustering, est_cluster
 from repro.graph.csr import CSRGraph
-from repro.paths.dijkstra import dijkstra
+from repro.paths.engine import shortest_paths
 from repro.rng import SeedLike, resolve_rng
 
 
@@ -66,10 +66,10 @@ def ball_cluster_count(
     """Number of distinct clusters intersecting the ball B(center, radius).
 
     Lemma 2.2 bounds ``Pr[count >= k]`` by ``(1 - exp(-2 r beta))^(k-1)``.
-    Uses an exact Dijkstra from ``center`` (measurement code; not on the
-    algorithm's critical path).
+    Uses an exact engine search from ``center`` (measurement code; not
+    on the algorithm's critical path).
     """
-    dist, _, _ = dijkstra(g, center)
+    dist = shortest_paths(g, center).dist
     inside = dist <= radius + 1e-12
     return int(np.unique(clustering.center[inside]).shape[0])
 

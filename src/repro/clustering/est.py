@@ -281,7 +281,7 @@ def _race(
     """
 
     def at_sources(a: np.ndarray) -> np.ndarray:
-        # n ascending ids are every vertex: no gather on the one-block path
+        # n ascending ids are every vertex: no gather when one engine races all
         return a if sources.shape[0] == g.n else a[sources]
 
     if mode == 2:
@@ -326,10 +326,9 @@ def est_cluster(
 ) -> Clustering:
     """Run EST clustering on ``g`` with parameter ``beta``.
 
-    The single-block case of :func:`est_cluster_forest`: it draws the
-    shifts, resolves its own ``auto`` and races every vertex from the
-    global ``delta_max`` through the same race body, without the
-    forest's group bookkeeping.  The test reference
+    The one-block :func:`est_cluster_forest`: it draws the shifts,
+    resolves its own ``auto`` and races ``g`` as the single group
+    ``[0, n)``.  The test reference
     ``tests/oracles/est.py:est_cluster_reference`` runs a separate
     single-graph race; the two must agree output for output and ledger
     for ledger.
@@ -348,46 +347,22 @@ def est_cluster(
     """
     if beta <= 0 or not np.isfinite(beta):
         raise ParameterError(f"beta must be a positive float, got {beta}")
-    tracker = tracker or null_tracker()
-    n = g.n
     if shifts is None:
-        shifts = sample_shifts(n, beta, seed)
-    else:
-        shifts = np.asarray(shifts, dtype=np.float64)
-        if shifts.shape[0] != n:
-            raise ParameterError("shifts must have length n")
-        # start times are max(shift) - shift: one bad shift poisons all
-        check_finite("shifts", shifts)
-
+        shifts = sample_shifts(g.n, beta, seed)
     if method == "auto":
         method = "round" if g.is_unweighted else "exact"
-    if method not in ("exact", "round"):
-        raise ParameterError(f"unknown method {method!r}")
-    mode = int(_forest_group_modes(g, None, 1, method)[0])
-
-    delta_max = float(shifts.max()) if n else 0.0
-    center, parent, dist_to_center, rounds = _race(
-        g, mode, np.arange(n, dtype=np.int64), delta_max - shifts, tracker
-    )
-    return Clustering(
-        center=center,
-        parent=parent,
-        dist_to_center=dist_to_center,
-        shifts=shifts,
-        beta=float(beta),
-        rounds=rounds,
-    )
+    return est_cluster_forest(g, beta, np.asarray([0, g.n]), shifts, method, tracker)
 
 
 def _forest_group_modes(
-    g: CSRGraph, group_of: Optional[np.ndarray], k: int, method: str
+    g: CSRGraph, group_of: np.ndarray, k: int, method: str
 ) -> np.ndarray:
     """Resolve each group's race engine: 0 = BFS, 1 = Dial, 2 = exact.
 
     The one place that maps a method and block weights to an engine
-    for :func:`_race`; ``group_of`` is ``None`` for a single block
-    (:func:`est_cluster`, which resolves its own ``auto`` first).
-    Under ``round``/``auto``, unweighted blocks race by BFS,
+    for :func:`_race`; :func:`est_cluster` reaches it as a single
+    group, with its own ``auto`` already resolved.  Under
+    ``round``/``auto``, unweighted blocks race by BFS,
     integer-weighted blocks by the quantized Dial race, everything
     else exactly — and ``round`` refuses a block of the last kind.
     This ``auto`` mirrors the depth-first hopset oracle's dispatch
@@ -407,9 +382,7 @@ def _forest_group_modes(
     if g.is_unweighted:
         return np.zeros(k, dtype=np.int64)
     w = g.edge_w
-    edge_group = (
-        np.zeros(g.m, dtype=np.int64) if group_of is None else group_of[g.edge_u]
-    )
+    edge_group = group_of[g.edge_u]
     # int64 round-trip, the same overflow-safe integrality check every
     # other dispatch site uses (inf / >=2**63 weights must fall through
     # to the exact engine, not wrap in Dial mode)
@@ -447,7 +420,7 @@ def est_cluster_forest(
     clustering call of both the level-synchronous hopset builder and
     the level-synchronous weighted spanner (whose uniform-weight
     quotient blocks all race on the BFS engine under ``round``/
-    ``auto``).
+    ``auto``), and, as one block, :func:`est_cluster`.
 
     Equivalence with per-block clustering is exact, not just
     distributional.  The reference is the single-graph race body kept
@@ -505,10 +478,8 @@ def est_cluster_forest(
     rounds = 0
 
     mode_of_vertex = modes[group_of]
-    for mode in (0, 1, 2):
+    for mode in sorted(set(modes.tolist())):  # the engines some group uses
         verts = np.flatnonzero(mode_of_vertex == mode)
-        if verts.shape[0] == 0:
-            continue
         own, par, dist, r = _race(g, mode, verts, start_real, tracker)
         center[verts] = own[verts]
         parent[verts] = par[verts]

@@ -9,8 +9,8 @@ for recursive reclustering, and the finished hierarchy is emitted as a
 :class:`~repro.ctree.tree.ClusterTree` with per-node stats.  An
 expansion is the one-block case of the level-synchronous builders'
 primitives: :func:`~repro.graph.builders.induced_subgraph` is the
-one-group forest cut and :func:`~repro.clustering.est.est_cluster` runs
-the forest race's body on every vertex.
+one-group forest cut and :func:`~repro.clustering.est.est_cluster` the
+one-block forest race.
 
 Guarantees:
 

@@ -142,21 +142,6 @@ class ApplyResult:
     stats: Dict[str, int]
 
 
-def _edge_positions(
-    g: CSRGraph, lo: np.ndarray, hi: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Edge ids of each ``(lo, hi)`` pair in ``g`` (or -1), plus found mask."""
-    if g.m == 0:
-        return np.full(lo.shape[0], -1, np.int64), np.zeros(lo.shape[0], bool)
-    keys = lo * np.int64(g.n) + hi
-    gkeys = g.edge_u * np.int64(g.n) + g.edge_v
-    pos = np.searchsorted(gkeys, keys)
-    safe = np.minimum(pos, g.m - 1)
-    found = (pos < g.m) & (gkeys[safe] == keys)
-    ids = np.where(found, safe, -1).astype(np.int64)
-    return ids, found
-
-
 def apply_batch(g: CSRGraph, batch: UpdateBatch) -> ApplyResult:
     """Apply ``batch`` to ``g`` and return the new graph plus repair views."""
     n = g.n
@@ -164,7 +149,7 @@ def apply_batch(g: CSRGraph, batch: UpdateBatch) -> ApplyResult:
         check_vertex_ids(arr, n, "vertex")
 
     # ---- deletes first ------------------------------------------------
-    del_ids, del_found = _edge_positions(g, batch.delete_u, batch.delete_v)
+    del_ids, del_found = g.edge_positions(batch.delete_u, batch.delete_v)
     applied_del = del_ids[del_found]
     dropped_deletes = int((~del_found).sum())
     keep_mask = np.ones(g.m, dtype=bool)
@@ -172,7 +157,7 @@ def apply_batch(g: CSRGraph, batch: UpdateBatch) -> ApplyResult:
 
     # ---- inserts against the survivors --------------------------------
     ilo, ihi, iw = batch.insert_u, batch.insert_v, batch.insert_w
-    ins_ids, ins_found = _edge_positions(g, ilo, ihi)
+    ins_ids, ins_found = g.edge_positions(ilo, ihi)
     # gather only at found ids: an edgeless graph has nothing to index
     survives = np.zeros_like(ins_found)
     survives[ins_found] = keep_mask[ins_ids[ins_found]]

@@ -197,6 +197,24 @@ class CSRGraph:
         """For each CSR slot, the source vertex (expanded from indptr)."""
         return np.repeat(np.arange(self.n, dtype=self.indices.dtype), np.diff(self.indptr))
 
+    def edge_positions(
+        self, lo: np.ndarray, hi: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Edge ids of the pairs ``(lo[i], hi[i])``, ``lo < hi``, or -1,
+        plus the found mask.
+
+        One binary search over the canonical keys ``u * n + v``, by
+        which every graph's edge list is sorted.
+        """
+        if self.m == 0:
+            return np.full(lo.shape[0], -1, np.int64), np.zeros(lo.shape[0], bool)
+        keys = lo * np.int64(self.n) + hi
+        gkeys = self.edge_u * np.int64(self.n) + self.edge_v
+        pos = np.searchsorted(gkeys, keys)
+        safe = np.minimum(pos, self.m - 1)
+        found = (pos < self.m) & (gkeys[safe] == keys)
+        return np.where(found, safe, -1), found
+
     # ------------------------------------------------------------------
     # dunder / misc
     # ------------------------------------------------------------------

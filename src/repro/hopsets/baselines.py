@@ -25,8 +25,8 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.hopsets.result import HopsetResult
-from repro.paths.dijkstra import dijkstra
 from repro.paths.bfs import bfs
+from repro.paths.engine import shortest_paths
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng
 
@@ -37,7 +37,7 @@ def _sssp_dist(g: CSRGraph, source: int, tracker: PramTracker) -> np.ndarray:
     if g.is_unweighted:
         d, _ = bfs(g, source, tracker=tracker)
         return np.where(d == np.iinfo(np.int64).max, np.inf, d.astype(np.float64))
-    d, _, _ = dijkstra(g, source)
+    d = shortest_paths(g, source).dist
     tracker.charge(work=2 * g.m + g.n, depth=1)
     return d
 

@@ -13,7 +13,7 @@ Engine API
 :func:`shortest_paths` is the workhorse::
 
     res = shortest_paths(g, sources, offsets=start_times, tracker=t)
-    res.dist, res.parent, res.owner      # as in the old ``dijkstra``
+    res.dist, res.parent, res.owner      # distances, forest, arg-min source
     res.buckets, res.relax_rounds        # PRAM depth structure
     res.arcs_relaxed                     # PRAM work
 
@@ -22,7 +22,8 @@ Engine API
 clustering is defined by.  ``owner[v]`` is the arg-min source (ties
 broken toward the earlier entry in ``sources``), ``parent`` the
 shortest-path-forest parent.  ``weights`` overrides the graph's CSR
-weights (used by the rounded-graph pipelines).  Sources must be
+weights (used by the rounded-graph pipelines; an ``int64`` override
+at ``delta=1`` is Section 5's weighted parallel BFS).  Sources must be
 integral vertex ids in ``[0, n)`` (a scalar or a 1-D array), offsets
 one finite entry per source, override weights one finite non-negative
 entry per CSR slot, and ``delta`` positive and finite; anything else

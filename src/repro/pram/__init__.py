@@ -16,7 +16,6 @@ depends on the model of parallelism" (paper, Appendix A).
 
 from repro.pram.tracker import PramTracker, null_tracker, log_star
 from repro.pram.primitives import charge_semisort
-from repro.pram.report import fit_scaling_exponent
 from repro.pram.speedup import processors_for_speedup
 
 __all__ = [
@@ -24,6 +23,5 @@ __all__ = [
     "null_tracker",
     "log_star",
     "charge_semisort",
-    "fit_scaling_exponent",
     "processors_for_speedup",
 ]

@@ -54,24 +54,21 @@ class SpannerResult:
 
 
 def edge_id_lookup(g: CSRGraph, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Vectorized (u, v) -> undirected edge id resolution.
+    """Vectorized (u, v) -> undirected edge id resolution, either
+    orientation (:meth:`CSRGraph.edge_positions` on the ordered pairs).
 
-    Requires every queried pair to exist in ``g`` (raises KeyError
-    otherwise).  Works because ``from_edges`` stores the edge list
-    sorted by the canonical key ``min*n + max``.
+    Requires every queried pair to exist in ``g``: raises KeyError
+    naming the first missing one (on an edgeless graph, any pair).
     """
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
     lo = np.minimum(us, vs)
     hi = np.maximum(us, vs)
-    keys = lo * np.int64(g.n) + hi
-    gkeys = g.edge_u * np.int64(g.n) + g.edge_v
-    pos = np.searchsorted(gkeys, keys)
-    ok = (pos < g.m) & (gkeys[np.minimum(pos, max(g.m - 1, 0))] == keys)
-    if not ok.all():
-        bad = int(np.flatnonzero(~ok)[0])
+    ids, found = g.edge_positions(lo, hi)
+    if not found.all():
+        bad = int(np.flatnonzero(~found)[0])
         raise KeyError(f"edge ({lo[bad]}, {hi[bad]}) not present in graph")
-    return pos.astype(np.int64)
+    return ids
 
 
 def boundary_edge_ids(

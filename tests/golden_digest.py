@@ -150,11 +150,14 @@ def _calls(name: str, g: Any) -> Dict[str, Callable[[PramTracker], Tuple[Any, ..
         calls["limited_hopset"] = lambda t: (
             lambda lh: (lh.eu, lh.ev, lh.ew, lh.rounds)
         )(build_limited_hopset(g, seed=20, tracker=t))
-    if name == "gnm":
+    if name in ("gnm", "wgnm"):
+        # both baselines: the BFS hub searches on gnm, the weighted
+        # engine searches on wgnm
         calls["ks97_hopset"] = lambda t: _hopset_out(ks97_hopset(g, seed=21, tracker=t))
         calls["cohen_hopset"] = lambda t: _hopset_out(
             cohen_style_hopset(g, seed=22, tracker=t)
         )
+    if name == "gnm":
         calls["sparsify"] = lambda t: (
             lambda s: (s.graph.edge_u, s.graph.edge_v, s.graph.edge_w, s.sizes)
         )(spanner_sparsify(g, seed=23, tracker=t))

@@ -87,7 +87,7 @@ def dijkstra_reference(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Multi-source heapq Dijkstra with optional real start offsets.
 
-    Same contract as :func:`repro.paths.dijkstra`: ``dist[v]`` is
+    Same contract as :func:`repro.paths.shortest_paths`: ``dist[v]`` is
     ``min_i offsets[i] + d(sources[i], v)``, ``owner[v]`` the arg-min
     source (ties broken toward the earlier entry in ``sources``) and
     ``parent`` the shortest-path-tree parent; ``weights`` overrides the

@@ -27,7 +27,6 @@ from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.paths.bfs import bfs_with_start_times
 from repro.paths.engine import check_finite, shortest_paths
-from repro.paths.weighted_bfs import dial_sssp
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike
 
@@ -91,13 +90,15 @@ def est_cluster_reference(
                     "use method='exact' or round the weights first"
                 )
             with tracker.phase("est_round"):
-                sdist, parent, owner, levels = dial_sssp(
+                res = shortest_paths(
                     g,
                     np.arange(n, dtype=np.int64),
-                    weights_int=w_int,
                     offsets=start_int,
+                    weights=w_int,
+                    delta=1,
                     tracker=tracker,
                 )
+                sdist, levels = res.dist, res.buckets
                 owner, parent = _canonical_dial_race(
                     g, sdist, start_int, w_int,
                     sources=np.arange(n, dtype=np.int64),

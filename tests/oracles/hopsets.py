@@ -28,7 +28,6 @@ from repro.hopsets.result import HopsetResult
 from repro.hopsets.unweighted import _Collector
 from repro.paths.bfs import bfs
 from repro.paths.engine import shortest_paths
-from repro.paths.weighted_bfs import dial_sssp
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn_seeds
 
@@ -53,12 +52,9 @@ def _center_distances(
         return np.where(dist == np.iinfo(np.int64).max, np.inf, dist.astype(np.float64))
     w_int = sub.weights.astype(np.int64)
     if np.array_equal(w_int.astype(np.float64), sub.weights):
-        dist, _, _, _ = dial_sssp(
-            sub,
-            np.asarray([center]),
-            weights_int=w_int,
-            tracker=tracker,
-        )
+        dist = shortest_paths(
+            sub, center, weights=w_int, delta=1, tracker=tracker
+        ).dist
         return np.where(dist == np.iinfo(np.int64).max, np.inf, dist.astype(np.float64))
     return shortest_paths(sub, center, tracker=tracker).dist
 

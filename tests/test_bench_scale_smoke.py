@@ -55,3 +55,16 @@ def test_payload_schema_and_stage_results(bench_scale, tmp_path):
     acc = payload["acceptance"]
     assert acc["rss_ceiling_bytes_per_arc"] == 40.0
     assert acc["passed"] is True
+
+
+def test_query_counts_unreached_vertices(bench_scale, tmp_path):
+    from repro.graph import from_edges
+    from repro.graph.storage import save_store
+
+    # two components: {0, 1, 2} and {3, 4}; the query starts at 0
+    g = from_edges(5, [(0, 1), (1, 2), (3, 4)], weights=[2.0, 3.0, 1.0])
+    save_store(g, tmp_path / "store")
+    qry = bench_scale.stage_query(str(tmp_path / "store"))
+    assert qry["n"] == 5
+    assert qry["reached"] == 3
+    assert qry["max_dist"] == 5.0

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import from_edges, path_graph
-from repro.paths import hop_limited_distances
-from repro.paths.weighted_bfs import dial_sssp
+from repro.paths import hop_limited_distances, shortest_paths
 
 
 def _csr(g):
@@ -33,7 +32,11 @@ class TestEmptyStructures:
         assert np.isinf(np.delete(dist, 2)).all()
 
     def test_dial_on_edgeless_graph(self, empty_graph):
-        dist, parent, owner, levels = dial_sssp(empty_graph, np.array([1]))
+        res = shortest_paths(
+            empty_graph, np.array([1]),
+            weights=empty_graph.weights.astype(np.int64), delta=1,
+        )
+        dist, owner = res.dist, res.owner
         assert dist[1] == 0
         assert owner[1] == 1
         assert (owner[np.arange(5) != 1] == -1).all()

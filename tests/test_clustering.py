@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
 from oracles import KERNELS, engine_kernel, est_cluster_reference
 from repro.analysis.theory import lemma21_radius_bound
@@ -25,7 +26,6 @@ from repro.graph import (
     grid_graph,
     with_random_weights,
 )
-from repro.paths.dijkstra import all_pairs_distances
 from repro.paths.trees import extract_path
 from repro.pram import PramTracker
 
@@ -76,7 +76,7 @@ class TestESTInvariants:
 
     def test_exact_is_argmin_assignment(self, small_gnm):
         c = est_cluster(small_gnm, 0.35, seed=9, method="exact")
-        D = all_pairs_distances(small_gnm)
+        D = sp_dijkstra(small_gnm.to_scipy(), directed=False)
         key = D - c.shifts[:, None]
         best = key.min(axis=0)
         mine = key[c.center, np.arange(small_gnm.n)]

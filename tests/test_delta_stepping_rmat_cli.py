@@ -1,4 +1,4 @@
-"""Unit tests for delta-stepping, the R-MAT generator, and the CLI."""
+"""Unit tests for the engine's delta-stepping, the R-MAT generator, and the CLI."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.errors import ParameterError
 from repro.graph import gnm_random_graph, with_random_weights
 from repro.graph.generators import rmat_graph
 from repro.graph.validation import validate_graph
-from repro.paths.delta_stepping import delta_stepping
+from repro.paths import shortest_paths
 from repro.paths.dijkstra import dijkstra_scipy
 from repro.pram import PramTracker
 
@@ -18,35 +18,35 @@ class TestDeltaStepping:
         g = with_random_weights(
             gnm_random_graph(120, 500, seed=seed, connected=True), 1, 20, "uniform", seed=seed + 9
         )
-        dist, phases = delta_stepping(g, 0)
-        assert np.allclose(dist, dijkstra_scipy(g, 0))
-        assert phases >= 1
+        res = shortest_paths(g, 0)
+        assert np.allclose(res.dist, dijkstra_scipy(g, 0))
+        assert res.buckets >= 1
 
     def test_unweighted(self, small_grid):
-        dist, _ = delta_stepping(small_grid, 0, delta=1.0)
+        dist = shortest_paths(small_grid, 0, delta=1.0).dist
         assert np.allclose(dist, dijkstra_scipy(small_grid, 0))
 
     def test_small_delta_more_phases(self, small_weighted):
-        _, p_small = delta_stepping(small_weighted, 0, delta=1.0)
-        _, p_big = delta_stepping(small_weighted, 0, delta=1000.0)
+        p_small = shortest_paths(small_weighted, 0, delta=1.0).buckets
+        p_big = shortest_paths(small_weighted, 0, delta=1000.0).buckets
         assert p_small >= p_big
 
     def test_invalid_delta(self, small_weighted):
         for bad in (0.0, float("nan"), float("inf")):
             with pytest.raises(ParameterError, match="delta"):
-                delta_stepping(small_weighted, 0, delta=bad)
+                shortest_paths(small_weighted, 0, delta=bad)
 
     def test_empty_graph(self, empty_graph):
-        dist, phases = delta_stepping(empty_graph, 0)
+        dist = shortest_paths(empty_graph, 0).dist
         assert dist[0] == 0 and np.isinf(dist[1:]).all()
 
     def test_disconnected(self, disconnected):
-        dist, _ = delta_stepping(disconnected, 0, delta=1.0)
+        dist = shortest_paths(disconnected, 0, delta=1.0).dist
         assert np.isinf(dist[3])
 
     def test_tracker_rounds(self, small_weighted):
         t = PramTracker(n=small_weighted.n, depth_per_round=1)
-        delta_stepping(small_weighted, 0, tracker=t)
+        shortest_paths(small_weighted, 0, tracker=t)
         assert t.rounds > 0
 
 

@@ -18,7 +18,6 @@ from repro.graph import from_edges, gnm_random_graph, with_random_weights
 from repro.hopsets import build_hopset
 from repro.kernels import bucket_sssp, split_light_heavy
 from repro.paths import shortest_paths, shortest_paths_batch
-from repro.paths.delta_stepping import delta_stepping
 from repro.paths.dijkstra import dijkstra_scipy
 from repro.pram import PramTracker
 from repro.serve import DistanceServer
@@ -249,13 +248,13 @@ class TestDeltaSteppingFrontEnd:
     def test_matches_scipy_and_counts_phases(self):
         g = _random_float_graph(100, 400, seed=41)
         t = PramTracker(n=g.n, depth_per_round=1)
-        dist, phases = delta_stepping(g, 0, tracker=t)
-        assert np.allclose(dist, dijkstra_scipy(g, 0))
-        assert phases >= 1 and t.rounds >= phases
+        res = shortest_paths(g, 0, tracker=t)
+        assert np.allclose(res.dist, dijkstra_scipy(g, 0))
+        assert res.buckets >= 1 and t.rounds >= res.buckets
 
     def test_no_quantization_detour(self):
         # irrational-ish weights must survive bit-exact (no rounding)
         g = from_edges(3, [(0, 1), (1, 2)], weights=[np.pi, np.e])
-        dist, _ = delta_stepping(g, 0)
+        dist = shortest_paths(g, 0).dist
         assert dist[2] == np.pi + np.e
 

@@ -1,50 +1,51 @@
-"""Unit tests for Dijkstra (with offsets) and tree utilities."""
+"""Unit tests for exact shortest paths (with offsets) and tree utilities."""
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
 from repro.errors import VerificationError
 from repro.graph import path_graph
-from repro.paths import dijkstra, dijkstra_scipy, st_distance
-from repro.paths.dijkstra import all_pairs_distances
+from repro.hopsets.query import exact_distance
+from repro.paths import dijkstra_scipy, shortest_paths
 from repro.paths.trees import extract_path, tree_depths, verify_sssp_tree
 
 
 class TestDijkstra:
     def test_matches_scipy(self, small_weighted):
-        dist, parent, owner = dijkstra(small_weighted, 0)
-        assert np.allclose(dist, dijkstra_scipy(small_weighted, 0))
-        assert (owner == 0).all()
+        res = shortest_paths(small_weighted, 0)
+        assert np.allclose(res.dist, dijkstra_scipy(small_weighted, 0))
+        assert (res.owner == 0).all()
 
     def test_scalar_source_accepted(self, small_weighted):
-        dist, _, _ = dijkstra(small_weighted, 0)
-        dist2, _, _ = dijkstra(small_weighted, np.array([0]))
+        dist = shortest_paths(small_weighted, 0).dist
+        dist2 = shortest_paths(small_weighted, np.array([0])).dist
         assert np.allclose(dist, dist2)
 
     def test_multi_source_offsets(self):
         g = path_graph(5)
-        dist, _, owner = dijkstra(g, np.array([0, 4]), offsets=np.array([0.0, 0.5]))
+        res = shortest_paths(g, np.array([0, 4]), offsets=np.array([0.0, 0.5]))
         # vertex 2: from 0 costs 2.0, from 4 costs 2.5
-        assert owner[2] == 0
-        assert dist[2] == 2.0
-        assert owner[3] == 4
-        assert dist[3] == pytest.approx(1.5)
+        assert res.owner[2] == 0
+        assert res.dist[2] == 2.0
+        assert res.owner[3] == 4
+        assert res.dist[3] == pytest.approx(1.5)
 
     def test_tree_is_valid(self, small_weighted):
-        dist, parent, _ = dijkstra(small_weighted, 0)
-        verify_sssp_tree(small_weighted, dist, parent)
+        res = shortest_paths(small_weighted, 0)
+        verify_sssp_tree(small_weighted, res.dist, res.parent)
 
     def test_disconnected_inf(self, disconnected):
-        dist, _, owner = dijkstra(disconnected, 0)
-        assert np.isinf(dist[3])
-        assert owner[3] == -1
+        res = shortest_paths(disconnected, 0)
+        assert np.isinf(res.dist[3])
+        assert res.owner[3] == -1
 
     def test_st_distance(self):
         g = path_graph(6)
-        assert st_distance(g, 0, 5) == 5.0
+        assert exact_distance(g, 0, 5) == 5.0
 
     def test_apsp_symmetric(self, small_weighted):
-        D = all_pairs_distances(small_weighted)
+        D = sp_dijkstra(small_weighted.to_scipy(), directed=False)
         assert np.allclose(D, D.T)
         assert (np.diag(D) == 0).all()
 

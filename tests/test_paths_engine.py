@@ -26,7 +26,6 @@ from repro.hopsets import (
 )
 from repro.paths import (
     bfs_with_start_times,
-    dijkstra,
     dijkstra_scipy,
     hop_limited_distances,
     shortest_paths,
@@ -100,9 +99,9 @@ class TestMultiSourceOffsets:
         rng = np.random.default_rng(17)
         offs = rng.exponential(2.0, g.n)
         res = shortest_paths(g, np.arange(g.n), offsets=offs)
-        from repro.paths.dijkstra import all_pairs_distances
+        from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
-        key = all_pairs_distances(g) + offs[:, None]
+        key = sp_dijkstra(g.to_scipy(), directed=False) + offs[:, None]
         assert np.allclose(res.dist, key.min(axis=0))
         assert np.allclose(key[res.owner, np.arange(g.n)], key.min(axis=0))
 
@@ -226,14 +225,14 @@ class TestAccountingAndBackends:
 
 class TestDijkstraFrontEnd:
     def test_dijkstra_wrapper_matches_oracle(self, small_weighted):
-        dist, parent, owner = dijkstra(small_weighted, 0)
-        assert np.allclose(dist, dijkstra_scipy(small_weighted, 0))
+        res = shortest_paths(small_weighted, 0)
+        assert np.allclose(res.dist, dijkstra_scipy(small_weighted, 0))
         dref, pref, oref = dijkstra_reference(small_weighted, 0)
-        assert np.array_equal(parent, pref) and np.array_equal(owner, oref)
+        assert np.array_equal(res.parent, pref) and np.array_equal(res.owner, oref)
 
     def test_grid_unweighted(self):
         g = grid_graph(12, 12)
-        dist, _, _ = dijkstra(g, 0)
+        dist = shortest_paths(g, 0).dist
         assert np.allclose(dist, dijkstra_scipy(g, 0))
 
 

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.analysis import fit_power_law
 from repro.pram import (
     PramTracker,
     charge_semisort,
-    fit_scaling_exponent,
     log_star,
     null_tracker,
 )
@@ -110,14 +110,15 @@ class TestReport:
     def test_fit_scaling_exponent_exact(self):
         xs = [10, 100, 1000]
         ys = [5 * x**2 for x in xs]
-        a, c = fit_scaling_exponent(xs, ys)
-        assert a == pytest.approx(2.0, abs=1e-9)
-        assert c == pytest.approx(5.0, rel=1e-6)
+        fit = fit_power_law(xs, ys)
+        assert fit.exponent == pytest.approx(2.0, abs=1e-9)
+        assert fit.constant == pytest.approx(5.0, rel=1e-6)
 
     def test_fit_requires_two_points(self):
         with pytest.raises(ValueError):
-            fit_scaling_exponent([5, 5], [1, 2])
+            fit_power_law([5, 5], [1, 2])
 
     def test_fit_ignores_nonpositive(self):
-        a, c = fit_scaling_exponent([1, 10, 100, 0], [2, 20, 200, -5])
-        assert a == pytest.approx(1.0, abs=1e-9)
+        fit = fit_power_law([1, 10, 100, 0], [2, 20, 200, -5])
+        assert fit.exponent == pytest.approx(1.0, abs=1e-9)
+        assert fit.constant == pytest.approx(2.0, rel=1e-6)

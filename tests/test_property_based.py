@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from repro.graph import UnionFind, from_edges, quotient_graph
 from repro.graph.validation import validate_graph
-from repro.paths import hop_limited_distances
-from repro.paths.dijkstra import dijkstra, dijkstra_scipy
+from repro.paths import hop_limited_distances, shortest_paths
+from repro.paths.dijkstra import dijkstra_scipy
 from repro.clustering import est_cluster
 
 SETTINGS = settings(
@@ -120,7 +120,7 @@ class TestPathProperties:
     def test_dijkstra_matches_scipy(self, spec):
         n, edges, weights = spec
         g = from_edges(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), weights)
-        dist, _, _ = dijkstra(g, 0)
+        dist = shortest_paths(g, 0).dist
         assert np.allclose(dist, dijkstra_scipy(g, 0), equal_nan=True)
 
     @SETTINGS

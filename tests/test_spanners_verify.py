@@ -79,3 +79,6 @@ class TestEdgeIdLookup:
         g = from_edges(4, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(KeyError):
             edge_id_lookup(g, np.array([0]), np.array([3]))
+        # an edgeless graph has no edge key to find
+        with pytest.raises(KeyError):
+            edge_id_lookup(from_edges(3, []), [0], [1])
