@@ -52,6 +52,7 @@ from repro import (
 from repro.dynamic import UpdateBatch
 from repro.graph.parallel_connectivity import parallel_connectivity
 from repro.paths.engine import shortest_paths, shortest_paths_batch
+from repro.rng import resolve_rng
 from repro.serve import DistanceServer
 from repro.spanners.low_stretch_tree import low_stretch_spanning_tree
 
@@ -113,7 +114,16 @@ def _calls(name: str, g: Any) -> Dict[str, Callable[[PramTracker], Tuple[Any, ..
         r = shortest_paths(g, 0, tracker=t)
         return r.dist, r.parent, r.owner, r.buckets
 
+    def race(t):
+        # an EST-style race: five sources at real exponential offsets
+        rng = resolve_rng(26)
+        srcs = rng.choice(g.n, size=5, replace=False)
+        offs = rng.exponential(2.0, 5)
+        r = shortest_paths(g, srcs, offsets=offs, tracker=t)
+        return r.dist, r.parent, r.owner
+
     calls["shortest_paths"] = sssp
+    calls["shortest_paths_race"] = race
     calls["shortest_paths_batch"] = lambda t: (
         shortest_paths_batch(g, [0, 7, 19], tracker=t).dist,
     )
