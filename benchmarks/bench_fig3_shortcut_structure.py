@@ -17,14 +17,14 @@ import pytest
 import _report
 from repro.clustering import est_cluster
 from repro.paths.engine import shortest_paths
-from repro.paths.trees import extract_path
+from repro.paths.trees import extract_path, shortest_path_forest
 
 COLUMNS = ["beta", "path_hops", "segments", "predicted_cuts", "large_segments", "replaced_frac"]
 
 
 def _path_anatomy(g, beta, seed, rho=8.0):
     c = est_cluster(g, beta, seed=seed, method="exact")
-    parent = shortest_paths(g, 0).parent
+    parent, _ = shortest_path_forest(g, shortest_paths(g, 0).dist, 0)
     path = extract_path(parent, g.n - 1)
     labels = c.labels
     threshold = g.n / rho

@@ -16,7 +16,7 @@ import numpy as np
 import repro
 from repro.clustering import est_cluster
 from repro.paths.engine import shortest_paths
-from repro.paths.trees import extract_path
+from repro.paths.trees import extract_path, shortest_path_forest
 
 
 def main() -> None:
@@ -32,8 +32,8 @@ def main() -> None:
     sizes = c.sizes
     large_labels = set(int(lab) for lab in np.flatnonzero(sizes >= threshold))
 
-    sp = shortest_paths(g, s)
-    dist, parent = sp.dist, sp.parent
+    dist = shortest_paths(g, s).dist
+    parent, _ = shortest_path_forest(g, dist, s)
     path = extract_path(parent, t)
     labels = c.labels
     print(f"grid {side}x{side}; clustering: {c.num_clusters} clusters, "

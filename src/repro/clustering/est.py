@@ -25,6 +25,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.dedup import presence_unique, stable_argsort
 from repro.paths.bfs import bfs_with_start_times
 from repro.paths.engine import check_finite, shortest_paths
+from repro.paths.trees import shortest_path_forest
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike
 from repro.clustering.shifts import sample_shifts
@@ -74,13 +75,7 @@ class Clustering:
         Centers are vertex ids in ``[0, n)``, so a presence bitmap +
         ``flatnonzero`` beats a hash/sort ``np.unique`` — this runs once
         per clustering and the spanner builders hit it every level.
-        ``est_cluster`` owns every vertex, but a hand-built Clustering
-        may carry ``-1`` owners; those keep the old ``np.unique``
-        semantics (``-1`` is its own cluster) instead of silently
-        wrapping the bitmap index.
         """
-        if self.center.size and self.center.min() < 0:
-            return np.unique(self.center)
         return presence_unique(self.n, (self.center,), sparse_factor=1)
 
     @property
@@ -90,12 +85,8 @@ class Clustering:
     @cached_property
     def labels(self) -> np.ndarray:
         """Compact cluster labels in [0, num_clusters)."""
-        centers = self.centers
-        if centers.size and centers[0] < 0:
-            # negative owners: rank via bisection on the sorted centers
-            return np.searchsorted(centers, self.center).astype(np.int64)
         rank = np.empty(self.n, dtype=np.int64)
-        rank[centers] = np.arange(self.num_clusters, dtype=np.int64)
+        rank[self.centers] = np.arange(self.num_clusters, dtype=np.int64)
         return rank[self.center]
 
     @cached_property
@@ -151,53 +142,6 @@ class Clustering:
         return radii
 
 
-def _canonical_tree_parents(
-    g: CSRGraph,
-    dist: np.ndarray,
-    parent: np.ndarray,
-    owner: np.ndarray,
-    weights: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Backend-independent forest parents for a race result.
-
-    The engine guarantees identical ``dist``/``owner`` across kernels,
-    but ``parent`` is only pinned when shortest paths are unique —
-    equal-length claims (ubiquitous on the spanners' uniform-weight
-    quotient graphs) are broken by kernel-internal schedule order.
-    This pass re-picks every non-root parent as the *smallest* vertex
-    certifying the label, i.e. ``min { p : dist[p] + w(p, v) == dist[v]
-    and owner[p] == owner[v] }`` — the race's own parent is always a
-    candidate, candidates strictly decrease ``dist`` (weights are
-    positive), and owners are constant along the chain, so the result
-    is a valid cluster forest with the same tree distances and a
-    kernel-independent shape.  Cross-kernel spanner/forest equality
-    builds on this.
-
-    ``weights`` overrides the per-slot arc weights (the integer Dial
-    races run on ``int64`` weight views of the same CSR).  Integer
-    distance arrays use ``int64`` max as infinity, so the tightness
-    check is evaluated only on slots whose source is reached — the sum
-    must never wrap.
-    """
-    if g.num_arcs == 0:
-        return parent
-    src = g.arc_sources()
-    dst = g.indices
-    w = g.weights if weights is None else weights
-    ok = (parent[dst] >= 0) & (owner[src] == owner[dst])
-    if dist.dtype.kind in "iu":
-        ok &= dist[src] != np.iinfo(np.int64).max
-        idx = np.flatnonzero(ok)
-        idx = idx[dist[src[idx]] + w[idx] == dist[dst[idx]]]
-        out = parent.copy()
-        np.minimum.at(out, dst[idx], src[idx])
-        return out
-    ok &= dist[src] + w == dist[dst]
-    out = parent.copy()
-    np.minimum.at(out, dst[ok], src[ok])
-    return out
-
-
 def _canonical_dial_race(
     g: CSRGraph,
     dist: np.ndarray,
@@ -205,18 +149,14 @@ def _canonical_dial_race(
     weights: np.ndarray,
     sources: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Kernel-independent ``(owner, parent)`` for an integer Dial race.
+    """``(owner, parent)`` of an integer Dial race, from ``dist`` alone.
 
-    The engine's ``dist`` is kernel-independent, but ``owner`` is not
-    when several sources achieve a vertex's raced distance exactly: the
-    bucket kernels only claim on *strict* improvement, so the first
-    scheduled writer keeps equal-key ties, while a heap Dijkstra (the
-    test tree's reference kernel) breaks them by source rank —
-    canonicalizing parents alone
-    (:func:`_canonical_tree_parents`) cannot reconcile forests whose
-    owners already disagree.  This pass recomputes both labels from
-    ``dist`` only.  ``owner[v]`` becomes the *smallest-id* source
-    achieving ``dist[v]``, found by seeding every source ``s`` with
+    Integer races tie often: several sources can achieve a vertex's
+    raced distance exactly.  Where
+    :func:`~repro.paths.trees.shortest_path_forest` (the exact race's
+    labels) would follow the smallest tight predecessor to its root,
+    ``owner[v]`` here is the *smallest-id* source achieving
+    ``dist[v]``, found by seeding every source ``s`` with
     ``dist[s] == start_int[s]`` as its own achiever and propagating the
     minimum over tight arcs (``dist[u] + w == dist[v]``): an achiever
     of ``u`` extends to ``v`` along a tight arc, and conversely the
@@ -272,12 +212,12 @@ def _race(
     ``mode`` is 0 (BFS race on ``floor`` start times, ties broken by the
     fractional start), 1 (Dial race on integer weights, then
     :func:`_canonical_dial_race`) or 2 (exact race on real start times,
-    then :func:`_canonical_tree_parents`); :func:`_forest_group_modes`
-    picks it.  ``sources`` are ascending vertex ids and ``start_real``
-    holds every vertex's start time ``delta_max - shift``.  Returns
-    length-``n`` ``(center, parent, dist_to_center)`` arrays, meaningful
-    on the vertices the sources reach, and the race's round count (0
-    for the exact race).
+    then :func:`~repro.paths.trees.shortest_path_forest`);
+    :func:`_forest_group_modes` picks it.  ``sources`` are ascending
+    vertex ids and ``start_real`` holds every vertex's start time
+    ``delta_max - shift``.  Returns length-``n`` ``(center, parent,
+    dist_to_center)`` arrays, meaningful on the vertices the sources
+    reach, and the race's round count (0 for the exact race).
     """
 
     def at_sources(a: np.ndarray) -> np.ndarray:
@@ -285,14 +225,13 @@ def _race(
         return a if sources.shape[0] == g.n else a[sources]
 
     if mode == 2:
+        offsets = at_sources(start_real)
         with tracker.phase("est_exact"):
             # the engine charges the tracker its real ledger (work =
             # arcs relaxed, rounds = relaxation rounds)
-            res = shortest_paths(
-                g, sources, offsets=at_sources(start_real), tracker=tracker
-            )
-        parent = _canonical_tree_parents(g, res.dist, res.parent, res.owner)
-        return res.owner, parent, res.dist - start_real[res.owner], 0
+            dist = shortest_paths(g, sources, offsets=offsets, tracker=tracker).dist
+        parent, owner = shortest_path_forest(g, dist, sources, offsets)
+        return owner, parent, dist - start_real[owner], 0
     start_int = np.floor(start_real).astype(np.int64)
     if mode == 0:
         with tracker.phase("est_round"):

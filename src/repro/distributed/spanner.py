@@ -122,7 +122,7 @@ def distributed_unweighted_spanner(
     from repro.spanners.result import edge_id_lookup
 
     child = np.flatnonzero(parent >= 0)
-    forest_ids = edge_id_lookup(g, child, parent[child]) if child.size else np.empty(0, np.int64)
+    forest_ids = edge_id_lookup(g, child, parent[child])
 
     # boundary: per (node, foreign neighbor cluster) the min-id edge,
     # computed from each node's local neighbor-center table

@@ -39,8 +39,9 @@ idioms (est/quotient/unionfind/bfs/weighted spanner/...), which is
 exactly the idiom sprawl that made new backends expensive to validate.
 The ``DUP001`` check in ``tests/test_invariants.py`` forbids
 re-inlining either pattern outside this file.  The bucket kernels use none of
-these: their claims and frontier unions are resolved sort-free through
-per-state scratch (:func:`repro.kernels.numpy_kernel.claim_min`).
+these: their claims are one ``np.minimum.at`` min-write and their
+frontier unions are deduplicated sort-free through per-state scratch
+(:func:`repro.kernels.numpy_kernel._once_mask`).
 
 The helpers are pure array-in/array-out (no CSRGraph, no tracker) and
 bit-exact with the idioms they replaced: ``first_of_runs`` returns the

@@ -39,25 +39,19 @@ only when they are not all equal (a uniform-weight graph adds one
 scalar, on the split path too); one index filter keeps the improving
 arcs.  A light or heavy half with no arcs at all returns before any
 gather, but its round and its frontier-size work are still charged,
-so the ledger is the same as if it had run.  Owner ranks are
-propagated only when some seed has a nonzero rank (multi-source runs):
-otherwise no claim ever reads them.
+so the ledger is the same as if it had run.
 
-Concurrent claims on a vertex are resolved deterministically: the
-lexicographically smallest ``(candidate distance, owner rank, relaxing
-vertex)`` wins, where *rank* is the position of the owning source in
-the caller's source array (earlier entries win ties, the tie rule of
-a heap Dijkstra keyed on ``(distance, rank)``).  :func:`claim_min` finds
-the winners with scatter-min passes into a per-call scratch word per
-state — linear in the claims, no sort — and later passes run only when
-an equal-distance tie is present.  Frontier and bucket-member unions
-are deduplicated the same way (:func:`_once_mask`), not by
-``np.unique``; frontier order therefore follows claim order, which no
-label or ledger depends on.
+Concurrent claims on a state are one CRCW min-write: a round writes
+its improving candidates with one ``np.minimum.at`` after all of its
+reads, and its winners are the distinct improved states.  Seeds keep
+their minimum offset the same way.  Frontier and bucket-member unions
+are deduplicated through a per-call scratch word per state
+(:func:`_once_mask`), not by ``np.unique``; frontier order therefore
+follows claim order, which no distance or ledger depends on.
 
-Callers that read only distances skip the claims altogether:
-:func:`bucket_sssp_batch` with ``labels=False`` (what
-``shortest_paths_batch`` runs) keeps no parent, owner or rank.
+The kernels return distances only: no parent, owner or rank array is
+kept.  The shortest-path forest a caller wants is derived from the
+distances afterwards (:func:`repro.paths.trees.shortest_path_forest`).
 """
 
 from __future__ import annotations
@@ -137,41 +131,6 @@ def _once_mask(ids: np.ndarray, buf: np.ndarray) -> np.ndarray:
     pos = np.arange(ids.shape[0], dtype=np.int64)
     buf[ids] = pos
     return buf[ids] == pos
-
-
-def claim_min(
-    nbr: np.ndarray,
-    src: np.ndarray,
-    cand: np.ndarray,
-    rank: Optional[np.ndarray],
-    buf: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Resolve concurrent claims: the minimum ``(cand, rank[src], src)``
-    claim per distinct ``nbr`` state, by scatter-min passes instead of a
-    sort.
-
-    ``buf`` is an int64 scratch array with one slot per state (see
-    :func:`_min_mask`); ``rank=None`` means every claim carries the same
-    rank.  The first pass keeps each state's minimal candidates; only
-    when some state kept several (an equal-distance tie) do scatter-mins
-    of the rank and then of the relaxing vertex settle it.  Claims that
-    tie on the whole key come from parallel arcs of equal weight and are
-    interchangeable, so the winners do not depend on the input order.
-    The output keeps the input order.
-    """
-    keep = _min_mask(nbr, cand, buf)
-    nbr, src, cand = nbr[keep], src[keep], cand[keep]
-    once = _once_mask(nbr, buf)
-    if not once.all():
-        if rank is not None:
-            keep = _min_mask(nbr, rank[src], buf)
-            nbr, src, cand = nbr[keep], src[keep], cand[keep]
-        keep = _min_mask(nbr, src, buf)
-        nbr, src, cand = nbr[keep], src[keep], cand[keep]
-        # survivors share (nbr, src, cand): only parallel arcs of equal
-        # weight get here, and they are interchangeable
-        once = _once_mask(nbr, buf)
-    return nbr[once], src[once], cand[once]
 
 
 def expand_frontier(
@@ -267,10 +226,9 @@ def bucket_sssp(
     n: int,
     sources: np.ndarray,
     offsets: np.ndarray,
-    ranks: np.ndarray,
     delta: Optional[float],
     light_heavy: Optional[Tuple[np.ndarray, ...]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int], List[int]]:
+) -> Tuple[np.ndarray, List[int], List[int]]:
     """Multi-source bucket SSSP over raw CSR arrays.
 
     Parameters
@@ -278,25 +236,23 @@ def bucket_sssp(
     weights, offsets, delta:
         Either all integral (``int64`` distances, Dial semantics) or
         treated as ``float64``.  ``delta`` is the bucket width.
-    ranks:
-        Tie-break rank per source entry (position in the caller's
-        source array).
     light_heavy:
         Optional :func:`split_light_heavy` partition at this ``delta``;
         when given, buckets run the light-edge fixpoint loop plus one
         heavy settle pass (real-weight delta-stepping) instead of
         relaxing every arc each round.
 
-    Returns ``(dist, parent, owner, bucket_work, bucket_rounds)``:
+    Returns ``(dist, bucket_work, bucket_rounds)``:
     ``bucket_work[i]`` is the PRAM work (frontier arcs, floored at
     frontier size) spent on the i-th processed bucket and
     ``bucket_rounds[i]`` its relaxation-round count.
 
     Implemented as the ``k = 1`` case of :func:`bucket_sssp_batch` (one
     shared relaxation loop; the batch kernel skips all composite-id
-    arithmetic for a single run, so this costs nothing extra).  Labels
-    and ledgers equal those of the per-arc round the kernel used before
-    (``tests/oracles/bucket.py``), value for value and dtype for dtype.
+    arithmetic for a single run, so this costs nothing extra).
+    Distances and ledgers equal those of the per-arc round the kernel
+    used before (``tests/oracles/bucket.py``), value for value and dtype
+    for dtype.
     """
     sources = np.asarray(sources, dtype=np.int64)
     run_ptr = np.asarray([0, sources.shape[0]], dtype=np.int64)
@@ -308,7 +264,6 @@ def bucket_sssp(
         sources,
         run_ptr,
         offsets,
-        ranks,
         delta,
         light_heavy,
     )
@@ -322,16 +277,14 @@ def bucket_sssp_batch(
     run_src: np.ndarray,
     run_ptr: np.ndarray,
     offsets: np.ndarray,
-    ranks: np.ndarray,
     delta: Optional[float],
     light_heavy: Optional[Tuple[np.ndarray, ...]] = None,
-    labels: bool = True,
-) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], List[int], List[int]]:
+) -> Tuple[np.ndarray, List[int], List[int]]:
     """Source-tagged batch of ``k`` independent bucket-SSSP runs.
 
     Run ``r`` is the multi-source search seeded by
-    ``run_src[run_ptr[r]:run_ptr[r+1]]`` with start offsets and
-    tie-break ranks from the matching slices of ``offsets``/``ranks``.
+    ``run_src[run_ptr[r]:run_ptr[r+1]]`` with start offsets from the
+    matching slice of ``offsets``.
     The state space is the composite id ``r * n + v`` — conceptually
     ``k`` disjoint copies of the graph — but the adjacency is read from
     the *single* shared CSR, so every relaxation round is one batched
@@ -339,12 +292,10 @@ def bucket_sssp_batch(
     That sharing is the whole point: ``k`` searches progress per
     interpreter round instead of one.  Composites of different runs
     never claim the same state, so runs cannot interact, and each run's
-    labels equal a standalone :func:`bucket_sssp` call's.
+    distances equal a standalone :func:`bucket_sssp` call's.
 
-    Returns flat length-``k*n`` arrays ``(dist, parent, owner)`` and
-    the ledger lists ``bucket_work, bucket_rounds``; ``parent``/``owner``
-    hold *vertex* ids (not composites) and the caller reshapes to
-    ``(k, n)``.
+    Returns the flat length-``k*n`` distance array (the caller reshapes
+    to ``(k, n)``) and the ledger lists ``bucket_work, bucket_rounds``:
     ``bucket_work[i]`` is the PRAM work (frontier arcs, floored at
     frontier size) of the i-th processed bucket and ``bucket_rounds[i]``
     its relaxation-round count.
@@ -353,14 +304,6 @@ def bucket_sssp_batch(
     *shared* CSR at this ``delta``) switches buckets to the light-loop
     + heavy-pass schedule; composite ids index the split through
     ``comp % n`` exactly like the full adjacency.
-
-    ``labels=False`` runs the distances-only round and returns ``None``
-    for ``parent`` and ``owner``: no parent, owner or rank array is
-    allocated, a seed keeps its minimum offset, and each round writes
-    its improving candidates with one ``np.minimum.at`` after all of
-    its reads, its winners being the distinct improved states.  The
-    winners and their values are the claim-resolved round's, so
-    ``dist`` and both ledgers are identical in either mode.
     """
     int_mode = (
         np.issubdtype(np.asarray(weights).dtype, np.integer)
@@ -374,30 +317,12 @@ def bucket_sssp_batch(
     offsets = np.asarray(offsets).astype(dtype, copy=False)
     run_src = np.asarray(run_src, dtype=np.int64)
     run_ptr = np.asarray(run_ptr, dtype=np.int64)
-    ranks = np.asarray(ranks, dtype=np.int64)
     k = run_ptr.shape[0] - 1
     single = k == 1  # composite id == vertex id: skip tag arithmetic
     nn = k * n
 
     dist = np.full(nn, inf, dtype=dtype)
-    parent: Optional[np.ndarray] = None
-    owner: Optional[np.ndarray] = None
-    claim_rank: Optional[np.ndarray] = None
-    if labels:
-        # rank and the claim scratch share one block: as two blocks the
-        # per-call free pushed the allocator into trimming and
-        # re-faulting the heap, doubling page faults on batched builds
-        rank, claim_buf = np.empty((2, nn), dtype=np.int64)
-        rank[:] = np.iinfo(np.int64).max
-        parent = np.full(nn, -1, dtype=np.int64)
-        owner = np.full(nn, -1, dtype=np.int64)
-        # rank[] only ever holds seed ranks, so when every seed has rank
-        # 0 (single-source runs) the rank tie-break cannot separate
-        # claims and rank[] is neither read nor propagated
-        if ranks.any():
-            claim_rank = rank
-    else:
-        claim_buf = np.empty(nn, dtype=np.int64)
+    claim_buf = np.empty(nn, dtype=np.int64)  # dedup scratch, see _once_mask
     settled = np.zeros(nn, dtype=bool)
     bucket_work: List[int] = []
     bucket_rounds: List[int] = []
@@ -417,9 +342,8 @@ def bucket_sssp_batch(
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], int]:
         """One relaxation of ``frontier`` over the sub-adjacency
         ``(xip, xidx, xw)``: gathers the improving candidates against
-        the pre-round labels (``wc``, when given, is the weight of every
-        arc), then updates the label arrays in place, claim-resolved
-        unless the call is distances-only.  Returns ``(win_v, win_d,
+        the pre-round distances (``wc``, when given, is the weight of
+        every arc), then min-writes them.  Returns ``(win_v, win_d,
         arcs)`` with ``win_v=None`` when nothing improved."""
         if xidx.shape[0] == 0:
             # an empty half (every light round when all arcs are heavy):
@@ -434,7 +358,7 @@ def bucket_sssp_batch(
             nbr = (frontier - vv).repeat(counts)
             nbr += xidx[arc_idx]
         # one gather per frontier vertex: entry for entry the same IEEE
-        # sum as dist[arc tail] + w, so labels stay bit-identical
+        # sum as dist[arc tail] + w, so distances stay bit-identical
         if wc is not None:
             cand = (dist[frontier] + wc).repeat(counts)
         else:
@@ -443,21 +367,12 @@ def bucket_sssp_batch(
         sel = (cand < dist[nbr]).nonzero()[0]
         if sel.shape[0] == 0:
             return None, None, total
-        if parent is None or owner is None:
-            # distances only: every improved state wins, at its minimum
-            # candidate; the write follows every read of the round
-            nbr, cand = nbr[sel], cand[sel]
-            win_v = nbr[_once_mask(nbr, claim_buf)]
-            np.minimum.at(dist, nbr, cand)
-            return win_v, dist[win_v], total
-        src = frontier.repeat(counts)[sel]
-        win_v, win_p, win_d = claim_min(nbr[sel], src, cand[sel], claim_rank, claim_buf)
-        dist[win_v] = win_d
-        parent[win_v] = win_p if single else win_p % n
-        owner[win_v] = owner[win_p]
-        if claim_rank is not None:
-            claim_rank[win_v] = claim_rank[win_p]
-        return win_v, win_d, total
+        # every improved state wins, at its minimum candidate; the write
+        # follows every read of the round
+        nbr, cand = nbr[sel], cand[sel]
+        win_v = nbr[_once_mask(nbr, claim_buf)]
+        np.minimum.at(dist, nbr, cand)
+        return win_v, dist[win_v], total
 
     pending: List[np.ndarray] = []
     if run_src.shape[0]:
@@ -466,21 +381,9 @@ def bucket_sssp_batch(
         else:
             run_of = np.repeat(np.arange(k, dtype=np.int64), np.diff(run_ptr))
             comp = run_of * n + run_src
-        if parent is None or owner is None:
-            # distances only: the minimum offset per distinct composite
-            np.minimum.at(dist, comp, offsets)
-            cs = comp[_once_mask(comp, claim_buf)]
-        else:
-            # best (offset, rank) per distinct composite seeds that run;
-            # ranks are distinct within a run, so one rank pass is final
-            keep = _min_mask(comp, offsets, claim_buf)
-            cs, off_s, rk_s = comp[keep], offsets[keep], ranks[keep]
-            keep = _min_mask(cs, rk_s, claim_buf)
-            cs, off_s, rk_s = cs[keep], off_s[keep], rk_s[keep]
-            dist[cs] = off_s
-            owner[cs] = cs if single else cs % n
-            rank[cs] = rk_s
-        pending.append(cs)
+        # the minimum offset per distinct composite seeds that run
+        np.minimum.at(dist, comp, offsets)
+        pending.append(comp[_once_mask(comp, claim_buf)])
 
     while pending:
         # each pending array is duplicate-free (claim winners, seed
@@ -558,4 +461,4 @@ def bucket_sssp_batch(
         bucket_work.append(work)
         bucket_rounds.append(rounds)
 
-    return dist, parent, owner, bucket_work, bucket_rounds
+    return dist, bucket_work, bucket_rounds

@@ -13,17 +13,19 @@ Engine API
 :func:`shortest_paths` is the workhorse::
 
     res = shortest_paths(g, sources, offsets=start_times, tracker=t)
-    res.dist, res.parent, res.owner      # distances, forest, arg-min source
+    res.dist                             # distances
     res.buckets, res.relax_rounds        # PRAM depth structure
     res.arcs_relaxed                     # PRAM work
 
 ``sources`` may be a scalar, and ``offsets`` give each source a real
 (or integer) start time — the shifted-start race that exact EST
-clustering is defined by.  ``owner[v]`` is the arg-min source (ties
-broken toward the earlier entry in ``sources``), ``parent`` the
-shortest-path-forest parent.  ``weights`` overrides the graph's CSR
-weights (used by the rounded-graph pipelines; an ``int64`` override
-at ``delta=1`` is Section 5's weighted parallel BFS).  Sources must be
+clustering is defined by.  A search returns distances only; a caller
+that wants the shortest-path forest (each vertex's parent and arg-min
+source) derives it from them with
+:func:`repro.paths.trees.shortest_path_forest`.  ``weights`` overrides
+the graph's CSR weights (used by the rounded-graph pipelines; an
+``int64`` override at ``delta=1`` is Section 5's weighted parallel
+BFS).  Sources must be
 integral vertex ids in ``[0, n)`` (a scalar or a 1-D array), offsets
 one finite entry per source, override weights one finite non-negative
 entry per CSR slot, and ``delta`` positive and finite; anything else
@@ -45,13 +47,12 @@ round relaxes the frontier arcs of *all* runs — so ``k`` searches cost
 one schedule instead of ``k``.  The level-synchronous hopset builder
 leans on this to resolve every large-cluster center search of a
 recursion level in a single call, and the distance server to fill its
-cache rows.  Neither reads more than distances, so a batch returns
-only those: the kernel runs its distances-only round
-(``labels=False``).  A run's parents and owners come from
-:func:`shortest_paths`.  The dense ``(k, n)`` output means ``k``
-should stay moderate (the builder chunks its runs); the tracker is
-charged the runs' *parallel* composition: ``work`` sums over runs,
-``rounds`` is the shared schedule length.
+cache rows.  Both calls return the same :class:`ShortestPathResult`,
+whose ``dist`` is ``(n,)`` for one search and ``(k, n)`` for a batch.
+The dense ``(k, n)`` output means ``k`` should stay moderate (the
+builder chunks its runs); the tracker is charged the runs' *parallel*
+composition: ``work`` sums over runs, ``rounds`` is the shared
+schedule length.
 
 Kernels
 -------
@@ -78,20 +79,20 @@ relaxation rounds.
 Bucket/round <-> PRAM accounting
 --------------------------------
 One relaxation round = one CRCW PRAM round (every frontier arc relaxes
-concurrently; concurrent claims on a vertex are one concurrent write,
-resolved by min ``(distance, source rank, relaxing vertex)``).  The
-tracker is charged ``work = arcs relaxed`` (floored at the frontier
-size) and ``rounds = total relaxation rounds``; with Dial buckets each
-bucket is exactly one round, so ``tracker.rounds`` equals the number
-of distance levels swept — the paper's depth accounting for weighted
-searches.  ``res.buckets`` counts buckets processed (the outer
-sequential dimension) and ``res.relax_rounds`` the inner total.
+concurrently; concurrent claims on a vertex are one concurrent
+min-write).  The tracker is charged ``work = arcs relaxed`` (floored
+at the frontier size) and ``rounds = total relaxation rounds``; with
+Dial buckets each bucket is exactly one round, so ``tracker.rounds``
+equals the number of distance levels swept — the paper's depth
+accounting for weighted searches.  ``res.buckets`` counts buckets
+processed (the outer sequential dimension) and ``res.relax_rounds``
+the inner total.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -99,8 +100,8 @@ from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.graph.validation import check_vertex_ids
 from repro.kernels import bucket_sssp, bucket_sssp_batch, check_backend
-from repro.kernels.numpy_kernel import INT_INF, split_light_heavy, suggest_delta
-from repro.pram.tracker import PramTracker, null_tracker
+from repro.kernels.numpy_kernel import split_light_heavy, suggest_delta
+from repro.pram.tracker import PramTracker
 
 
 def check_finite(name: str, values: np.ndarray, nonnegative: bool = False) -> None:
@@ -123,16 +124,17 @@ def check_finite(name: str, values: np.ndarray, nonnegative: bool = False) -> No
 class ShortestPathResult:
     """Distances plus the PRAM-shaped execution statistics.
 
-    ``dist`` is ``float64`` (``inf`` when unreached) or ``int64``
-    (``INT_INF``) in Dial mode; ``parent``/``owner`` are ``-1`` when
-    unreached.  ``buckets`` is the number of buckets processed,
-    ``relax_rounds`` the total relaxation rounds (equal to ``buckets``
-    under Dial), and ``arcs_relaxed`` the PRAM work spent.
+    ``dist`` is ``(n,)`` for :func:`shortest_paths` and ``(k, n)`` for
+    :func:`shortest_paths_batch` (row ``r`` is run ``r``), ``float64``
+    (``inf`` when unreached) or ``int64`` (``INT_INF``) in Dial mode.
+    ``buckets`` is the number of buckets processed, ``relax_rounds``
+    the total relaxation rounds (equal to ``buckets`` under Dial), and
+    ``arcs_relaxed`` the PRAM work spent; a batch is one parallel
+    composition, so its work sums over runs and its rounds are the
+    shared schedule length.
     """
 
     dist: np.ndarray
-    parent: np.ndarray
-    owner: np.ndarray
     buckets: int
     relax_rounds: int
     arcs_relaxed: int
@@ -153,8 +155,7 @@ def shortest_paths(
     """Exact multi-source shortest paths with optional start offsets.
 
     See the module docstring for the full API contract.  ``dist[v]``
-    is ``min_i offsets[i] + d(sources[i], v)`` and ``owner[v]`` the
-    arg-min source vertex.
+    is ``min_i offsets[i] + d(sources[i], v)``.
 
     ``backend`` (``None`` or ``"numpy"``; anything else raises
     :class:`ParameterError`) and the unused ``workers`` remain only
@@ -162,54 +163,36 @@ def shortest_paths(
     ROADMAP item 10(d).
     """
     check_backend(backend)
-    tracker = tracker or null_tracker()
     sources = check_vertex_ids(sources, g.n)
     offsets = _offsets_for(sources, offsets)
     w, int_mode, delta = _resolve_weights_and_delta(g, weights, offsets, delta)
-    ranks = np.arange(sources.shape[0], dtype=np.int64)
-
     split = _resolve_split(g, weights, w, delta, int_mode)
-    dist, parent, owner, bucket_work, bucket_rounds = bucket_sssp(
-        g.indptr, g.indices, w, g.n, sources, offsets, ranks, delta,
-        light_heavy=split,
+    dist, bucket_work, bucket_rounds = bucket_sssp(
+        g.indptr, g.indices, w, g.n, sources, offsets, delta, light_heavy=split,
     )
+    return _charge(tracker, dist, bucket_work, bucket_rounds, delta)
 
+
+def _charge(
+    tracker: Optional[PramTracker],
+    dist: np.ndarray,
+    bucket_work: List[int],
+    bucket_rounds: List[int],
+    delta: float,
+) -> ShortestPathResult:
+    """Charge a kernel's ledger to ``tracker`` as one parallel round
+    (nothing when no bucket ran) and wrap its distances."""
     work = int(sum(bucket_work))
     rounds = int(sum(bucket_rounds))
-    if work or rounds:
+    if tracker is not None and (work or rounds):
         tracker.parallel_round(work=work, rounds=max(rounds, 1))
     return ShortestPathResult(
         dist=dist,
-        parent=parent,
-        owner=owner,
         buckets=len(bucket_work),
         relax_rounds=rounds,
         arcs_relaxed=work,
         delta=float(delta),
     )
-
-
-@dataclass(frozen=True)
-class BatchShortestPathResult:
-    """``k`` independent searches: a ``(k, n)`` distance matrix.
-
-    ``dist[r, v]`` is run ``r``'s distance to ``v`` (``inf`` /
-    ``INT_INF`` when run ``r`` does not reach ``v``).  A batch keeps no
-    parents or owners; :func:`shortest_paths` returns them for one
-    run.  The ledger fields describe the batch as one parallel
-    composition: ``arcs_relaxed`` sums every run's work and
-    ``relax_rounds`` is the shared schedule length.
-    """
-
-    dist: np.ndarray
-    buckets: int
-    relax_rounds: int
-    arcs_relaxed: int
-    delta: float
-
-    @property
-    def k(self) -> int:
-        return int(self.dist.shape[0])
 
 
 def _offsets_for(sources: np.ndarray, offsets: Optional[Any]) -> np.ndarray:
@@ -265,7 +248,7 @@ def shortest_paths_batch(
     *,
     weights: Optional[np.ndarray] = None,
     tracker: Optional[PramTracker] = None,
-) -> BatchShortestPathResult:
+) -> ShortestPathResult:
     """Run ``k`` independent shortest-path searches as one batch.
 
     Parameters
@@ -277,57 +260,25 @@ def shortest_paths_batch(
         Every source starts at integer zero, so integer weights select
         Dial mode, and the bucket width is the default one.
 
-    Every run's distances equal, value for value and dtype for dtype,
-    those of a standalone :func:`shortest_paths` call with the same
-    sources; parents and owners come from that call, as the batch
-    resolves none.  See the module docstring for the sharing and
-    accounting story.
+    Returns a ``(k, n)`` ``dist``: every run's row equals, value for
+    value and dtype for dtype, a standalone :func:`shortest_paths`
+    call's with the same sources.  See the module docstring for the
+    sharing and accounting story.
 
     A degenerate batch — zero runs, or runs whose sources never settle
     anything — charges the tracker nothing (0 work, 0 rounds) and
     still returns correctly shaped ``(k, n)`` all-unreached matrices.
     """
-    tracker = tracker or null_tracker()
     run_src, run_ptr = _normalize_runs(sources, g.n)
-    k = run_ptr.shape[0] - 1
     offs = np.zeros(run_src.shape[0], dtype=np.int64)
     w, int_mode, delta = _resolve_weights_and_delta(g, weights, offs, None)
-
-    if k == 0:
-        # zero runs: nothing to schedule — shape the empty (0, n)
-        # result here instead of tripping the kernel's frontier loops,
-        # and charge the tracker nothing
-        return BatchShortestPathResult(
-            dist=np.full((0, g.n), INT_INF if int_mode else np.inf,
-                         dtype=np.int64 if int_mode else np.float64),
-            buckets=0,
-            relax_rounds=0,
-            arcs_relaxed=0,
-            delta=float(delta),
-        )
-    if run_src.shape[0]:
-        run_of = np.repeat(np.arange(k, dtype=np.int64), np.diff(run_ptr))
-        ranks = np.arange(run_src.shape[0], dtype=np.int64) - run_ptr[run_of]
-    else:
-        ranks = np.empty(0, np.int64)
-
     split = _resolve_split(g, weights, w, delta, int_mode)
-    dist, _, _, bucket_work, bucket_rounds = bucket_sssp_batch(
-        g.indptr, g.indices, w, g.n, run_src, run_ptr, offs, ranks, delta,
-        light_heavy=split, labels=False,
+    dist, bucket_work, bucket_rounds = bucket_sssp_batch(
+        g.indptr, g.indices, w, g.n, run_src, run_ptr, offs, delta,
+        light_heavy=split,
     )
-
-    work = int(sum(bucket_work))
-    rounds = int(sum(bucket_rounds))
-    if work or rounds:
-        tracker.parallel_round(work=work, rounds=max(rounds, 1))
-    return BatchShortestPathResult(
-        dist=dist.reshape(k, g.n),
-        buckets=len(bucket_work),
-        relax_rounds=rounds,
-        arcs_relaxed=work,
-        delta=float(delta),
-    )
+    k = run_ptr.shape[0] - 1
+    return _charge(tracker, dist.reshape(k, g.n), bucket_work, bucket_rounds, delta)
 
 
 def _resolve_weights_and_delta(

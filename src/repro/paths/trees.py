@@ -1,13 +1,77 @@
-"""Parent-array tree utilities: path extraction, depth, verification."""
+"""Parent-array tree utilities: the forest a search's distances
+certify, path extraction, depth, verification."""
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import VerificationError
+from repro.errors import ParameterError, VerificationError
 from repro.graph.csr import CSRGraph
+from repro.graph.unionfind import find_roots
+from repro.graph.validation import check_vertex_ids
+from repro.kernels.numpy_kernel import INT_INF
+
+
+def shortest_path_forest(
+    g: CSRGraph,
+    dist: np.ndarray,
+    sources: np.ndarray | int,
+    offsets: Optional[np.ndarray] = None,
+    weights: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(parent, owner)`` of the shortest-path forest ``dist`` certifies.
+
+    ``dist`` holds a search's distances from ``sources`` started at
+    ``offsets`` (all zero when ``None``) over ``g``'s arcs, weighted by
+    ``weights`` when given: ``shortest_paths(g, sources, offsets,
+    weights=weights).dist``.  One pass over the arcs finds the tight
+    ones (``dist[u] + w(u, v) == dist[v]``).  Roots are the sources that
+    sit at their own offset; every other reached vertex's parent is its
+    smallest tight predecessor, and its owner the root its parent chain
+    ends at (:func:`~repro.graph.unionfind.find_roots` on a scratch
+    copy).  Unreached vertices get ``-1`` in both.  On ``int64`` rows
+    (``INT_INF`` when unreached) tightness is checked only where the
+    tail is reached, so the sum never wraps.  Charges no tracker: the
+    labels are read off a finished search.
+
+    Positive weights make every tight arc strictly increase ``dist``,
+    so every chain ends at a root.  A tight arc of weight 0 could close
+    a cycle and raises :class:`ParameterError`, as does a reached
+    vertex without a tight predecessor (``dist``, ``sources`` and
+    ``offsets`` of different searches).
+    """
+    n = g.n
+    sources = check_vertex_ids(sources, n)
+    offsets = np.zeros(sources.shape[0]) if offsets is None else np.asarray(offsets)
+    w = g.weights if weights is None else np.asarray(weights)
+    src, dst = g.arc_sources(), g.indices
+    if dist.dtype.kind in "iu":
+        reached = dist != INT_INF
+        tight = np.flatnonzero(reached[src])
+        tight = tight[dist[src[tight]] + w[tight] == dist[dst[tight]]]
+    else:
+        reached = dist != np.inf
+        tight = np.flatnonzero((dist[src] + w == dist[dst]) & reached[dst])
+    if (w[tight] == 0).any():
+        raise ParameterError("tight arcs of weight 0 can close a cycle of parents")
+    parent = np.full(n, n, dtype=np.int64)  # n: no tight predecessor
+    np.minimum.at(parent, dst[tight], src[tight])
+    roots = sources[dist[sources] == offsets]
+    parent[roots] = roots
+    verts = np.flatnonzero(reached)
+    orphan = verts[parent[verts] == n]
+    if orphan.shape[0]:
+        raise ParameterError(
+            f"vertex {orphan[0]} is reached but has no tight predecessor; "
+            "dist must come from a search from these sources and offsets"
+        )
+    owner = np.full(n, -1, dtype=np.int64)
+    owner[verts] = find_roots(parent.copy(), verts)
+    parent[roots] = -1
+    parent[~reached] = -1
+    return parent, owner
 
 
 def extract_path(parent: np.ndarray, t: int) -> List[int]:

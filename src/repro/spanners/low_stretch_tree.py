@@ -120,7 +120,7 @@ def bfs_tree(g: CSRGraph, root: int = 0) -> SpannerResult:
 
     _, parent = bfs(g, root)
     child = np.flatnonzero(parent >= 0)
-    ids = edge_id_lookup(g, child, parent[child]) if child.size else np.empty(0, np.int64)
+    ids = edge_id_lookup(g, child, parent[child])
     return SpannerResult(graph=g, edge_ids=np.unique(ids), stretch_bound=float("inf"))
 
 

@@ -77,9 +77,7 @@ def unweighted_spanner(
 
     # --- forest edges --------------------------------------------------
     child, parent = clustering.forest_edges()
-    forest_ids = (
-        edge_id_lookup(g, child, parent) if child.size else np.empty(0, np.int64)
-    )
+    forest_ids = edge_id_lookup(g, child, parent)
 
     # --- one edge per (boundary vertex, adjacent cluster) ---------------
     with tracker.phase("boundary"):

@@ -52,6 +52,7 @@ from repro import (
 from repro.dynamic import UpdateBatch
 from repro.graph.parallel_connectivity import parallel_connectivity
 from repro.paths.engine import shortest_paths, shortest_paths_batch
+from repro.paths.trees import shortest_path_forest
 from repro.rng import resolve_rng
 from repro.serve import DistanceServer
 from repro.spanners.low_stretch_tree import low_stretch_spanning_tree
@@ -112,7 +113,7 @@ def _calls(name: str, g: Any) -> Dict[str, Callable[[PramTracker], Tuple[Any, ..
 
     def sssp(t):
         r = shortest_paths(g, 0, tracker=t)
-        return r.dist, r.parent, r.owner, r.buckets
+        return r.dist, *shortest_path_forest(g, r.dist, 0), r.buckets
 
     def race(t):
         # an EST-style race: five sources at real exponential offsets
@@ -120,7 +121,7 @@ def _calls(name: str, g: Any) -> Dict[str, Callable[[PramTracker], Tuple[Any, ..
         srcs = rng.choice(g.n, size=5, replace=False)
         offs = rng.exponential(2.0, 5)
         r = shortest_paths(g, srcs, offsets=offs, tracker=t)
-        return r.dist, r.parent, r.owner
+        return r.dist, *shortest_path_forest(g, r.dist, srcs, offs)
 
     calls["shortest_paths"] = sssp
     calls["shortest_paths_race"] = race

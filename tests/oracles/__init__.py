@@ -11,15 +11,16 @@ frontier h-hop kernel must match label for label, and
 :func:`first_of_runs_lexsort` is the comparison-sort dedup the radix
 ``first_of_runs`` must match index for index, and
 :func:`bucket_sssp_batch_reference` the per-arc relaxation round the
-numpy bucket kernel must match label for label and ledger for ledger.
+numpy bucket kernel must match distance for distance and ledger for
+ledger.
 :func:`est_cluster_reference` and :func:`induced_subgraph_reference`
 are the single-graph EST race and induced-subgraph cut that
 ``est_cluster`` and ``induced_subgraph`` ran before they became the
 one-block cases of the forest primitives; both must match output for
 output, and the depth-first oracles cluster and cut with them.
-:func:`dijkstra_reference` is the sequential heapq Dijkstra, and
-:func:`engine_kernel` runs the bucket engine on it as a second,
-differently tie-breaking kernel.  Tests and the benches
+:func:`dijkstra_reference` is the sequential heapq Dijkstra, with its
+own parents and owners, and :func:`engine_kernel` runs the bucket
+engine on it as a second kernel.  Tests and the benches
 (``benchmarks/bench_engine.py``, ``benchmarks/bench_hopset.py``,
 ``benchmarks/bench_spanner.py``, ``benchmarks/bench_serve.py``) import
 them; nothing under ``src/`` may.

@@ -3,14 +3,14 @@
 :func:`repro.kernels.numpy_kernel.bucket_sssp_batch` expands a
 frontier with one three-pass slot formula, gathers candidate distances
 once per frontier vertex, compresses the improving arcs with a single
-index filter, and skips the rank bookkeeping nothing reads.  This is
-the body it replaced: the five-pass expansion, a candidate gather per
-arc, three boolean compressions per round, the uniform-weight shortcut
-only on the unsplit (Dial) path, and a rank write every round.  Both
-must return the same ``(dist, parent, owner, bucket_work,
-bucket_rounds)`` value for value and dtype for dtype on every input
-(``tests/test_kernel_round.py``).  The claim rule itself
-(:func:`~repro.kernels.numpy_kernel.claim_min`) is shared.
+index filter, and min-writes them with one ``np.minimum.at``.  This is
+the body it replaced, without its labels: the five-pass expansion, a
+candidate gather per arc, three boolean compressions per round, the
+uniform-weight shortcut only on the unsplit (Dial) path, and winners
+picked by a scatter-min mask (:func:`~repro.kernels.numpy_kernel._min_mask`)
+before they are written.  Both must return the same ``(dist,
+bucket_work, bucket_rounds)`` value for value and dtype for dtype on
+every input (``tests/test_kernel_round.py``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.kernels.numpy_kernel import INT_INF, _min_mask, _once_mask, claim_min
+from repro.kernels.numpy_kernel import INT_INF, _min_mask, _once_mask
 
 
 def bucket_sssp_batch_reference(
@@ -30,10 +30,9 @@ def bucket_sssp_batch_reference(
     run_src: np.ndarray,
     run_ptr: np.ndarray,
     offsets: np.ndarray,
-    ranks: np.ndarray,
     delta: Optional[float],
     light_heavy: Optional[Tuple[np.ndarray, ...]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int], List[int]]:
+) -> Tuple[np.ndarray, List[int], List[int]]:
     """``bucket_sssp_batch`` as it ran with one boolean mask per array."""
     int_mode = (
         np.issubdtype(np.asarray(weights).dtype, np.integer)
@@ -47,19 +46,12 @@ def bucket_sssp_batch_reference(
     offsets = np.asarray(offsets).astype(dtype, copy=False)
     run_src = np.asarray(run_src, dtype=np.int64)
     run_ptr = np.asarray(run_ptr, dtype=np.int64)
-    ranks = np.asarray(ranks, dtype=np.int64)
     k = run_ptr.shape[0] - 1
     single = k == 1  # composite id == vertex id: skip tag arithmetic
     nn = k * n
 
     dist = np.full(nn, inf, dtype=dtype)
-    # rank and the claim scratch share one block: as two blocks the
-    # per-call free pushed the allocator into trimming and re-faulting
-    # the heap, doubling page faults on batched builds
-    rank, claim_buf = np.empty((2, nn), dtype=np.int64)
-    rank[:] = np.iinfo(np.int64).max
-    parent = np.full(nn, -1, dtype=np.int64)
-    owner = np.full(nn, -1, dtype=np.int64)
+    claim_buf = np.empty(nn, dtype=np.int64)  # claim scratch, one word per state
     settled = np.zeros(nn, dtype=bool)
     bucket_work: List[int] = []
     bucket_rounds: List[int] = []
@@ -68,11 +60,6 @@ def bucket_sssp_batch_reference(
     w_const = None
     if weights.shape[0] and (weights == weights[0]).all():
         w_const = weights[0]
-
-    # claim_buf is the claim scratch, one word per state.  rank[] only
-    # ever holds seed ranks, so when every seed has rank 0 (single-source
-    # runs) the rank tie-break cannot separate claims
-    claim_rank = rank if ranks.any() else None
 
     def _relax_round(
         frontier: np.ndarray,
@@ -83,8 +70,8 @@ def bucket_sssp_batch_reference(
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], int]:
         """One claim-resolved relaxation of ``frontier`` over the
         sub-adjacency ``(xip, xidx, xw)``: gathers the improving
-        candidates against the pre-round labels, then updates the label
-        arrays in place.  Returns ``(win_v, win_d, arcs)`` with
+        candidates against the pre-round distances, then writes each
+        claimed state's minimum.  Returns ``(win_v, win_d, arcs)`` with
         ``win_v=None`` when nothing improved."""
         vv = frontier if single else frontier % n
         starts = xip[vv]
@@ -107,14 +94,14 @@ def bucket_sssp_batch_reference(
         else:
             cand = dist[arc_src] + xw[arc_idx]
         improving = cand < dist[nbr]
-        nbr, src, cand = nbr[improving], arc_src[improving], cand[improving]
+        nbr, cand = nbr[improving], cand[improving]
         if nbr.shape[0] == 0:
             return None, None, total
-        win_v, win_p, win_d = claim_min(nbr, src, cand, claim_rank, claim_buf)
+        keep = _min_mask(nbr, cand, claim_buf)
+        nbr, cand = nbr[keep], cand[keep]
+        once = _once_mask(nbr, claim_buf)
+        win_v, win_d = nbr[once], cand[once]
         dist[win_v] = win_d
-        parent[win_v] = win_p if single else win_p % n
-        owner[win_v] = owner[win_p]
-        rank[win_v] = rank[win_p]
         return win_v, win_d, total
 
     pending: List[np.ndarray] = []
@@ -124,15 +111,12 @@ def bucket_sssp_batch_reference(
         else:
             run_of = np.repeat(np.arange(k, dtype=np.int64), np.diff(run_ptr))
             comp = run_of * n + run_src
-        # best (offset, rank) per distinct composite seeds that run;
-        # ranks are distinct within a run, so one rank pass is final
+        # the best offset per distinct composite seeds that run
         keep = _min_mask(comp, offsets, claim_buf)
-        cs, off_s, rk_s = comp[keep], offsets[keep], ranks[keep]
-        keep = _min_mask(cs, rk_s, claim_buf)
-        cs, off_s, rk_s = cs[keep], off_s[keep], rk_s[keep]
-        dist[cs] = off_s
-        owner[cs] = cs if single else cs % n
-        rank[cs] = rk_s
+        cs, off_s = comp[keep], offsets[keep]
+        once = _once_mask(cs, claim_buf)
+        cs = cs[once]
+        dist[cs] = off_s[once]
         pending.append(cs)
 
     while pending:
@@ -211,4 +195,4 @@ def bucket_sssp_batch_reference(
         bucket_work.append(work)
         bucket_rounds.append(rounds)
 
-    return dist, parent, owner, bucket_work, bucket_rounds
+    return dist, bucket_work, bucket_rounds

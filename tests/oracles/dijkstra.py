@@ -2,13 +2,12 @@
 
 :func:`dijkstra_reference` is the sequential Dijkstra that Theorem
 1.2's work bound is compared against: one heap pop per vertex, with
-equal keys popped in source-rank order.  The bucket kernels break
-equal-distance ties their own way (the first scheduled writer keeps a
-tie), so it doubles as a second kernel for whole pipelines:
+equal keys popped in source-rank order, returning its own parents and
+owners.  It doubles as a second kernel for whole pipelines:
 :func:`engine_kernel` swaps :func:`reference_bucket_sssp` and
 :func:`reference_bucket_sssp_batch` in for the engine's numpy kernels,
-and every kernel-independent output (distances, canonical forests,
-spanner and hopset edge sets) must come out the same.
+and every kernel-independent output (distances, the forests derived
+from them, spanner and hopset edge sets) must come out the same.
 ``benchmarks/bench_engine.py`` times :func:`dijkstra_reference` as the
 engine's sequential baseline.
 """
@@ -58,7 +57,7 @@ def _heapq_dijkstra(
     for i, (s, off) in enumerate(zip(sources, offsets)):
         # tuple: (key, owner rank, relaxing vertex, vertex, parent,
         # owner); rank first so equal-key pops favor the earlier
-        # source entry — the same tie rule the bucket kernels use.
+        # source entry.
         heapq.heappush(heap, (float(off), i, -1, int(s), -1, int(s)))
 
     while heap:
@@ -87,11 +86,12 @@ def dijkstra_reference(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Multi-source heapq Dijkstra with optional real start offsets.
 
-    Same contract as :func:`repro.paths.shortest_paths`: ``dist[v]`` is
-    ``min_i offsets[i] + d(sources[i], v)``, ``owner[v]`` the arg-min
+    ``dist[v]`` is ``min_i offsets[i] + d(sources[i], v)``, as from
+    :func:`repro.paths.shortest_paths`; ``owner[v]`` is the arg-min
     source (ties broken toward the earlier entry in ``sources``) and
-    ``parent`` the shortest-path-tree parent; ``weights`` overrides the
-    CSR slot weights.
+    ``parent`` the shortest-path-tree parent, which equal
+    :func:`repro.paths.shortest_path_forest`'s wherever shortest paths
+    are unique.  ``weights`` overrides the CSR slot weights.
     """
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
     if offsets is None:
@@ -111,21 +111,17 @@ def reference_bucket_sssp_batch(
     run_src: np.ndarray,
     run_ptr: np.ndarray,
     offsets: np.ndarray,
-    ranks: np.ndarray,
     delta: float,
     light_heavy: Optional[Tuple[np.ndarray, ...]] = None,
-    labels: bool = True,
-) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], List[int], List[int]]:
+) -> Tuple[np.ndarray, List[int], List[int]]:
     """:func:`repro.kernels.numpy_kernel.bucket_sssp_batch`'s contract,
     one heapq search per run.
 
     Integer weights and offsets give ``int64`` distances, as on the
-    numpy kernel; ``labels=False`` returns ``None`` for ``parent`` and
-    ``owner``, as the kernel's distances-only round does.  A search
-    does not simulate the bucket schedule, so its ledger is synthetic:
-    ``2m + n`` work per run that reaches anything and one round per
-    occupied width-``delta`` bucket of the longest run.  Tests keep it
-    out of ledger equality.
+    numpy kernel.  A search does not simulate the bucket schedule, so
+    its ledger is synthetic: ``2m + n`` work per run that reaches
+    anything and one round per occupied width-``delta`` bucket of the
+    longest run.  Tests keep it out of ledger equality.
     """
     int_mode = np.issubdtype(np.asarray(weights).dtype, np.integer) and (
         np.issubdtype(np.asarray(offsets).dtype, np.integer)
@@ -135,12 +131,10 @@ def reference_bucket_sssp_batch(
     k = run_ptr.shape[0] - 1
     dist = np.full(k * n, INT_INF if int_mode else np.inf,
                    dtype=np.int64 if int_mode else np.float64)
-    parent = np.full(k * n, -1, dtype=np.int64)
-    owner = np.full(k * n, -1, dtype=np.int64)
     work = buckets = 0
     for r in range(k):
         lo, hi = int(run_ptr[r]), int(run_ptr[r + 1])
-        d, p, o = _heapq_dijkstra(
+        d, _, _ = _heapq_dijkstra(
             indptr, indices, w, n, run_src[lo:hi], offsets[lo:hi]
         )
         b = count_occupied_buckets(d, delta)
@@ -150,12 +144,8 @@ def reference_bucket_sssp_batch(
         row = dist[r * n : (r + 1) * n]
         finite = np.isfinite(d)
         row[finite] = np.rint(d[finite]) if int_mode else d[finite]
-        parent[r * n : (r + 1) * n] = p
-        owner[r * n : (r + 1) * n] = o
     bucket_work = [work] + [0] * (buckets - 1) if buckets else []
-    if not labels:
-        return dist, None, None, bucket_work, [1] * buckets
-    return dist, parent, owner, bucket_work, [1] * buckets
+    return dist, bucket_work, [1] * buckets
 
 
 def reference_bucket_sssp(
@@ -165,16 +155,15 @@ def reference_bucket_sssp(
     n: int,
     sources: np.ndarray,
     offsets: np.ndarray,
-    ranks: np.ndarray,
     delta: float,
     light_heavy: Optional[Tuple[np.ndarray, ...]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int], List[int]]:
+) -> Tuple[np.ndarray, List[int], List[int]]:
     """:func:`repro.kernels.numpy_kernel.bucket_sssp`'s contract: the
     one-run case of :func:`reference_bucket_sssp_batch`."""
     sources = np.asarray(sources, dtype=np.int64)
     run_ptr = np.asarray([0, sources.shape[0]], dtype=np.int64)
     return reference_bucket_sssp_batch(
-        indptr, indices, weights, n, sources, run_ptr, offsets, ranks, delta
+        indptr, indices, weights, n, sources, run_ptr, offsets, delta
     )
 
 

@@ -8,7 +8,9 @@ BFS, Dial and exact races — so the product can be compared with an
 independent implementation: center, parent, distance, shifts, round
 count and tracker ledger must all be equal (``tests/test_clustering.py``),
 and the depth-first hopset and spanner oracles cluster with it.  It
-shares only the canonicalization passes with the product.
+shares only the label passes with the product (the Dial race's
+``_canonical_dial_race`` and the exact race's
+``repro.paths.trees.shortest_path_forest``).
 """
 
 from __future__ import annotations
@@ -17,16 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from repro.clustering.est import (
-    Clustering,
-    _canonical_dial_race,
-    _canonical_tree_parents,
-)
+from repro.clustering.est import Clustering, _canonical_dial_race
 from repro.clustering.shifts import sample_shifts
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.paths.bfs import bfs_with_start_times
 from repro.paths.engine import check_finite, shortest_paths
+from repro.paths.trees import shortest_path_forest
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike
 
@@ -65,8 +64,8 @@ def est_cluster_reference(
     if method == "exact":
         with tracker.phase("est_exact"):
             res = shortest_paths(g, np.arange(n), offsets=start_real, tracker=tracker)
-            dist, owner = res.dist, res.owner
-            parent = _canonical_tree_parents(g, dist, res.parent, owner)
+            dist = res.dist
+            parent, owner = shortest_path_forest(g, dist, np.arange(n), start_real)
         dist_to_center = dist - start_real[owner]
         rounds = 0
     else:

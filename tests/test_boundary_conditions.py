@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import from_edges, path_graph
-from repro.paths import hop_limited_distances, shortest_paths
+from repro.paths import hop_limited_distances, shortest_path_forest, shortest_paths
 
 
 def _csr(g):
@@ -32,11 +32,9 @@ class TestEmptyStructures:
         assert np.isinf(np.delete(dist, 2)).all()
 
     def test_dial_on_edgeless_graph(self, empty_graph):
-        res = shortest_paths(
-            empty_graph, np.array([1]),
-            weights=empty_graph.weights.astype(np.int64), delta=1,
-        )
-        dist, owner = res.dist, res.owner
+        w = empty_graph.weights.astype(np.int64)
+        dist = shortest_paths(empty_graph, np.array([1]), weights=w, delta=1).dist
+        _, owner = shortest_path_forest(empty_graph, dist, [1], weights=w)
         assert dist[1] == 0
         assert owner[1] == 1
         assert (owner[np.arange(5) != 1] == -1).all()

@@ -17,7 +17,7 @@ from repro.errors import ParameterError
 from repro.graph import from_edges, gnm_random_graph, with_random_weights
 from repro.hopsets import build_hopset
 from repro.kernels import bucket_sssp, split_light_heavy
-from repro.paths import shortest_paths, shortest_paths_batch
+from repro.paths import shortest_path_forest, shortest_paths, shortest_paths_batch
 from repro.paths.dijkstra import dijkstra_scipy
 from repro.pram import PramTracker
 from repro.serve import DistanceServer
@@ -93,8 +93,9 @@ class TestFloatPathMatchesReference:
         dist, parent, owner = dijkstra_reference(g, sources, offsets=offsets)
         assert res.dist.dtype == np.float64
         assert np.allclose(res.dist, dist)
-        assert np.array_equal(res.owner, owner)
-        assert np.array_equal(res.parent, parent)
+        got_parent, got_owner = shortest_path_forest(g, res.dist, sources, offsets)
+        assert np.array_equal(got_owner, owner)
+        assert np.array_equal(got_parent, parent)
 
     @SETTINGS
     @given(float_graphs())
@@ -104,7 +105,7 @@ class TestFloatPathMatchesReference:
         # one singleton run per source plus one joint multi-source run
         runs = [np.asarray([s]) for s in sources] + [sources]
         batch = shortest_paths_batch(g, runs)
-        assert batch.k == len(runs)
+        assert batch.dist.shape == (len(runs), g.n)
         for i, srcs in enumerate(runs):
             dist, _, _ = dijkstra_reference(g, srcs)
             assert np.allclose(batch.dist[i], dist)
@@ -113,7 +114,8 @@ class TestFloatPathMatchesReference:
             single = shortest_paths(g, srcs)
             assert batch.dist[i].dtype == single.dist.dtype == np.float64
             assert np.array_equal(batch.dist[i], single.dist)
-            assert np.array_equal(np.isinf(batch.dist[i]), single.owner == -1)
+            _, owner = shortest_path_forest(g, single.dist, srcs)
+            assert np.array_equal(np.isinf(batch.dist[i]), owner == -1)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_all_source_race(self, seed):
@@ -123,7 +125,8 @@ class TestFloatPathMatchesReference:
         res = shortest_paths(g, np.arange(g.n), offsets=offs)
         dist, _, owner = dijkstra_reference(g, np.arange(g.n), offsets=offs)
         assert np.allclose(res.dist, dist)
-        assert np.array_equal(res.owner, owner)
+        _, got_owner = shortest_path_forest(g, res.dist, np.arange(g.n), offs)
+        assert np.array_equal(got_owner, owner)
 
     def test_int_weights_keep_dial_fast_path(self):
         g = gnm_random_graph(60, 200, seed=11, connected=True)
@@ -154,37 +157,30 @@ class TestDeltaCore:
 
     def _run(self, g, sources, offsets, delta):
         split = split_light_heavy(g.indptr, g.indices, g.weights, delta)
-        ranks = np.arange(len(sources), dtype=np.int64)
-        dist, parent, owner, work, rounds = bucket_sssp(
+        dist, work, rounds = bucket_sssp(
             g.indptr,
             g.indices,
             g.weights,
             g.n,
             np.asarray(sources, np.int64),
             np.asarray(offsets, np.float64),
-            ranks,
             float(delta),
             light_heavy=split,
         )
-        return dist, parent, owner, sum(work), len(work)
+        return dist, sum(work), len(work)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("delta_kind", ["auto", "tiny", "huge"])
     def test_matches_reference(self, seed, delta_kind):
         g = _random_float_graph(60, 220, seed=seed)
         delta = {"auto": g.suggest_delta(), "tiny": 0.05, "huge": 1e6}[delta_kind]
-        dist, parent, owner, arcs, buckets = self._run(g, [4], [0.0], delta)
+        dist, arcs, buckets = self._run(g, [4], [0.0], delta)
         dref, pref, oref = dijkstra_reference(g, 4)
         assert np.allclose(dist, dref)
+        parent, owner = shortest_path_forest(g, dist, 4)
         assert np.array_equal(parent, pref)
         assert np.array_equal(owner, oref)
         assert np.isfinite(dist).all() and arcs >= g.num_arcs and buckets >= 1
-
-    def test_rank_tie_break(self):
-        # two equal-distance claims: the earlier source entry must win
-        g = from_edges(6, [(3, 4), (4, 5), (0, 1), (1, 5)])
-        _, _, owner, _, _ = self._run(g, [3, 0], [0.0, 0.0], g.suggest_delta())
-        assert owner[5] == 3
 
 
 class TestBackendRegistry:

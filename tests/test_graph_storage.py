@@ -92,14 +92,17 @@ class TestStore:
             load_store(tmp_path / "junk")
 
     def test_memmap_graph_drives_engine(self, medium_weighted, tmp_path):
-        from repro.paths.engine import shortest_paths
+        from repro.paths import shortest_path_forest, shortest_paths
 
         save_store(medium_weighted, tmp_path / "s")
         g = load_store(tmp_path / "s", mmap_mode="r")
         ref = shortest_paths(medium_weighted, 0)
         got = shortest_paths(g, 0)
         assert np.array_equal(ref.dist, got.dist)
-        assert np.array_equal(ref.parent, got.parent)
+        ref_forest = shortest_path_forest(medium_weighted, ref.dist, 0)
+        got_forest = shortest_path_forest(g, got.dist, 0)
+        assert np.array_equal(ref_forest[0], got_forest[0])
+        assert np.array_equal(ref_forest[1], got_forest[1])
 
     def test_memmap_graph_drives_hopset_builder(self, tmp_path):
         from repro.hopsets import build_hopset

@@ -2,19 +2,17 @@
 
 ``bucket_sssp_batch`` (and ``bucket_sssp``, its one-run case) must
 return exactly what the per-arc round it replaced returns
-(``tests/oracles/bucket.py``): the same ``dist``, ``parent`` and
-``owner`` values and dtypes and the same ``bucket_work`` and
-``bucket_rounds`` ledgers.  Inputs are built the way the engine builds
-them (its own run normalisation, weight/delta resolution and
-light/heavy split), over uniform, random integer, random float and
-log-uniform weights, default, tiny and huge ``delta``, integer, float
-and negative offsets, multi-source runs with repeated sources, k-run
-batches, disconnected and edgeless graphs, and int32 CSR arrays.
-The distances-only round (``labels=False``, the one
-``shortest_paths_batch`` runs) must return the labelled round's
-``dist`` and ledgers on the same inputs, and ``None`` labels.
-``expand_frontier`` must list the slots of the five-pass formula it
-replaced, for frontiers with repeated and zero-degree vertices.
+(``tests/oracles/bucket.py``): the same ``dist`` values and dtype and
+the same ``bucket_work`` and ``bucket_rounds`` ledgers.  Inputs are
+built the way the engine builds them (its own run normalisation,
+weight/delta resolution and light/heavy split), over uniform, random
+integer, random float and log-uniform weights, default, tiny and huge
+``delta``, integer, float and negative offsets, multi-source runs with
+repeated sources, k-run batches, disconnected and edgeless graphs, and
+int32 CSR arrays.  Every row of a batch must equal a standalone
+``bucket_sssp`` run on the same sources.  ``expand_frontier`` must
+list the slots of the five-pass formula it replaced, for frontiers
+with repeated and zero-degree vertices.
 """
 
 import numpy as np
@@ -118,33 +116,22 @@ def kernel_inputs(g, sources, offsets, delta_kind):
         offs = np.concatenate(offsets)
     else:
         offs = np.asarray(offsets)
-    k = run_ptr.shape[0] - 1
-    run_of = np.repeat(np.arange(k, dtype=np.int64), np.diff(run_ptr))
-    ranks = np.arange(run_src.shape[0], dtype=np.int64) - run_ptr[run_of]
     w, int_mode, delta = _resolve_weights_and_delta(g, None, offs, None)
     if delta_kind == "tiny":
         delta = 1 if int_mode else delta * 1e-3
     elif delta_kind == "huge":
         delta = 10**6 if int_mode else delta * 1e6
     split = _resolve_split(g, None, w, delta, int_mode)
-    return (g.indptr, g.indices, w, g.n, run_src, run_ptr, offs, ranks, delta, split)
+    return (g.indptr, g.indices, w, g.n, run_src, run_ptr, offs, delta, split)
 
 
 def assert_same(got, want):
-    for name, a, b in zip(("dist", "parent", "owner"), got[:3], want[:3]):
-        assert a.dtype == b.dtype, name
-        np.testing.assert_array_equal(a, b, err_msg=name)
-    assert got[3] == want[3], "bucket_work"
-    assert got[4] == want[4], "bucket_rounds"
-
-
-def assert_same_distances(got, want):
-    """A distances-only result ``got`` against a labelled one ``want``."""
-    assert got[1] is None and got[2] is None
+    """``(dist, bucket_work, bucket_rounds)`` equal value for value,
+    ``dist`` dtype for dtype."""
     assert got[0].dtype == want[0].dtype
-    assert np.array_equal(got[0], want[0])
-    assert got[3] == want[3], "bucket_work"
-    assert got[4] == want[4], "bucket_rounds"
+    np.testing.assert_array_equal(got[0], want[0], err_msg="dist")
+    assert got[1] == want[1], "bucket_work"
+    assert got[2] == want[2], "bucket_rounds"
 
 
 @st.composite
@@ -196,8 +183,8 @@ class TestBatchMatchesReference:
         """``bucket_sssp`` (k = 1, the server's and suite's hot path)."""
         g, sources, offsets = build_case(dict(c, shape="multi", k=1))
         args = kernel_inputs(g, sources, offsets, c["delta_kind"])
-        indptr, indices, w, n, run_src, run_ptr, offs, ranks, delta, split = args
-        got = bucket_sssp(indptr, indices, w, n, run_src, offs, ranks, delta, split)
+        indptr, indices, w, n, run_src, run_ptr, offs, delta, split = args
+        got = bucket_sssp(indptr, indices, w, n, run_src, offs, delta, split)
         assert_same(got, bucket_sssp_batch_reference(*args))
 
     @pytest.mark.parametrize("weight_kind", ["uniform_int", "uniform_float", "unit"])
@@ -212,13 +199,13 @@ class TestBatchMatchesReference:
         if weight_kind == "uniform_float":
             assert split[1].shape[0] == 0 and split[4].shape[0] == g.num_arcs
             # one light and one heavy round per bucket
-            assert all(r == 2 for r in bucket_sssp_batch_reference(*args)[4])
+            assert all(r == 2 for r in bucket_sssp_batch_reference(*args)[2])
         assert_same(bucket_sssp_batch(*args), bucket_sssp_batch_reference(*args))
 
     @pytest.mark.parametrize("index_dtype", [np.int64, np.int32])
     def test_rank_ties_between_repeated_sources(self, index_dtype):
-        """Equal-distance claims from different owners settle by rank,
-        including ranks inherited many hops from the seeds."""
+        """Runs that repeat sources, whose waves meet at equal
+        distances many hops from the seeds."""
         rng = np.random.default_rng(3)
         g = make_graph(rng, 400, 1600, "unit", index_dtype=index_dtype)
         runs = [np.array([5, 9, 5, 200]), np.array([9, 5]), np.array([399, 0, 0])]
@@ -250,33 +237,37 @@ class TestDistancesOnlyRound:
     @SETTINGS
     @given(cases())
     def test_random_cases(self, c):
+        """Every row of a batch is a standalone ``bucket_sssp`` run on
+        that row's sources, dtype for dtype."""
         g, sources, offsets = build_case(c)
         args = kernel_inputs(g, sources, offsets, c["delta_kind"])
-        got = bucket_sssp_batch(*args, labels=False)
-        assert_same_distances(got, bucket_sssp_batch(*args))
-        assert_same_distances(got, bucket_sssp_batch_reference(*args))
+        indptr, indices, w, n, run_src, run_ptr, offs, delta, split = args
+        dist = bucket_sssp_batch(*args)[0].reshape(-1, n)
+        for r in range(run_ptr.shape[0] - 1):
+            lo, hi = run_ptr[r], run_ptr[r + 1]
+            row = bucket_sssp(indptr, indices, w, n, run_src[lo:hi], offs[lo:hi], delta, split)[0]
+            assert row.dtype == dist.dtype
+            np.testing.assert_array_equal(dist[r], row)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_rank_ties_and_parallel_arcs(self, dtype):
-        """Sources of one run meet at equal distance (a rank tie the
-        labelled round settles), a run repeats a source, and the path
+        """Sources of one run meet at equal distance (a tie one
+        min-write settles), a run repeats a source, and the path
         carries parallel arcs of equal and of larger weight."""
         edges = [(0, 1), (1, 2), (1, 2), (1, 2), (2, 3), (2, 3), (3, 4)]
         weights = np.array([1, 1, 1, 3, 1, 1, 1], dtype=dtype)
         indptr, indices, w = parallel_arc_csr(5, edges, weights)
         run_src = np.array([0, 4, 4, 0, 4, 2])
         run_ptr = np.array([0, 2, 5, 6])
-        ranks = np.array([0, 1, 0, 1, 2, 0])
         offsets = np.zeros(6, dtype=dtype)
         delta = dtype(1)
         split = None
         if dtype is np.float64:
             split = split_light_heavy(indptr, indices, w, delta)
             assert split[4].shape[0] == 2  # the heavy parallel arcs
-        args = (indptr, indices, w, 5, run_src, run_ptr, offsets, ranks, delta, split)
-        got = bucket_sssp_batch(*args, labels=False)
-        assert_same_distances(got, bucket_sssp_batch(*args))
-        assert_same_distances(got, bucket_sssp_batch_reference(*args))
+        args = (indptr, indices, w, 5, run_src, run_ptr, offsets, delta, split)
+        got = bucket_sssp_batch(*args)
+        assert_same(got, bucket_sssp_batch_reference(*args))
         want = [0, 1, 2, 1, 0] * 2 + [2, 1, 0, 1, 2]
         assert got[0].tolist() == want
 

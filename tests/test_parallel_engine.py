@@ -1,27 +1,17 @@
-"""Bucket-engine claims and degenerate batches.
+"""Bucket-engine degenerate batches and unreached markers.
 
-Covers the scatter-min claim reduction against a lexsort reference,
-the degenerate-batch accounting rules on both engine kernels, the
-``INT_INF`` unreached marker, and the CLI's refusal of the removed
+Covers the degenerate-batch accounting rules on both engine kernels,
+the ``INT_INF`` unreached marker, and the CLI's refusal of the removed
 ``--workers`` and ``--backend`` flags.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-import repro.kernels.numpy_kernel as npk
 from repro.graph import from_edges, gnm_random_graph, with_random_weights
 from repro.kernels.numpy_kernel import INT_INF
-from repro.paths import shortest_paths, shortest_paths_batch
+from repro.paths import shortest_path_forest, shortest_paths, shortest_paths_batch
 from repro.pram import PramTracker
-
-SETTINGS = settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
 
 
 def _float_graph(n, m, seed):
@@ -32,46 +22,6 @@ def _float_graph(n, m, seed):
 def _int_graph(n, m, seed):
     g = gnm_random_graph(n, m, seed=seed, connected=True)
     return with_random_weights(g, 1, 8, "integer", seed=seed + 100)
-
-
-class TestTieBreakDeterminism:
-    @SETTINGS
-    @given(
-        st.integers(min_value=0, max_value=2**16),
-        st.integers(min_value=1, max_value=400),
-        st.sampled_from([np.int64, np.float64]),
-        st.sampled_from([np.int32, np.int64]),
-        st.booleans(),
-    )
-    def test_claim_min_matches_lexsort_reference(self, seed, m, cand_dtype,
-                                                 id_dtype, ranked):
-        """The scatter-min claim crowns exactly the lexsort winners —
-        min (cand, rank[src], src) per state — on tie-heavy claims with
-        parallel duplicates, in any input order."""
-        rng = np.random.default_rng(seed)
-        nn = 40
-        nbr = rng.integers(0, nn, m).astype(id_dtype)
-        src = rng.integers(0, nn, m).astype(id_dtype)
-        cand = rng.integers(0, 4, m).astype(cand_dtype)  # few values: ties
-        dup = rng.random(m) < 0.2  # equal-weight parallel arcs
-        nbr[1:][dup[1:]], src[1:][dup[1:]] = nbr[:-1][dup[1:]], src[:-1][dup[1:]]
-        cand[1:][dup[1:]] = cand[:-1][dup[1:]]
-        rank = rng.integers(0, 3, nn) if ranked else np.zeros(nn, np.int64)
-
-        sel = np.lexsort((src, rank[src], cand, nbr))
-        first = np.ones(m, dtype=bool)
-        first[1:] = nbr[sel][1:] != nbr[sel][:-1]
-        want = tuple(a[sel][first] for a in (nbr, src, cand))
-
-        perm = rng.permutation(m)
-        buf = np.full(nn, -7, dtype=np.int64)  # stale scratch is fine
-        got = npk.claim_min(nbr[perm], src[perm], cand[perm],
-                            rank if ranked else None, buf)
-        order = np.argsort(got[0])
-        assert len(set(got[0].tolist())) == got[0].shape[0]
-        for g_arr, w_arr in zip(got, want):
-            assert g_arr.dtype == w_arr.dtype
-            assert np.array_equal(g_arr[order], w_arr)
 
 
 class TestDegenerateBatches:
@@ -90,7 +40,8 @@ class TestDegenerateBatches:
         # every row is the unreached row of a sourceless singleton run
         single = shortest_paths(g, np.empty(0, np.int64))
         assert res.dist.dtype == single.dist.dtype == np.float64
-        assert (single.owner == -1).all()
+        _, owner = shortest_path_forest(g, single.dist, np.empty(0, np.int64))
+        assert (owner == -1).all()
         assert (res.dist == single.dist).all() and np.isinf(res.dist).all()
         assert res.buckets == 0 and res.relax_rounds == 0
         assert res.arcs_relaxed == 0
@@ -125,9 +76,9 @@ class TestIntInfStaysUnreached:
         # isolated vertex: unreached stays INT_INF/-1
         g = from_edges(4, [(0, 1)], weights=[2.0])
         gi = from_edges(4, [(0, 1)], weights=[3.0])
-        res = shortest_paths(
-            gi, 0, offsets=np.asarray([0]), weights=gi.weights.astype(np.int64)
-        )
-        assert res.dist[3] == INT_INF and res.owner[3] == -1
+        w = gi.weights.astype(np.int64)
+        res = shortest_paths(gi, 0, offsets=np.asarray([0]), weights=w)
+        _, owner = shortest_path_forest(gi, res.dist, 0, weights=w)
+        assert res.dist[3] == INT_INF and owner[3] == -1
         res_f = shortest_paths(g, 0)
         assert np.isinf(res_f.dist[3])

@@ -28,6 +28,7 @@ from repro.paths import (
     bfs_with_start_times,
     dijkstra_scipy,
     hop_limited_distances,
+    shortest_path_forest,
     shortest_paths,
     shortest_paths_batch,
 )
@@ -52,14 +53,15 @@ class TestSingleSource:
 
     @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
     def test_matches_reference_labels(self, kernel):
-        # random real weights: ties have measure zero, so parent/owner
-        # must agree with the heapq oracle exactly
+        # random real weights: ties have measure zero, so the derived
+        # parent/owner must agree with the heapq oracle exactly
         g = _random_weighted(200, 800, seed=7)
         res = shortest_paths(g, 5)
         dist, parent, owner = dijkstra_reference(g, 5)
         assert np.allclose(res.dist, dist)
-        assert np.array_equal(res.parent, parent)
-        assert np.array_equal(res.owner, owner)
+        got_parent, got_owner = shortest_path_forest(g, res.dist, 5)
+        assert np.array_equal(got_parent, parent)
+        assert np.array_equal(got_owner, owner)
 
     def test_scalar_and_array_source_agree(self):
         g = _random_weighted(80, 240, seed=3)
@@ -75,7 +77,8 @@ class TestSingleSource:
     def test_unreached_labels(self, disconnected):
         res = shortest_paths(disconnected, 0)
         assert np.isinf(res.dist[3])
-        assert res.owner[3] == -1 and res.parent[3] == -1
+        parent, owner = shortest_path_forest(disconnected, res.dist, 0)
+        assert owner[3] == -1 and parent[3] == -1
 
 
 class TestMultiSourceOffsets:
@@ -89,8 +92,9 @@ class TestMultiSourceOffsets:
         res = shortest_paths(g, srcs, offsets=offs)
         dist, parent, owner = dijkstra_reference(g, srcs, offsets=offs)
         assert np.allclose(res.dist, dist)
-        assert np.array_equal(res.owner, owner)
-        assert np.array_equal(res.parent, parent)
+        got_parent, got_owner = shortest_path_forest(g, res.dist, srcs, offs)
+        assert np.array_equal(got_owner, owner)
+        assert np.array_equal(got_parent, parent)
 
     @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
     def test_all_source_race_argmin(self, kernel):
@@ -103,15 +107,16 @@ class TestMultiSourceOffsets:
 
         key = sp_dijkstra(g.to_scipy(), directed=False) + offs[:, None]
         assert np.allclose(res.dist, key.min(axis=0))
-        assert np.allclose(key[res.owner, np.arange(g.n)], key.min(axis=0))
+        _, owner = shortest_path_forest(g, res.dist, np.arange(g.n), offs)
+        assert np.allclose(key[owner, np.arange(g.n)], key.min(axis=0))
 
     def test_duplicate_sources_earlier_entry_wins(self):
         g = from_edges(3, [(0, 1), (1, 2)], weights=[1.0, 1.0])
-        res = shortest_paths(
-            g, np.array([1, 1]), offsets=np.array([0.5, 0.5])
-        )
+        srcs, offs = np.array([1, 1]), np.array([0.5, 0.5])
+        res = shortest_paths(g, srcs, offsets=offs)
         # both entries name vertex 1 at the same offset; owner stays 1
-        assert (res.owner[np.isfinite(res.dist)] == 1).all()
+        _, owner = shortest_path_forest(g, res.dist, srcs, offs)
+        assert (owner[np.isfinite(res.dist)] == 1).all()
         assert np.allclose(res.dist, [1.5, 0.5, 1.5])
 
 
@@ -122,34 +127,33 @@ class TestDeterminism:
         a = shortest_paths(g, np.arange(g.n), offsets=offs)
         b = shortest_paths(g, np.arange(g.n), offsets=offs)
         assert np.array_equal(a.dist, b.dist)
-        assert np.array_equal(a.owner, b.owner)
-        assert np.array_equal(a.parent, b.parent)
+        fa = shortest_path_forest(g, a.dist, np.arange(g.n), offs)
+        fb = shortest_path_forest(g, b.dist, np.arange(g.n), offs)
+        assert np.array_equal(fa[0], fb[0]) and np.array_equal(fa[1], fb[1])
 
     def test_tie_break_prefers_earlier_source(self):
         # path 0-1-2-3-4: sources 0 and 4 meet at vertex 2 at distance 2
         g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        srcs, offs = np.array([0, 4]), np.array([0.0, 0.0])
         for kernel in KERNELS:
             with engine_kernel(kernel):
-                res = shortest_paths(
-                    g,
-                    np.array([0, 4]),
-                    offsets=np.array([0.0, 0.0]),
-                )
-            assert res.owner[2] == 0, kernel
+                res = shortest_paths(g, srcs, offsets=offs)
+            _, owner = shortest_path_forest(g, res.dist, srcs, offs)
+            assert owner[2] == 0, kernel
 
-    def test_tie_break_rank_beats_vertex_order(self):
-        # two disjoint branches meet at 5 at distance 2; the rank-0
-        # source (vertex 3) must win on every kernel even though the
-        # competing branch settles lower vertex ids first
+    def test_tie_break_follows_smallest_tight_predecessor(self):
+        # two disjoint branches meet at 5 at distance 2: its tight
+        # predecessors are 4 (from source 3) and 1 (from source 0), so
+        # the parent is 1 and the owner 0 on every kernel, whatever the
+        # order of the sources
         g = from_edges(6, [(3, 4), (4, 5), (0, 1), (1, 5)])
-        for kernel in KERNELS:
-            with engine_kernel(kernel):
-                res = shortest_paths(
-                    g,
-                    np.array([3, 0]),
-                    offsets=np.array([0.0, 0.0]),
-                )
-            assert res.owner[5] == 3, kernel
+        for srcs in (np.array([3, 0]), np.array([0, 3])):
+            for kernel in KERNELS:
+                with engine_kernel(kernel):
+                    res = shortest_paths(g, srcs, offsets=np.zeros(2))
+                parent, owner = shortest_path_forest(g, res.dist, srcs, np.zeros(2))
+                assert parent[5] == 1 and owner[5] == 0, kernel
+                assert owner.tolist() == [0, 0, -1, 3, 3, 0]
 
     def test_tiny_delta_terminates(self):
         # float roundoff: (d // delta) * delta + delta == d when
@@ -165,9 +169,10 @@ class TestDeterminism:
         for kernel in KERNELS:
             with engine_kernel(kernel):
                 results.append(shortest_paths(g, 0))
-        for r in results[1:]:
+        owners = [shortest_path_forest(g, r.dist, 0)[1] for r in results]
+        for r, owner in zip(results[1:], owners[1:]):
             assert np.allclose(results[0].dist, r.dist)
-            assert np.array_equal(results[0].owner, r.owner)
+            assert np.array_equal(owners[0], owner)
 
 
 class TestDialIntegerMode:
@@ -228,7 +233,8 @@ class TestDijkstraFrontEnd:
         res = shortest_paths(small_weighted, 0)
         assert np.allclose(res.dist, dijkstra_scipy(small_weighted, 0))
         dref, pref, oref = dijkstra_reference(small_weighted, 0)
-        assert np.array_equal(res.parent, pref) and np.array_equal(res.owner, oref)
+        parent, owner = shortest_path_forest(small_weighted, res.dist, 0)
+        assert np.array_equal(parent, pref) and np.array_equal(owner, oref)
 
     def test_grid_unweighted(self):
         g = grid_graph(12, 12)

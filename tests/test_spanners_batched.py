@@ -118,13 +118,15 @@ class TestSeededEquivalence:
 class TestCrossBackend:
     """Every engine kernel must emit the same spanner for the same seed.
 
-    Spanner forests come from race *parents*, which used to be pinned
-    only when shortest paths are unique — on the spanners'
-    uniform-weight quotient graphs equal-length claims are everywhere,
-    so :func:`repro.clustering.est._canonical_tree_parents` now makes
-    the exact-mode cluster forests kernel-independent; these tests pin
-    the resulting contract.  The heapq ``reference`` oracle kernel is
-    excluded from ledger equality by design — it charges a synthetic
+    Spanner forests come from race *parents*, which a kernel's own
+    claim order would pin only when shortest paths are unique — on the
+    spanners' uniform-weight quotient graphs equal-length paths are
+    everywhere, so the exact-mode cluster forests are derived from the
+    race's distances alone
+    (:func:`repro.paths.trees.shortest_path_forest`), which makes them
+    kernel-independent; these tests pin the resulting contract.  The
+    heapq ``reference`` oracle kernel is excluded from ledger equality
+    by design — it charges a synthetic
     ``2m + n``-per-search, one-round-per-bucket estimate instead of
     simulating the bucket schedule (see
     ``oracles.dijkstra.reference_bucket_sssp_batch``).
