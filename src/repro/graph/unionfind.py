@@ -3,10 +3,7 @@
 :class:`UnionFind` merges components edge by edge (the low-stretch
 tree, the hopset scale ladder, ``contracted_quotient``).  The weighted
 spanner hooks cluster roots itself in a bare parent array and resolves
-endpoints with :func:`find_roots`, the vectorized sweep of
-``find_many``; :func:`repro.paths.trees.shortest_path_forest` finds
-each vertex's owner as the root of its shortest-path parent chain with
-it.
+endpoints with :func:`find_roots`, the vectorized sweep of ``find_many``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ import numpy as np
 
 from repro.errors import ParameterError, VerificationError
 from repro.graph.csr import CSRGraph
-from repro.graph.unionfind import find_roots
 from repro.graph.validation import check_vertex_ids
 from repro.kernels.numpy_kernel import INT_INF
 
@@ -27,20 +26,22 @@ def shortest_path_forest(
     ``offsets`` (all zero when ``None``) over ``g``'s arcs, weighted by
     ``weights`` when given: ``shortest_paths(g, sources, offsets,
     weights=weights).dist``.  One pass over the arcs finds the tight
-    ones (``dist[u] + w(u, v) == dist[v]``).  Roots are the sources that
-    sit at their own offset; every other reached vertex's parent is its
-    smallest tight predecessor, and its owner the root its parent chain
-    ends at (:func:`~repro.graph.unionfind.find_roots` on a scratch
-    copy).  Unreached vertices get ``-1`` in both.  On ``int64`` rows
-    (``INT_INF`` when unreached) tightness is checked only where the
-    tail is reached, so the sum never wraps.  Charges no tracker: the
-    labels are read off a finished search.
+    ones: ``dist[u] + w(u, v) == dist[v]`` with ``dist[u] < dist[v]``.
+    Roots are the sources that sit at their own offset; every other
+    reached vertex's parent is its smallest tight predecessor, and its
+    owner the root its parent chain ends at, found by pointer doubling
+    (``log2`` of the deepest chain passes).  Unreached vertices get
+    ``-1`` in both.  On ``int64`` rows (``INT_INF`` when unreached)
+    tightness is checked only where the tail is reached, so the sum
+    never wraps.  Charges no tracker: the labels are read off a
+    finished search.
 
-    Positive weights make every tight arc strictly increase ``dist``,
-    so every chain ends at a root.  A tight arc of weight 0 could close
-    a cycle and raises :class:`ParameterError`, as does a reached
-    vertex without a tight predecessor (``dist``, ``sources`` and
-    ``offsets`` of different searches).
+    Parent chains strictly decrease ``dist``, so they cannot cycle.  An
+    arc that adds nothing to ``dist`` (weight 0, or a float weight
+    below half the spacing of ``dist[u]``) is never tight, so a reached
+    vertex entered only by such arcs has no tight predecessor and
+    raises :class:`ParameterError`, as do ``dist``, ``sources`` and
+    ``offsets`` of different searches.
     """
     n = g.n
     sources = check_vertex_ids(sources, n)
@@ -49,28 +50,34 @@ def shortest_path_forest(
     src, dst = g.arc_sources(), g.indices
     if dist.dtype.kind in "iu":
         reached = dist != INT_INF
-        tight = np.flatnonzero(reached[src])
-        tight = tight[dist[src[tight]] + w[tight] == dist[dst[tight]]]
+        keep = np.flatnonzero(reached[src])
+        src, dst, w = src[keep], dst[keep], w[keep]
     else:
         reached = dist != np.inf
-        tight = np.flatnonzero((dist[src] + w == dist[dst]) & reached[dst])
-    if (w[tight] == 0).any():
-        raise ParameterError("tight arcs of weight 0 can close a cycle of parents")
+    du, dv = dist[src], dist[dst]
+    tight = (du + w == dv) & (du < dv)
     parent = np.full(n, n, dtype=np.int64)  # n: no tight predecessor
     np.minimum.at(parent, dst[tight], src[tight])
     roots = sources[dist[sources] == offsets]
     parent[roots] = roots
-    verts = np.flatnonzero(reached)
-    orphan = verts[parent[verts] == n]
+    orphan = np.flatnonzero(reached & (parent == n))
     if orphan.shape[0]:
         raise ParameterError(
-            f"vertex {orphan[0]} is reached but has no tight predecessor; "
-            "dist must come from a search from these sources and offsets"
+            f"vertex {orphan[0]} is reached but has no tight predecessor: "
+            "dist is not from a search from these sources and offsets, or "
+            "only arcs that add nothing to dist reach the vertex"
         )
-    owner = np.full(n, -1, dtype=np.int64)
-    owner[verts] = find_roots(parent.copy(), verts)
+    unreached = np.flatnonzero(~reached)
+    owner = parent.copy()
+    owner[unreached] = unreached  # unreached vertices hold still
+    while True:
+        up = owner[owner]
+        if np.array_equal(up, owner):
+            break
+        owner = up
+    owner[unreached] = -1
     parent[roots] = -1
-    parent[~reached] = -1
+    parent[unreached] = -1
     return parent, owner
 
 

@@ -3,6 +3,7 @@ including the forest :func:`shortest_path_forest` derives from a
 search's distances."""
 
 import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
 from oracles import KERNELS, dijkstra_reference, engine_kernel
+from repro.clustering.est import est_cluster
 from repro.errors import ParameterError, VerificationError
 from repro.graph import from_edges, gnm_random_graph, path_graph, with_random_weights
 from repro.hopsets.query import exact_distance
@@ -118,6 +120,22 @@ def races(draw):
     return g, sources, rng.exponential(2.0, k), kind == "loguniform"
 
 
+@contextmanager
+def returns_within(seconds):
+    """Fail with TimeoutError if the block runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestShortestPathForest:
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(races())
@@ -139,27 +157,48 @@ class TestShortestPathForest:
         assert np.array_equal(forests[0][0], pref)
         assert np.array_equal(forests[0][1], oref)
 
-    def test_zero_weight_tight_arc_raises(self):
+    def test_zero_weight_arc_is_never_tight(self):
         # sources 3 and 4 reach 1 and 2 at distance 1, and the zero-weight
-        # edge (1, 2) is tight both ways: the smallest tight predecessors
-        # would make 1 and 2 each other's parent, a cycle with no root
+        # edge (1, 2) passes dist[u] + w == dist[v] both ways; taken as
+        # parents, its arcs would make 1 and 2 each other's parent
         g = from_edges(5, [(1, 3), (2, 4), (1, 2)])
         src = g.arc_sources()
         w = np.where(src + g.indices == 3, 0, 1)  # arcs 1->2 and 2->1
         dist = shortest_paths(g, [3, 4], weights=w, delta=1).dist
         assert dist.tolist()[1:] == [1, 1, 0, 0]
+        with returns_within(10):
+            parent, owner = shortest_path_forest(g, dist, [3, 4], weights=w)
+        assert parent.tolist() == [-1, 3, 4, -1, -1]
+        assert owner.tolist() == [-1, 3, 4, 3, 4]
+        # vertex 0 hangs off 1 by a zero-weight edge only
+        g = from_edges(5, [(1, 3), (2, 4), (1, 2), (0, 1)])
+        src = g.arc_sources()
+        w = np.where(np.isin(src + g.indices, [1, 3]), 0, 1)  # edges (0, 1), (1, 2)
+        dist = shortest_paths(g, [3, 4], weights=w, delta=1).dist
+        assert dist.tolist() == [1, 1, 1, 0, 0]
+        with returns_within(10), pytest.raises(ParameterError, match="vertex 0"):
+            shortest_path_forest(g, dist, [3, 4], weights=w)
 
-        def expire(signum, frame):
-            raise TimeoutError("shortest_path_forest did not return")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(10)
-        try:
-            with pytest.raises(ParameterError, match="weight 0"):
-                shortest_path_forest(g, dist, [3, 4], weights=w)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+    def test_absorbed_float_arc_is_never_tight(self):
+        # 1e-17 is below half the float spacing at 1.0, so 1.0 + 1e-17 ==
+        # 1.0 and the positive-weight edge (0, 1) passes the sum test
+        # both ways
+        g = from_edges(4, [(3, 0), (3, 1), (0, 1)], [1.0, 1.0, 1e-17])
+        dist = shortest_paths(g, 3).dist
+        assert dist.tolist() == [1.0, 1.0, np.inf, 0.0]
+        with returns_within(10):
+            parent, owner = shortest_path_forest(g, dist, 3)
+            c = est_cluster(g, 0.5, method="exact", shifts=np.array([0.0, 0, 0, 10]))
+        assert parent.tolist() == [3, 3, -1, -1]
+        assert owner.tolist() == [3, 3, -1, 3]
+        assert c.center.tolist() == [3, 3, 2, 3]
+        assert c.parent.tolist() == [3, 3, -1, -1]
+        # vertex 1 reached only over the absorbed arc
+        g = from_edges(3, [(2, 0), (0, 1)], [1.0, 1e-17])
+        dist = shortest_paths(g, 2).dist
+        assert dist.tolist() == [1.0, 1.0, 0.0]
+        with returns_within(10), pytest.raises(ParameterError, match="vertex 1"):
+            shortest_path_forest(g, dist, 2)
 
     def test_offsets_of_another_search_raise(self):
         g = path_graph(5)
