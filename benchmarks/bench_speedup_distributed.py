@@ -7,24 +7,37 @@
    ledgers through Brent's law and report the processors needed for
    2x / 10x speedups per construction.
 2. Section 2.2: the unweighted spanner ports to the synchronized
-   distributed model.  We measure rounds and messages versus k and
-   against the O(k log n) round budget.
+   distributed model.  We run the port (``tests/oracles/distributed.py``)
+   and measure rounds and messages versus k and against the
+   O(k log n) round budget.
 3. Delta-stepping comparison: the practical parallel SSSP baseline's
    round count versus the hopset query.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
 import _report
-from repro.distributed import distributed_unweighted_spanner
 from repro.graph import with_random_weights
 from repro.hopsets import HopsetParams, build_hopset, ks97_hopset, suggested_hop_bound
 from repro.hopsets.query import exact_distance
 from repro.paths import hop_limited_distances, shortest_paths
 from repro.pram import PramTracker, processors_for_speedup
+
+# Section 2.2's message-passing port is a test oracle
+_TESTS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"
+)
+sys.path.insert(0, _TESTS_DIR)
+try:
+    from oracles import distributed_unweighted_spanner
+finally:
+    sys.path.remove(_TESTS_DIR)
 
 PARAMS = HopsetParams(epsilon=0.5, delta=1.5, gamma1=0.15, gamma2=0.5)
 

@@ -26,7 +26,6 @@ Subpackage layout:
                           KS97/Cohen-style baselines
 ``repro.serve``           exact distance serving with a source-row cache
 ``repro.dynamic``         update batches and localized hopset repair
-``repro.distributed``     message-passing simulation of the spanner
 ``repro.analysis``        stretch/hop statistics, scaling fits, theory
 ``repro.exp``             table rendering and named workloads
 ========================  ==============================================

@@ -8,8 +8,10 @@ time ``delta_max - delta_u`` and floods the graph at unit speed; each
 vertex joins the first wave to arrive.
 
 The returned :class:`Clustering` carries everything downstream
-algorithms need: per-vertex center, forest parent, tree distance to the
-center, and the shifts (for reproducibility and diagnostics).
+algorithms need: per-vertex center, forest parent, the id of the
+forest edge to that parent (the arc that won the race, so builders
+never look it up), tree distance to the center, and the shifts (for
+reproducibility and diagnostics).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.dedup import presence_unique, stable_argsort
 from repro.paths.bfs import bfs_with_start_times
 from repro.paths.engine import check_finite, shortest_paths
-from repro.paths.trees import shortest_path_forest
+from repro.paths.trees import tight_forest
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike
 from repro.clustering.shifts import sample_shifts
@@ -46,6 +48,10 @@ class Clustering:
     parent:
         ``int64[n]`` — spanning-forest parent; -1 at centers.  Each
         cluster's tree is rooted at its center.
+    parent_edge:
+        ``int64[n]`` — id of the forest edge ``(parent[v], v)`` in the
+        clustered graph, taken from the arc that chose the parent; -1
+        at centers.
     dist_to_center:
         ``float64[n]`` — distance from the center along the tree.
     shifts:
@@ -59,6 +65,7 @@ class Clustering:
 
     center: np.ndarray
     parent: np.ndarray
+    parent_edge: np.ndarray
     dist_to_center: np.ndarray
     shifts: np.ndarray
     beta: float
@@ -130,11 +137,6 @@ class Clustering:
             return []  # np.split would fabricate one empty segment
         return np.split(self.member_order, self.member_slices[1:-1])
 
-    def forest_edges(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(child, parent) arrays of all forest edges."""
-        child = np.flatnonzero(self.parent >= 0)
-        return child, self.parent[child]
-
     def tree_radii(self) -> np.ndarray:
         """Max tree distance from center, per compact label (the certified radius)."""
         radii = np.zeros(self.num_clusters, dtype=np.float64)
@@ -148,12 +150,13 @@ def _canonical_dial_race(
     start_int: np.ndarray,
     weights: np.ndarray,
     sources: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(owner, parent)`` of an integer Dial race, from ``dist`` alone.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(owner, parent, parent_edge)`` of an integer Dial race, from
+    ``dist`` alone.
 
     Integer races tie often: several sources can achieve a vertex's
     raced distance exactly.  Where
-    :func:`~repro.paths.trees.shortest_path_forest` (the exact race's
+    :func:`~repro.paths.trees.tight_forest` (the exact race's
     labels) would follow the smallest tight predecessor to its root,
     ``owner[v]`` here is the *smallest-id* source achieving
     ``dist[v]``, found by seeding every source ``s`` with
@@ -165,8 +168,11 @@ def _canonical_dial_race(
     ``>= 1``, hence tight arcs strictly increase ``dist`` and one
     sweep per distance level suffices (the level count is the race's
     own round depth).  Parents are then the smallest same-owner tight
-    predecessor; roots (``owner[v] == v``) keep ``-1``.  Unreached
-    vertices keep ``owner = parent = -1``.
+    predecessor, read off the smallest same-owner tight CSR slot (slots
+    are grouped by ascending tail, one arc per ordered pair), whose
+    edge id is ``parent_edge``; roots (``owner[v] == v``) keep ``-1``
+    in both.  Unreached vertices keep ``owner = parent = parent_edge =
+    -1``.
     """
     n = g.n
     int_inf = np.iinfo(np.int64).max
@@ -190,14 +196,16 @@ def _canonical_dial_race(
         for a, b in zip(bounds[:-1], bounds[1:]):
             ii = idx[a:b]
             np.minimum.at(own, dst[ii], own[src[ii]])
-    parent = np.full(n, -1, dtype=np.int64)
     keep = idx[own[src[idx]] == own[dst[idx]]]
-    cand = np.full(n, n, dtype=np.int64)
-    np.minimum.at(cand, dst[keep], src[keep])
-    nonroot = reached & (own != np.arange(n, dtype=np.int64)) & (own < n)
-    parent[nonroot] = cand[nonroot]
+    slot = np.full(n, g.num_arcs, dtype=np.int64)
+    np.minimum.at(slot, dst[keep], keep)
+    nonroot = np.flatnonzero(reached & (own != np.arange(n, dtype=np.int64)) & (own < n))
+    parent = np.full(n, -1, dtype=np.int64)
+    parent_edge = np.full(n, -1, dtype=np.int64)
+    parent[nonroot] = src[slot[nonroot]]
+    parent_edge[nonroot] = g.edge_ids[slot[nonroot]]
     own[own == n] = -1
-    return own, parent
+    return own, parent, parent_edge
 
 
 def _race(
@@ -206,18 +214,19 @@ def _race(
     sources: np.ndarray,
     start_real: np.ndarray,
     tracker: PramTracker,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Run one EST race from ``sources`` on one engine.
 
     ``mode`` is 0 (BFS race on ``floor`` start times, ties broken by the
     fractional start), 1 (Dial race on integer weights, then
     :func:`_canonical_dial_race`) or 2 (exact race on real start times,
-    then :func:`~repro.paths.trees.shortest_path_forest`);
+    then :func:`~repro.paths.trees.tight_forest`);
     :func:`_forest_group_modes` picks it.  ``sources`` are ascending
     vertex ids and ``start_real`` holds every vertex's start time
     ``delta_max - shift``.  Returns length-``n`` ``(center, parent,
-    dist_to_center)`` arrays, meaningful on the vertices the sources
-    reach, and the race's round count (0 for the exact race).
+    parent_edge, dist_to_center)`` arrays, meaningful on the vertices
+    the sources reach, and the race's round count (0 for the exact
+    race).
     """
 
     def at_sources(a: np.ndarray) -> np.ndarray:
@@ -230,12 +239,12 @@ def _race(
             # the engine charges the tracker its real ledger (work =
             # arcs relaxed, rounds = relaxation rounds)
             dist = shortest_paths(g, sources, offsets=offsets, tracker=tracker).dist
-        parent, owner = shortest_path_forest(g, dist, sources, offsets)
-        return owner, parent, dist - start_real[owner], 0
+        parent, owner, parent_edge = tight_forest(g, dist, sources, offsets)
+        return owner, parent, parent_edge, dist - start_real[owner], 0
     start_int = np.floor(start_real).astype(np.int64)
     if mode == 0:
         with tracker.phase("est_round"):
-            arrival, dist_hops, parent, owner = bfs_with_start_times(
+            arrival, dist_hops, parent, owner, parent_edge = bfs_with_start_times(
                 g,
                 start_time=at_sources(start_int),
                 source_ids=sources,
@@ -243,16 +252,18 @@ def _race(
                 tracker=tracker,
             )
         rounds = int(at_sources(arrival).max(initial=-1)) + 1
-        return owner, parent, dist_hops.astype(np.float64), rounds
+        return owner, parent, parent_edge, dist_hops.astype(np.float64), rounds
     w_int = g.weights.astype(np.int64)
     with tracker.phase("est_round"):
         res = shortest_paths(
             g, sources, offsets=at_sources(start_int), weights=w_int, delta=1,
             tracker=tracker,
         )
-    owner, parent = _canonical_dial_race(g, res.dist, start_int, w_int, sources)
+    owner, parent, parent_edge = _canonical_dial_race(
+        g, res.dist, start_int, w_int, sources
+    )
     dist_to_center = (res.dist - start_int[owner]).astype(np.float64)
-    return owner, parent, dist_to_center, res.buckets
+    return owner, parent, parent_edge, dist_to_center, res.buckets
 
 
 def est_cluster(
@@ -397,6 +408,7 @@ def est_cluster_forest(
         return Clustering(
             center=np.empty(0, np.int64),
             parent=np.empty(0, np.int64),
+            parent_edge=np.empty(0, np.int64),
             dist_to_center=np.empty(0, np.float64),
             shifts=shifts,
             beta=float(beta),
@@ -413,21 +425,24 @@ def est_cluster_forest(
     modes = _forest_group_modes(g, group_of, k, method)
     center = np.full(n, -1, dtype=np.int64)
     parent = np.full(n, -1, dtype=np.int64)
+    parent_edge = np.full(n, -1, dtype=np.int64)
     dist_to_center = np.zeros(n, dtype=np.float64)
     rounds = 0
 
     mode_of_vertex = modes[group_of]
     for mode in sorted(set(modes.tolist())):  # the engines some group uses
         verts = np.flatnonzero(mode_of_vertex == mode)
-        own, par, dist, r = _race(g, mode, verts, start_real, tracker)
+        own, par, par_edge, dist, r = _race(g, mode, verts, start_real, tracker)
         center[verts] = own[verts]
         parent[verts] = par[verts]
+        parent_edge[verts] = par_edge[verts]
         dist_to_center[verts] = dist[verts]
         rounds = max(rounds, r)
 
     return Clustering(
         center=center,
         parent=parent,
+        parent_edge=parent_edge,
         dist_to_center=dist_to_center,
         shifts=shifts,
         beta=float(beta),

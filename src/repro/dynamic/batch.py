@@ -13,9 +13,10 @@ and deletes applied atomically:
 
 :func:`apply_batch` produces the updated :class:`CSRGraph` (same
 key-sorted edge-list layout ``from_edges`` guarantees, so
-``edge_id_lookup`` keeps working), the set of *touched* vertices the
-hopset repair dirties blocks with, and the added/removed edge views
-the serving tier uses for exact cache invalidation.
+:meth:`CSRGraph.edge_positions` keeps finding edges by key), the set
+of *touched* vertices the hopset repair dirties blocks with, and the
+added/removed edge views the serving tier uses for exact cache
+invalidation.
 """
 
 from __future__ import annotations

@@ -110,19 +110,6 @@ def split_light_heavy(
     return tuple(out)
 
 
-def _min_mask(ids: np.ndarray, key: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Mask of the entries whose ``key`` is minimal among the entries
-    sharing their id: one scatter-min into the int64 scratch ``buf``
-    (indexed by id, viewed as ``key``'s numeric dtype) and a
-    read-back, no sort.  Only the ``ids`` positions of ``buf`` are
-    touched, each seeded with one of its own keys first, so the buffer
-    never needs clearing."""
-    best = buf.view(key.dtype)
-    best[ids] = key
-    np.minimum.at(best, ids, key)
-    return key == best[ids]
-
-
 def _once_mask(ids: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """Mask keeping exactly one entry per distinct id: every entry
     stamps its position into the int64 scratch ``buf`` and survives if
@@ -182,7 +169,7 @@ def hop_sssp_batch(
     n = indptr.shape[0] - 1
     sources = np.asarray(sources, dtype=np.int64)
     weights = np.asarray(weights).astype(np.float64, copy=False)
-    # claim scratch, one word per vertex (see _min_mask / _once_mask)
+    # claim scratch, one word per vertex (see _once_mask)
     claim_buf = np.empty(n, dtype=np.int64)
 
     dist = np.full(n, np.inf, dtype=np.float64)
@@ -204,15 +191,11 @@ def hop_sssp_batch(
         sel = (cand < dist[nbr]).nonzero()[0]
         if sel.shape[0] == 0:
             break
+        # every improved vertex wins, at its minimum candidate; all
+        # writes follow every read, so the round stays synchronous
         nbr, cand = nbr[sel], cand[sel]
-        # one winner per claimed vertex: the minimum candidate (equal
-        # minima are interchangeable)
-        keep = _min_mask(nbr, cand, claim_buf)
-        nbr, cand = nbr[keep], cand[keep]
-        once = _once_mask(nbr, claim_buf)
-        win_v, win_d = nbr[once], cand[once]
-        # all writes after every read: the round stays synchronous
-        dist[win_v] = win_d
+        win_v = nbr[_once_mask(nbr, claim_buf)]
+        np.minimum.at(dist, nbr, cand)
         hops[win_v] = r
         frontier = win_v
 

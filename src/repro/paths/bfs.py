@@ -44,7 +44,7 @@ def bfs(
     g: CSRGraph, source: int, tracker: Optional[PramTracker] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Single-source BFS; returns ``(dist, parent)``."""
-    _, dist, parent, _ = bfs_with_start_times(
+    _, dist, parent, _, _ = bfs_with_start_times(
         g, np.zeros(1, dtype=np.int64), np.asarray([source]), tracker=tracker
     )
     return dist, parent
@@ -56,7 +56,7 @@ def bfs_with_start_times(
     source_ids: np.ndarray,
     priority: Optional[np.ndarray] = None,
     tracker: Optional[PramTracker] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """BFS race with per-source integer start times.
 
     This is the engine of unweighted EST clustering: source ``i`` wakes
@@ -64,10 +64,12 @@ def bfs_with_start_times(
     each vertex is claimed by the first wave to arrive, ties broken by
     the smaller ``priority`` (defaults to source order).
 
-    Returns ``(arrival, dist, parent, owner)`` where ``arrival`` is the
-    round each vertex was claimed (start-shifted), ``dist`` is
-    ``arrival - start_time[owner]`` (hops from the owning source),
-    ``parent`` the claiming arc's tail, and ``owner`` the source id.
+    Returns ``(arrival, dist, parent, owner, parent_edge)`` where
+    ``arrival`` is the round each vertex was claimed (start-shifted),
+    ``dist`` is ``arrival - start_time[owner]`` (hops from the owning
+    source), ``parent`` the claiming arc's tail, ``owner`` the source
+    id, and ``parent_edge`` the claiming arc's edge id (``-1`` at
+    sources and unreached vertices).
     Raises :class:`ParameterError` for a source id outside ``[0, n)``,
     a ``start_time``/``priority`` not holding one entry per source, or
     a start time that is not an integer by value (``3.0`` passes;
@@ -98,6 +100,7 @@ def bfs_with_start_times(
     n = g.n
     arrival = np.full(n, INF, dtype=np.int64)
     parent = np.full(n, -1, dtype=np.int64)
+    parent_edge = np.full(n, -1, dtype=np.int64)
     owner = np.full(n, -1, dtype=np.int64)
     owner_prio = np.full(n, np.inf, dtype=np.float64)
     # per-vertex start info (a vertex may be listed as a source more than
@@ -159,6 +162,7 @@ def bfs_with_start_times(
             win_p = arc_src[win]
             arrival[win_v] = round_no + 1
             parent[win_v] = win_p
+            parent_edge[win_v] = g.edge_ids[arc_idx[unclaimed[win]]]
             owner[win_v] = owner[win_p]
             owner_prio[win_v] = owner_prio[win_p]
             new_frontier = win_v
@@ -170,7 +174,7 @@ def bfs_with_start_times(
         INF,
         arrival - _start_of(owner, source_ids, start_time, n),
     )
-    return arrival, dist, parent, owner
+    return arrival, dist, parent, owner, parent_edge
 
 
 def _start_of(owner: np.ndarray, source_ids: np.ndarray, start_time: np.ndarray, n: int) -> np.ndarray:

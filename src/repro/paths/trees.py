@@ -43,23 +43,50 @@ def shortest_path_forest(
     raises :class:`ParameterError`, as do ``dist``, ``sources`` and
     ``offsets`` of different searches.
     """
+    parent, owner, _ = tight_forest(g, dist, sources, offsets, weights)
+    return parent, owner
+
+
+def tight_forest(
+    g: CSRGraph,
+    dist: np.ndarray,
+    sources: np.ndarray | int,
+    offsets: Optional[np.ndarray] = None,
+    weights: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`shortest_path_forest` plus each vertex's parent edge id:
+    ``(parent, owner, parent_edge)``, ``parent_edge`` ``-1`` at roots
+    and unreached vertices.
+
+    Each vertex takes its smallest tight CSR slot.  Slots are grouped
+    by ascending tail and a :class:`CSRGraph` holds one arc per ordered
+    pair, so that slot is the arc from the smallest tight predecessor.
+    """
     n = g.n
     sources = check_vertex_ids(sources, n)
     offsets = np.zeros(sources.shape[0]) if offsets is None else np.asarray(offsets)
     w = g.weights if weights is None else np.asarray(weights)
-    src, dst = g.arc_sources(), g.indices
+    tails = g.arc_sources()
+    src, dst = tails, g.indices
+    arcs: Optional[np.ndarray] = None  # the reached tails' slots on int64 rows
     if dist.dtype.kind in "iu":
         reached = dist != INT_INF
-        keep = np.flatnonzero(reached[src])
-        src, dst, w = src[keep], dst[keep], w[keep]
+        arcs = np.flatnonzero(reached[src])
+        src, dst, w = src[arcs], dst[arcs], w[arcs]
     else:
         reached = dist != np.inf
     du, dv = dist[src], dist[dst]
-    tight = (du + w == dv) & (du < dv)
+    tight = np.flatnonzero((du + w == dv) & (du < dv))
+    slot = np.full(n, g.num_arcs, dtype=np.int64)  # num_arcs: no tight arc
+    np.minimum.at(slot, dst[tight], tight if arcs is None else arcs[tight])
+    has = np.flatnonzero(slot < g.num_arcs)
     parent = np.full(n, n, dtype=np.int64)  # n: no tight predecessor
-    np.minimum.at(parent, dst[tight], src[tight])
+    parent[has] = tails[slot[has]]
+    parent_edge = np.full(n, -1, dtype=np.int64)
+    parent_edge[has] = g.edge_ids[slot[has]]
     roots = sources[dist[sources] == offsets]
     parent[roots] = roots
+    parent_edge[roots] = -1
     orphan = np.flatnonzero(reached & (parent == n))
     if orphan.shape[0]:
         raise ParameterError(
@@ -78,7 +105,7 @@ def shortest_path_forest(
     owner[unreached] = -1
     parent[roots] = -1
     parent[unreached] = -1
-    return parent, owner
+    return parent, owner, parent_edge
 
 
 def extract_path(parent: np.ndarray, t: int) -> List[int]:

@@ -28,7 +28,7 @@ from repro.graph.dedup import rows_by_value
 from repro.graph.unionfind import UnionFind
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng
-from repro.spanners.result import SpannerResult, edge_id_lookup
+from repro.spanners.result import SpannerResult
 from repro.spanners.unweighted import spanner_beta
 from repro.spanners.weighted import contracted_quotient, weight_buckets
 
@@ -38,7 +38,6 @@ def low_stretch_spanning_tree(
     k: float = 4.0,
     seed: SeedLike = None,
     method: str = "round",
-    max_iterations: int = 200,
     tracker: Optional[PramTracker] = None,
 ) -> SpannerResult:
     """Build a spanning tree by iterated EST clustering + contraction.
@@ -53,7 +52,8 @@ def low_stretch_spanning_tree(
     Returns a :class:`SpannerResult` whose edges form a spanning tree
     of each connected component (n - #components edges total).
     Raises :class:`NotConnectedError` never — disconnected inputs get a
-    spanning forest.
+    spanning forest.  Every iteration that finds a live edge merges at
+    least two components, so at most ``n - 1`` of them run.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
@@ -70,21 +70,17 @@ def low_stretch_spanning_tree(
     # process weight levels lightest-first; within a level iterate until
     # the level's edges are exhausted (all endpoints merged)
     for ids_level in rows_by_value(bucket, num_buckets):
-        while ids_level.size and iterations < max_iterations:
+        while ids_level.size:
             iterations += 1
             q = contracted_quotient(g, uf, ids_level)
             if q is None:
                 break
             c = est_cluster(q.graph, beta, seed=rng, method=method, tracker=tracker)
-            child, parent = c.forest_edges()
-            if child.size == 0:
+            qids = c.parent_edge[c.parent_edge >= 0]
+            if qids.size == 0:
                 # singleton clusters everywhere: force progress by
                 # keeping one live edge (its endpoints merge)
-                live_one = q.rep_edge_ids[:1]
-                kept.append(live_one)
-                uf.union_edges(g.edge_u[live_one], g.edge_v[live_one])
-                continue
-            qids = edge_id_lookup(q.graph, child, parent)
+                qids = np.zeros(1, dtype=np.int64)
             orig = q.rep_edge_ids[qids]
             kept.append(orig)
             uf.union_edges(g.edge_u[orig], g.edge_v[orig])
@@ -116,12 +112,13 @@ def average_stretch(
 
 def bfs_tree(g: CSRGraph, root: int = 0) -> SpannerResult:
     """BFS spanning tree baseline (bad average stretch on meshes)."""
-    from repro.paths.bfs import bfs
+    from repro.paths.bfs import bfs_with_start_times
 
-    _, parent = bfs(g, root)
-    child = np.flatnonzero(parent >= 0)
-    ids = edge_id_lookup(g, child, parent[child])
-    return SpannerResult(graph=g, edge_ids=np.unique(ids), stretch_bound=float("inf"))
+    *_, parent_edge = bfs_with_start_times(
+        g, np.zeros(1, dtype=np.int64), np.asarray([root])
+    )
+    ids = np.sort(parent_edge[parent_edge >= 0])
+    return SpannerResult(graph=g, edge_ids=ids, stretch_bound=float("inf"))
 
 
 def random_spanning_tree(g: CSRGraph, seed: SeedLike = None) -> SpannerResult:

@@ -53,24 +53,6 @@ class SpannerResult:
         return float(self.graph.edge_w[self.edge_ids].sum())
 
 
-def edge_id_lookup(g: CSRGraph, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Vectorized (u, v) -> undirected edge id resolution, either
-    orientation (:meth:`CSRGraph.edge_positions` on the ordered pairs).
-
-    Requires every queried pair to exist in ``g``: raises KeyError
-    naming the first missing one (on an edgeless graph, any pair).
-    """
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
-    lo = np.minimum(us, vs)
-    hi = np.maximum(us, vs)
-    ids, found = g.edge_positions(lo, hi)
-    if not found.all():
-        bad = int(np.flatnonzero(~found)[0])
-        raise KeyError(f"edge ({lo[bad]}, {hi[bad]}) not present in graph")
-    return ids
-
-
 def boundary_edge_ids(
     g: CSRGraph, labels: np.ndarray, tracker: Optional[PramTracker] = None
 ) -> np.ndarray:

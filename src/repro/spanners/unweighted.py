@@ -26,7 +26,7 @@ from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike
-from repro.spanners.result import SpannerResult, boundary_edge_ids, edge_id_lookup
+from repro.spanners.result import SpannerResult, boundary_edge_ids
 
 
 def spanner_beta(n: int, k: float) -> float:
@@ -54,30 +54,35 @@ def unweighted_spanner(
         Stretch parameter; the result is an O(k)-spanner of expected
         size O(n^(1+1/k)).
     clustering:
-        Optionally reuse a precomputed EST clustering of ``g`` (must
-        have been built with ``spanner_beta(n, k)``); mainly for tests
-        that need to control the randomness.  A clustering of a graph
-        with another vertex count raises :class:`ParameterError`.
+        Optionally reuse a precomputed EST clustering of ``g``; mainly
+        for tests that need to control the randomness.  A clustering of
+        a graph with another vertex count, or drawn at another beta than
+        ``spanner_beta(n, k)`` (the stretch bound assumes that beta),
+        raises :class:`ParameterError`.
 
     Returns a :class:`SpannerResult` whose ``meta`` records the number
     of clusters, forest edges, and boundary edges.
     """
     if not g.is_unweighted:
         raise ParameterError("unweighted_spanner requires an unweighted graph")
+    beta = spanner_beta(g.n, k)
     if clustering is not None and clustering.n != g.n:
         raise ParameterError(
             f"clustering covers {clustering.n} vertices but the graph has {g.n}"
         )
+    if clustering is not None and clustering.beta != beta:
+        raise ParameterError(
+            f"clustering was drawn at beta {clustering.beta} but k={k} needs "
+            f"beta {beta}"
+        )
     tracker = tracker or null_tracker()
-    beta = spanner_beta(g.n, k)
 
     with tracker.phase("cluster"):
         if clustering is None:
             clustering = est_cluster(g, beta, seed=seed, method=method, tracker=tracker)
 
-    # --- forest edges --------------------------------------------------
-    child, parent = clustering.forest_edges()
-    forest_ids = edge_id_lookup(g, child, parent)
+    # --- forest edges: the race's winning arcs ------------------------
+    forest_ids = clustering.parent_edge[clustering.parent_edge >= 0]
 
     # --- one edge per (boundary vertex, adjacent cluster) ---------------
     with tracker.phase("boundary"):

@@ -54,7 +54,7 @@ from repro.graph.unionfind import UnionFind, find_roots
 from repro.kernels import check_backend
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn_seeds
-from repro.spanners.result import SpannerResult, boundary_edge_ids, edge_id_lookup
+from repro.spanners.result import SpannerResult, boundary_edge_ids
 from repro.spanners.unweighted import spanner_beta
 
 
@@ -298,7 +298,8 @@ def _well_separated_spanner_batched(
 
         # ---- forest + boundary edges -> original ids ------------------
         labels = clustering.labels
-        kept.append(qf.rep_edge_ids[edge_id_lookup(union, *clustering.forest_edges())])
+        forest = clustering.parent_edge
+        kept.append(qf.rep_edge_ids[forest[forest >= 0]])
         kept.append(qf.rep_edge_ids[boundary_edge_ids(union, labels)])
 
         # ---- contract: hook every cluster's roots onto its smallest ---

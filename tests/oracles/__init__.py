@@ -1,5 +1,6 @@
 """Correctness oracles for the engine, the level-synchronous builders,
-the single-graph EST race and cut, and the h-hop query.
+the single-graph EST race and cut, the h-hop query, and the unweighted
+spanner.
 
 The product builders run the paper's parallel recursions level by
 level.  The oracles here run the same recursions one subproblem at a
@@ -17,28 +18,39 @@ ledger.
 are the single-graph EST race and induced-subgraph cut that
 ``est_cluster`` and ``induced_subgraph`` ran before they became the
 one-block cases of the forest primitives; both must match output for
-output, and the depth-first oracles cluster and cut with them.
+output, and the depth-first oracles cluster and cut with them.  The
+reference race finds each forest edge's id with :func:`edge_id_lookup`
+(a binary search over the edge keys), where the product reads it off
+the arc that won the race.
+:func:`distributed_unweighted_spanner` is Section 2.2's message-passing
+port of Algorithm 2 on the synchronous simulator :class:`SyncNetwork`;
+under shared shifts it keeps ``unweighted_spanner``'s edges.
 :func:`dijkstra_reference` is the sequential heapq Dijkstra, with its
 own parents and owners, and :func:`engine_kernel` runs the bucket
 engine on it as a second kernel.  Tests and the benches
 (``benchmarks/bench_engine.py``, ``benchmarks/bench_hopset.py``,
-``benchmarks/bench_spanner.py``, ``benchmarks/bench_serve.py``) import
-them; nothing under ``src/`` may.
+``benchmarks/bench_spanner.py``, ``benchmarks/bench_serve.py``,
+``benchmarks/bench_speedup_distributed.py``) import them; nothing under
+``src/`` may.
 """
 
 from .bellman_ford import ArcSet, arcs_from_graph, combine_arcs, dense_hop_distances
 from .bucket import bucket_sssp_batch_reference
 from .dedup import first_of_runs_lexsort
 from .dijkstra import KERNELS, dijkstra_reference, engine_kernel
-from .est import est_cluster_reference
+from .distributed import distributed_unweighted_spanner
+from .est import edge_id_lookup, est_cluster_reference
 from .hopsets import build_hopset_recursive
 from .levels import check_level_invariants
+from .network import NodeProgram, SyncNetwork
 from .spanners import weighted_spanner_recursive
 from .subgraph import induced_subgraph_reference
 
 __all__ = [
     "KERNELS",
     "ArcSet",
+    "NodeProgram",
+    "SyncNetwork",
     "arcs_from_graph",
     "bucket_sssp_batch_reference",
     "build_hopset_recursive",
@@ -46,6 +58,8 @@ __all__ = [
     "combine_arcs",
     "dense_hop_distances",
     "dijkstra_reference",
+    "distributed_unweighted_spanner",
+    "edge_id_lookup",
     "engine_kernel",
     "est_cluster_reference",
     "first_of_runs_lexsort",

@@ -7,8 +7,8 @@ index filter, and min-writes them with one ``np.minimum.at``.  This is
 the body it replaced, without its labels: the five-pass expansion, a
 candidate gather per arc, three boolean compressions per round, the
 uniform-weight shortcut only on the unsplit (Dial) path, and winners
-picked by a scatter-min mask (:func:`~repro.kernels.numpy_kernel._min_mask`)
-before they are written.  Both must return the same ``(dist,
+picked by a scatter-min mask (:func:`_min_mask`) before they are
+written.  Both must return the same ``(dist,
 bucket_work, bucket_rounds)`` value for value and dtype for dtype on
 every input (``tests/test_kernel_round.py``).
 """
@@ -19,7 +19,20 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.kernels.numpy_kernel import INT_INF, _min_mask, _once_mask
+from repro.kernels.numpy_kernel import INT_INF, _once_mask
+
+
+def _min_mask(ids: np.ndarray, key: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Mask of the entries whose ``key`` is minimal among the entries
+    sharing their id: one scatter-min into the int64 scratch ``buf``
+    (indexed by id, viewed as ``key``'s numeric dtype) and a
+    read-back, no sort.  Only the ``ids`` positions of ``buf`` are
+    touched, each seeded with one of its own keys first, so the buffer
+    never needs clearing."""
+    best = buf.view(key.dtype)
+    best[ids] = key
+    np.minimum.at(best, ids, key)
+    return key == best[ids]
 
 
 def bucket_sssp_batch_reference(

@@ -1,5 +1,15 @@
 """Distributed unweighted spanner (the Section 2.2 port of Algorithm 2).
 
+Section 2.2 of the paper: "Our spanner construction for unweighted
+graphs can also be ported to this distributed setting with similar
+guarantees, as it employs breadth first search, which admits a simple
+implementation in synchronized distributed networks."  This module
+runs that port on the message-passing simulator in
+:mod:`~oracles.network`, one Python handler per node per round.  It is
+a second implementation of :func:`repro.spanners.unweighted_spanner`
+and its oracle: under shared shifts both keep the same edges
+(``tests/test_distributed.py``).
+
 Protocol, in synchronous rounds with O(1)-word messages:
 
 1. **Shifted BFS race** — every node ``v`` knows its integer start time
@@ -26,12 +36,14 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from repro.clustering.shifts import sample_shifts
-from repro.distributed.engine import NodeProgram, SyncNetwork
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.rng import SeedLike
 from repro.spanners.result import SpannerResult
-from repro.spanners.unweighted import spanner_beta
+from repro.spanners.unweighted import _stretch_bound, spanner_beta
+
+from .est import edge_id_lookup
+from .network import NodeProgram, SyncNetwork
 
 
 class _RaceProgram(NodeProgram):
@@ -119,8 +131,6 @@ def distributed_unweighted_spanner(
     parent = np.asarray([net.state[v]["parent"] for v in range(g.n)], dtype=np.int64)
 
     # forest edge ids
-    from repro.spanners.result import edge_id_lookup
-
     child = np.flatnonzero(parent >= 0)
     forest_ids = edge_id_lookup(g, child, parent[child])
 
@@ -142,8 +152,6 @@ def distributed_unweighted_spanner(
         kept.extend(best.values())
 
     edge_ids = np.unique(np.concatenate([forest_ids, np.asarray(kept, dtype=np.int64)]))
-    from repro.spanners.unweighted import _stretch_bound
-
     return (
         SpannerResult(
             graph=g,

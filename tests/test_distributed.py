@@ -1,15 +1,13 @@
-"""Unit tests for the synchronous network simulator and distributed spanner."""
+"""Unit tests for the synchronous network simulator and Section 2.2's
+distributed spanner (``tests/oracles``), the oracle of
+``unweighted_spanner``."""
 
 import numpy as np
 import pytest
 
+from oracles import NodeProgram, SyncNetwork, distributed_unweighted_spanner
 from repro.clustering import est_cluster
 from repro.clustering.shifts import sample_shifts
-from repro.distributed import (
-    NodeProgram,
-    SyncNetwork,
-    distributed_unweighted_spanner,
-)
 from repro.errors import ParameterError
 from repro.graph import gnm_random_graph, grid_graph, path_graph
 from repro.spanners import unweighted_spanner, verify_spanner
@@ -101,10 +99,15 @@ class TestDistributedSpanner:
         g = gnm_random_graph(150, 600, seed=seed, connected=True)
         k = 3
         shifts = sample_shifts(g.n, spanner_beta(g.n, k), seed=seed + 100)
-        sp_d, _ = distributed_unweighted_spanner(g, k, shifts=shifts)
+        sp_d, net = distributed_unweighted_spanner(g, k, shifts=shifts)
         c = est_cluster(g, spanner_beta(g.n, k), shifts=shifts, method="round")
         sp_c = unweighted_spanner(g, k, clustering=c)
         assert np.array_equal(sp_d.edge_ids, sp_c.edge_ids)
+        # on a connected graph the port runs the race's rounds plus the
+        # last announce round and the boundary round, and every node
+        # broadcasts once per phase
+        assert net.rounds == c.rounds + 2
+        assert net.total_messages == 4 * g.m
 
     def test_stretch_certified(self, small_gnm):
         sp, _ = distributed_unweighted_spanner(small_gnm, 3, seed=5)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import engine_kernel
+from oracles import edge_id_lookup, engine_kernel
 from repro import cli
 from repro.dynamic import UpdateBatch, apply_batch, repair_hopset
 from repro.errors import ParameterError
@@ -34,7 +34,6 @@ from repro.graph import (
 from repro.hopsets import HopsetParams, build_hopset
 from repro.paths.dijkstra import dijkstra_scipy
 from repro.serve import DistanceServer
-from repro.spanners.result import edge_id_lookup
 
 PARAMS = HopsetParams(epsilon=0.5, delta=1.5, gamma1=0.15, gamma2=0.5)
 # larger beta0: level 0 splits a graph into many blocks

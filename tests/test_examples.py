@@ -18,7 +18,6 @@ EXAMPLES = [
     "road_network_spanner.py",
     "parallel_sssp.py",
     "shortcut_anatomy.py",
-    "distributed_spanner.py",
     "graph_sparsification.py",
 ]
 

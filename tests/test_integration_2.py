@@ -53,7 +53,7 @@ class TestComposedPipelines:
 
     def test_distributed_spanner_then_hopset(self):
         """Build the spanner distributedly, shortcut it centrally."""
-        from repro.distributed import distributed_unweighted_spanner
+        from oracles import distributed_unweighted_spanner
 
         g = grid_graph(18, 18)
         sp, _ = distributed_unweighted_spanner(g, 3, seed=31)

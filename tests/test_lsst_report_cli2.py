@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.graph import (
+    from_edges,
     gnm_random_graph,
     grid_graph,
     is_connected,
@@ -68,6 +69,17 @@ class TestLowStretchTree:
     def test_invalid_k(self, small_gnm):
         with pytest.raises(ParameterError):
             low_stretch_spanning_tree(small_gnm, k=0.5)
+
+    def test_spans_after_more_than_200_iterations(self):
+        # weights over 60 powers of two: the contraction needs 247
+        # iterations to span the graph
+        g = gnm_random_graph(5000, 20000, seed=3, connected=True)
+        w = np.exp2(np.random.default_rng(1).uniform(0, 60, g.m))
+        g = from_edges(g.n, np.stack([g.edge_u, g.edge_v], axis=1), weights=w)
+        t = low_stretch_spanning_tree(g, seed=1)
+        assert t.meta["iterations"] > 200
+        assert t.size == g.n - 1
+        assert is_connected(t.subgraph())
 
     def test_deterministic(self, small_gnm):
         a = low_stretch_spanning_tree(small_gnm, k=3, seed=9)

@@ -71,7 +71,7 @@ class TestSpannerResultDetails:
 
 class TestDistributedEngineDetails:
     def test_broadcast_equals_individual_sends(self, triangle):
-        from repro.distributed.engine import NodeProgram, SyncNetwork
+        from oracles import NodeProgram, SyncNetwork
 
         class B(NodeProgram):
             def init(self, node, net):
@@ -97,7 +97,7 @@ class TestDistributedEngineDetails:
             assert n1.state[v].get("got") == n2.state[v].get("got")
 
     def test_state_survives_between_programs(self, triangle):
-        from repro.distributed.engine import NodeProgram, SyncNetwork
+        from oracles import NodeProgram, SyncNetwork
 
         class SetX(NodeProgram):
             def init(self, node, net):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import edge_id_lookup
 from repro.errors import ParameterError
 from repro.graph import gnm_random_graph, grid_graph, path_graph
 from repro.paths import bfs
@@ -15,7 +16,7 @@ from repro.spanners.low_stretch_tree import bfs_tree
 def _multi_source(g, sources):
     """``(dist, parent, owner)`` of a BFS from every source at round 0."""
     sources = np.asarray(sources)
-    return bfs_with_start_times(g, np.zeros(sources.shape[0], dtype=np.int64), sources)[1:]
+    return bfs_with_start_times(g, np.zeros(sources.shape[0], dtype=np.int64), sources)[1:4]
 
 
 class TestSingleSource:
@@ -79,7 +80,7 @@ class TestMultiSource:
 class TestStartTimeRace:
     def test_delayed_source_loses_near_region(self):
         g = path_graph(9)
-        arrival, dist, parent, owner = bfs_with_start_times(
+        arrival, dist, parent, owner, _ = bfs_with_start_times(
             g,
             start_time=np.array([0, 4]),
             source_ids=np.array([0, 8]),
@@ -92,7 +93,7 @@ class TestStartTimeRace:
         g = grid_graph(6, 6)
         starts = np.array([2, 0, 5])
         srcs = np.array([0, 17, 35])
-        arrival, dist, parent, owner = bfs_with_start_times(g, starts, srcs)
+        arrival, dist, parent, owner, _ = bfs_with_start_times(g, starts, srcs)
         table = {0: 2, 17: 0, 35: 5}
         for v in range(g.n):
             assert arrival[v] == dist[v] + table[int(owner[v])]
@@ -100,7 +101,7 @@ class TestStartTimeRace:
     def test_priority_tiebreak(self):
         g = path_graph(3)
         # both sources reach vertex 1 at round 1; lower priority wins
-        _, _, _, owner = bfs_with_start_times(
+        _, _, _, owner, _ = bfs_with_start_times(
             g,
             start_time=np.array([0, 0]),
             source_ids=np.array([0, 2]),
@@ -111,17 +112,28 @@ class TestStartTimeRace:
     def test_every_vertex_claimed_when_all_sources(self, small_gnm):
         g = small_gnm
         n = g.n
-        arrival, dist, parent, owner = bfs_with_start_times(
+        arrival, dist, parent, owner, _ = bfs_with_start_times(
             g, np.zeros(n, dtype=np.int64), np.arange(n)
         )
         assert (owner == np.arange(n)).all()
         assert (dist == 0).all()
 
+    def test_parent_edge_is_the_claiming_arc(self, small_gnm):
+        g = small_gnm
+        starts = np.random.default_rng(3).integers(0, 4, g.n)
+        _, _, parent, _, parent_edge = bfs_with_start_times(g, starts, np.arange(g.n))
+        child = np.flatnonzero(parent >= 0)
+        assert child.shape[0] > 0
+        assert np.array_equal(
+            parent_edge[child], edge_id_lookup(g, child, parent[child])
+        )
+        assert (parent_edge[parent < 0] == -1).all()
+
     def test_parent_chain_reaches_owner(self, small_grid):
         g = small_grid
         starts = np.array([0, 3])
         srcs = np.array([0, 60])
-        _, _, parent, owner = bfs_with_start_times(g, starts, srcs)
+        _, _, parent, owner, _ = bfs_with_start_times(g, starts, srcs)
         from repro.paths.trees import extract_path
 
         for v in (5, 30, 63):

@@ -29,7 +29,6 @@ class TestExports:
         import repro.analysis
         import repro.clustering
         import repro.ctree
-        import repro.distributed
         import repro.dynamic
         import repro.exp
         import repro.graph

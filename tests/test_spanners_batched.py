@@ -27,7 +27,7 @@ from repro.pram import PramTracker
 from repro.spanners import verify_spanner, weighted_spanner
 from repro.spanners.unweighted import unweighted_spanner
 
-from oracles import KERNELS, engine_kernel, weighted_spanner_recursive
+from oracles import KERNELS, edge_id_lookup, engine_kernel, weighted_spanner_recursive
 
 SETTINGS = settings(
     max_examples=15,
@@ -169,10 +169,9 @@ class TestCrossBackend:
         from repro.clustering import est_cluster
 
         c = est_cluster(small_weighted, 0.4, seed=5, method="exact")
-        child, par = c.forest_edges()
+        child = np.flatnonzero(c.parent >= 0)
+        par = c.parent[child]
         assert (c.center[child] == c.center[par]).all()
-        from repro.spanners.result import edge_id_lookup
-
         eids = edge_id_lookup(small_weighted, child, par)
         w = small_weighted.edge_w[eids]
         assert np.allclose(

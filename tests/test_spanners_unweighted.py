@@ -94,6 +94,16 @@ class TestUnweightedSpanner:
         ):
             unweighted_spanner(g, 3, clustering=c)
 
+    def test_rejects_clustering_of_another_beta(self):
+        from repro.clustering import est_cluster
+
+        # at beta 0.001 the clusters outgrow the radius that k=3's
+        # stretch bound (49) assumes: the spanner's edges stretch to 79
+        g = grid_graph(40, 40)
+        c = est_cluster(g, 0.001, seed=1)
+        with pytest.raises(ParameterError, match="beta 0.001"):
+            unweighted_spanner(g, 3, clustering=c)
+
     def test_density_property(self, small_gnm):
         sp = unweighted_spanner(small_gnm, 3, seed=1)
         assert sp.density == pytest.approx(sp.size / small_gnm.n)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from oracles import edge_id_lookup
 from repro.errors import VerificationError
 from repro.graph import from_edges, path_graph
 from repro.graph.builders import subgraph_by_edge_ids
 from repro.spanners import edge_stretches, max_edge_stretch, verify_spanner
-from repro.spanners.result import SpannerResult, edge_id_lookup
+from repro.spanners.result import SpannerResult
 
 
 class TestEdgeStretches:
