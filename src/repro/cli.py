@@ -142,7 +142,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_spanner(args: argparse.Namespace) -> int:
-    from repro.spanners import max_edge_stretch, unweighted_spanner, weighted_spanner
+    from repro.spanners import unweighted_spanner, verify_spanner, weighted_spanner
 
     g = _load_graph(args)
     t = PramTracker(n=g.n)
@@ -150,9 +150,10 @@ def cmd_spanner(args: argparse.Namespace) -> int:
         sp = unweighted_spanner(g, args.k, seed=args.seed, tracker=t)
     else:
         sp = weighted_spanner(g, args.k, seed=args.seed, tracker=t)
-    stretch = max_edge_stretch(g, sp, sample_edges=min(g.m, 2000), seed=1)
     print(f"graph: n={g.n} m={g.m} {'unweighted' if g.is_unweighted else 'weighted'}")
     print(f"spanner: {sp.size} edges ({100 * sp.size / max(g.m, 1):.1f}% kept)")
+    # a sampled stretch above the certified bound exits 1
+    stretch = verify_spanner(g, sp, sample_edges=min(g.m, 2000), seed=1)
     print(f"stretch: measured {stretch:.2f}, certified {sp.stretch_bound:.0f}")
     print(f"pram: work={t.work} depth={t.depth}")
     if args.output:

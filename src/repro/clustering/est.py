@@ -59,8 +59,14 @@ class Clustering:
     beta:
         The decomposition parameter used.
     rounds:
-        Number of synchronous rounds the race took (0 in exact mode
-        unless a tracker measured it).
+        Number of synchronous rounds the race took: for the BFS race,
+        one past the last round in which a vertex woke or was claimed,
+        so the idle rounds between wake-ups count (on a connected
+        graph the message-passing port in ``tests/oracles`` takes
+        exactly two rounds more); for the Dial race, the buckets it
+        processed; 0 for the exact race.  A tracker charges only the
+        rounds that expand a frontier, so its ``rounds`` can read
+        fewer.
     """
 
     center: np.ndarray
@@ -386,8 +392,11 @@ def est_cluster_forest(
     preserve relative vertex order), and groups resolving to different
     engines (BFS race for unweighted blocks, Dial for integer weights,
     bucket engine otherwise) get one :func:`_race` per engine over the
-    same union, sourced only at their own blocks.  Seeded equality
-    tests pin this.
+    same union, sourced only at their own blocks, whose labels are
+    scattered back onto those blocks.  When every group resolves to one
+    engine (every spanner round, every unit-weight hopset level and
+    every :func:`est_cluster` call), that race's arrays are the
+    clustering, with no scatter.  Seeded equality tests pin this.
 
     ``shifts`` must be pre-drawn (length ``n``) — the caller owns the
     per-group RNG discipline.
@@ -423,21 +432,26 @@ def est_cluster_forest(
     start_real = delta_max[group_of] - shifts  # >= 0, per-group origin
 
     modes = _forest_group_modes(g, group_of, k, method)
-    center = np.full(n, -1, dtype=np.int64)
-    parent = np.full(n, -1, dtype=np.int64)
-    parent_edge = np.full(n, -1, dtype=np.int64)
-    dist_to_center = np.zeros(n, dtype=np.float64)
-    rounds = 0
-
-    mode_of_vertex = modes[group_of]
-    for mode in sorted(set(modes.tolist())):  # the engines some group uses
-        verts = np.flatnonzero(mode_of_vertex == mode)
-        own, par, par_edge, dist, r = _race(g, mode, verts, start_real, tracker)
-        center[verts] = own[verts]
-        parent[verts] = par[verts]
-        parent_edge[verts] = par_edge[verts]
-        dist_to_center[verts] = dist[verts]
-        rounds = max(rounds, r)
+    if (modes == modes[0]).all():
+        # one engine races every vertex: its arrays are the clustering
+        center, parent, parent_edge, dist_to_center, rounds = _race(
+            g, int(modes[0]), np.arange(n, dtype=np.int64), start_real, tracker
+        )
+    else:
+        center = np.full(n, -1, dtype=np.int64)
+        parent = np.full(n, -1, dtype=np.int64)
+        parent_edge = np.full(n, -1, dtype=np.int64)
+        dist_to_center = np.zeros(n, dtype=np.float64)
+        rounds = 0
+        mode_of_vertex = modes[group_of]
+        for mode in sorted(set(modes.tolist())):  # the engines some group uses
+            verts = np.flatnonzero(mode_of_vertex == mode)
+            own, par, par_edge, dist, r = _race(g, mode, verts, start_real, tracker)
+            center[verts] = own[verts]
+            parent[verts] = par[verts]
+            parent_edge[verts] = par_edge[verts]
+            dist_to_center[verts] = dist[verts]
+            rounds = max(rounds, r)
 
     return Clustering(
         center=center,

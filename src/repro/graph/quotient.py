@@ -146,9 +146,12 @@ def quotient_forest(
     block-diagonal CSR union — one ``presence_unique`` over group-tagged
     endpoint keys and one radix-ordered parallel-edge dedup
     (:func:`~repro.graph.dedup.first_of_runs`) for the whole level,
-    however many groups there are.  The level-synchronous weighted
-    spanner uses this to do the inter-level contraction once per level
-    instead of once per group.
+    however many groups there are.  When every weight is equal (the
+    spanner's uniform Γ_i) the dedup keeps each run's first edge and
+    skips its pass over the weights: ties resolve by input order
+    either way.  The level-synchronous weighted spanner uses this to
+    do the inter-level contraction once per level instead of once per
+    group.
 
     Per-block equivalence with :func:`quotient_graph` is exact: the
     vertex key ``group * span + label`` sorts blocks contiguously with
@@ -209,7 +212,8 @@ def quotient_forest(
     qu2 = np.where(swap, qv, qu)
     qv2 = np.where(swap, qu, qv)
     if qu2.size:
-        keep = first_of_runs((qu2, qv2), prefer=(w,))
+        uniform = bool((w == w[0]).all())
+        keep = first_of_runs((qu2, qv2), prefer=() if uniform else (w,))
         qu2, qv2, w, ids = qu2[keep], qv2[keep], w[keep], ids[keep]
 
     return QuotientForestResult(

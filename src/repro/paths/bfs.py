@@ -9,7 +9,11 @@ the paper uses (Lemma 2.1, [UY91]).
 Concurrent-claim resolution implements the paper's "arbitrary tie
 breaking" CRCW write deterministically: among all claims on a vertex
 the one with the smallest ``(priority, source)`` key wins, which keeps
-runs reproducible for a fixed seed.
+runs reproducible for a fixed seed.  Every ordering in the race is
+linear: sources wake in a radix counting-sort order of their integer
+start rounds (:func:`~repro.graph.dedup.stable_argsort`), and claims
+and duplicate sources resolve with
+:func:`~repro.graph.dedup.first_of_runs`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
-from repro.graph.dedup import first_of_runs, presence_unique
+from repro.graph.dedup import first_of_runs, presence_unique, stable_argsort
 from repro.graph.validation import check_vertex_ids
 from repro.kernels.numpy_kernel import expand_frontier
 from repro.pram.tracker import PramTracker, null_tracker
@@ -62,7 +66,11 @@ def bfs_with_start_times(
     This is the engine of unweighted EST clustering: source ``i`` wakes
     up at round ``start_time[i]`` and floods outward one hop per round;
     each vertex is claimed by the first wave to arrive, ties broken by
-    the smaller ``priority`` (defaults to source order).
+    the smaller ``priority`` (defaults to source order).  Sources wake
+    in order of start round, equal rounds in input order: one radix
+    counting sort of the integer rounds, with no comparison sort over
+    the float priorities.  A source listed more than once wakes once,
+    with its earliest start and, among those, its smallest priority.
 
     Returns ``(arrival, dist, parent, owner, parent_edge)`` where
     ``arrival`` is the round each vertex was claimed (start-shifted),
@@ -103,15 +111,18 @@ def bfs_with_start_times(
     parent_edge = np.full(n, -1, dtype=np.int64)
     owner = np.full(n, -1, dtype=np.int64)
     owner_prio = np.full(n, np.inf, dtype=np.float64)
-    # per-vertex start info (a vertex may be listed as a source more than
-    # once; the smallest (start, priority) wins)
-    order = np.lexsort((priority, start_time))
+    # each owner's start round, filled as it wakes; slot n stays 0, so
+    # an unreached vertex (owner -1) keeps dist = arrival = INF
+    owner_start = np.zeros(n + 1, dtype=np.int64)
+    # wake order: by start round, equal starts in input order.  Only
+    # claims of equal priority read frontier positions, and those keep
+    # input order either way, so priority need not join the sort.
+    order = stable_argsort(start_time)
     t = start_time[order]
     sid = source_ids[order]
     pr = priority[order]
     # EST races list every vertex as a source exactly once; when ids are
-    # distinct the per-batch duplicate resolution below is a no-op and
-    # its np.unique (one per round) is pure overhead
+    # distinct the per-batch duplicate resolution below is skipped
     distinct = int(presence_unique(n, (sid,), sparse_factor=1).shape[0]) == k
 
     frontier = np.empty(0, np.int64)
@@ -123,23 +134,21 @@ def bfs_with_start_times(
         # (t is sorted, so the batch boundary is a bisection, not a scan)
         j = int(np.searchsorted(t, round_no, side="right")) if src_ptr < k else src_ptr
         if j > src_ptr:
-            vs = sid[src_ptr:j]
-            prs = pr[src_ptr:j]
+            fresh = src_ptr + np.flatnonzero(arrival[sid[src_ptr:j]] == INF)
             src_ptr = j
-            fresh = arrival[vs] == INF
-            vs, prs = vs[fresh], prs[fresh]
+            vs, ts, prs = sid[fresh], t[fresh], pr[fresh]
             if vs.shape[0]:
-                if distinct:
-                    uniq, first_idx = vs, slice(None)
-                else:
-                    # duplicates of a vertex in one wake batch: the slice
-                    # is (start, priority)-sorted, so its first wins
-                    uniq, first_idx = np.unique(vs, return_index=True)
-                arrival[uniq] = round_no
-                owner[uniq] = uniq
-                owner_prio[uniq] = prs[first_idx]
-                parent[uniq] = -1
-                frontier = np.concatenate([frontier, uniq]) if frontier.size else uniq
+                if not distinct:
+                    # a vertex listed twice in one batch wakes once, with
+                    # its earliest start, then its smallest priority
+                    # (round 0 also wakes every negative start)
+                    win = first_of_runs((vs,), prefer=(ts, prs))
+                    vs, ts, prs = vs[win], ts[win], prs[win]
+                arrival[vs] = round_no
+                owner[vs] = vs
+                owner_prio[vs] = prs
+                owner_start[vs] = ts
+                frontier = np.concatenate([frontier, vs]) if frontier.size else vs
 
         if frontier.size == 0:
             if src_ptr >= k:
@@ -169,22 +178,5 @@ def bfs_with_start_times(
         frontier = new_frontier
         round_no += 1
 
-    dist = np.where(
-        arrival == INF,
-        INF,
-        arrival - _start_of(owner, source_ids, start_time, n),
-    )
+    dist = arrival - owner_start[owner]
     return arrival, dist, parent, owner, parent_edge
-
-
-def _start_of(owner: np.ndarray, source_ids: np.ndarray, start_time: np.ndarray, n: int) -> np.ndarray:
-    """Map each vertex's owning source id to that source's start time.
-
-    If a source id appears several times, the earliest start is the one
-    that could have claimed vertices, so the table keeps the minimum.
-    """
-    table = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(table, source_ids, start_time)
-    safe_owner = np.where(owner >= 0, owner, 0)
-    out = table[safe_owner]
-    return np.where(owner >= 0, out, 0)

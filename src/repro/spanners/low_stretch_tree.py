@@ -53,7 +53,9 @@ def low_stretch_spanning_tree(
     of each connected component (n - #components edges total).
     Raises :class:`NotConnectedError` never — disconnected inputs get a
     spanning forest.  Every iteration that finds a live edge merges at
-    least two components, so at most ``n - 1`` of them run.
+    least two components, so at most ``n - 1`` of them run;
+    ``meta["iterations"]`` counts them, and not the empty check that
+    ends each weight level.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
@@ -71,10 +73,10 @@ def low_stretch_spanning_tree(
     # the level's edges are exhausted (all endpoints merged)
     for ids_level in rows_by_value(bucket, num_buckets):
         while ids_level.size:
-            iterations += 1
             q = contracted_quotient(g, uf, ids_level)
             if q is None:
                 break
+            iterations += 1
             c = est_cluster(q.graph, beta, seed=rng, method=method, tracker=tracker)
             qids = c.parent_edge[c.parent_edge >= 0]
             if qids.size == 0:

@@ -58,23 +58,28 @@ def boundary_edge_ids(
 ) -> np.ndarray:
     """One kept edge per (boundary vertex, adjacent cluster) pair.
 
-    Works over directed arcs so each endpoint of a cut edge contributes
-    a candidate; dedupes on the key ``(vertex, neighbor cluster)``,
-    keeping the lowest edge id.  Returns ids of ``g``'s edges (quotient
-    ids when ``g`` is a quotient).  On a block-diagonal union this
-    equals the per-block result concatenated: vertex ids are
-    block-contiguous, so no (v, c) run crosses blocks.  A ``tracker``
-    is charged the semisort over the inter-cluster arcs (Algorithm 2's
-    cost), also when no arc crosses clusters.
+    One pass over the edge list finds the cut edges (endpoints in
+    different clusters); each offers itself to both endpoints, and
+    every ``(vertex, neighbor cluster)`` pair keeps its lowest edge
+    id.  Returns ids of ``g``'s edges (quotient ids when ``g`` is a
+    quotient), ordered by ``(vertex, neighbor cluster)``.  On a
+    block-diagonal union this equals the per-block result
+    concatenated: vertex ids are block-contiguous, so no pair's run
+    crosses blocks.  A ``tracker`` is charged the semisort over the
+    ``2 * cut`` inter-cluster arcs (Algorithm 2's cost), also when no
+    edge is cut.
     """
-    src = g.arc_sources()
-    dst = g.indices
-    inter = labels[src] != labels[dst]
+    lu = labels[g.edge_u]
+    lv = labels[g.edge_v]
+    cut = np.flatnonzero(lu != lv)
     if tracker is not None:
-        charge_semisort(tracker, int(inter.sum()) + g.n)
-    if not inter.any():
+        charge_semisort(tracker, 2 * int(cut.shape[0]) + g.n)
+    if not cut.shape[0]:
         return np.empty(0, np.int64)
-    v_side = src[inter]
-    c_side = labels[dst[inter]]
-    e_side = g.edge_ids[inter]
-    return e_side[first_of_runs((v_side, c_side), prefer=(e_side,))]
+    # rows 2i and 2i + 1 are the i-th cut edge seen from either end, so
+    # rows ascend by edge id; a (vertex, cluster, edge) row is unique,
+    # and the stable order by (vertex, cluster) lists each pair's
+    # lowest id first
+    v_side = np.stack((g.edge_u[cut], g.edge_v[cut]), axis=1).ravel()
+    c_side = np.stack((lv[cut], lu[cut]), axis=1).ravel()
+    return cut[first_of_runs((v_side, c_side)) >> 1]

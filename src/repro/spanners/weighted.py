@@ -172,7 +172,9 @@ def _well_separated_spanner_batched(
     * the level schedule is materialized upfront from one rank table
       over the occupied buckets and one radix order of the edge list by
       ``(level rank, group)`` — round ``t`` is a contiguous slice,
-      already grouped with ascending edge ids;
+      already grouped with ascending edge ids, and its edges' groups
+      are one ``np.repeat`` of the schedule's per-(round, group) edge
+      counts;
     * all groups' running contractions live in a *single* parent
       array over the group-tagged id space ``[0, s * n)`` (group ``j``
       owns ``[j * n, (j + 1) * n)``), so one :func:`find_roots`
@@ -201,7 +203,6 @@ def _well_separated_spanner_batched(
     """
     n = g.n
     num_groups = int(seeds.shape[0])
-    grp_of = bucket_group[bucket]
     beta = spanner_beta(n, k)
     rngs = [resolve_rng(int(s)) for s in seeds]
     kept: List[np.ndarray] = []
@@ -222,9 +223,13 @@ def _well_separated_spanner_batched(
     slot[occupied] = rank * num_groups + occ_group
     order = stable_argsort(slot[bucket])
     max_rounds = int(num_levels.max()) if num_groups else 0
+    # edges per (round, group): one bucket each, so round t's slice
+    # lists group j's counts[t, j] edges after those of groups < j
+    counts = np.zeros((max_rounds, num_groups), dtype=np.int64)
+    counts[rank, occ_group] = per_bucket[occupied]
     round_ptr = np.zeros(max_rounds + 1, dtype=np.int64)
-    per_round = np.bincount(rank, weights=per_bucket[occupied], minlength=max_rounds)
-    np.cumsum(per_round.astype(np.int64), out=round_ptr[1:])
+    np.cumsum(counts.sum(axis=1), out=round_ptr[1:])
+    group_ids = np.arange(num_groups, dtype=np.int64)
 
     # ---- one parent array over the group-tagged vertex space ---------
     # only groups that reach a second level ever read their block
@@ -246,20 +251,20 @@ def _well_separated_spanner_batched(
         if t:
             cut.save(t, rngs, partial(_round_state, parent, kept))
         ids = order[round_ptr[t] : round_ptr[t + 1]]
-        gj = grp_of[ids]
+        gj = np.repeat(group_ids, counts[t])
         eu = g.edge_u[ids]
         ev = g.edge_v[ids]
 
         # ---- contract the whole round through the shared forest -------
-        tagged = base[gj] >= 0
+        off = base[gj]
+        tagged = off >= 0
         if tagged.all():
-            off = base[gj]
             ru = find_roots(parent, off + eu) - off
             rv = find_roots(parent, off + ev) - off
         else:
             ru, rv = eu.copy(), ev.copy()
             if tagged.any():
-                off = base[gj[tagged]]
+                off = off[tagged]
                 ru[tagged] = find_roots(parent, off + eu[tagged]) - off
                 rv[tagged] = find_roots(parent, off + ev[tagged]) - off
         live = ru != rv

@@ -21,7 +21,12 @@ one-block cases of the forest primitives; both must match output for
 output, and the depth-first oracles cluster and cut with them.  The
 reference race finds each forest edge's id with :func:`edge_id_lookup`
 (a binary search over the edge keys), where the product reads it off
-the arc that won the race.
+the arc that won the race, and its BFS race is
+:func:`bfs_with_start_times_reference`, the lexsort wake order that
+the product's counting-sort race must match array for array.
+:func:`boundary_edge_ids_reference` is the boundary pass over all
+``2m`` arcs that the product's pass over the cut edges must match id
+for id; the weighted spanner oracle keeps boundary edges with it.
 :func:`distributed_unweighted_spanner` is Section 2.2's message-passing
 port of Algorithm 2 on the synchronous simulator :class:`SyncNetwork`;
 under shared shifts it keeps ``unweighted_spanner``'s edges.
@@ -35,6 +40,7 @@ engine on it as a second kernel.  Tests and the benches
 """
 
 from .bellman_ford import ArcSet, arcs_from_graph, combine_arcs, dense_hop_distances
+from .bfs import bfs_with_start_times_reference
 from .bucket import bucket_sssp_batch_reference
 from .dedup import first_of_runs_lexsort
 from .dijkstra import KERNELS, dijkstra_reference, engine_kernel
@@ -43,7 +49,7 @@ from .est import edge_id_lookup, est_cluster_reference
 from .hopsets import build_hopset_recursive
 from .levels import check_level_invariants
 from .network import NodeProgram, SyncNetwork
-from .spanners import weighted_spanner_recursive
+from .spanners import boundary_edge_ids_reference, weighted_spanner_recursive
 from .subgraph import induced_subgraph_reference
 
 __all__ = [
@@ -52,6 +58,8 @@ __all__ = [
     "NodeProgram",
     "SyncNetwork",
     "arcs_from_graph",
+    "bfs_with_start_times_reference",
+    "boundary_edge_ids_reference",
     "bucket_sssp_batch_reference",
     "build_hopset_recursive",
     "check_level_invariants",

@@ -8,8 +8,9 @@ BFS, Dial and exact races — so the product can be compared with an
 independent implementation: center, parent, parent edge, distance,
 shifts, round count and tracker ledger must all be equal
 (``tests/test_clustering.py``), and the depth-first hopset and spanner
-oracles cluster with it.  It shares only the label passes with the
-product (the Dial race's ``_canonical_dial_race`` and the exact race's
+oracles cluster with it.  Its BFS race is the lexsort body in
+:mod:`.bfs`; it shares only the label passes with the product (the Dial
+race's ``_canonical_dial_race`` and the exact race's
 ``repro.paths.trees.shortest_path_forest``).  The product reads each
 forest edge's id off the arc that won its race; the reference finds it
 again from the ``(parent, child)`` pair with :func:`edge_id_lookup`.
@@ -25,11 +26,12 @@ from repro.clustering.est import Clustering, _canonical_dial_race
 from repro.clustering.shifts import sample_shifts
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
-from repro.paths.bfs import bfs_with_start_times
 from repro.paths.engine import check_finite, shortest_paths
 from repro.paths.trees import shortest_path_forest
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike
+
+from .bfs import bfs_with_start_times_reference
 
 
 def edge_id_lookup(g: CSRGraph, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -92,7 +94,7 @@ def est_cluster_reference(
         start_int = np.floor(start_real).astype(np.int64)
         if g.is_unweighted:
             with tracker.phase("est_round"):
-                arrival, dist_hops, parent, owner, _ = bfs_with_start_times(
+                arrival, dist_hops, parent, owner, _ = bfs_with_start_times_reference(
                     g,
                     start_time=start_int,
                     source_ids=np.arange(n, dtype=np.int64),

@@ -64,8 +64,6 @@ class SyncNetwork:
         self.graph = g
         self.congest_words = congest_words
         self.state: List[Dict[str, Any]] = [dict() for _ in range(g.n)]
-        self._outbox: List[List[Tuple[int, int, Any]]] = []  # (src, dst, payload)
-        self._inbox: List[List[Tuple[int, Any]]] = [[] for _ in range(g.n)]
         self._pending: List[Tuple[int, int, Any]] = []
         self.rounds: int = 0
         self.total_messages: int = 0

@@ -8,7 +8,10 @@ weight level after another, with a union–find per group.  Both hand
 group ``j`` the same spawned generator and skip fully contracted
 levels without drawing randomness, so for a fixed seed they emit
 *identical* edge sets (pinned by ``test_spanners_batched.py`` and
-``benchmarks/bench_spanner.py``).
+``benchmarks/bench_spanner.py``).  It picks boundary edges with
+:func:`boundary_edge_ids_reference`, the arc-list pass that
+``repro.spanners.result.boundary_edge_ids`` replaced, so the two
+builders share no boundary code.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ from typing import List, Optional
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.graph.dedup import first_of_runs
 from repro.graph.unionfind import UnionFind
+from repro.pram.primitives import charge_semisort
 from repro.pram.tracker import PramTracker, null_tracker
 from repro.rng import SeedLike, resolve_rng, spawn_seeds
-from repro.spanners.result import SpannerResult, boundary_edge_ids
+from repro.spanners.result import SpannerResult
 from repro.spanners.unweighted import spanner_beta
 from repro.spanners.weighted import (
     _unique_edge_ids,
@@ -32,6 +37,26 @@ from repro.spanners.weighted import (
 )
 
 from .est import est_cluster_reference
+
+
+def boundary_edge_ids_reference(
+    g: CSRGraph, labels: np.ndarray, tracker: Optional[PramTracker] = None
+) -> np.ndarray:
+    """``boundary_edge_ids`` over all ``2m`` arcs: every arc whose ends
+    lie in different clusters is a ``(tail, head's cluster, edge)``
+    row, and each ``(tail, cluster)`` run keeps its lowest edge id.
+    The same ids in the same order, and the same semisort charge."""
+    src = g.arc_sources()
+    dst = g.indices
+    inter = labels[src] != labels[dst]
+    if tracker is not None:
+        charge_semisort(tracker, int(inter.sum()) + g.n)
+    if not inter.any():
+        return np.empty(0, np.int64)
+    v_side = src[inter]
+    c_side = labels[dst[inter]]
+    e_side = g.edge_ids[inter]
+    return e_side[first_of_runs((v_side, c_side), prefer=(e_side,))]
 
 
 def _well_separated_spanner(
@@ -77,7 +102,7 @@ def _well_separated_spanner(
             uf.union_edges(g.edge_u[forest_orig], g.edge_v[forest_orig])
 
         # boundary edges: one per (boundary quotient vertex, adjacent cluster)
-        qids = boundary_edge_ids(gq, clustering.labels)
+        qids = boundary_edge_ids_reference(gq, clustering.labels)
         if qids.size:
             kept.append(q.rep_edge_ids[qids])
 

@@ -28,6 +28,7 @@ from repro.graph import (
 )
 from repro.paths.trees import extract_path
 from repro.pram import PramTracker
+from repro.spanners.unweighted import spanner_beta
 
 
 class TestShifts:
@@ -127,6 +128,16 @@ class TestESTInvariants:
         t = PramTracker(n=small_grid.n, depth_per_round=1)
         est_cluster(small_grid, 0.5, seed=2, method="round", tracker=t)
         assert t.rounds > 0 and t.work > 0
+
+    def test_round_counts_pinned(self):
+        # a sparse graph leaves idle rounds between wake-ups:
+        # Clustering.rounds counts them, the tracker charges only rounds
+        # that expand a frontier
+        g = gnm_random_graph(300, 200, seed=4)
+        t = PramTracker(n=g.n)
+        c = est_cluster(g, spanner_beta(300, 5), seed=1, tracker=t)
+        assert c.rounds == 15
+        assert t.rounds == 14
 
 
 class TestDiagnostics:

@@ -82,6 +82,26 @@ class TestCLI:
         text = capsys.readouterr().out
         assert "spanner:" in text and "stretch:" in text
 
+    @pytest.mark.parametrize("weights", [False, True])
+    def test_spanner_fails_on_a_stretch_violation(self, tmp_path, capsys, monkeypatch, weights):
+        import dataclasses
+
+        import repro.spanners
+        from repro.cli import main
+
+        out = tmp_path / "g.txt"
+        gen = ["generate", "--kind", "gnm", "--n", "80", "--m", "300", "-o", str(out)]
+        assert main(gen + (["--weights"] if weights else [])) == 0
+        name = "weighted_spanner" if weights else "unweighted_spanner"
+        build = getattr(repro.spanners, name)
+        # a bound below every measured stretch: no spanner can meet it
+        monkeypatch.setattr(
+            repro.spanners, name,
+            lambda *a, **kw: dataclasses.replace(build(*a, **kw), stretch_bound=0.5),
+        )
+        assert main(["spanner", "-i", str(out), "-k", "2", "--seed", "1"]) == 1
+        assert "exceeds the certified bound 0.5" in capsys.readouterr().err
+
     def test_spanner_output_file(self, tmp_path):
         from repro.cli import main
         from repro.graph.io import load_edgelist

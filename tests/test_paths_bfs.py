@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from oracles import edge_id_lookup
+from oracles import bfs_with_start_times_reference, edge_id_lookup
 from repro.errors import ParameterError
 from repro.graph import gnm_random_graph, grid_graph, path_graph
 from repro.paths import bfs
@@ -139,6 +141,67 @@ class TestStartTimeRace:
         for v in (5, 30, 63):
             path = extract_path(parent, v)
             assert path[0] == owner[v]
+
+
+class TestMatchesLexsortReference:
+    """The counting-sort wake order against the lexsort race it replaced
+    (``oracles.bfs_with_start_times_reference``): all five arrays, their
+    dtypes and the tracker's ledger are equal."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_equal_to_reference(self, data):
+        n = data.draw(st.integers(1, 30), label="n")
+        m = data.draw(st.integers(0, min(3 * n, n * (n - 1) // 2)), label="m")
+        g = gnm_random_graph(n, m, seed=data.draw(st.integers(0, 2**16), label="graph"))
+        if data.draw(st.booleans(), label="duplicate sources"):
+            ids = st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)
+            sources = np.asarray(data.draw(ids, label="sources"), dtype=np.int64)
+        else:
+            sources = np.asarray(
+                data.draw(st.permutations(range(n)), label="sources"), dtype=np.int64
+            )[: data.draw(st.integers(1, n), label="k")]
+        k = sources.shape[0]
+        # few start rounds so starts tie; round 0 also wakes negative ones
+        lo = data.draw(st.sampled_from([0, -2]), label="lowest start")
+        rounds = st.integers(lo, data.draw(st.integers(lo, 4), label="latest start"))
+        starts = np.asarray(
+            data.draw(st.lists(rounds, min_size=k, max_size=k), label="starts"),
+            dtype=np.int64,
+        )
+        kind = data.draw(st.sampled_from(["default", "tied", "distinct"]), label="priority")
+        if kind == "default":
+            priority = None
+        elif kind == "tied":
+            values = st.sampled_from([0.0, 0.5, 1.0])
+            priority = np.asarray(data.draw(st.lists(values, min_size=k, max_size=k)))
+        else:
+            # an EST race's priority: the real start behind each round
+            priority = starts + np.linspace(0.0, 0.9, k)[
+                np.asarray(data.draw(st.permutations(range(k)), label="fractions"))
+            ]
+        t, ref_t = PramTracker(n=n), PramTracker(n=n)
+        got = bfs_with_start_times(g, starts, sources, priority, tracker=t)
+        want = bfs_with_start_times_reference(g, starts, sources, priority, tracker=ref_t)
+        for name, a, b in zip(("arrival", "dist", "parent", "owner", "parent_edge"), got, want):
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+        assert (t.work, t.depth, t.rounds) == (ref_t.work, ref_t.depth, ref_t.rounds)
+
+    @pytest.mark.parametrize("priority", ["real", "equal"])
+    def test_equal_to_reference_on_an_est_race(self, priority):
+        # every vertex a source once, above the radix sort's row
+        # threshold; under equal priorities frontier position decides
+        # every claim, so the wake order must keep equal starts in
+        # input order
+        g = gnm_random_graph(3000, 9000, seed=12)
+        real = np.random.default_rng(13).exponential(4.0, g.n)
+        starts = np.floor(real).astype(np.int64)
+        prio = real if priority == "real" else np.zeros(g.n)
+        got = bfs_with_start_times(g, starts, np.arange(g.n), prio)
+        want = bfs_with_start_times_reference(g, starts, np.arange(g.n), prio)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestBadSources:

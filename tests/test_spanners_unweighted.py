@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from oracles import boundary_edge_ids_reference
 from repro.errors import ParameterError
 from repro.graph import gnm_random_graph, grid_graph, path_graph
+from repro.graph.csr import build_csr
 from repro.graph.validation import is_subgraph
 from repro.pram import PramTracker
 from repro.spanners import max_edge_stretch, unweighted_spanner, verify_spanner
+from repro.spanners.result import boundary_edge_ids
 from repro.spanners.unweighted import spanner_beta
 
 
@@ -120,3 +123,38 @@ class TestUnweightedSpanner:
         ncc_g, _ = connected_components(disconnected)
         ncc_h, _ = connected_components(sp.subgraph())
         assert ncc_g == ncc_h
+
+
+class TestBoundaryEdgesMatchReference:
+    """The boundary pass over the cut edges against the pass over all
+    ``2m`` arcs it replaced (``oracles.boundary_edge_ids_reference``):
+    the same ids in the same order, and the same semisort charge, under
+    random labellings from one cluster to all-singletons."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_labels(self, seed):
+        rng = np.random.default_rng(seed)
+        # the larger graphs take the radix path of the dedup
+        n = int(rng.choice([1, 2, 40, 700, 3000]))
+        m = min(int(rng.integers(0, 4 * n + 1)), n * (n - 1) // 2)
+        g = gnm_random_graph(n, m, seed=seed)
+        for num_labels in (1, 2, 5, n):
+            labels = rng.integers(0, num_labels, n)
+            t, ref_t = PramTracker(n=n), PramTracker(n=n)
+            got = boundary_edge_ids(g, labels, t)
+            want = boundary_edge_ids_reference(g, labels, ref_t)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert (t.work, t.depth) == (ref_t.work, ref_t.depth)
+
+    def test_edges_listed_in_any_order(self):
+        # builders list edges by (u, v); here edge ids ascend with
+        # neither endpoint
+        rng = np.random.default_rng(5)
+        base = gnm_random_graph(2000, 8000, seed=5)
+        perm = rng.permutation(base.m)
+        g = build_csr(base.n, base.edge_u[perm], base.edge_v[perm], base.edge_w[perm])
+        labels = rng.integers(0, 300, g.n)
+        assert np.array_equal(
+            boundary_edge_ids(g, labels), boundary_edge_ids_reference(g, labels)
+        )
