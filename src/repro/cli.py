@@ -16,7 +16,9 @@ Commands
     Replay edge insert/delete lines through
     :meth:`repro.serve.DistanceServer.apply_updates` (localized hopset
     repair, stale cached rows evicted); ``--verify`` checks hopset edge
-    validity per batch and sampled served rows against Dijkstra.
+    validity and the updated graph against the script replayed on a
+    plain edge dict after every batch, then sampled served rows against
+    Dijkstra.
 ``cluster``
     Run one EST clustering and print its statistics.
 ``cluster-tree``
@@ -67,11 +69,13 @@ import numpy as np
 
 from repro.graph import (
     barabasi_albert_graph,
+    from_edges,
     gnm_random_graph,
     grid_graph,
     random_geometric_graph,
     with_random_weights,
 )
+from repro.graph.csr import CSRGraph
 from repro.graph.io import load_edgelist, save_edgelist
 from repro.pram import PramTracker
 
@@ -237,12 +241,48 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _replay(edges: dict, chunk: list) -> None:
+    """Apply one batch of update lines to ``edges`` (``(lo, hi) -> w``)
+    by the batch rules: deletes first, then each insert sets its pair's
+    weight, the lightest insert of a pair winning; self-loops do nothing."""
+    inserts: dict = {}
+    for kind, t in chunk:
+        pair = (min(t[0], t[1]), max(t[0], t[1]))
+        if kind == "d":
+            edges.pop(pair, None)
+        elif pair[0] != pair[1]:
+            inserts[pair] = min(t[2], inserts.get(pair, t[2]))
+    edges.update(inserts)
+
+
+def _check_replay(live: CSRGraph, edges: dict) -> None:
+    """Raise :class:`~repro.errors.VerificationError` unless ``live`` is
+    a valid graph equal, array for array, to ``from_edges`` of ``edges``."""
+    from repro.errors import VerificationError
+    from repro.graph.validation import validate_graph
+
+    validate_graph(live)
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    want = from_edges(live.n, pairs, list(edges.values()))
+    for name in ("indptr", "indices", "weights", "edge_ids", "edge_u", "edge_v", "edge_w"):
+        got, ref = getattr(live, name), getattr(want, name)
+        if got.dtype != ref.dtype or not np.array_equal(got, ref):
+            raise VerificationError(
+                f"updated graph's {name} differs from the replayed update script"
+            )
+
+
 def cmd_update(args: argparse.Namespace) -> int:
     from repro.dynamic import UpdateBatch
     from repro.hopsets import HopsetParams, build_hopset
     from repro.serve import DistanceServer
 
     g = _load_graph(args)
+    # --verify replays the script on a plain dict of the edges
+    edges = (
+        dict(zip(zip(g.edge_u.tolist(), g.edge_v.tolist()), g.edge_w.tolist()))
+        if args.verify else {}
+    )
     params = HopsetParams(epsilon=args.epsilon, delta=1.5, gamma1=0.15, gamma2=0.5)
     hs = build_hopset(g, params, seed=args.seed, record_structure=True)
     server = DistanceServer(hs, cache_rows=args.cache_rows)
@@ -289,6 +329,8 @@ def cmd_update(args: argparse.Namespace) -> int:
         if args.verify:
             # Definition 2.4 item 2 only: every shortcut is a real path
             server.hopset.verify_edge_weights()
+            _replay(edges, chunk)
+            _check_replay(server.hopset.graph, edges)
     if args.verify:
         from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
@@ -305,7 +347,8 @@ def cmd_update(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 1
         print(f"verified: hopset edge validity (Definition 2.4 item 2) "
-              f"after every batch; {len(srcs)} served rows equal Dijkstra")
+              f"and the graph against the replayed script after every "
+              f"batch; {len(srcs)} served rows equal Dijkstra")
     st = server.stats
     print(f"stats: {st.cache_invalidations} invalidations, "
           f"{st.cache_hits} hits / {st.cache_misses} misses")
@@ -521,8 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=256,
                    help="apply up to this many update lines per repair pass")
     p.add_argument("--verify", action="store_true",
-                   help="check hopset edge validity after every batch, then "
-                   "that sampled served rows equal Dijkstra (test-scale only)")
+                   help="check hopset edge validity and the graph against the "
+                   "replayed script after every batch, then that sampled "
+                   "served rows equal Dijkstra (test-scale only)")
     p.set_defaults(fn=cmd_update)
 
     p = sub.add_parser("cluster", help="run one EST clustering")

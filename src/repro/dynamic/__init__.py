@@ -4,8 +4,9 @@ Edge updates arrive as :class:`UpdateBatch` (deduplicated
 inserts/deletes; inserts *set* weights, which makes every applied batch
 exactly invertible).  :func:`apply_batch` advances the CSR graph and
 reports the repair views; :func:`repair_hopset` rebuilds only the
-level-0 blocks the batch dirties (bit-identical per-block rebuilds from
-recorded seeds — see :class:`repro.hopsets.result.RepairStructure`).
+level-0 blocks that contain both endpoints of a changed edge
+(bit-identical per-block rebuilds from recorded seeds — see
+:class:`repro.hopsets.result.RepairStructure`).
 :meth:`repro.serve.DistanceServer.apply_updates` composes the two for a
 live server.  A spanner under churn is ``apply_batch`` followed by a
 seeded rebuild on ``ApplyResult.graph``: EST spanner construction is

@@ -11,12 +11,13 @@ and deletes applied atomically:
 * deleting an absent pair is dropped (and counted), as is an insert
   that would set a weight to its current value.
 
-:func:`apply_batch` produces the updated :class:`CSRGraph` (same
-key-sorted edge-list layout ``from_edges`` guarantees, so
-:meth:`CSRGraph.edge_positions` keeps finding edges by key), the set
-of *touched* vertices the hopset repair dirties blocks with, and the
-added/removed edge views the serving tier uses for exact cache
-invalidation.
+:func:`apply_batch` splices the updated :class:`CSRGraph` out of the
+old one (:func:`repro.graph.csr.splice_csr`; its arrays equal
+``from_edges`` on the new edge list, so the list stays canonical and
+edges keep being found by key) and reports the set of *touched*
+vertices and the added/removed edge views: the changed edges, which
+the hopset repair dirties blocks with and the serving tier's exact
+cache invalidation reads.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from repro.errors import ParameterError
-from repro.graph.csr import CSRGraph, build_csr
+from repro.errors import GraphFormatError, ParameterError
+from repro.graph.csr import CSRGraph, key_positions, splice_csr
 from repro.graph.dedup import first_of_runs, presence_unique
 from repro.graph.validation import check_vertex_ids
 
@@ -144,24 +145,40 @@ class ApplyResult:
 
 
 def apply_batch(g: CSRGraph, batch: UpdateBatch) -> ApplyResult:
-    """Apply ``batch`` to ``g`` and return the new graph plus repair views."""
+    """Apply ``batch`` to ``g`` and return the new graph plus repair views.
+
+    ``g``'s edge list must be canonical (``u < v``, keys ``u * n + v``
+    strictly ascending, as :func:`~repro.graph.builders.from_edges`
+    and this function produce): edges are found by key, so on any other
+    order deletes would miss and inserts would add parallel edges.  A
+    :class:`~repro.errors.GraphFormatError` naming the first offending
+    edge is raised instead.
+    """
     n = g.n
     for arr in (batch.insert_u, batch.insert_v, batch.delete_u, batch.delete_v):
         check_vertex_ids(arr, n, "vertex")
+    keys = g.edge_u * np.int64(n) + g.edge_v
+    bad = g.edge_u >= g.edge_v
+    bad[1:] |= keys[1:] <= keys[:-1]
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise GraphFormatError(
+            f"edge {e} ({int(g.edge_u[e])}, {int(g.edge_v[e])}) breaks the "
+            "canonical edge order (u < v, keys ascending) that apply_batch needs"
+        )
 
-    # ---- deletes first ------------------------------------------------
-    del_ids, del_found = g.edge_positions(batch.delete_u, batch.delete_v)
-    applied_del = del_ids[del_found]
-    dropped_deletes = int((~del_found).sum())
-    keep_mask = np.ones(g.m, dtype=bool)
-    keep_mask[applied_del] = False
-
-    # ---- inserts against the survivors --------------------------------
+    # ---- one key search for the deletes and the inserts ---------------
     ilo, ihi, iw = batch.insert_u, batch.insert_v, batch.insert_w
-    ins_ids, ins_found = g.edge_positions(ilo, ihi)
-    # gather only at found ids: an edgeless graph has nothing to index
-    survives = np.zeros_like(ins_found)
-    survives[ins_found] = keep_mask[ins_ids[ins_found]]
+    nd = batch.num_deletes
+    pos, found = key_positions(
+        keys, np.concatenate([batch.delete_u * np.int64(n) + batch.delete_v,
+                              ilo * np.int64(n) + ihi])
+    )
+    applied_del = pos[:nd][found[:nd]]
+    dropped_deletes = nd - int(applied_del.shape[0])
+    ins_ids = pos[nd:]
+    # an insert survives when its pair exists and is not deleted first
+    survives = found[nd:] & ~key_positions(applied_del, ins_ids)[1]
     # weight set on a surviving edge; identical weight is a no-op
     wc_mask = np.zeros_like(survives)
     wc_mask[survives] = g.edge_w[ins_ids[survives]] != iw[survives]
@@ -171,18 +188,13 @@ def apply_batch(g: CSRGraph, batch: UpdateBatch) -> ApplyResult:
     wc_ids = ins_ids[wc_mask]
     wc_old_w = g.edge_w[wc_ids]
     wc_new_w = iw[wc_mask]
-
-    new_w_old = g.edge_w.copy()
-    new_w_old[wc_ids] = wc_new_w
-    kept_ids = np.flatnonzero(keep_mask)
-    su, sv, sw = g.edge_u[kept_ids], g.edge_v[kept_ids], new_w_old[kept_ids]
     fu, fv, fw = ilo[fresh_mask], ihi[fresh_mask], iw[fresh_mask]
 
-    cat_u = np.concatenate([su, fu])
-    cat_v = np.concatenate([sv, fv])
-    cat_w = np.concatenate([sw, fw])
-    order = np.argsort(cat_u * np.int64(n) + cat_v, kind="stable")
-    new_graph = build_csr(n, cat_u[order], cat_v[order], cat_w[order])
+    # a re-weighted edge leaves its row and comes back at its new weight
+    add = ~noop_mask
+    new_graph = splice_csr(
+        g, np.union1d(applied_del, wc_ids), ins_ids[add], ilo[add], ihi[add], iw[add]
+    )
 
     # ---- repair views --------------------------------------------------
     dlo, dhi = g.edge_u[applied_del], g.edge_v[applied_del]

@@ -5,25 +5,30 @@ then the level loop on every level-0 block
 (:func:`repro.hopsets.unweighted._run_blocks`): every emitted hopset
 edge lives inside one level-0 cluster, and per-block randomness is a
 spawned child stream (:class:`repro.hopsets.result.RepairStructure`
-records the labels and seeds).  Blocks never interact, so after an
-update batch it suffices to
+records the labels and seeds).  What a block emits is a function of
+its *induced subgraph* and its seed alone: the loop cuts each block out
+of the graph, races and searches inside the cut, and blocks never
+interact.  So after an update batch it suffices to
 
-1. mark every block containing a touched vertex *dirty*,
+1. mark a block *dirty* when some changed edge (an insert, delete or
+   re-weight: ``ApplyResult.added_*`` and ``removed_*``) has both
+   endpoints in it,
 2. drop the dirty blocks' edges from the retained structure, and
 3. make the build's own call, ``_run_blocks``, on the dirty blocks of
    the *new* graph, with their recorded seeds and the build's recorded
    EST method,
 
-and splice the rebuilt edges back in.  Clean blocks keep their edges:
-an intra-block edge of a clean block is unchanged by the batch (both
-endpoints of every changed edge are touched), so the concrete paths
-certifying Definition 2.4 persist in the new graph; inserts only add
-paths.  A clean repair is bit-identical to what a full seeded build
-would emit for those blocks *on the original graph* — the partition is
-pinned at build time, which is exactly what makes repairs deterministic
-and batches invertible.  Touching every vertex of an unchanged graph
-therefore returns the build's edges exactly (pinned by
-``tests/test_dynamic.py``).
+and splice the rebuilt edges back in.  A changed edge between two
+blocks is in neither block's induced subgraph, so it dirties neither:
+rebuilding them would re-emit exactly the edges it drops.  A clean
+block's induced subgraph is unchanged, so its edges are what a rebuild
+on the new graph would emit, and the concrete paths certifying
+Definition 2.4 for them lie inside the block and persist.  A repair
+therefore equals, as an edge multiset, a rebuild of every block on the
+new graph with the partition pinned at build time, which is what makes
+repairs deterministic and batches invertible.  Marking every edge of
+an unchanged graph as changed returns the build's edges exactly
+(pinned by ``tests/test_dynamic.py``).
 """
 
 from __future__ import annotations
@@ -44,14 +49,19 @@ from repro.pram.tracker import PramTracker, null_tracker
 def repair_hopset(
     result: HopsetResult,
     new_graph: CSRGraph,
-    touched: np.ndarray,
+    changed: Tuple[np.ndarray, np.ndarray],
     params: HopsetParams,
     tracker: Optional[PramTracker] = None,
 ) -> Tuple[HopsetResult, Dict[str, int]]:
-    """Rebuild only the blocks of ``result`` that ``touched`` dirties.
+    """Rebuild only the blocks of ``result`` whose induced subgraph a
+    changed edge alters.
 
-    ``new_graph`` must share the vertex set of ``result.graph`` (update
-    batches change edges, never ``n``).  Requires the result to carry a
+    ``changed`` holds the endpoint arrays ``(u, v)`` of every edge the
+    batch inserted, deleted or re-weighted (``ApplyResult.added_*`` and
+    ``removed_*`` together); a block is dirty when both endpoints of
+    one lie in it.  ``new_graph`` must share the vertex set of
+    ``result.graph`` (update batches change edges, never ``n``).
+    Requires the result to carry a
     :class:`~repro.hopsets.result.RepairStructure`
     (``build_hopset(..., record_structure=True)``); the dirty blocks
     are rebuilt with the EST method it records.
@@ -81,8 +91,8 @@ def repair_hopset(
             info,
         )
 
-    touched = np.asarray(touched, dtype=np.int64)
-    dirty = presence_unique(nb, (st.top_labels[touched],))
+    lu, lv = (st.top_labels[np.asarray(ends, dtype=np.int64)] for ends in changed)
+    dirty = presence_unique(nb, (lu[lu == lv],))
     dirty_bitmap = np.zeros(nb, dtype=bool)
     dirty_bitmap[dirty] = True
     keep = ~dirty_bitmap[st.top_labels[result.eu]]

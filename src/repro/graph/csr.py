@@ -31,7 +31,7 @@ The undirected edge list itself is kept as ``edge_u``, ``edge_v``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -203,17 +203,17 @@ class CSRGraph:
         """Edge ids of the pairs ``(lo[i], hi[i])``, ``lo < hi``, or -1,
         plus the found mask.
 
-        One binary search over the canonical keys ``u * n + v``, by
-        which every graph's edge list is sorted.
+        One binary search over the keys ``u * n + v``, so the edge list
+        must be *canonical*: ``u < v`` and keys strictly ascending.
+        :func:`~repro.graph.builders.from_edges` and
+        :func:`repro.dynamic.apply_batch` produce such lists;
+        :func:`build_csr` keeps its caller's order, so an induced
+        subgraph of an unsorted vertex list is not one, and the search
+        misses its edges.
         """
-        if self.m == 0:
-            return np.full(lo.shape[0], -1, np.int64), np.zeros(lo.shape[0], bool)
         keys = lo * np.int64(self.n) + hi
-        gkeys = self.edge_u * np.int64(self.n) + self.edge_v
-        pos = np.searchsorted(gkeys, keys)
-        safe = np.minimum(pos, self.m - 1)
-        found = (pos < self.m) & (gkeys[safe] == keys)
-        return np.where(found, safe, -1), found
+        pos, found = key_positions(self.edge_u * np.int64(self.n) + self.edge_v, keys)
+        return np.where(found, pos, -1), found
 
     # ------------------------------------------------------------------
     # dunder / misc
@@ -288,6 +288,15 @@ def csr_from_arrays(
     )
 
 
+def key_positions(keys: np.ndarray, query: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Insertion points of ``query`` in the ascending ``keys`` and the
+    mask of the queries found there."""
+    pos = np.searchsorted(keys, query)
+    found = pos < keys.shape[0]
+    found[found] = keys[pos[found]] == query[found]
+    return pos, found
+
+
 def build_csr(
     n: int,
     edge_u: np.ndarray,
@@ -296,8 +305,11 @@ def build_csr(
 ) -> CSRGraph:
     """Assemble a :class:`CSRGraph` from *deduplicated* undirected edges.
 
-    The caller guarantees ``edge_u[i] < edge_v[i]`` and no duplicate
-    pairs; use :func:`repro.graph.builders.from_edges` for raw input.
+    The caller guarantees no self-loops and no duplicate pairs; use
+    :func:`repro.graph.builders.from_edges` for raw input.  The edge
+    list is stored in the given order and orientation, so it is
+    canonical (see :meth:`CSRGraph.edge_positions`) only when the
+    caller's is.
 
     Assembly is fully vectorized and O(n + m): the symmetric arc list
     is built by concatenation, ordered by source vertex with
@@ -334,4 +346,113 @@ def build_csr(
         edge_u=_freeze(edge_u.astype(np.int64, copy=False)),
         edge_v=_freeze(edge_v.astype(np.int64, copy=False)),
         edge_w=_freeze(edge_w.astype(np.float64, copy=False)),
+    )
+
+
+def _splice_plan(drop: np.ndarray, at: np.ndarray, size: int) -> List[Tuple[slice, slice]]:
+    """Runs of one splice of a ``size``-long array ``old`` with ``new``:
+    ``old[a]`` then ``new[b]`` for every ``(a, b)``, which drops the rows
+    ``drop`` (ascending, distinct) and puts ``new[i]`` before old row
+    ``at[i]`` (``at`` nondecreasing)."""
+    events = np.union1d(drop, at)
+    starts = np.concatenate(([0], events + key_positions(drop, events)[1]))
+    stops = np.append(events, size)
+    begins = np.searchsorted(at, events, side="left").tolist() + [0]
+    ends = np.searchsorted(at, events, side="right").tolist() + [0]
+    return [
+        (slice(a, b), slice(c, d))
+        for a, b, c, d in zip(starts.tolist(), stops.tolist(), begins, ends)
+    ]
+
+
+def _spliced(
+    plan: List[Tuple[slice, slice]], old: np.ndarray, new: np.ndarray, dtype: type
+) -> np.ndarray:
+    """``plan``'s runs of ``old`` and ``new`` in one concatenation."""
+    return np.concatenate([part for a, b in plan for part in (old[a], new[b])], dtype=dtype)
+
+
+def _arc_keys(tail: np.ndarray, head: np.ndarray, n: int) -> np.ndarray:
+    """Sort keys of arcs in :func:`build_csr` order over a canonical
+    edge list: by tail, then higher heads ascending, then lower ones."""
+    return tail * np.int64(2 * n) + np.where(head > tail, head, head + n)
+
+
+def _arc_slots(g: CSRGraph, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Slot of each arc ``tail[i] -> head[i]`` of ``g``, or the slot an
+    absent one would be inserted before; one search over the arcs of
+    the distinct tails, so the work is their degree sum."""
+    verts, which = np.unique(tail, return_inverse=True)
+    start = g.indptr[verts]
+    deg = g.indptr[verts + 1] - start
+    shift = start - (np.cumsum(deg) - deg)  # gathered position -> slot
+    own = np.repeat(np.arange(verts.shape[0]), deg)
+    slots = np.arange(int(deg.sum())) + shift[own]
+    keys = _arc_keys(verts[own], g.indices[slots].astype(np.int64), g.n)
+    return np.searchsorted(keys, _arc_keys(tail, head, g.n)) + shift[which]
+
+
+def splice_csr(
+    g: CSRGraph,
+    drop: np.ndarray,
+    at: np.ndarray,
+    add_u: np.ndarray,
+    add_v: np.ndarray,
+    add_w: np.ndarray,
+) -> CSRGraph:
+    """:func:`build_csr` of ``g``'s edge list without the rows ``drop``
+    and with edge ``(add_u[i], add_v[i], add_w[i])`` put before row
+    ``at[i]``, spliced out of ``g`` instead of sorted again.
+
+    Both edge lists must be canonical (see :meth:`CSRGraph.edge_positions`):
+    ``drop`` ascends, ``at`` is the key-order insertion point of each
+    added edge, and the added edges ascend by key; ``g``'s arcs must be
+    in ``build_csr``'s layout, as ``from_edges``, this function and the
+    store loaders leave them.  Then the new layout is known without a
+    sort: an edge id is a list position, so it shifts by the drops and
+    inserts before it, and each source's arcs run to its higher
+    neighbours ascending, then to its lower ones ascending.  Every
+    array is one concatenation of old slices and new runs, so
+    beyond copying the arrays the work is in the changed edges and the
+    degrees of their endpoints.  The result equals ``build_csr`` on the
+    new edge list array for array, dtypes included.
+    """
+    n, m, k = g.n, g.m, add_u.shape[0]
+    if (add_w <= 0).any():
+        raise GraphFormatError("edge weights must be positive")
+    rows = _splice_plan(drop, at, m)
+    edge_u = _spliced(rows, g.edge_u, add_u, np.int64)
+    edge_v = _spliced(rows, g.edge_v, add_v, np.int64)
+    edge_w = _spliced(rows, g.edge_w, add_w, np.float64)
+
+    # both arcs of every added edge in build_csr's order; edge i is
+    # numbered m + i until the renumbering below
+    tail = np.concatenate([add_u, add_v])
+    head = np.concatenate([add_v, add_u])
+    order = np.argsort(_arc_keys(tail, head, n), kind="stable")
+    tail, head = tail[order], head[order]
+    du, dv = g.edge_u[drop], g.edge_v[drop]
+    slots = _arc_slots(g, np.concatenate([du, dv, tail]), np.concatenate([dv, du, head]))
+    nd = 2 * drop.shape[0]
+    arcs = _splice_plan(np.sort(slots[:nd]), slots[nd:], g.num_arcs)
+    indices = _spliced(arcs, g.indices, head, np.int64)
+    weights = _spliced(arcs, g.weights, np.concatenate([add_w, add_w])[order], np.float64)
+    new_ids = np.arange(m, m + k, dtype=np.int64)
+    arc_ids = _spliced(arcs, g.edge_ids, np.concatenate([new_ids, new_ids])[order], np.int64)
+    # row r of the new edge list holds old row came[r] (added edge i is
+    # m + i), so an arc's new id is the row its edge came to
+    came = _spliced(rows, np.arange(m), new_ids, np.int64)
+    renumber = np.empty(m + k, dtype=np.int64)
+    renumber[came] = np.arange(came.shape[0])
+    grew = np.bincount(tail, minlength=n) - np.bincount(np.concatenate([du, dv]), minlength=n)
+
+    return CSRGraph(
+        n=n,
+        indptr=_freeze(g.indptr + np.concatenate(([0], np.cumsum(grew)))),
+        indices=_freeze(indices),
+        weights=_freeze(weights),
+        edge_ids=_freeze(renumber[arc_ids]),
+        edge_u=_freeze(edge_u),
+        edge_v=_freeze(edge_v),
+        edge_w=_freeze(edge_w),
     )

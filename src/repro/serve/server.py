@@ -274,7 +274,10 @@ class DistanceServer:
         repaired, info = repair_hopset(
             self.hopset,
             ar.graph,
-            ar.touched,
+            (
+                np.concatenate([ar.added_u, ar.removed_u]),
+                np.concatenate([ar.added_v, ar.removed_v]),
+            ),
             params=params,
             tracker=self.tracker,
         )

@@ -24,13 +24,16 @@ from hypothesis import strategies as st
 from oracles import edge_id_lookup, engine_kernel
 from repro import cli
 from repro.dynamic import UpdateBatch, apply_batch, repair_hopset
-from repro.errors import ParameterError
+from repro.errors import GraphFormatError, ParameterError
 from repro.graph import (
     from_edges,
     gnm_random_graph,
     grid_graph,
+    induced_subgraph,
     with_random_weights,
 )
+from repro.graph.csr import build_csr
+from repro.graph.storage import load_store, save_store
 from repro.hopsets import HopsetParams, build_hopset
 from repro.paths.dijkstra import dijkstra_scipy
 from repro.serve import DistanceServer
@@ -178,14 +181,180 @@ class TestUpdateBatch:
         assert len(untouched) >= g.m - batch.size
         assert all(new[pair] == old[pair] for pair in untouched)
 
+    def test_non_canonical_edge_list_is_refused(self):
+        # an induced subgraph of an unsorted vertex list keeps the
+        # relabelled pairs as they fall: (1, 0), (1, 2), (0, 2).  Keyed
+        # lookups miss (0, 1) there, so a delete would be dropped and an
+        # insert would add a parallel edge
+        g = induced_subgraph(from_edges(10, [(2, 5), (5, 9), (2, 9), (0, 1)]), np.array([5, 2, 9]))[0]
+        for batch in (
+            UpdateBatch.from_tuples(deletes=[(0, 1)]),
+            UpdateBatch.from_tuples(inserts=[(0, 1, 2.0)]),
+        ):
+            with pytest.raises(GraphFormatError, match=r"edge 0 \(1, 0\)"):
+                apply_batch(g, batch)
+        # u < v everywhere, but the keys descend at edge 1
+        swapped = build_csr(4, np.array([1, 0]), np.array([2, 3]), np.array([1.0, 1.0]))
+        with pytest.raises(GraphFormatError, match=r"edge 1 \(0, 3\)"):
+            apply_batch(swapped, UpdateBatch.from_tuples(deletes=[(0, 3)]))
+
+
+# ----------------------------------------------------------------------
+# the spliced graph is the built one
+# ----------------------------------------------------------------------
+CSR_ARRAYS = ("indptr", "indices", "weights", "edge_ids", "edge_u", "edge_v", "edge_w")
+WEIGHTS = st.sampled_from([0.5, 1.0, 2.0, 3.5])
+
+
+def _rules(g, batch):
+    """The edges ``apply_batch`` leaves and what it reports, by the batch
+    rules, one pair at a time."""
+    old = {(u, v): w for u, v, w in g.iter_edges()}
+    dels = [p for p in zip(batch.delete_u.tolist(), batch.delete_v.tolist()) if p in old]
+    live = {p: w for p, w in old.items() if p not in dels}
+    fresh, down, up, reweighted, noop = [], [], [], [], 0
+    for u, v, w in zip(batch.insert_u.tolist(), batch.insert_v.tolist(), batch.insert_w.tolist()):
+        was = live.get((u, v))
+        if was is None:
+            fresh.append((u, v, w))
+        elif was == w:
+            noop += 1
+        else:
+            (down if w < was else up).append((u, v, w, was))
+            reweighted.append((u, v, was))
+        live[(u, v)] = w
+    added = fresh + [(u, v, w) for u, v, w, _ in down]
+    removed = [(u, v, old[(u, v)]) for u, v in dels] + [(u, v, was) for u, v, _, was in up]
+    ends = [x for p in dels + [t[:2] for t in fresh + reweighted] for x in p]
+    return live, {
+        "added": added,
+        "removed": removed,
+        "touched": sorted(set(ends)),
+        "inverse": UpdateBatch.from_tuples(
+            [(u, v, old[(u, v)]) for u, v in dels] + reweighted,
+            [t[:2] for t in fresh],
+        ),
+        "stats": {
+            "inserted": len(fresh),
+            "deleted": len(dels),
+            "weight_changed": len(reweighted),
+            "dropped_deletes": batch.num_deletes - len(dels),
+            "dropped_inserts": noop,
+            "touched_vertices": len(set(ends)),
+        },
+    }
+
+
+def _check_apply(g, batch):
+    """``apply_batch``'s graph equals ``build_csr`` on its edge list and
+    its views and stats follow the batch rules."""
+    ar = apply_batch(g, batch)
+    h = ar.graph
+    want = build_csr(h.n, h.edge_u, h.edge_v, h.edge_w)
+    for name in CSR_ARRAYS:
+        got, ref = getattr(h, name), getattr(want, name)
+        assert got.dtype == ref.dtype, name
+        assert np.array_equal(got, ref), name
+    live, rules = _rules(g, batch)
+    assert sorted(live) == list(zip(h.edge_u.tolist(), h.edge_v.tolist()))
+    assert [live[p] for p in sorted(live)] == h.edge_w.tolist()
+
+    def triples(u, v, w):
+        return list(zip(u.tolist(), v.tolist(), w.tolist()))
+
+    assert triples(ar.added_u, ar.added_v, ar.added_w) == rules["added"]
+    assert triples(ar.removed_u, ar.removed_v, ar.removed_w) == rules["removed"]
+    assert ar.touched.tolist() == rules["touched"]
+    assert ar.stats == rules["stats"]
+    inv = rules["inverse"]
+    for name in ("insert_u", "insert_v", "insert_w", "delete_u", "delete_v"):
+        assert getattr(ar.inverse, name).tolist() == getattr(inv, name).tolist(), name
+    return ar
+
+
+@st.composite
+def _graph_and_batch(draw):
+    n = draw(st.integers(1, 10))
+    ids = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=30))
+    g = from_edges(n, np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                   draw(st.lists(WEIGHTS, min_size=len(pairs), max_size=len(pairs))))
+    inserts = draw(st.lists(st.tuples(ids, ids, WEIGHTS), max_size=8))
+    deletes = draw(st.lists(st.tuples(ids, ids), max_size=8))
+    return g, UpdateBatch.from_tuples(inserts, deletes)
+
+
+class TestSpliceEqualsBuild:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_graph_and_batch())
+    def test_random_batches(self, case):
+        _check_apply(*case)
+
+    def test_edgeless_graph(self):
+        _check_apply(_edgeless(6), UpdateBatch.from_tuples(
+            inserts=[(4, 1, 2.0), (0, 5, 1.0), (1, 2, 3.0)], deletes=[(0, 1)]))
+
+    def test_consecutive_vertices_get_their_first_arcs(self):
+        # 2 and 3 have no arcs, so their new arcs share one old slot with
+        # 4's first arc; 4's and 5's new arcs share the slot after 4 -> 5
+        g = from_edges(6, [(0, 1), (4, 5)])
+        ar = _check_apply(g, UpdateBatch.from_tuples(
+            inserts=[(2, 3, 1.0), (2, 5, 1.0), (3, 4, 1.0)]))
+        assert ar.graph.indices.tolist() == [1, 0, 3, 5, 4, 2, 5, 3, 2, 4]
+
+    def test_delete_and_reinsert_one_pair(self):
+        g = _weighted(30, 60, seed=11)
+        u, v, w = int(g.edge_u[7]), int(g.edge_v[7]), float(g.edge_w[7])
+        for again in (w, w + 1.0):
+            ar = _check_apply(g, UpdateBatch.from_tuples(inserts=[(u, v, again)], deletes=[(u, v)]))
+            assert ar.stats["deleted"] == 1 and ar.stats["inserted"] == 1
+
+    def test_weight_increases_and_decreases(self):
+        g = _weighted(40, 100, seed=12)
+        ups = [(int(g.edge_u[e]), int(g.edge_v[e]), float(g.edge_w[e]) + 1.0) for e in (0, 9, 50)]
+        downs = [(int(g.edge_u[e]), int(g.edge_v[e]), float(g.edge_w[e]) / 2) for e in (3, 51, 99)]
+        ar = _check_apply(g, UpdateBatch.from_tuples(inserts=ups + downs))
+        assert ar.stats["weight_changed"] == 6
+        assert ar.added_u.shape[0] == 3 and ar.removed_u.shape[0] == 3
+
+    def test_int32_store_graph(self, tmp_path):
+        # a store keeps int32 ids; a deletes-only splice of int32 slices
+        # must still come out int64, as build_csr's arrays do
+        g = _weighted(50, 150, seed=13)
+        save_store(g, tmp_path / "store")
+        stored = load_store(tmp_path / "store")
+        assert stored.edge_u.dtype == stored.indices.dtype == np.int32
+        eids = [0, 17, 149]
+        deletes = list(zip(g.edge_u[eids].tolist(), g.edge_v[eids].tolist()))
+        for batch in (
+            UpdateBatch.from_tuples(deletes=deletes),
+            UpdateBatch.from_tuples(inserts=[(0, 49, 2.0)], deletes=deletes),
+        ):
+            ar = _check_apply(stored, batch)
+            assert ar.graph == apply_batch(g, batch).graph
+
 
 # ----------------------------------------------------------------------
 # hopset repair
 # ----------------------------------------------------------------------
+def _changed(ar):
+    """Endpoints of every edge ``ar`` inserted, deleted or re-weighted."""
+    return (
+        np.concatenate([ar.added_u, ar.removed_u]),
+        np.concatenate([ar.added_v, ar.removed_v]),
+    )
+
+
+def _every_block(n):
+    """Pairs ``(v, v)``: each lies inside its vertex's block, so a repair
+    given them rebuilds every block."""
+    return np.arange(n), np.arange(n)
+
+
 def _churn(hs, g, batch, params=PARAMS):
     """One churn step: ``apply_batch`` then ``repair_hopset``."""
     ar = apply_batch(g, batch)
-    repaired, info = repair_hopset(hs, ar.graph, ar.touched, params)
+    repaired, info = repair_hopset(hs, ar.graph, _changed(ar), params)
     return ar.graph, repaired, info
 
 
@@ -263,11 +432,47 @@ class TestDynamicHopset:
         assert info["kept_edges"] > 0
         hs.verify_edge_weights()
 
+    def test_changes_between_blocks_dirty_no_block(self):
+        g = _weighted_grid(24, 24, seed=8)
+        hs = build_hopset(g, MANY_BLOCKS, seed=13, record_structure=True)
+        lab = hs.structure.top_labels
+        cross = np.flatnonzero(lab[g.edge_u] != lab[g.edge_v])[:4]
+        assert cross.size == 4
+        (a, b), (c, d), (e, f), (x, y) = zip(g.edge_u[cross].tolist(), g.edge_v[cross].tolist())
+        wab, wcd = g.edge_w[cross[:2]].tolist()
+        # vertex 0 and the far corner of the grid lie in different blocks
+        assert lab[0] != lab[g.n - 1]
+        batch = UpdateBatch.from_tuples(
+            inserts=[(a, b, wab + 1.0), (c, d, wcd / 2), (0, g.n - 1, 1.0)],
+            deletes=[(e, f), (x, y)],
+        )
+        _, repaired, info = _churn(hs, g, batch, params=MANY_BLOCKS)
+        assert info["dirty_blocks"] == info["rebuilt_blocks"] == info["rebuilt_edges"] == 0
+        assert info["kept_edges"] == hs.size
+        for name in ("eu", "ev", "ew", "kind"):
+            assert np.array_equal(getattr(repaired, name), getattr(hs, name)), name
+        repaired.verify_edge_weights()
+
+    @settings(max_examples=15, deadline=None)
+    @given(graph=st.sampled_from(sorted(GRAPHS)), seed=st.integers(0, 10_000))
+    def test_repair_equals_rebuilding_every_block(self, graph, seed):
+        # a block no changed edge lies inside keeps its induced subgraph,
+        # so its kept edges are what a rebuild on the new graph emits
+        g = GRAPHS[graph]()
+        hs = build_hopset(g, MANY_BLOCKS, seed=seed, record_structure=True)
+        for step in range(2):
+            ar = apply_batch(g, _random_batch(g, seed + step))
+            repaired, _ = repair_hopset(hs, ar.graph, _changed(ar), MANY_BLOCKS)
+            every, info = repair_hopset(hs, ar.graph, _every_block(g.n), MANY_BLOCKS)
+            assert info["dirty_blocks"] == hs.structure.num_blocks
+            assert _hopset_key(repaired) == _hopset_key(every)
+            g, hs = ar.graph, repaired
+
     def test_requires_structure(self):
         g = _weighted(60, 150, seed=9)
         hs = build_hopset(g, PARAMS, seed=1)  # no record_structure
         with pytest.raises(ParameterError):
-            repair_hopset(hs, g, np.array([0]), params=PARAMS)
+            repair_hopset(hs, g, (np.array([0]), np.array([1])), params=PARAMS)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -278,11 +483,15 @@ class TestDynamicHopset:
     )
     def test_repairing_every_block_returns_the_build(self, graph, params, method, seed):
         # a build is level 0 plus the repair's per-block loop on every
-        # block, so touching every vertex of the unchanged graph gives
-        # back the build's edges: same values, same order, same dtypes
+        # block, so marking every edge of the unchanged graph changed
+        # gives back the build's edges: same values, same order, same
+        # dtypes.  Level-0 blocks are connected, so every block the
+        # build ran its loop on holds an edge and is rebuilt.
         g = GRAPHS[graph]()
         hs = build_hopset(g, params, seed=seed, method=method, record_structure=True)
-        repaired, info = repair_hopset(hs, g, np.arange(g.n), params)
+        repaired, info = repair_hopset(hs, g, (g.edge_u, g.edge_v), params)
+        sizes = np.bincount(hs.structure.top_labels)
+        assert info["rebuilt_blocks"] == int((sizes > params.n_final(g.n)).sum())
         assert info["kept_edges"] == 0
         for name in ("eu", "ev", "ew", "kind"):
             got, want = getattr(repaired, name), getattr(hs, name)
@@ -318,6 +527,42 @@ class TestUpdateCLI:
         assert "blocks rebuilt" in out
         assert "verified" in out
         assert "4 served rows equal Dijkstra" in out
+
+    def test_update_verify_replays_deletes_reinserts_and_reweights(self, tmp_path, capsys):
+        # (0, 4) and (0, 7) are edges of this graph: one batch deletes
+        # and re-inserts (0, 4) and re-weights (0, 7); the next deletes
+        # (0, 7) and ignores a self-loop
+        upd = tmp_path / "updates.txt"
+        upd.write_text("i 3 90 2.5\nd 0 4\ni 0 4 2.0\ni 0 7 3.0\ni 5 5 1.0\nd 0 7\n")
+        rc = cli.main([
+            "update", "--n", "120", "--m", "480", "--seed", "4",
+            "--updates", str(upd), "--batch", "4", "--verify",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "batch 0: +2 -1 ~1" in out and "batch 1: +0 -1 ~0" in out
+        assert "the graph against the replayed script after every batch" in out
+
+    def test_update_verify_catches_a_wrong_graph(self, tmp_path, capsys, monkeypatch):
+        # served rows are exact on whatever graph the server holds, so
+        # only the replay sees an apply_batch that loses the batch
+        import dataclasses
+
+        from repro.dynamic import batch as batch_module
+
+        applied = batch_module.apply_batch
+        monkeypatch.setattr(
+            batch_module, "apply_batch",
+            lambda g, b: dataclasses.replace(applied(g, b), graph=g),
+        )
+        upd = tmp_path / "updates.txt"
+        upd.write_text("i 3 90 2.5\n")
+        rc = cli.main([
+            "update", "--n", "120", "--m", "480", "--seed", "4",
+            "--updates", str(upd), "--verify",
+        ])
+        assert rc == 1
+        assert "differs from the replayed update script" in capsys.readouterr().err
 
     def test_update_hop_budget_verify_catches_undercut(self, tmp_path, capsys, monkeypatch):
         # --verify must catch a wrong exact row, not only a wrong hopset
